@@ -1,0 +1,114 @@
+"""Byte-for-byte golden capture of the README's CLI examples.
+
+Each case runs ``freealg.cli.main`` in-process, in a directory holding
+the README's input files, and compares stdout, stderr and the exit code
+with ``tests/golden/``: stdout in ``<case>.stdout``, argv, exit code and
+stderr in ``index.json``.  The captures fix every printed digit, so a
+change to the arithmetic underneath must leave the output untouched.
+
+``verify teichmueller`` and ``verify shifts`` are left out: they run no
+elimination and take several seconds each.
+
+To re-capture after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from freealg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SYSTEM = {
+    "algebra": "complex",
+    "matrix": [["1", "2*I"], ["1", "-3"]],
+    "rhs": [["1", "0"], ["0", "1"]],
+}
+CONJ = "1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n"
+
+COMMANDS = {
+    "solve": ["solve", "system.json"],
+    "tables-complex": ["tables", "complex"],
+    "tables-quaternion": ["tables", "quaternion"],
+    "tables-octonion": ["tables", "octonion"],
+    "verify-tables": ["verify", "tables"],
+    "verify-quasidet": ["verify", "quasidet"],
+    "basis-complex": ["basis", "complex"],
+    "basis-octonion": ["basis", "octonion"],
+    "basis-split-quaternions": ["basis", "split_quaternions.json"],
+    "map-convert": ["map", "convert", "--algebra", "quaternion", "--coords", "conj.txt"],
+}
+CASES = {name + suffix: argv + extra
+         for name, argv in COMMANDS.items()
+         for suffix, extra in (("", []), ("-machine", ["--machine"]))}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_inputs(directory):
+    """The README's input files, the split quaternions made by the CLI."""
+    (directory / "system.json").write_text(json.dumps(SYSTEM, indent=2), encoding="utf-8")
+    (directory / "conj.txt").write_text(CONJ, encoding="utf-8")
+    code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
+    assert code == 0
+    (directory / "split_quaternions.json").write_text(out, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("readme")
+    write_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def index():
+    return json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_readme_command_matches_golden(case, readme_dir, index, monkeypatch):
+    monkeypatch.chdir(readme_dir)
+    expected = index[case]
+    assert expected["argv"] == CASES[case]
+    code, out, err = run(CASES[case])
+    with open(GOLDEN / f"{case}.stdout", encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+    assert err == expected["stderr"]
+    assert code == expected["exit"]
+
+
+def capture():
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    index = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_inputs(Path(tmp))
+            for case, argv in sorted(CASES.items()):
+                code, out, err = run(argv)
+                with open(GOLDEN / f"{case}.stdout", "w", encoding="utf-8", newline="") as fh:
+                    fh.write(out)
+                index[case] = {"argv": argv, "exit": code, "stderr": err}
+        finally:
+            os.chdir(cwd)
+    (GOLDEN / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(capture())
