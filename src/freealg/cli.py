@@ -156,17 +156,24 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
     return doc
 
 
+def _index(value) -> int:
+    """A basis index from JSON; true and false are not indices."""
+    if isinstance(value, bool):
+        raise InvalidAlgebra(f"basis index must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def algebra_from_json(doc: dict) -> FreeAlgebra:
     try:
         dim = int(doc["dim"])
         labels = [str(s) for s in doc["labels"]]
-        constants = [(int(i), int(j), int(k), Fraction(str(v)))
+        constants = [(_index(i), _index(j), _index(k), Fraction(str(v)))
                      for i, j, k, v in doc["constants"]]
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidAlgebra(f"malformed algebra definition: {err}") from None
     unit = doc.get("unit")
     return FreeAlgebra(dim, labels, constants,
-                       unit_index=None if unit is None else int(unit))
+                       unit_index=None if unit is None else _index(unit))
 
 
 def load_algebra(source: str) -> FreeAlgebra:
@@ -222,6 +229,8 @@ def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
 def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidAlgebra("system file must hold a JSON object")
     try:
         algebra = load_algebra(str(doc["algebra"]))
         matrix_doc = doc["matrix"]
@@ -237,9 +246,12 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
                     raise InvalidAlgebra(
                         "string entries are defined over the complex field only")
                 entry_row.append(parse_complex_entry(cell, algebra))
-            else:
+            elif isinstance(cell, list) and all(isinstance(r, list) for r in cell):
                 coords = [[Fraction(str(v)) for v in r] for r in cell]
                 entry_row.append(LinearMap(algebra, algebra, coords))
+            else:
+                raise InvalidAlgebra("matrix entry must be a string or a grid of "
+                                     f"coordinates, got {json.dumps(cell)}")
         entries.append(entry_row)
     rhs = [algebra.element([Fraction(str(v)) for v in coords]) for coords in rhs_doc]
     return algebra, MapMatrix(entries), rhs

@@ -30,9 +30,14 @@ class FreeAlgebra:
     is validated against the stored constants.  ``tag`` and ``params``
     record how a built-in algebra was constructed (see
     :mod:`freealg.algebras`); user-defined algebras leave them None.
+
+    ``_b_matrices`` caches the component matrix, one entry per nesting
+    order (see :func:`freealg.linmap.b_matrix`); it lives and dies with
+    the algebra.
     """
 
-    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "_table", "_constants")
+    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "_table", "_constants",
+                 "_b_matrices")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -47,6 +52,7 @@ class FreeAlgebra:
         self.labels = tuple(str(s) for s in labels)
         self.tag = tag
         self.params = params
+        self._b_matrices: dict = {}
 
         seen: set[tuple[int, int, int]] = set()
         cells: dict[tuple[int, int], dict[int, Fraction]] = {}

@@ -2,15 +2,19 @@
 
 Matrices are lists of rows of Fraction.  Nothing in this module ever
 rounds; every function either returns exact rationals or raises.
-Rank uses Bareiss fraction-free elimination to keep intermediate
-entries small; solving and inversion use plain Gauss-Jordan, which is
-exact over Fraction.
+
+All elimination (rank, rref, invert, solve, Span) runs on one
+fraction-free Gauss-Jordan kernel over Python ints (Bareiss, Math. Comp.
+22, 1968).  A row enters scaled by the lcm of its denominators, which
+changes neither its row space nor the reduced row echelon form; each row
+step divides out the gcd of the row's entries.  Fractions appear only
+on the way out: a reduced row is the integer row over its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -36,24 +40,8 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(a: Mat) -> Mat:
-    return [row[:] for row in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_add(a: Mat, b: Mat) -> Mat:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -74,81 +62,95 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), ZERO) for row in a]
+    support = [j for j, x in enumerate(v) if x != 0]
+    return [sum((row[j] * v[j] for j in support if row[j] != 0), ZERO) for row in a]
 
 
-def is_zero_vec(v: Vec) -> bool:
-    return all(x == 0 for x in v)
+def _int_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators, made primitive."""
+    dens = [x.denominator for x in row]
+    scale = lcm(*dens)
+    ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _support(row: list[int]) -> list[int]:
+    return [j for j, x in enumerate(row) if x]
+
+
+def _eliminate(row: list[int], pivot_row: list[int], c: int,
+               support: list[int]) -> list[int]:
+    """(p/g) row - (f/g) pivot_row over the gcd of its entries, where p > 0
+    and f are the column-c entries of pivot_row and row, g = gcd(p, f),
+    and ``support`` lists the nonzero columns of pivot_row.  May reuse
+    row's list."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        row = [p * x for x in row]
+    for j in support:
+        row[j] -= f * pivot_row[j]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(rows: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan, in place, over the first ``cols`` columns.
+
+    Returns the pivot columns.  Afterwards rows[i] for i < len(pivots) is
+    a positive multiple of row i of the reduced row echelon form, with a
+    positive entry in column pivots[i]; the rows after them are zero.
+    """
+    pivots: list[int] = []
+    n = len(rows)
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        prow = rows[pivot]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        rows[pivot], rows[r] = rows[r], prow
+        support = _support(prow)
+        for i in range(n):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], prow, c, support)
+        pivots.append(c)
+    return pivots
+
+
+def _fraction_row(row: list[int], den: int) -> Vec:
+    return [Fraction(x, den) if x else ZERO for x in row]
 
 
 def rank(a: Mat) -> int:
-    """Rank by fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; row scaling does not change rank.
-    """
-    if not a or not a[0]:
-        return 0
-    m = []
-    for row in a:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        m.append([int(x * scale) for x in row])
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_reduce([_int_row(row) for row in a], len(a[0]) if a else 0))
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Row-reduced echelon form; returns (reduced matrix, pivot columns)."""
-    m = copy_matrix(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(a[0]) if a else 0
+    rows = [_int_row(row) for row in a]
+    pivots = _reduce(rows, cols)
+    reduced = [_fraction_row(row, row[c]) for row, c in zip(rows, pivots)]
+    return reduced + zeros(len(rows) - len(pivots), cols), pivots
 
 
 def invert(a: Mat) -> Mat:
     """Exact inverse by Gauss-Jordan; raises ValueError naming the first
     pivot column that could not be produced when singular."""
     n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    r, pivots = rref(m)
-    have = set(pivots)
-    missing = next((c for c in range(n) if c not in have), None)
-    if missing is not None:
+    rows = [_int_row([*row, *ident_row]) for row, ident_row in zip(a, identity(n))]
+    pivots = _reduce(rows, n)
+    if len(pivots) < n:
+        missing = next(c for c in range(n) if c not in pivots)
         raise ValueError(f"matrix is singular: no pivot in column {missing}")
-    return [row[n:] for row in r]
+    return [_fraction_row(row[n:], row[i]) for i, row in enumerate(rows)]
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
@@ -158,70 +160,72 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     basis, one vector per free column).  Raises ValueError when the
     system is inconsistent.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
+    cols = len(a[0]) if a else 0
+    rows = [_int_row([*a[i], b[i]]) for i in range(len(a))]
+    pivots = _reduce(rows, cols + 1)
     if cols in pivots:
         raise ValueError("inconsistent linear system")
     particular = [ZERO] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = r[i][cols]
-    free = [c for c in range(cols) if c not in set(pivots)]
+    for row, c in zip(rows, pivots):
+        particular[c] = Fraction(row[cols], row[c])
+    pivot_set = set(pivots)
     basis: list[Vec] = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         v = [ZERO] * cols
         v[fc] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -r[i][fc]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[fc], row[c])
         basis.append(v)
     return particular, basis
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    rows = len(a)
-    return solve(a, [ZERO] * rows)[1]
-
-
 class Span:
-    """Incrementally built row space of Q^n with exact membership tests."""
+    """Incrementally built row space of Q^n with exact membership tests.
+
+    The basis is held as primitive integer rows in reduced echelon form:
+    each row has a positive pivot and zeros in the other rows' pivot
+    columns.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[Vec] = []       # reduced, pivot-normalized
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, v: Vec) -> Vec:
-        v = v[:]
-        for row, p in zip(self.rows, self._pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(self.n):
-                    if row[j] != 0:
-                        v[j] -= f * row[j]
-        return v
+    @property
+    def rows(self) -> list[Vec]:
+        """The basis as pivot-normalised Fraction rows, in insertion order."""
+        return [_fraction_row(row, row[p]) for row, p in zip(self._rows, self._pivots)]
+
+    def _residue(self, v: Vec) -> list[int]:
+        res = _int_row(v)
+        for row, p in zip(self._rows, self._pivots):
+            if res[p]:
+                res = _eliminate(res, row, p, _support(row))
+        return res
 
     def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not any(self._residue(v))
 
     def add(self, v: Vec) -> bool:
         """Add v to the span; True when the rank grew."""
-        res = self.reduce(v)
-        pivot = next((j for j in range(self.n) if res[j] != 0), None)
+        res = self._residue(v)
+        pivot = next((j for j, x in enumerate(res) if x), None)
         if pivot is None:
             return False
-        inv = ONE / res[pivot]
-        res = [x * inv for x in res]
-        for row in self.rows:
-            if row[pivot] != 0:
-                f = row[pivot]
-                for j in range(self.n):
-                    row[j] -= f * res[j]
-        self.rows.append(res)
+        if res[pivot] < 0:
+            res = [-x for x in res]
+        support = _support(res)
+        for i, row in enumerate(self._rows):
+            if row[pivot]:
+                self._rows[i] = _eliminate(row, res, pivot, support)
+        self._rows.append(res)
         self._pivots.append(pivot)
         return True
 
@@ -250,15 +254,9 @@ def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:
 def primitive(v: Vec) -> Vec:
     """Scale a nonzero rational vector to coprime integers with a
     positive leading entry."""
-    scale = 1
-    for x in v:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
+    ints = _int_row(v)
+    lead = next((x for x in ints if x != 0), None)
+    if lead is None:
         raise ValueError("zero vector has no primitive form")
-    lead = next(x for x in ints if x != 0)
     sign = -1 if lead < 0 else 1
-    return [Fraction(sign * x, g) for x in ints]
+    return [Fraction(sign * x) for x in ints]

@@ -62,23 +62,6 @@ def expand_standard_relations(groups, den: int) -> dict:
     return out
 
 
-def derive_coord_relations(block_a, block_b, sign_matrix) -> dict:
-    """Unfold A = F * B column by column into {(k, m): {(i, j): coeff}}."""
-    n = len(sign_matrix)
-    out = {}
-    for c in range(n):
-        for r in range(n):
-            sa, k, m = block_a[r][c]
-            rel = {}
-            for s in range(n):
-                sb, i, j = block_b[s][c]
-                coeff = Fraction(sa * sign_matrix[r][s] * sb)
-                if coeff:
-                    rel[(i, j)] = rel.get((i, j), Fraction(0)) + coeff
-            out[(k, m)] = {key: v for key, v in rel.items() if v}
-    return out
-
-
 def derive_standard_relations(block_a, block_b, inverse_numerators, den: int) -> dict:
     """Unfold B = F^{-1} * A column by column into {(i, j): {(k, m): coeff}}."""
     n = len(inverse_numerators)

@@ -193,19 +193,20 @@ class BMatrix:
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.size})"
 
 
-_b_matrix_cache: dict[tuple[int, str], BMatrix] = {}
 _b_matrix_lock = threading.Lock()
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
-    """Build (and cache per algebra) the component matrix."""
+    """Build (and cache on the algebra, per order) the component matrix."""
     _check_order(order)
-    key = (id(algebra), order)
     with _b_matrix_lock:
-        cached = _b_matrix_cache.get(key)
-    if cached is not None and cached.algebra is algebra:
-        return cached
+        cached = algebra._b_matrices.get(order)
+        if cached is None:
+            cached = algebra._b_matrices[order] = _build_b_matrix(algebra, order)
+    return cached
 
+
+def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
     entries = exact.zeros(n * n, n * n)
     table = algebra._table
@@ -225,10 +226,7 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
                     for i in range(n):
                         for k, v2 in table[i][p]:
                             entries[k * n + m][i * n + j] += v1 * v2
-    built = BMatrix(algebra, order, entries)
-    with _b_matrix_lock:
-        _b_matrix_cache[key] = built
-    return built
+    return BMatrix(algebra, order, entries)
 
 
 def vec_coords(f: LinearMap) -> list[Fraction]:

@@ -90,9 +90,6 @@ class TensorAlgebra(FreeAlgebra):
             idx = idx * a.dim + i
         return idx
 
-    def multi_index(self, idx: int) -> tuple[int, ...]:
-        return self._unflatten_static(idx, [a.dim for a in self.factors])
-
     def pure(self, parts: Sequence[AlgElement]) -> AlgElement:
         """The decomposable tensor a1 (x) ... (x) an; components are the
         outer product of the coordinate vectors."""

@@ -183,6 +183,39 @@ def test_basis_no_unit_exits_2(tmp_path, capsys):
     assert "unit" in err
 
 
+def _system_doc(**changes):
+    doc = {"algebra": "complex", "matrix": [["1"]], "rhs": [["1", "0"]]}
+    doc.update(changes)
+    return doc
+
+
+def _bool_index_doc(where):
+    doc = algebra_to_json(quaternion_algebra())
+    if where == "unit":
+        doc["unit"] = True
+    else:
+        doc["constants"][1][1] = True
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, reason", [
+    ("solve", [["1", "2"], ["3", "4"]], "JSON object"),
+    ("solve", _system_doc(matrix=[["1", 5]]), "got 5"),
+    ("solve", _system_doc(matrix=[[None]]), "got null"),
+    ("basis", _bool_index_doc("constant"), "got true"),
+    ("basis", _bool_index_doc("unit"), "got true"),
+], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
+        "bool_unit_index"])
+def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+
+
 def test_algebra_builtin_round_trip(capsys):
     from freealg import QuaternionParams
     code, out, _ = run(capsys, "algebra", "builtin", "quaternion",

@@ -350,6 +350,22 @@ def test_b_matrix_cache_is_shared_across_threads():
     assert b_matrix(algebra) is results[0]
 
 
+def test_b_matrix_cache_dies_with_its_algebra():
+    import gc
+    from freealg import BMatrix, quaternion_algebra
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(obj, BMatrix) for obj in gc.get_objects())
+
+    before = alive()
+    for _ in range(5):
+        algebra = quaternion_algebra()
+        assert b_matrix(algebra) is b_matrix(algebra)
+    del algebra
+    assert alive() == before
+
+
 def test_mismatch_errors(C, H):
     with pytest.raises(AlgebraMismatch):
         apply(LinearMap.identity(C), H.unit())
