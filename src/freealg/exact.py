@@ -101,7 +101,8 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
 
     Returns the pivot columns.  Afterwards rows[i] for i < len(pivots) is
     a positive multiple of row i of the reduced row echelon form, with a
-    positive entry in column pivots[i]; the rows after them are zero.
+    positive entry in column pivots[i]; the rows after them are zero in
+    the first ``cols`` columns.
     """
     pivots: list[int] = []
     n = len(rows)
