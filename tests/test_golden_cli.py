@@ -1,7 +1,9 @@
-"""Byte-for-byte golden capture of the README's CLI examples.
+"""Byte-for-byte golden capture of the README's CLI examples and of the
+paths the README does not show: the right nesting order, a map with a
+family of standard components and a 3x3 quaternion system of grids.
 
 Each case runs ``freealg.cli.main`` in-process, in a directory holding
-the README's input files, and compares stdout, stderr and the exit code
+its input files, and compares stdout, stderr and the exit code
 with ``tests/golden/``: stdout in ``<case>.stdout``, argv, exit code and
 stderr in ``index.json``.  The captures fix every printed digit, so a
 change to the arithmetic underneath must leave the output untouched.
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,22 @@ SYSTEM = {
     "rhs": [["1", "0"], ["0", "1"]],
 }
 CONJ = "1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n"
+# multiplication by 2 + 3i over C: complex-linear, so its standard
+# components form a family
+CMUL = "2 -3\n3 2\n"
+
+
+def _grid(r, c):
+    return [[str(Fraction((5 * r + 3 * c + 7 * i + 2 * j) ** 2 % 13 - 6,
+                          1 + (r + c + i + j) % 3)) for j in range(4)]
+            for i in range(4)]
+
+
+QUATERNION_SYSTEM = {
+    "algebra": "quaternion",
+    "matrix": [[_grid(r, c) for c in range(3)] for r in range(3)],
+    "rhs": [["1", "0", "-2", "1/3"], ["0", "1", "0", "0"], ["2", "0", "0", "-1"]],
+}
 
 COMMANDS = {
     "solve": ["solve", "system.json"],
@@ -45,6 +64,12 @@ COMMANDS = {
     "basis-octonion": ["basis", "octonion"],
     "basis-split-quaternions": ["basis", "split_quaternions.json"],
     "map-convert": ["map", "convert", "--algebra", "quaternion", "--coords", "conj.txt"],
+    "basis-octonion-right": ["basis", "octonion", "--order", "right"],
+    "basis-complex-right": ["basis", "complex", "--order", "right"],
+    "map-convert-right": ["map", "convert", "--algebra", "quaternion", "--coords", "conj.txt",
+                          "--order", "right"],
+    "map-convert-family": ["map", "convert", "--algebra", "complex", "--coords", "cmul.txt"],
+    "solve-quaternion-grids": ["solve", "quaternion_system.json"],
 }
 CASES = {name + suffix: argv + extra
          for name, argv in COMMANDS.items()
@@ -59,9 +84,12 @@ def run(argv):
 
 
 def write_inputs(directory):
-    """The README's input files, the split quaternions made by the CLI."""
+    """The input files, the split quaternions made by the CLI."""
     (directory / "system.json").write_text(json.dumps(SYSTEM, indent=2), encoding="utf-8")
+    (directory / "quaternion_system.json").write_text(json.dumps(QUATERNION_SYSTEM),
+                                                      encoding="utf-8")
     (directory / "conj.txt").write_text(CONJ, encoding="utf-8")
+    (directory / "cmul.txt").write_text(CMUL, encoding="utf-8")
     code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
     assert code == 0
     (directory / "split_quaternions.json").write_text(out, encoding="utf-8")
