@@ -2,8 +2,9 @@
 
 Structure-constant algebras and their elements, the built-in complex /
 quaternion / octonion algebras, tensor products with the twisted
-product, linear maps with standard-component conversion, and the solver
-for systems of additive equations via matrices of mappings and
+product (the product in A (x) A^op), linear maps with
+standard-component conversion, and the solver for systems of additive
+equations via matrices of mappings (stored as block matrices) and
 quasideterminants.
 """
 
@@ -13,7 +14,7 @@ from .algebras import (QuaternionParams, complex_algebra, conjugate,
                        quaternion_algebra, rotate)
 from .core import (AlgElement, FreeAlgebra, associator, commutator,
                    format_element, in_center, in_nucleus, is_associative,
-                   is_commutative, multiply, random_element)
+                   is_commutative, multiply, opposite, random_element)
 from .errors import (AlgebraMismatch, DegenerateParams, EmptyFactorList,
                      FreeAlgebraError, InvalidAlgebra, MinorSingular, NoUnit,
                      NotPureVector, NotRepresentable, ShapeMismatch,
@@ -43,7 +44,7 @@ __all__ = [
     "compose", "conjugate", "coords_from_standard", "cr_product", "flatten",
     "format_element", "in_center", "in_nucleus", "inverse_element",
     "inverse_map_matrix", "is_associative", "is_commutative", "left_shift",
-    "multiply", "norm_sq", "octonion_algebra", "orbit_contains",
+    "multiply", "norm_sq", "octonion_algebra", "opposite", "orbit_contains",
     "quasideterminant", "quaternion_algebra", "random_element", "rc_product",
     "representation_basis", "right_shift", "rotate", "sandwich",
     "solve_additive", "standard_from_coords", "tensor_inverse", "tensor_mul",

@@ -156,16 +156,22 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
     return doc
 
 
-def _index(value) -> int:
-    """A basis index from JSON; true and false are not indices."""
-    if isinstance(value, bool):
-        raise InvalidAlgebra(f"basis index must be an integer, got {json.dumps(value)}")
-    return int(value)
+def _index(value, what: str = "basis index") -> int:
+    """An integer from JSON; floats, strings, true and false are not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidAlgebra(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidAlgebra(f"{what} must be a list, got {json.dumps(value)}")
+    return value
 
 
 def algebra_from_json(doc: dict) -> FreeAlgebra:
     try:
-        dim = int(doc["dim"])
+        dim = _index(doc["dim"], "dimension")
         labels = [str(s) for s in doc["labels"]]
         constants = [(_index(i), _index(j), _index(k), Fraction(str(v)))
                      for i, j, k, v in doc["constants"]]
@@ -238,9 +244,9 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
     except KeyError as err:
         raise InvalidAlgebra(f"system file misses field {err}") from None
     entries = []
-    for row in matrix_doc:
+    for row in _list(matrix_doc, "matrix"):
         entry_row = []
-        for cell in row:
+        for cell in _list(row, "matrix row"):
             if isinstance(cell, str):
                 if algebra.tag != "complex":
                     raise InvalidAlgebra(
@@ -253,7 +259,8 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
                 raise InvalidAlgebra("matrix entry must be a string or a grid of "
                                      f"coordinates, got {json.dumps(cell)}")
         entries.append(entry_row)
-    rhs = [algebra.element([Fraction(str(v)) for v in coords]) for coords in rhs_doc]
+    rhs = [algebra.element([Fraction(str(v)) for v in _list(coords, "rhs entry")])
+           for coords in _list(rhs_doc, "rhs")]
     return algebra, MapMatrix(entries), rhs
 
 

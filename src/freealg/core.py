@@ -11,11 +11,15 @@ algebras never mix, even with equal tables.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
 from .exact import ZERO, frac
+
+
+_cache_lock = threading.Lock()
 
 
 class FreeAlgebra:
@@ -31,13 +35,13 @@ class FreeAlgebra:
     record how a built-in algebra was constructed (see
     :mod:`freealg.algebras`); user-defined algebras leave them None.
 
-    ``_b_matrices`` caches the component matrix, one entry per nesting
-    order (see :func:`freealg.linmap.b_matrix`); it lives and dies with
-    the algebra.
+    ``_cache`` holds what :meth:`cached` builds from the algebra alone,
+    such as its component matrices and A (x) A^op; it lives and dies
+    with the algebra.
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "_table", "_constants",
-                 "_b_matrices")
+                 "_cache")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -52,7 +56,7 @@ class FreeAlgebra:
         self.labels = tuple(str(s) for s in labels)
         self.tag = tag
         self.params = params
-        self._b_matrices: dict = {}
+        self._cache: dict = {}
 
         seen: set[tuple[int, int, int]] = set()
         cells: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -88,6 +92,19 @@ class FreeAlgebra:
                 raise InvalidAlgebra(
                     f"basis vector {u} is not a two-sided unit: "
                     f"fails on basis vector {i}")
+
+    def cached(self, key, build: Callable[[], object]):
+        """The value stored under ``key``, made by ``build()`` on first use.
+
+        Builds run under one lock, so concurrent first callers all get
+        the same object.  ``build`` must not call ``cached`` itself: the
+        lock is not reentrant.
+        """
+        with _cache_lock:
+            value = self._cache.get(key)
+            if value is None:
+                value = self._cache[key] = build()
+        return value
 
     @property
     def constants(self) -> tuple[tuple[int, int, int, Fraction], ...]:
@@ -129,6 +146,14 @@ class FreeAlgebra:
     def __repr__(self) -> str:
         name = self.tag or "algebra"
         return f"FreeAlgebra({name}, dim={self.dim})"
+
+
+def opposite(algebra: FreeAlgebra) -> FreeAlgebra:
+    """The opposite algebra A^op, with product x . y = y x: the same
+    constants with i and j swapped, and the same unit."""
+    return FreeAlgebra(algebra.dim, algebra.labels,
+                       [(j, i, k, v) for i, j, k, v in algebra.constants],
+                       unit_index=algebra.unit_index)
 
 
 class AlgElement:
@@ -224,13 +249,12 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     algebra = _same_algebra(x, y)
     out = [ZERO] * algebra.dim
     table = algebra._table
+    y_support = [(j, yj) for j, yj in enumerate(y.coords) if yj]
     for i, xi in enumerate(x.coords):
-        if xi == 0:
+        if not xi:
             continue
         row = table[i]
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
+        for j, yj in y_support:
             c = xi * yj
             for k, v in row[j]:
                 out[k] += c * v

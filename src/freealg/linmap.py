@@ -18,7 +18,6 @@ row index = target coordinate (outer), column index = source coordinate
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Optional
 
@@ -113,36 +112,30 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     return LinearMap(f.source, g.target, exact.mat_mul(g.matrix(), f.matrix()))
 
 
+def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
+    """The endomorphism whose column j is column(e_j)."""
+    cols = [column(e).coords for e in algebra.basis()]
+    return LinearMap(algebra, algebra, list(zip(*cols)))
+
+
 def left_shift(a: AlgElement) -> LinearMap:
     """The map x -> a x."""
-    algebra = a.algebra
-    cols = [multiply(a, algebra.basis_element(j)).coords for j in range(algebra.dim)]
-    return LinearMap(algebra, algebra,
-                     [[cols[j][k] for j in range(algebra.dim)] for k in range(algebra.dim)])
+    return _map_from_columns(a.algebra, lambda x: multiply(a, x))
 
 
 def right_shift(a: AlgElement) -> LinearMap:
     """The map x -> x a."""
-    algebra = a.algebra
-    cols = [multiply(algebra.basis_element(i), a).coords for i in range(algebra.dim)]
-    return LinearMap(algebra, algebra,
-                     [[cols[i][k] for i in range(algebra.dim)] for k in range(algebra.dim)])
+    return _map_from_columns(a.algebra, lambda x: multiply(x, a))
 
 
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
     """The map x -> (a, b, x); measures the failure of l(a)l(b) = l(ab)."""
-    algebra = a.algebra
-    cols = [associator(a, b, algebra.basis_element(j)).coords for j in range(algebra.dim)]
-    return LinearMap(algebra, algebra,
-                     [[cols[j][k] for j in range(algebra.dim)] for k in range(algebra.dim)])
+    return _map_from_columns(a.algebra, lambda x: associator(a, b, x))
 
 
 def right_associator_map(b: AlgElement, a: AlgElement) -> LinearMap:
     """The map x -> (x, b, a); measures the failure of r(a)r(b) = r(ba)."""
-    algebra = a.algebra
-    cols = [associator(algebra.basis_element(j), b, a).coords for j in range(algebra.dim)]
-    return LinearMap(algebra, algebra,
-                     [[cols[j][k] for j in range(algebra.dim)] for k in range(algebra.dim)])
+    return _map_from_columns(a.algebra, lambda x: associator(x, b, a))
 
 
 def sandwich(a: AlgElement, f: LinearMap, b: AlgElement, order: str = "left") -> LinearMap:
@@ -193,17 +186,10 @@ class BMatrix:
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.size})"
 
 
-_b_matrix_lock = threading.Lock()
-
-
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
     """Build (and cache on the algebra, per order) the component matrix."""
     _check_order(order)
-    with _b_matrix_lock:
-        cached = algebra._b_matrices.get(order)
-        if cached is None:
-            cached = algebra._b_matrices[order] = _build_b_matrix(algebra, order)
-    return cached
+    return algebra.cached(("b_matrix", order), lambda: _build_b_matrix(algebra, order))
 
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
@@ -303,15 +289,20 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
 
 
 def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:
-    """Columns spanning the orbit of f: vec(t acting on f) over basis tensors."""
-    algebra = f.target
-    n = algebra.dim
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            t = Tensor2.basis_tensor(algebra, i, j)
-            cols.append(vec_coords(coords_from_standard(t, f, order)))
-    return cols
+    """The n^2 x n^2 matrix whose column (i, j) is vec(e_i (x) e_j acting on f).
+
+    Column (i, j) of the component matrix B is vec(S), S the map of
+    e_i (x) e_j acting on the identity; acting on f gives S f.  So row
+    (k, m) of the result is sum_p f[p][m] B[(k, p)], a block product of
+    f's transpose with the n-row blocks of B.
+    """
+    n = f.target.dim
+    entries = b_matrix(f.target, order).entries
+    f_t = [list(col) for col in zip(*f.coords)]
+    out = []
+    for k in range(n):
+        out.extend(exact.mat_mul(f_t, entries[k * n:(k + 1) * n]))
+    return out
 
 
 def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[Tensor2]:
@@ -322,10 +313,8 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
         raise AlgebraMismatch("maps act on different algebras")
     algebra = f.target
     n = algebra.dim
-    cols = _orbit_columns(f, order)
-    system = [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
     try:
-        particular, _ = exact.solve(system, vec_coords(g))
+        particular, _ = exact.solve(_orbit_columns(f, order), vec_coords(g))
     except ValueError:
         return None
     return Tensor2(algebra, unvec(particular, n, n))
@@ -349,7 +338,7 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     span = exact.Span(n * n)
     delta = LinearMap.identity(algebra)
     generators = [delta]
-    for col in _orbit_columns(delta, order):
+    for col in zip(*_orbit_columns(delta, order)):
         span.add(col)
     while span.rank < n * n:
         pivot = next(idx for idx in range(n * n)
@@ -359,6 +348,6 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
         candidate = exact.primitive(residual)
         g = LinearMap(algebra, algebra, unvec(candidate, n, n))
         generators.append(g)
-        for col in _orbit_columns(g, order):
+        for col in zip(*_orbit_columns(g, order)):
             span.add(col)
     return generators

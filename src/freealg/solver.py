@@ -1,10 +1,12 @@
 """Matrices of additive mappings and systems of additive equations.
 
-A MapMatrix is a grid of linear maps, all endomorphisms of one algebra,
-multiplied by composing entries.  Inversion and solving go through the
-flattening to one big rational matrix, which is exact and total; the
-quasideterminant recursion is kept as an independent second path that
-reports per-entry quasideterminants and cross-validates the flattening.
+A MapMatrix is a matrix of linear maps, all endomorphisms of one
+algebra, multiplied by composing entries.  It is stored as its
+flattening, one big rational block matrix, so products, inversion and
+solving are exact and total operations on that matrix.  The
+quasideterminant recursion composes the entries as LinearMaps instead;
+it is kept as an independent second path that reports per-entry
+quasideterminants and cross-validates the flattening.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form.
@@ -20,13 +22,19 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, apply, compose
+from .linmap import LinearMap, compose
 
 
 class MapMatrix:
-    """A rows x cols grid of linear maps over a single algebra."""
+    """A rows x cols matrix of linear maps over a single algebra.
 
-    __slots__ = ("algebra", "rows", "cols", "entries")
+    Stored as its flattening, the (rows*n) x (cols*n) block matrix of the
+    entries' coordinates, so that the row-by-column product is the block
+    matrix product.  ``entries`` is a read-only grid of LinearMaps over
+    it.
+    """
+
+    __slots__ = ("algebra", "rows", "cols", "_matrix", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[LinearMap]]):
         if not entries or not entries[0]:
@@ -44,35 +52,56 @@ class MapMatrix:
         self.algebra = algebra
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(tuple(row) for row in entries)
+        self._entries = tuple(tuple(row) for row in entries)
+        self._matrix = tuple(
+            tuple(v for f in row for v in f.coords[i])
+            for row in entries for i in range(algebra.dim))
+
+    @classmethod
+    def _from_flat(cls, algebra: FreeAlgebra, rows: int, cols: int, matrix) -> "MapMatrix":
+        m = cls.__new__(cls)
+        m.algebra = algebra
+        m.rows = rows
+        m.cols = cols
+        m._matrix = tuple(tuple(row) for row in matrix)
+        m._entries = None
+        return m
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra, n: int) -> "MapMatrix":
-        delta = LinearMap.identity(algebra)
-        zero = LinearMap.zero(algebra)
-        return cls([[delta if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._from_flat(algebra, n, n, exact.identity(n * algebra.dim))
+
+    @property
+    def entries(self) -> tuple[tuple[LinearMap, ...], ...]:
+        if self._entries is None:
+            n = self.algebra.dim
+            self._entries = tuple(
+                tuple(LinearMap(self.algebra, self.algebra,
+                                [row[c * n:(c + 1) * n]
+                                 for row in self._matrix[r * n:(r + 1) * n]])
+                      for c in range(self.cols))
+                for r in range(self.rows))
+        return self._entries
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "MapMatrix":
-        return MapMatrix([[self.entries[r][c] for r in range(self.rows)]
-                          for c in range(self.cols)])
+        """Entry (r, c) moves to (c, r); the entries themselves stay."""
+        n = self.algebra.dim
+        m = self._matrix
+        return MapMatrix._from_flat(self.algebra, self.cols, self.rows, [
+            [m[r * n + i][c * n + j] for r in range(self.rows) for j in range(n)]
+            for c in range(self.cols) for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MapMatrix)
                 and self.algebra is other.algebra
-                and self.entries == other.entries)
+                and self.rows == other.rows
+                and self._matrix == other._matrix)
 
     def __repr__(self) -> str:
         return f"MapMatrix({self.rows}x{self.cols} over {self.algebra!r})"
-
-
-def _sum_maps(maps: list[LinearMap], algebra: FreeAlgebra) -> LinearMap:
-    total = LinearMap.zero(algebra)
-    for f in maps:
-        total = total + f
-    return total
 
 
 def rc_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
@@ -81,11 +110,8 @@ def rc_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
         raise AlgebraMismatch("matrices over different algebras")
     if b.cols != c.rows:
         raise ShapeMismatch(f"cannot multiply {b.rows}x{b.cols} by {c.rows}x{c.cols}")
-    return MapMatrix([
-        [_sum_maps([compose(b.entries[a][s], c.entries[s][d]) for s in range(b.cols)],
-                   b.algebra)
-         for d in range(c.cols)]
-        for a in range(b.rows)])
+    return MapMatrix._from_flat(b.algebra, b.rows, c.cols,
+                                exact.mat_mul(b._matrix, c._matrix))
 
 
 def cr_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
@@ -98,11 +124,7 @@ def cr_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
         raise AlgebraMismatch("matrices over different algebras")
     if c.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {b.rows}x{b.cols} by {c.rows}x{c.cols}")
-    return MapMatrix([
-        [_sum_maps([compose(b.entries[s][d], c.entries[a][s]) for s in range(b.rows)],
-                   b.algebra)
-         for d in range(b.cols)]
-        for a in range(c.rows)])
+    return rc_product(b.transpose(), c.transpose()).transpose()
 
 
 def flatten(m: MapMatrix) -> list[list[Fraction]]:
@@ -111,24 +133,7 @@ def flatten(m: MapMatrix) -> list[list[Fraction]]:
     rc_product corresponds exactly to block-matrix multiplication of
     flattenings.
     """
-    n = m.algebra.dim
-    out = exact.zeros(m.rows * n, m.cols * n)
-    for r in range(m.rows):
-        for c in range(m.cols):
-            block = m.entries[r][c].coords
-            for i in range(n):
-                for j in range(n):
-                    out[r * n + i][c * n + j] = block[i][j]
-    return out
-
-
-def unflatten(matrix, algebra: FreeAlgebra, rows: int, cols: int) -> MapMatrix:
-    n = algebra.dim
-    return MapMatrix([
-        [LinearMap(algebra, algebra,
-                   [[matrix[r * n + i][c * n + j] for j in range(n)] for i in range(n)])
-         for c in range(cols)]
-        for r in range(rows)])
+    return [list(row) for row in m._matrix]
 
 
 def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
@@ -140,10 +145,10 @@ def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
     if not m.is_square():
         raise ShapeMismatch("only square matrices of mappings have inverses")
     try:
-        inv = exact.invert(flatten(m))
+        inv = exact.invert(m._matrix)
     except ValueError as err:
         raise SingularSystem(f"matrix of mappings is singular ({err})") from None
-    return unflatten(inv, m.algebra, m.rows, m.cols)
+    return MapMatrix._from_flat(m.algebra, m.rows, m.cols, inv)
 
 
 def _delete_row_col(m: MapMatrix, row: int, col: int) -> MapMatrix:
@@ -211,31 +216,26 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    Applies the entries of the inverse matrix of mappings to the right
-    side, then verifies the result by substitution before returning.
+    With b the right side stacked into one vector, computes x = M^-1 b
+    from the inverse block matrix, then verifies M x = b exactly by
+    substitution before returning.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
     if len(rhs) != m.rows:
         raise ShapeMismatch(f"expected {m.rows} right-hand elements, got {len(rhs)}")
-    for x in rhs:
-        if x.algebra is not m.algebra:
+    for y in rhs:
+        if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
-    inverse = inverse_map_matrix(m)
-    solution = []
+    n = m.algebra.dim
+    b = [v for y in rhs for v in y.coords]
+    x = exact.mat_vec(inverse_map_matrix(m)._matrix, b)
+    check = exact.mat_vec(m._matrix, x)
     for i in range(m.rows):
-        acc = m.algebra.zero()
-        for j in range(m.cols):
-            acc = acc + apply(inverse.entries[i][j], rhs[j])
-        solution.append(acc)
-    for i in range(m.rows):
-        acc = m.algebra.zero()
-        for j in range(m.cols):
-            acc = acc + apply(m.entries[i][j], solution[j])
-        if acc != rhs[i]:
+        if check[i * n:(i + 1) * n] != b[i * n:(i + 1) * n]:
             raise SubstitutionCheckFailed(
                 f"solution fails substitution in equation {i}")
-    return solution
+    return [AlgElement(m.algebra, tuple(x[i * n:(i + 1) * n])) for i in range(m.cols)]
 
 
 class ComplexAdditiveMap:

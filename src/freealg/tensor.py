@@ -1,24 +1,30 @@
 """Tensor products of free algebras.
 
-Two distinct products live on tensors:
+A TensorAlgebra is the tensor product of free algebras with the
+componentwise product, where basis tensors multiply factorwise:
+(a1 (x) a2)(b1 (x) b2) = (a1 b1) (x) (a2 b2).  Its basis is ordered
+row-major over factor indices.
 
-  * the componentwise product on a TensorAlgebra, where basis tensors
-    multiply factorwise: (a1 (x) a2)(b1 (x) b2) = (a1 b1) (x) (a2 b2);
-  * the twisted product on 2-tensors over a single algebra A,
-    (a (x) b) o (c (x) d) = (ac) (x) (db), which is the one making
-    tensors act on linear maps by sandwiching.
+A Tensor2 is a 2-tensor over a single algebra A in standard
+components, with the twisted product
 
-They are deliberately separate operations on separate types.
-The basis of a TensorAlgebra is ordered row-major over factor indices.
+    (a (x) b) o (c (x) d) = (ac) (x) (db),
+
+which is the one making tensors act on linear maps by sandwiching.
+That is the componentwise product in A (x) A^op, whose flat coordinates
+are a Tensor2's components read row by row; twisted_mul and
+tensor_inverse compute there.  A (x) A^op is built on first use and
+cached on A.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, multiply
+from .core import AlgElement, FreeAlgebra, multiply, opposite
 from .errors import AlgebraMismatch, EmptyFactorList, NoUnit, SingularTensor
 from .exact import frac
 
@@ -35,28 +41,15 @@ class TensorAlgebra(FreeAlgebra):
     def __init__(self, factors: Sequence[FreeAlgebra]):
         if not factors:
             raise EmptyFactorList("tensor product needs at least one factor")
-        factors = tuple(factors)
-        dims = [a.dim for a in factors]
-        dim = 1
-        for d in dims:
-            dim *= d
-
-        def flat(multi):
-            idx = 0
-            for a, i in zip(factors, multi):
-                idx = idx * a.dim + i
-            return idx
-
-        labels = []
-        for idx in range(dim):
-            multi = self._unflatten_static(idx, dims)
-            labels.append("(x)".join(a.labels[i] for a, i in zip(factors, multi)))
+        self.factors = factors = tuple(factors)
+        # multi-indices in row-major order, the order of the flat basis
+        multis = list(product(*(range(a.dim) for a in factors)))
+        labels = ["(x)".join(a.labels[i] for a, i in zip(factors, multi))
+                  for multi in multis]
 
         constants = []
-        for ki in range(dim):
-            km = self._unflatten_static(ki, dims)
-            for li in range(dim):
-                lm = self._unflatten_static(li, dims)
+        for ki, km in enumerate(multis):
+            for li, lm in enumerate(multis):
                 # product of per-factor basis products, expanded over all
                 # combinations of their nonzero components
                 partial = [((), Fraction(1))]
@@ -68,21 +61,12 @@ class TensorAlgebra(FreeAlgebra):
                     partial = [(idxs + (p,), val * v)
                                for idxs, val in partial for p, v in cell]
                 for idxs, val in partial:
-                    constants.append((ki, li, flat(idxs), val))
+                    constants.append((ki, li, self.flat_index(idxs), val))
 
         unit = None
         if all(a.unit_index is not None for a in factors):
-            unit = flat([a.unit_index for a in factors])
-        super().__init__(dim, labels, constants, unit_index=unit)
-        self.factors = factors
-
-    @staticmethod
-    def _unflatten_static(idx: int, dims: list[int]) -> tuple[int, ...]:
-        out = []
-        for d in reversed(dims):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
+            unit = self.flat_index([a.unit_index for a in factors])
+        super().__init__(len(multis), labels, constants, unit_index=unit)
 
     def flat_index(self, multi: Sequence[int]) -> int:
         idx = 0
@@ -180,58 +164,44 @@ class Tensor2:
         return f"Tensor2(dim={self.algebra.dim})"
 
 
+def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
+    """A (x) A^op, built once per algebra and cached on it."""
+    return algebra.cached("twisted", lambda: TensorAlgebra([algebra, opposite(algebra)]))
+
+
+def _twisted_element(t: Tensor2) -> AlgElement:
+    return AlgElement(twisted_algebra(t.algebra),
+                      tuple(v for row in t.components for v in row))
+
+
+def _tensor2(algebra: FreeAlgebra, coords) -> Tensor2:
+    n = algebra.dim
+    return Tensor2(algebra, [coords[r * n:(r + 1) * n] for r in range(n)])
+
+
 def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
-    """(s o t)^{pq} = sum s^{ij} t^{kl} B[i][k][p] B[l][j][q], the
-    bilinear extension of (a (x) b) o (c (x) d) = (ac) (x) (db)."""
+    """The bilinear extension of (a (x) b) o (c (x) d) = (ac) (x) (db):
+    the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    algebra = s.algebra
-    n = algebra.dim
-    table = algebra._table
-    out = exact.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            sij = s.components[i][j]
-            if sij == 0:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    tkl = t.components[k][l]
-                    if tkl == 0:
-                        continue
-                    c = sij * tkl
-                    for p, v1 in table[i][k]:
-                        for q, v2 in table[l][j]:
-                            out[p][q] += c * v1 * v2
-    return Tensor2(algebra, out)
+    return _tensor2(s.algebra, multiply(_twisted_element(s), _twisted_element(t)).coords)
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:
     """The tensor u with t o u = u o t = unit tensor, found by solving
-    the n^2 x n^2 linear system for a right inverse and then checking it
-    from the left.  ``t`` is nonsingular exactly when this succeeds."""
+    t o u = unit for a right inverse and then checking it from the left.
+    ``t`` is nonsingular exactly when this succeeds."""
     algebra = t.algebra
     unit = Tensor2.unit(algebra)
-    n = algebra.dim
-    table = algebra._table
-    # matrix of u -> vec(t o u): row (p, q), column (k, l)
-    system = exact.zeros(n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            tij = t.components[i][j]
-            if tij == 0:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    for p, v1 in table[i][k]:
-                        for q, v2 in table[l][j]:
-                            system[p * n + q][k * n + l] += tij * v1 * v2
+    x = _twisted_element(t)
+    # column c is t o e_c: the left-multiplication matrix of t in A (x) A^op
+    columns = [multiply(x, e).coords for e in x.algebra.basis()]
     rhs = [v for row in unit.components for v in row]
     try:
-        particular, _ = exact.solve(system, rhs)
+        particular, _ = exact.solve([list(row) for row in zip(*columns)], rhs)
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
-    u = Tensor2(algebra, [list(particular[r * n:(r + 1) * n]) for r in range(n)])
+    u = _tensor2(algebra, particular)
     if twisted_mul(u, t) != unit:
         raise SingularTensor(
             "right inverse exists but is not a left inverse", one_sided=True)

@@ -198,14 +198,33 @@ def _bool_index_doc(where):
     return doc
 
 
+def _complex_doc(**changes):
+    doc = algebra_to_json(complex_algebra())
+    doc.update(changes)
+    return doc
+
+
+def _float_index_doc():
+    # [1, 0, 1, "1"] (i * 1 = i) with its first index written as 1.7
+    doc = _complex_doc()
+    doc["constants"] = [[1.7, 0, 1, v] if [i, j, k] == [1, 0, 1] else [i, j, k, v]
+                        for i, j, k, v in doc["constants"]]
+    return doc
+
+
 @pytest.mark.parametrize("command, doc, reason", [
     ("solve", [["1", "2"], ["3", "4"]], "JSON object"),
     ("solve", _system_doc(matrix=[["1", 5]]), "got 5"),
     ("solve", _system_doc(matrix=[[None]]), "got null"),
     ("basis", _bool_index_doc("constant"), "got true"),
     ("basis", _bool_index_doc("unit"), "got true"),
+    ("solve", _system_doc(matrix=[5]), "matrix row must be a list, got 5"),
+    ("solve", _system_doc(rhs=[5]), "rhs entry must be a list, got 5"),
+    ("basis", _float_index_doc(), "basis index must be an integer, got 1.7"),
+    ("basis", _complex_doc(dim=2.9), "dimension must be an integer, got 2.9"),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
-        "bool_unit_index"])
+        "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
+        "float_dim"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

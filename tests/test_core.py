@@ -5,7 +5,8 @@ import pytest
 
 from freealg import (AlgebraMismatch, FreeAlgebra, InvalidAlgebra, NoUnit,
                      associator, commutator, in_center, in_nucleus,
-                     is_associative, is_commutative, multiply, random_element)
+                     is_associative, is_commutative, multiply, opposite,
+                     random_element)
 
 
 def test_quaternion_table_entry(H):
@@ -149,3 +150,14 @@ def test_element_validation(C):
         C.element([1, 2, 3])
     with pytest.raises(TypeError):
         C.element([0.5, 1])
+
+
+def test_opposite_reverses_products(H, O):
+    rng = random.Random(7)
+    for algebra in (H, O):
+        op = opposite(algebra)
+        assert op.unit_index == algebra.unit_index
+        for _ in range(5):
+            x, y = random_element(algebra, rng), random_element(algebra, rng)
+            assert multiply(op.element(x.coords), op.element(y.coords)).coords \
+                == multiply(y, x).coords

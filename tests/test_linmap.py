@@ -11,7 +11,7 @@ from freealg import (AlgebraMismatch, LinearMap, NoUnit, NotRepresentable,
 from freealg.algebras import conjugation_coords
 from freealg.core import FreeAlgebra
 from freealg.linmap import left_associator_map, right_associator_map
-from freealg.tensor import tensor_product
+from freealg.tensor import tensor_product, twisted_algebra
 
 
 def conj_map(algebra):
@@ -333,37 +333,42 @@ def test_tensor_product_representation(H):
 
 
 def test_b_matrix_cache_is_shared_across_threads():
+    # A (x) A^op is cached in the same slot under the same lock
     import threading
     from freealg import octonion_algebra
-    algebra = octonion_algebra()
-    results = []
+    for build in (b_matrix, twisted_algebra):
+        algebra = octonion_algebra()
+        results = []
 
-    def build():
-        results.append(b_matrix(algebra))
+        def run():
+            results.append(build(algebra))
 
-    threads = [threading.Thread(target=build) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
-    assert b_matrix(algebra) is results[0]
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(results) == 8
+        assert all(r is results[0] for r in results)
+        assert build(algebra) is results[0]
 
 
 def test_b_matrix_cache_dies_with_its_algebra():
     import gc
-    from freealg import BMatrix, quaternion_algebra
+    from freealg import BMatrix, TensorAlgebra, quaternion_algebra
 
-    def alive():
+    def alive(kind):
         gc.collect()
-        return sum(isinstance(obj, BMatrix) for obj in gc.get_objects())
+        return sum(isinstance(obj, kind) for obj in gc.get_objects())
 
-    before = alive()
-    for _ in range(5):
-        algebra = quaternion_algebra()
-        assert b_matrix(algebra) is b_matrix(algebra)
-    del algebra
-    assert alive() == before
+    for build, kind in ((b_matrix, BMatrix), (twisted_algebra, TensorAlgebra)):
+        before = alive(kind)
+        for _ in range(5):
+            algebra = quaternion_algebra()
+            assert build(algebra) is build(algebra)
+        del algebra
+        assert alive(kind) == before
 
 
 def test_mismatch_errors(C, H):

@@ -5,7 +5,7 @@ import pytest
 
 from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      MapMatrix, MinorSingular, ShapeMismatch, SingularMap,
-                     SingularSystem, apply, cadd_inverse, cadd_product,
+                     SingularSystem, SubstitutionCheckFailed, apply, cadd_inverse, cadd_product,
                      compose, cr_product, exact, flatten, inverse_map_matrix,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, solve_additive)
@@ -299,6 +299,18 @@ def test_solve_diagonal(C):
     m = MapMatrix([[l2, zero], [zero, l3]])
     rhs = [C.element([4, 0]), C.element([9, 0])]
     assert solve_additive(m, rhs) == [C.element([2, 0]), C.element([3, 0])]
+
+
+def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
+    import freealg.solver as solver_mod
+    l3 = left_shift(C.element([3, 0]))
+    zero = LinearMap.zero(C)
+    m = MapMatrix([[LinearMap.identity(C), zero], [zero, l3]])
+    # a wrong inverse that still satisfies equation 0
+    monkeypatch.setattr(solver_mod, "inverse_map_matrix",
+                        lambda m: MapMatrix.identity(C, 2))
+    with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
+        solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
 
 def test_solve_satisfies_system(C):

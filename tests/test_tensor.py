@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from freealg import (AlgebraMismatch, EmptyFactorList, SingularTensor,
-                     Tensor2, is_associative, multiply, random_element,
+from freealg import (AlgebraMismatch, EmptyFactorList, LinearMap, SingularTensor,
+                     Tensor2, is_associative, multiply, quaternion_algebra,
+                     random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
+from freealg.tensor import twisted_algebra
 
 
 def rnd_tensor(algebra, rng, bound=5):
@@ -149,6 +151,19 @@ def test_tensor_inverse_pure_random(H):
         assert twisted_mul(t, u) == one
         assert twisted_mul(u, t) == one
         assert u == Tensor2.pure(inverse_element(a), inverse_element(b))
+
+
+def test_twisted_algebra_is_built_only_by_the_twisted_product():
+    H = quaternion_algebra()
+    rng = random.Random(24)
+    t = rnd_tensor(H, rng) + Tensor2.unit(H)
+    standard_from_coords(LinearMap.identity(H))
+    assert not any(isinstance(v, TensorAlgebra) for v in H._cache.values())
+    twisted_mul(t, t)
+    built = twisted_algebra(H)
+    assert built.factors[0] is H
+    tensor_inverse(t)
+    assert twisted_algebra(H) is built
 
 
 def test_tensor_mismatch(C, H):
