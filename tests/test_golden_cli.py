@@ -1,6 +1,8 @@
 """Byte-for-byte golden capture of the README's CLI examples and of the
 paths the README does not show: the right nesting order, a map with a
-family of standard components and a 3x3 quaternion system of grids.
+family of standard components, a 3x3 quaternion system of grids, and
+two error paths (a singular complex system, exit 3, and a system file
+that is not JSON, exit 2).
 
 Each case runs ``freealg.cli.main`` in-process, in a directory holding
 its input files, and compares stdout, stderr and the exit code
@@ -47,6 +49,14 @@ def _grid(r, c):
             for i in range(4)]
 
 
+# the second equation is twice the first, so the system is singular
+SINGULAR_SYSTEM = {
+    "algebra": "complex",
+    "matrix": [["1", "2*I"], ["2", "4*I"]],
+    "rhs": [["1", "0"], ["0", "1"]],
+}
+NOT_JSON = '{"algebra": "complex", "matrix": [['
+
 QUATERNION_SYSTEM = {
     "algebra": "quaternion",
     "matrix": [[_grid(r, c) for c in range(3)] for r in range(3)],
@@ -70,6 +80,8 @@ COMMANDS = {
                           "--order", "right"],
     "map-convert-family": ["map", "convert", "--algebra", "complex", "--coords", "cmul.txt"],
     "solve-quaternion-grids": ["solve", "quaternion_system.json"],
+    "solve-singular": ["solve", "singular_system.json"],
+    "solve-not-json": ["solve", "not_json.json"],
 }
 CASES = {name + suffix: argv + extra
          for name, argv in COMMANDS.items()
@@ -88,6 +100,9 @@ def write_inputs(directory):
     (directory / "system.json").write_text(json.dumps(SYSTEM, indent=2), encoding="utf-8")
     (directory / "quaternion_system.json").write_text(json.dumps(QUATERNION_SYSTEM),
                                                       encoding="utf-8")
+    (directory / "singular_system.json").write_text(json.dumps(SINGULAR_SYSTEM),
+                                                    encoding="utf-8")
+    (directory / "not_json.json").write_text(NOT_JSON, encoding="utf-8")
     (directory / "conj.txt").write_text(CONJ, encoding="utf-8")
     (directory / "cmul.txt").write_text(CMUL, encoding="utf-8")
     code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
