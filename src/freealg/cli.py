@@ -20,6 +20,7 @@ File formats (JSON):
     over the complex field an entry may be a string "p/q + r/s*I" meaning
     z -> (p/q) z + (r/s) conj(z)  (plain "p/q" is multiplication);
     for any algebra an entry may be an n x n grid of fraction strings.
+  numbers in JSON are fraction strings or integers; floats are refused.
   coordinate matrix files: one row per line, fraction strings separated
   by whitespace.
 """
@@ -115,12 +116,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # wire formats
 
-def fracstr(value: Fraction) -> str:
-    return str(value)
-
-
 def vector_str(coords) -> str:
-    return " ".join(fracstr(c) for c in coords)
+    return " ".join(map(str, coords))
 
 
 def matrix_str(rows) -> str:
@@ -149,7 +146,7 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
     doc = {
         "dim": algebra.dim,
         "labels": list(algebra.labels),
-        "constants": [[i, j, k, fracstr(v)] for i, j, k, v in algebra.constants],
+        "constants": [[i, j, k, str(v)] for i, j, k, v in algebra.constants],
     }
     if algebra.unit_index is not None:
         doc["unit"] = algebra.unit_index
@@ -169,11 +166,19 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _fraction(value, what: str) -> Fraction:
+    """A rational from a JSON string such as "-3/5" or a JSON integer."""
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise InvalidAlgebra(
+            f"{what} must be a fraction string or an integer, got {json.dumps(value)}")
+    return Fraction(value)
+
+
 def algebra_from_json(doc: dict) -> FreeAlgebra:
     try:
         dim = _index(doc["dim"], "dimension")
-        labels = [str(s) for s in doc["labels"]]
-        constants = [(_index(i), _index(j), _index(k), Fraction(str(v)))
+        labels = [str(s) for s in _list(doc["labels"], "labels")]
+        constants = [(_index(i), _index(j), _index(k), _fraction(v, "structure constant"))
                      for i, j, k, v in doc["constants"]]
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidAlgebra(f"malformed algebra definition: {err}") from None
@@ -253,13 +258,13 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
                         "string entries are defined over the complex field only")
                 entry_row.append(parse_complex_entry(cell, algebra))
             elif isinstance(cell, list) and all(isinstance(r, list) for r in cell):
-                coords = [[Fraction(str(v)) for v in r] for r in cell]
+                coords = [[_fraction(v, "matrix cell") for v in r] for r in cell]
                 entry_row.append(LinearMap(algebra, algebra, coords))
             else:
                 raise InvalidAlgebra("matrix entry must be a string or a grid of "
                                      f"coordinates, got {json.dumps(cell)}")
         entries.append(entry_row)
-    rhs = [algebra.element([Fraction(str(v)) for v in _list(coords, "rhs entry")])
+    rhs = [algebra.element([_fraction(v, "rhs coordinate") for v in _list(coords, "rhs entry")])
            for coords in _list(rhs_doc, "rhs")]
     return algebra, MapMatrix(entries), rhs
 
@@ -268,20 +273,22 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
 # verify suites
 
 def _relation_str(rel: dict) -> str:
-    return " ".join(f"{fracstr(rel[key])}@{key[0]}{key[1]}" for key in sorted(rel))
+    return " ".join(f"{rel[key]}@{key[0]}{key[1]}" for key in sorted(rel))
 
 
-def _bm_row_relation(bm, k: int, m: int) -> dict:
+def _row_relation(matrix, n: int, r: int, c: int) -> dict:
+    """The nonzero entries of row (r, c) of an n^2 x n^2 matrix, keyed by
+    their column pair."""
+    row = matrix[r * n + c]
+    return {(i, j): row[i * n + j]
+            for i in range(n) for j in range(n) if row[i * n + j]}
+
+
+def _sign_matrix(bm) -> list[list[Fraction]]:
+    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k."""
     n = bm.algebra.dim
-    row = bm.entries[bm.row_index(k, m)]
-    return {(i, j): row[bm.col_index(i, j)]
-            for i in range(n) for j in range(n) if row[bm.col_index(i, j)]}
-
-
-def _inv_row_relation(inv, n: int, i: int, j: int) -> dict:
-    row = inv[i * n + j]
-    return {(k, m): row[k * n + m]
-            for k in range(n) for m in range(n) if row[k * n + m]}
+    return [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)] for i in range(n)]
+            for k in range(n)]
 
 
 def _verify_conversion_tables() -> VerificationReport:
@@ -303,14 +310,13 @@ def _verify_conversion_tables() -> VerificationReport:
         for (k, m) in sorted(coord_rel):
             report.add(f"{name}.coord.f{k}_{m}",
                        _relation_str(coord_rel[(k, m)]),
-                       _relation_str(_bm_row_relation(bm, k, m)))
+                       _relation_str(_row_relation(bm.entries, n, k, m)))
         inv = exact.invert(bm.entries)
         for (i, j) in sorted(std_rel):
             report.add(f"{name}.standard.f{i}{j}",
                        _relation_str(std_rel[(i, j)]),
-                       _relation_str(_inv_row_relation(inv, n, i, j)))
-        computed_f = [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)]
-                       for i in range(n)] for k in range(n)]
+                       _relation_str(_row_relation(inv, n, i, j)))
+        computed_f = _sign_matrix(bm)
         report.add(f"{name}.sign_matrix",
                    matrix_str([[Fraction(v) for v in row] for row in sign_m]),
                    matrix_str(computed_f))
@@ -438,21 +444,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    algebra = make_builtin(args.which)
+    n = algebra.dim
     lines = []
     if args.which == "complex":
-        algebra = complex_algebra()
-        bm = b_matrix(algebra)
-        if args.machine:
-            for k in range(2):
-                for m in range(2):
-                    rel = _bm_row_relation(bm, k, m)
-                    lines.append(f"coord.f{k}_{m}={_relation_str(rel)}")
-        else:
+        entries = b_matrix(algebra).entries
+        if not args.machine:
             lines.append("coordinates of z -> sum f^{ij} e_i z e_j over the "
                          "complex field:")
-            for k in range(2):
-                for m in range(2):
-                    rel = _bm_row_relation(bm, k, m)
+        for k in range(n):
+            for m in range(n):
+                rel = _row_relation(entries, n, k, m)
+                if args.machine:
+                    lines.append(f"coord.f{k}_{m}={_relation_str(rel)}")
+                else:
                     terms = " ".join(
                         f"{'+' if rel[key] > 0 else '-'}"
                         f"{'' if abs(rel[key]) == 1 else str(abs(rel[key])) + '*'}"
@@ -460,17 +465,9 @@ def cmd_tables(args) -> int:
                         for key in sorted(rel))
                     lines.append(f"  f^{k}_{m} = {terms}")
     else:
-        algebra = (quaternion_algebra() if args.which == "quaternion"
-                   else octonion_algebra())
-        n = algebra.dim
-        bm = b_matrix(algebra)
-        sign = [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)]
-                 for i in range(n)] for k in range(n)]
+        sign = _sign_matrix(b_matrix(algebra))
         inv = exact.invert(sign)
-        den = 1
-        for row in inv:
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for row in inv for v in row))
         num = [[v * den for v in row] for row in inv]
         if args.machine:
             for r in range(n):
@@ -620,8 +617,7 @@ def main(argv=None) -> int:
             NotRepresentable) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (FreeAlgebraError, OSError, json.JSONDecodeError, ValueError,
-            ZeroDivisionError) as err:
+    except (FreeAlgebraError, OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

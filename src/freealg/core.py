@@ -111,12 +111,6 @@ class FreeAlgebra:
         """Sorted nonzero structure constants as (i, j, k, value)."""
         return self._constants
 
-    def constant(self, i: int, j: int, k: int) -> Fraction:
-        for kk, v in self._table[i][j]:
-            if kk == k:
-                return v
-        return ZERO
-
     def basis_product(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Nonzero components of e_i * e_j as ((k, value), ...)."""
         return self._table[i][j]

@@ -24,7 +24,7 @@ from typing import Optional
 from . import exact
 from .core import AlgElement, FreeAlgebra, associator, multiply
 from .errors import AlgebraMismatch, NoUnit, NotRepresentable
-from .exact import ZERO, frac
+from .exact import frac
 from .tensor import Tensor2
 
 _ORDERS = ("left", "right")
@@ -99,10 +99,7 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
     """Matrix-vector action of f on x."""
     if x.algebra is not f.source:
         raise AlgebraMismatch("element is not in the map's source algebra")
-    return AlgElement(f.target, tuple(
-        sum((row[j] * x.coords[j] for j in range(f.source.dim)
-             if x.coords[j] != 0), ZERO)
-        for row in f.coords))
+    return AlgElement(f.target, tuple(exact.mat_vec(f.coords, x.coords)))
 
 
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
@@ -159,17 +156,12 @@ class BMatrix:
     or x -> sum f^{ij} e_i (x e_j) (right order).
     """
 
-    __slots__ = ("algebra", "order", "entries", "_rank")
+    __slots__ = ("algebra", "order", "entries")
 
     def __init__(self, algebra: FreeAlgebra, order: str, entries):
         self.algebra = algebra
         self.order = order
         self.entries = entries
-        self._rank: Optional[int] = None
-
-    @property
-    def size(self) -> int:
-        return self.algebra.dim * self.algebra.dim
 
     def row_index(self, k: int, m: int) -> int:
         return k * self.algebra.dim + m
@@ -178,12 +170,10 @@ class BMatrix:
         return i * self.algebra.dim + j
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = exact.rank(self.entries)
-        return self._rank
+        return exact.rank(self.entries)
 
     def __repr__(self) -> str:
-        return f"BMatrix({self.algebra!r}, order={self.order}, size={self.size})"
+        return f"BMatrix({self.algebra!r}, order={self.order}, size={len(self.entries)})"
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
@@ -195,22 +185,22 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
     entries = exact.zeros(n * n, n * n)
-    table = algebra._table
+    product = algebra.basis_product
     if order == "left":
         # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k]
         for i in range(n):
             for m in range(n):
-                for p, v1 in table[i][m]:
+                for p, v1 in product(i, m):
                     for j in range(n):
-                        for k, v2 in table[p][j]:
+                        for k, v2 in product(p, j):
                             entries[k * n + m][i * n + j] += v1 * v2
     else:
         # right order: sum_p B[m][j][p] B[i][p][k]
         for m in range(n):
             for j in range(n):
-                for p, v1 in table[m][j]:
+                for p, v1 in product(m, j):
                     for i in range(n):
-                        for k, v2 in table[i][p]:
+                        for k, v2 in product(i, p):
                             entries[k * n + m][i * n + j] += v1 * v2
     return BMatrix(algebra, order, entries)
 
@@ -285,7 +275,7 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     return StandardSolution(
         Tensor2(algebra, unvec(particular, n, n)),
         [Tensor2(algebra, unvec(v, n, n)) for v in basis],
-        bm.rank())
+        n * n - len(basis))
 
 
 def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:

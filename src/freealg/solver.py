@@ -9,7 +9,8 @@ it is kept as an independent second path that reports per-entry
 quasideterminants and cross-validates the flattening.
 
 The complex field gets a closed form: every additive map of C is
-z -> a z + b conj(z), composed and inverted directly in (a, b) form.
+z -> a z + b conj(z), composed and inverted directly in (a, b) form by
+one formula that holds for every invertible map, b = 0 included.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ def _delete_row_col(m: MapMatrix, row: int, col: int) -> MapMatrix:
         for r in range(m.rows) if r != row])
 
 
-def _invert_linear_map(f: LinearMap) -> LinearMap:
-    return LinearMap(f.source, f.target, exact.invert(f.matrix()))
-
-
 def _recursive_inverse(m: MapMatrix, path: tuple) -> MapMatrix:
     """Inverse via quasideterminants: entry (i, j) is the inverse of the
     (j, i) quasideterminant.  Demands every involved minor invertible."""
@@ -170,7 +167,7 @@ def _recursive_inverse(m: MapMatrix, path: tuple) -> MapMatrix:
         for j in range(m.cols):
             d = _quasidet(m, j, i, path)
             try:
-                row.append(_invert_linear_map(d))
+                row.append(LinearMap(m.algebra, m.algebra, exact.invert(d.coords)))
             except ValueError:
                 raise MinorSingular(
                     f"quasideterminant at row {j}, col {i} is a singular map"
@@ -313,33 +310,26 @@ def cadd_product(f: ComplexAdditiveMap, g: ComplexAdditiveMap) -> ComplexAdditiv
 def cadd_inverse(f: ComplexAdditiveMap) -> ComplexAdditiveMap:
     """Two-sided inverse of z -> a z + b conj(z).
 
-    When b != 0 the closed form applies: with the real denominator
-    d = b conj(b) - a conj(a),
+    With the real denominator d = b conj(b) - a conj(a), minus the
+    determinant of the 2x2 coordinate matrix,
 
         g0 = -conj(a) / d,        g1 = b / d.
 
     (Solving f o g = 1 gives conj(g1) = conj(b)/d, so g1 itself is b/d;
     published statements of this inverse sometimes leave the bar on the
-    right side, which only coincides when b is real.)  When b = 0 that
-    derivation degenerates and the 2x2 matrix inverse is authoritative.
-    Both paths compose to the identity, which is checked before
-    returning; SingularMap when the coordinate matrix is singular.
+    right side, which only coincides when b is real.)  The formula holds
+    for every invertible map; at b = 0 it gives g0 = 1/a and g1 = 0.
+    The result is checked to compose to the identity on both sides
+    before returning; SingularMap when d = 0.
     """
-    algebra = f.algebra
     a0, a1 = f.a.coords
     b0, b1 = f.b.coords
-    det = (a0 * a0 + a1 * a1) - (b0 * b0 + b1 * b1)
-    if det == 0:
+    d = (b0 * b0 + b1 * b1) - (a0 * a0 + a1 * a1)
+    if d == 0:
         raise SingularMap("additive map has singular coordinate matrix")
-    if not f.b.is_zero():
-        denominator = (b0 * b0 + b1 * b1) - (a0 * a0 + a1 * a1)
-        scale = Fraction(1) / denominator
-        g = ComplexAdditiveMap(conjugate(f.a).scaled(-scale),
-                               f.b.scaled(scale))
-    else:
-        g = ComplexAdditiveMap.from_linear_map(
-            LinearMap(algebra, algebra, exact.invert(f.to_linear_map().matrix())))
-    ident = ComplexAdditiveMap.identity(algebra)
+    scale = Fraction(1) / d
+    g = ComplexAdditiveMap(conjugate(f.a).scaled(-scale), f.b.scaled(scale))
+    ident = ComplexAdditiveMap.identity(f.algebra)
     if cadd_product(f, g) != ident or cadd_product(g, f) != ident:
         raise SubstitutionCheckFailed("computed inverse fails to compose to identity")
     return g

@@ -212,6 +212,13 @@ def _float_index_doc():
     return doc
 
 
+def _float_constant_doc():
+    # 1 * 1 = 1 with its value written as the float 1.0, which is exact
+    doc = _complex_doc()
+    doc["constants"][0][3] = 1.0
+    return doc
+
+
 @pytest.mark.parametrize("command, doc, reason", [
     ("solve", [["1", "2"], ["3", "4"]], "JSON object"),
     ("solve", _system_doc(matrix=[["1", 5]]), "got 5"),
@@ -222,9 +229,16 @@ def _float_index_doc():
     ("solve", _system_doc(rhs=[5]), "rhs entry must be a list, got 5"),
     ("basis", _float_index_doc(), "basis index must be an integer, got 1.7"),
     ("basis", _complex_doc(dim=2.9), "dimension must be an integer, got 2.9"),
+    ("basis", _complex_doc(labels="1i"), 'labels must be a list, got "1i"'),
+    ("solve", _system_doc(matrix=[[[[0.1, "0"], ["0", "1"]]]]),
+     "matrix cell must be a fraction string or an integer, got 0.1"),
+    ("solve", _system_doc(rhs=[[0.1, "0"]]),
+     "rhs coordinate must be a fraction string or an integer, got 0.1"),
+    ("basis", _float_constant_doc(),
+     "structure constant must be a fraction string or an integer, got 1.0"),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
-        "float_dim"])
+        "float_dim", "labels_string", "float_cell", "float_rhs", "float_constant"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import freealg
 from freealg import (AlgebraMismatch, FreeAlgebra, InvalidAlgebra, NoUnit,
                      associator, commutator, in_center, in_nucleus,
                      is_associative, is_commutative, multiply, opposite,
@@ -161,3 +164,15 @@ def test_opposite_reverses_products(H, O):
             x, y = random_element(algebra, rng), random_element(algebra, rng)
             assert multiply(op.element(x.coords), op.element(y.coords)).coords \
                 == multiply(y, x).coords
+
+
+def test_only_core_reads_the_constants_table():
+    # the layout of FreeAlgebra._table is core's to change; every other
+    # module reads the constants through basis_product or constants
+    readers = set()
+    for path in Path(freealg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr == "_table"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"core.py"}

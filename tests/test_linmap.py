@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from freealg import (AlgebraMismatch, LinearMap, NoUnit, NotRepresentable,
-                     Tensor2, apply, b_matrix, compose, coords_from_standard,
-                     left_shift, multiply, orbit_contains, random_element,
-                     representation_basis, right_shift, sandwich,
-                     standard_from_coords, tensor_inverse, twisted_mul)
+                     Tensor2, apply, b_matrix, complex_algebra, compose,
+                     coords_from_standard, exact, left_shift, multiply,
+                     octonion_algebra, orbit_contains, quaternion_algebra,
+                     random_element, representation_basis, right_shift,
+                     sandwich, standard_from_coords, tensor_inverse, twisted_mul)
 from freealg.algebras import conjugation_coords
 from freealg.core import FreeAlgebra
 from freealg.linmap import left_associator_map, right_associator_map
@@ -119,6 +120,23 @@ def test_b_matrix_ranks(C, H, O):
     assert b_matrix(C, "right").rank() == 2
     assert b_matrix(H, "right").rank() == 16
     assert b_matrix(O, "right").rank() == 64
+    for algebra in (C, H, O):
+        for order in ("left", "right"):
+            identity = LinearMap.identity(algebra)
+            assert (standard_from_coords(identity, order).rank
+                    == b_matrix(algebra, order).rank())
+
+
+def test_standard_from_coords_reads_its_rank_off_its_own_solve(monkeypatch):
+    def no_rank(matrix):
+        raise AssertionError("standard_from_coords ran a second elimination")
+    monkeypatch.setattr(exact, "rank", no_rank)
+    for make, rank in ((complex_algebra, 2), (quaternion_algebra, 16), (octonion_algebra, 64)):
+        algebra = make()  # fresh: nothing is cached on it yet
+        for order in ("left", "right"):
+            solution = standard_from_coords(LinearMap.identity(algebra), order)
+            assert solution.rank == rank
+            assert len(solution.nullspace) == algebra.dim ** 2 - rank
 
 
 def test_cauchy_riemann_image(C):

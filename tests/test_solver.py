@@ -380,6 +380,23 @@ def test_cadd_inverse_matches_matrix_inverse(C):
             C, C, exact.invert(f.to_linear_map().matrix()))
 
 
+def test_cadd_inverse_of_a_multiplication_is_the_closed_form(C, monkeypatch):
+    # b = 0 takes the formula every other map takes, not a matrix inverse
+    def no_invert(matrix):
+        raise AssertionError("cadd_inverse inverted a matrix")
+    monkeypatch.setattr(exact, "invert", no_invert)
+    rng = random.Random(67)
+    for _ in range(30):
+        a = random_element(C, rng)
+        if a.is_zero():
+            continue
+        (p, q), (r, s) = ComplexAdditiveMap.multiplication(a).to_linear_map().coords
+        det = p * s - q * r
+        g = cadd_inverse(ComplexAdditiveMap.multiplication(a))
+        assert g.b.is_zero()
+        assert g.to_linear_map().coords == ((s / det, -q / det), (-r / det, p / det))
+
+
 def test_cadd_decomposition_round_trip(C):
     rng = random.Random(65)
     for _ in range(20):
