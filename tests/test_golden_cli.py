@@ -2,7 +2,9 @@
 paths the README does not show: the right nesting order, a map with a
 family of standard components, a 3x3 quaternion system of grids, and
 two error paths (a singular complex system, exit 3, and a system file
-that is not JSON, exit 2).
+that is not JSON, exit 2), and generator discovery on two definition
+files that need more than two generators (the dual numbers, and
+Q[x]/(x^4) in the right order).
 
 Each case runs ``freealg.cli.main`` in-process, in a directory holding
 its input files, and compares stdout, stderr and the exit code
@@ -57,6 +59,22 @@ SINGULAR_SYSTEM = {
 }
 NOT_JSON = '{"algebra": "complex", "matrix": [['
 
+# the dual numbers Q[eps]/(eps^2) and the truncated polynomials Q[x]/(x^4):
+# commutative, so the identity's orbit is small and discovery needs
+# several generators
+DUAL = {
+    "dim": 2,
+    "labels": ["1", "eps"],
+    "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    "unit": 0,
+}
+TRUNC = {
+    "dim": 4,
+    "labels": ["1", "x", "x2", "x3"],
+    "constants": [[i, j, i + j, "1"] for i in range(4) for j in range(4 - i)],
+    "unit": 0,
+}
+
 QUATERNION_SYSTEM = {
     "algebra": "quaternion",
     "matrix": [[_grid(r, c) for c in range(3)] for r in range(3)],
@@ -82,6 +100,8 @@ COMMANDS = {
     "solve-quaternion-grids": ["solve", "quaternion_system.json"],
     "solve-singular": ["solve", "singular_system.json"],
     "solve-not-json": ["solve", "not_json.json"],
+    "basis-dual": ["basis", "dual.json"],
+    "basis-trunc-right": ["basis", "trunc.json", "--order", "right"],
 }
 CASES = {name + suffix: argv + extra
          for name, argv in COMMANDS.items()
@@ -103,6 +123,8 @@ def write_inputs(directory):
     (directory / "singular_system.json").write_text(json.dumps(SINGULAR_SYSTEM),
                                                     encoding="utf-8")
     (directory / "not_json.json").write_text(NOT_JSON, encoding="utf-8")
+    (directory / "dual.json").write_text(json.dumps(DUAL), encoding="utf-8")
+    (directory / "trunc.json").write_text(json.dumps(TRUNC), encoding="utf-8")
     (directory / "conj.txt").write_text(CONJ, encoding="utf-8")
     (directory / "cmul.txt").write_text(CMUL, encoding="utf-8")
     code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
