@@ -21,6 +21,7 @@ File formats (JSON):
     z -> (p/q) z + (r/s) conj(z)  (plain "p/q" is multiplication);
     for any algebra an entry may be an n x n grid of fraction strings.
   numbers in JSON are fraction strings or integers; floats are refused.
+  labels are JSON strings; numbers, lists and null are refused.
   coordinate matrix files: one row per line, fraction strings separated
   by whitespace.
 """
@@ -166,6 +167,12 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise InvalidAlgebra(f"label must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _fraction(value, what: str) -> Fraction:
     """A rational from a JSON string such as "-3/5" or a JSON integer."""
     if not isinstance(value, (str, int)) or isinstance(value, bool):
@@ -177,7 +184,7 @@ def _fraction(value, what: str) -> Fraction:
 def algebra_from_json(doc: dict) -> FreeAlgebra:
     try:
         dim = _index(doc["dim"], "dimension")
-        labels = [str(s) for s in _list(doc["labels"], "labels")]
+        labels = [_label(s) for s in _list(doc["labels"], "labels")]
         constants = [(_index(i), _index(j), _index(k), _fraction(v, "structure constant"))
                      for i, j, k, v in doc["constants"]]
     except (KeyError, TypeError, ValueError) as err:

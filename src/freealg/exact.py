@@ -3,12 +3,13 @@
 Matrices are lists of rows of Fraction.  Nothing in this module ever
 rounds; every function either returns exact rationals or raises.
 
-All elimination (rank, rref, invert, solve, Span) runs on one
-fraction-free Gauss-Jordan kernel over Python ints (Bareiss, Math. Comp.
-22, 1968).  A row enters scaled by the lcm of its denominators, which
-changes neither its row space nor the reduced row echelon form; each row
-step divides out the gcd of the row's entries.  Fractions appear only
-on the way out: a reduced row is the integer row over its pivot.
+All elimination (rank, rref, invert, solve) runs through one driver,
+``_reduce``, a fraction-free Gauss-Jordan over Python ints (Bareiss,
+Math. Comp. 22, 1968).  A row enters scaled by the lcm of its
+denominators, which changes neither its row space nor the reduced row
+echelon form; each row step divides out the gcd of the row's entries.
+Fractions appear only on the way out: a reduced row is the integer row
+over its pivot.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ def _int_row(row) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _support(row: list[int]) -> list[int]:
-    return [j for j, x in enumerate(row) if x]
-
-
 def _eliminate(row: list[int], pivot_row: list[int], c: int,
                support: list[int]) -> list[int]:
     """(p/g) row - (f/g) pivot_row over the gcd of its entries, where p > 0
@@ -117,7 +114,7 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
         if prow[c] < 0:
             prow = [-x for x in prow]
         rows[pivot], rows[r] = rows[r], prow
-        support = _support(prow)
+        support = [j for j, x in enumerate(prow) if x]
         for i in range(n):
             if i != r and rows[i][c]:
                 rows[i] = _eliminate(rows[i], prow, c, support)
@@ -180,55 +177,6 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
             v[c] = Fraction(-row[fc], row[c])
         basis.append(v)
     return particular, basis
-
-
-class Span:
-    """Incrementally built row space of Q^n with exact membership tests.
-
-    The basis is held as primitive integer rows in reduced echelon form:
-    each row has a positive pivot and zeros in the other rows' pivot
-    columns.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> list[Vec]:
-        """The basis as pivot-normalised Fraction rows, in insertion order."""
-        return [_fraction_row(row, row[p]) for row, p in zip(self._rows, self._pivots)]
-
-    def _residue(self, v: Vec) -> list[int]:
-        res = _int_row(v)
-        for row, p in zip(self._rows, self._pivots):
-            if res[p]:
-                res = _eliminate(res, row, p, _support(row))
-        return res
-
-    def contains(self, v: Vec) -> bool:
-        return not any(self._residue(v))
-
-    def add(self, v: Vec) -> bool:
-        """Add v to the span; True when the rank grew."""
-        res = self._residue(v)
-        pivot = next((j for j, x in enumerate(res) if x), None)
-        if pivot is None:
-            return False
-        if res[pivot] < 0:
-            res = [-x for x in res]
-        support = _support(res)
-        for i, row in enumerate(self._rows):
-            if row[pivot]:
-                self._rows[i] = _eliminate(row, res, pivot, support)
-        self._rows.append(res)
-        self._pivots.append(pivot)
-        return True
 
 
 def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:

@@ -313,11 +313,14 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:
     """Generators whose orbits span all linear maps of the algebra.
 
-    Starts from the identity map.  While the union of orbit spans is not
-    the whole coordinate space, the first standard-basis coordinate
-    matrix (row-major) outside the span is located, its component
-    orthogonal to the span is taken and scaled to a primitive integer
-    vector, and that map is adjoined.  The orthogonalization makes the
+    Starts from the identity map.  Each pass reduces the orbit columns
+    found so far to reduced row echelon form and keeps only its nonzero
+    rows.  While they do not span the whole coordinate space, the first
+    standard-basis coordinate matrix (row-major) outside the span is
+    located: e_c lies in the span iff c is a pivot column whose reduced
+    row has exactly one nonzero entry.  Its component orthogonal to the
+    span is taken and scaled to a primitive integer vector, and that map
+    is adjoined with its orbit columns.  The orthogonalization makes the
     adjoined generator a canonical representative of its own orbit; for
     the complex numbers it yields exactly the conjugation map.
     """
@@ -325,19 +328,18 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     if algebra.unit_index is None:
         raise NoUnit("generator discovery needs a unital algebra")
     n = algebra.dim
-    span = exact.Span(n * n)
-    delta = LinearMap.identity(algebra)
-    generators = [delta]
-    for col in zip(*_orbit_columns(delta, order)):
-        span.add(col)
-    while span.rank < n * n:
-        pivot = next(idx for idx in range(n * n)
-                     if not span.contains([Fraction(r == idx) for r in range(n * n)]))
+    g = LinearMap.identity(algebra)
+    generators = [g]
+    rows = []
+    while True:
+        rows.extend(zip(*_orbit_columns(g, order)))
+        reduced, pivots = exact.rref(rows)
+        if len(pivots) == n * n:
+            return generators
+        rows = reduced[:len(pivots)]
+        inside = {c for row, c in zip(rows, pivots) if sum(1 for x in row if x) == 1}
+        pivot = next(c for c in range(n * n) if c not in inside)
         e = [Fraction(r == pivot) for r in range(n * n)]
-        residual = exact.orthogonal_residual(span.rows, e)
-        candidate = exact.primitive(residual)
+        candidate = exact.primitive(exact.orthogonal_residual(rows, e))
         g = LinearMap(algebra, algebra, unvec(candidate, n, n))
         generators.append(g)
-        for col in zip(*_orbit_columns(g, order)):
-            span.add(col)
-    return generators

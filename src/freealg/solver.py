@@ -4,9 +4,10 @@ A MapMatrix is a matrix of linear maps, all endomorphisms of one
 algebra, multiplied by composing entries.  It is stored as its
 flattening, one big rational block matrix, so products, inversion and
 solving are exact and total operations on that matrix.  The
-quasideterminant recursion composes the entries as LinearMaps instead;
-it is kept as an independent second path that reports per-entry
-quasideterminants and cross-validates the flattening.
+quasideterminant recursion composes the entries as LinearMaps on plain
+grids instead, never reading the flattening; it is kept as an
+independent second path that reports per-entry quasideterminants and
+cross-validates the flattening.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form by
@@ -152,44 +153,39 @@ def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
     return MapMatrix._from_flat(m.algebra, m.rows, m.cols, inv)
 
 
-def _delete_row_col(m: MapMatrix, row: int, col: int) -> MapMatrix:
-    return MapMatrix([
-        [m.entries[r][c] for c in range(m.cols) if c != col]
-        for r in range(m.rows) if r != row])
-
-
-def _recursive_inverse(m: MapMatrix, path: tuple) -> MapMatrix:
-    """Inverse via quasideterminants: entry (i, j) is the inverse of the
-    (j, i) quasideterminant.  Demands every involved minor invertible."""
+def _recursive_inverse(grid, path: tuple) -> list[list[LinearMap]]:
+    """Inverse of a square grid of maps via quasideterminants: entry
+    (i, j) is the inverse of the (j, i) quasideterminant.  Demands every
+    involved minor invertible."""
+    algebra = grid[0][0].source
     out = []
-    for i in range(m.rows):
+    for i in range(len(grid)):
         row = []
-        for j in range(m.cols):
-            d = _quasidet(m, j, i, path)
+        for j in range(len(grid)):
+            d = _quasidet(grid, j, i, path)
             try:
-                row.append(LinearMap(m.algebra, m.algebra, exact.invert(d.coords)))
+                row.append(LinearMap(algebra, algebra, exact.invert(d.coords)))
             except ValueError:
                 raise MinorSingular(
                     f"quasideterminant at row {j}, col {i} is a singular map"
                     f" (minor path {path})", location=path + ((j, i),)) from None
         out.append(row)
-    return MapMatrix(out)
+    return out
 
 
-def _quasidet(m: MapMatrix, row: int, col: int, path: tuple) -> LinearMap:
-    if m.rows == 1:
-        return m.entries[0][0]
-    minor = _delete_row_col(m, row, col)
-    minor_inv = _recursive_inverse(minor, path + ((row, col),))
-    rest_cols = [c for c in range(m.cols) if c != col]
-    rest_rows = [r for r in range(m.rows) if r != row]
-    correction = LinearMap.zero(m.algebra)
+def _quasidet(grid, row: int, col: int, path: tuple) -> LinearMap:
+    if len(grid) == 1:
+        return grid[0][0]
+    rest_rows = [r for r in range(len(grid)) if r != row]
+    rest_cols = [c for c in range(len(grid)) if c != col]
+    minor_inv = _recursive_inverse([[grid[r][c] for c in rest_cols] for r in rest_rows],
+                                   path + ((row, col),))
+    correction = LinearMap.zero(grid[0][0].source)
     for s, c in enumerate(rest_cols):
         for t, r in enumerate(rest_rows):
             correction = correction + compose(
-                m.entries[row][c],
-                compose(minor_inv.entries[s][t], m.entries[r][col]))
-    return m.entries[row][col] - correction
+                grid[row][c], compose(minor_inv[s][t], grid[r][col]))
+    return grid[row][col] - correction
 
 
 def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
@@ -207,7 +203,7 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
         raise ShapeMismatch("quasideterminants need a square matrix")
     if not (0 <= row < m.rows and 0 <= col < m.cols):
         raise ShapeMismatch("quasideterminant index out of range")
-    return _quasidet(m, row, col, ())
+    return _quasidet(m.entries, row, col, ())
 
 
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:

@@ -230,6 +230,8 @@ def _float_constant_doc():
     ("basis", _float_index_doc(), "basis index must be an integer, got 1.7"),
     ("basis", _complex_doc(dim=2.9), "dimension must be an integer, got 2.9"),
     ("basis", _complex_doc(labels="1i"), 'labels must be a list, got "1i"'),
+    ("basis", _complex_doc(labels=["1", ["i"]]), 'label must be a string, got ["i"]'),
+    ("basis", _complex_doc(labels=["1", 2]), "label must be a string, got 2"),
     ("solve", _system_doc(matrix=[[[[0.1, "0"], ["0", "1"]]]]),
      "matrix cell must be a fraction string or an integer, got 0.1"),
     ("solve", _system_doc(rhs=[[0.1, "0"]]),
@@ -238,7 +240,8 @@ def _float_constant_doc():
      "structure constant must be a fraction string or an integer, got 1.0"),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
-        "float_dim", "labels_string", "float_cell", "float_rhs", "float_constant"])
+        "float_dim", "labels_string", "labels_not_strings", "labels_integer",
+        "float_cell", "float_rhs", "float_constant"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -7,8 +7,10 @@ null-space basis, the inverse and the first missing pivot column must
 all match it exactly.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,25 +153,18 @@ def test_invert_matches_oracle():
     assert singular > 5
 
 
-def test_span_matches_oracle_rref_of_rows_added():
-    rng = random.Random(5)
-    for k in range(12):
-        n = rng.randint(1, 8)
-        vectors = random_matrix(rng, rng.randint(1, 12), n, rng.randint(0, n), big=k % 3 == 0)
-        span = exact.Span(n)
-        added = []
-        for v in vectors:
-            grew = span.add(v)
-            before = len(oracle_rref(added, n)[1]) if added else 0
-            added.append(v)
-            reduced, pivots = oracle_rref(added, n)
-            assert grew == (len(pivots) > before)
-            assert span.rank == len(pivots)
-            by_pivot = sorted(span.rows,
-                              key=lambda row: next(j for j, x in enumerate(row) if x))
-            assert by_pivot == reduced[:len(pivots)]
-            probe = [entry(rng, False) for _ in range(n)]
-            inside = oracle_rref(added + [probe], n)[1] == pivots
-            assert span.contains(probe) == inside
-            assert span.contains(times([list(col) for col in zip(*added)],
-                                       [entry(rng, False) for _ in added]))
+def test_only_reduce_runs_elimination():
+    # one elimination driver: no function in freealg but exact._reduce
+    # calls the row step _eliminate
+    package = Path(exact.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "_eliminate" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"exact._reduce"}
