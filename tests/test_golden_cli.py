@@ -4,7 +4,10 @@ family of standard components, a 3x3 quaternion system of grids, and
 two error paths (a singular complex system, exit 3, and a system file
 that is not JSON, exit 2), and generator discovery on two definition
 files that need more than two generators (the dual numbers, and
-Q[x]/(x^4) in the right order).
+Q[x]/(x^4) in the right order), and the other spellings of the number
+grammar: complex entries with fractions, a bare ``-I`` and padding
+spaces, and ``p/q`` tokens in a coordinate file, read over H and over
+a definition file made with ``--a=-1/2``.
 
 Each case runs ``freealg.cli.main`` in-process, in a directory holding
 its input files, and compares stdout, stderr and the exit code
@@ -75,6 +78,15 @@ TRUNC = {
     "unit": 0,
 }
 
+# complex entries in the grammar's other forms: p/q parts, a bare -I and
+# surrounding spaces
+CFORMS = {
+    "algebra": "complex",
+    "matrix": [["1/2 - 3/4*I", "I"], ["-I", " -2 + 1/3*I "]],
+    "rhs": [["1", "0"], ["0", "1/2"]],
+}
+HFRAC = "1/2 -3/5 0 7\n-1 2/3 -7/4 0\n0 5 1/9 -2\n3/2 0 -1 1/4\n"
+
 QUATERNION_SYSTEM = {
     "algebra": "quaternion",
     "matrix": [[_grid(r, c) for c in range(3)] for r in range(3)],
@@ -102,6 +114,9 @@ COMMANDS = {
     "solve-not-json": ["solve", "not_json.json"],
     "basis-dual": ["basis", "dual.json"],
     "basis-trunc-right": ["basis", "trunc.json", "--order", "right"],
+    "solve-cforms": ["solve", "cforms.json"],
+    "map-convert-hfrac": ["map", "convert", "--algebra", "quaternion", "--coords", "hfrac.txt"],
+    "map-convert-eab-hfrac": ["map", "convert", "--algebra", "eab.json", "--coords", "hfrac.txt"],
 }
 CASES = {name + suffix: argv + extra
          for name, argv in COMMANDS.items()
@@ -116,7 +131,7 @@ def run(argv):
 
 
 def write_inputs(directory):
-    """The input files, the split quaternions made by the CLI."""
+    """The input files, the split quaternions and E(-1/2, 3) made by the CLI."""
     (directory / "system.json").write_text(json.dumps(SYSTEM, indent=2), encoding="utf-8")
     (directory / "quaternion_system.json").write_text(json.dumps(QUATERNION_SYSTEM),
                                                       encoding="utf-8")
@@ -127,9 +142,14 @@ def write_inputs(directory):
     (directory / "trunc.json").write_text(json.dumps(TRUNC), encoding="utf-8")
     (directory / "conj.txt").write_text(CONJ, encoding="utf-8")
     (directory / "cmul.txt").write_text(CMUL, encoding="utf-8")
+    (directory / "cforms.json").write_text(json.dumps(CFORMS), encoding="utf-8")
+    (directory / "hfrac.txt").write_text(HFRAC, encoding="utf-8")
     code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
     assert code == 0
     (directory / "split_quaternions.json").write_text(out, encoding="utf-8")
+    code, out, _ = run(["algebra", "builtin", "quaternion", "--a=-1/2", "--b", "3"])
+    assert code == 0
+    (directory / "eab.json").write_text(out, encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
