@@ -20,10 +20,14 @@ File formats (JSON):
     over the complex field an entry may be a string "p/q + r/s*I" meaning
     z -> (p/q) z + (r/s) conj(z)  (plain "p/q" is multiplication);
     for any algebra an entry may be an n x n grid of fraction strings.
-  numbers in JSON are fraction strings or integers; floats are refused.
   labels are JSON strings; numbers, lists and null are refused.
-  coordinate matrix files: one row per line, fraction strings separated
-  by whitespace.
+  coordinate matrix files: one row per line, numbers separated by whitespace.
+  every number (a JSON string, a coordinate-file token, a term of a complex
+  entry, --a and --b) is an optional sign, digits and an optional /digits,
+  such as "-3/5", spaces around it ignored; JSON integers are numbers too.
+  Floats, decimal points and exponents are refused: a float is not the
+  decimal it was written as, and Fraction expands 1e30000000 into all of its
+  digits. Write --a=-1/2, since argparse reads "--a -1/2" as a missing value.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,18 +131,14 @@ def matrix_str(rows) -> str:
 
 
 def parse_vector(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split()]
+    return [_literal(tok, "coordinate") for tok in text.split()]
 
 
-def make_builtin(name: str, a=None, b=None) -> FreeAlgebra:
+def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     if name == "complex":
         return complex_algebra()
     if name == "quaternion":
-        if a is None and b is None:
-            return quaternion_algebra()
-        params = QuaternionParams(Fraction(a if a is not None else -1),
-                                  Fraction(b if b is not None else -1))
-        return quaternion_algebra(params)
+        return quaternion_algebra(QuaternionParams(_literal(a, "--a"), _literal(b, "--b")))
     if name == "octonion":
         return octonion_algebra()
     raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
@@ -154,61 +155,76 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
     return doc
 
 
-def _index(value, what: str = "basis index") -> int:
-    """An integer from JSON; floats, strings, true and false are not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidAlgebra(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_KINDS = {int: "an integer", list: "a list", str: "a string"}
 
 
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise InvalidAlgebra(f"{what} must be a list, got {json.dumps(value)}")
-    return value
-
-
-def _label(value) -> str:
-    if not isinstance(value, str):
-        raise InvalidAlgebra(f"label must be a string, got {json.dumps(value)}")
-    return value
-
-
-def _fraction(value, what: str) -> Fraction:
-    """A rational from a JSON string such as "-3/5" or a JSON integer."""
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
+def _literal(value, what: str) -> Fraction:
+    """A rational from a JSON integer or from text such as " -3/5 "; no
+    exponents, which ``Fraction`` would expand into all of their digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not _LITERAL.fullmatch(value.strip()):
         raise InvalidAlgebra(
             f"{what} must be a fraction string or an integer, got {json.dumps(value)}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:
+        raise InvalidAlgebra(f"{what} has too many digits") from None
+    except ZeroDivisionError:
+        raise InvalidAlgebra(f"{what} has a zero denominator: {value.strip()}") from None
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind``; true and false are not integers."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidAlgebra(f"{what} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _field(doc: dict, key: str, kind: type, what: str | None = None):
+    if key not in doc:
+        raise InvalidAlgebra(f"definition misses field {key!r}")
+    return _typed(doc[key], kind, what or key)
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InvalidAlgebra(f"{what} file nests its JSON too deeply") from None
+    if not isinstance(doc, dict):
+        raise InvalidAlgebra(f"{what} file must hold a JSON object")
+    return doc
 
 
 def algebra_from_json(doc: dict) -> FreeAlgebra:
-    try:
-        dim = _index(doc["dim"], "dimension")
-        labels = [_label(s) for s in _list(doc["labels"], "labels")]
-        constants = [(_index(i), _index(j), _index(k), _fraction(v, "structure constant"))
-                     for i, j, k, v in doc["constants"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise InvalidAlgebra(f"malformed algebra definition: {err}") from None
+    dim = _field(doc, "dim", int, "dimension")
+    labels = [_typed(s, str, "label") for s in _field(doc, "labels", list)]
+    constants = []
+    for entry in _field(doc, "constants", list):
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise InvalidAlgebra(
+                f"constant must be a list [i, j, k, value], got {json.dumps(entry)}")
+        constants.append((*(_typed(x, int, "basis index") for x in entry[:3]),
+                          _literal(entry[3], "structure constant")))
     unit = doc.get("unit")
     return FreeAlgebra(dim, labels, constants,
-                       unit_index=None if unit is None else _index(unit))
+                       unit_index=None if unit is None else _typed(unit, int, "unit"))
 
 
 def load_algebra(source: str) -> FreeAlgebra:
     """Resolve a builtin name or a definition-file path."""
     if source in BUILTIN_NAMES:
         return make_builtin(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))
+    return algebra_from_json(_read_json(source, "algebra"))
 
 
 def load_matrix_file(path: str) -> list[list[Fraction]]:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(parse_vector(line))
+        rows = [parse_vector(line) for line in fh if line.strip()]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise InvalidAlgebra("matrix file must have equal-length nonempty rows")
     return rows
@@ -219,60 +235,43 @@ def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
     compact = text.replace(" ", "")
     if not compact:
         raise InvalidAlgebra("empty matrix entry")
-    terms = []
-    start = 0
-    for pos in range(1, len(compact)):
-        if compact[pos] in "+-" and compact[pos - 1] not in "+-*/":
-            terms.append(compact[start:pos])
-            start = pos
-    terms.append(compact[start:])
-    plain = Fraction(0)
-    conj_part = Fraction(0)
-    for term in terms:
-        sign = Fraction(1)
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if term == "I":
+    plain = conj_part = Fraction(0)
+    # a term starts at each sign that follows neither a sign nor * or /
+    for term in re.split(r"(?<=[^-+*/])(?=[+-])", compact):
+        body = term.lstrip("+-")
+        sign = (-1) ** term[:len(term) - len(body)].count("-")
+        if body == "I":
             conj_part += sign
-        elif term.endswith("*I"):
-            conj_part += sign * Fraction(term[:-2])
+        elif body.endswith("*I"):
+            conj_part += sign * _literal(body[:-2], "complex entry term")
         else:
-            plain += sign * Fraction(term)
+            plain += sign * _literal(body, "complex entry term")
     return ComplexAdditiveMap(algebra.element([plain, 0]),
                               algebra.element([conj_part, 0])).to_linear_map()
 
 
 def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InvalidAlgebra("system file must hold a JSON object")
-    try:
-        algebra = load_algebra(str(doc["algebra"]))
-        matrix_doc = doc["matrix"]
-        rhs_doc = doc["rhs"]
-    except KeyError as err:
-        raise InvalidAlgebra(f"system file misses field {err}") from None
+    doc = _read_json(path, "system")
+    algebra = load_algebra(_field(doc, "algebra", str))
     entries = []
-    for row in _list(matrix_doc, "matrix"):
+    for row in _field(doc, "matrix", list):
         entry_row = []
-        for cell in _list(row, "matrix row"):
+        for cell in _typed(row, list, "matrix row"):
             if isinstance(cell, str):
                 if algebra.tag != "complex":
                     raise InvalidAlgebra(
                         "string entries are defined over the complex field only")
                 entry_row.append(parse_complex_entry(cell, algebra))
             elif isinstance(cell, list) and all(isinstance(r, list) for r in cell):
-                coords = [[_fraction(v, "matrix cell") for v in r] for r in cell]
+                coords = [[_literal(v, "matrix cell") for v in r] for r in cell]
                 entry_row.append(LinearMap(algebra, algebra, coords))
             else:
                 raise InvalidAlgebra("matrix entry must be a string or a grid of "
                                      f"coordinates, got {json.dumps(cell)}")
         entries.append(entry_row)
-    rhs = [algebra.element([_fraction(v, "rhs coordinate") for v in _list(coords, "rhs entry")])
-           for coords in _list(rhs_doc, "rhs")]
+    rhs = [algebra.element([_literal(v, "rhs coordinate")
+                            for v in _typed(coords, list, "rhs entry")])
+           for coords in _field(doc, "rhs", list)]
     return algebra, MapMatrix(entries), rhs
 
 
@@ -594,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="subcommand", required=True)
     pb = asub.add_parser("builtin", help="emit a builtin algebra definition")
     pb.add_argument("name", choices=BUILTIN_NAMES)
-    pb.add_argument("--a", default=None, help="quaternion parameter a (p/q)")
-    pb.add_argument("--b", default=None, help="quaternion parameter b (p/q)")
+    pb.add_argument("--a", default="-1", help="quaternion parameter a (p/q; negative: --a=-1/2)")
+    pb.add_argument("--b", default="-1", help="quaternion parameter b (p/q; negative: --b=-1/2)")
     pb.set_defaults(func=cmd_algebra_builtin)
 
     p = sub.add_parser("map", help="linear-map conversions")

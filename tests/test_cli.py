@@ -1,5 +1,7 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +221,14 @@ def _float_constant_doc():
     return doc
 
 
+def _exponent_constant_doc():
+    # i * i = 1e5 in place of -1, a unital algebra if the exponent is read
+    doc = _complex_doc()
+    doc["constants"] = [[i, j, k, "1e5" if [i, j, k] == [1, 1, 0] else v]
+                        for i, j, k, v in doc["constants"]]
+    return doc
+
+
 @pytest.mark.parametrize("command, doc, reason", [
     ("solve", [["1", "2"], ["3", "4"]], "JSON object"),
     ("solve", _system_doc(matrix=[["1", 5]]), "got 5"),
@@ -238,10 +248,21 @@ def _float_constant_doc():
      "rhs coordinate must be a fraction string or an integer, got 0.1"),
     ("basis", _float_constant_doc(),
      "structure constant must be a fraction string or an integer, got 1.0"),
+    ("solve", _system_doc(algebra={"dim": 1}), 'algebra must be a string, got {"dim": 1}'),
+    ("solve", _system_doc(algebra=5), "algebra must be a string, got 5"),
+    ("solve", _system_doc(rhs=[["1/0", "0"]]), "rhs coordinate has a zero denominator: 1/0"),
+    ("basis", _exponent_constant_doc(),
+     'structure constant must be a fraction string or an integer, got "1e5"'),
+    ("solve", _system_doc(matrix=[[[["0.5", "0"], ["0", "1"]]]]),
+     'matrix cell must be a fraction string or an integer, got "0.5"'),
+    ("solve", _system_doc(rhs=[["1" * 5000, "0"]]), "rhs coordinate has too many digits"),
+    ("basis", _complex_doc(constants={"a": 1}), 'constants must be a list, got {"a": 1}'),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
         "float_dim", "labels_string", "labels_not_strings", "labels_integer",
-        "float_cell", "float_rhs", "float_constant"])
+        "float_cell", "float_rhs", "float_constant", "algebra_object", "algebra_integer",
+        "zero_denominator", "exponent_constant", "decimal_cell", "long_literal",
+        "constants_object"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -250,6 +271,64 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert reason in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, text, reason", [
+    (["solve"], DEEP, "system file nests its JSON too deeply"),
+    (["solve"], '{"algebra": "complex", "matrix": ' + DEEP + ', "rhs": []}',
+     "system file nests its JSON too deeply"),
+    (["basis"], DEEP, "algebra file nests its JSON too deeply"),
+    (["map", "convert", "--algebra", "complex", "--coords"], "1e5 0\n0 1\n",
+     'coordinate must be a fraction string or an integer, got "1e5"'),
+    (["algebra", "builtin", "quaternion", "--a", "0.5"], None,
+     '--a must be a fraction string or an integer, got "0.5"'),
+], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param"])
+def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
+    # inputs that are not JSON documents json.dumps can write
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+
+
+def test_one_reader_for_outside_values():
+    # in cli, one function calls json.load, and only the literal reader
+    # calls Fraction on one value that is not a constant, apart from the
+    # golden integer tables read by _verify_conversion_tables
+    import freealg.cli as cli_mod
+
+    def is_constant(node):
+        try:
+            ast.literal_eval(node)
+        except ValueError:
+            return False
+        return True
+
+    tree = ast.parse(Path(cli_mod.__file__).read_text(encoding="utf-8"))
+    json_loaders, fraction_callers = set(), set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (isinstance(callee, ast.Attribute) and callee.attr in ("load", "loads")
+                    and getattr(callee.value, "id", None) == "json"):
+                json_loaders.add(func.name)
+            if (getattr(callee, "id", None) == "Fraction" and len(node.args) == 1
+                    and not is_constant(node.args[0])):
+                fraction_callers.add(func.name)
+    assert len(json_loaders) == 1
+    assert fraction_callers == {"_literal", "_verify_conversion_tables"}
 
 
 def test_algebra_builtin_round_trip(capsys):
