@@ -287,7 +287,7 @@ DEEP = "[" * 100_000 + "]" * 100_000
      '--a must be a fraction string or an integer, got "0.5"'),
 ], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param"])
 def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
-    # inputs that are not JSON documents json.dumps can write
+    # raw text that json.dumps cannot write (too deep, not JSON) and a command-line value
     if text is not None:
         path = tmp_path / "input"
         path.write_text(text)
