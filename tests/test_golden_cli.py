@@ -7,7 +7,9 @@ files that need more than two generators (the dual numbers, and
 Q[x]/(x^4) in the right order), and the other spellings of the number
 grammar: complex entries with fractions, a bare ``-I`` and padding
 spaces, and ``p/q`` tokens in a coordinate file, read over H and over
-a definition file made with ``--a=-1/2``.
+a definition file made with ``--a=-1/2``, and the right order where it
+differs from the left: standard components on O and on a unital
+algebra that is neither associative nor commutative.
 
 Each case runs ``freealg.cli.main`` in-process, in a directory holding
 its input files, and compares stdout, stderr and the exit code
@@ -87,6 +89,21 @@ CFORMS = {
 }
 HFRAC = "1/2 -3/5 0 7\n-1 2/3 -7/4 0\n0 5 1/9 -2\n3/2 0 -1 1/4\n"
 
+# a full-rank map of O and a map of a 3-dimensional algebra in which
+# (e_i x) e_j and e_i (x e_j) differ, so the right order has its own answer
+ORIGHT = ("-3 2 0 -2 3 1 -1 -3\n0 -1 1/2 -3 3 2 1 0\n3 3 3 3 3 3 3 3\n"
+          "-1 0 1 2 3 -3 -2 -1\n2 -3 -1 1 3 -2 0 2\n-2 1 -3 0 3 -1 -2/3 -2\n"
+          "1 -2 2 -1 3 0 -3 1\n-3 2 0 -2 3 1 -1 -3\n")
+NONASSOC = {
+    "dim": 3,
+    "labels": ["1", "u", "v"],
+    "unit": 0,
+    "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [0, 2, 2, "1"],
+                  [2, 0, 2, "1"], [1, 1, 2, "1"], [1, 2, 1, "1/2"], [2, 2, 2, "-1"],
+                  [2, 1, 0, "2"]],
+}
+NA = "1 2 0\n0 1 -1/2\n3 0 1\n"
+
 QUATERNION_SYSTEM = {
     "algebra": "quaternion",
     "matrix": [[_grid(r, c) for c in range(3)] for r in range(3)],
@@ -117,6 +134,10 @@ COMMANDS = {
     "solve-cforms": ["solve", "cforms.json"],
     "map-convert-hfrac": ["map", "convert", "--algebra", "quaternion", "--coords", "hfrac.txt"],
     "map-convert-eab-hfrac": ["map", "convert", "--algebra", "eab.json", "--coords", "hfrac.txt"],
+    "map-convert-octonion-right": ["map", "convert", "--algebra", "octonion",
+                                   "--coords", "oright.txt", "--order", "right"],
+    "map-convert-nonassoc-right": ["map", "convert", "--algebra", "nonassoc.json",
+                                   "--coords", "na.txt", "--order", "right"],
 }
 CASES = {name + suffix: argv + extra
          for name, argv in COMMANDS.items()
@@ -144,6 +165,9 @@ def write_inputs(directory):
     (directory / "cmul.txt").write_text(CMUL, encoding="utf-8")
     (directory / "cforms.json").write_text(json.dumps(CFORMS), encoding="utf-8")
     (directory / "hfrac.txt").write_text(HFRAC, encoding="utf-8")
+    (directory / "oright.txt").write_text(ORIGHT, encoding="utf-8")
+    (directory / "nonassoc.json").write_text(json.dumps(NONASSOC), encoding="utf-8")
+    (directory / "na.txt").write_text(NA, encoding="utf-8")
     code, out, _ = run(["algebra", "builtin", "quaternion", "--a", "1", "--b", "1"])
     assert code == 0
     (directory / "split_quaternions.json").write_text(out, encoding="utf-8")
