@@ -6,8 +6,8 @@ document with one field replaced by an arbitrary JSON value exits 0, 2
 or 3, and exit 2 comes with exactly one ``error:`` line.
 
 The ``algebra`` field of a system names a builtin or the definition file
-written here, never an arbitrary path.  The runs are derandomized with a
-fixed example budget, so the suite is deterministic.
+written here, never an arbitrary path.  The runs use the derandomized
+profile of ``conftest.py``, so the suite is deterministic.
 """
 
 import contextlib
@@ -16,14 +16,12 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from freealg import complex_algebra, quaternion_algebra
 from freealg.cli import BUILTIN_NAMES, algebra_to_json, main, parse_complex_entry
 from freealg.errors import InvalidAlgebra
 from freealg.linmap import LinearMap
-
-PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 C = complex_algebra()
 
@@ -102,7 +100,6 @@ def assert_clean_exit(code, err):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
-@PROFILE
 @given(GRAMMAR_TEXT)
 def test_complex_entry_parses_or_is_refused(text):
     try:
@@ -112,13 +109,11 @@ def test_complex_entry_parses_or_is_refused(text):
     assert isinstance(result, LinearMap)
 
 
-@PROFILE
 @given(doc=mutants(SYSTEMS))
 def test_solve_on_a_mutated_system(workdir, doc):
     assert_clean_exit(*run_on(workdir, "solve", doc))
 
 
-@PROFILE
 @given(doc=mutants(ALGEBRAS))
 def test_basis_on_a_mutated_algebra(workdir, doc):
     assert_clean_exit(*run_on(workdir, "basis", doc))
