@@ -159,14 +159,34 @@ _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _KINDS = {int: "an integer", list: "a list", str: "a string"}
 
 
+class _LongInt:
+    """Stands for a JSON integer with more digits than ``int`` reads.
+    ``json.load`` returns it in place of failing, so that the reader of
+    the field can name the field: ``_literal`` and ``_typed`` refuse it."""
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt()
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text for an error message."""
+    return json.dumps(value, default=lambda _: "<integer with too many digits>")
+
+
 def _literal(value, what: str) -> Fraction:
     """A rational from a JSON integer or from text such as " -3/5 "; no
     exponents, which ``Fraction`` would expand into all of their digits."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
+    if isinstance(value, _LongInt):
+        raise InvalidAlgebra(f"{what} has too many digits")
     if not isinstance(value, str) or not _LITERAL.fullmatch(value.strip()):
         raise InvalidAlgebra(
-            f"{what} must be a fraction string or an integer, got {json.dumps(value)}")
+            f"{what} must be a fraction string or an integer, got {_shown(value)}")
     try:
         return Fraction(value)
     except ValueError:
@@ -177,8 +197,10 @@ def _literal(value, what: str) -> Fraction:
 
 def _typed(value, kind: type, what: str):
     """``value`` if it is a JSON value of ``kind``; true and false are not integers."""
+    if isinstance(value, _LongInt):
+        raise InvalidAlgebra(f"{what} has too many digits")
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise InvalidAlgebra(f"{what} must be {_KINDS[kind]}, got {json.dumps(value)}")
+        raise InvalidAlgebra(f"{what} must be {_KINDS[kind]}, got {_shown(value)}")
     return value
 
 
@@ -192,7 +214,7 @@ def _read_json(path: str, what: str) -> dict:
     """The JSON object in the file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise InvalidAlgebra(f"{what} file nests its JSON too deeply") from None
     if not isinstance(doc, dict):
@@ -207,7 +229,7 @@ def algebra_from_json(doc: dict) -> FreeAlgebra:
     for entry in _field(doc, "constants", list):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InvalidAlgebra(
-                f"constant must be a list [i, j, k, value], got {json.dumps(entry)}")
+                f"constant must be a list [i, j, k, value], got {_shown(entry)}")
         constants.append((*(_typed(x, int, "basis index") for x in entry[:3]),
                           _literal(entry[3], "structure constant")))
     unit = doc.get("unit")
@@ -267,7 +289,7 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
                 entry_row.append(LinearMap(algebra, algebra, coords))
             else:
                 raise InvalidAlgebra("matrix entry must be a string or a grid of "
-                                     f"coordinates, got {json.dumps(cell)}")
+                                     f"coordinates, got {_shown(cell)}")
         entries.append(entry_row)
     rhs = [algebra.element([_literal(v, "rhs coordinate")
                             for v in _typed(coords, list, "rhs entry")])

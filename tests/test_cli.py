@@ -276,6 +276,11 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+def _long_int(doc):
+    """``doc`` as JSON with each "LONG" replaced by a 5,000-digit integer."""
+    return json.dumps(doc).replace('"LONG"', "1" * 5000)
+
+
 @pytest.mark.parametrize("argv, text, reason", [
     (["solve"], DEEP, "system file nests its JSON too deeply"),
     (["solve"], '{"algebra": "complex", "matrix": ' + DEEP + ', "rhs": []}',
@@ -285,9 +290,15 @@ DEEP = "[" * 100_000 + "]" * 100_000
      'coordinate must be a fraction string or an integer, got "1e5"'),
     (["algebra", "builtin", "quaternion", "--a", "0.5"], None,
      '--a must be a fraction string or an integer, got "0.5"'),
-], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param"])
+    (["solve"], _long_int(_system_doc(rhs=[["LONG", "0"]])),
+     "rhs coordinate has too many digits"),
+    (["basis"], _long_int(_complex_doc(dim="LONG")), "dimension"),
+    (["basis"], _long_int(_complex_doc(labels=["1", "LONG"])), "label"),
+], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param",
+        "long_rhs_integer", "long_dim", "long_label"])
 def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
-    # raw text that json.dumps cannot write (too deep, not JSON) and a command-line value
+    # raw text that json.dumps cannot write (too deep, not JSON, an integer
+    # over the interpreter's digit limit) and a command-line value
     if text is not None:
         path = tmp_path / "input"
         path.write_text(text)
