@@ -157,24 +157,17 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
 
 _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _KINDS = {int: "an integer", list: "a list", str: "a string"}
-
-
-class _LongInt:
-    """Stands for a JSON integer with more digits than ``int`` reads.
-    ``json.load`` returns it in place of failing, so that the reader of
-    the field can name the field: ``_literal`` and ``_typed`` refuse it."""
+# json.load reads an integer with more digits than int() takes as _LONG_INT, so
+# that _literal and _typed can refuse it naming the field; messages show it so
+_LONG_INT = object()
+_shown = json.JSONEncoder(default=lambda _: "<integer with too many digits>").encode
 
 
 def _json_int(text: str):
     try:
         return int(text)
     except ValueError:
-        return _LongInt()
-
-
-def _shown(value) -> str:
-    """``value`` as JSON text for an error message."""
-    return json.dumps(value, default=lambda _: "<integer with too many digits>")
+        return _LONG_INT
 
 
 def _literal(value, what: str) -> Fraction:
@@ -182,7 +175,7 @@ def _literal(value, what: str) -> Fraction:
     exponents, which ``Fraction`` would expand into all of their digits."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, _LongInt):
+    if value is _LONG_INT:
         raise InvalidAlgebra(f"{what} has too many digits")
     if not isinstance(value, str) or not _LITERAL.fullmatch(value.strip()):
         raise InvalidAlgebra(
@@ -197,7 +190,7 @@ def _literal(value, what: str) -> Fraction:
 
 def _typed(value, kind: type, what: str):
     """``value`` if it is a JSON value of ``kind``; true and false are not integers."""
-    if isinstance(value, _LongInt):
+    if value is _LONG_INT:
         raise InvalidAlgebra(f"{what} has too many digits")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InvalidAlgebra(f"{what} must be {_KINDS[kind]}, got {_shown(value)}")
@@ -307,9 +300,8 @@ def _relation_str(rel: dict) -> str:
 def _row_relation(matrix, n: int, r: int, c: int) -> dict:
     """The nonzero entries of row (r, c) of an n^2 x n^2 matrix, keyed by
     their column pair."""
-    row = matrix[r * n + c]
-    return {(i, j): row[i * n + j]
-            for i in range(n) for j in range(n) if row[i * n + j]}
+    return {(i, j): v for i, block in enumerate(exact.blocks(matrix[r * n + c], n))
+            for j, v in enumerate(block) if v}
 
 
 def _sign_matrix(bm) -> list[list[Fraction]]:

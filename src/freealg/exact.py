@@ -41,6 +41,16 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def vec(grid) -> Vec:
+    """The grid flattened row by row; ``blocks`` cuts it back into rows."""
+    return [v for row in grid for v in row]
+
+
+def blocks(seq, size: int) -> list:
+    """``seq`` cut into consecutive pieces of length ``size``."""
+    return [seq[i:i + size] for i in range(0, len(seq), size)]
+
+
 def mat_add(a: Mat, b: Mat) -> Mat:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

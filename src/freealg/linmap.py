@@ -9,11 +9,12 @@ components f^{ij} in the sandwich expansion
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
 and solves it in both directions.  The two nesting orders coincide in
-associative algebras; "left" is the default everywhere.
+associative algebras; "left" is the default everywhere.  The right order
+is the left order over A^op with i and j swapped, as e_i (x e_j) =
+(e_j . x) . e_i when x . y = y x, so one contraction builds both.
 
-Vectorization convention: a coordinate matrix is flattened row by row,
-row index = target coordinate (outer), column index = source coordinate
-(inner).  Component pairs (i, j) are flattened the same way.
+Coordinate matrices and component grids are vectorized row by row by
+``exact.vec``: target coordinate or i outer, source coordinate or j inner.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, associator, multiply
+from .core import AlgElement, FreeAlgebra, associator, multiply, opposite
 from .errors import AlgebraMismatch, NoUnit, NotRepresentable
 from .exact import frac
 from .tensor import Tensor2
@@ -185,33 +186,18 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
     entries = exact.zeros(n * n, n * n)
-    product = algebra.basis_product
-    if order == "left":
-        # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k]
-        for i in range(n):
-            for m in range(n):
-                for p, v1 in product(i, m):
-                    for j in range(n):
-                        for k, v2 in product(p, j):
-                            entries[k * n + m][i * n + j] += v1 * v2
-    else:
-        # right order: sum_p B[m][j][p] B[i][p][k]
+    # right order: left order over A^op, i and j swapped; A^op is built uncached (no nested builds)
+    product = (algebra if order == "left" else opposite(algebra)).basis_product
+    i_stride, j_stride = (n, 1) if order == "left" else (1, n)
+    # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k]
+    for i in range(n):
         for m in range(n):
-            for j in range(n):
-                for p, v1 in product(m, j):
-                    for i in range(n):
-                        for k, v2 in product(i, p):
-                            entries[k * n + m][i * n + j] += v1 * v2
+            for p, v1 in product(i, m):
+                for j in range(n):
+                    col = i * i_stride + j * j_stride
+                    for k, v2 in product(p, j):
+                        entries[k * n + m][col] += v1 * v2
     return BMatrix(algebra, order, entries)
-
-
-def vec_coords(f: LinearMap) -> list[Fraction]:
-    """Row-major flattening of a coordinate matrix."""
-    return [v for row in f.coords for v in row]
-
-
-def unvec(vector, rows: int, cols: int) -> list[list[Fraction]]:
-    return [list(vector[r * cols:(r + 1) * cols]) for r in range(rows)]
 
 
 class StandardSolution:
@@ -245,11 +231,8 @@ def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> Linea
     _check_order(order)
     if t.algebra is not f.target:
         raise AlgebraMismatch("tensor and map must share the target algebra")
-    bm = b_matrix(t.algebra, order)
-    tvec = [v for row in t.components for v in row]
-    gvec = exact.mat_vec(bm.entries, tvec)
-    n = t.algebra.dim
-    sandwich_coords = unvec(gvec, n, n)
+    gvec = exact.mat_vec(b_matrix(t.algebra, order).entries, exact.vec(t.components))
+    sandwich_coords = exact.blocks(gvec, t.algebra.dim)
     return LinearMap(f.source, f.target,
                      exact.mat_mul(sandwich_coords, f.matrix()))
 
@@ -267,14 +250,14 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     algebra = g.source
     bm = b_matrix(algebra, order)
     try:
-        particular, basis = exact.solve(bm.entries, vec_coords(g))
+        particular, basis = exact.solve(bm.entries, exact.vec(g.coords))
     except ValueError:
         raise NotRepresentable(
             "coordinate matrix is not in the image of the component matrix") from None
     n = algebra.dim
     return StandardSolution(
-        Tensor2(algebra, unvec(particular, n, n)),
-        [Tensor2(algebra, unvec(v, n, n)) for v in basis],
+        Tensor2(algebra, exact.blocks(particular, n)),
+        [Tensor2(algebra, exact.blocks(v, n)) for v in basis],
         n * n - len(basis))
 
 
@@ -286,12 +269,11 @@ def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:
     (k, m) of the result is sum_p f[p][m] B[(k, p)], a block product of
     f's transpose with the n-row blocks of B.
     """
-    n = f.target.dim
     entries = b_matrix(f.target, order).entries
     f_t = [list(col) for col in zip(*f.coords)]
     out = []
-    for k in range(n):
-        out.extend(exact.mat_mul(f_t, entries[k * n:(k + 1) * n]))
+    for block in exact.blocks(entries, f.target.dim):
+        out.extend(exact.mat_mul(f_t, block))
     return out
 
 
@@ -301,13 +283,11 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     _check_order(order)
     if g.source is not f.source or g.target is not f.target:
         raise AlgebraMismatch("maps act on different algebras")
-    algebra = f.target
-    n = algebra.dim
     try:
-        particular, _ = exact.solve(_orbit_columns(f, order), vec_coords(g))
+        particular, _ = exact.solve(_orbit_columns(f, order), exact.vec(g.coords))
     except ValueError:
         return None
-    return Tensor2(algebra, unvec(particular, n, n))
+    return Tensor2(f.target, exact.blocks(particular, f.target.dim))
 
 
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:
@@ -341,5 +321,5 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
         pivot = next(c for c in range(n * n) if c not in inside)
         e = [Fraction(r == pivot) for r in range(n * n)]
         candidate = exact.primitive(exact.orthogonal_residual(rows, e))
-        g = LinearMap(algebra, algebra, unvec(candidate, n, n))
+        g = LinearMap(algebra, algebra, exact.blocks(candidate, n))
         generators.append(g)

@@ -221,14 +221,14 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
-    b = [v for y in rhs for v in y.coords]
+    b = exact.vec(y.coords for y in rhs)
     x = exact.mat_vec(inverse_map_matrix(m)._matrix, b)
     check = exact.mat_vec(m._matrix, x)
-    for i in range(m.rows):
-        if check[i * n:(i + 1) * n] != b[i * n:(i + 1) * n]:
+    for i, (got, want) in enumerate(zip(exact.blocks(check, n), exact.blocks(b, n))):
+        if got != want:
             raise SubstitutionCheckFailed(
                 f"solution fails substitution in equation {i}")
-    return [AlgElement(m.algebra, tuple(x[i * n:(i + 1) * n])) for i in range(m.cols)]
+    return [AlgElement(m.algebra, tuple(xi)) for xi in exact.blocks(x, n)]
 
 
 class ComplexAdditiveMap:

@@ -137,7 +137,7 @@ class Tensor2:
         return cls.basis_tensor(algebra, u, u)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.components for v in row)
+        return not any(exact.vec(self.components))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor2)
@@ -170,13 +170,7 @@ def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
 
 
 def _twisted_element(t: Tensor2) -> AlgElement:
-    return AlgElement(twisted_algebra(t.algebra),
-                      tuple(v for row in t.components for v in row))
-
-
-def _tensor2(algebra: FreeAlgebra, coords) -> Tensor2:
-    n = algebra.dim
-    return Tensor2(algebra, [coords[r * n:(r + 1) * n] for r in range(n)])
+    return AlgElement(twisted_algebra(t.algebra), tuple(exact.vec(t.components)))
 
 
 def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
@@ -184,7 +178,8 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    return _tensor2(s.algebra, multiply(_twisted_element(s), _twisted_element(t)).coords)
+    product = multiply(_twisted_element(s), _twisted_element(t))
+    return Tensor2(s.algebra, exact.blocks(product.coords, s.algebra.dim))
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:
@@ -196,12 +191,12 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     x = _twisted_element(t)
     # column c is t o e_c: the left-multiplication matrix of t in A (x) A^op
     columns = [multiply(x, e).coords for e in x.algebra.basis()]
-    rhs = [v for row in unit.components for v in row]
+    rhs = exact.vec(unit.components)
     try:
         particular, _ = exact.solve([list(row) for row in zip(*columns)], rhs)
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
-    u = _tensor2(algebra, particular)
+    u = Tensor2(algebra, exact.blocks(particular, algebra.dim))
     if twisted_mul(u, t) != unit:
         raise SingularTensor(
             "right inverse exists but is not a left inverse", one_sided=True)
