@@ -157,8 +157,8 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
 
 _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _KINDS = {int: "an integer", list: "a list", str: "a string"}
-# json.load reads an integer with more digits than int() takes as _LONG_INT, so
-# that _literal and _typed can refuse it naming the field; messages show it so
+# json.load reads an integer with more digits than int() takes as _LONG_INT,
+# which _literal and _typed refuse naming the field; _shown prints a placeholder
 _LONG_INT = object()
 _shown = json.JSONEncoder(default=lambda _: "<integer with too many digits>").encode
 

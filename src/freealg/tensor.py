@@ -178,8 +178,8 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    product = multiply(_twisted_element(s), _twisted_element(t))
-    return Tensor2(s.algebra, exact.blocks(product.coords, s.algebra.dim))
+    x = multiply(_twisted_element(s), _twisted_element(t))
+    return Tensor2(s.algebra, exact.blocks(x.coords, s.algebra.dim))
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:
