@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from freealg import (AlgebraMismatch, LinearMap, NoUnit, NotRepresentable,
-                     Tensor2, apply, b_matrix, complex_algebra, compose,
-                     coords_from_standard, exact, left_shift, multiply,
+                     Tensor2, apply, associator, b_matrix, complex_algebra, compose,
+                     coords_from_standard, exact, left_shift, linmap, multiply,
                      octonion_algebra, orbit_contains, quaternion_algebra,
                      random_element, representation_basis, right_shift,
                      sandwich, standard_from_coords, tensor_inverse, twisted_mul)
@@ -81,6 +81,24 @@ def test_shift_laws(O):
         assert (compose(right_shift(a), right_shift(b))
                 == right_shift(multiply(b, a)) + right_associator_map(b, a))
 
+
+
+def test_associator_maps_are_built_without_the_shifts(O, monkeypatch):
+    # test_shift_laws and `verify shifts` check the associator maps
+    # against L(a)L(b) - L(ab); built from compose and the shifts, that
+    # check would hold by construction
+    rng = random.Random(34)
+    a, b = random_element(O, rng), random_element(O, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("associator map built from compose or a shift")
+
+    for name in ("compose", "left_shift", "right_shift"):
+        monkeypatch.setattr(linmap, name, refuse)
+    left, right = left_associator_map(a, b), right_associator_map(b, a)
+    for j, e in enumerate(O.basis()):
+        assert tuple(row[j] for row in left.coords) == associator(a, b, e).coords
+        assert tuple(row[j] for row in right.coords) == associator(e, b, a).coords
 
 def test_sandwich(H, O):
     rng = random.Random(34)
