@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AlgElement, FreeAlgebra, multiply
-from .errors import DegenerateParams, NotPureVector, UnsupportedAlgebra, ZeroNorm
+from .errors import AlgebraMismatch, DegenerateParams, NotPureVector, UnsupportedAlgebra, ZeroNorm
 from .exact import ZERO, frac
 
 COMPLEX_TAG = "complex"
@@ -140,7 +140,6 @@ def rotate(q: AlgElement, v: AlgElement) -> AlgElement:
     if algebra.tag != QUATERNION_TAG or algebra.params != (Fraction(-1), Fraction(-1)):
         raise UnsupportedAlgebra("rotation is defined in the division quaternions")
     if v.algebra is not algebra:
-        from .errors import AlgebraMismatch
         raise AlgebraMismatch("q and v must live in the same algebra")
     if v.coords[0] != 0:
         raise NotPureVector("v must have zero scalar coordinate")

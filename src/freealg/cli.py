@@ -44,7 +44,7 @@ from fractions import Fraction
 from . import exact, golden
 from .algebras import (complex_algebra, conjugate, conjugation_coords,
                        octonion_algebra, quaternion_algebra, QuaternionParams)
-from .core import (AlgElement, FreeAlgebra, format_element, multiply,
+from .core import (AlgElement, FreeAlgebra, associator, format_element, multiply,
                    random_element)
 from .errors import (FreeAlgebraError, InvalidAlgebra, MinorSingular,
                      NotRepresentable, SingularMap, SingularSystem,
@@ -372,7 +372,6 @@ def _verify_teichmueller() -> VerificationReport:
     report = VerificationReport("teichmueller")
     algebra = octonion_algebra()
     rng = random.Random(32303)
-    from .core import associator
     zero = vector_str(algebra.zero().coords)
     for sample in range(200):
         a, b, c, d = (random_element(algebra, rng) for _ in range(4))

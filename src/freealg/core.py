@@ -5,6 +5,11 @@ structure constants B[i][j][k] with e_i * e_j = sum_k B[i][j][k] e_k.
 Elements are coordinate vectors of Fractions relative to that basis.
 All scalars are exact rationals; no operation ever rounds.
 
+The table holds the constants once, as integer numerators over one
+common denominator, ``FreeAlgebra.denominator``.  ``multiply`` sums over
+ints and builds one Fraction per nonzero result coordinate, whose value
+and hash are those that Fraction arithmetic would give.
+
 Algebra identity is object identity: two separately constructed
 algebras never mix, even with equal tables.
 """
@@ -16,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
-from .exact import ZERO, frac
+from .exact import ZERO, as_fractions, as_ints, frac
 
 
 _cache_lock = threading.Lock()
@@ -40,7 +45,7 @@ class FreeAlgebra:
     with the algebra.
     """
 
-    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "_table", "_constants",
+    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator", "_table",
                  "_cache")
 
     def __init__(self, dim: int, labels: Sequence[str],
@@ -58,26 +63,20 @@ class FreeAlgebra:
         self.params = params
         self._cache: dict = {}
 
-        seen: set[tuple[int, int, int]] = set()
-        cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+        values: dict[tuple[int, int, int], Fraction] = {}
         for i, j, k, value in constants:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InvalidAlgebra(f"constant index ({i},{j},{k}) out of range for dim {dim}")
-            if (i, j, k) in seen:
+            if (i, j, k) in values:
                 raise InvalidAlgebra(f"duplicate structure constant for ({i},{j},{k})")
-            seen.add((i, j, k))
-            v = frac(value)
-            if v != 0:
-                cells.setdefault((i, j), {})[k] = v
-        self._table = tuple(
-            tuple(tuple(sorted(cells.get((i, j), {}).items())) for j in range(dim))
-            for i in range(dim)
-        )
-        self._constants = tuple(sorted(
-            (i, j, k, v)
-            for (i, j), cell in cells.items()
-            for k, v in cell.items()
-        ))
+            values[i, j, k] = frac(value)
+        nonzero = [(key, v) for key, v in values.items() if v]
+        ints, self.denominator = as_ints([v for _, v in nonzero])
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for ((i, j, k), _), v in zip(nonzero, ints):
+            cells.setdefault((i, j), []).append((k, v))
+        self._table = tuple(tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(dim))
+                            for i in range(dim))
 
         if unit_index is not None:
             if not 0 <= unit_index < dim:
@@ -87,7 +86,7 @@ class FreeAlgebra:
 
     def _check_unit(self, u: int) -> None:
         for i in range(self.dim):
-            expect = ((i, Fraction(1)),)
+            expect = ((i, self.denominator),)
             if self._table[u][i] != expect or self._table[i][u] != expect:
                 raise InvalidAlgebra(
                     f"basis vector {u} is not a two-sided unit: "
@@ -109,10 +108,11 @@ class FreeAlgebra:
     @property
     def constants(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """Sorted nonzero structure constants as (i, j, k, value)."""
-        return self._constants
+        return tuple((i, j, k, Fraction(v, self.denominator)) for i, row in enumerate(self._table)
+                     for j, cell in enumerate(row) for k, v in cell)
 
-    def basis_product(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """Nonzero components of e_i * e_j as ((k, value), ...)."""
+    def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Nonzero components of e_i * e_j as ((k, numerator), ...) over ``denominator``."""
         return self._table[i][j]
 
     def zero(self) -> "AlgElement":
@@ -241,18 +241,18 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     (x y)^k = sum_{i,j} B[i][j][k] x^i y^j; bilinear in both arguments.
     """
     algebra = _same_algebra(x, y)
-    out = [ZERO] * algebra.dim
-    table = algebra._table
-    y_support = [(j, yj) for j, yj in enumerate(y.coords) if yj]
-    for i, xi in enumerate(x.coords):
+    xs, x_den = as_ints(x.coords)
+    ys, y_den = as_ints(y.coords)
+    out = [0] * algebra.dim
+    y_support = [(j, yj) for j, yj in enumerate(ys) if yj]
+    for xi, row in zip(xs, algebra._table):
         if not xi:
             continue
-        row = table[i]
         for j, yj in y_support:
             c = xi * yj
             for k, v in row[j]:
                 out[k] += c * v
-    return AlgElement(algebra, tuple(out))
+    return AlgElement(algebra, tuple(as_fractions(out, x_den * y_den * algebra.denominator)))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -281,11 +281,11 @@ def is_associative(algebra: FreeAlgebra) -> bool:
         for j in range(n):
             left_pairs = t[i][j]
             for k in range(n):
-                lhs = [ZERO] * n
+                lhs = [0] * n
                 for p, v in left_pairs:
                     for q, w in t[p][k]:
                         lhs[q] += v * w
-                rhs = [ZERO] * n
+                rhs = [0] * n
                 for p, v in t[j][k]:
                     for q, w in t[i][p]:
                         rhs[q] += v * w

@@ -10,6 +10,12 @@ denominators, which changes neither its row space nor the reduced row
 echelon form; each row step divides out the gcd of the row's entries.
 Fractions appear only on the way out: a reduced row is the integer row
 over its pivot.
+
+``mat_mul`` sums over ints too, with one lcm of denominators per row of a
+and one per column of b; one lcm for all of b would lengthen every
+product.  ``mat_vec`` stays on Fraction: its vector is used once, and the
+lcm of its n denominators would make every product longer than the
+Fraction terms it replaces.
 """
 
 from __future__ import annotations
@@ -56,19 +62,19 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j] != 0:
-                    oi[j] += aik * bk[j]
+    cols = [as_ints(col) for col in zip(*b)]
+    b_rows = [[(j, v) for j, v in enumerate(row) if v]
+              for row in zip(*(ints for ints, _ in cols))]
+    out = []
+    for row in a:
+        ints, den = as_ints(row)
+        acc = [0] * len(cols)
+        for aik, bk in zip(ints, b_rows):
+            if aik:
+                for j, v in bk:
+                    acc[j] += aik * v
+        out.append([Fraction(v, den * col_den) if v else ZERO
+                    for v, (_, col_den) in zip(acc, cols)])
     return out
 
 
@@ -77,11 +83,21 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((row[j] * v[j] for j in support if row[j] != 0), ZERO) for row in a]
 
 
+def as_ints(values) -> tuple[list[int], int]:
+    """(ints, den) with values[i] = ints[i] / den, den the lcm of their denominators."""
+    pairs = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def as_fractions(ints, den: int) -> Vec:
+    """The Fractions ints[i] / den; ``as_ints`` undone."""
+    return [Fraction(x, den) if x else ZERO for x in ints]
+
+
 def _int_row(row) -> list[int]:
     """The row scaled by the lcm of its denominators, made primitive."""
-    dens = [x.denominator for x in row]
-    scale = lcm(*dens)
-    ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+    ints, _ = as_ints(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -132,10 +148,6 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def _fraction_row(row: list[int], den: int) -> Vec:
-    return [Fraction(x, den) if x else ZERO for x in row]
-
-
 def rank(a: Mat) -> int:
     return len(_reduce([_int_row(row) for row in a], len(a[0]) if a else 0))
 
@@ -145,7 +157,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     cols = len(a[0]) if a else 0
     rows = [_int_row(row) for row in a]
     pivots = _reduce(rows, cols)
-    reduced = [_fraction_row(row, row[c]) for row, c in zip(rows, pivots)]
+    reduced = [as_fractions(row, row[c]) for row, c in zip(rows, pivots)]
     return reduced + zeros(len(rows) - len(pivots), cols), pivots
 
 
@@ -158,7 +170,7 @@ def invert(a: Mat) -> Mat:
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
         raise ValueError(f"matrix is singular: no pivot in column {missing}")
-    return [_fraction_row(row[n:], row[i]) for i, row in enumerate(rows)]
+    return [as_fractions(row[n:], row[i]) for i, row in enumerate(rows)]
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

@@ -185,11 +185,11 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
-    entries = exact.zeros(n * n, n * n)
+    entries = [[0] * (n * n) for _ in range(n * n)]
     # right order: left order over A^op, i and j swapped; A^op is built uncached (no nested builds)
     product = (algebra if order == "left" else opposite(algebra)).basis_product
     i_stride, j_stride = (n, 1) if order == "left" else (1, n)
-    # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k]
+    # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
     for i in range(n):
         for m in range(n):
             for p, v1 in product(i, m):
@@ -197,7 +197,8 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
                     col = i * i_stride + j * j_stride
                     for k, v2 in product(p, j):
                         entries[k * n + m][col] += v1 * v2
-    return BMatrix(algebra, order, entries)
+    den = algebra.denominator ** 2
+    return BMatrix(algebra, order, [exact.as_fractions(row, den) for row in entries])
 
 
 class StandardSolution:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import exact
 from .algebras import COMPLEX_TAG, conjugate
-from .core import AlgElement, FreeAlgebra, multiply
+from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
 from .linmap import LinearMap, compose
@@ -289,7 +289,6 @@ class ComplexAdditiveMap:
                 and self.a == other.a and self.b == other.b)
 
     def __repr__(self) -> str:
-        from .core import format_element
         return f"({format_element(self.a)}) + ({format_element(self.b)})*conj"
 
 

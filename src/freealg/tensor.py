@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from . import exact
@@ -47,21 +48,18 @@ class TensorAlgebra(FreeAlgebra):
         labels = ["(x)".join(a.labels[i] for a, i in zip(factors, multi))
                   for multi in multis]
 
+        den = prod(a.denominator for a in factors)  # of the factors' integer constants
         constants = []
         for ki, km in enumerate(multis):
             for li, lm in enumerate(multis):
                 # product of per-factor basis products, expanded over all
                 # combinations of their nonzero components
-                partial = [((), Fraction(1))]
+                partial = [((), 1)]
                 for a, kf, lf in zip(factors, km, lm):
-                    cell = a.basis_product(kf, lf)
-                    if not cell:
-                        partial = []
-                        break
                     partial = [(idxs + (p,), val * v)
-                               for idxs, val in partial for p, v in cell]
+                               for idxs, val in partial for p, v in a.basis_product(kf, lf)]
                 for idxs, val in partial:
-                    constants.append((ki, li, self.flat_index(idxs), val))
+                    constants.append((ki, li, self.flat_index(idxs), Fraction(val, den)))
 
         unit = None
         if all(a.unit_index is not None for a in factors):

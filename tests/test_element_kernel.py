@@ -193,3 +193,23 @@ def test_mat_mul_matches_the_reference_on_dense_matrices(size, big):
     a = [[entry() for _ in range(size)] for _ in range(size)]
     b = [[entry() for _ in range(size)] for _ in range(size)]
     assert exact.mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+def test_multiply_and_mat_mul_run_on_ints(monkeypatch):
+    # Fraction arithmetic is what the integer kernel replaces; only the
+    # result coordinates are built as Fractions
+    rng = random.Random(8)
+    O = algebra("O")
+    x = O.element([Fraction(rng.randint(-2**40, 2**40), d) for d in DENOMINATORS[:8]])
+    y = O.element([Fraction(rng.randint(-2**40, 2**40), d) for d in DENOMINATORS[8:16]])
+    a, b = ([[Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in range(8)]
+             for _ in range(8)] for _ in range(2))
+    product, matrix = multiply(x, y).coords, exact.mat_mul(a, b)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the integer kernel")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert multiply(x, y).coords == product
+    assert exact.mat_mul(a, b) == matrix
