@@ -51,6 +51,7 @@ DENOMINATORS = _coprime_denominators(3 * SUPPORT)
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 NUMERATOR = st.integers(-2**40, 2**40)
 BIG = st.builds(Fraction, NUMERATOR, st.integers(1, 2**40))
+NONZERO = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
 
 
 def E(a, b):
@@ -132,9 +133,7 @@ def test_alternative_laws_and_moufang_identities_in_O(big, data):
        st.data())
 def test_norm_is_multiplicative(name, big, data):
     if name == "E(a, b)":
-        nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
-                            st.integers(1, 3))
-        params = QuaternionParams(data.draw(nonzero), data.draw(nonzero))
+        params = QuaternionParams(data.draw(NONZERO), data.draw(NONZERO))
         alg = E(params.a, params.b)
     else:
         alg = algebra(name)
