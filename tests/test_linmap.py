@@ -454,3 +454,18 @@ def test_representation_basis_dual_numbers():
                 m = coords_from_standard(Tensor2.basis_tensor(dual, i, j), g)
                 rows.append([v for row in m.coords for v in row])
     assert exact.rank(rows) == 4
+
+
+def test_every_order_argument_is_validated(H):
+    f = LinearMap.identity(H)
+    t = Tensor2.unit(H)
+    one = H.unit()
+    calls = [lambda order: b_matrix(H, order),
+             lambda order: sandwich(one, f, one, order),
+             lambda order: coords_from_standard(t, f, order),
+             lambda order: standard_from_coords(f, order),
+             lambda order: orbit_contains(f, f, order),
+             lambda order: representation_basis(H, order)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"one of \('left', 'right'\), got 'middle'"):
+            call("middle")
