@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from freealg import LinearMap, MapMatrix, compose, cr_product, exact, tensor_product
+from freealg import (LinearMap, MapMatrix, compose, cr_product, exact, rc_product,
+                     tensor_product)
 from test_kernel_properties import SMALL, VALUES, algebras
 
 ZERO = Fraction(0)
@@ -78,11 +79,14 @@ def test_transpose_moves_each_entry_and_entries_read_back(data, rows, cols):
     algebra = data.draw(SMALL_ALGEBRAS)
     grid = map_grids(data, algebra, rows, cols)
     m = MapMatrix(grid)
-    assert m.entries == tuple(tuple(row) for row in grid)
-    t = m.transpose()
-    assert (t.rows, t.cols) == (cols, rows)
-    assert all(t.entries[c][r] == grid[r][c] for r in range(rows) for c in range(cols))
-    assert t.transpose() == m
+    # a product keeps only its flattening, so its entries are cut from it
+    flat = rc_product(m, MapMatrix.identity(algebra, cols))
+    for mm in (m, flat):
+        assert mm.entries == tuple(tuple(row) for row in grid)
+        t = mm.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t.entries[c][r] == grid[r][c] for r in range(rows) for c in range(cols))
+        assert t.transpose() == m
 
 
 @settings(max_examples=25)
