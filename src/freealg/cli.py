@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import re
 import sys
@@ -307,7 +306,7 @@ def _row_relation(matrix, n: int, r: int, c: int) -> dict:
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k."""
     n = bm.algebra.dim
-    return [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)] for i in range(n)]
+    return [[bm.entries[k * n + k][i * n + i] for i in range(n)]
             for k in range(n)]
 
 
@@ -425,8 +424,8 @@ def _verify_quasidet() -> VerificationReport:
                 for j in range(size):
                     recursed = quasideterminant(m, j, i)
                     report.add(f"{size}x{size}.{done[size]:02d}.entry{i}{j}",
-                               matrix_str(inverse.entries[i][j].matrix()),
-                               matrix_str(exact.invert(recursed.matrix())))
+                               matrix_str(inverse.entries[i][j].coords),
+                               matrix_str(exact.invert(recursed.coords)))
         except (MinorSingular, ValueError):
             continue
         done[size] += 1
@@ -486,8 +485,8 @@ def cmd_tables(args) -> int:
     else:
         sign = _sign_matrix(b_matrix(algebra))
         inv = exact.invert(sign)
-        den = math.lcm(*(v.denominator for row in inv for v in row))
-        num = [[v * den for v in row] for row in inv]
+        ints, den = exact.as_ints(exact.vec(inv))
+        num = exact.blocks(ints, n)
         if args.machine:
             for r in range(n):
                 lines.append(f"F.{r}={vector_str(sign[r])}")

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fraction.  Nothing in this module ever
-rounds; every function either returns exact rationals or raises.
+Matrices are lists or tuples of rows of Fraction; results are lists.
+Nothing in this module ever rounds; every function either returns exact
+rationals or raises.
 
 All elimination (rank, rref, invert, solve) runs through one driver,
 ``_reduce``, a fraction-free Gauss-Jordan over Python ints (Bareiss,
@@ -209,17 +210,9 @@ def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:
     """
     if not basis:
         return v[:]
-    k = len(basis)
-    gram = [[sum(basis[i][t] * basis[j][t] for t in range(len(v))) for j in range(k)]
-            for i in range(k)]
-    rhs = [sum(basis[i][t] * v[t] for t in range(len(v))) for i in range(k)]
-    coeffs, _ = solve(gram, rhs)
-    out = v[:]
-    for i in range(k):
-        if coeffs[i] != 0:
-            for t in range(len(v)):
-                out[t] -= coeffs[i] * basis[i][t]
-    return out
+    columns = list(zip(*basis))
+    coeffs, _ = solve(mat_mul(basis, columns), mat_vec(basis, v))
+    return [x - p for x, p in zip(v, mat_vec(columns, coeffs))]
 
 
 def primitive(v: Vec) -> Vec:

@@ -55,9 +55,8 @@ class LinearMap:
         return cls(algebra, algebra, exact.identity(algebra.dim))
 
     @classmethod
-    def zero(cls, source: FreeAlgebra, target: Optional[FreeAlgebra] = None) -> "LinearMap":
-        target = target or source
-        return cls(source, target, exact.zeros(target.dim, source.dim))
+    def zero(cls, algebra: FreeAlgebra) -> "LinearMap":
+        return cls(algebra, algebra, exact.zeros(algebra.dim, algebra.dim))
 
     def is_endomorphism(self) -> bool:
         return self.source is self.target
@@ -78,7 +77,7 @@ class LinearMap:
         if self.source is not other.source or self.target is not other.target:
             raise AlgebraMismatch("maps act on different algebras")
         return LinearMap(self.source, self.target,
-                         exact.mat_add(self.matrix(), other.matrix()))
+                         exact.mat_add(self.coords, other.coords))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + (-other)
@@ -107,7 +106,7 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """g after f; coordinates multiply as matrices."""
     if f.target is not g.source:
         raise AlgebraMismatch("compose needs f.target == g.source")
-    return LinearMap(f.source, g.target, exact.mat_mul(g.matrix(), f.matrix()))
+    return LinearMap(f.source, g.target, exact.mat_mul(g.coords, f.coords))
 
 
 def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
@@ -163,12 +162,6 @@ class BMatrix:
         self.algebra = algebra
         self.order = order
         self.entries = entries
-
-    def row_index(self, k: int, m: int) -> int:
-        return k * self.algebra.dim + m
-
-    def col_index(self, i: int, j: int) -> int:
-        return i * self.algebra.dim + j
 
     def rank(self) -> int:
         return exact.rank(self.entries)
@@ -234,8 +227,7 @@ def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> Linea
         raise AlgebraMismatch("tensor and map must share the target algebra")
     gvec = exact.mat_vec(b_matrix(t.algebra, order).entries, exact.vec(t.components))
     sandwich_coords = exact.blocks(gvec, t.algebra.dim)
-    return LinearMap(f.source, f.target,
-                     exact.mat_mul(sandwich_coords, f.matrix()))
+    return LinearMap(f.source, f.target, exact.mat_mul(sandwich_coords, f.coords))
 
 
 def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
@@ -271,7 +263,7 @@ def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:
     f's transpose with the n-row blocks of B.
     """
     entries = b_matrix(f.target, order).entries
-    f_t = [list(col) for col in zip(*f.coords)]
+    f_t = list(zip(*f.coords))
     out = []
     for block in exact.blocks(entries, f.target.dim):
         out.extend(exact.mat_mul(f_t, block))

@@ -78,11 +78,9 @@ class MapMatrix:
         if self._entries is None:
             n = self.algebra.dim
             self._entries = tuple(
-                tuple(LinearMap(self.algebra, self.algebra,
-                                [row[c * n:(c + 1) * n]
-                                 for row in self._matrix[r * n:(r + 1) * n]])
-                      for c in range(self.cols))
-                for r in range(self.rows))
+                tuple(LinearMap(self.algebra, self.algebra, coords)
+                      for coords in zip(*(exact.blocks(row, n) for row in band)))
+                for band in exact.blocks(self._matrix, n))
         return self._entries
 
     def is_square(self) -> bool:
@@ -90,11 +88,7 @@ class MapMatrix:
 
     def transpose(self) -> "MapMatrix":
         """Entry (r, c) moves to (c, r); the entries themselves stay."""
-        n = self.algebra.dim
-        m = self._matrix
-        return MapMatrix._from_flat(self.algebra, self.cols, self.rows, [
-            [m[r * n + i][c * n + j] for r in range(self.rows) for j in range(n)]
-            for c in range(self.cols) for i in range(n)])
+        return MapMatrix(list(zip(*self.entries)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MapMatrix)

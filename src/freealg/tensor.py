@@ -49,17 +49,12 @@ class TensorAlgebra(FreeAlgebra):
                   for multi in multis]
 
         den = prod(a.denominator for a in factors)  # of the factors' integer constants
-        constants = []
-        for ki, km in enumerate(multis):
-            for li, lm in enumerate(multis):
-                # product of per-factor basis products, expanded over all
-                # combinations of their nonzero components
-                partial = [((), 1)]
-                for a, kf, lf in zip(factors, km, lm):
-                    partial = [(idxs + (p,), val * v)
-                               for idxs, val in partial for p, v in a.basis_product(kf, lf)]
-                for idxs, val in partial:
-                    constants.append((ki, li, self.flat_index(idxs), Fraction(val, den)))
+        # one constant per choice of a nonzero integer cell (i, j, k, v) in each factor
+        cells = [[(i, j, k, v) for i in range(a.dim) for j in range(a.dim)
+                  for k, v in a.basis_product(i, j)] for a in factors]
+        constants = [(self.flat_index(i), self.flat_index(j), self.flat_index(k),
+                      Fraction(prod(v), den))
+                     for i, j, k, v in (zip(*choice) for choice in product(*cells))]
 
         unit = None
         if all(a.unit_index is not None for a in factors):
@@ -148,8 +143,7 @@ class Tensor2:
     def __add__(self, other: "Tensor2") -> "Tensor2":
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("tensors over different algebras")
-        return Tensor2(self.algebra, exact.mat_add(
-            [list(r) for r in self.components], [list(r) for r in other.components]))
+        return Tensor2(self.algebra, exact.mat_add(self.components, other.components))
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         return self + other.scaled(-1)
@@ -191,7 +185,7 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     columns = [multiply(x, e).coords for e in x.algebra.basis()]
     rhs = exact.vec(unit.components)
     try:
-        particular, _ = exact.solve([list(row) for row in zip(*columns)], rhs)
+        particular, _ = exact.solve(list(zip(*columns)), rhs)
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
     u = Tensor2(algebra, exact.blocks(particular, algebra.dim))

@@ -34,9 +34,9 @@ def cadd(C, a0, a1, b0, b1):
 
 def bm_relation(bm, k, m):
     n = bm.algebra.dim
-    row = bm.entries[bm.row_index(k, m)]
-    return {(i, j): row[bm.col_index(i, j)]
-            for i in range(n) for j in range(n) if row[bm.col_index(i, j)]}
+    row = bm.entries[k * n + m]
+    return {(i, j): row[i * n + j]
+            for i in range(n) for j in range(n) if row[i * n + j]}
 
 
 def inverse_relation(inv, n, i, j):
@@ -89,7 +89,7 @@ def test_criterion_2_quaternion_tables(H):
     inv = exact.invert(bm.entries)
     for (i, j), expected in golden.quaternion_standard_relations().items():
         ok &= inverse_relation(inv, 4, i, j) == expected
-    sign = [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)]
+    sign = [[bm.entries[k * 4 + k][i * 4 + i]
              for i in range(4)] for k in range(4)]
     ok &= sign == [[Fraction(v) for v in row]
                    for row in golden.QUATERNION_SIGN_MATRIX]
@@ -116,7 +116,7 @@ def test_criterion_3_octonion_tables(O):
     # the transcribed diagonal group agrees with the derived relations
     for key, expected in golden.octonion_diagonal_standard_relations().items():
         ok &= backward[key] == expected
-    sign = [[bm.entries[bm.row_index(k, k)][bm.col_index(i, i)]
+    sign = [[bm.entries[k * 8 + k][i * 8 + i]
              for i in range(8)] for k in range(8)]
     ok &= sign == [[Fraction(v) for v in row] for row in golden.OCTONION_SIGN_MATRIX]
     sign_inv = [[Fraction(v, golden.OCTONION_SIGN_MATRIX_DEN) for v in row]

@@ -121,9 +121,9 @@ def test_b_matrix_complex_relations(C):
     bm = b_matrix(C)
     # rows are (k, m); columns are (i, j)
     def row(k, m):
-        r = bm.entries[bm.row_index(k, m)]
-        return {(i, j): r[bm.col_index(i, j)] for i in range(2) for j in range(2)
-                if r[bm.col_index(i, j)]}
+        r = bm.entries[k * 2 + m]
+        return {(i, j): r[i * 2 + j] for i in range(2) for j in range(2)
+                if r[i * 2 + j]}
     one = Fraction(1)
     assert row(0, 0) == {(0, 0): one, (1, 1): -one}
     assert row(1, 1) == {(0, 0): one, (1, 1): -one}
