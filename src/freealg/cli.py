@@ -9,7 +9,8 @@ Subcommands:
     map convert --algebra ... --coords ...   coordinates -> standard components
     map basis --algebra ...            same as `basis`
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 singular system.
+Exit codes: 0 ok, 1 verification failure, 2 input error, 3 singular system,
+4 internal error (a defect; one line on stderr, never a traceback).
 All printed fractions are plain p/q strings and re-parse exactly.
 
 File formats (JSON):
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 BUILTIN_NAMES = ("complex", "quaternion", "octonion")
 
@@ -638,6 +640,9 @@ def main(argv=None) -> int:
     except (FreeAlgebraError, OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:  # a defect, not an input: one line, never exit 1
+        print(f"error: internal error ({type(err).__name__}): {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point() -> None:

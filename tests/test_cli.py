@@ -160,6 +160,25 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("error, line", [
+    (RuntimeError("boom"), "error: internal error (RuntimeError): boom"),
+    (KeyError("row"), "error: internal error (KeyError): 'row'"),
+], ids=["RuntimeError", "KeyError"])
+def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, error, line):
+    # a defect inside a subcommand is neither an input error (2) nor a
+    # failed verification (1), and never ends in a traceback
+    import freealg.cli as cli_mod
+
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "cmd_tables", broken)
+    code, out, err = run(capsys, "tables", "complex")
+    assert code == cli_mod.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "quasidet", "--machine")
     _, out2, _ = run(capsys, "verify", "quasidet", "--machine")
