@@ -16,12 +16,22 @@ over its pivot.
 and one per column of b; one lcm for all of b would lengthen every
 product.  ``mat_vec`` stays on Fraction: its vector is used once, and the
 lcm of its n denominators would make every product longer than the
-Fraction terms it replaces.
+Fraction terms it replaces.  Applying a block of the component matrix
+to standard components is the exception, and goes through ``mat_mul``
+with the components as one column: they are usually a solution from
+``solve``, whose entries share one denominator, so the lcm is short and
+the integer sums win.
+
+``components`` splits a sparse matrix into the connected components of
+its row-column nonzero graph, the first step of block triangular form
+(Pothen and Fan, ACM TOMS 16, 1990); a caller that keeps the blocks
+solves and applies them one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 Vec = list[Fraction]
@@ -56,6 +66,35 @@ def vec(grid) -> Vec:
 def blocks(seq, size: int) -> list:
     """``seq`` cut into consecutive pieces of length ``size``."""
     return [seq[i:i + size] for i in range(0, len(seq), size)]
+
+
+def components(rows) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the graph that joins row r to column c
+    when rows[r][c] is nonzero, as (row indices, column indices), both
+    ascending.  A zero row is a component without columns and a zero
+    column one without rows.  Components come in the order of their first
+    row, then those without rows in column order."""
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    parent = list(range(n_rows + n_cols))  # rows, then columns offset by n_rows
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for r, row in enumerate(rows):
+        for c in compress(range(n_rows, n_rows + n_cols), row):
+            a, b = root(r), root(c)
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # a root is its component's first node
+    found: dict[int, tuple[list[int], list[int]]] = {}
+    for x in range(n_rows + n_cols):
+        rs, cs = found.setdefault(root(x), ([], []))
+        if x < n_rows:
+            rs.append(x)
+        else:
+            cs.append(x - n_rows)
+    return list(found.values())
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

@@ -8,10 +8,12 @@ components f^{ij} in the sandwich expansion
     f(x) = sum_{i,j} f^{ij} (e_i x) e_j        (order="left")
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
-and solves it in both directions.  The two nesting orders coincide in
-associative algebras; "left" is the default everywhere.  The right order
-is the left order over A^op with i and j swapped, as e_i (x e_j) =
-(e_j . x) . e_i when x . y = y x, so one contraction builds both.
+stores it as the connected blocks of its nonzero entries, and solves and
+applies it block by block in both directions.  The two nesting orders
+coincide in associative algebras; "left" is the default everywhere.  The
+right order is the left order over A^op with i and j swapped, as
+e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one contraction builds
+both.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -154,20 +156,40 @@ class BMatrix:
     Row (k, m) and column (i, j) hold the coefficient of f^{ij} in the
     (k, m) coordinate entry of x -> sum f^{ij} (e_i x) e_j (left order)
     or x -> sum f^{ij} e_i (x e_j) (right order).
+
+    The matrix is stored as the connected components of its nonzero
+    graph (``exact.components``): ``blocks`` lists (rows, cols, grid), the
+    grid holding the entries at those rows and columns; every entry
+    outside the blocks is zero.  A zero row is a block without columns
+    and a zero column one without rows.  ``entries`` is the dense view,
+    built on first read and kept; ``rank`` is the sum of the block ranks.
     """
 
-    __slots__ = ("algebra", "order", "entries")
+    __slots__ = ("algebra", "order", "blocks", "_entries")
 
-    def __init__(self, algebra: FreeAlgebra, order: str, entries):
+    def __init__(self, algebra: FreeAlgebra, order: str, blocks):
         self.algebra = algebra
         self.order = order
-        self.entries = entries
+        self.blocks = blocks
+        self._entries = None
+
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        if self._entries is None:
+            size = self.algebra.dim ** 2
+            entries = exact.zeros(size, size)
+            for rows, cols, grid in self.blocks:
+                for r, values in zip(rows, grid):
+                    for c, v in zip(cols, values):
+                        entries[r][c] = v
+            self._entries = entries
+        return self._entries
 
     def rank(self) -> int:
-        return exact.rank(self.entries)
+        return sum(exact.rank(grid) for _, _, grid in self.blocks)
 
     def __repr__(self) -> str:
-        return f"BMatrix({self.algebra!r}, order={self.order}, size={len(self.entries)})"
+        return f"BMatrix({self.algebra!r}, order={self.order}, size={self.algebra.dim ** 2})"
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
@@ -191,7 +213,9 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
                     for k, v2 in product(p, j):
                         entries[k * n + m][col] += v1 * v2
     den = algebra.denominator ** 2
-    return BMatrix(algebra, order, [exact.as_fractions(row, den) for row in entries])
+    return BMatrix(algebra, order, [
+        (rows, cols, [exact.as_fractions([entries[r][c] for c in cols], den) for r in rows])
+        for rows, cols in exact.components(entries)])
 
 
 class StandardSolution:
@@ -221,13 +245,18 @@ class StandardSolution:
 def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> LinearMap:
     """Coordinate matrix of g = t acting on f, g(x) = sum t^{ij} e_i f(x) e_j
     with the chosen nesting.  For f = identity this is the component
-    matrix applied to vec(t), reshaped."""
+    matrix applied to vec(t), reshaped; it is applied block by block."""
     _check_order(order)
     if t.algebra is not f.target:
         raise AlgebraMismatch("tensor and map must share the target algebra")
-    gvec = exact.mat_vec(b_matrix(t.algebra, order).entries, exact.vec(t.components))
-    sandwich_coords = exact.blocks(gvec, t.algebra.dim)
-    return LinearMap(f.source, f.target, exact.mat_mul(sandwich_coords, f.coords))
+    n = t.algebra.dim
+    tvec = exact.vec(t.components)
+    gvec = [exact.ZERO] * (n * n)
+    for rows, cols, grid in b_matrix(t.algebra, order).blocks:
+        if rows and cols:
+            for r, (v,) in zip(rows, exact.mat_mul(grid, [[tvec[c]] for c in cols])):
+                gvec[r] = v
+    return LinearMap(f.source, f.target, exact.mat_mul(exact.blocks(gvec, n), f.coords))
 
 
 def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
@@ -236,22 +265,42 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     Raises NotRepresentable when g lies outside the image of the
     component matrix (for the complex numbers this rejects conjugation:
     only genuinely complex-linear maps are representable).
+
+    The component matrix is solved block by block.  The reduced row
+    echelon form of a block-diagonal matrix is its blockwise form, so the
+    particular solution and null space are those of one solve of the
+    whole matrix; null-space vectors come sorted by their free column,
+    which is their last nonzero entry.
     """
     _check_order(order)
     if not g.is_endomorphism():
         raise AlgebraMismatch("standard components are defined for endomorphisms")
     algebra = g.source
-    bm = b_matrix(algebra, order)
-    try:
-        particular, basis = exact.solve(bm.entries, exact.vec(g.coords))
-    except ValueError:
-        raise NotRepresentable(
-            "coordinate matrix is not in the image of the component matrix") from None
     n = algebra.dim
+    gvec = exact.vec(g.coords)
+    particular = [exact.ZERO] * (n * n)
+    nullspace = []
+    for rows, cols, grid in b_matrix(algebra, order).blocks:
+        if not rows:  # a zero column: its component is free
+            x, basis = [exact.ZERO], [[exact.ONE]]
+        else:
+            try:
+                x, basis = exact.solve(grid, [gvec[r] for r in rows])
+            except ValueError:
+                raise NotRepresentable(
+                    "coordinate matrix is not in the image of the component matrix") from None
+        for c, v in zip(cols, x):
+            particular[c] = v
+        for local in basis:
+            v = [exact.ZERO] * (n * n)
+            for c, value in zip(cols, local):
+                v[c] = value
+            nullspace.append(v)
+    nullspace.sort(key=lambda v: max(c for c, value in enumerate(v) if value))
     return StandardSolution(
         Tensor2(algebra, exact.blocks(particular, n)),
-        [Tensor2(algebra, exact.blocks(v, n)) for v in basis],
-        n * n - len(basis))
+        [Tensor2(algebra, exact.blocks(v, n)) for v in nullspace],
+        n * n - len(nullspace))
 
 
 def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:

@@ -153,6 +153,16 @@ def test_invert_matches_oracle():
     assert singular > 5
 
 
+def test_components_split_the_nonzero_graph():
+    # rows 0 and 3 share column 1; row 2 joins columns 0 and 3; row 1 and
+    # column 2 are zero, so each is a component on its own
+    a = [[0, Fraction(1, 2), 0, 0], [0, 0, 0, 0], [2, 0, 0, -3], [0, 5, 0, 0]]
+    assert exact.components(a) == [([0, 3], [1]), ([1], []), ([2], [0, 3]), ([], [2])]
+    assert exact.components([[0, 1], [1, 0]]) == [([0], [1]), ([1], [0])]
+    assert exact.components([[1, 1], [1, 1]]) == [([0, 1], [0, 1])]
+    assert exact.components([]) == []
+
+
 def test_only_reduce_runs_elimination():
     # one elimination driver: no function in freealg but exact._reduce
     # calls the row step _eliminate
