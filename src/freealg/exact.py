@@ -21,11 +21,6 @@ to standard components is the exception, and goes through ``mat_mul``
 with the components as one column: they are usually a solution from
 ``solve``, whose entries share one denominator, so the lcm is short and
 the integer sums win.
-
-``components`` splits a sparse matrix into the connected components of
-its row-column nonzero graph, the first step of block triangular form
-(Pothen and Fan, ACM TOMS 16, 1990); a caller that keeps the blocks
-solves and applies them one by one.
 """
 
 from __future__ import annotations
@@ -73,7 +68,8 @@ def components(rows) -> list[tuple[list[int], list[int]]]:
     when rows[r][c] is nonzero, as (row indices, column indices), both
     ascending.  A zero row is a component without columns and a zero
     column one without rows.  Components come in the order of their first
-    row, then those without rows in column order."""
+    row, then those without rows in column order.  This is the first step
+    of block triangular form (Pothen and Fan, ACM TOMS 16, 1990)."""
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     parent = list(range(n_rows + n_cols))  # rows, then columns offset by n_rows
 
