@@ -1,8 +1,9 @@
 """Byte-for-byte golden capture of the README's CLI examples and of the
 paths the README does not show: the right nesting order, a map with a
 family of standard components, a 3x3 quaternion system of grids, and
-two error paths (a singular complex system, exit 3, and a system file
-that is not JSON, exit 2), and generator discovery on two definition
+three error paths (a singular complex system, exit 3, once
+inconsistent and once consistent, and a system file that is not JSON,
+exit 2), and generator discovery on two definition
 files that need more than two generators (the dual numbers, and
 Q[x]/(x^4) in the right order), and the other spellings of the number
 grammar: complex entries with fractions, a bare ``-I`` and padding
@@ -61,6 +62,13 @@ SINGULAR_SYSTEM = {
     "algebra": "complex",
     "matrix": [["1", "2*I"], ["2", "4*I"]],
     "rhs": [["1", "0"], ["0", "1"]],
+}
+# the same matrix with the second right side twice the first: consistent,
+# so the refusal comes from the null space, not from the right side
+SINGULAR_CONSISTENT_SYSTEM = {
+    "algebra": "complex",
+    "matrix": [["1", "2*I"], ["2", "4*I"]],
+    "rhs": [["1", "0"], ["2", "0"]],
 }
 NOT_JSON = '{"algebra": "complex", "matrix": [['
 
@@ -128,6 +136,7 @@ COMMANDS = {
     "map-convert-family": ["map", "convert", "--algebra", "complex", "--coords", "cmul.txt"],
     "solve-quaternion-grids": ["solve", "quaternion_system.json"],
     "solve-singular": ["solve", "singular_system.json"],
+    "solve-singular-consistent": ["solve", "singular_consistent_system.json"],
     "solve-not-json": ["solve", "not_json.json"],
     "basis-dual": ["basis", "dual.json"],
     "basis-trunc-right": ["basis", "trunc.json", "--order", "right"],
@@ -158,6 +167,8 @@ def write_inputs(directory):
                                                       encoding="utf-8")
     (directory / "singular_system.json").write_text(json.dumps(SINGULAR_SYSTEM),
                                                     encoding="utf-8")
+    (directory / "singular_consistent_system.json").write_text(
+        json.dumps(SINGULAR_CONSISTENT_SYSTEM), encoding="utf-8")
     (directory / "not_json.json").write_text(NOT_JSON, encoding="utf-8")
     (directory / "dual.json").write_text(json.dumps(DUAL), encoding="utf-8")
     (directory / "trunc.json").write_text(json.dumps(TRUNC), encoding="utf-8")
