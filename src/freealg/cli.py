@@ -34,6 +34,7 @@ File formats (JSON):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -298,18 +299,18 @@ def _relation_str(rel: dict) -> str:
     return " ".join(f"{rel[key]}@{key[0]}{key[1]}" for key in sorted(rel))
 
 
-def _row_relation(matrix, n: int, r: int, c: int) -> dict:
-    """The nonzero entries of row (r, c) of an n^2 x n^2 matrix, keyed by
-    their column pair."""
-    return {(i, j): v for i, block in enumerate(exact.blocks(matrix[r * n + c], n))
-            for j, v in enumerate(block) if v}
+def _row_relations(parts, n: int) -> dict:
+    """Row (k, m) -> its nonzero entries keyed by their column pair (i, j),
+    for an n^2 x n^2 matrix given as (rows, cols, grid) blocks."""
+    return {divmod(r, n): {divmod(c, n): v for c, v in zip(cols, values) if v}
+            for rows, cols, grid in parts for r, values in zip(rows, grid)}
 
 
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k."""
     n = bm.algebra.dim
-    return [[bm.entries[k * n + k][i * n + i] for i in range(n)]
-            for k in range(n)]
+    coords = _row_relations(bm.blocks, n)
+    return [[coords[(k, k)].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
 def _verify_conversion_tables() -> VerificationReport:
@@ -328,15 +329,16 @@ def _verify_conversion_tables() -> VerificationReport:
          conj_component) in cases:
         n = algebra.dim
         bm = b_matrix(algebra)
+        coords = _row_relations(bm.blocks, n)
         for (k, m) in sorted(coord_rel):
             report.add(f"{name}.coord.f{k}_{m}",
-                       _relation_str(coord_rel[(k, m)]),
-                       _relation_str(_row_relation(bm.entries, n, k, m)))
-        inv = exact.invert(bm.entries)
+                       _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)]))
+        # B^-1 block by block: block (rows, cols) of B inverts to (cols, rows)
+        standard = _row_relations([(cols, rows, exact.invert(grid))
+                                   for rows, cols, grid in bm.blocks], n)
         for (i, j) in sorted(std_rel):
             report.add(f"{name}.standard.f{i}{j}",
-                       _relation_str(std_rel[(i, j)]),
-                       _relation_str(_row_relation(inv, n, i, j)))
+                       _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)]))
         computed_f = _sign_matrix(bm)
         report.add(f"{name}.sign_matrix",
                    matrix_str([[Fraction(v) for v in row] for row in sign_m]),
@@ -468,13 +470,13 @@ def cmd_tables(args) -> int:
     n = algebra.dim
     lines = []
     if args.which == "complex":
-        entries = b_matrix(algebra).entries
+        coords = _row_relations(b_matrix(algebra).blocks, n)
         if not args.machine:
             lines.append("coordinates of z -> sum f^{ij} e_i z e_j over the "
                          "complex field:")
         for k in range(n):
             for m in range(n):
-                rel = _row_relation(entries, n, k, m)
+                rel = coords[(k, m)]
                 if args.machine:
                     lines.append(f"coord.f{k}_{m}={_relation_str(rel)}")
                 else:
@@ -585,23 +587,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a system of additive equations")
     p.add_argument("system", help="system definition file (JSON)")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func="cmd_solve")
 
     p = sub.add_parser("tables", help="print conversion tables")
     p.add_argument("which", choices=BUILTIN_NAMES)
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func="cmd_tables")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(_VERIFY_SUITES))
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("basis", help="orbit generators of the linear maps")
     p.add_argument("algebra", help="builtin name or definition file")
     p.add_argument("--order", choices=("left", "right"), default="left")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func="cmd_basis")
 
     p = sub.add_parser("algebra", help="algebra definition utilities")
     asub = p.add_subparsers(dest="subcommand", required=True)
@@ -609,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("name", choices=BUILTIN_NAMES)
     pb.add_argument("--a", default="-1", help="quaternion parameter a (p/q; negative: --a=-1/2)")
     pb.add_argument("--b", default="-1", help="quaternion parameter b (p/q; negative: --b=-1/2)")
-    pb.set_defaults(func=cmd_algebra_builtin)
+    pb.set_defaults(func="cmd_algebra_builtin")
 
     p = sub.add_parser("map", help="linear-map conversions")
     msub = p.add_subparsers(dest="subcommand", required=True)
@@ -618,21 +620,26 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--coords", required=True, help="coordinate matrix file")
     pc.add_argument("--order", choices=("left", "right"), default="left")
     pc.add_argument("--machine", action="store_true")
-    pc.set_defaults(func=cmd_map_convert)
+    pc.set_defaults(func="cmd_map_convert")
     pm = msub.add_parser("basis", help="orbit generators")
     pm.add_argument("--algebra", required=True)
     pm.add_argument("--order", choices=("left", "right"), default="left")
     pm.add_argument("--machine", action="store_true")
-    pm.set_defaults(func=cmd_basis)
+    pm.set_defaults(func="cmd_basis")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # by name per call: a rebound cmd_* is called
     except (SingularSystem, SingularMap, SingularTensor, MinorSingular,
             NotRepresentable) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -59,7 +59,12 @@ class NotRepresentable(FreeAlgebraError):
 
 
 class SingularSystem(FreeAlgebraError):
-    """Matrix of mappings has no inverse (its flattening is singular)."""
+    """Matrix of mappings has no inverse (its flattening is singular).
+    ``witness``, from ``solve_additive``: a checked nonzero x with M x = 0."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class MinorSingular(FreeAlgebraError):

@@ -335,7 +335,8 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:
     """Generators whose orbits span all linear maps of the algebra.
 
-    Starts from the identity map.  Each pass reduces the orbit columns
+    Starts from the identity map, which alone suffices when the component
+    matrix has full rank.  Each pass reduces the orbit columns
     found so far to reduced row echelon form and keeps only its nonzero
     rows.  While they do not span the whole coordinate space, the first
     standard-basis coordinate matrix (row-major) outside the span is
@@ -352,6 +353,9 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     n = algebra.dim
     g = LinearMap.identity(algebra)
     generators = [g]
+    # the identity's orbit columns are B itself, so a full-rank B ends the first pass
+    if b_matrix(algebra, order).rank() == n * n:
+        return generators
     rows = []
     while True:
         rows.extend(zip(*_orbit_columns(g, order)))

@@ -3,11 +3,12 @@
 A MapMatrix is a matrix of linear maps, all endomorphisms of one
 algebra, multiplied by composing entries.  It is stored as its
 flattening, one big rational block matrix, so products, inversion and
-solving are exact and total operations on that matrix.  The
-quasideterminant recursion composes the entries as LinearMaps on plain
-grids instead, never reading the flattening; it is kept as an
-independent second path that reports per-entry quasideterminants and
-cross-validates the flattening.
+solving are exact and total operations on that matrix.  A system is
+solved without inverting M, and a singular one is refused with a
+checked witness x != 0, M x = 0.  The quasideterminant recursion
+composes the entries as LinearMaps on plain grids instead, never
+reading the flattening; it is kept as an independent second path that
+reports per-entry quasideterminants and cross-validates the flattening.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form by
@@ -203,9 +204,11 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    With b the right side stacked into one vector, computes x = M^-1 b
-    from the inverse block matrix, then verifies M x = b exactly by
-    substitution before returning.
+    With b the right side stacked into one vector, solves M x = b by one
+    exact elimination of [M | b], not by inverting M, then verifies
+    M x = b exactly by substitution.  A singular M raises SingularSystem
+    with the first null vector of M as its checked ``witness``; an
+    inconsistent system takes one more, homogeneous, solve to find it.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
@@ -216,7 +219,18 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
     b = exact.vec(y.coords for y in rhs)
-    x = exact.mat_vec(inverse_map_matrix(m)._matrix, b)
+    try:
+        x, nullspace = exact.solve(m._matrix, b)
+    except ValueError:  # inconsistent, so M is singular
+        _, nullspace = exact.solve(m._matrix, [exact.ZERO] * len(b))
+    if nullspace:  # w's last nonzero is its free column, the first one exact.invert finds
+        w = nullspace[0]
+        if not any(w) or any(exact.mat_vec(m._matrix, w)):
+            raise SubstitutionCheckFailed("singular-system witness fails M w = 0")
+        free = max(c for c, v in enumerate(w) if v)
+        raise SingularSystem(
+            f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
+            [AlgElement(m.algebra, tuple(wi)) for wi in exact.blocks(w, n)])
     check = exact.mat_vec(m._matrix, x)
     for i, (got, want) in enumerate(zip(exact.blocks(check, n), exact.blocks(b, n))):
         if got != want:

@@ -179,6 +179,45 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, error, 
     assert err == line + "\n"
 
 
+def test_parser_is_built_once_and_keeps_no_state(example_file, capsys, monkeypatch):
+    # flags given to one call must not carry over to the next
+    import freealg.cli as cli_mod
+
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    build = cli_mod.build_parser
+    cli_mod._parser.cache_clear()
+    monkeypatch.setattr(cli_mod, "build_parser", counting_build)
+    try:
+        assert run(capsys, "solve", example_file, "--machine")[1].startswith("solution.0=")
+        assert run(capsys, "basis", "complex", "--order", "right", "--machine")[0] == 0
+        assert run(capsys, "tables", "quaternion", "--machine")[1].startswith("F.0=")
+        code, out, _ = run(capsys, "solve", example_file)
+        assert code == 0 and out.startswith("system over complex") and "solution." not in out
+        code, out, _ = run(capsys, "basis", "complex")
+        assert code == 0 and "(left-nested)" in out
+        assert run(capsys, "tables", "quaternion")[1].startswith("quaternion: coordinate block")
+    finally:
+        cli_mod._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_tables_read_b_from_its_blocks(capsys, monkeypatch):
+    # the relations, the sign matrix F and B's inverse come from B's blocks
+    from freealg import BMatrix
+
+    def no_dense_view(self):
+        raise AssertionError("the dense view of B was built")
+
+    monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
+    for argv in (["verify", "tables"], ["tables", "complex"], ["tables", "octonion"]):
+        assert run(capsys, *argv)[0] == 0
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "quasidet", "--machine")
     _, out2, _ = run(capsys, "verify", "quasidet", "--machine")

@@ -5,6 +5,11 @@ or is refused with ``InvalidAlgebra``.  A valid system or algebra
 document with one field replaced by an arbitrary JSON value exits 0, 2
 or 3, and exit 2 comes with exactly one ``error:`` line.
 
+Every fraction that ``solve``, ``map convert`` and ``basis`` print in
+``--machine`` mode re-parses through ``_literal`` to exactly the value
+the library computes, on builtin and random algebras and on small and
+40-bit entries.
+
 The ``algebra`` field of a system names a builtin or the definition file
 written here, never an arbitrary path.  The runs use the derandomized
 profile of ``conftest.py``, so the suite is deterministic.
@@ -16,12 +21,15 @@ import json
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from freealg import complex_algebra, quaternion_algebra
-from freealg.cli import BUILTIN_NAMES, algebra_to_json, main, parse_complex_entry
+from freealg import (LinearMap, MapMatrix, NotRepresentable, SingularSystem, complex_algebra,
+                     quaternion_algebra, representation_basis, solve_additive,
+                     standard_from_coords)
+from freealg.cli import (BUILTIN_NAMES, _literal, algebra_to_json, main, make_builtin,
+                         parse_complex_entry)
 from freealg.errors import InvalidAlgebra
-from freealg.linmap import LinearMap
+from test_kernel_properties import VALUES, algebras, grids
 
 C = complex_algebra()
 
@@ -81,17 +89,22 @@ def workdir(tmp_path_factory):
     return directory
 
 
-def run_on(directory, command, doc):
-    (directory / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+def run_in(directory, argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "doc.json", "--machine"])
+            code = main(argv)
     finally:
         os.chdir(cwd)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_on(directory, command, doc):
+    (directory / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_in(directory, [command, "doc.json", "--machine"])
+    return code, err
 
 
 def assert_clean_exit(code, err):
@@ -117,3 +130,85 @@ def test_solve_on_a_mutated_system(workdir, doc):
 @given(doc=mutants(ALGEBRAS))
 def test_basis_on_a_mutated_algebra(workdir, doc):
     assert_clean_exit(*run_on(workdir, "basis", doc))
+
+
+# --machine output re-parses exactly
+
+def printed(out):
+    """The --machine lines as {key: values}, every value read back by _literal."""
+    return {key: [_literal(token, key) for token in value.split()]
+            for key, _, value in (line.partition("=") for line in out.splitlines())
+            if key != "substitution"}
+
+
+def as_strings(grid):
+    return [[str(v) for v in row] for row in grid]
+
+
+@st.composite
+def definitions(draw, workdir, unital=None):
+    """A builtin name, or a definition file of a random algebra; with the algebra."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(BUILTIN_NAMES))
+        return name, make_builtin(name)
+    algebra = draw(algebras(unital))
+    (workdir / "alg.json").write_text(json.dumps(algebra_to_json(algebra)), encoding="utf-8")
+    return "alg.json", algebra
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_machine_solve_reparses_to_the_library_values(workdir, data):
+    name = data.draw(st.sampled_from(BUILTIN_NAMES))
+    algebra = make_builtin(name)
+    n, size = algebra.dim, data.draw(st.integers(1, 2))
+    cells = [[data.draw(grids(n)) for _ in range(size)] for _ in range(size)]
+    rhs = [data.draw(st.lists(VALUES, min_size=n, max_size=n)) for _ in range(size)]
+    doc = {"algebra": name, "matrix": [[as_strings(cell) for cell in line] for line in cells],
+           "rhs": as_strings(rhs)}
+    (workdir / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_in(workdir, ["solve", "doc.json", "--machine"])
+    m = MapMatrix([[LinearMap(algebra, algebra, cell) for cell in line] for line in cells])
+    try:
+        x = solve_additive(m, [algebra.element(v) for v in rhs])
+    except SingularSystem:
+        assert code == 3
+        return
+    assert code == 0
+    assert printed(out) == {f"solution.{i}": list(xi.coords) for i, xi in enumerate(x)}
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["left", "right"]))
+def test_machine_map_convert_reparses_to_the_library_values(workdir, data, order):
+    source, algebra = data.draw(definitions(workdir))
+    grid = data.draw(grids(algebra.dim))
+    (workdir / "coords.txt").write_text("\n".join(map(" ".join, as_strings(grid))),
+                                        encoding="utf-8")
+    code, out, _ = run_in(workdir, ["map", "convert", "--algebra", source, "--coords",
+                                    "coords.txt", "--order", order, "--machine"])
+    try:
+        solution = standard_from_coords(LinearMap(algebra, algebra, grid), order)
+    except NotRepresentable:
+        assert code == 3
+        return
+    assert code == 0
+    want = {"rank": [solution.rank], "nullity": [len(solution.nullspace)]}
+    want.update((f"particular.{r}", list(row))
+                for r, row in enumerate(solution.particular.components))
+    want.update((f"nullspace.{i}.{r}", list(row)) for i, t in enumerate(solution.nullspace)
+                for r, row in enumerate(t.components))
+    assert printed(out) == want
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["left", "right"]))
+def test_machine_basis_reparses_to_the_library_values(workdir, data, order):
+    source, algebra = data.draw(definitions(workdir, unital=True))
+    code, out, _ = run_in(workdir, ["basis", source, "--order", order, "--machine"])
+    assert code == 0
+    generators = representation_basis(algebra, order)
+    want = {"generators": [len(generators)]}
+    want.update((f"generator.{i}.{r}", list(row)) for i, g in enumerate(generators)
+                for r, row in enumerate(g.coords))
+    assert printed(out) == want

@@ -310,6 +310,23 @@ def test_representation_basis_quaternion_octonion(H, O):
     assert representation_basis(O, "right") == [LinearMap.identity(O)]
 
 
+def quaternion_square():
+    return tensor_product([quaternion_algebra(), quaternion_algebra()])
+
+
+@pytest.mark.parametrize("make", [quaternion_algebra, octonion_algebra, quaternion_square],
+                         ids=["H", "O", "HH"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_full_rank_basis_runs_no_elimination_pass(make, order, monkeypatch):
+    # B has full rank, so the identity's orbit spans without an rref
+    def refuse(a):
+        raise AssertionError("representation_basis ran an rref")
+
+    algebra = make()
+    monkeypatch.setattr(exact, "rref", refuse)
+    assert representation_basis(algebra, order) == [LinearMap.identity(algebra)]
+
+
 def test_representation_basis_spans(C):
     # orbits of the generators together span all 2x2 coordinate matrices
     from freealg import exact

@@ -9,6 +9,7 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      compose, cr_product, exact, flatten, inverse_map_matrix,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, solve_additive)
+from test_component_blocks import reference_solve
 
 
 def cadd(C, a0, a1, b0, b1):
@@ -306,9 +307,8 @@ def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
     l3 = left_shift(C.element([3, 0]))
     zero = LinearMap.zero(C)
     m = MapMatrix([[LinearMap.identity(C), zero], [zero, l3]])
-    # a wrong inverse that still satisfies equation 0
-    monkeypatch.setattr(solver_mod, "inverse_map_matrix",
-                        lambda m: MapMatrix.identity(C, 2))
+    # a wrong solution, x = b, that still satisfies equation 0
+    monkeypatch.setattr(solver_mod.exact, "solve", lambda a, b: (list(b), []))
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
@@ -329,6 +329,67 @@ def test_solve_satisfies_system(C):
                 acc = acc + apply(m.entries[i][j], x[j])
             assert acc == rhs[i]
         solved += 1
+
+
+def random_map(algebra, rng):
+    n = algebra.dim
+    return LinearMap(algebra, algebra, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                         for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("name", ["C", "H", "O"])
+def test_solve_never_inverts(name, request, monkeypatch):
+    # dense systems, so every entry of M is used; the expected x comes from
+    # the inverse, computed before inverting is refused
+    algebra = request.getfixturevalue(name)
+    rng = random.Random(62)
+    cases = []
+    for size in (2, 2, 3):
+        m = MapMatrix([[random_map(algebra, rng) for _ in range(size)] for _ in range(size)])
+        rhs = [random_element(algebra, rng) for _ in range(size)]
+        x = exact.mat_vec(flatten(inverse_map_matrix(m)), exact.vec(y.coords for y in rhs))
+        cases.append((m, rhs, exact.blocks(x, algebra.dim)))
+
+    def refuse(a):
+        raise AssertionError("solve_additive inverted a matrix")
+
+    monkeypatch.setattr(exact, "invert", refuse)
+    for m, rhs, x in cases:
+        assert [list(xi.coords) for xi in solve_additive(m, rhs)] == x
+
+
+@pytest.mark.parametrize("name", ["C", "H", "O"])
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+def test_singular_system_carries_a_checked_witness(name, consistent, request):
+    # the last equation is g applied to the first, so M is singular; its
+    # right side is g(rhs_0), plus e_0 when the system is to be inconsistent.
+    # The in-test Gauss-Jordan confirms which it is and gives the null space.
+    algebra = request.getfixturevalue(name)
+    rng = random.Random(63)
+    for size in (2, 3):
+        rows = [[random_map(algebra, rng) for _ in range(size)] for _ in range(size - 1)]
+        rhs = [random_element(algebra, rng) for _ in range(size - 1)]
+        g = random_map(algebra, rng)
+        m = MapMatrix(rows + [[compose(g, f) for f in rows[0]]])
+        shift = algebra.zero() if consistent else algebra.basis_element(0)
+        rhs.append(apply(g, rhs[0]) + shift)
+        flat, b = flatten(m), exact.vec(y.coords for y in rhs)
+        zero = [Fraction(0)] * len(b)
+        assert (reference_solve(flat, b) is not None) == consistent
+        nullspace = reference_solve(flat, zero)[2]
+        with pytest.raises(SingularSystem) as info:
+            solve_additive(m, rhs)
+        witness = info.value.witness
+        assert len(witness) == size and all(w.algebra is algebra for w in witness)
+        w = exact.vec(x.coords for x in witness)
+        assert w == nullspace[0] and any(w)
+        assert [sum(a * v for a, v in zip(row, w)) for row in flat] == zero
+        # the message names w's free column, the column exact.invert names
+        free = max(c for c, v in enumerate(w) if v)
+        assert str(info.value).endswith(f"no pivot in column {free})")
+        with pytest.raises(SingularSystem) as inverted:
+            inverse_map_matrix(m)
+        assert str(info.value) == str(inverted.value) and inverted.value.witness is None
 
 
 def test_cadd_product(C):
