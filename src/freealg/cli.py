@@ -300,17 +300,17 @@ def _relation_str(rel: dict) -> str:
 
 
 def _row_relations(parts, n: int) -> dict:
-    """Row (k, m) -> its nonzero entries keyed by their column pair (i, j),
-    for an n^2 x n^2 matrix given as (rows, cols, grid) blocks."""
+    """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix given as blocks."""
     return {divmod(r, n): {divmod(c, n): v for c, v in zip(cols, values) if v}
             for rows, cols, grid in parts for r, values in zip(rows, grid)}
 
 
 def _sign_matrix(bm) -> list[list[Fraction]]:
-    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k."""
-    n = bm.algebra.dim
-    coords = _row_relations(bm.blocks, n)
-    return [[coords[(k, k)].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
+    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
+    diagonal = range(0, bm.algebra.dim ** 2, bm.algebra.dim + 1)  # the pairs (k, k)
+    by_row = {r: dict(zip(cols, values)) for rows, cols, grid in bm.blocks
+              for r, values in zip(rows, grid) if r in diagonal}
+    return [[by_row[k].get(i, exact.ZERO) for i in diagonal] for k in diagonal]
 
 
 def _verify_conversion_tables() -> VerificationReport:

@@ -335,17 +335,18 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:
     """Generators whose orbits span all linear maps of the algebra.
 
-    Starts from the identity map, which alone suffices when the component
-    matrix has full rank.  Each pass reduces the orbit columns
-    found so far to reduced row echelon form and keeps only its nonzero
-    rows.  While they do not span the whole coordinate space, the first
-    standard-basis coordinate matrix (row-major) outside the span is
-    located: e_c lies in the span iff c is a pivot column whose reduced
-    row has exactly one nonzero entry.  Its component orthogonal to the
-    span is taken and scaled to a primitive integer vector, and that map
-    is adjoined with its orbit columns.  The orthogonalization makes the
-    adjoined generator a canonical representative of its own orbit; for
-    the complex numbers it yields exactly the conjugation map.
+    Starts from the identity map, whose orbit columns are the component
+    matrix B itself, so it alone suffices when B has full rank.  Each
+    pass reduces the orbit columns found so far to reduced row echelon
+    form and keeps only its nonzero rows.  While they do not span the
+    whole coordinate space, the first standard-basis coordinate matrix
+    (row-major) outside the span is located: e_c lies in the span iff c
+    is a pivot column whose reduced row has exactly one nonzero entry.
+    Its component orthogonal to the span is taken and scaled to a
+    primitive integer vector, and that map is adjoined with its orbit
+    columns.  The orthogonalization makes the adjoined generator a
+    canonical representative of its own orbit; for the complex numbers
+    it yields exactly the conjugation map.
     """
     _check_order(order)
     if algebra.unit_index is None:
@@ -353,7 +354,6 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     n = algebra.dim
     g = LinearMap.identity(algebra)
     generators = [g]
-    # the identity's orbit columns are B itself, so a full-rank B ends the first pass
     if b_matrix(algebra, order).rank() == n * n:
         return generators
     rows = []

@@ -204,11 +204,11 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    With b the right side stacked into one vector, solves M x = b by one
-    exact elimination of [M | b], not by inverting M, then verifies
-    M x = b exactly by substitution.  A singular M raises SingularSystem
-    with the first null vector of M as its checked ``witness``; an
-    inconsistent system takes one more, homogeneous, solve to find it.
+    With b the right side stacked into one vector, eliminates [M | b]
+    once, never inverting M, and verifies M x = b by substitution.  A
+    singular M raises SingularSystem; its checked ``witness`` is M's
+    first null vector, which an inconsistent system takes one more
+    solve, of M x = 0, to find.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
