@@ -183,13 +183,12 @@ def test_parser_is_built_once_and_keeps_no_state(example_file, capsys, monkeypat
     # flags given to one call must not carry over to the next
     import freealg.cli as cli_mod
 
-    built = []
+    build, built = cli_mod.build_parser, []
 
     def counting_build():
         built.append(1)
         return build()
 
-    build = cli_mod.build_parser
     cli_mod._parser.cache_clear()
     monkeypatch.setattr(cli_mod, "build_parser", counting_build)
     try:
