@@ -137,13 +137,20 @@ def parse_vector(text: str) -> list[Fraction]:
 
 
 def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
-    if name == "complex":
-        return complex_algebra()
+    if name not in BUILTIN_NAMES:
+        raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
     if name == "quaternion":
-        return quaternion_algebra(QuaternionParams(_literal(a, "--a"), _literal(b, "--b")))
-    if name == "octonion":
-        return octonion_algebra()
-    raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
+        return _builtin(name, _literal(a, "--a"), _literal(b, "--b"))
+    return _builtin(name)
+
+
+# one construction per process, with its cached B, keyed on the parsed
+# parameters ("-1" and "-2/2" share an entry); the bound caps memory
+@functools.lru_cache(maxsize=8)
+def _builtin(name: str, *params: Fraction) -> FreeAlgebra:
+    if name == "quaternion":
+        return quaternion_algebra(QuaternionParams(*params))
+    return complex_algebra() if name == "complex" else octonion_algebra()
 
 
 def algebra_to_json(algebra: FreeAlgebra) -> dict:

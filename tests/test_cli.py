@@ -205,6 +205,30 @@ def test_parser_is_built_once_and_keeps_no_state(example_file, capsys, monkeypat
     assert len(built) == 1
 
 
+def test_builtins_are_built_once_per_process(capsys, monkeypatch):
+    # a builtin named twice is one algebra, so its cached B serves both calls
+    import freealg.cli as cli_mod
+    from freealg import linmap
+
+    build, built = linmap._build_b_matrix, []
+
+    def counting_build(algebra, order):
+        built.append(order)
+        return build(algebra, order)
+
+    cli_mod._builtin.cache_clear()
+    monkeypatch.setattr(linmap, "_build_b_matrix", counting_build)
+    try:
+        first = run(capsys, "tables", "octonion")
+        assert first[0] == 0 and built == ["left"]
+        assert run(capsys, "tables", "octonion") == first
+        assert built == ["left"]
+        assert (cli_mod.make_builtin("quaternion", "-1", "-2/2")
+                is cli_mod.make_builtin("quaternion", "-1/1", "-1"))
+    finally:
+        cli_mod._builtin.cache_clear()
+
+
 def test_tables_read_b_from_its_blocks(capsys, monkeypatch):
     # the relations, the sign matrix F and B's inverse come from B's blocks
     from freealg import BMatrix
