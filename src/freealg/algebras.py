@@ -100,8 +100,8 @@ def _require_builtin(algebra: FreeAlgebra) -> None:
 def conjugate(x: AlgElement) -> AlgElement:
     """Negate all non-unit coordinates: the built-in involution."""
     _require_builtin(x.algebra)
-    return AlgElement(x.algebra,
-                      (x.coords[0],) + tuple(-c for c in x.coords[1:]))
+    nums, den = x.ints
+    return AlgElement._of((x.algebra,), [nums[0], *(-c for c in nums[1:])], den)
 
 
 def norm_sq(x: AlgElement, params: QuaternionParams | None = None) -> Fraction:
@@ -118,7 +118,8 @@ def norm_sq(x: AlgElement, params: QuaternionParams | None = None) -> Fraction:
         x0, x1, x2, x3 = x.coords
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
     _require_builtin(x.algebra)
-    return multiply(x, conjugate(x)).coords[0]
+    nums, den = multiply(x, conjugate(x)).ints
+    return Fraction(nums[0], den)
 
 
 def inverse_element(x: AlgElement) -> AlgElement:

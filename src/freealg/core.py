@@ -2,13 +2,14 @@
 
 An algebra is given by its dimension, basis labels, and the sparse
 structure constants B[i][j][k] with e_i * e_j = sum_k B[i][j][k] e_k.
-Elements are coordinate vectors of Fractions relative to that basis.
-All scalars are exact rationals; no operation ever rounds.
+Elements are coordinate vectors relative to that basis, held as int
+numerators over one denominator (``exact.IntForm``).  All scalars are
+exact rationals; no operation ever rounds.
 
 The table holds the constants once, as integer numerators over one
-common denominator, ``FreeAlgebra.denominator``.  ``multiply`` sums over
-ints and builds one Fraction per nonzero result coordinate, whose value
-and hash are those that Fraction arithmetic would give.
+common denominator, ``FreeAlgebra.denominator``.  ``multiply``, ``+`` and
+``-`` run on ints alone.  ``AlgElement.coords``, the Fractions, is built
+on first read; its values and hash are those Fraction arithmetic gives.
 
 Algebra identity is object identity: two separately constructed
 algebras never mix, even with equal tables.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
-from .exact import ZERO, as_fractions, as_ints, frac
+from .exact import IntForm, as_ints, frac
 
 
 _cache_lock = threading.Lock()
@@ -116,7 +117,7 @@ class FreeAlgebra:
         return self._table[i][j]
 
     def zero(self) -> "AlgElement":
-        return AlgElement(self, (ZERO,) * self.dim)
+        return AlgElement._of((self,), (0,) * self.dim)
 
     def element(self, coords: Sequence) -> "AlgElement":
         if len(coords) != self.dim:
@@ -126,8 +127,7 @@ class FreeAlgebra:
     def basis_element(self, i: int) -> "AlgElement":
         if not 0 <= i < self.dim:
             raise InvalidAlgebra(f"basis index {i} out of range")
-        return AlgElement(self, tuple(
-            Fraction(1) if j == i else ZERO for j in range(self.dim)))
+        return AlgElement._of((self,), [int(j == i) for j in range(self.dim)])
 
     def unit(self) -> "AlgElement":
         if self.unit_index is None:
@@ -150,7 +150,7 @@ def opposite(algebra: FreeAlgebra) -> FreeAlgebra:
                        unit_index=algebra.unit_index)
 
 
-class AlgElement:
+class AlgElement(IntForm):
     """An element of a FreeAlgebra: an exact coordinate vector.
 
     Values are immutable; arithmetic returns new elements.  ``*`` is the
@@ -158,35 +158,14 @@ class AlgElement:
     side is a rational scalar.
     """
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ()
+    _MISMATCH = "operands belong to different algebras"
 
     def __init__(self, algebra: FreeAlgebra, coords: tuple[Fraction, ...]):
-        self.algebra = algebra
-        self.coords = coords
+        super().__init__((algebra,), coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgElement)
-                and self.algebra is other.algebra
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        _same_algebra(self, other)
-        return AlgElement(self.algebra,
-                          tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        _same_algebra(self, other)
-        return AlgElement(self.algebra,
-                          tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.algebra, tuple(-a for a in self.coords))
+    algebra = property(lambda self: self._space[0])
+    coords = property(IntForm._fractions)
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
@@ -195,10 +174,6 @@ class AlgElement:
 
     def __rmul__(self, other):
         return self.scaled(other)
-
-    def scaled(self, scalar) -> "AlgElement":
-        s = frac(scalar)
-        return AlgElement(self.algebra, tuple(s * a for a in self.coords))
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
@@ -227,22 +202,16 @@ def format_element(x: AlgElement) -> str:
     return text
 
 
-def _same_algebra(*elements: AlgElement) -> FreeAlgebra:
-    algebra = elements[0].algebra
-    for x in elements[1:]:
-        if x.algebra is not algebra:
-            raise AlgebraMismatch("operands belong to different algebras")
-    return algebra
-
-
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants.
 
     (x y)^k = sum_{i,j} B[i][j][k] x^i y^j; bilinear in both arguments.
     """
-    algebra = _same_algebra(x, y)
-    xs, x_den = as_ints(x.coords)
-    ys, y_den = as_ints(y.coords)
+    algebra = x.algebra
+    if y.algebra is not algebra:
+        raise AlgebraMismatch(AlgElement._MISMATCH)
+    xs, x_den = x.ints
+    ys, y_den = y.ints
     out = [0] * algebra.dim
     y_support = [(j, yj) for j, yj in enumerate(ys) if yj]
     for xi, row in zip(xs, algebra._table):
@@ -252,7 +221,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
             c = xi * yj
             for k, v in row[j]:
                 out[k] += c * v
-    return AlgElement(algebra, tuple(as_fractions(out, x_den * y_den * algebra.denominator)))
+    return AlgElement._of((algebra,), out, x_den * y_den * algebra.denominator)
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the integer form of values.
 
 Matrices are lists or tuples of rows of Fraction; results are lists.
 Nothing in this module ever rounds; every function either returns exact
@@ -12,15 +12,18 @@ echelon form; each row step divides out the gcd of the row's entries.
 Fractions appear only on the way out: a reduced row is the integer row
 over its pivot.
 
-``mat_mul`` sums over ints too, with one lcm of denominators per row of a
-and one per column of b; one lcm for all of b would lengthen every
-product.  ``mat_vec`` stays on Fraction: its vector is used once, and the
-lcm of its n denominators would make every product longer than the
-Fraction terms it replaces.  Applying a block of the component matrix
-to standard components is the exception, and goes through ``mat_mul``
-with the components as one column: they are usually a solution from
-``solve``, whose entries share one denominator, so the lcm is short and
-the integer sums win.
+``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
+denominators per row of a and one per column of b; one lcm for all of b
+would lengthen every product.  ``mat_vec`` stays on Fraction: its vector
+is used once, and the lcm of its n denominators would make every product
+longer than the Fraction terms it replaces.  Applying a block of the
+component matrix to standard components is the exception, and goes
+through ``mat_mul`` with the components as one column: they are usually
+a solution from ``solve``, whose entries share one denominator, so the
+lcm is short and the integer sums win.
+
+``IntForm``, the base of elements, maps and tensors, holds int numerators
+over one denominator (``canonical``) and builds its Fractions on first read.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+
+from .errors import AlgebraMismatch
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -93,25 +98,26 @@ def components(rows) -> list[tuple[list[int], list[int]]]:
     return list(found.values())
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def int_mat_mul(a, b, cols: int) -> list[list[int]]:
+    """The product of int matrices given by rows, b having ``cols`` columns."""
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for aik, bk in zip(row, b_rows):
+            if aik:
+                for j, v in bk:
+                    acc[j] += aik * v
+        out.append(acc)
+    return out
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = [as_ints(col) for col in zip(*b)]
-    b_rows = [[(j, v) for j, v in enumerate(row) if v]
-              for row in zip(*(ints for ints, _ in cols))]
-    out = []
-    for row in a:
-        ints, den = as_ints(row)
-        acc = [0] * len(cols)
-        for aik, bk in zip(ints, b_rows):
-            if aik:
-                for j, v in bk:
-                    acc[j] += aik * v
-        out.append([Fraction(v, den * col_den) if v else ZERO
-                    for v, (_, col_den) in zip(acc, cols)])
-    return out
+    rows = [as_ints(row) for row in a]
+    product = int_mat_mul([ints for ints, _ in rows], zip(*(ints for ints, _ in cols)), len(cols))
+    return [[Fraction(v, den * col_den) if v else ZERO for v, (_, col_den) in zip(acc, cols)]
+            for acc, (_, den) in zip(product, rows)]
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -129,6 +135,89 @@ def as_ints(values) -> tuple[list[int], int]:
 def as_fractions(ints, den: int) -> Vec:
     """The Fractions ints[i] / den; ``as_ints`` undone."""
     return [Fraction(x, den) if x else ZERO for x in ints]
+
+
+def canonical(ints, den: int) -> tuple[tuple[int, ...], int]:
+    """ints / den, den > 0, as a primitive tuple over a positive denominator:
+    the gcd of the numerators and the denominator is 1, the zero vector is over 1."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return tuple(ints), den
+    return tuple([x // g for x in ints]), den // g
+
+
+class IntForm:
+    """Base of the value types: rationals on the algebras in ``_space``, held
+    as int numerators over one denominator in the form of ``canonical``.
+
+    A value built from Fractions keeps that tuple, its view, and computes
+    the int form when an int operation first needs it; one built by ``_of``
+    builds its view on first read.  Both are kept once built.  The view is
+    flat, or with ``_GRID`` rows as long as the first algebra's dimension;
+    the int form is read row by row.  Equality compares the int form, the
+    hash is that of the algebras' ids and the view, and operands on other
+    algebras raise ``AlgebraMismatch(_MISMATCH)``."""
+
+    __slots__ = ("_space", "_view", "_nums", "_den")
+    _GRID = False
+
+    def __init__(self, space: tuple, view: tuple):
+        self._space, self._view, self._nums = space, view, None
+
+    @classmethod
+    def _of(cls, space: tuple, nums, den: int = 1):
+        """The value with entries nums[i] / den, row by row."""
+        value = cls.__new__(cls)
+        value._space, value._view = space, None
+        value._nums, value._den = canonical(nums, den)
+        return value
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator), canonical, a grid read row by row."""
+        if self._nums is None:
+            flat = vec(self._view) if self._GRID else self._view
+            self._nums, self._den = canonical(*as_ints(flat))
+        return self._nums, self._den
+
+    def _fractions(self) -> tuple:
+        if self._view is None:
+            flat = tuple(as_fractions(self._nums, self._den))
+            self._view = tuple(blocks(flat, self._space[0].dim)) if self._GRID else flat
+        return self._view
+
+    def is_zero(self) -> bool:
+        return not any(self.ints[0])
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other._space == self._space
+                and other.ints == self.ints)
+
+    def __hash__(self):
+        return hash((*map(id, self._space), self._fractions()))
+
+    def _combine(self, other, sign: int):
+        if type(other) is not type(self) or other._space != self._space:
+            raise AlgebraMismatch(self._MISMATCH)
+        (a, a_den), (b, b_den) = self.ints, other.ints
+        den = lcm(a_den, b_den)
+        sa, sb = den // a_den, sign * (den // b_den)
+        return self._of(self._space, [x * sa + y * sb for x, y in zip(a, b)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        nums, den = self.ints
+        return self._of(self._space, [-x for x in nums], den)
+
+    def scaled(self, scalar):
+        s = frac(scalar)
+        nums, den = self.ints
+        return self._of(self._space, [s.numerator * x for x in nums], den * s.denominator)
 
 
 def _int_row(row) -> list[int]:

@@ -1,7 +1,10 @@
 """Linear mappings of free algebras as exact coordinate matrices.
 
 A map f is stored as its target.dim x source.dim matrix f[i][j] with
-(f x)^i = sum_j f[i][j] x^j.  The module also builds the n^2 x n^2
+(f x)^i = sum_j f[i][j] x^j, row by row in the int form of ``exact.IntForm``,
+so ``compose``, ``apply``, ``+`` and the shifts run on ints alone and
+``LinearMap.coords``, the grid of Fractions, is built on first read.
+The module also builds the n^2 x n^2
 component matrix that links a map's coordinates to its standard
 components f^{ij} in the sandwich expansion
 
@@ -22,12 +25,13 @@ Coordinate matrices and component grids are vectorized row by row by
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import exact
 from .core import AlgElement, FreeAlgebra, associator, multiply, opposite
 from .errors import AlgebraMismatch, NoUnit, NotRepresentable
-from .exact import frac
+from .exact import IntForm, frac
 from .tensor import Tensor2
 
 _ORDERS = ("left", "right")
@@ -39,59 +43,37 @@ def _check_order(order: str) -> str:
     return order
 
 
-class LinearMap:
+class LinearMap(IntForm):
     """A linear map between free algebras, as a rational matrix."""
 
-    __slots__ = ("source", "target", "coords")
+    __slots__ = ()
+    _GRID = True
+    _MISMATCH = "maps act on different algebras"
 
     def __init__(self, source: FreeAlgebra, target: FreeAlgebra, coords):
         if len(coords) != target.dim or any(len(row) != source.dim for row in coords):
             raise ValueError(
                 f"coordinate matrix must be {target.dim}x{source.dim}")
-        self.source = source
-        self.target = target
-        self.coords = tuple(tuple(frac(v) for v in row) for row in coords)
+        super().__init__((source, target), tuple(tuple(frac(v) for v in row) for row in coords))
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra) -> "LinearMap":
-        return cls(algebra, algebra, exact.identity(algebra.dim))
+        n = algebra.dim
+        return cls._of((algebra, algebra), [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, algebra: FreeAlgebra) -> "LinearMap":
-        return cls(algebra, algebra, exact.zeros(algebra.dim, algebra.dim))
+        return cls._of((algebra, algebra), (0,) * algebra.dim ** 2)
+
+    source = property(lambda self: self._space[0])
+    target = property(lambda self: self._space[1])
+    coords = property(IntForm._fractions)
 
     def is_endomorphism(self) -> bool:
         return self.source is self.target
 
     def matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.coords]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearMap)
-                and self.source is other.source
-                and self.target is other.target
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.source), id(self.target), self.coords))
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if self.source is not other.source or self.target is not other.target:
-            raise AlgebraMismatch("maps act on different algebras")
-        return LinearMap(self.source, self.target,
-                         exact.mat_add(self.coords, other.coords))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + (-other)
-
-    def __neg__(self) -> "LinearMap":
-        return LinearMap(self.source, self.target,
-                         [[-v for v in row] for row in self.coords])
-
-    def scaled(self, scalar) -> "LinearMap":
-        s = frac(scalar)
-        return LinearMap(self.source, self.target,
-                         [[s * v for v in row] for row in self.coords])
 
     def __repr__(self) -> str:
         return f"LinearMap({self.target.dim}x{self.source.dim})"
@@ -101,20 +83,28 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
     """Matrix-vector action of f on x."""
     if x.algebra is not f.source:
         raise AlgebraMismatch("element is not in the map's source algebra")
-    return AlgElement(f.target, tuple(exact.mat_vec(f.coords, x.coords)))
+    (fs, f_den), (xs, x_den) = f.ints, x.ints
+    return AlgElement._of(
+        (f.target,), [sum(a * b for a, b in zip(row, xs)) for row in exact.blocks(fs, len(xs))],
+        f_den * x_den)
 
 
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """g after f; coordinates multiply as matrices."""
     if f.target is not g.source:
         raise AlgebraMismatch("compose needs f.target == g.source")
-    return LinearMap(f.source, g.target, exact.mat_mul(g.coords, f.coords))
+    (gs, g_den), (fs, f_den) = g.ints, f.ints
+    n = f.source.dim
+    product = exact.int_mat_mul(exact.blocks(gs, g.source.dim), exact.blocks(fs, n), n)
+    return LinearMap._of((f.source, g.target), exact.vec(product), g_den * f_den)
 
 
 def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
     """The endomorphism whose column j is column(e_j)."""
-    cols = [column(e).coords for e in algebra.basis()]
-    return LinearMap(algebra, algebra, list(zip(*cols)))
+    cols = [column(e).ints for e in algebra.basis()]
+    den = lcm(*(d for _, d in cols))
+    scaled = [[x * (den // d) for x in nums] for nums, d in cols]
+    return LinearMap._of((algebra, algebra), exact.vec(zip(*scaled)), den)
 
 
 def left_shift(a: AlgElement) -> LinearMap:

@@ -12,9 +12,11 @@ components, with the twisted product
 
 which is the one making tensors act on linear maps by sandwiching.
 That is the componentwise product in A (x) A^op, whose flat coordinates
-are a Tensor2's components read row by row; twisted_mul and
-tensor_inverse compute there.  A (x) A^op is built on first use and
-cached on A.
+are a Tensor2's components read row by row.  A Tensor2 holds them in the
+int form of ``exact.IntForm``, so that is also the form of its element
+there, and twisted_mul and tensor_inverse compute there on ints alone;
+``components`` is built on first read.  A (x) A^op is built on first use
+and cached on A.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 from . import exact
 from .core import AlgElement, FreeAlgebra, multiply, opposite
 from .errors import AlgebraMismatch, EmptyFactorList, NoUnit, SingularTensor
-from .exact import frac
+from .exact import IntForm, frac
 
 
 class TensorAlgebra(FreeAlgebra):
@@ -75,10 +77,11 @@ class TensorAlgebra(FreeAlgebra):
         for part, a in zip(parts, self.factors):
             if part.algebra is not a:
                 raise AlgebraMismatch("element does not belong to its factor")
-        coords = [Fraction(1)]
+        nums, den = [1], 1
         for part in parts:
-            coords = [c * x for c in coords for x in part.coords]
-        return self.element(coords)
+            part_nums, part_den = part.ints
+            nums, den = [c * x for c in nums for x in part_nums], den * part_den
+        return AlgElement._of((self,), nums, den)
 
     def __repr__(self) -> str:
         return f"TensorAlgebra({len(self.factors)} factors, dim={self.dim})"
@@ -97,30 +100,31 @@ def tensor_mul(x: AlgElement, y: AlgElement) -> AlgElement:
     return multiply(x, y)
 
 
-class Tensor2:
+class Tensor2(IntForm):
     """An element of A (x) A in standard components, carrying the twisted
     product: it is this object that acts on linear maps."""
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ()
+    _GRID = True
+    _MISMATCH = "tensors over different algebras"
 
     def __init__(self, algebra: FreeAlgebra, components):
         n = algebra.dim
         if len(components) != n or any(len(row) != n for row in components):
             raise ValueError(f"components must form an {n}x{n} grid")
-        self.algebra = algebra
-        self.components = tuple(tuple(frac(v) for v in row) for row in components)
+        super().__init__((algebra,), tuple(tuple(frac(v) for v in row) for row in components))
 
     @classmethod
     def basis_tensor(cls, algebra: FreeAlgebra, i: int, j: int) -> "Tensor2":
         n = algebra.dim
-        return cls(algebra, [[Fraction(r == i and c == j) for c in range(n)]
-                             for r in range(n)])
+        return cls._of((algebra,), [int(k == i * n + j) for k in range(n * n)])
 
     @classmethod
     def pure(cls, a: AlgElement, b: AlgElement) -> "Tensor2":
         if a.algebra is not b.algebra:
             raise AlgebraMismatch("both parts must share one algebra")
-        return cls(a.algebra, [[x * y for y in b.coords] for x in a.coords])
+        (a_nums, a_den), (b_nums, b_den) = a.ints, b.ints
+        return cls._of((a.algebra,), [x * y for x in a_nums for y in b_nums], a_den * b_den)
 
     @classmethod
     def unit(cls, algebra: FreeAlgebra) -> "Tensor2":
@@ -129,28 +133,8 @@ class Tensor2:
         u = algebra.unit_index
         return cls.basis_tensor(algebra, u, u)
 
-    def is_zero(self) -> bool:
-        return not any(exact.vec(self.components))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor2)
-                and self.algebra is other.algebra
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.components))
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatch("tensors over different algebras")
-        return Tensor2(self.algebra, exact.mat_add(self.components, other.components))
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scaled(-1)
-
-    def scaled(self, scalar) -> "Tensor2":
-        s = frac(scalar)
-        return Tensor2(self.algebra, [[s * v for v in row] for row in self.components])
+    algebra = property(lambda self: self._space[0])
+    components = property(IntForm._fractions)
 
     def __repr__(self) -> str:
         return f"Tensor2(dim={self.algebra.dim})"
@@ -162,7 +146,7 @@ def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
 
 
 def _twisted_element(t: Tensor2) -> AlgElement:
-    return AlgElement(twisted_algebra(t.algebra), tuple(exact.vec(t.components)))
+    return AlgElement._of((twisted_algebra(t.algebra),), *t.ints)
 
 
 def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
@@ -170,8 +154,7 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    x = multiply(_twisted_element(s), _twisted_element(t))
-    return Tensor2(s.algebra, exact.blocks(x.coords, s.algebra.dim))
+    return Tensor2._of((s.algebra,), *multiply(_twisted_element(s), _twisted_element(t)).ints)
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:

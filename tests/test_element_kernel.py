@@ -28,8 +28,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from freealg import (QuaternionParams, complex_algebra, exact, multiply, norm_sq,
-                     octonion_algebra, opposite, quaternion_algebra, tensor_product)
+from freealg import (QuaternionParams, Tensor2, associator, complex_algebra, compose, exact,
+                     left_shift, multiply, norm_sq, octonion_algebra, opposite,
+                     quaternion_algebra, tensor_product, twisted_mul)
+from freealg.linmap import left_associator_map
 
 
 def _coprime_denominators(count):
@@ -195,20 +197,37 @@ def test_mat_mul_matches_the_reference_on_dense_matrices(size, big):
 
 
 def test_multiply_and_mat_mul_run_on_ints(monkeypatch):
-    # Fraction arithmetic is what the integer kernel replaces; only the
-    # result coordinates are built as Fractions
+    # Fraction arithmetic is what the integer form replaces: elements, maps
+    # and tensors add, compose and multiply on ints, and Fractions are
+    # built only for the coordinates that are read
     rng = random.Random(8)
-    O = algebra("O")
-    x = O.element([Fraction(rng.randint(-2**40, 2**40), d) for d in DENOMINATORS[:8]])
-    y = O.element([Fraction(rng.randint(-2**40, 2**40), d) for d in DENOMINATORS[8:16]])
+    O, H = algebra("O"), algebra("H")
+
+    def big_octonion(denominators):
+        return O.element([Fraction(rng.randint(-2**40, 2**40), d) for d in denominators])
+
+    x, y = big_octonion(DENOMINATORS[:8]), big_octonion(DENOMINATORS[8:16])
+    c, d = big_octonion(DENOMINATORS[16:24]), big_octonion(DENOMINATORS[:8])
     a, b = ([[Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in range(8)]
              for _ in range(8)] for _ in range(2))
+    s, t = (Tensor2(H, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+                        for _ in range(4)]) for _ in range(2))
+
+    def shift_law(p, q):
+        return (compose(left_shift(p), left_shift(q)) + left_associator_map(p, q)
+                - left_shift(multiply(p, q)))
+
     product, matrix = multiply(x, y).coords, exact.mat_mul(a, b)
+    chained = associator(multiply(x, y), c, d).coords
+    law, twisted = shift_law(x, y).coords, twisted_mul(s, t).components
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the integer kernel")
 
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, refuse)
     assert multiply(x, y).coords == product
     assert exact.mat_mul(a, b) == matrix
+    assert associator(multiply(x, y), c, d).coords == chained
+    assert shift_law(x, y).coords == law
+    assert twisted_mul(s, t).components == twisted

@@ -13,20 +13,34 @@ sum_{i,j} c_{ij}^k x^i y^j.  The coefficient of f^{ij} in coordinate
     left,  x -> sum f^{ij} (e_i x) e_j:   sum_p c_{im}^p c_{pj}^k
     right, x -> sum f^{ij} e_i (x e_j):   sum_p c_{mj}^p c_{ip}^k
 
+Elements, maps and tensors hold an integer form: int numerators over
+one positive denominator, primitive, the zero vector over 1.  A value
+built from Fractions and the same value built by int operations must
+agree with a plain-``Fraction`` reference in ``==``, ``hash``, the
+Fraction view and that form.
+
 The runs use the derandomized profile of ``conftest.py``.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, strategies as st
 
-from freealg import (LinearMap, NotRepresentable, b_matrix, coords_from_standard, multiply,
+from freealg import (LinearMap, NotRepresentable, Tensor2, apply, b_matrix, complex_algebra,
+                     compose, coords_from_standard, multiply, octonion_algebra,
+                     quaternion_algebra, tensor_product, twisted_mul,
                      standard_from_coords)
 from freealg.core import FreeAlgebra
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 BIG = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40))
 VALUES = st.one_of(SMALL, BIG)
+NONZERO = st.builds(Fraction, st.integers(1, 2**40) | st.integers(-2**40, -1),
+                    st.integers(1, 2**40))
+H = quaternion_algebra()
+BUILTINS = {"C": complex_algebra(), "H": H, "O": octonion_algebra(),
+            "H(x)H": tensor_product([H, H])}
 
 
 @st.composite
@@ -115,3 +129,64 @@ def test_standard_components_round_trip(data, order, image):
     zero = LinearMap.zero(algebra)
     for t in solution.nullspace:
         assert coords_from_standard(t, identity, order) == zero
+
+
+def reference_int_form(values):
+    """The Fractions as numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def assert_agree(via_ints, via_fractions, view, flat, ids):
+    """Both values equal, hash alike and read as ``view``, and hold the
+    canonical form of ``flat``, the view read row by row."""
+    for value in (via_ints, via_fractions):
+        nums, den = value.ints
+        assert value.ints == reference_int_form(flat)
+        assert den > 0 and gcd(den, *nums) == 1
+        assert value.is_zero() == (not any(flat))
+    assert via_ints == via_fractions
+    assert hash(via_ints) == hash(via_fractions) == hash((*ids, view))
+    for value in (via_ints, via_fractions):
+        assert (value.components if isinstance(value, Tensor2) else value.coords) == view
+
+
+@given(st.data(), st.sampled_from([*BUILTINS, "random"]))
+def test_elements_hold_the_canonical_int_form(data, name):
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    x, y = (data.draw(st.lists(VALUES, min_size=A.dim, max_size=A.dim)) for _ in range(2))
+    q = data.draw(NONZERO)
+    view = tuple(x)
+    x, y = A.element(x), A.element(y)
+    for via_ints in ((x + y) - y, x.scaled(q).scaled(1 / q), -(-x),
+                     apply(LinearMap.identity(A), x)):
+        assert_agree(via_ints, x, view, view, (id(A),))
+        assert hash(via_ints) == hash((id(A), via_ints.coords))
+    zero = (Fraction(0),) * A.dim
+    assert_agree(y - y, A.element(zero), zero, zero, (id(A),))
+    assert (y - y).ints == ((0,) * A.dim, 1)
+
+
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_maps_hold_the_canonical_int_form(data, name):
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    f, g = (data.draw(grids(A.dim)) for _ in range(2))
+    q = data.draw(NONZERO)
+    view = tuple(tuple(row) for row in f)
+    f, g = LinearMap(A, A, f), LinearMap(A, A, g)
+    identity = LinearMap.identity(A)
+    for via_ints in ((f + g) - g, f.scaled(q).scaled(1 / q), -(-f), compose(f, identity),
+                     compose(identity, f)):
+        assert_agree(via_ints, f, view, [v for row in view for v in row], (id(A), id(A)))
+
+
+@given(st.data())
+def test_tensors_hold_the_canonical_int_form(data):
+    s, t = (data.draw(grids(H.dim)) for _ in range(2))
+    q = data.draw(NONZERO)
+    view = tuple(tuple(row) for row in s)
+    s, t = Tensor2(H, s), Tensor2(H, t)
+    unit = Tensor2.unit(H)
+    for via_ints in ((s + t) - t, s.scaled(q).scaled(1 / q), -(-s), twisted_mul(s, unit),
+                     twisted_mul(unit, s)):
+        assert_agree(via_ints, s, view, [v for row in view for v in row], (id(H),))
