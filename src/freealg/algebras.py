@@ -101,7 +101,7 @@ def conjugate(x: AlgElement) -> AlgElement:
     """Negate all non-unit coordinates: the built-in involution."""
     _require_builtin(x.algebra)
     nums, den = x.ints
-    return AlgElement._of((x.algebra,), [nums[0], *(-c for c in nums[1:])], den)
+    return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den))
 
 
 def norm_sq(x: AlgElement, params: QuaternionParams | None = None) -> Fraction:

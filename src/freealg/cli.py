@@ -144,8 +144,7 @@ def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     return _builtin(name)
 
 
-# one construction per process, with its cached B, keyed on the parsed
-# parameters ("-1" and "-2/2" share an entry); the bound caps memory
+# one per process and parsed parameters ("-1", "-2/2" share one); the bound caps memory
 @functools.lru_cache(maxsize=8)
 def _builtin(name: str, *params: Fraction) -> FreeAlgebra:
     if name == "quaternion":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
-from .exact import IntForm, as_ints, frac
+from .exact import IntForm, as_ints, canonical, frac
 
 
 _cache_lock = threading.Lock()
@@ -117,7 +117,7 @@ class FreeAlgebra:
         return self._table[i][j]
 
     def zero(self) -> "AlgElement":
-        return AlgElement._of((self,), (0,) * self.dim)
+        return AlgElement._of((self,), ((0,) * self.dim, 1))
 
     def element(self, coords: Sequence) -> "AlgElement":
         if len(coords) != self.dim:
@@ -127,7 +127,7 @@ class FreeAlgebra:
     def basis_element(self, i: int) -> "AlgElement":
         if not 0 <= i < self.dim:
             raise InvalidAlgebra(f"basis index {i} out of range")
-        return AlgElement._of((self,), [int(j == i) for j in range(self.dim)])
+        return AlgElement._of((self,), (tuple(int(j == i) for j in range(self.dim)), 1))
 
     def unit(self) -> "AlgElement":
         if self.unit_index is None:
@@ -221,7 +221,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
             c = xi * yj
             for k, v in row[j]:
                 out[k] += c * v
-    return AlgElement._of((algebra,), out, x_den * y_den * algebra.denominator)
+    return AlgElement._of((algebra,), canonical(out, x_den * y_den * algebra.denominator))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:

@@ -126,7 +126,8 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 
 def as_ints(values) -> tuple[list[int], int]:
-    """(ints, den) with values[i] = ints[i] / den, den the lcm of their denominators."""
+    """(ints, den) with values[i] = ints[i] / den, den the lcm of their denominators; that
+    is canonical, as a prime's full power in den divides a denominator but not its int."""
     pairs = [x.as_integer_ratio() for x in values]
     den = lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
@@ -150,13 +151,12 @@ class IntForm:
     """Base of the value types: rationals on the algebras in ``_space``, held
     as int numerators over one denominator in the form of ``canonical``.
 
-    A value built from Fractions keeps that tuple, its view, and computes
-    the int form when an int operation first needs it; one built by ``_of``
-    builds its view on first read.  Both are kept once built.  The view is
-    flat, or with ``_GRID`` rows as long as the first algebra's dimension;
-    the int form is read row by row.  Equality compares the int form, the
-    hash is that of the algebras' ids and the view, and operands on other
-    algebras raise ``AlgebraMismatch(_MISMATCH)``."""
+    A value built from Fractions keeps that tuple, its view, and computes the
+    int form when an int operation first needs it; one built by ``_of`` builds
+    its view on first read.  Both are kept.  The view is flat, or with ``_GRID``
+    rows as long as the first algebra's dimension; the int form is row by row.
+    Equality compares the int form, the hash is that of the algebras' ids and
+    the view, and operands on other algebras raise ``AlgebraMismatch(_MISMATCH)``."""
 
     __slots__ = ("_space", "_view", "_nums", "_den")
     _GRID = False
@@ -165,19 +165,19 @@ class IntForm:
         self._space, self._view, self._nums = space, view, None
 
     @classmethod
-    def _of(cls, space: tuple, nums, den: int = 1):
-        """The value with entries nums[i] / den, row by row."""
+    def _of(cls, space: tuple, form: tuple[tuple[int, ...], int]):
+        """The value whose int form, row by row, is ``form``, which must be canonical."""
         value = cls.__new__(cls)
         value._space, value._view = space, None
-        value._nums, value._den = canonical(nums, den)
+        value._nums, value._den = form
         return value
 
     @property
     def ints(self) -> tuple[tuple[int, ...], int]:
         """(numerators, denominator), canonical, a grid read row by row."""
         if self._nums is None:
-            flat = vec(self._view) if self._GRID else self._view
-            self._nums, self._den = canonical(*as_ints(flat))
+            nums, self._den = as_ints(vec(self._view) if self._GRID else self._view)
+            self._nums = tuple(nums)
         return self._nums, self._den
 
     def _fractions(self) -> tuple:
@@ -202,7 +202,7 @@ class IntForm:
         (a, a_den), (b, b_den) = self.ints, other.ints
         den = lcm(a_den, b_den)
         sa, sb = den // a_den, sign * (den // b_den)
-        return self._of(self._space, [x * sa + y * sb for x, y in zip(a, b)], den)
+        return self._of(self._space, canonical([x * sa + y * sb for x, y in zip(a, b)], den))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -212,12 +212,12 @@ class IntForm:
 
     def __neg__(self):
         nums, den = self.ints
-        return self._of(self._space, [-x for x in nums], den)
+        return self._of(self._space, (tuple(-x for x in nums), den))
 
     def scaled(self, scalar):
-        s = frac(scalar)
+        p, q = frac(scalar).as_integer_ratio()
         nums, den = self.ints
-        return self._of(self._space, [s.numerator * x for x in nums], den * s.denominator)
+        return self._of(self._space, canonical([p * x for x in nums], den * q))
 
 
 def _int_row(row) -> list[int]:

@@ -58,12 +58,12 @@ class LinearMap(IntForm):
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra) -> "LinearMap":
-        n = algebra.dim
-        return cls._of((algebra, algebra), [int(i == j) for i in range(n) for j in range(n)])
+        ones = tuple(int(i == j) for i in range(algebra.dim) for j in range(algebra.dim))
+        return cls._of((algebra, algebra), (ones, 1))
 
     @classmethod
     def zero(cls, algebra: FreeAlgebra) -> "LinearMap":
-        return cls._of((algebra, algebra), (0,) * algebra.dim ** 2)
+        return cls._of((algebra, algebra), ((0,) * algebra.dim ** 2, 1))
 
     source = property(lambda self: self._space[0])
     target = property(lambda self: self._space[1])
@@ -84,9 +84,8 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
     if x.algebra is not f.source:
         raise AlgebraMismatch("element is not in the map's source algebra")
     (fs, f_den), (xs, x_den) = f.ints, x.ints
-    return AlgElement._of(
-        (f.target,), [sum(a * b for a, b in zip(row, xs)) for row in exact.blocks(fs, len(xs))],
-        f_den * x_den)
+    out = [sum(a * b for a, b in zip(row, xs)) for row in exact.blocks(fs, len(xs))]
+    return AlgElement._of((f.target,), exact.canonical(out, f_den * x_den))
 
 
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
@@ -96,7 +95,7 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     (gs, g_den), (fs, f_den) = g.ints, f.ints
     n = f.source.dim
     product = exact.int_mat_mul(exact.blocks(gs, g.source.dim), exact.blocks(fs, n), n)
-    return LinearMap._of((f.source, g.target), exact.vec(product), g_den * f_den)
+    return LinearMap._of((f.source, g.target), exact.canonical(exact.vec(product), g_den * f_den))
 
 
 def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
@@ -104,7 +103,7 @@ def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
     cols = [column(e).ints for e in algebra.basis()]
     den = lcm(*(d for _, d in cols))
     scaled = [[x * (den // d) for x in nums] for nums, d in cols]
-    return LinearMap._of((algebra, algebra), exact.vec(zip(*scaled)), den)
+    return LinearMap._of((algebra, algebra), exact.canonical(exact.vec(zip(*scaled)), den))
 
 
 def left_shift(a: AlgElement) -> LinearMap:

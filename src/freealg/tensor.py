@@ -81,7 +81,7 @@ class TensorAlgebra(FreeAlgebra):
         for part in parts:
             part_nums, part_den = part.ints
             nums, den = [c * x for c in nums for x in part_nums], den * part_den
-        return AlgElement._of((self,), nums, den)
+        return AlgElement._of((self,), exact.canonical(nums, den))
 
     def __repr__(self) -> str:
         return f"TensorAlgebra({len(self.factors)} factors, dim={self.dim})"
@@ -117,14 +117,14 @@ class Tensor2(IntForm):
     @classmethod
     def basis_tensor(cls, algebra: FreeAlgebra, i: int, j: int) -> "Tensor2":
         n = algebra.dim
-        return cls._of((algebra,), [int(k == i * n + j) for k in range(n * n)])
+        return cls._of((algebra,), (tuple(int(k == i * n + j) for k in range(n * n)), 1))
 
     @classmethod
     def pure(cls, a: AlgElement, b: AlgElement) -> "Tensor2":
         if a.algebra is not b.algebra:
             raise AlgebraMismatch("both parts must share one algebra")
-        (a_nums, a_den), (b_nums, b_den) = a.ints, b.ints
-        return cls._of((a.algebra,), [x * y for x in a_nums for y in b_nums], a_den * b_den)
+        (an, ad), (bn, bd) = a.ints, b.ints
+        return cls._of((a.algebra,), exact.canonical([x * y for x in an for y in bn], ad * bd))
 
     @classmethod
     def unit(cls, algebra: FreeAlgebra) -> "Tensor2":
@@ -146,7 +146,7 @@ def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
 
 
 def _twisted_element(t: Tensor2) -> AlgElement:
-    return AlgElement._of((twisted_algebra(t.algebra),), *t.ints)
+    return AlgElement._of((twisted_algebra(t.algebra),), t.ints)
 
 
 def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
@@ -154,7 +154,7 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    return Tensor2._of((s.algebra,), *multiply(_twisted_element(s), _twisted_element(t)).ints)
+    return Tensor2._of((s.algebra,), multiply(_twisted_element(s), _twisted_element(t)).ints)
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:
