@@ -175,7 +175,7 @@ class IntForm:
     @property
     def ints(self) -> tuple[tuple[int, ...], int]:
         """(numerators, denominator), canonical, a grid read row by row."""
-        if self._nums is None:
+        if self._nums is None:  # _den is stored first, so a reader seeing _nums sees its _den
             nums, self._den = as_ints(vec(self._view) if self._GRID else self._view)
             self._nums = tuple(nums)
         return self._nums, self._den
