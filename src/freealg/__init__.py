@@ -4,7 +4,7 @@ Structure-constant algebras and their elements, the built-in complex /
 quaternion / octonion algebras, tensor products with the twisted
 product (the product in A (x) A^op), linear maps with
 standard-component conversion, and the solver for systems of additive
-equations via matrices of mappings (stored as block matrices) and
+equations via matrices of mappings (grids of linear maps) and
 quasideterminants.
 """
 

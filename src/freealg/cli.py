@@ -25,10 +25,10 @@ File formats (JSON):
   coordinate matrix files: one row per line, numbers separated by whitespace.
   every number (a JSON string, a coordinate-file token, a term of a complex
   entry, --a and --b) is an optional sign, digits and an optional /digits,
-  such as "-3/5", spaces around it ignored; JSON integers are numbers too.
-  Floats, decimal points and exponents are refused: a float is not the
-  decimal it was written as, and Fraction expands 1e30000000 into all of its
-  digits. Write --a=-1/2, since argparse reads "--a -1/2" as a missing value.
+  such as "-3/5", spaces around it ignored, inside it refused; JSON integers
+  are numbers too. Floats, decimal points and exponents are refused: a float
+  is not the decimal it was written as, and Fraction expands 1e30000000 into
+  all of its digits. Write --a=-1/2, as argparse reads "--a -1/2" as no value.
 """
 
 from __future__ import annotations
@@ -139,9 +139,8 @@ def parse_vector(text: str) -> list[Fraction]:
 def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     if name not in BUILTIN_NAMES:
         raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
-    if name == "quaternion":
-        return _builtin(name, _literal(a, "--a"), _literal(b, "--b"))
-    return _builtin(name)
+    params = _literal(a, "--a"), _literal(b, "--b")  # checked for every builtin, used by one
+    return _builtin(name, *params) if name == "quaternion" else _builtin(name)
 
 
 # one per process and parsed parameters ("-1", "-2/2" share one); the bound caps memory
@@ -255,6 +254,8 @@ def load_matrix_file(path: str) -> list[list[Fraction]]:
 
 def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
     """Parse 'p/q + r/s*I' (z -> (p/q) z + (r/s) conj(z)) into a map."""
+    if re.search(r"[0-9]\s+[0-9]|\s/|/\s", text):
+        raise InvalidAlgebra(f"complex entry has a space inside a number, got {_shown(text)}")
     compact = text.replace(" ", "")
     if not compact:
         raise InvalidAlgebra("empty matrix entry")

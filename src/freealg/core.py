@@ -47,7 +47,7 @@ class FreeAlgebra:
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator", "_table",
-                 "_cache")
+                 "_cache", "_basis")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -63,6 +63,7 @@ class FreeAlgebra:
         self.tag = tag
         self.params = params
         self._cache: dict = {}
+        self._basis = None
 
         values: dict[tuple[int, int, int], Fraction] = {}
         for i, j, k, value in constants:
@@ -135,7 +136,9 @@ class FreeAlgebra:
         return self.basis_element(self.unit_index)
 
     def basis(self) -> list["AlgElement"]:
-        return [self.basis_element(i) for i in range(self.dim)]
+        if self._basis is None:  # racing callers build equal tuples; either one is kept
+            self._basis = tuple(self.basis_element(i) for i in range(self.dim))
+        return list(self._basis)
 
     def __repr__(self) -> str:
         name = self.tag or "algebra"

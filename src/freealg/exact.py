@@ -14,13 +14,7 @@ over its pivot.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
-would lengthen every product.  ``mat_vec`` stays on Fraction: its vector
-is used once, and the lcm of its n denominators would make every product
-longer than the Fraction terms it replaces.  Applying a block of the
-component matrix to standard components is the exception, and goes
-through ``mat_mul`` with the components as one column: they are usually
-a solution from ``solve``, whose entries share one denominator, so the
-lcm is short and the integer sums win.
+would lengthen every product.  A vector is multiplied as one column.
 
 ``IntForm``, the base of elements, maps and tensors, holds int numerators
 over one denominator (``canonical``) and builds its Fractions on first read.
@@ -118,11 +112,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     product = int_mat_mul([ints for ints, _ in rows], zip(*(ints for ints, _ in cols)), len(cols))
     return [[Fraction(v, den * col_den) if v else ZERO for v, (_, col_den) in zip(acc, cols)]
             for acc, (_, den) in zip(product, rows)]
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    support = [j for j, x in enumerate(v) if x != 0]
-    return [sum((row[j] * v[j] for j in support if row[j] != 0), ZERO) for row in a]
 
 
 def as_ints(values) -> tuple[list[int], int]:
@@ -335,8 +324,8 @@ def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:
     if not basis:
         return v[:]
     columns = list(zip(*basis))
-    coeffs, _ = solve(mat_mul(basis, columns), mat_vec(basis, v))
-    return [x - p for x, p in zip(v, mat_vec(columns, coeffs))]
+    coeffs, _ = solve(mat_mul(basis, columns), vec(mat_mul(basis, [[x] for x in v])))
+    return [x - p for x, p in zip(v, vec(mat_mul(columns, [[c] for c in coeffs])))]
 
 
 def primitive(v: Vec) -> Vec:

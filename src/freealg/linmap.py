@@ -245,7 +245,7 @@ def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> Linea
         if rows and cols:
             for r, (v,) in zip(rows, exact.mat_mul(grid, [[tvec[c]] for c in cols])):
                 gvec[r] = v
-    return LinearMap(f.source, f.target, exact.mat_mul(exact.blocks(gvec, n), f.coords))
+    return compose(LinearMap(f.target, f.target, exact.blocks(gvec, n)), f)
 
 
 def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:

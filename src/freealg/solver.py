@@ -1,14 +1,15 @@
 """Matrices of additive mappings and systems of additive equations.
 
-A MapMatrix is a matrix of linear maps, all endomorphisms of one
-algebra, multiplied by composing entries.  It is stored as its
-flattening, one big rational block matrix, so products, inversion and
-solving are exact and total operations on that matrix.  A system is
-solved without inverting M, and a singular one is refused with a
-checked witness x != 0, M x = 0.  The quasideterminant recursion
-composes the entries as LinearMaps on plain grids instead, never
-reading the flattening; it is kept as an independent second path that
-reports per-entry quasideterminants and cross-validates the flattening.
+A MapMatrix is a grid of linear maps, all endomorphisms of one algebra.
+As in the paper, its sum is the sum of maps and its row-by-column
+product composes entries.  ``flatten`` builds the one rational block
+matrix of a MapMatrix; inversion inverts it and cuts the inverse back
+into maps, and a system is solved by eliminating it once, never
+inverting M.  The answer is then substituted back through the maps, not
+through the eliminated matrix, and a singular system is refused with a
+witness x != 0 checked the same way.  The quasideterminant recursion
+composes the entries too; it is kept as an independent second path that
+reports per-entry quasideterminants and cross-validates the inverse.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form by
@@ -25,25 +26,18 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, compose
+from .linmap import LinearMap, apply, compose
 
 
 class MapMatrix:
-    """A rows x cols matrix of linear maps over a single algebra.
+    """A rows x cols matrix of linear maps over a single algebra."""
 
-    Stored as its flattening, the (rows*n) x (cols*n) block matrix of the
-    entries' coordinates, so that the row-by-column product is the block
-    matrix product.  ``entries`` is a read-only grid of LinearMaps over
-    it.
-    """
-
-    __slots__ = ("algebra", "rows", "cols", "_matrix", "_entries")
+    __slots__ = ("algebra", "rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[LinearMap]]):
         if not entries or not entries[0]:
             raise ShapeMismatch("a matrix of mappings needs at least one entry")
-        rows = len(entries)
-        cols = len(entries[0])
+        rows, cols = len(entries), len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ShapeMismatch("rows have differing lengths")
         algebra = entries[0][0].source
@@ -52,37 +46,13 @@ class MapMatrix:
                 if not f.is_endomorphism() or f.source is not algebra:
                     raise AlgebraMismatch(
                         "all entries must be endomorphisms of one algebra")
-        self.algebra = algebra
-        self.rows = rows
-        self.cols = cols
-        self._entries = tuple(tuple(row) for row in entries)
-        self._matrix = tuple(
-            tuple(v for f in row for v in f.coords[i])
-            for row in entries for i in range(algebra.dim))
-
-    @classmethod
-    def _from_flat(cls, algebra: FreeAlgebra, rows: int, cols: int, matrix) -> "MapMatrix":
-        m = cls.__new__(cls)
-        m.algebra = algebra
-        m.rows = rows
-        m.cols = cols
-        m._matrix = tuple(tuple(row) for row in matrix)
-        m._entries = None
-        return m
+        self.algebra, self.rows, self.cols = algebra, rows, cols
+        self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra, n: int) -> "MapMatrix":
-        return cls._from_flat(algebra, n, n, exact.identity(n * algebra.dim))
-
-    @property
-    def entries(self) -> tuple[tuple[LinearMap, ...], ...]:
-        if self._entries is None:
-            n = self.algebra.dim
-            self._entries = tuple(
-                tuple(LinearMap(self.algebra, self.algebra, coords)
-                      for coords in zip(*(exact.blocks(row, n) for row in band)))
-                for band in exact.blocks(self._matrix, n))
-        return self._entries
+        one, zero = LinearMap.identity(algebra), LinearMap.zero(algebra)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -94,8 +64,7 @@ class MapMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, MapMatrix)
                 and self.algebra is other.algebra
-                and self.rows == other.rows
-                and self._matrix == other._matrix)
+                and self.entries == other.entries)
 
     def __repr__(self) -> str:
         return f"MapMatrix({self.rows}x{self.cols} over {self.algebra!r})"
@@ -107,8 +76,9 @@ def rc_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
         raise AlgebraMismatch("matrices over different algebras")
     if b.cols != c.rows:
         raise ShapeMismatch(f"cannot multiply {b.rows}x{b.cols} by {c.rows}x{c.cols}")
-    return MapMatrix._from_flat(b.algebra, b.rows, c.cols,
-                                exact.mat_mul(b._matrix, c._matrix))
+    zero = LinearMap.zero(b.algebra)
+    return MapMatrix([[sum(map(compose, row, col), zero) for col in zip(*c.entries)]
+                      for row in b.entries])
 
 
 def cr_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
@@ -125,27 +95,29 @@ def cr_product(b: MapMatrix, c: MapMatrix) -> MapMatrix:
 
 
 def flatten(m: MapMatrix) -> list[list[Fraction]]:
-    """The (rows*n) x (cols*n) block matrix of all entry coordinates.
-
-    rc_product corresponds exactly to block-matrix multiplication of
-    flattenings.
-    """
-    return [list(row) for row in m._matrix]
+    """The (rows*n) x (cols*n) block matrix of all entry coordinates; the
+    flattening of an rc_product is the product of the flattenings."""
+    return [[v for f in row for v in f.coords[i]]
+            for row in m.entries for i in range(m.algebra.dim)]
 
 
 def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
     """The two-sided inverse under the row-by-column product.
 
-    Computed by exact inversion of the flattening; SingularSystem when
-    that matrix (equivalently the matrix of mappings) is singular.
+    Computed by exact inversion of the flattening, cut back into maps;
+    SingularSystem when that matrix (equivalently the matrix of
+    mappings) is singular.
     """
     if not m.is_square():
         raise ShapeMismatch("only square matrices of mappings have inverses")
     try:
-        inv = exact.invert(m._matrix)
+        inv = exact.invert(flatten(m))
     except ValueError as err:
         raise SingularSystem(f"matrix of mappings is singular ({err})") from None
-    return MapMatrix._from_flat(m.algebra, m.rows, m.cols, inv)
+    n = m.algebra.dim
+    return MapMatrix([[LinearMap(m.algebra, m.algebra, coords)
+                       for coords in zip(*(exact.blocks(row, n) for row in band))]
+                      for band in exact.blocks(inv, n)])
 
 
 def _recursive_inverse(grid, path: tuple) -> list[list[LinearMap]]:
@@ -201,14 +173,21 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
     return _quasidet(m.entries, row, col, ())
 
 
+def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
+    """sum_j m[i][j](x_j) for every row i, through the maps."""
+    zero = m.algebra.zero()
+    return [sum(map(apply, row, x), zero) for row in m.entries]
+
+
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    With b the right side stacked into one vector, eliminates [M | b]
-    once, never inverting M, and verifies M x = b by substitution.  A
-    singular M raises SingularSystem; its checked ``witness`` is M's
-    first null vector, which an inconsistent system takes one more
-    solve, of M x = 0, to find.
+    With b the right side stacked into one vector, eliminates the
+    flattening with b appended, [M | b], once, never inverting M, then
+    substitutes x back through the maps, so the check does not read the
+    matrix it checks.  A singular M raises SingularSystem; its
+    ``witness`` is M's first null vector, checked the same way, which an
+    inconsistent system takes one more solve, of M x = 0, to find.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
@@ -218,25 +197,26 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
-    b = exact.vec(y.coords for y in rhs)
+    flat, b = flatten(m), exact.vec(y.coords for y in rhs)
     try:
-        x, nullspace = exact.solve(m._matrix, b)
+        x, nullspace = exact.solve(flat, b)
     except ValueError:  # inconsistent, so M is singular
-        _, nullspace = exact.solve(m._matrix, [exact.ZERO] * len(b))
+        _, nullspace = exact.solve(flat, [exact.ZERO] * len(b))
     if nullspace:  # w's last nonzero is its free column, the first one exact.invert finds
         w = nullspace[0]
-        if not any(w) or any(exact.mat_vec(m._matrix, w)):
+        witness = [AlgElement(m.algebra, tuple(wi)) for wi in exact.blocks(w, n)]
+        if not any(w) or not all(v.is_zero() for v in _left_sides(m, witness)):
             raise SubstitutionCheckFailed("singular-system witness fails M w = 0")
         free = max(c for c, v in enumerate(w) if v)
         raise SingularSystem(
             f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
-            [AlgElement(m.algebra, tuple(wi)) for wi in exact.blocks(w, n)])
-    check = exact.mat_vec(m._matrix, x)
-    for i, (got, want) in enumerate(zip(exact.blocks(check, n), exact.blocks(b, n))):
+            witness)
+    solution = [AlgElement(m.algebra, tuple(xi)) for xi in exact.blocks(x, n)]
+    for i, (got, want) in enumerate(zip(_left_sides(m, solution), rhs)):
         if got != want:
             raise SubstitutionCheckFailed(
                 f"solution fails substitution in equation {i}")
-    return [AlgElement(m.algebra, tuple(xi)) for xi in exact.blocks(x, n)]
+    return solution
 
 
 class ComplexAdditiveMap:

@@ -338,12 +338,17 @@ def _exponent_constant_doc():
      'matrix cell must be a fraction string or an integer, got "0.5"'),
     ("solve", _system_doc(rhs=[["1" * 5000, "0"]]), "rhs coordinate has too many digits"),
     ("basis", _complex_doc(constants={"a": 1}), 'constants must be a list, got {"a": 1}'),
+    ("solve", _system_doc(matrix=[["1 2"]]), 'space inside a number, got "1 2"'),
+    ("solve", _system_doc(matrix=[["1 2*I"]]), 'space inside a number, got "1 2*I"'),
+    ("solve", _system_doc(matrix=[["1/ 2"]]), 'space inside a number, got "1/ 2"'),
+    ("solve", _system_doc(matrix=[["1 /2"]]), 'space inside a number, got "1 /2"'),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
         "float_dim", "labels_string", "labels_not_strings", "labels_integer",
         "float_cell", "float_rhs", "float_constant", "algebra_object", "algebra_integer",
         "zero_denominator", "exponent_constant", "decimal_cell", "long_literal",
-        "constants_object"])
+        "constants_object", "space_between_digits", "space_between_digits_conj",
+        "space_after_slash", "space_before_slash"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -371,12 +376,16 @@ def _long_int(doc):
      'coordinate must be a fraction string or an integer, got "1e5"'),
     (["algebra", "builtin", "quaternion", "--a", "0.5"], None,
      '--a must be a fraction string or an integer, got "0.5"'),
+    (["algebra", "builtin", "complex", "--a=zz"], None,
+     '--a must be a fraction string or an integer, got "zz"'),
+    (["algebra", "builtin", "octonion", "--b=zz"], None,
+     '--b must be a fraction string or an integer, got "zz"'),
     (["solve"], _long_int(_system_doc(rhs=[["LONG", "0"]])),
      "rhs coordinate has too many digits"),
     (["basis"], _long_int(_complex_doc(dim="LONG")), "dimension"),
     (["basis"], _long_int(_complex_doc(labels=["1", "LONG"])), "label"),
 ], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param",
-        "long_rhs_integer", "long_dim", "long_label"])
+        "complex_param", "octonion_param", "long_rhs_integer", "long_dim", "long_label"])
 def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
     # raw text that json.dumps cannot write (too deep, not JSON, an integer
     # over the interpreter's digit limit) and a command-line value

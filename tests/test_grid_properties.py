@@ -79,7 +79,7 @@ def test_transpose_moves_each_entry_and_entries_read_back(data, rows, cols):
     algebra = data.draw(SMALL_ALGEBRAS)
     grid = map_grids(data, algebra, rows, cols)
     m = MapMatrix(grid)
-    # a product keeps only its flattening, so its entries are cut from it
+    # a product with the identity composes and adds maps; its entries must read back as the grid
     flat = rc_product(m, MapMatrix.identity(algebra, cols))
     for mm in (m, flat):
         assert mm.entries == tuple(tuple(row) for row in grid)

@@ -347,7 +347,8 @@ def test_solve_never_inverts(name, request, monkeypatch):
     for size in (2, 2, 3):
         m = MapMatrix([[random_map(algebra, rng) for _ in range(size)] for _ in range(size)])
         rhs = [random_element(algebra, rng) for _ in range(size)]
-        x = exact.mat_vec(flatten(inverse_map_matrix(m)), exact.vec(y.coords for y in rhs))
+        b = exact.vec(y.coords for y in rhs)
+        x = [sum(a * v for a, v in zip(row, b)) for row in flatten(inverse_map_matrix(m))]
         cases.append((m, rhs, exact.blocks(x, algebra.dim)))
 
     def refuse(a):
@@ -390,6 +391,58 @@ def test_singular_system_carries_a_checked_witness(name, consistent, request):
         with pytest.raises(SingularSystem) as inverted:
             inverse_map_matrix(m)
         assert str(info.value) == str(inverted.value) and inverted.value.witness is None
+
+
+@pytest.mark.parametrize("name", ["C", "H", "O"])
+def test_solve_additive_runs_on_ints(name, request, monkeypatch):
+    # the flattening is eliminated on ints and x, or the witness, is
+    # substituted back through the maps on ints: a regular system and a
+    # consistent and an inconsistent singular one, with their answers
+    # taken before Fraction arithmetic is refused
+    algebra = request.getfixturevalue(name)
+    rng = random.Random(64)
+    rows = [[random_map(algebra, rng) for _ in range(2)] for _ in range(2)]
+    rhs = [random_element(algebra, rng) for _ in range(2)]
+    g = random_map(algebra, rng)
+    singular = MapMatrix(rows[:1] + [[compose(g, f) for f in rows[0]]])
+    systems = [(MapMatrix(rows), rhs)] + [
+        (singular, [rhs[0], apply(g, rhs[0]) + shift])
+        for shift in (algebra.zero(), algebra.basis_element(0))]
+
+    def answer(m, b):
+        try:
+            return solve_additive(m, b)
+        except SingularSystem as err:
+            return str(err), err.witness
+
+    expected = [answer(m, b) for m, b in systems]
+    # x, then the same message and witness for both singular systems
+    assert isinstance(expected[0], list) and isinstance(expected[1], tuple)
+    assert expected[1] == expected[2]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the additive solver")
+
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__"):
+        monkeypatch.setattr(Fraction, method, refuse)
+    assert [answer(m, b) for m, b in systems] == expected
+
+
+def test_substitution_does_not_read_the_eliminated_matrix(C, monkeypatch):
+    # a flattening with one wrong entry in equation 1 gives an x that solves
+    # it; substituting x through the maps must find that equation 1 fails
+    import freealg.solver as solver_mod
+    m, rhs = example_system(C)
+
+    def perturbed(mm):
+        flat = flatten(mm)
+        flat[2][0] += 1
+        return flat
+
+    monkeypatch.setattr(solver_mod, "flatten", perturbed)
+    with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
+        solve_additive(m, rhs)
 
 
 def test_cadd_product(C):
