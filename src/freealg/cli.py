@@ -139,8 +139,7 @@ def parse_vector(text: str) -> list[Fraction]:
 def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     if name not in BUILTIN_NAMES:
         raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
-    params = _literal(a, "--a"), _literal(b, "--b")  # checked for every builtin, used by one
-    return _builtin(name, *params) if name == "quaternion" else _builtin(name)
+    return _builtin(name, _literal(a, "--a"), _literal(b, "--b"))
 
 
 # one per process and parsed parameters ("-1", "-2/2" share one); the bound caps memory

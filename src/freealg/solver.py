@@ -37,7 +37,8 @@ class MapMatrix:
     def __init__(self, entries: Sequence[Sequence[LinearMap]]):
         if not entries or not entries[0]:
             raise ShapeMismatch("a matrix of mappings needs at least one entry")
-        rows, cols = len(entries), len(entries[0])
+        rows = len(entries)
+        cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ShapeMismatch("rows have differing lengths")
         algebra = entries[0][0].source
@@ -46,12 +47,15 @@ class MapMatrix:
                 if not f.is_endomorphism() or f.source is not algebra:
                     raise AlgebraMismatch(
                         "all entries must be endomorphisms of one algebra")
-        self.algebra, self.rows, self.cols = algebra, rows, cols
+        self.algebra = algebra
+        self.rows = rows
+        self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra, n: int) -> "MapMatrix":
-        one, zero = LinearMap.identity(algebra), LinearMap.zero(algebra)
+        one = LinearMap.identity(algebra)
+        zero = LinearMap.zero(algebra)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def is_square(self) -> bool:
@@ -197,7 +201,8 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
-    flat, b = flatten(m), exact.vec(y.coords for y in rhs)
+    flat = flatten(m)
+    b = exact.vec(y.coords for y in rhs)
     try:
         x, nullspace = exact.solve(flat, b)
     except ValueError:  # inconsistent, so M is singular
