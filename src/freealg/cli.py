@@ -313,10 +313,9 @@ def _row_relations(parts, n: int) -> dict:
 
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
-    diagonal = range(0, bm.algebra.dim ** 2, bm.algebra.dim + 1)  # the pairs (k, k)
-    by_row = {r: dict(zip(cols, values)) for rows, cols, grid in bm.blocks
-              for r, values in zip(rows, grid) if r in diagonal}
-    return [[by_row[k].get(i, exact.ZERO) for i in diagonal] for k in diagonal]
+    n = bm.algebra.dim
+    relations = _row_relations(bm.blocks, n)
+    return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
 def _verify_conversion_tables() -> VerificationReport:

@@ -121,9 +121,7 @@ class FreeAlgebra:
         return AlgElement._of((self,), ((0,) * self.dim, 1))
 
     def element(self, coords: Sequence) -> "AlgElement":
-        if len(coords) != self.dim:
-            raise InvalidAlgebra(f"expected {self.dim} coordinates, got {len(coords)}")
-        return AlgElement(self, tuple(frac(c) for c in coords))
+        return AlgElement(self, coords)
 
     def basis_element(self, i: int) -> "AlgElement":
         if not 0 <= i < self.dim:
@@ -158,14 +156,17 @@ class AlgElement(IntForm):
 
     Values are immutable; arithmetic returns new elements.  ``*`` is the
     algebra product for two elements and scalar multiplication when one
-    side is a rational scalar.
+    side is a rational scalar.  The constructor refuses a coordinate
+    count other than the algebra's dimension and coerces with ``frac``.
     """
 
     __slots__ = ()
     _MISMATCH = "operands belong to different algebras"
 
-    def __init__(self, algebra: FreeAlgebra, coords: tuple[Fraction, ...]):
-        super().__init__((algebra,), coords)
+    def __init__(self, algebra: FreeAlgebra, coords: Sequence):
+        if len(coords) != algebra.dim:
+            raise InvalidAlgebra(f"expected {algebra.dim} coordinates, got {len(coords)}")
+        super().__init__((algebra,), tuple(frac(c) for c in coords))
 
     algebra = property(lambda self: self._space[0])
     coords = property(IntForm._fractions)

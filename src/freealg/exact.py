@@ -23,7 +23,6 @@ over one denominator (``canonical``) and builds its Fractions on first read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 
 from .errors import AlgebraMismatch
@@ -62,14 +61,14 @@ def blocks(seq, size: int) -> list:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
-def components(rows) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the graph that joins row r to column c
-    when rows[r][c] is nonzero, as (row indices, column indices), both
+def components(n_rows: int, n_cols: int, cells) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the graph on n_rows rows and n_cols
+    columns that joins row r to column c for each (r, c) in ``cells``, the
+    nonzero positions of a matrix, as (row indices, column indices), both
     ascending.  A zero row is a component without columns and a zero
     column one without rows.  Components come in the order of their first
     row, then those without rows in column order.  This is the first step
     of block triangular form (Pothen and Fan, ACM TOMS 16, 1990)."""
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     parent = list(range(n_rows + n_cols))  # rows, then columns offset by n_rows
 
     def root(x: int) -> int:
@@ -77,11 +76,10 @@ def components(rows) -> list[tuple[list[int], list[int]]]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for r, row in enumerate(rows):
-        for c in compress(range(n_rows, n_rows + n_cols), row):
-            a, b = root(r), root(c)
-            if a != b:
-                parent[max(a, b)] = min(a, b)  # a root is its component's first node
+    for r, c in cells:
+        a, b = root(r), root(n_rows + c)
+        if a != b:
+            parent[max(a, b)] = min(a, b)  # a root is its component's first node
     found: dict[int, tuple[list[int], list[int]]] = {}
     for x in range(n_rows + n_cols):
         rs, cs = found.setdefault(root(x), ([], []))
@@ -276,9 +274,12 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
 
 
 def invert(a: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan; raises ValueError naming the first
-    pivot column that could not be produced when singular."""
+    """Exact inverse by Gauss-Jordan; raises ValueError for a non-square
+    matrix, and naming the first pivot column that could not be produced
+    when singular."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"cannot invert a non-square matrix with {n} rows")
     rows = [_int_row([*row, *ident_row]) for row, ident_row in zip(a, identity(n))]
     pivots = _reduce(rows, n)
     if len(pivots) < n:
@@ -292,10 +293,12 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
 
     Returns (particular solution with free variables set to 0, nullspace
     basis, one vector per free column).  Raises ValueError when the
-    system is inconsistent.
+    system is inconsistent or b's length is not a's row count.
     """
+    if len(b) != len(a):
+        raise ValueError(f"right side has {len(b)} entries for {len(a)} rows")
     cols = len(a[0]) if a else 0
-    rows = [_int_row([*a[i], b[i]]) for i in range(len(a))]
+    rows = [_int_row([*row, v]) for row, v in zip(a, b)]
     pivots = _reduce(rows, cols + 1)
     if cols in pivots:
         raise ValueError("inconsistent linear system")

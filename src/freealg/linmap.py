@@ -11,12 +11,12 @@ components f^{ij} in the sandwich expansion
     f(x) = sum_{i,j} f^{ij} (e_i x) e_j        (order="left")
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
-stores it as the connected blocks of its nonzero entries, and solves and
-applies it block by block in both directions.  The two nesting orders
+builds it from its nonzero cells as their connected blocks, and reads,
+solves and applies it only through those blocks.  The two nesting orders
 coincide in associative algebras; "left" is the default everywhere.  The
 right order is the left order over A^op with i and j swapped, as
-e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one contraction builds
-both.
+e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one contraction, with
+e_j e_i read for e_i . e_j, builds both.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -29,7 +29,7 @@ from math import lcm
 from typing import Optional
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, associator, multiply, opposite
+from .core import AlgElement, FreeAlgebra, associator, multiply
 from .errors import AlgebraMismatch, NoUnit, NotRepresentable
 from .exact import IntForm, frac
 from .tensor import Tensor2
@@ -146,33 +146,31 @@ class BMatrix:
     (k, m) coordinate entry of x -> sum f^{ij} (e_i x) e_j (left order)
     or x -> sum f^{ij} e_i (x e_j) (right order).
 
-    The matrix is stored as the connected components of its nonzero
+    The matrix is held only as the connected components of its nonzero
     graph (``exact.components``): ``blocks`` lists (rows, cols, grid), the
     grid holding the entries at those rows and columns; every entry
     outside the blocks is zero.  A zero row is a block without columns
-    and a zero column one without rows.  ``entries`` is the dense view,
-    built on first read and kept; ``rank`` is the sum of the block ranks.
+    and a zero column one without rows.  ``rank`` is the sum of the block
+    ranks; ``entries``, a dense view rebuilt on each read, is for callers
+    outside the library.
     """
 
-    __slots__ = ("algebra", "order", "blocks", "_entries")
+    __slots__ = ("algebra", "order", "blocks")
 
     def __init__(self, algebra: FreeAlgebra, order: str, blocks):
         self.algebra = algebra
         self.order = order
         self.blocks = blocks
-        self._entries = None
 
     @property
     def entries(self) -> list[list[Fraction]]:
-        if self._entries is None:
-            size = self.algebra.dim ** 2
-            entries = exact.zeros(size, size)
-            for rows, cols, grid in self.blocks:
-                for r, values in zip(rows, grid):
-                    for c, v in zip(cols, values):
-                        entries[r][c] = v
-            self._entries = entries
-        return self._entries
+        size = self.algebra.dim ** 2
+        entries = exact.zeros(size, size)
+        for rows, cols, grid in self.blocks:
+            for r, values in zip(rows, grid):
+                for c, v in zip(cols, values):
+                    entries[r][c] = v
+        return entries
 
     def rank(self) -> int:
         return sum(exact.rank(grid) for _, _, grid in self.blocks)
@@ -189,22 +187,23 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
-    entries = [[0] * (n * n) for _ in range(n * n)]
-    # right order: left order over A^op, i and j swapped; A^op is built uncached (no nested builds)
-    product = (algebra if order == "left" else opposite(algebra)).basis_product
+    # right order: the left order over A^op, whose e_i . e_j is e_j e_i, i and j swapped
+    product = algebra.basis_product if order == "left" else lambda i, j: algebra.basis_product(j, i)
     i_stride, j_stride = (n, 1) if order == "left" else (1, n)
     # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
+    sums: dict[tuple[int, int], int] = {}  # by (row, column); terms can cancel to 0
     for i in range(n):
         for m in range(n):
             for p, v1 in product(i, m):
                 for j in range(n):
                     col = i * i_stride + j * j_stride
                     for k, v2 in product(p, j):
-                        entries[k * n + m][col] += v1 * v2
+                        cell = (k * n + m, col)
+                        sums[cell] = sums.get(cell, 0) + v1 * v2
     den = algebra.denominator ** 2
     return BMatrix(algebra, order, [
-        (rows, cols, [exact.as_fractions([entries[r][c] for c in cols], den) for r in rows])
-        for rows, cols in exact.components(entries)])
+        (rows, cols, [exact.as_fractions([sums.get((r, c), 0) for c in cols], den) for r in rows])
+        for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))])
 
 
 class StandardSolution:
@@ -297,14 +296,17 @@ def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:
 
     Column (i, j) of the component matrix B is vec(S), S the map of
     e_i (x) e_j acting on the identity; acting on f gives S f.  So row
-    (k, m) of the result is sum_p f[p][m] B[(k, p)], a block product of
-    f's transpose with the n-row blocks of B.
+    (k, m) of the result is sum_p f[p][m] B[(k, p)]: f's transpose times
+    the n rows (k, p) of B, read from its blocks, for each k.
     """
-    entries = b_matrix(f.target, order).entries
+    n = f.target.dim
+    b_rows = {r: dict(zip(cols, values)) for rows, cols, grid in b_matrix(f.target, order).blocks
+              for r, values in zip(rows, grid)}
     f_t = list(zip(*f.coords))
     out = []
-    for block in exact.blocks(entries, f.target.dim):
-        out.extend(exact.mat_mul(f_t, block))
+    for k in range(n):
+        band = [[b_rows[k * n + p].get(c, exact.ZERO) for c in range(n * n)] for p in range(n)]
+        out.extend(exact.mat_mul(f_t, band))
     return out
 
 

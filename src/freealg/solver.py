@@ -209,14 +209,14 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         _, nullspace = exact.solve(flat, [exact.ZERO] * len(b))
     if nullspace:  # w's last nonzero is its free column, the first one exact.invert finds
         w = nullspace[0]
-        witness = [AlgElement(m.algebra, tuple(wi)) for wi in exact.blocks(w, n)]
+        witness = [AlgElement(m.algebra, wi) for wi in exact.blocks(w, n)]
         if not any(w) or not all(v.is_zero() for v in _left_sides(m, witness)):
             raise SubstitutionCheckFailed("singular-system witness fails M w = 0")
         free = max(c for c, v in enumerate(w) if v)
         raise SingularSystem(
             f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
             witness)
-    solution = [AlgElement(m.algebra, tuple(xi)) for xi in exact.blocks(x, n)]
+    solution = [AlgElement(m.algebra, xi) for xi in exact.blocks(x, n)]
     for i, (got, want) in enumerate(zip(_left_sides(m, solution), rhs)):
         if got != want:
             raise SubstitutionCheckFailed(

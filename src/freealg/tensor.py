@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import exact
 from .core import AlgElement, FreeAlgebra, multiply, opposite
-from .errors import AlgebraMismatch, EmptyFactorList, NoUnit, SingularTensor
+from .errors import AlgebraMismatch, EmptyFactorList, InvalidAlgebra, NoUnit, SingularTensor
 from .exact import IntForm, frac
 
 
@@ -117,6 +117,8 @@ class Tensor2(IntForm):
     @classmethod
     def basis_tensor(cls, algebra: FreeAlgebra, i: int, j: int) -> "Tensor2":
         n = algebra.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidAlgebra(f"basis tensor index ({i},{j}) out of range for dim {n}")
         return cls._of((algebra,), (tuple(int(k == i * n + j) for k in range(n * n)), 1))
 
     @classmethod

@@ -7,10 +7,12 @@ whose B has zero rows and zero columns: the dual numbers, a
 zero-product algebra, and random algebras from the
 ``test_kernel_properties.py`` strategy.  A zero row is a block without
 columns, which makes a nonzero coordinate there unrepresentable; a zero
-column is a block without rows, whose component is free.  The last test
+column is a block without rows, whose component is free.  The next test
 checks the block layout on C, H, O and H (x) H, and that a round trip
 and ``repr`` never build the dense view of B and no solve takes more
-than n rows.
+than n rows.  The last ones check that generator discovery and orbit
+membership, on algebras whose B is singular, read B only through its
+blocks and agree with orbits built from the in-test contraction.
 """
 
 from fractions import Fraction
@@ -20,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Tensor2, b_matrix,
                      complex_algebra, coords_from_standard, exact, octonion_algebra,
-                     quaternion_algebra, standard_from_coords, tensor_product)
+                     orbit_contains, quaternion_algebra, representation_basis,
+                     standard_from_coords, tensor_product)
 from test_kernel_properties import algebras, grids, reference_b
 
 ZERO = Fraction(0)
@@ -122,6 +125,10 @@ def test_blockwise_solve_and_apply_match_the_oracle(data, order, image):
     assert b_matrix(algebra, order).rank() == reference_solve(b, [ZERO] * (n * n))[0]
 
 
+def no_dense_view(self):
+    raise AssertionError("the dense view of B was built")
+
+
 def hh():
     H = quaternion_algebra()
     return tensor_product([H, H])
@@ -142,10 +149,6 @@ def test_blocks_partition_b_and_the_round_trip_stays_on_them(make, order, monkey
     assert held == {(r, c): v for r, row in enumerate(bm.entries) for c, v in enumerate(row) if v}
     if n < 8:
         return
-
-    def no_dense_view(self):
-        raise AssertionError("the dense view of B was built")
-
     sizes = []
     solve = exact.solve
 
@@ -162,3 +165,53 @@ def test_blocks_partition_b_and_the_round_trip_stays_on_them(make, order, monkey
     assert coords_from_standard(solution.particular, LinearMap.identity(fresh), order) == g
     assert sizes and max(sizes) <= n
     assert repr(b_matrix(fresh, order)).endswith(f"size={n * n})")
+
+
+def truncated_polynomials():
+    """Q[x]/(x^4): commutative and associative, B of rank 4 in both orders."""
+    return FreeAlgebra(4, ["1", "x", "x^2", "x^3"],
+                       [(i, j, i + j, 1) for i in range(4) for j in range(4 - i)], unit_index=0)
+
+
+def reference_orbit(b, g):
+    """Column (i, j) is vec(e_i (x) e_j acting on g): row (k, m) is
+    sum_p g[p][m] b[(k, p)][(i, j)], b the in-test contraction."""
+    n = g.source.dim
+    return [[sum(g.coords[p][m] * b[k * n + p][c] for p in range(n)) for c in range(n * n)]
+            for k in range(n) for m in range(n)]
+
+
+@pytest.mark.parametrize("make, order, count", [
+    (complex_algebra, "left", 2), (dual_numbers, "left", 3), (dual_numbers, "right", 3),
+    (truncated_polynomials, "right", 5)], ids=["C", "dual-left", "dual-right", "x4-right"])
+def test_generator_discovery_reads_b_only_through_its_blocks(make, order, count, monkeypatch):
+    monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
+    algebra = make()
+    n = algebra.dim
+    gens = representation_basis(algebra, order)
+    assert len(gens) == count and gens[0] == LinearMap.identity(algebra)
+    # each generator widens the span of the orbits before it, and all of
+    # them together span every coordinate matrix
+    b = reference_b(algebra, order)
+    orbits = [reference_orbit(b, g) for g in gens]
+    ranks = [exact.rank([sum(rows, []) for rows in zip(*orbits[:s])])
+             for s in range(1, count + 1)]
+    assert ranks == sorted(set(ranks)) and ranks[-1] == n * n
+    for g in gens:
+        t = orbit_contains(g, g, order)
+        assert coords_from_standard(t, g, order) == g
+
+
+def test_orbit_membership_reads_b_only_through_its_blocks(monkeypatch):
+    monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
+    H = quaternion_algebra()
+    g = LinearMap(H, H, [[Fraction(r * 4 + c - 7, c + 1) for c in range(4)] for r in range(4)])
+    for order in ("left", "right"):
+        t = orbit_contains(g, LinearMap.identity(H), order)
+        assert coords_from_standard(t, LinearMap.identity(H), order) == g
+    dual = dual_numbers()
+    flip = LinearMap(dual, dual, [[1, 0], [0, -1]])
+    for order in ("left", "right"):
+        assert orbit_contains(flip, LinearMap.identity(dual), order) is None
+        t = orbit_contains(flip.scaled(3), flip, order)
+        assert coords_from_standard(t, flip, order) == flip.scaled(3)

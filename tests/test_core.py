@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import freealg
-from freealg import (AlgebraMismatch, FreeAlgebra, InvalidAlgebra, NoUnit,
+from freealg import (AlgElement, AlgebraMismatch, FreeAlgebra, InvalidAlgebra, NoUnit,
                      associator, commutator, in_center, in_nucleus,
                      is_associative, is_commutative, multiply, opposite,
                      random_element)
@@ -153,6 +153,20 @@ def test_element_validation(C):
         C.element([1, 2, 3])
     with pytest.raises(TypeError):
         C.element([0.5, 1])
+
+
+def test_element_constructor_checks_and_coerces_like_element(C, H):
+    for coords in ((1, 2), (1, 2, 3, 4, 5)):
+        with pytest.raises(InvalidAlgebra, match=f"^expected 4 coordinates, got {len(coords)}$"):
+            AlgElement(H, coords)
+    with pytest.raises(InvalidAlgebra, match="^expected 2 coordinates, got 3$"):
+        C.element([1, 2, 3])
+    x = AlgElement(C, (1, "-3/5"))
+    assert x.coords == (Fraction(1), Fraction(-3, 5))
+    assert all(type(v) is Fraction for v in x.coords)
+    assert x == C.element([1, "-3/5"])
+    with pytest.raises(TypeError):
+        AlgElement(C, (0.5, 1))
 
 
 def test_opposite_reverses_products(H, O):

@@ -9,10 +9,12 @@ all match it exactly.
 
 import ast
 import random
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freealg import exact
 
@@ -131,6 +133,20 @@ def test_solve_inconsistent_matches_oracle():
                     [Fraction(3), Fraction(1)])
 
 
+def test_solve_refuses_a_right_side_of_another_length():
+    a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for b in ([Fraction(1)], [Fraction(1), Fraction(2), Fraction(3)]):
+        with pytest.raises(ValueError, match=f"^right side has {len(b)} entries for 2 rows$"):
+            exact.solve(a, b)
+
+
+def test_invert_refuses_a_non_square_matrix():
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]]):
+        message = f"^cannot invert a non-square matrix with {len(a)} rows$"
+        with pytest.raises(ValueError, match=message):
+            exact.invert([[Fraction(v) for v in row] for row in a])
+
+
 def test_invert_matches_oracle():
     rng = random.Random(4)
     singular = 0
@@ -156,11 +172,48 @@ def test_invert_matches_oracle():
 def test_components_split_the_nonzero_graph():
     # rows 0 and 3 share column 1; row 2 joins columns 0 and 3; row 1 and
     # column 2 are zero, so each is a component on its own
-    a = [[0, Fraction(1, 2), 0, 0], [0, 0, 0, 0], [2, 0, 0, -3], [0, 5, 0, 0]]
-    assert exact.components(a) == [([0, 3], [1]), ([1], []), ([2], [0, 3]), ([], [2])]
-    assert exact.components([[0, 1], [1, 0]]) == [([0], [1]), ([1], [0])]
-    assert exact.components([[1, 1], [1, 1]]) == [([0, 1], [0, 1])]
-    assert exact.components([]) == []
+    cells = [(0, 1), (2, 0), (2, 3), (3, 1)]
+    assert exact.components(4, 4, cells) == [([0, 3], [1]), ([1], []), ([2], [0, 3]), ([], [2])]
+    assert exact.components(2, 2, [(0, 1), (1, 0)]) == [([0], [1]), ([1], [0])]
+    assert exact.components(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]) == [([0, 1], [0, 1])]
+    assert exact.components(0, 0, []) == []
+
+
+def bfs_components(n_rows, n_cols, cells):
+    """Components by breadth-first search from each unvisited node, rows
+    before columns, so each component comes at its first node."""
+    neighbours = {("r", r): set() for r in range(n_rows)}
+    neighbours.update({("c", c): set() for c in range(n_cols)})
+    for r, c in cells:
+        neighbours["r", r].add(("c", c))
+        neighbours["c", c].add(("r", r))
+    seen, out = set(), []
+    for start in [("r", r) for r in range(n_rows)] + [("c", c) for c in range(n_cols)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), [start]
+        while queue:
+            for node in neighbours[queue.popleft()]:
+                if node not in seen:
+                    seen.add(node)
+                    queue.append(node)
+                    members.append(node)
+        out.append((sorted(i for kind, i in members if kind == "r"),
+                    sorted(i for kind, i in members if kind == "c")))
+    return out
+
+
+@given(st.data())
+def test_components_match_breadth_first_search(data):
+    n_rows = data.draw(st.integers(0, 7))
+    n_cols = data.draw(st.integers(0, 7))
+    if n_rows and n_cols:  # sparse: most rows and columns keep few cells, some none
+        cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+        cells = data.draw(st.lists(cell, max_size=n_rows + n_cols))
+    else:
+        cells = []
+    assert exact.components(n_rows, n_cols, cells) == bfs_components(n_rows, n_cols, cells)
 
 
 def test_only_reduce_runs_elimination():

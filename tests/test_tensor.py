@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from freealg import (AlgebraMismatch, EmptyFactorList, LinearMap, SingularTensor,
-                     Tensor2, is_associative, multiply, quaternion_algebra,
+from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap,
+                     SingularTensor, Tensor2, is_associative, multiply, quaternion_algebra,
                      random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
@@ -95,6 +95,13 @@ def test_mixed_basis_product(C):
     e0, e1 = C.basis_element(0), C.basis_element(1)
     lhs = tensor_mul(CC.pure([e0, e1]), CC.pure([e1, e0]))
     assert lhs == CC.pure([e1, e1])
+
+
+def test_basis_tensor_refuses_indices_out_of_range(H):
+    assert Tensor2.basis_tensor(H, 3, 1).components[3][1] == 1
+    for i, j in ((0, 5), (-1, 0), (4, 0), (0, -1)):
+        with pytest.raises(InvalidAlgebra, match=rf"^basis tensor index \({i},{j}\) out of range"):
+            Tensor2.basis_tensor(H, i, j)
 
 
 def test_twisted_unit(H):
