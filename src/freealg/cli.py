@@ -305,16 +305,23 @@ def _relation_str(rel: dict) -> str:
     return " ".join(f"{rel[key]}@{key[0]}{key[1]}" for key in sorted(rel))
 
 
-def _row_relations(parts, n: int) -> dict:
-    """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix given as blocks."""
-    return {divmod(r, n): {divmod(c, n): v for c, v in zip(cols, values) if v}
+def _row_relations(parts, n: int, scale) -> dict:
+    """Row (k, m) -> {(i, j): nonzero entry} of scale times an n^2 x n^2 matrix of blocks."""
+    return {divmod(r, n): {divmod(c, n): v * scale for c, v in zip(cols, values) if v}
             for rows, cols, grid in parts for r, values in zip(rows, grid)}
+
+
+def _b_inverse_relations(bm) -> dict:
+    """Row (i, j) of B^-1 -> {(k, m): nonzero entry}: block (rows, cols) of B,
+    an int grid over den, inverts to (cols, rows), den times the grid's inverse."""
+    return _row_relations([(cols, rows, exact.invert(grid)) for rows, cols, grid in bm.blocks],
+                          bm.algebra.dim, bm.den)
 
 
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
     n = bm.algebra.dim
-    relations = _row_relations(bm.blocks, n)
+    relations = _row_relations(bm.blocks, n, Fraction(1, bm.den))
     return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
@@ -334,13 +341,11 @@ def _verify_conversion_tables() -> VerificationReport:
          conj_component) in cases:
         n = algebra.dim
         bm = b_matrix(algebra)
-        coords = _row_relations(bm.blocks, n)
+        coords = _row_relations(bm.blocks, n, Fraction(1, bm.den))
         for (k, m) in sorted(coord_rel):
             report.add(f"{name}.coord.f{k}_{m}",
                        _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)]))
-        # B^-1 block by block: block (rows, cols) of B inverts to (cols, rows)
-        standard = _row_relations([(cols, rows, exact.invert(grid))
-                                   for rows, cols, grid in bm.blocks], n)
+        standard = _b_inverse_relations(bm)
         for (i, j) in sorted(std_rel):
             report.add(f"{name}.standard.f{i}{j}",
                        _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)]))
@@ -475,7 +480,8 @@ def cmd_tables(args) -> int:
     n = algebra.dim
     lines = []
     if args.which == "complex":
-        coords = _row_relations(b_matrix(algebra).blocks, n)
+        bm = b_matrix(algebra)
+        coords = _row_relations(bm.blocks, n, Fraction(1, bm.den))
         if not args.machine:
             lines.append("coordinates of z -> sum f^{ij} e_i z e_j over the "
                          "complex field:")

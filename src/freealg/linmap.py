@@ -3,16 +3,16 @@
 A map f is stored as its target.dim x source.dim matrix f[i][j] with
 (f x)^i = sum_j f[i][j] x^j, row by row in the int form of ``exact.IntForm``,
 so ``compose``, ``apply``, ``+`` and the shifts run on ints alone and
-``LinearMap.coords``, the grid of Fractions, is built on first read.
-The module also builds the n^2 x n^2
-component matrix that links a map's coordinates to its standard
+``LinearMap.coords``, the grid of Fractions, is built on first read.  The
+n^2 x n^2 component matrix links a map's coordinates to its standard
 components f^{ij} in the sandwich expansion
 
     f(x) = sum_{i,j} f^{ij} (e_i x) e_j        (order="left")
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
-builds it from its nonzero cells as their connected blocks, and reads,
-solves and applies it only through those blocks.  The two nesting orders
+and is built from its nonzero cells as their connected blocks, int grids
+over one denominator, and read, solved and applied only through those
+blocks, on ints up to the values returned.  The two nesting orders
 coincide in associative algebras; "left" is the default everywhere.  The
 right order is the left order over A^op with i and j swapped, as
 e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one contraction, with
@@ -25,7 +25,6 @@ Coordinate matrices and component grids are vectorized row by row by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import exact
@@ -100,10 +99,8 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
 
 def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
     """The endomorphism whose column j is column(e_j)."""
-    cols = [column(e).ints for e in algebra.basis()]
-    den = lcm(*(d for _, d in cols))
-    scaled = [[x * (den // d) for x in nums] for nums, d in cols]
-    return LinearMap._of((algebra, algebra), exact.canonical(exact.vec(zip(*scaled)), den))
+    cols, den = exact.over_lcm([column(e).ints for e in algebra.basis()])
+    return LinearMap._of((algebra, algebra), exact.canonical(exact.vec(zip(*cols)), den))
 
 
 def left_shift(a: AlgElement) -> LinearMap:
@@ -146,13 +143,14 @@ class BMatrix:
     (k, m) coordinate entry of x -> sum f^{ij} (e_i x) e_j (left order)
     or x -> sum f^{ij} e_i (x e_j) (right order).
 
-    The matrix is held only as the connected components of its nonzero
-    graph (``exact.components``): ``blocks`` lists (rows, cols, grid), the
-    grid holding the entries at those rows and columns; every entry
-    outside the blocks is zero.  A zero row is a block without columns
-    and a zero column one without rows.  ``rank`` is the sum of the block
-    ranks; ``entries``, a dense view rebuilt on each read, is for callers
-    outside the library.
+    It is held only as the connected components of its nonzero graph
+    (``exact.components``): ``blocks`` lists (rows, cols, grid), the int
+    grid holding ``den`` times the entries at those rows and columns, den
+    the square of the algebra's denominator; every entry outside the
+    blocks is zero.  A zero row is a block without columns and a zero
+    column one without rows.  ``rank`` is the sum of the block ranks;
+    ``entries``, a dense view of Fractions rebuilt on each read, is for
+    callers outside the library.
     """
 
     __slots__ = ("algebra", "order", "blocks")
@@ -162,13 +160,15 @@ class BMatrix:
         self.order = order
         self.blocks = blocks
 
+    den = property(lambda self: self.algebra.denominator ** 2)
+
     @property
     def entries(self) -> list[list[Fraction]]:
         size = self.algebra.dim ** 2
         entries = exact.zeros(size, size)
         for rows, cols, grid in self.blocks:
             for r, values in zip(rows, grid):
-                for c, v in zip(cols, values):
+                for c, v in zip(cols, exact.as_fractions(values, self.den)):
                     entries[r][c] = v
         return entries
 
@@ -200,10 +200,15 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
                     for k, v2 in product(p, j):
                         cell = (k * n + m, col)
                         sums[cell] = sums.get(cell, 0) + v1 * v2
-    den = algebra.denominator ** 2
     return BMatrix(algebra, order, [
-        (rows, cols, [exact.as_fractions([sums.get((r, c), 0) for c in cols], den) for r in rows])
+        (rows, cols, [[sums.get((r, c), 0) for c in cols] for r in rows])
         for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))])
+
+
+def _solve(grid, den: int, rhs, rhs_den: int):
+    """``exact.solve`` of (grid / den) x = rhs / rhs_den, given int grid and
+    rhs, on the int rows grid * rhs_den and rhs * den."""
+    return exact.solve([[v * rhs_den for v in row] for row in grid], [v * den for v in rhs])
 
 
 class StandardSolution:
@@ -237,14 +242,13 @@ def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> Linea
     _check_order(order)
     if t.algebra is not f.target:
         raise AlgebraMismatch("tensor and map must share the target algebra")
-    n = t.algebra.dim
-    tvec = exact.vec(t.components)
-    gvec = [exact.ZERO] * (n * n)
-    for rows, cols, grid in b_matrix(t.algebra, order).blocks:
-        if rows and cols:
-            for r, (v,) in zip(rows, exact.mat_mul(grid, [[tvec[c]] for c in cols])):
-                gvec[r] = v
-    return compose(LinearMap(f.target, f.target, exact.blocks(gvec, n)), f)
+    bm = b_matrix(t.algebra, order)
+    tvec, t_den = t.ints
+    gvec = [0] * len(tvec)
+    for rows, cols, grid in bm.blocks:
+        for r, values in zip(rows, grid):
+            gvec[r] = sum(v * tvec[c] for c, v in zip(cols, values))
+    return compose(LinearMap._of((f.target, f.target), exact.canonical(gvec, bm.den * t_den)), f)
 
 
 def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
@@ -265,15 +269,16 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
         raise AlgebraMismatch("standard components are defined for endomorphisms")
     algebra = g.source
     n = algebra.dim
-    gvec = exact.vec(g.coords)
+    bm = b_matrix(algebra, order)
+    gvec, g_den = g.ints
     particular = [exact.ZERO] * (n * n)
     nullspace = []
-    for rows, cols, grid in b_matrix(algebra, order).blocks:
+    for rows, cols, grid in bm.blocks:
         if not rows:  # a zero column: its component is free
             x, basis = [exact.ZERO], [[exact.ONE]]
         else:
             try:
-                x, basis = exact.solve(grid, [gvec[r] for r in rows])
+                x, basis = _solve(grid, bm.den, [gvec[r] for r in rows], g_den)
             except ValueError:
                 raise NotRepresentable(
                     "coordinate matrix is not in the image of the component matrix") from None
@@ -291,23 +296,26 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
         n * n - len(nullspace))
 
 
-def _orbit_columns(f: LinearMap, order: str) -> list[list[Fraction]]:
-    """The n^2 x n^2 matrix whose column (i, j) is vec(e_i (x) e_j acting on f).
+def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:
+    """The n^2 x n^2 matrix whose column (i, j) is vec(e_i (x) e_j acting on f),
+    as (int rows, den) with the matrix = rows / den.
 
     Column (i, j) of the component matrix B is vec(S), S the map of
     e_i (x) e_j acting on the identity; acting on f gives S f.  So row
     (k, m) of the result is sum_p f[p][m] B[(k, p)]: f's transpose times
-    the n rows (k, p) of B, read from its blocks, for each k.
+    the n rows (k, p) of B, read from its int blocks, for each k.
     """
     n = f.target.dim
-    b_rows = {r: dict(zip(cols, values)) for rows, cols, grid in b_matrix(f.target, order).blocks
+    bm = b_matrix(f.target, order)
+    b_rows = {r: dict(zip(cols, values)) for rows, cols, grid in bm.blocks
               for r, values in zip(rows, grid)}
-    f_t = list(zip(*f.coords))
+    f_nums, f_den = f.ints
+    f_t = list(zip(*exact.blocks(f_nums, n)))
     out = []
     for k in range(n):
-        band = [[b_rows[k * n + p].get(c, exact.ZERO) for c in range(n * n)] for p in range(n)]
-        out.extend(exact.mat_mul(f_t, band))
-    return out
+        band = [[b_rows[k * n + p].get(c, 0) for c in range(n * n)] for p in range(n)]
+        out.extend(exact.int_mat_mul(f_t, band, n * n))
+    return out, f_den * bm.den
 
 
 def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[Tensor2]:
@@ -317,7 +325,7 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     if g.source is not f.source or g.target is not f.target:
         raise AlgebraMismatch("maps act on different algebras")
     try:
-        particular, _ = exact.solve(_orbit_columns(f, order), exact.vec(g.coords))
+        particular, _ = _solve(*_orbit_columns(f, order), *g.ints)
     except ValueError:
         return None
     return Tensor2(f.target, exact.blocks(particular, f.target.dim))
@@ -349,7 +357,7 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
         return generators
     rows = []
     while True:
-        rows.extend(zip(*_orbit_columns(g, order)))
+        rows.extend(zip(*_orbit_columns(g, order)[0]))  # a positive scale keeps the span
         reduced, pivots = exact.rref(rows)
         if len(pivots) == n * n:
             return generators

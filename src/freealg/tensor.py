@@ -166,11 +166,10 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     algebra = t.algebra
     unit = Tensor2.unit(algebra)
     x = _twisted_element(t)
-    # column c is t o e_c: the left-multiplication matrix of t in A (x) A^op
-    columns = [multiply(x, e).coords for e in x.algebra.basis()]
-    rhs = exact.vec(unit.components)
+    # column c is t o e_c: the left-multiplication matrix of t in A (x) A^op, over den
+    columns, den = exact.over_lcm([multiply(x, e).ints for e in x.algebra.basis()])
     try:
-        particular, _ = exact.solve(list(zip(*columns)), rhs)
+        particular, _ = exact.solve(list(zip(*columns)), [v * den for v in unit.ints[0]])
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
     u = Tensor2(algebra, exact.blocks(particular, algebra.dim))

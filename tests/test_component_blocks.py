@@ -13,6 +13,13 @@ and ``repr`` never build the dense view of B and no solve takes more
 than n rows.  The last ones check that generator discovery and orbit
 membership, on algebras whose B is singular, read B only through its
 blocks and agree with orbits built from the in-test contraction.
+
+B's blocks are int grids over ``BMatrix.den``.  A guard refuses the
+``Fraction`` grid helpers while B is built and ranked, applied, and while
+a tensor is inverted.  The complex numbers in the basis (1, i/2) and the
+quaternions in the basis (1, i/2, j/2, k/4) put B over den = 16 and 256:
+the first checks orbits and membership on a singular B, the second the
+block inverses that ``verify tables`` reads.
 """
 
 from fractions import Fraction
@@ -21,9 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Tensor2, b_matrix,
-                     complex_algebra, coords_from_standard, exact, octonion_algebra,
+                     complex_algebra, compose, coords_from_standard, exact, octonion_algebra,
                      orbit_contains, quaternion_algebra, representation_basis,
-                     standard_from_coords, tensor_product)
+                     standard_from_coords, tensor_inverse, tensor_product, twisted_mul)
 from test_kernel_properties import algebras, grids, reference_b
 
 ZERO = Fraction(0)
@@ -173,6 +180,19 @@ def truncated_polynomials():
                        [(i, j, i + j, 1) for i in range(4) for j in range(4 - i)], unit_index=0)
 
 
+def rescaled(algebra, scales):
+    """The algebra in the basis e'_i = scales[i] e_i: e'_i e'_j = sum_k
+    (s_i s_j / s_k) c_{ij}^k e'_k."""
+    return FreeAlgebra(algebra.dim, algebra.labels,
+                       [(i, j, k, v * scales[i] * scales[j] / scales[k])
+                        for i, j, k, v in algebra.constants], unit_index=algebra.unit_index)
+
+
+def half_i_complex():
+    """C in the basis (1, i/2): e_1^2 = -1/4, so B is held over den = 16; B is singular."""
+    return rescaled(complex_algebra(), [1, Fraction(1, 2)])
+
+
 def reference_orbit(b, g):
     """Column (i, j) is vec(e_i (x) e_j acting on g): row (k, m) is
     sum_p g[p][m] b[(k, p)][(i, j)], b the in-test contraction."""
@@ -182,8 +202,9 @@ def reference_orbit(b, g):
 
 
 @pytest.mark.parametrize("make, order, count", [
-    (complex_algebra, "left", 2), (dual_numbers, "left", 3), (dual_numbers, "right", 3),
-    (truncated_polynomials, "right", 5)], ids=["C", "dual-left", "dual-right", "x4-right"])
+    (complex_algebra, "left", 2), (half_i_complex, "left", 2), (half_i_complex, "right", 2),
+    (dual_numbers, "left", 3), (dual_numbers, "right", 3), (truncated_polynomials, "right", 5)],
+    ids=["C", "C-half-i-left", "C-half-i-right", "dual-left", "dual-right", "x4-right"])
 def test_generator_discovery_reads_b_only_through_its_blocks(make, order, count, monkeypatch):
     monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
     algebra = make()
@@ -215,3 +236,73 @@ def test_orbit_membership_reads_b_only_through_its_blocks(monkeypatch):
         assert orbit_contains(flip, LinearMap.identity(dual), order) is None
         t = orbit_contains(flip.scaled(3), flip, order)
         assert coords_from_standard(t, flip, order) == flip.scaled(3)
+
+
+def refuse_fractions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction grid was built or multiplied")
+    monkeypatch.setattr(exact, "as_fractions", refuse)
+    monkeypatch.setattr(exact, "mat_mul", refuse)
+
+
+@pytest.mark.parametrize("make", [octonion_algebra, hh], ids=["O", "HH"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_conversion_and_tensor_inverse_stay_on_ints(make, order, monkeypatch):
+    algebra = make()
+    n = algebra.dim
+    a = algebra.element([Fraction(k - 2, k + 1) for k in range(n)])
+    b = algebra.element([Fraction(3 - k, 2) for k in range(n)])
+    t = Tensor2.pure(a, b) + Tensor2.unit(algebra).scaled(Fraction(5, 7))
+    f = LinearMap.identity(algebra) + LinearMap.identity(algebra).scaled(Fraction(1, 3))
+    H = quaternion_algebra()
+    s = Tensor2.pure(H.element([1, Fraction(2, 3), -5, 7]), H.element([Fraction(-1, 2), 4, 0, 3]))
+    with monkeypatch.context() as refused:
+        refuse_fractions(refused)
+        assert b_matrix(algebra, order).rank() == n * n
+        g = coords_from_standard(t, f, order)
+        u = tensor_inverse(s + Tensor2.unit(H))
+    bm = b_matrix(algebra, order)
+    assert all(type(v) is int for _, _, grid in bm.blocks for row in grid for v in row)
+    image = exact.mat_mul(bm.entries, [[x] for x in exact.vec(t.components)])
+    assert g == compose(LinearMap(algebra, algebra, exact.blocks(exact.vec(image), n)), f)
+    assert twisted_mul(u, s + Tensor2.unit(H)) == Tensor2.unit(H)
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_orbit_membership_over_a_denominator_matches_the_contraction(order, monkeypatch):
+    monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
+    algebra = half_i_complex()
+    assert b_matrix(algebra, order).den == 16
+    b = reference_b(algebra, order)
+    # z -> (1 + i) z is in the identity's orbit, conjugation in its own; a
+    # map with the wrong ratio of its off-diagonal entries is in neither
+    maps = [LinearMap(algebra, algebra, grid) for grid in (
+        [[1, Fraction(-1, 2)], [2, 1]], [[1, 0], [0, -1]], [[1, 2], [Fraction(-1, 2), 1]])]
+    for f in representation_basis(algebra, order):
+        orbit = reference_orbit(b, f)
+        for g in maps:
+            expected = reference_solve(orbit, exact.vec(g.coords))
+            t = orbit_contains(g, f, order)
+            assert (t is None) == (expected is None)
+            if t is not None:
+                assert exact.vec(t.components) == expected[1]
+                assert coords_from_standard(t, f, order) == g
+
+
+def test_block_inverses_over_a_denominator_invert_b():
+    from freealg import cli
+    # B of C in the basis (1, i/2) is singular, so the quaternions in the
+    # basis (1, i/2, j/2, k/4) stand in: den = 256, B invertible
+    algebra = rescaled(quaternion_algebra(), [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)])
+    n = algebra.dim
+    bm = b_matrix(algebra)
+    assert bm.den == 256
+    inverse = cli._b_inverse_relations(bm)
+    b = reference_b(algebra, "left")
+    for i in range(n * n):
+        row = inverse[divmod(i, n)]
+        product = [sum(v * b[k * n + m][c] for (k, m), v in row.items()) for c in range(n * n)]
+        assert product == [int(c == i) for c in range(n * n)]
+    assert (cli._row_relations(bm.blocks, n, Fraction(1, bm.den))
+            == {divmod(r, n): {divmod(c, n): v for c, v in enumerate(values) if v}
+                for r, values in enumerate(b)})

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap,
                      SingularTensor, Tensor2, is_associative, multiply, quaternion_algebra,
                      random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
+from test_component_blocks import reference_solve
+from test_kernel_properties import BIG, algebras, grids, table
 
 
 def rnd_tensor(algebra, rng, bound=5):
@@ -194,3 +198,60 @@ def test_tensor_inverse_one_sided_is_distinct(O):
     with pytest.raises(SingularTensor) as err:
         tensor_inverse(Tensor2(O, [[0] * 8] * 8))
     assert not err.value.one_sided
+
+
+def left_action(c, t):
+    """The matrix of u -> t o u on standard components, from the definition
+    (a (x) b) o (c (x) d) = (ac) (x) (db): entry ((p, q), (k, l)) is
+    sum_{i,j} t^{ij} c_{ik}^p c_{lj}^q, c the grid of structure constants."""
+    n = len(c)
+    nonzero = [[[(p, v) for p, v in enumerate(c[i][k]) if v] for k in range(n)] for i in range(n)]
+    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i, j, k, l in product(range(n), repeat=4):
+        if t[i][j]:
+            for p, v in nonzero[i][k]:
+                for q, w in nonzero[l][j]:
+                    out[p * n + q][k * n + l] += t[i][j] * v * w
+    return out
+
+
+def twisted(c, s, t):
+    n = len(c)
+    flat = [sum(x * y for x, y in zip(row, sum(t, []))) for row in left_action(c, s)]
+    return [flat[r * n:r * n + n] for r in range(n)]
+
+
+def check_inverse(algebra, comps):
+    """tensor_inverse against a plain-Fraction solve of t o u = unit: the
+    particular solution u, with free components 0, when u o t = unit too;
+    SingularTensor, one-sided exactly when that solve succeeds, otherwise."""
+    c, n, e = table(algebra), algebra.dim, algebra.unit_index
+    unit = [[Fraction(int(r == c_ == e)) for c_ in range(n)] for r in range(n)]
+    solved = reference_solve(left_action(c, comps), sum(unit, []))
+    u = solved and [solved[1][r * n:r * n + n] for r in range(n)]
+    if u and twisted(c, u, comps) == unit:
+        assert [list(row) for row in tensor_inverse(Tensor2(algebra, comps)).components] == u
+        return True
+    with pytest.raises(SingularTensor) as err:
+        tensor_inverse(Tensor2(algebra, comps))
+    assert err.value.one_sided == bool(u)
+    return False
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_tensor_inverse_matches_the_fraction_solve(data):
+    algebra = data.draw(algebras(unital=True))
+    check_inverse(algebra, data.draw(grids(algebra.dim)))
+
+
+@settings(max_examples=20)  # each reference solve eliminates 40-bit Fractions
+@given(st.lists(BIG, min_size=16, max_size=16), st.booleans())
+def test_tensor_inverse_matches_the_fraction_solve_on_40_bit_quaternion_tensors(values, singular):
+    H = quaternion_algebra()
+    s = [values[r * 4:r * 4 + 4] for r in range(4)]
+    # 1 (x) 1 + i (x) i sends 1 to 0 by sandwiching, so s o it has no inverse
+    if singular:
+        assert not check_inverse(H, twisted(table(H), s, [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]))
+    else:
+        check_inverse(H, s)
