@@ -321,8 +321,8 @@ def _b_inverse_relations(bm) -> dict:
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
     n = bm.algebra.dim
-    relations = _row_relations(bm.blocks, n, Fraction(1, bm.den))
-    return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
+    relations = _row_relations(bm.blocks, n, 1)  # B's ints: only F's n^2 become Fractions
+    return [[Fraction(relations[k, k].get((i, i), 0), bm.den) for i in range(n)] for k in range(n)]
 
 
 def _verify_conversion_tables() -> VerificationReport:
