@@ -218,8 +218,8 @@ class IntForm:
 
 
 def _int_row(row) -> list[int]:
-    """The row scaled by the lcm of its denominators, made primitive."""
-    ints, _ = as_ints(row)
+    """The row scaled by the lcm of its denominators, made primitive; a row of ints is copied."""
+    ints = list(row) if all(type(x) is int for x in row) else as_ints(row)[0]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

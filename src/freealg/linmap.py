@@ -206,9 +206,10 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
 
 
 def _solve(grid, den: int, rhs, rhs_den: int):
-    """``exact.solve`` of (grid / den) x = rhs / rhs_den, given int grid and
-    rhs, on the int rows grid * rhs_den and rhs * den."""
-    return exact.solve([[v * rhs_den for v in row] for row in grid], [v * den for v in rhs])
+    """``exact.solve`` of (grid / den) x = rhs / rhs_den, given int grid and rhs:
+    grid y = rhs * den on ints, and x = y / rhs_den; the null spaces are equal."""
+    y, basis = exact.solve(grid, [v * den for v in rhs])
+    return [v / rhs_den for v in y], basis
 
 
 class StandardSolution:

@@ -104,6 +104,11 @@ def test_rref_integer_dense_and_sparse_shapes():
     sparse = [[Fraction(v) for v in row] for row in
               ([0, -1, 0, 1], [1, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 1])]
     assert exact.rref(sparse) == oracle_rref(sparse, 4)
+    # int rows give the same answers and are eliminated in copies, not in place
+    ints = [[int(v) for v in row] for row in sparse]
+    assert exact.rref(ints) == oracle_rref(sparse, 4)
+    assert exact.rank(ints) == len(oracle_rref(sparse, 4)[1])
+    assert ints == [[int(v) for v in row] for row in sparse]
 
 
 def test_solve_matches_oracle_on_consistent_systems():
