@@ -311,13 +311,6 @@ def _row_relations(parts, n: int, scale) -> dict:
             for rows, cols, grid in parts for r, values in zip(rows, grid)}
 
 
-def _b_inverse_relations(bm) -> dict:
-    """Row (i, j) of B^-1 -> {(k, m): nonzero entry}: block (rows, cols) of B,
-    an int grid over den, inverts to (cols, rows), den times the grid's inverse."""
-    return _row_relations([(cols, rows, exact.invert(grid)) for rows, cols, grid in bm.blocks],
-                          bm.algebra.dim, bm.den)
-
-
 def _sign_matrix(bm) -> list[list[Fraction]]:
     """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
     n = bm.algebra.dim
@@ -345,7 +338,9 @@ def _verify_conversion_tables() -> VerificationReport:
         for (k, m) in sorted(coord_rel):
             report.add(f"{name}.coord.f{k}_{m}",
                        _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)]))
-        standard = _b_inverse_relations(bm)
+        # block (rows, cols) of B, an int grid over den, inverts to (cols, rows)
+        standard = _row_relations([(cols, rows, exact.invert(grid))
+                                   for rows, cols, grid in bm.blocks], n, bm.den)
         for (i, j) in sorted(std_rel):
             report.add(f"{name}.standard.f{i}{j}",
                        _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)]))

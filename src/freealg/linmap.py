@@ -311,7 +311,7 @@ def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:
     b_rows = {r: dict(zip(cols, values)) for rows, cols, grid in bm.blocks
               for r, values in zip(rows, grid)}
     f_nums, f_den = f.ints
-    f_t = list(zip(*exact.blocks(f_nums, n)))
+    f_t = list(zip(*exact.blocks(f_nums, f.source.dim)))
     out = []
     for k in range(n):
         band = [[b_rows[k * n + p].get(c, 0) for c in range(n * n)] for p in range(n)]

@@ -12,7 +12,8 @@ checks the block layout on C, H, O and H (x) H, and that a round trip
 and ``repr`` never build the dense view of B and no solve takes more
 than n rows.  The last ones check that generator discovery and orbit
 membership, on algebras whose B is singular, read B only through its
-blocks and agree with orbits built from the in-test contraction.
+blocks and agree with orbits built from the in-test contraction, and
+that membership holds for a map from C into H.
 
 B's blocks are int grids over ``BMatrix.den``.  A guard refuses the
 ``Fraction`` grid helpers while B is built and ranked, applied, and while
@@ -238,6 +239,17 @@ def test_orbit_membership_reads_b_only_through_its_blocks(monkeypatch):
         assert coords_from_standard(t, flip, order) == flip.scaled(3)
 
 
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_orbit_membership_of_a_map_between_algebras(order):
+    # f maps C into H: its rows are C.dim long, its orbit columns H.dim * C.dim
+    C, H = complex_algebra(), quaternion_algebra()
+    f = LinearMap(C, H, [[1, Fraction(1, 2)], [0, 1], [-3, 0], [Fraction(2, 5), 7]])
+    t = Tensor2.pure(H.element([1, Fraction(2, 3), -5, 7]), H.element([Fraction(-1, 2), 4, 0, 3]))
+    g = coords_from_standard(t + Tensor2.unit(H), f, order)
+    found = orbit_contains(g, f, order)
+    assert found is not None and coords_from_standard(found, f, order) == g
+
+
 def refuse_fractions(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction grid was built or multiplied")
@@ -297,7 +309,9 @@ def test_block_inverses_over_a_denominator_invert_b():
     n = algebra.dim
     bm = b_matrix(algebra)
     assert bm.den == 256
-    inverse = cli._b_inverse_relations(bm)
+    # the block inverses as `verify tables` reads them
+    inverse = cli._row_relations([(cols, rows, exact.invert(grid))
+                                  for rows, cols, grid in bm.blocks], n, bm.den)
     b = reference_b(algebra, "left")
     for i in range(n * n):
         row = inverse[divmod(i, n)]
