@@ -20,14 +20,15 @@ is the integer row over its pivot.
 denominators per row of a and one per column of b; one lcm for all of b
 would lengthen every product.  A vector is multiplied as one column.
 
-``IntForm``, the base of elements, maps and tensors, holds int numerators
-over one denominator (``canonical``) and builds its Fractions on first read.
+``IntForm``, the base of elements, maps and tensors, holds one int form
+(``canonical``), set when it is built; its Fractions are only a cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import AlgebraMismatch
 
@@ -145,41 +146,33 @@ def canonical(ints, den: int) -> tuple[tuple[int, ...], int]:
 
 
 class IntForm:
-    """Base of the value types: rationals on the algebras in ``_space``, held
-    as int numerators over one denominator in the form of ``canonical``.
-
-    A value built from Fractions keeps that tuple, its view, and computes the
-    int form when an int operation first needs it; one built by ``_of`` builds
-    its view on first read.  Both are kept.  The view is flat, or with ``_GRID``
-    rows as long as the first algebra's dimension; the int form is row by row.
+    """Base of the value types: rationals on the algebras in ``_space``, held as
+    one int form, ``ints``, set at construction: numerators over one denominator
+    as ``canonical`` gives, a grid read row by row.  The view, flat or with
+    ``_GRID`` rows as long as the first algebra's dimension, is a cache of
+    Fractions: the constructors seed it, ``_of`` values build it on first read.
     Equality compares the int form, the hash is that of the algebras' ids and
     the view, and operands on other algebras raise ``AlgebraMismatch(_MISMATCH)``."""
 
-    __slots__ = ("_space", "_view", "_nums", "_den")
+    __slots__ = ("_space", "_view", "_ints")
     _GRID = False
 
     def __init__(self, space: tuple, view: tuple):
-        self._space, self._view, self._nums = space, view, None
+        nums, den = as_ints(vec(view) if self._GRID else view)
+        self._space, self._view, self._ints = space, view, (tuple(nums), den)
 
     @classmethod
     def _of(cls, space: tuple, form: tuple[tuple[int, ...], int]):
         """The value whose int form, row by row, is ``form``, which must be canonical."""
         value = cls.__new__(cls)
-        value._space, value._view = space, None
-        value._nums, value._den = form
+        value._space, value._view, value._ints = space, None, form
         return value
 
-    @property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, denominator), canonical, a grid read row by row."""
-        if self._nums is None:  # _den is stored first, so a reader seeing _nums sees its _den
-            nums, self._den = as_ints(vec(self._view) if self._GRID else self._view)
-            self._nums = tuple(nums)
-        return self._nums, self._den
+    ints = property(attrgetter("_ints"))
 
     def _fractions(self) -> tuple:
         if self._view is None:
-            flat = tuple(as_fractions(self._nums, self._den))
+            flat = tuple(as_fractions(*self._ints))
             self._view = tuple(blocks(flat, self._space[0].dim)) if self._GRID else flat
         return self._view
 
@@ -217,11 +210,14 @@ class IntForm:
         return self._of(self._space, canonical([p * x for x in nums], den * q))
 
 
-def _int_row(row) -> list[int]:
-    """The row scaled by the lcm of its denominators, made primitive; a row of ints is copied."""
+def primitive(row) -> list[int]:
+    """The row scaled to coprime ints with a positive first nonzero entry, in
+    a new list; a zero row comes back as zeros.  A row of ints is not rescaled."""
     ints = list(row) if all(type(x) is int for x in row) else as_ints(row)[0]
     g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    if next(filter(None, ints), 0) < 0:
+        g = -g
+    return [x // g for x in ints] if g not in (0, 1) else ints
 
 
 def _eliminate(row: list[int], pivot_row: list[int], c: int,
@@ -271,13 +267,13 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
 
 
 def rank(a: Mat) -> int:
-    return len(_reduce([_int_row(row) for row in a], len(a[0]) if a else 0))
+    return len(_reduce([primitive(row) for row in a], len(a[0]) if a else 0))
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Row-reduced echelon form; returns (reduced matrix, pivot columns)."""
     cols = len(a[0]) if a else 0
-    rows = [_int_row(row) for row in a]
+    rows = [primitive(row) for row in a]
     pivots = _reduce(rows, cols)
     reduced = [as_fractions(row, row[c]) for row, c in zip(rows, pivots)]
     return reduced + zeros(len(rows) - len(pivots), cols), pivots
@@ -290,7 +286,7 @@ def invert(a: Mat) -> Mat:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
-    rows = [_int_row([*row, *ident_row]) for row, ident_row in zip(a, identity(n))]
+    rows = [primitive([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(a)]
     pivots = _reduce(rows, n)
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
@@ -308,7 +304,7 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     if len(b) != len(a):
         raise ValueError(f"right side has {len(b)} entries for {len(a)} rows")
     cols = len(a[0]) if a else 0
-    rows = [_int_row([*row, v]) for row, v in zip(a, b)]
+    rows = [primitive([*row, v]) for row, v in zip(a, b)]
     pivots = _reduce(rows, cols + 1)
     if cols in pivots:
         raise ValueError("inconsistent linear system")
@@ -340,13 +336,3 @@ def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:
     coeffs, _ = solve(mat_mul(basis, columns), vec(mat_mul(basis, [[x] for x in v])))
     return [x - p for x, p in zip(v, vec(mat_mul(columns, [[c] for c in coeffs])))]
 
-
-def primitive(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime integers with a
-    positive leading entry."""
-    ints = _int_row(v)
-    lead = next((x for x in ints if x != 0), None)
-    if lead is None:
-        raise ValueError("zero vector has no primitive form")
-    sign = -1 if lead < 0 else 1
-    return [Fraction(sign * x) for x in ints]

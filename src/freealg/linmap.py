@@ -205,13 +205,6 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
         for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))])
 
 
-def _solve(grid, den: int, rhs, rhs_den: int):
-    """``exact.solve`` of (grid / den) x = rhs / rhs_den, given int grid and rhs:
-    grid y = rhs * den on ints, and x = y / rhs_den; the null spaces are equal."""
-    y, basis = exact.solve(grid, [v * den for v in rhs])
-    return [v / rhs_den for v in y], basis
-
-
 class StandardSolution:
     """Solution set of the components-from-coordinates system.
 
@@ -279,7 +272,7 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
             x, basis = [exact.ZERO], [[exact.ONE]]
         else:
             try:
-                x, basis = _solve(grid, bm.den, [gvec[r] for r in rows], g_den)
+                x, basis = exact.solve(grid, [gvec[r] * bm.den for r in rows])
             except ValueError:
                 raise NotRepresentable(
                     "coordinate matrix is not in the image of the component matrix") from None
@@ -291,8 +284,9 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
                 v[c] = value
             nullspace.append(v)
     nullspace.sort(key=lambda v: max(c for c, value in enumerate(v) if value))
+    # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
     return StandardSolution(
-        Tensor2(algebra, exact.blocks(particular, n)),
+        Tensor2(algebra, exact.blocks(particular, n)).scaled(Fraction(1, g_den)),
         [Tensor2(algebra, exact.blocks(v, n)) for v in nullspace],
         n * n - len(nullspace))
 
@@ -325,11 +319,12 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     _check_order(order)
     if g.source is not f.source or g.target is not f.target:
         raise AlgebraMismatch("maps act on different algebras")
+    (grid, den), (g_nums, g_den) = _orbit_columns(f, order), g.ints
     try:
-        particular, _ = _solve(*_orbit_columns(f, order), *g.ints)
+        particular, _ = exact.solve(grid, [v * den for v in g_nums])
     except ValueError:
         return None
-    return Tensor2(f.target, exact.blocks(particular, f.target.dim))
+    return Tensor2(f.target, exact.blocks(particular, f.target.dim)).scaled(Fraction(1, g_den))
 
 
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:

@@ -28,10 +28,11 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from freealg import (QuaternionParams, Tensor2, associator, complex_algebra, compose, exact,
-                     left_shift, multiply, norm_sq, octonion_algebra, opposite,
+from freealg import (LinearMap, QuaternionParams, Tensor2, apply, associator, complex_algebra,
+                     compose, exact, left_shift, multiply, norm_sq, octonion_algebra, opposite,
                      quaternion_algebra, tensor_product, twisted_mul)
 from freealg.linmap import left_associator_map
+from freealg.tensor import twisted_algebra
 
 
 def _coprime_denominators(count):
@@ -231,3 +232,35 @@ def test_multiply_and_mat_mul_run_on_ints(monkeypatch):
     assert associator(multiply(x, y), c, d).coords == chained
     assert shift_law(x, y).coords == law
     assert twisted_mul(s, t).components == twisted
+
+
+def test_values_carry_their_int_form_from_construction(monkeypatch):
+    # a value built from Fractions computes its int form when it is built,
+    # so no later operation on it scales Fractions to ints again
+    rng = random.Random(16)
+    H, O = algebra("H"), algebra("O")
+    twisted_algebra(H)  # built once per algebra, through its own constants
+
+    def rationals(count):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+
+    x_coords, y_coords, z_coords = rationals(4), rationals(4), rationals(8)
+    f_grid = [rationals(8) for _ in range(8)]
+    s_grid, t_grid = ([rationals(4) for _ in range(4)] for _ in range(2))
+
+    def build():
+        return (H.element(x_coords), H.element(y_coords), O.element(z_coords),
+                LinearMap(O, O, f_grid), Tensor2(H, s_grid), Tensor2(H, t_grid))
+
+    first = x, y, z, f, s, t = build()
+    expected = (x + y, multiply(x, y), apply(f, z), compose(f, f), twisted_mul(s, t))
+    x, y, z, f, s, t = build()  # fresh values, no int operation run on them yet
+
+    def refuse(values):
+        raise AssertionError("a value scaled its Fractions to ints after construction")
+
+    monkeypatch.setattr(exact, "as_ints", refuse)
+    assert (x + y, multiply(x, y), apply(f, z), compose(f, f), twisted_mul(s, t)) == expected
+    assert (x, y, z, f, s, t) == first
+    with pytest.raises(AttributeError):
+        x.ints = ((0,) * 4, 1)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from freealg import exact
+from freealg import b_matrix, exact, octonion_algebra
 
 
 def oracle_rref(a, cols):
@@ -174,6 +174,42 @@ def test_invert_matches_oracle():
     assert singular > 5
 
 
+def test_int_grids_stay_off_as_ints_in_elimination(monkeypatch):
+    # the int blocks of B are eliminated as they are: no row, and no identity
+    # half of an inverse, is scaled from Fractions to ints
+    bm = b_matrix(octonion_algebra())
+    grids = [grid for rows, cols, grid in bm.blocks]
+    assert grids and all(type(v) is int for grid in grids for row in grid for v in row)
+    sides = [[i - 2 for i in range(len(grid))] for grid in grids]
+    expected = []
+    for grid, b in zip(grids, sides):
+        copy = [[Fraction(v) for v in row] for row in grid]
+        expected.append((exact.invert(copy), exact.rank(copy),
+                         exact.solve(copy, [Fraction(v) for v in b])))
+    rank = bm.rank()
+
+    def refuse(values):
+        raise AssertionError("an int grid was scaled to ints again")
+
+    monkeypatch.setattr(exact, "as_ints", refuse)
+    for grid, b, want in zip(grids, sides, expected):
+        assert (exact.invert(grid), exact.rank(grid), exact.solve(grid, b)) == want
+    assert bm.rank() == rank == 64
+
+
+def test_primitive_rows():
+    assert exact.primitive([0, 0, 0]) == [0, 0, 0]
+    assert exact.primitive([Fraction(0), Fraction(0)]) == [0, 0]
+    assert exact.primitive([-2, 4, 0]) == [1, -2, 0]
+    assert exact.primitive([0, -3, 6]) == [0, 1, -2]
+    assert exact.primitive([Fraction(-1, 2), Fraction(1, 3)]) == [3, -2]
+    row = (2, 3)
+    out = exact.primitive(row)
+    assert out == [2, 3] and type(out) is list
+    out.append(1)
+    assert row == (2, 3)
+
+
 def test_components_split_the_nonzero_graph():
     # rows 0 and 3 share column 1; row 2 joins columns 0 and 3; row 1 and
     # column 2 are zero, so each is a component on its own
@@ -236,3 +272,35 @@ def test_only_reduce_runs_elimination():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{func.name}")
     assert callers == {"exact._reduce"}
+
+
+def test_no_dead_imports_or_private_names():
+    # every imported name is used in its module, and every module-level
+    # private function or class is referenced somewhere in the package
+    package = Path(exact.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+
+    def referenced(tree):
+        return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+    uses = {stem: referenced(tree) for stem, tree in trees.items()}
+    unused, unreferenced = [], []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{stem}.{name}" for name in names if name not in uses[stem]]
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not any(node.name in names for names in uses.values())):
+                unreferenced.append(f"{stem}.{node.name}")
+    assert (unused, unreferenced) == ([], [])
