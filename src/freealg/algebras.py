@@ -104,19 +104,8 @@ def conjugate(x: AlgElement) -> AlgElement:
     return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den))
 
 
-def norm_sq(x: AlgElement, params: QuaternionParams | None = None) -> Fraction:
-    """Squared norm |x|^2, a rational scalar.
-
-    With explicit quaternion parameters this is the closed form
-    (x^0)^2 - a (x^1)^2 - b (x^2)^2 + ab (x^3)^2; otherwise it is
-    coordinate 0 of x * conj(x), which covers all built-ins uniformly.
-    """
-    if params is not None:
-        if x.algebra.dim != 4:
-            raise UnsupportedAlgebra("parameter form applies to the quaternion family")
-        a, b = params.a, params.b
-        x0, x1, x2, x3 = x.coords
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+def norm_sq(x: AlgElement) -> Fraction:
+    """Squared norm |x|^2: coordinate 0 of x * conj(x) in x's own algebra (C, E(a, b) or O)."""
     _require_builtin(x.algebra)
     nums, den = multiply(x, conjugate(x)).ints
     return Fraction(nums[0], den)

@@ -110,6 +110,8 @@ def int_mat_mul(a, b, cols: int) -> list[list[int]]:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(b[0]) for row in b):
+        raise ValueError(f"cannot multiply: a's rows need {len(b)} entries, b's rows one length")
     cols = [as_ints(col) for col in zip(*b)]
     rows = [as_ints(row) for row in a]
     product = int_mat_mul([ints for ints, _ in rows], zip(*(ints for ints, _ in cols)), len(cols))

@@ -210,17 +210,18 @@ class StandardSolution:
 
     ``particular`` is one tensor of standard components reproducing the
     requested map; ``nullspace`` spans the homogeneous solutions (every
-    particular + combination reproduces the same map); ``rank`` is the
-    rank of the component matrix.  The solution is unique iff nullspace
-    is empty.
+    particular + combination reproduces the same map).  ``rank``, the
+    rank of the component matrix, is read off the null space: n^2 minus
+    its size.  The solution is unique iff nullspace is empty.
     """
 
-    __slots__ = ("particular", "nullspace", "rank")
+    __slots__ = ("particular", "nullspace")
 
-    def __init__(self, particular: Tensor2, nullspace: list[Tensor2], rank: int):
+    def __init__(self, particular: Tensor2, nullspace: list[Tensor2]):
         self.particular = particular
         self.nullspace = nullspace
-        self.rank = rank
+
+    rank = property(lambda self: self.particular.algebra.dim ** 2 - len(self.nullspace))
 
     def is_unique(self) -> bool:
         return not self.nullspace
@@ -287,8 +288,7 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
     return StandardSolution(
         Tensor2(algebra, exact.blocks(particular, n)).scaled(Fraction(1, g_den)),
-        [Tensor2(algebra, exact.blocks(v, n)) for v in nullspace],
-        n * n - len(nullspace))
+        [Tensor2(algebra, exact.blocks(v, n)) for v in nullspace])
 
 
 def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:

@@ -30,14 +30,13 @@ from .linmap import LinearMap, apply, compose
 
 
 class MapMatrix:
-    """A rows x cols matrix of linear maps over a single algebra."""
+    """A rows x cols matrix of linear maps over one algebra, all read off its grid ``entries``."""
 
-    __slots__ = ("algebra", "rows", "cols", "entries")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[LinearMap]]):
         if not entries or not entries[0]:
             raise ShapeMismatch("a matrix of mappings needs at least one entry")
-        rows = len(entries)
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ShapeMismatch("rows have differing lengths")
@@ -47,10 +46,11 @@ class MapMatrix:
                 if not f.is_endomorphism() or f.source is not algebra:
                     raise AlgebraMismatch(
                         "all entries must be endomorphisms of one algebra")
-        self.algebra = algebra
-        self.rows = rows
-        self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
+
+    algebra = property(lambda self: self.entries[0][0].source)
+    rows = property(lambda self: len(self.entries))
+    cols = property(lambda self: len(self.entries[0]))
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra, n: int) -> "MapMatrix":

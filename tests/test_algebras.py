@@ -72,11 +72,21 @@ def test_conjugate_user_algebra_unsupported():
         inverse_element(user.basis_element(0))
 
 
+def quaternion_norm(x, a, b):
+    """The closed form (x^0)^2 - a (x^1)^2 - b (x^2)^2 + ab (x^3)^2 of the norm in E(a, b)."""
+    x0, x1, x2, x3 = x.coords
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+
 def test_norm_sq(H):
     assert norm_sq(H.element([1, 1, 1, 1])) == 4
     assert norm_sq(H.unit()) == 1
     E = quaternion_algebra(QuaternionParams(1, 1))
-    assert norm_sq(E.basis_element(1), QuaternionParams(1, 1)) == -1
+    assert norm_sq(E.basis_element(1)) == quaternion_norm(E.basis_element(1), 1, 1) == -1
+    # the norm is read off the element's own algebra: i has norm 1 in H
+    with pytest.raises(TypeError):
+        norm_sq(H.basis_element(1), QuaternionParams(1, 1))
+    assert norm_sq(H.basis_element(1)) == 1
 
 
 def test_norm_matches_conjugate_product(C, H, O):
@@ -91,7 +101,7 @@ def test_norm_matches_conjugate_product(C, H, O):
         E = quaternion_algebra(params)
         for _ in range(10):
             x = random_element(E, rng)
-            assert multiply(x, conjugate(x)) == E.unit().scaled(norm_sq(x, params))
+            assert multiply(x, conjugate(x)) == E.unit().scaled(quaternion_norm(x, a, b))
 
 
 def test_conjugate_antihomomorphism(H):

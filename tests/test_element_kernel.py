@@ -142,9 +142,14 @@ def test_norm_is_multiplicative(name, big, data):
         alg = algebra(name)
         params = QuaternionParams(*alg.params) if alg.dim == 4 else None
     x, y = data.draw(elements(alg, 2, big))
-    assert norm_sq(multiply(x, y)) == norm_sq(x) * norm_sq(y)
+    xy = multiply(x, y)
+    assert norm_sq(xy) == norm_sq(x) * norm_sq(y)
     if params is not None:
-        assert norm_sq(x) == norm_sq(x, params)
+        # the closed form (x^0)^2 - a (x^1)^2 - b (x^2)^2 + ab (x^3)^2 in E(a, b)
+        a, b = params.a, params.b
+        for z in (x, y, xy):
+            z0, z1, z2, z3 = z.coords
+            assert norm_sq(z) == z0 * z0 - a * z1 * z1 - b * z2 * z2 + a * b * z3 * z3
 
 
 def reference_mat_mul(a, b):

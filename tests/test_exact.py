@@ -8,6 +8,7 @@ all match it exactly.
 """
 
 import ast
+import importlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -150,6 +151,16 @@ def test_invert_refuses_a_non_square_matrix():
         message = f"^cannot invert a non-square matrix with {len(a)} rows$"
         with pytest.raises(ValueError, match=message):
             exact.invert([[Fraction(v) for v in row] for row in a])
+
+
+def test_mat_mul_refuses_shapes_it_cannot_multiply():
+    one = [[1, 0], [0, 1]]
+    for a, b in (([[1, 2, 3], [4, 5, 6]], one), (one, [[1, 2, 3]]),
+                 ([[1, 2], [3]], one), (one, [[1, 2], [3]])):
+        message = f"^cannot multiply: a's rows need {len(b)} entries, b's rows one length$"
+        with pytest.raises(ValueError, match=message):
+            exact.mat_mul(a, b)
+    assert exact.mat_mul([[1, 2, 3]], [[1], [0], [2]]) == [[7]]
 
 
 def test_invert_matches_oracle():
@@ -304,3 +315,66 @@ def test_no_dead_imports_or_private_names():
                     and not any(node.name in names for names in uses.values())):
                 unreferenced.append(f"{stem}.{node.name}")
     assert (unused, unreferenced) == ([], [])
+
+
+def perfbench_library_names():
+    """The (module, attribute chain) pairs that the benchmark reads off
+    freealg: each ``lib.<module>.<name>...`` in ``perfbench/workloads.py``,
+    direct or through a local alias such as ``core, lm = lib.core,
+    lib.linmap``, and each name in ``perfbench/tracing.LAYERS``."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    tree = ast.parse((perfbench / "workloads.py").read_text(encoding="utf-8"))
+
+    def module_of(node):  # the module name of a ``lib.<module>`` node, else None
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "lib"):
+            return node.attr
+        return None
+
+    chains = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    for name, value in pairs:
+                        if isinstance(name, ast.Name) and module_of(value):
+                            aliases[name.id] = module_of(value)
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Attribute):
+                continue
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id == "lib" and len(chain) > 1:
+                chains.add((chain[0], tuple(chain[1:])))
+            elif isinstance(base, ast.Name) and base.id in aliases:
+                chains.add((aliases[base.id], tuple(chain)))
+    tracing = ast.parse((perfbench / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return chains | {(module, (name,)) for module, names in layers.items() for name in names}
+
+
+def test_the_benchmark_reads_only_names_the_library_defines():
+    # a name moved or renamed in src that perfbench still reads would make
+    # its ops raise AttributeError or leave a traced layer unwrapped
+    chains = perfbench_library_names()
+    missing = []
+    for module, chain in sorted(chains):
+        value = importlib.import_module(f"freealg.{module}")
+        for attr in chain:
+            value = getattr(value, attr, None)
+        if value is None:
+            missing.append(".".join((module, *chain)))
+    assert missing == []
+    # read through an alias, as a longer chain, and only in LAYERS
+    assert {("linmap", ("left_associator_map",)), ("tensor", ("tensor_mul",)),
+            ("linmap", ("LinearMap", "identity")), ("cli", ("cmd_tables",))} <= chains

@@ -207,6 +207,14 @@ def test_standard_from_coords_quaternion_conjugation(H):
         H, [[Fraction(-1, 2) if a == b else 0 for b in range(4)] for a in range(4)])
 
 
+def test_solution_rank_is_read_off_its_null_space(C, H):
+    for algebra, rank in ((C, 2), (H, 16)):
+        sol = standard_from_coords(LinearMap.identity(algebra))
+        assert sol.rank == rank == algebra.dim ** 2 - len(sol.nullspace)
+        with pytest.raises(AttributeError):
+            sol.rank = rank - 1
+
+
 def test_standard_from_coords_octonion_conjugation(O):
     sol = standard_from_coords(conj_map(O))
     assert sol.is_unique()

@@ -43,6 +43,15 @@ def test_mapmatrix_validation(C, H):
         MapMatrix([[delta_c], [delta_c, delta_c]])
 
 
+def test_mapmatrix_shape_is_read_off_its_grid(C):
+    m = MapMatrix([[LinearMap.identity(C)] * 3] * 2)
+    assert (m.algebra, m.rows, m.cols) == (C, 2, 3)
+    for name, value in (("rows", 3), ("cols", 2), ("algebra", C)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert (m.algebra, m.rows, m.cols) == (C, 2, 3)
+
+
 def test_rc_product_1x1(C):
     rng = random.Random(50)
     f = rnd_cadd_matrix(C, rng, 1)
