@@ -60,7 +60,7 @@ class NotRepresentable(FreeAlgebraError):
 
 class SingularSystem(FreeAlgebraError):
     """Matrix of mappings has no inverse (its flattening is singular).
-    ``witness``, from ``solve_additive``: a checked nonzero x with M x = 0."""
+    ``witness``, from ``solve_additive``: w of [M | -b]'s null vector (w, 0), w != 0, M w = 0."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -268,13 +268,21 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
+def _width(a: Mat) -> int:
+    """The length of a's rows, 0 without rows; ValueError when they differ."""
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError(f"rows have differing lengths: the first has {cols} entries")
+    return cols
+
+
 def rank(a: Mat) -> int:
-    return len(_reduce([primitive(row) for row in a], len(a[0]) if a else 0))
+    return len(_reduce([primitive(row) for row in a], _width(a)))
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Row-reduced echelon form; returns (reduced matrix, pivot columns)."""
-    cols = len(a[0]) if a else 0
+    cols = _width(a)
     rows = [primitive(row) for row in a]
     pivots = _reduce(rows, cols)
     reduced = [as_fractions(row, row[c]) for row, c in zip(rows, pivots)]
@@ -300,12 +308,13 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     """General exact solve of a x = b.
 
     Returns (particular solution with free variables set to 0, nullspace
-    basis, one vector per free column).  Raises ValueError when the
-    system is inconsistent or b's length is not a's row count.
+    basis): one vector per free column, in ascending order, with a 1 there
+    as its last nonzero entry.  Raises ValueError when the system is
+    inconsistent, b's length is not a's row count or a's rows differ in length.
     """
     if len(b) != len(a):
         raise ValueError(f"right side has {len(b)} entries for {len(a)} rows")
-    cols = len(a[0]) if a else 0
+    cols = _width(a)
     rows = [primitive([*row, v]) for row, v in zip(a, b)]
     pivots = _reduce(rows, cols + 1)
     if cols in pivots:
@@ -313,11 +322,8 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     particular = [ZERO] * cols
     for row, c in zip(rows, pivots):
         particular[c] = Fraction(row[cols], row[c])
-    pivot_set = set(pivots)
     basis: list[Vec] = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
+    for fc in sorted(set(range(cols)).difference(pivots)):
         v = [ZERO] * cols
         v[fc] = ONE
         for row, c in zip(rows, pivots):

@@ -292,25 +292,11 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
 
 
 def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:
-    """The n^2 x n^2 matrix whose column (i, j) is vec(e_i (x) e_j acting on f),
-    as (int rows, den) with the matrix = rows / den.
-
-    Column (i, j) of the component matrix B is vec(S), S the map of
-    e_i (x) e_j acting on the identity; acting on f gives S f.  So row
-    (k, m) of the result is sum_p f[p][m] B[(k, p)]: f's transpose times
-    the n rows (k, p) of B, read from its int blocks, for each k.
-    """
-    n = f.target.dim
-    bm = b_matrix(f.target, order)
-    b_rows = {r: dict(zip(cols, values)) for rows, cols, grid in bm.blocks
-              for r, values in zip(rows, grid)}
-    f_nums, f_den = f.ints
-    f_t = list(zip(*exact.blocks(f_nums, f.source.dim)))
-    out = []
-    for k in range(n):
-        band = [[b_rows[k * n + p].get(c, 0) for c in range(n * n)] for p in range(n)]
-        out.extend(exact.int_mat_mul(f_t, band, n * n))
-    return out, f_den * bm.den
+    """The n^2 columns vec(e_i (x) e_j acting on f), (i, j) row by row, as
+    (int columns, den) with each column's entries its ints over den."""
+    algebra = f.target
+    return exact.over_lcm([coords_from_standard(Tensor2.basis_tensor(algebra, i, j), f, order).ints
+                           for i in range(algebra.dim) for j in range(algebra.dim)])
 
 
 def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[Tensor2]:
@@ -319,9 +305,9 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     _check_order(order)
     if g.source is not f.source or g.target is not f.target:
         raise AlgebraMismatch("maps act on different algebras")
-    (grid, den), (g_nums, g_den) = _orbit_columns(f, order), g.ints
+    (columns, den), (g_nums, g_den) = _orbit_columns(f, order), g.ints
     try:
-        particular, _ = exact.solve(grid, [v * den for v in g_nums])
+        particular, _ = exact.solve(list(zip(*columns)), [v * den for v in g_nums])
     except ValueError:
         return None
     return Tensor2(f.target, exact.blocks(particular, f.target.dim)).scaled(Fraction(1, g_den))
@@ -353,7 +339,7 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
         return generators
     rows = []
     while True:
-        rows.extend(zip(*_orbit_columns(g, order)[0]))  # a positive scale keeps the span
+        rows.extend(_orbit_columns(g, order)[0])  # a positive scale keeps the span
         reduced, pivots = exact.rref(rows)
         if len(pivots) == n * n:
             return generators

@@ -187,11 +187,12 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
     With b the right side stacked into one vector, eliminates the
-    flattening with b appended, [M | b], once, never inverting M, then
-    substitutes x back through the maps, so the check does not read the
-    matrix it checks.  A singular M raises SingularSystem; its
-    ``witness`` is M's first null vector, checked the same way, which an
-    inconsistent system takes one more solve, of M x = 0, to find.
+    flattening with -b appended, [M | -b], once, never inverting M.  Its
+    first null vector is (x, 1) when M is nonsingular, and (w, 0) with
+    M w = 0, w != 0, when M is singular, consistent or not.  x is
+    substituted back through the maps, so the check does not read the
+    matrix it checks; a singular M raises SingularSystem with ``witness``
+    w, checked the same way.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
@@ -201,18 +202,14 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
-    flat = flatten(m)
-    b = exact.vec(y.coords for y in rhs)
-    try:
-        x, nullspace = exact.solve(flat, b)
-    except ValueError:  # inconsistent, so M is singular
-        _, nullspace = exact.solve(flat, [exact.ZERO] * len(b))
-    if nullspace:  # w's last nonzero is its free column, the first one exact.invert finds
-        w = nullspace[0]
-        witness = [AlgElement(m.algebra, wi) for wi in exact.blocks(w, n)]
-        if not any(w) or not all(v.is_zero() for v in _left_sides(m, witness)):
+    flat = [[*row, -v] for row, v in zip(flatten(m), exact.vec(y.coords for y in rhs))]
+    _, (kernel, *_) = exact.solve(flat, [exact.ZERO] * len(flat))
+    *x, last = kernel  # (x, 1), or (w, 0) for a singular M
+    if not last:  # w's last nonzero is its free column, the one exact.invert names
+        witness = [AlgElement(m.algebra, wi) for wi in exact.blocks(x, n)]
+        if not any(x) or not all(v.is_zero() for v in _left_sides(m, witness)):
             raise SubstitutionCheckFailed("singular-system witness fails M w = 0")
-        free = max(c for c, v in enumerate(w) if v)
+        free = max(c for c, v in enumerate(x) if v)
         raise SingularSystem(
             f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
             witness)

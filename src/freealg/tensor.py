@@ -160,16 +160,16 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:
-    """The tensor u with t o u = u o t = unit tensor, found by solving
-    t o u = unit for a right inverse and then checking it from the left.
-    ``t`` is nonsingular exactly when this succeeds."""
+    """The tensor u with t o u = u o t = unit tensor: solving t o u = unit
+    with t's left shift in A (x) A^op gives a right inverse, then checked
+    from the left.  ``t`` is nonsingular exactly when this succeeds."""
+    from .linmap import left_shift  # linmap imports this module
     algebra = t.algebra
     unit = Tensor2.unit(algebra)
-    x = _twisted_element(t)
-    # column c is t o e_c: the left-multiplication matrix of t in A (x) A^op, over den
-    columns, den = exact.over_lcm([multiply(x, e).ints for e in x.algebra.basis()])
+    shift, den = left_shift(_twisted_element(t)).ints
     try:
-        particular, _ = exact.solve(list(zip(*columns)), [v * den for v in unit.ints[0]])
+        particular, _ = exact.solve(exact.blocks(shift, algebra.dim ** 2),
+                                    [v * den for v in unit.ints[0]])
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
     u = Tensor2(algebra, exact.blocks(particular, algebra.dim))

@@ -32,44 +32,9 @@ from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Tensor2,
                      complex_algebra, compose, coords_from_standard, exact, octonion_algebra,
                      orbit_contains, quaternion_algebra, representation_basis,
                      standard_from_coords, tensor_inverse, tensor_product, twisted_mul)
-from test_kernel_properties import algebras, grids, reference_b
+from test_kernel_properties import algebras, grids, reference_b, reference_solve
 
 ZERO = Fraction(0)
-
-
-def reference_solve(a, b):
-    """(rank, particular, null space) of a x = b by plain Fraction
-    Gauss-Jordan, or None when the system is inconsistent.  Free
-    variables are 0 in the particular solution; the null space has one
-    vector per free column, in column order, with 1 at that column."""
-    cols = len(a[0])
-    rows = [[*row, v] for row, v in zip(a, b)]
-    pivots = []
-    for c in range(cols + 1):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    if cols in pivots:
-        return None
-    particular = [ZERO] * cols
-    for row, c in zip(rows, pivots):
-        particular[c] = row[cols]
-    nullspace = []
-    for free in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[free] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            v[c] = -row[free]
-        nullspace.append(v)
-    return len(pivots), particular, nullspace
 
 
 def check_against_oracle(algebra, grid, order):

@@ -163,6 +163,18 @@ def test_mat_mul_refuses_shapes_it_cannot_multiply():
     assert exact.mat_mul([[1, 2, 3]], [[1], [0], [2]]) == [[7]]
 
 
+def test_elimination_refuses_ragged_rows():
+    # rref([[1], [3, 4]]) read rank 1 off a rank-2 matrix, and the ragged
+    # [[1, 2], [3]] raised IndexError
+    def solve(a):
+        return exact.solve(a, [1, 1])
+
+    for call, a in ((exact.rref, [[1], [3, 4]]), (exact.rank, [[1, 2], [3]]),
+                    (exact.rref, [[1, 2], [3]]), (solve, [[1, 2], [3]])):
+        with pytest.raises(ValueError, match="^rows have differing lengths"):
+            call(a)
+
+
 def test_invert_matches_oracle():
     rng = random.Random(4)
     singular = 0

@@ -13,6 +13,14 @@ sum_{i,j} c_{ij}^k x^i y^j.  The coefficient of f^{ij} in coordinate
     left,  x -> sum f^{ij} (e_i x) e_j:   sum_p c_{im}^p c_{pj}^k
     right, x -> sum f^{ij} e_i (x e_j):   sum_p c_{mj}^p c_{ip}^k
 
+The tensor action on a map f is S f, vec(S) the reference B times
+vec(t), and orbit membership must find a tensor for each such image.  The
+twisted product comes from its definition (a (x) b) o (c (x) d) =
+(ac) (x) (db) as the matrix of u -> t o u, ``left_action``, and a tensor
+inverse is checked by a plain Gauss-Jordan solve with it,
+``reference_solve``, and the twisted product both ways.  The other test
+modules share these references.
+
 Elements, maps and tensors hold an integer form: int numerators over
 one positive denominator, primitive, the zero vector over 1.  A value
 built from Fractions and the same value built by int operations must
@@ -23,19 +31,22 @@ The runs use the derandomized profile of ``conftest.py``.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd, lcm
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from freealg import (LinearMap, NotRepresentable, Tensor2, apply, b_matrix, complex_algebra,
-                     compose, coords_from_standard, multiply, octonion_algebra,
-                     quaternion_algebra, tensor_product, twisted_mul,
-                     standard_from_coords)
+from freealg import (LinearMap, NotRepresentable, SingularTensor, Tensor2, apply, b_matrix,
+                     complex_algebra, compose, coords_from_standard, multiply, octonion_algebra,
+                     orbit_contains, quaternion_algebra, tensor_inverse, tensor_product,
+                     twisted_mul, standard_from_coords)
 from freealg.core import FreeAlgebra
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 BIG = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40))
 VALUES = st.one_of(SMALL, BIG)
+ZERO = Fraction(0)
 NONZERO = st.builds(Fraction, st.integers(1, 2**40) | st.integers(-2**40, -1),
                     st.integers(1, 2**40))
 H = quaternion_algebra()
@@ -65,6 +76,13 @@ def grids(n):
     return st.lists(st.lists(VALUES, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def sparse_grids(n):
+    """n x n grids with SMALL values in at most n cells and 0 elsewhere."""
+    cells = st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), SMALL,
+                            max_size=n)
+    return cells.map(lambda d: [[d.get((r, k), ZERO) for k in range(n)] for r in range(n)])
+
+
 def table(algebra):
     """c[i][j][k] as a dense grid of Fractions."""
     n = algebra.dim
@@ -88,6 +106,62 @@ def reference_b(algebra, order):
                         value = sum(c[m][j][p] * c[i][p][k] for p in range(n))
                     out[k * n + m][i * n + j] = value
     return out
+
+
+def reference_solve(a, b):
+    """(rank, particular, null space) of a x = b by plain Fraction
+    Gauss-Jordan, or None when the system is inconsistent.  Free
+    variables are 0 in the particular solution; the null space has one
+    vector per free column, in column order, with 1 at that column."""
+    cols = len(a[0])
+    rows = [[*row, v] for row, v in zip(a, b)]
+    pivots = []
+    for c in range(cols + 1):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if cols in pivots:
+        return None
+    particular = [ZERO] * cols
+    for row, c in zip(rows, pivots):
+        particular[c] = row[cols]
+    nullspace = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free]
+        nullspace.append(v)
+    return len(pivots), particular, nullspace
+
+
+def left_action(c, t):
+    """The matrix of u -> t o u on standard components, from the definition
+    (a (x) b) o (c (x) d) = (ac) (x) (db): entry ((p, q), (k, l)) is
+    sum_{i,j} t^{ij} c_{ik}^p c_{lj}^q, c the grid of structure constants."""
+    n = len(c)
+    nonzero = [[[(p, v) for p, v in enumerate(c[i][k]) if v] for k in range(n)] for i in range(n)]
+    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i, j, k, l in product(range(n), repeat=4):
+        if t[i][j]:
+            for p, v in nonzero[i][k]:
+                for q, w in nonzero[l][j]:
+                    out[p * n + q][k * n + l] += t[i][j] * v * w
+    return out
+
+
+def twisted(c, s, t):
+    n = len(c)
+    flat = [sum(x * y for x, y in zip(row, sum(t, []))) for row in left_action(c, s)]
+    return [flat[r * n:r * n + n] for r in range(n)]
 
 
 @given(algebras(), st.sampled_from(["left", "right"]))
@@ -129,6 +203,63 @@ def test_standard_components_round_trip(data, order, image):
     zero = LinearMap.zero(algebra)
     for t in solution.nullspace:
         assert coords_from_standard(t, identity, order) == zero
+
+
+def reference_action(b, t, f):
+    """The grid of t acting on the map f: S f, where vec(S) is the
+    reference B, ``b``, times vec(t)."""
+    n = len(f)
+    s = [sum(x * y for x, y in zip(row, (v for r in t for v in r))) for row in b]
+    return [[sum(s[k * n + p] * f[p][m] for p in range(n)) for m in range(n)] for k in range(n)]
+
+
+@cache
+def builtin_b(name, order):
+    return reference_b(BUILTINS[name], order)
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_orbit_membership_finds_a_tensor_for_each_image(data, name):
+    # g = t acting on f lies in f's orbit, so orbit_contains must give a
+    # tensor, not necessarily t, whose action on f is g.  O's 64 x 64
+    # solves take sparse grids of small values: 40-bit ones take minutes.
+    algebra = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n = algebra.dim
+    t, f = (data.draw(sparse_grids(n) if name == "O" else grids(n)) for _ in range(2))
+    for order in ("left", "right"):
+        b = reference_b(algebra, order) if name == "random" else builtin_b(name, order)
+        g = reference_action(b, t, f)
+        found = orbit_contains(LinearMap(algebra, algebra, g), LinearMap(algebra, algebra, f),
+                               order)
+        assert found is not None
+        assert reference_action(b, found.components, f) == g
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_tensor_inverse_is_two_sided_or_refused(data, name):
+    # with the left action of t of full rank, t o u = unit has one solution u:
+    # tensor_inverse returns it when u o t = unit too, and is refused as
+    # one-sided otherwise.  Short of full rank, t o u = unit may still be
+    # solvable in an algebra that is not associative; a refusal is one-sided
+    # exactly when it is, and an answer is still two-sided.  Sparse tensors
+    # reach those cases, and keep the reference solve of O's 64 x 64 short.
+    algebra = data.draw(algebras(unital=True)) if name == "random" else BUILTINS[name]
+    n, c, e = algebra.dim, table(algebra), algebra.unit_index
+    t = data.draw(sparse_grids(n) if name == "O" else grids(n) | sparse_grids(n))
+    unit = [[Fraction(int(r == k == e)) for k in range(n)] for r in range(n)]
+    solved = reference_solve(left_action(c, t), [v for row in unit for v in row])
+    u = solved and [solved[1][r * n:r * n + n] for r in range(n)]
+    try:
+        inverse = [list(row) for row in tensor_inverse(Tensor2(algebra, t)).components]
+    except SingularTensor as err:
+        assert err.one_sided == bool(u)
+        assert not u or twisted(c, u, t) != unit
+        return
+    assert twisted(c, t, inverse) == twisted(c, inverse, t) == unit
+    if solved[0] == n * n:
+        assert inverse == u
 
 
 def reference_int_form(values):

@@ -7,7 +7,9 @@
 - A ``solve_additive`` round trip: the right side is computed here from
   the entries' coordinates, and the solver must give back x, or raise
   SingularSystem exactly when the system's rank, found here by plain
-  Fraction elimination, is short.
+  Fraction elimination, is short.  A second, arbitrary right side must
+  be solved too, or refused on a singular system; each refusal's
+  witness w is nonzero with M w = 0 by the flattening, multiplied here.
 
 Each runs on the octonions and on random algebras of dimension 1 to 5
 drawn with the strategy of ``test_kernel_properties.py``; the solver
@@ -74,6 +76,8 @@ def test_solve_additive_round_trip(data, size):
     grid = st.lists(st.lists(COEFFICIENTS, min_size=n, max_size=n), min_size=n, max_size=n)
     coords = [[data.draw(grid) for _ in range(size)] for _ in range(size)]
     x = [data.draw(elements(algebra, COEFFICIENTS)) for _ in range(size)]
+    # a second, arbitrary right side: inconsistent when M is singular, mostly
+    other = [data.draw(elements(algebra, COEFFICIENTS)) for _ in range(size)]
     rhs = [algebra.element([sum((coords[i][j][p][q] * x[j].coords[q]
                                  for j in range(size) for q in range(n)), ZERO)
                             for p in range(n)])
@@ -82,8 +86,17 @@ def test_solve_additive_round_trip(data, size):
             for i in range(size) for p in range(n)]
     m = MapMatrix([[LinearMap(algebra, algebra, coords[i][j]) for j in range(size)]
                    for i in range(size)])
+
+    def times_flat(v):
+        return [sum((a * b for a, b in zip(row, v)), ZERO) for row in flat]
+
     if reference_rank(flat) < size * n:
-        with pytest.raises(SingularSystem):
-            solve_additive(m, rhs)
+        for b in (rhs, other):
+            with pytest.raises(SingularSystem) as err:
+                solve_additive(m, b)
+            w = [v for wj in err.value.witness for v in wj.coords]
+            assert any(w) and times_flat(w) == [ZERO] * (size * n)
     else:
         assert solve_additive(m, rhs) == x
+        assert times_flat([v for y in solve_additive(m, other) for v in y.coords]) == \
+            [v for y in other for v in y.coords]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      compose, cr_product, exact, flatten, inverse_map_matrix,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, solve_additive)
-from test_component_blocks import reference_solve
+from freealg.cli import load_system
+import test_golden_cli
+from test_kernel_properties import reference_solve
 
 
 def cadd(C, a0, a1, b0, b1):
@@ -316,8 +319,10 @@ def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
     l3 = left_shift(C.element([3, 0]))
     zero = LinearMap.zero(C)
     m = MapMatrix([[LinearMap.identity(C), zero], [zero, l3]])
-    # a wrong solution, x = b, that still satisfies equation 0
-    monkeypatch.setattr(solver_mod.exact, "solve", lambda a, b: (list(b), []))
+    # a wrong solution, x = b, that still satisfies equation 0: the kernel of
+    # [M | -b] given as (b, 1)
+    monkeypatch.setattr(solver_mod.exact, "solve",
+                        lambda a, zero: (zero, [[-row[-1] for row in a] + [1]]))
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
@@ -400,6 +405,34 @@ def test_singular_system_carries_a_checked_witness(name, consistent, request):
         with pytest.raises(SingularSystem) as inverted:
             inverse_map_matrix(m)
         assert str(info.value) == str(inverted.value) and inverted.value.witness is None
+
+
+@pytest.mark.parametrize("name", ["SYSTEM", "SINGULAR_CONSISTENT_SYSTEM", "SINGULAR_SYSTEM"])
+def test_solve_additive_eliminates_once(name, tmp_path, monkeypatch):
+    # the README system and the consistent and inconsistent singular golden
+    # systems each take one elimination; a singular one's witness w is
+    # nonzero with M w = 0 by the flattening
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(getattr(test_golden_cli, name)), encoding="utf-8")
+    _, m, rhs = load_system(str(path))
+    calls = []
+    solve = exact.solve
+
+    def counted(a, b):
+        calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(exact, "solve", counted)
+    try:
+        solve_additive(m, rhs)
+    except SingularSystem as err:
+        w = exact.vec(x.coords for x in err.witness)
+        assert name != "SYSTEM" and any(w)
+        assert [sum((a * v for a, v in zip(row, w)), Fraction(0)) for row in flatten(m)] == \
+            [0] * len(w)
+    else:
+        assert name == "SYSTEM"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])

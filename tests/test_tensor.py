@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +9,8 @@ from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap
                      random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
-from test_component_blocks import reference_solve
-from test_kernel_properties import BIG, algebras, grids, table
+from test_kernel_properties import (BIG, algebras, grids, left_action, reference_solve, table,
+                                    twisted)
 
 
 def rnd_tensor(algebra, rng, bound=5):
@@ -198,27 +197,6 @@ def test_tensor_inverse_one_sided_is_distinct(O):
     with pytest.raises(SingularTensor) as err:
         tensor_inverse(Tensor2(O, [[0] * 8] * 8))
     assert not err.value.one_sided
-
-
-def left_action(c, t):
-    """The matrix of u -> t o u on standard components, from the definition
-    (a (x) b) o (c (x) d) = (ac) (x) (db): entry ((p, q), (k, l)) is
-    sum_{i,j} t^{ij} c_{ik}^p c_{lj}^q, c the grid of structure constants."""
-    n = len(c)
-    nonzero = [[[(p, v) for p, v in enumerate(c[i][k]) if v] for k in range(n)] for i in range(n)]
-    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i, j, k, l in product(range(n), repeat=4):
-        if t[i][j]:
-            for p, v in nonzero[i][k]:
-                for q, w in nonzero[l][j]:
-                    out[p * n + q][k * n + l] += t[i][j] * v * w
-    return out
-
-
-def twisted(c, s, t):
-    n = len(c)
-    flat = [sum(x * y for x, y in zip(row, sum(t, []))) for row in left_action(c, s)]
-    return [flat[r * n:r * n + n] for r in range(n)]
 
 
 def check_inverse(algebra, comps):
