@@ -4,7 +4,7 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, rref, invert, solve) runs through one driver,
+All elimination (rank, rref, invert_ints, solve) runs through one driver,
 ``_reduce``, a fraction-free Gauss-Jordan over Python ints.  A row enters
 scaled by the lcm of its denominators, which keeps its row space and the
 reduced row echelon form; each row step cross-multiplies by the pivot and
@@ -289,10 +289,10 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return reduced + zeros(len(rows) - len(pivots), cols), pivots
 
 
-def invert(a: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan; raises ValueError for a non-square
-    matrix, and naming the first pivot column that could not be produced
-    when singular."""
+def invert_ints(a) -> tuple[list[int], int]:
+    """The inverse of the square matrix a, of ints or Fractions, as (ints, den):
+    its entries row by row as ints over den, the lcm of the reduced pivots,
+    which is canonical.  Raises as ``invert`` does."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
@@ -301,7 +301,17 @@ def invert(a: Mat) -> Mat:
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
         raise ValueError(f"matrix is singular: no pivot in column {missing}")
-    return [as_fractions(row[n:], row[i]) for i, row in enumerate(rows)]
+    den = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [x * (den // row[i]) for i, row in enumerate(rows) for x in row[n:]], den
+
+
+def invert(a: Mat) -> Mat:
+    """Exact inverse by Gauss-Jordan, the Fractions of ``invert_ints``; raises
+    ValueError for a non-square matrix, and naming the first pivot column that
+    could not be produced when singular."""
+    ints, den = invert_ints(a)
+    n = len(a)
+    return [as_fractions(ints[i * n:i * n + n], den) for i in range(n)]
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

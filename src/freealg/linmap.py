@@ -241,6 +241,8 @@ def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> Linea
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
     for rows, cols, grid in bm.blocks:
+        if not any(tvec[c] for c in cols):  # the block's rows stay 0
+            continue
         for r, values in zip(rows, grid):
             gvec[r] = sum(v * tvec[c] for c, v in zip(cols, values))
     return compose(LinearMap._of((f.target, f.target), exact.canonical(gvec, bm.den * t_den)), f)

@@ -14,9 +14,18 @@ which is the one making tensors act on linear maps by sandwiching.
 That is the componentwise product in A (x) A^op, whose flat coordinates
 are a Tensor2's components read row by row.  A Tensor2 holds them in the
 int form of ``exact.IntForm``, so that is also the form of its element
-there, and twisted_mul and tensor_inverse compute there on ints alone;
+there, and twisted_mul and tensor_inverse compute on ints alone;
 ``components`` is built on first read.  A (x) A^op is built on first use
 and cached on A.
+
+Sandwiching, t -> (x -> sum t^{ij} e_i x e_j), takes the twisted product
+to composition when A is associative, as (ac) x (db) = a (c x d) b; if
+the component matrix of A has full rank too, it is an isomorphism from
+A (x) A^op onto End(A).  There tensor_inverse inverts t's n x n map and
+converts the inverse back to standard components.  Elsewhere (the
+octonions, the complex numbers, the dual numbers) it solves with t's
+n^2 x n^2 left shift in A (x) A^op, and a right inverse can fail from
+the left.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ from math import prod
 from typing import Sequence
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, multiply, opposite
-from .errors import AlgebraMismatch, EmptyFactorList, InvalidAlgebra, NoUnit, SingularTensor
+from .core import AlgElement, FreeAlgebra, is_associative, multiply, opposite
+from .errors import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, NoUnit, SingularTensor,
+                     SubstitutionCheckFailed)
 from .exact import IntForm, frac
 
 
@@ -159,20 +169,49 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     return Tensor2._of((s.algebra,), multiply(_twisted_element(s), _twisted_element(t)).ints)
 
 
+def _sandwich_is_isomorphism(algebra: FreeAlgebra) -> bool:
+    """Whether sandwiching maps A (x) A^op isomorphically onto End(A): A is
+    associative, so that it takes the twisted product to composition, and
+    its component matrix has full rank.  Cached on A."""
+    from .linmap import b_matrix  # linmap imports this module
+    bm = b_matrix(algebra)  # built first: ``cached`` is not reentrant
+    return algebra.cached("sandwich_is_isomorphism",
+                          lambda: is_associative(algebra) and bm.rank() == algebra.dim ** 2)
+
+
 def tensor_inverse(t: Tensor2) -> Tensor2:
-    """The tensor u with t o u = u o t = unit tensor: solving t o u = unit
-    with t's left shift in A (x) A^op gives a right inverse, then checked
-    from the left.  ``t`` is nonsingular exactly when this succeeds."""
-    from .linmap import left_shift  # linmap imports this module
+    """The tensor u with t o u = u o t = unit tensor.
+
+    Where sandwiching is an isomorphism (``_sandwich_is_isomorphism``),
+    t's map x -> sum t^{ij} e_i x e_j is inverted as an n x n matrix and
+    carried back to standard components; t is singular exactly when that
+    map is, and u is checked from both sides, a failure being a fault of
+    the library.  Elsewhere solving t o u = unit with t's left shift in
+    A (x) A^op gives a right inverse, then checked from the left.
+    """
+    from .linmap import LinearMap, coords_from_standard, left_shift, standard_from_coords
     algebra = t.algebra
+    n = algebra.dim
     unit = Tensor2.unit(algebra)
+    if _sandwich_is_isomorphism(algebra):
+        phi, phi_den = coords_from_standard(t, LinearMap.identity(algebra)).ints
+        try:
+            inverse, den = exact.invert_ints(exact.blocks(phi, n))
+        except ValueError:
+            raise SingularTensor("tensor has no inverse: its map is singular") from None
+        # the inverse of phi / phi_den is phi_den phi^-1
+        g = LinearMap._of((algebra, algebra), exact.canonical([x * phi_den for x in inverse], den))
+        u = standard_from_coords(g).particular
+        if twisted_mul(u, t) != unit or twisted_mul(t, u) != unit:
+            raise SubstitutionCheckFailed("tensor inverse through the maps fails a twisted product")
+        return u
     shift, den = left_shift(_twisted_element(t)).ints
     try:
-        particular, _ = exact.solve(exact.blocks(shift, algebra.dim ** 2),
+        particular, _ = exact.solve(exact.blocks(shift, n * n),
                                     [v * den for v in unit.ints[0]])
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
-    u = Tensor2(algebra, exact.blocks(particular, algebra.dim))
+    u = Tensor2(algebra, exact.blocks(particular, n))
     if twisted_mul(u, t) != unit:
         raise SingularTensor(
             "right inverse exists but is not a left inverse", one_sided=True)

@@ -12,6 +12,7 @@ import importlib
 import random
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,39 @@ def test_invert_matches_oracle():
                                match=f"^matrix is singular: no pivot in column {missing}$"):
                 exact.invert(m)
     assert singular > 5
+
+
+def test_invert_is_the_fraction_view_of_its_int_core():
+    # on int and Fraction matrices: invert_ints gives the oracle's inverse as
+    # canonical ints over one denominator, and invert is exactly its Fractions
+    rng = random.Random(19)
+    singular = 0
+    for k in range(40):
+        n = rng.randint(1, 8)
+        m = random_matrix(rng, n, n, n if k % 3 else rng.randint(0, n), big=k % 4 == 1)
+        if k % 2:  # each row over its lcm of denominators: ints of the same rank
+            m = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        reduced, pivots = oracle_rref([list(row) + e for row, e in zip(m, ident)], n)
+        missing = next((c for c in range(n) if c not in pivots), None)
+        if missing is None:
+            ints, den = exact.invert_ints(m)
+            assert all(type(x) is int for x in ints) and type(den) is int
+            assert exact.canonical(ints, den) == (tuple(ints), den)
+            view = [[Fraction(x, den) for x in ints[i * n:i * n + n]] for i in range(n)]
+            assert view == [row[n:] for row in reduced] == exact.invert(m)
+        else:
+            singular += 1
+            for call in (exact.invert_ints, exact.invert):
+                with pytest.raises(ValueError,
+                                   match=f"^matrix is singular: no pivot in column {missing}$"):
+                    call(m)
+    assert singular > 3
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]]):
+        message = f"^cannot invert a non-square matrix with {len(a)} rows$"
+        with pytest.raises(ValueError, match=message):
+            exact.invert_ints(a)
+    assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
 
 
 def test_int_grids_stay_off_as_ints_in_elimination(monkeypatch):

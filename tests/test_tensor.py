@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap,
-                     SingularTensor, Tensor2, is_associative, multiply, quaternion_algebra,
-                     random_element, standard_from_coords, TensorAlgebra,
+from freealg import (AlgebraMismatch, EmptyFactorList, FreeAlgebra, InvalidAlgebra, LinearMap,
+                     QuaternionParams, SingularTensor, SubstitutionCheckFailed, Tensor2,
+                     inverse_element, is_associative, linmap, multiply, norm_sq,
+                     quaternion_algebra, random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
 from test_kernel_properties import (BIG, algebras, grids, left_action, reference_solve, table,
@@ -149,7 +150,6 @@ def test_tensor_inverse(H):
 
 
 def test_tensor_inverse_pure_random(H):
-    from freealg import inverse_element, norm_sq
     rng = random.Random(24)
     one = Tensor2.unit(H)
     for _ in range(10):
@@ -197,6 +197,78 @@ def test_tensor_inverse_one_sided_is_distinct(O):
     with pytest.raises(SingularTensor) as err:
         tensor_inverse(Tensor2(O, [[0] * 8] * 8))
     assert not err.value.one_sided
+
+
+def invertible_quaternions(H, rng, count):
+    found = []
+    while len(found) < count:
+        a = random_element(H, rng)
+        if norm_sq(a) != 0:
+            found.append(a)
+    return found
+
+
+def test_tensor_inverse_of_pure_tensors_over_hh_is_the_closed_form(H):
+    # (a (x) b)^-1 = a^-1 (x) b^-1, with a = p (x) q and a^-1 = p^-1 (x) q^-1
+    # in H (x) H: a 256-component tensor, out of reach of the n^4 solve
+    HH = tensor_product([H, H])
+    p, q, r, s = invertible_quaternions(H, random.Random(19), 4)
+    a, b = HH.pure([p, q]), HH.pure([r, s])
+    a_inv = HH.pure([inverse_element(p), inverse_element(q)])
+    b_inv = HH.pure([inverse_element(r), inverse_element(s)])
+    assert tensor_inverse(Tensor2.pure(a, b)) == Tensor2.pure(a_inv, b_inv)
+
+
+class LeftShiftCalled(Exception):
+    pass
+
+
+def refuse_left_shift(monkeypatch):
+    def refuse(a):
+        raise LeftShiftCalled
+    monkeypatch.setattr(linmap, "left_shift", refuse)
+
+
+def dual_numbers():
+    return FreeAlgebra(2, ["1", "e"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], unit_index=0)
+
+
+def test_tensor_inverse_needs_no_left_shift_where_sandwiching_is_onto(C, H, O, monkeypatch):
+    # associative with a component matrix of full rank: H, the split
+    # quaternions, E(1/2, -3) and H (x) H invert without a left shift;
+    # O (not associative), C and the dual numbers (B not of full rank) need one
+    def tensor(algebra):  # 2 + (x -> e x e), where (x -> e x e)^2 is x or 0
+        e = algebra.basis_element(1)
+        return Tensor2.unit(algebra).scaled(2) + Tensor2.pure(e, e)
+
+    isomorphic = [H, quaternion_algebra(QuaternionParams(1, 1)),
+                  quaternion_algebra(QuaternionParams(Fraction(1, 2), -3)), tensor_product([H, H])]
+    with monkeypatch.context() as patched:
+        refuse_left_shift(patched)
+        for algebra in isomorphic:
+            t, unit = tensor(algebra), Tensor2.unit(algebra)
+            u = tensor_inverse(t)
+            assert twisted_mul(u, t) == unit == twisted_mul(t, u)
+        for algebra in (O, C, dual_numbers()):
+            with pytest.raises(LeftShiftCalled):
+                tensor_inverse(tensor(algebra))
+        # 1 (x) 1 + i (x) i sends 1 to 1 + i i = 0: singular, and not one-sided
+        with pytest.raises(SingularTensor) as err:
+            tensor_inverse(Tensor2(H, [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]))
+        assert not err.value.one_sided
+
+
+def test_a_wrong_inverse_through_the_maps_is_a_library_fault(H, monkeypatch):
+    convert = linmap.standard_from_coords
+
+    def doubled(g, order="left"):
+        solution = convert(g, order)
+        return linmap.StandardSolution(solution.particular.scaled(2), solution.nullspace)
+
+    monkeypatch.setattr(linmap, "standard_from_coords", doubled)
+    i = H.basis_element(1)
+    with pytest.raises(SubstitutionCheckFailed):
+        tensor_inverse(Tensor2.unit(H) + Tensor2.pure(i, i).scaled(3))
 
 
 def check_inverse(algebra, comps):
