@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (AlgebraMismatch, EmptyFactorList, FreeAlgebra, InvalidAlgebra, LinearMap,
+from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap,
                      QuaternionParams, SingularTensor, SubstitutionCheckFailed, Tensor2,
                      inverse_element, is_associative, linmap, multiply, norm_sq,
                      quaternion_algebra, random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
+from test_component_blocks import dual_numbers
 from test_kernel_properties import (BIG, algebras, grids, left_action, reference_solve, table,
                                     twisted)
 
@@ -227,10 +228,6 @@ def refuse_left_shift(monkeypatch):
     def refuse(a):
         raise LeftShiftCalled
     monkeypatch.setattr(linmap, "left_shift", refuse)
-
-
-def dual_numbers():
-    return FreeAlgebra(2, ["1", "e"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], unit_index=0)
 
 
 def test_tensor_inverse_needs_no_left_shift_where_sandwiching_is_onto(C, H, O, monkeypatch):
