@@ -4,7 +4,7 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, rref, invert_ints, solve) runs through one driver,
+All elimination (rank, rref, invert_ints, solve) runs through one loop,
 ``_reduce``, a fraction-free Gauss-Jordan over Python ints.  A row enters
 scaled by the lcm of its denominators, which keeps its row space and the
 reduced row echelon form; each row step cross-multiplies by the pivot and
