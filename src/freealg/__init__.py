@@ -20,15 +20,15 @@ from .errors import (AlgebraMismatch, DegenerateParams, EmptyFactorList,
                      NotPureVector, NotRepresentable, ShapeMismatch,
                      SingularMap, SingularSystem, SingularTensor,
                      SubstitutionCheckFailed, UnsupportedAlgebra, ZeroNorm)
-from .linmap import (BMatrix, LinearMap, StandardSolution, apply, b_matrix,
-                     compose, coords_from_standard, left_shift,
+from .linmap import (BMatrix, LinearMap, StandardSolution, Tensor2, apply,
+                     b_matrix, compose, coords_from_standard, left_shift,
                      orbit_contains, representation_basis, right_shift,
                      sandwich, standard_from_coords)
 from .solver import (ComplexAdditiveMap, MapMatrix, cadd_inverse,
                      cadd_product, cr_product, flatten, inverse_map_matrix,
                      quasideterminant, rc_product, solve_additive)
-from .tensor import (Tensor2, TensorAlgebra, tensor_inverse, tensor_mul,
-                     tensor_product, twisted_mul)
+from .tensor import (TensorAlgebra, tensor_inverse, tensor_mul, tensor_product,
+                     twisted_mul)
 
 __version__ = "0.1.0"
 

@@ -262,7 +262,9 @@ def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
     # a term starts at each sign that follows neither a sign nor * or /
     for term in re.split(r"(?<=[^-+*/])(?=[+-])", compact):
         body = term.lstrip("+-")
-        sign = (-1) ** term[:len(term) - len(body)].count("-")
+        if len(term) - len(body) > 1:
+            raise InvalidAlgebra(f"complex entry term has more than one sign, got {_shown(text)}")
+        sign = -1 if term[0] == "-" else 1
         if body == "I":
             conj_part += sign
         elif body.endswith("*I"):
@@ -305,17 +307,10 @@ def _relation_str(rel: dict) -> str:
     return " ".join(f"{rel[key]}@{key[0]}{key[1]}" for key in sorted(rel))
 
 
-def _row_relations(parts, n: int, scale) -> dict:
-    """Row (k, m) -> {(i, j): nonzero entry} of scale times an n^2 x n^2 matrix of blocks."""
-    return {divmod(r, n): {divmod(c, n): v * scale for c, v in zip(cols, values) if v}
-            for rows, cols, grid in parts for r, values in zip(rows, grid)}
-
-
 def _sign_matrix(bm) -> list[list[Fraction]]:
-    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, from B's blocks."""
-    n = bm.algebra.dim
-    relations = _row_relations(bm.blocks, n, 1)  # B's ints: only F's n^2 become Fractions
-    return [[Fraction(relations[k, k].get((i, i), 0), bm.den) for i in range(n)] for k in range(n)]
+    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, read off B's relations."""
+    n, relations = bm.algebra.dim, bm.relations()
+    return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
 def _verify_conversion_tables() -> VerificationReport:
@@ -334,13 +329,11 @@ def _verify_conversion_tables() -> VerificationReport:
          conj_component) in cases:
         n = algebra.dim
         bm = b_matrix(algebra)
-        coords = _row_relations(bm.blocks, n, Fraction(1, bm.den))
+        coords = bm.relations()
         for (k, m) in sorted(coord_rel):
             report.add(f"{name}.coord.f{k}_{m}",
                        _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)]))
-        # block (rows, cols) of B, an int grid over den, inverts to (cols, rows)
-        standard = _row_relations([(cols, rows, exact.invert(grid))
-                                   for rows, cols, grid in bm.blocks], n, bm.den)
+        standard = bm.inverse_relations()
         for (i, j) in sorted(std_rel):
             report.add(f"{name}.standard.f{i}{j}",
                        _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)]))
@@ -475,8 +468,7 @@ def cmd_tables(args) -> int:
     n = algebra.dim
     lines = []
     if args.which == "complex":
-        bm = b_matrix(algebra)
-        coords = _row_relations(bm.blocks, n, Fraction(1, bm.den))
+        coords = b_matrix(algebra).relations()
         if not args.machine:
             lines.append("coordinates of z -> sum f^{ij} e_i z e_j over the "
                          "complex field:")

@@ -42,8 +42,8 @@ class FreeAlgebra:
     :mod:`freealg.algebras`); user-defined algebras leave them None.
 
     ``_cache`` holds what :meth:`cached` builds from the algebra alone,
-    such as its component matrices and A (x) A^op; it lives and dies
-    with the algebra.
+    such as its component matrices, A (x) A^op and whether it is
+    associative; it lives and dies with the algebra.
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator", "_table",
@@ -247,7 +247,12 @@ def is_commutative(algebra: FreeAlgebra) -> bool:
 
 def is_associative(algebra: FreeAlgebra) -> bool:
     """True iff the two triple contractions of the constants agree,
-    i.e. (e_i e_j) e_k = e_i (e_j e_k) for all basis triples."""
+    i.e. (e_i e_j) e_k = e_i (e_j e_k) for all basis triples.  A fact of
+    the immutable table, so it is cached on the algebra."""
+    return algebra.cached("associative", lambda: _associative(algebra))
+
+
+def _associative(algebra: FreeAlgebra) -> bool:
     n = algebra.dim
     t = algebra._table
     for i in range(n):
@@ -273,24 +278,14 @@ def in_nucleus(a: AlgElement) -> bool:
     Trilinearity of the associator reduces the quantifier over the whole
     algebra to basis vectors.
     """
-    algebra = a.algebra
-    basis = algebra.basis()
-    for b in basis:
-        for c in basis:
-            if not associator(a, b, c).is_zero():
-                return False
-            if not associator(b, a, c).is_zero():
-                return False
-            if not associator(b, c, a).is_zero():
-                return False
-    return True
+    basis = a.algebra.basis()
+    return all(associator(*triple).is_zero() for b in basis for c in basis
+               for triple in ((a, b, c), (b, a, c), (b, c, a)))
 
 
 def in_center(a: AlgElement) -> bool:
     """True iff ``a`` is in the nucleus and commutes with every basis vector."""
-    if not in_nucleus(a):
-        return False
-    return all(commutator(a, e).is_zero() for e in a.algebra.basis())
+    return in_nucleus(a) and all(commutator(a, e).is_zero() for e in a.algebra.basis())
 
 
 def random_element(algebra: FreeAlgebra, rng, bound: int = 9) -> AlgElement:

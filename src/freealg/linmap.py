@@ -20,6 +20,9 @@ e_j e_i read for e_i . e_j, builds both.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
+
+Tensor2, the standard components, lives here with the conversions that
+build and read it; imports run one way, exact <- core <- linmap <- tensor.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from typing import Optional
 
 from . import exact
 from .core import AlgElement, FreeAlgebra, associator, multiply
-from .errors import AlgebraMismatch, NoUnit, NotRepresentable
+from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable
 from .exact import IntForm, frac
-from .tensor import Tensor2
 
 _ORDERS = ("left", "right")
 
@@ -136,6 +138,47 @@ def sandwich(a: AlgElement, f: LinearMap, b: AlgElement, order: str = "left") ->
     return compose(left_shift(a), compose(right_shift(b), f))
 
 
+class Tensor2(IntForm):
+    """An element of A (x) A in standard components, carrying the twisted
+    product: it is this object that acts on linear maps."""
+
+    __slots__ = ()
+    _GRID = True
+    _MISMATCH = "tensors over different algebras"
+
+    def __init__(self, algebra: FreeAlgebra, components):
+        n = algebra.dim
+        if len(components) != n or any(len(row) != n for row in components):
+            raise ValueError(f"components must form an {n}x{n} grid")
+        super().__init__((algebra,), tuple(tuple(frac(v) for v in row) for row in components))
+
+    @classmethod
+    def basis_tensor(cls, algebra: FreeAlgebra, i: int, j: int) -> "Tensor2":
+        n = algebra.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidAlgebra(f"basis tensor index ({i},{j}) out of range for dim {n}")
+        return cls._of((algebra,), (tuple(int(k == i * n + j) for k in range(n * n)), 1))
+
+    @classmethod
+    def pure(cls, a: AlgElement, b: AlgElement) -> "Tensor2":
+        if a.algebra is not b.algebra:
+            raise AlgebraMismatch("both parts must share one algebra")
+        (an, ad), (bn, bd) = a.ints, b.ints
+        return cls._of((a.algebra,), exact.canonical([x * y for x in an for y in bn], ad * bd))
+
+    @classmethod
+    def unit(cls, algebra: FreeAlgebra) -> "Tensor2":
+        if algebra.unit_index is None:
+            raise NoUnit("unit tensor needs a unital algebra")
+        return cls.basis_tensor(algebra, algebra.unit_index, algebra.unit_index)
+
+    algebra = property(lambda self: self._space[0])
+    components = property(IntForm._fractions)
+
+    def __repr__(self) -> str:
+        return f"Tensor2(dim={self.algebra.dim})"
+
+
 class BMatrix:
     """The n^2 x n^2 matrix linking coordinates to standard components.
 
@@ -148,35 +191,51 @@ class BMatrix:
     grid holding ``den`` times the entries at those rows and columns, den
     the square of the algebra's denominator; every entry outside the
     blocks is zero.  A zero row is a block without columns and a zero
-    column one without rows.  ``rank`` is the sum of the block ranks;
-    ``entries``, a dense view of Fractions rebuilt on each read, is for
-    callers outside the library.
+    column one without rows.  Only this module reads the blocks: other
+    modules read B and B^-1 as ``relations`` and ``inverse_relations``,
+    and ``rank``, the sum of the block ranks, is computed once and kept.
+    ``entries``, a dense view rebuilt on each read, is for callers outside the library.
     """
 
-    __slots__ = ("algebra", "order", "blocks")
+    __slots__ = ("algebra", "order", "blocks", "_rank")
 
     def __init__(self, algebra: FreeAlgebra, order: str, blocks):
         self.algebra = algebra
         self.order = order
         self.blocks = blocks
+        self._rank = None
 
     den = property(lambda self: self.algebra.denominator ** 2)
 
     @property
     def entries(self) -> list[list[Fraction]]:
-        size = self.algebra.dim ** 2
-        entries = exact.zeros(size, size)
-        for rows, cols, grid in self.blocks:
-            for r, values in zip(rows, grid):
-                for c, v in zip(cols, exact.as_fractions(values, self.den)):
-                    entries[r][c] = v
-        return entries
+        n, relations = self.algebra.dim, self.relations()
+        return [[relations[divmod(r, n)].get(divmod(c, n), exact.ZERO) for c in range(n * n)]
+                for r in range(n * n)]
+
+    def relations(self) -> dict:
+        """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every row."""
+        return _relations(self.blocks, self.algebra.dim, Fraction(1, self.den))
+
+    def inverse_relations(self) -> dict:
+        """The rows of B^-1 as ``relations`` gives B's; ValueError when a block is singular."""
+        # block (rows, cols), an int grid over den, inverts to (cols, rows), den times its inverse
+        return _relations([(cols, rows, exact.invert(grid)) for rows, cols, grid in self.blocks],
+                          self.algebra.dim, self.den)
 
     def rank(self) -> int:
-        return sum(exact.rank(grid) for _, _, grid in self.blocks)
+        if self._rank is None:  # racing callers store the same sum
+            self._rank = sum(exact.rank(grid) for _, _, grid in self.blocks)
+        return self._rank
 
     def __repr__(self) -> str:
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.algebra.dim ** 2})"
+
+
+def _relations(parts, n: int, scale) -> dict:
+    """Row (k, m) -> {(i, j): nonzero entry, scaled} of an n^2 x n^2 matrix of blocks."""
+    return {divmod(r, n): {divmod(c, n): v * scale for c, v in zip(cols, values) if v}
+            for rows, cols, grid in parts for r, values in zip(rows, grid)}
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:

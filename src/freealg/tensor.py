@@ -5,8 +5,8 @@ componentwise product, where basis tensors multiply factorwise:
 (a1 (x) a2)(b1 (x) b2) = (a1 b1) (x) (a2 b2).  Its basis is ordered
 row-major over factor indices.
 
-A Tensor2 is a 2-tensor over a single algebra A in standard
-components, with the twisted product
+A Tensor2, defined in ``linmap``, is a 2-tensor over a single algebra A
+in standard components, with the twisted product
 
     (a (x) b) o (c (x) d) = (ac) (x) (db),
 
@@ -25,7 +25,8 @@ A (x) A^op onto End(A).  There tensor_inverse inverts t's n x n map and
 converts the inverse back to standard components.  Elsewhere (the
 octonions, the complex numbers, the dual numbers) it solves with t's
 n^2 x n^2 left shift in A (x) A^op, and a right inverse can fail from
-the left.
+the left.  This module calls ``linmap``, which never imports it, through
+the module: ``linmap.standard_from_coords``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from . import exact
+from . import exact, linmap
 from .core import AlgElement, FreeAlgebra, is_associative, multiply, opposite
-from .errors import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, NoUnit, SingularTensor,
-                     SubstitutionCheckFailed)
-from .exact import IntForm, frac
+from .errors import AlgebraMismatch, EmptyFactorList, SingularTensor, SubstitutionCheckFailed
+from .linmap import Tensor2
 
 
 class TensorAlgebra(FreeAlgebra):
@@ -110,48 +110,6 @@ def tensor_mul(x: AlgElement, y: AlgElement) -> AlgElement:
     return multiply(x, y)
 
 
-class Tensor2(IntForm):
-    """An element of A (x) A in standard components, carrying the twisted
-    product: it is this object that acts on linear maps."""
-
-    __slots__ = ()
-    _GRID = True
-    _MISMATCH = "tensors over different algebras"
-
-    def __init__(self, algebra: FreeAlgebra, components):
-        n = algebra.dim
-        if len(components) != n or any(len(row) != n for row in components):
-            raise ValueError(f"components must form an {n}x{n} grid")
-        super().__init__((algebra,), tuple(tuple(frac(v) for v in row) for row in components))
-
-    @classmethod
-    def basis_tensor(cls, algebra: FreeAlgebra, i: int, j: int) -> "Tensor2":
-        n = algebra.dim
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidAlgebra(f"basis tensor index ({i},{j}) out of range for dim {n}")
-        return cls._of((algebra,), (tuple(int(k == i * n + j) for k in range(n * n)), 1))
-
-    @classmethod
-    def pure(cls, a: AlgElement, b: AlgElement) -> "Tensor2":
-        if a.algebra is not b.algebra:
-            raise AlgebraMismatch("both parts must share one algebra")
-        (an, ad), (bn, bd) = a.ints, b.ints
-        return cls._of((a.algebra,), exact.canonical([x * y for x in an for y in bn], ad * bd))
-
-    @classmethod
-    def unit(cls, algebra: FreeAlgebra) -> "Tensor2":
-        if algebra.unit_index is None:
-            raise NoUnit("unit tensor needs a unital algebra")
-        u = algebra.unit_index
-        return cls.basis_tensor(algebra, u, u)
-
-    algebra = property(lambda self: self._space[0])
-    components = property(IntForm._fractions)
-
-    def __repr__(self) -> str:
-        return f"Tensor2(dim={self.algebra.dim})"
-
-
 def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
     """A (x) A^op, built once per algebra and cached on it."""
     return algebra.cached("twisted", lambda: TensorAlgebra([algebra, opposite(algebra)]))
@@ -169,43 +127,33 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     return Tensor2._of((s.algebra,), multiply(_twisted_element(s), _twisted_element(t)).ints)
 
 
-def _sandwich_is_isomorphism(algebra: FreeAlgebra) -> bool:
-    """Whether sandwiching maps A (x) A^op isomorphically onto End(A): A is
-    associative, so that it takes the twisted product to composition, and
-    its component matrix has full rank.  Cached on A."""
-    from .linmap import b_matrix  # linmap imports this module
-    bm = b_matrix(algebra)  # built first: ``cached`` is not reentrant
-    return algebra.cached("sandwich_is_isomorphism",
-                          lambda: is_associative(algebra) and bm.rank() == algebra.dim ** 2)
-
-
 def tensor_inverse(t: Tensor2) -> Tensor2:
     """The tensor u with t o u = u o t = unit tensor.
 
-    Where sandwiching is an isomorphism (``_sandwich_is_isomorphism``),
+    Where sandwiching is an isomorphism (A associative, B of full rank),
     t's map x -> sum t^{ij} e_i x e_j is inverted as an n x n matrix and
     carried back to standard components; t is singular exactly when that
     map is, and u is checked from both sides, a failure being a fault of
     the library.  Elsewhere solving t o u = unit with t's left shift in
     A (x) A^op gives a right inverse, then checked from the left.
     """
-    from .linmap import LinearMap, coords_from_standard, left_shift, standard_from_coords
     algebra = t.algebra
     n = algebra.dim
     unit = Tensor2.unit(algebra)
-    if _sandwich_is_isomorphism(algebra):
-        phi, phi_den = coords_from_standard(t, LinearMap.identity(algebra)).ints
+    if is_associative(algebra) and linmap.b_matrix(algebra).rank() == n * n:
+        phi, phi_den = linmap.coords_from_standard(t, linmap.LinearMap.identity(algebra)).ints
         try:
             inverse, den = exact.invert_ints(exact.blocks(phi, n))
         except ValueError:
             raise SingularTensor("tensor has no inverse: its map is singular") from None
         # the inverse of phi / phi_den is phi_den phi^-1
-        g = LinearMap._of((algebra, algebra), exact.canonical([x * phi_den for x in inverse], den))
-        u = standard_from_coords(g).particular
+        g = linmap.LinearMap._of((algebra, algebra),
+                                 exact.canonical([x * phi_den for x in inverse], den))
+        u = linmap.standard_from_coords(g).particular
         if twisted_mul(u, t) != unit or twisted_mul(t, u) != unit:
             raise SubstitutionCheckFailed("tensor inverse through the maps fails a twisted product")
         return u
-    shift, den = left_shift(_twisted_element(t)).ints
+    shift, den = linmap.left_shift(_twisted_element(t)).ints
     try:
         particular, _ = exact.solve(exact.blocks(shift, n * n),
                                     [v * den for v in unit.ints[0]])

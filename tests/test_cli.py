@@ -342,13 +342,18 @@ def _exponent_constant_doc():
     ("solve", _system_doc(matrix=[["1 2*I"]]), 'space inside a number, got "1 2*I"'),
     ("solve", _system_doc(matrix=[["1/ 2"]]), 'space inside a number, got "1/ 2"'),
     ("solve", _system_doc(matrix=[["1 /2"]]), 'space inside a number, got "1 /2"'),
+    ("solve", _system_doc(matrix=[["--1"]]), 'more than one sign, got "--1"'),
+    ("solve", _system_doc(matrix=[["+-I"]]), 'more than one sign, got "+-I"'),
+    ("solve", _system_doc(matrix=[["1+-2*I"]]), 'more than one sign, got "1+-2*I"'),
+    ("solve", _system_doc(matrix=[["1 - -I"]]), 'more than one sign, got "1 - -I"'),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
         "float_dim", "labels_string", "labels_not_strings", "labels_integer",
         "float_cell", "float_rhs", "float_constant", "algebra_object", "algebra_integer",
         "zero_denominator", "exponent_constant", "decimal_cell", "long_literal",
         "constants_object", "space_between_digits", "space_between_digits_conj",
-        "space_after_slash", "space_before_slash"])
+        "space_after_slash", "space_before_slash", "two_signs", "two_signs_conj",
+        "two_signs_second_term", "two_signs_spaced"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -20,7 +20,8 @@ B's blocks are int grids over ``BMatrix.den``.  A guard refuses the
 a tensor is inverted.  The complex numbers in the basis (1, i/2) and the
 quaternions in the basis (1, i/2, j/2, k/4) put B over den = 16 and 256:
 the first checks orbits and membership on a singular B, the second the
-block inverses that ``verify tables`` reads.
+block inverses that ``verify tables`` reads.  B's blocks are ranked once,
+however often ``rank`` is asked.
 """
 
 from fractions import Fraction
@@ -267,7 +268,6 @@ def test_orbit_membership_over_a_denominator_matches_the_contraction(order, monk
 
 
 def test_block_inverses_over_a_denominator_invert_b():
-    from freealg import cli
     # B of C in the basis (1, i/2) is singular, so the quaternions in the
     # basis (1, i/2, j/2, k/4) stand in: den = 256, B invertible
     algebra = rescaled(quaternion_algebra(), [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)])
@@ -275,13 +275,23 @@ def test_block_inverses_over_a_denominator_invert_b():
     bm = b_matrix(algebra)
     assert bm.den == 256
     # the block inverses as `verify tables` reads them
-    inverse = cli._row_relations([(cols, rows, exact.invert(grid))
-                                  for rows, cols, grid in bm.blocks], n, bm.den)
+    inverse = bm.inverse_relations()
     b = reference_b(algebra, "left")
     for i in range(n * n):
         row = inverse[divmod(i, n)]
         product = [sum(v * b[k * n + m][c] for (k, m), v in row.items()) for c in range(n * n)]
         assert product == [int(c == i) for c in range(n * n)]
-    assert (cli._row_relations(bm.blocks, n, Fraction(1, bm.den))
+    assert (bm.relations()
             == {divmod(r, n): {divmod(c, n): v for c, v in enumerate(values) if v}
                 for r, values in enumerate(b)})
+
+
+def test_b_is_ranked_once_and_a_singular_b_has_no_inverse_relations(monkeypatch):
+    ranked = []
+    rank = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda grid: ranked.append(grid) or rank(grid))
+    bm = b_matrix(octonion_algebra())  # a fresh algebra: nothing ranked yet
+    assert bm.rank() == bm.rank() == 64
+    assert len(ranked) == 8  # one per block, not one per block and call
+    with pytest.raises(ValueError):
+        b_matrix(complex_algebra()).inverse_relations()  # rank 2 of 4

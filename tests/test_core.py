@@ -7,7 +7,7 @@ import pytest
 
 import freealg
 from freealg import (AlgElement, AlgebraMismatch, FreeAlgebra, InvalidAlgebra, NoUnit,
-                     associator, commutator, in_center, in_nucleus,
+                     associator, commutator, core, in_center, in_nucleus,
                      is_associative, is_commutative, multiply, opposite,
                      random_element)
 
@@ -69,6 +69,16 @@ def test_associativity_predicate_matches_basis_associators(C, H, O):
         vanish = all(associator(a, b, c).is_zero()
                      for a in basis for b in basis for c in basis)
         assert is_associative(algebra) == vanish
+
+
+def test_associativity_is_contracted_once_per_algebra(H, monkeypatch):
+    # a fact of the immutable table, cached on the algebra
+    calls = []
+    contract = core._associative
+    monkeypatch.setattr(core, "_associative", lambda a: calls.append(a) or contract(a))
+    algebra = opposite(H)  # fresh: nothing cached yet
+    assert is_associative(algebra) and is_associative(algebra)
+    assert calls == [algebra]
 
 
 def test_nucleus(H, O):

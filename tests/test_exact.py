@@ -331,6 +331,50 @@ def test_only_reduce_runs_elimination():
     assert callers == {"exact._reduce"}
 
 
+def freealg_imports(node):
+    """The freealg modules that an import statement names, ``__init__`` for
+    the package itself; [] for any other statement."""
+    if isinstance(node, ast.Import):
+        return [(alias.name.split(".") + ["__init__"])[1] for alias in node.names
+                if alias.name.split(".")[0] == "freealg"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    parts = node.module.split(".") if node.module else []
+    if not node.level:
+        if parts[:1] != ["freealg"]:
+            return []
+        parts = parts[1:]
+    return parts[:1] or [alias.name for alias in node.names]
+
+
+def test_modules_stack_one_way_and_only_linmap_reads_the_blocks_of_b():
+    # exact <- core <- linmap <- tensor: the module-level imports among
+    # freealg's modules form no cycle and no function imports a freealg
+    # module; B's blocks and their denominator are read in linmap alone
+    # (``exact.blocks``, the function, is another name)
+    package = Path(exact.__file__).parent
+    imports, local, readers = {}, [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {id(node) for func in ast.walk(tree)
+                        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            names = freealg_imports(node)
+            if id(node) in in_functions:
+                local += [f"{path.stem}: {name}" for name in names]
+            else:
+                imports.setdefault(path.stem, set()).update(names)
+            if (path.stem != "linmap" and isinstance(node, ast.Attribute)
+                    and node.attr in ("blocks", "den")
+                    and not (node.attr == "blocks" and getattr(node.value, "id", None) == "exact")):
+                readers.append(f"{path.stem}: .{node.attr}")
+    while leaves := [m for m, deps in imports.items() if not deps & imports.keys()]:
+        for module in leaves:
+            del imports[module]
+    assert (imports, local, readers) == ({}, [], [])  # what is left of imports is a cycle
+
+
 def test_no_dead_imports_or_private_names():
     # every imported name is used in its module, and every module-level
     # private function or class is referenced somewhere in the package
