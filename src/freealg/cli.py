@@ -49,7 +49,7 @@ from .core import (AlgElement, FreeAlgebra, associator, format_element, multiply
                    random_element)
 from .errors import (FreeAlgebraError, InvalidAlgebra, MinorSingular,
                      NotRepresentable, SingularMap, SingularSystem,
-                     SingularTensor)
+                     SingularTensor, SubstitutionCheckFailed)
 from .linmap import (LinearMap, b_matrix, compose, left_associator_map,
                      left_shift, representation_basis, right_associator_map,
                      right_shift, standard_from_coords)
@@ -638,6 +638,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[args.func](args)  # by name per call: a rebound cmd_* is called
+    except SubstitutionCheckFailed as err:  # a failed self-check is a defect, not an input
+        defect = err
     except (SingularSystem, SingularMap, SingularTensor, MinorSingular,
             NotRepresentable) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -646,8 +648,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # a defect, not an input: one line, never exit 1
-        print(f"error: internal error ({type(err).__name__}): {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        defect = err
+    print(f"error: internal error ({type(defect).__name__}): {defect}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def entry_point() -> None:

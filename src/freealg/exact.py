@@ -4,17 +4,18 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, rref, invert_ints, solve) runs through one loop,
-``_reduce``, a fraction-free Gauss-Jordan over Python ints.  A row enters
-scaled by the lcm of its denominators, which keeps its row space and the
-reduced row echelon form; each row step cross-multiplies by the pivot and
-divides the row by the gcd of its entries, not by the previous pivot as
-Bareiss does (Math. Comp. 22, 1968).  Primitive rows stay short on the
-sparse +-1 blocks of the component matrix, whose minors grow: a Bareiss
-prototype was 1.5-2x faster on dense 16 x 17 matrices, 0.8-1.0x on sparse
-ones, and slowed ``map convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s (2
-CPUs, Python 3.11).  Fractions appear only on the way out: a reduced row
-is the integer row over its pivot.
+All elimination (rank, rref, solve, and factor with its full-rank
+read-off invert_ints) runs through one loop, ``_reduce``, a fraction-free
+Gauss-Jordan over Python ints.  A row enters scaled by the lcm of its
+denominators, which keeps its row space and the reduced row echelon form;
+each row step cross-multiplies by the pivot and divides the row by the gcd
+of its entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
+1968).  Primitive rows stay short on the sparse +-1 blocks of the
+component matrix, whose minors grow: a Bareiss prototype was 1.5-2x
+faster on dense 16 x 17 matrices, 0.8-1.0x on sparse ones, and slowed
+``map convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s (2 CPUs, Python
+3.11).  Fractions appear only on the way out: a reduced row is the
+integer row over its pivot.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -289,20 +290,35 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return reduced + zeros(len(rows) - len(pivots), cols), pivots
 
 
+def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
+    """One elimination of [a | I], for solving a x = b for many b.
+
+    Returns (pivots, reduced, left, den), all ints.  ``left`` is an
+    invertible square matrix with left[i] a = reduced[i] for i < rank, den
+    times row i of a's reduced row echelon form (den, the lcm of the reduced
+    pivots, in column pivots[i]), and left[i] a = 0 past the rank.  So a x = b
+    is consistent iff left[i] b = 0 for every i past the rank."""
+    cols, m = _width(a), len(a)
+    rows = [primitive([*row, *(int(i == j) for j in range(m))]) for i, row in enumerate(a)]
+    pivots = _reduce(rows, cols)
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    rows[:len(pivots)] = [[x * (den // row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return pivots, [row[:cols] for row in rows[:len(pivots)]], [row[cols:] for row in rows], den
+
+
 def invert_ints(a) -> tuple[list[int], int]:
     """The inverse of the square matrix a, of ints or Fractions, as (ints, den):
     its entries row by row as ints over den, the lcm of the reduced pivots,
-    which is canonical.  Raises as ``invert`` does."""
+    which is canonical; ``factor``'s left matrix at full rank.  Raises as
+    ``invert`` does."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
-    rows = [primitive([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(a)]
-    pivots = _reduce(rows, n)
+    pivots, _, left, den = factor(a)
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
         raise ValueError(f"matrix is singular: no pivot in column {missing}")
-    den = lcm(*(row[i] for i, row in enumerate(rows)))
-    return [x * (den // row[i]) for i, row in enumerate(rows) for x in row[n:]], den
+    return vec(left), den
 
 
 def invert(a: Mat) -> Mat:

@@ -12,11 +12,12 @@ components f^{ij} in the sandwich expansion
 
 and is built from its nonzero cells as their connected blocks, int grids
 over one denominator, and read, solved and applied only through those
-blocks, on ints up to the values returned.  The two nesting orders
-coincide in associative algebras; "left" is the default everywhere.  The
-right order is the left order over A^op with i and j swapped, as
-e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one contraction, with
-e_j e_i read for e_i . e_j, builds both.
+blocks, on ints up to the values returned.  A block is its class grid up
+to row and column signs, and each class is eliminated once.  The two
+nesting orders coincide in associative algebras; "left" is the default
+everywhere.  The right order is the left order over A^op with i and j
+swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
+contraction, with e_j e_i read for e_i . e_j, builds both.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -28,6 +29,8 @@ build and read it; imports run one way, exact <- core <- linmap <- tensor.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import exact
@@ -192,18 +195,22 @@ class BMatrix:
     the square of the algebra's denominator; every entry outside the
     blocks is zero.  A zero row is a block without columns and a zero
     column one without rows.  Only this module reads the blocks: other
-    modules read B and B^-1 as ``relations`` and ``inverse_relations``,
-    and ``rank``, the sum of the block ranks, is computed once and kept.
+    modules read B and B^-1 as ``relations`` and ``inverse_relations``.
+
+    Each block is D_r F D_c, F its class grid and D_r, D_c diagonal signs
+    (``_sign_class``); blocks with one F form a class.  ``factors`` makes
+    one ``exact.factor`` per class on first use and keeps it, and ``rank``,
+    ``inverse_relations`` and ``standard_from_coords`` read the classes.
     ``entries``, a dense view rebuilt on each read, is for callers outside the library.
     """
 
-    __slots__ = ("algebra", "order", "blocks", "_rank")
+    __slots__ = ("algebra", "order", "blocks", "_factors")
 
     def __init__(self, algebra: FreeAlgebra, order: str, blocks):
         self.algebra = algebra
         self.order = order
         self.blocks = blocks
-        self._rank = None
+        self._factors = None
 
     den = property(lambda self: self.algebra.denominator ** 2)
 
@@ -213,29 +220,67 @@ class BMatrix:
         return [[relations[divmod(r, n)].get(divmod(c, n), exact.ZERO) for c in range(n * n)]
                 for r in range(n * n)]
 
+    def factors(self) -> list:
+        """Per block, (row signs, column signs, ``exact.factor`` of its class
+        grid), the factor shared by the blocks of a class."""
+        if self._factors is None:  # racing callers store equal lists
+            classes, factors = {}, []
+            for _, cols, grid in self.blocks:
+                rs, cs, key = _sign_class(grid, len(cols))
+                if key not in classes:
+                    classes[key] = exact.factor(key[1])
+                factors.append((rs, cs, classes[key]))
+            self._factors = factors
+        return self._factors
+
     def relations(self) -> dict:
         """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every row."""
-        return _relations(self.blocks, self.algebra.dim, Fraction(1, self.den))
+        scale = Fraction(1, self.den)
+        return _relations([(*block, scale) for block in self.blocks], self.algebra.dim)
 
     def inverse_relations(self) -> dict:
         """The rows of B^-1 as ``relations`` gives B's; ValueError when a block is singular."""
-        # block (rows, cols), an int grid over den, inverts to (cols, rows), den times its inverse
-        return _relations([(cols, rows, exact.invert(grid)) for rows, cols, grid in self.blocks],
-                          self.algebra.dim, self.den)
+        parts = []
+        for (rows, cols, _), (rs, cs, (pivots, _, left, den)) in zip(self.blocks, self.factors()):
+            if not len(rows) == len(cols) == len(pivots):
+                raise ValueError("the component matrix is singular")
+            # D_r F D_c over self.den inverts to self.den D_c F^-1 D_r, F^-1 = left / den
+            inverse = [[c * r * x for r, x in zip(rs, row)] for c, row in zip(cs, left)]
+            parts.append((cols, rows, inverse, Fraction(self.den, den)))
+        return _relations(parts, self.algebra.dim)
 
     def rank(self) -> int:
-        if self._rank is None:  # racing callers store the same sum
-            self._rank = sum(exact.rank(grid) for _, _, grid in self.blocks)
-        return self._rank
+        return sum(len(pivots) for _, _, (pivots, *_) in self.factors())
 
     def __repr__(self) -> str:
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.algebra.dim ** 2})"
 
 
-def _relations(parts, n: int, scale) -> dict:
-    """Row (k, m) -> {(i, j): nonzero entry, scaled} of an n^2 x n^2 matrix of blocks."""
+def _relations(parts, n: int) -> dict:
+    """Row (k, m) -> {(i, j): nonzero entry, scaled} of an n^2 x n^2 matrix
+    of blocks (rows, cols, grid, scale)."""
     return {divmod(r, n): {divmod(c, n): v * scale for c, v in zip(cols, values) if v}
-            for rows, cols, grid in parts for r, values in zip(rows, grid)}
+            for rows, cols, grid, scale in parts for r, values in zip(rows, grid)}
+
+
+def _sign_class(grid, n_cols: int) -> tuple[list[int], list[int], tuple]:
+    """(rs, cs, (n_cols, F)) with F = D_r grid D_c, where the signs rs and cs,
+    rs[0] = 1, make positive a spanning tree of the block's nonzero graph,
+    walked from its first row in ascending row and column order.  Blocks
+    equal up to row and column signs get one F."""
+    if not grid:  # a zero column
+        return [], [1] * n_cols, (n_cols, ())
+    rs, cs, queue = [1] + [0] * (len(grid) - 1), [0] * n_cols, [0]
+    for r in queue:  # reaches every row and column: a block is connected
+        for c, v in enumerate(grid[r]):
+            if v and not cs[c]:
+                cs[c] = rs[r] if v > 0 else -rs[r]
+                for r2, row in enumerate(grid):
+                    if row[c] and not rs[r2]:
+                        rs[r2] = cs[c] if row[c] > 0 else -cs[c]
+                        queue.append(r2)
+    return rs, cs, (n_cols, tuple(tuple(r * c * v for c, v in zip(cs, row))
+                                  for r, row in zip(rs, grid)))
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
@@ -314,11 +359,15 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     component matrix (for the complex numbers this rejects conjugation:
     only genuinely complex-linear maps are representable).
 
-    The component matrix is solved block by block.  The reduced row
-    echelon form of a block-diagonal matrix is its blockwise form, so the
-    particular solution and null space are those of one solve of the
-    whole matrix; null-space vectors come sorted by their free column,
-    which is their last nonzero entry.
+    Each block D_r F D_c is solved on ints by signed mat-vecs with its
+    class's ``exact.factor`` (pivots, reduced, left, den).  With b' = D_r b,
+    the block is consistent iff left[i] b' = 0 past the rank; its particular
+    solution is D_c y, y = left[i] b' / den at pivot i and 0 at the free
+    columns, and free column fc has the null vector that is 1 at fc and
+    -s_fc s_c reduced[i][fc] / den at pivot c.  Column signs keep the pivot
+    columns and the reduced row echelon form of a block-diagonal matrix is
+    its blockwise form, so this is one ``exact.solve`` of the whole matrix;
+    null-space vectors come sorted by their free column, their last nonzero.
     """
     _check_order(order)
     if not g.is_endomorphism():
@@ -326,30 +375,29 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     algebra = g.source
     n = algebra.dim
     bm = b_matrix(algebra, order)
+    factors = bm.factors()
+    lead = lcm(*(den for _, _, (*_, den) in factors))
     gvec, g_den = g.ints
-    particular = [exact.ZERO] * (n * n)
+    particular = [0] * (n * n)
     nullspace = []
-    for rows, cols, grid in bm.blocks:
-        if not rows:  # a zero column: its component is free
-            x, basis = [exact.ZERO], [[exact.ONE]]
-        else:
-            try:
-                x, basis = exact.solve(grid, [gvec[r] * bm.den for r in rows])
-            except ValueError:
-                raise NotRepresentable(
-                    "coordinate matrix is not in the image of the component matrix") from None
-        for c, v in zip(cols, x):
-            particular[c] = v
-        for local in basis:
-            v = [exact.ZERO] * (n * n)
-            for c, value in zip(cols, local):
-                v[c] = value
-            nullspace.append(v)
-    nullspace.sort(key=lambda v: max(c for c, value in enumerate(v) if value))
-    # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
-    return StandardSolution(
-        Tensor2(algebra, exact.blocks(particular, n)).scaled(Fraction(1, g_den)),
-        [Tensor2(algebra, exact.blocks(v, n)) for v in nullspace])
+    for (rows, cols, _), (rs, cs, (pivots, reduced, left, den)) in zip(bm.blocks, factors):
+        b = [s * gvec[r] for s, r in zip(rs, rows)]
+        if any(sum(map(mul, row, b)) for row in left[len(pivots):]):
+            raise NotRepresentable(
+                "coordinate matrix is not in the image of the component matrix")
+        # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
+        scale = bm.den * (lead // den)
+        for c, row in zip(pivots, left):
+            particular[cols[c]] = cs[c] * scale * sum(map(mul, row, b))
+        for fc in sorted(set(range(len(cols))).difference(pivots)):
+            v = [0] * (n * n)
+            v[cols[fc]] = den
+            for c, row in zip(pivots, reduced):
+                v[cols[c]] = -cs[fc] * cs[c] * row[fc]
+            nullspace.append(Tensor2._of((algebra,), exact.canonical(v, den)))
+    nullspace.sort(key=lambda t: max(c for c, value in enumerate(t.ints[0]) if value))
+    return StandardSolution(Tensor2._of((algebra,), exact.canonical(particular, lead * g_den)),
+                            nullspace)
 
 
 def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:

@@ -7,7 +7,7 @@ import pytest
 
 from freealg.cli import (main, parse_complex_entry, parse_vector,
                          algebra_from_json, algebra_to_json)
-from freealg import complex_algebra, quaternion_algebra
+from freealg import SubstitutionCheckFailed, complex_algebra, quaternion_algebra
 
 
 @pytest.fixture
@@ -163,10 +163,12 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("error, line", [
     (RuntimeError("boom"), "error: internal error (RuntimeError): boom"),
     (KeyError("row"), "error: internal error (KeyError): 'row'"),
-], ids=["RuntimeError", "KeyError"])
+    (SubstitutionCheckFailed("solution fails substitution in equation 0"),
+     "error: internal error (SubstitutionCheckFailed): solution fails substitution in equation 0"),
+], ids=["RuntimeError", "KeyError", "SubstitutionCheckFailed"])
 def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, error, line):
-    # a defect inside a subcommand is neither an input error (2) nor a
-    # failed verification (1), and never ends in a traceback
+    # a defect inside a subcommand, a failed self-check among them, is neither
+    # an input error (2) nor a failed verification (1), and never ends in a traceback
     import freealg.cli as cli_mod
 
     def broken(args):

@@ -9,27 +9,35 @@ zero-product algebra, and random algebras from the
 columns, which makes a nonzero coordinate there unrepresentable; a zero
 column is a block without rows, whose component is free.  The next test
 checks the block layout on C, H, O and H (x) H, and that a round trip
-and ``repr`` never build the dense view of B and no solve takes more
-than n rows.  The last ones check that generator discovery and orbit
-membership, on algebras whose B is singular, read B only through its
-blocks and agree with orbits built from the in-test contraction, and
-that membership holds for a map from C into H.
+and ``repr`` never build the dense view of B and no factorisation or
+solve takes more than n rows.  The next ones check that generator
+discovery and orbit membership, on algebras whose B is singular, read B
+only through its blocks and agree with orbits built from the in-test
+contraction, and that membership holds for a map from C into H.
 
 B's blocks are int grids over ``BMatrix.den``.  A guard refuses the
 ``Fraction`` grid helpers while B is built and ranked, applied, and while
 a tensor is inverted.  The complex numbers in the basis (1, i/2) and the
 quaternions in the basis (1, i/2, j/2, k/4) put B over den = 16 and 256:
 the first checks orbits and membership on a singular B, the second the
-block inverses that ``verify tables`` reads.  B's blocks are ranked once,
-however often ``rank`` is asked.
+block inverses that ``verify tables`` reads.  B is factored once per
+sign class of its blocks, however often ``rank`` is asked.
+
+The last tests check the sign classes: every block is its class grid F
+under its row and column signs, F being the grid its class's factor
+reduces, with the class counts of the built-in algebras pinned; and each
+block, rank-deficient, inconsistent or with a free column of sign -1,
+solves as ``exact.solve`` of that block does.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Tensor2, b_matrix,
+from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, QuaternionParams,
+                     Tensor2, b_matrix,
                      complex_algebra, compose, coords_from_standard, exact, octonion_algebra,
                      orbit_contains, quaternion_algebra, representation_basis,
                      standard_from_coords, tensor_inverse, tensor_product, twisted_mul)
@@ -123,21 +131,18 @@ def test_blocks_partition_b_and_the_round_trip_stays_on_them(make, order, monkey
     assert held == {(r, c): v for r, row in enumerate(bm.entries) for c, v in enumerate(row) if v}
     if n < 8:
         return
-    sizes = []
-    solve = exact.solve
-
-    def recording_solve(a, b):
-        sizes.append(len(a))
-        return solve(a, b)
-
+    factored, solved = [], []
+    factor, solve = exact.factor, exact.solve
     monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
-    monkeypatch.setattr(exact, "solve", recording_solve)
+    monkeypatch.setattr(exact, "factor", lambda a: factored.append(len(a)) or factor(a))
+    monkeypatch.setattr(exact, "solve", lambda a, b: solved.append(len(a)) or solve(a, b))
     fresh = make()
     values = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(n * n)]
     g = LinearMap(fresh, fresh, exact.blocks(values, n))
     solution = standard_from_coords(g, order)
     assert coords_from_standard(solution.particular, LinearMap.identity(fresh), order) == g
-    assert sizes and max(sizes) <= n
+    assert factored and max(factored) <= n
+    assert not [size for size in solved if size > n]
     assert repr(b_matrix(fresh, order)).endswith(f"size={n * n})")
 
 
@@ -287,11 +292,112 @@ def test_block_inverses_over_a_denominator_invert_b():
 
 
 def test_b_is_ranked_once_and_a_singular_b_has_no_inverse_relations(monkeypatch):
-    ranked = []
-    rank = exact.rank
-    monkeypatch.setattr(exact, "rank", lambda grid: ranked.append(grid) or rank(grid))
-    bm = b_matrix(octonion_algebra())  # a fresh algebra: nothing ranked yet
-    assert bm.rank() == bm.rank() == 64
-    assert len(ranked) == 8  # one per block, not one per block and call
+    factored = []
+    factor = exact.factor
+    monkeypatch.setattr(exact, "factor", lambda grid: factored.append(grid) or factor(grid))
+    bm = b_matrix(octonion_algebra())  # a fresh algebra: nothing factored yet
+    assert bm.rank() == 64
+    assert len(factored) == 1  # one class for O's 8 blocks in the left order
+    assert bm.rank() == 64
+    assert len(factored) == 1  # none on the second call
     with pytest.raises(ValueError):
         b_matrix(complex_algebra()).inverse_relations()  # rank 2 of 4
+
+
+def e_half_minus_3():
+    """The quaternion algebra E(1/2, -3): B has full rank, its 4 blocks 4 classes."""
+    return quaternion_algebra(QuaternionParams(Fraction(1, 2), -3))
+
+
+def check_sign_classes(bm):
+    """Each block of B is D_r F D_c with signs +-1, rs[0] = 1, and F the one
+    grid that its class's factor reduces: left invertible, left F the reduced
+    rows then zero rows.  Blocks share a factor iff they share F.  Returns the
+    number of classes."""
+    grids = {}
+    for (rows, cols, grid), (rs, cs, factor) in zip(bm.blocks, bm.factors()):
+        assert len(rs) == len(rows) and len(cs) == len(cols)
+        assert set(rs) | set(cs) <= {1, -1} and rs[:1] in ([], [1])
+        f = [[r * c * v for c, v in zip(cs, row)] for r, row in zip(rs, grid)]
+        pivots, reduced, left, _ = factor
+        assert exact.rank(left) == len(rows)
+        assert ([[sum(e * row[c] for e, row in zip(line, f)) for c in range(len(cols))]
+                 for line in left] == reduced + [[0] * len(cols)] * (len(rows) - len(pivots)))
+        assert grids.setdefault(id(factor), (len(cols), f)) == (len(cols), f)
+    keys = list(grids.values())
+    assert all(keys.count(key) == 1 for key in keys)
+    return len(grids)
+
+
+@pytest.mark.parametrize("make, counts", [
+    (complex_algebra, (1, 1)), (quaternion_algebra, (1, 1)), (hh, (1, 1)),
+    (octonion_algebra, (1, 8)), (e_half_minus_3, (4, 4)),
+    (dual_numbers, (4, 4)), (truncated_polynomials, (6, 6)), (half_i_complex, (2, 2))],
+    ids=["C", "H", "HH", "O", "E", "dual", "x4", "C-half-i"])
+def test_every_block_is_its_class_grid_under_its_signs(make, counts):
+    algebra = make()
+    assert tuple(check_sign_classes(b_matrix(algebra, order))
+                 for order in ("left", "right")) == counts
+
+
+@settings(max_examples=40)
+@given(algebras(), st.sampled_from(["left", "right"]))
+def test_random_blocks_are_their_class_grids_under_their_signs(algebra, order):
+    bm = b_matrix(algebra, order)
+    assert 1 <= check_sign_classes(bm) <= len(bm.blocks)
+
+
+def check_blocks_against_solve(algebra, order, rng):
+    """Solve, through ``standard_from_coords``, maps nonzero on one block's
+    rows, and compare with ``exact.solve`` of that block: the same particular
+    solution and null basis on its columns, or NotRepresentable where solve
+    raises.  Returns (rank-deficient blocks, inconsistent solves, blocks with
+    a free column of sign -1 that a pivot row reads)."""
+    n = algebra.dim
+    bm = b_matrix(algebra, order)
+    deficient = inconsistent = negative = 0
+    for (rows, cols, grid), (_, cs, (pivots, reduced, _, _)) in zip(bm.blocks, bm.factors()):
+        free = [c for c in range(len(cols)) if c not in pivots]
+        deficient += bool(free)
+        negative += any(cs[c] < 0 and any(row[c] for row in reduced) for c in free)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in cols]
+        image = [sum((v * y for v, y in zip(row, x)), ZERO) / bm.den for row in grid]
+        for b in ([ZERO] * len(rows), image, [Fraction(rng.randint(-5, 5)) for _ in rows]):
+            coords = [ZERO] * (n * n)
+            for r, v in zip(rows, b):
+                coords[r] = v
+            g = LinearMap(algebra, algebra, exact.blocks(coords, n))
+            try:
+                particular, basis = (exact.solve(grid, [v * bm.den for v in b]) if rows
+                                     else ([ZERO], [[Fraction(1)]]))  # a free component
+            except ValueError:
+                inconsistent += 1
+                with pytest.raises(NotRepresentable):
+                    standard_from_coords(g, order)
+                continue
+            solution = standard_from_coords(g, order)
+            found = exact.vec(solution.particular.components)
+            assert [found[c] for c in cols] == particular
+            assert not any(v for c, v in enumerate(found) if c not in cols)
+            here = [exact.vec(t.components) for t in solution.nullspace
+                    if not any(v for c, v in enumerate(exact.vec(t.components)) if c not in cols)]
+            assert [[v[c] for c in cols] for v in here] == basis
+    return deficient, inconsistent, negative
+
+
+@pytest.mark.parametrize("make", [complex_algebra, dual_numbers, truncated_polynomials,
+                                  half_i_complex, e_half_minus_3],
+                         ids=["C", "dual", "x4", "C-half-i", "E"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_each_block_solves_as_exact_solve_does(make, order):
+    deficient, inconsistent, negative = check_blocks_against_solve(
+        make(), order, random.Random(2101))
+    # C's blocks are singular, with a free column of sign -1 that changes the null vector
+    assert (deficient > 0 and inconsistent > 0) == (make is not e_half_minus_3)
+    assert (negative > 0) == (make in (complex_algebra, half_i_complex))
+
+
+@settings(max_examples=40)
+@given(algebras(), st.sampled_from(["left", "right"]), st.integers(0, 2**32))
+def test_random_blocks_solve_as_exact_solve_does(algebra, order, seed):
+    check_blocks_against_solve(algebra, order, random.Random(seed))
