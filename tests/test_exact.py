@@ -3,8 +3,8 @@
 The oracle is a textbook Gauss-Jordan on Fraction, written here and
 calling nothing in freealg.  The reduced row echelon form of a matrix is
 unique, so rref, rank, the particular solution (free variables 0), the
-null-space basis, the inverse and the first missing pivot column must
-all match it exactly.
+null-space basis, the inverse, the first missing pivot column and the
+reduced rows of ``factor`` must all match it exactly.
 """
 
 import ast
@@ -229,6 +229,26 @@ def test_invert_is_the_fraction_view_of_its_int_core():
         with pytest.raises(ValueError, match=message):
             exact.invert_ints(a)
     assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
+
+
+def test_factor_gives_the_reduced_form_and_the_left_null_space():
+    # on matrices of any shape and rank: reduced / den is the oracle's reduced
+    # row echelon form, left a gives it and then zero rows, and left is invertible
+    rng = random.Random(21)
+    for k in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), big=k % 4 == 1)
+        pivots, reduced, left, den = exact.factor(a)
+        want, want_pivots = oracle_rref(a, cols)
+        assert pivots == want_pivots and den > 0
+        assert [[Fraction(x, den) for x in row] for row in reduced] == want[:len(pivots)]
+        assert all(row[c] == den for row, c in zip(reduced, pivots))
+        product = [[sum((e * row[c] for e, row in zip(line, a)), Fraction(0)) for c in range(cols)]
+                   for line in left]
+        assert product == reduced + [[0] * cols] * (rows - len(pivots))
+        assert exact.rank(left) == rows and all(type(x) is int for row in left for x in row)
+    assert exact.factor([[], []]) == ([], [], [[1, 0], [0, 1]], 1)  # two zero rows
+    assert exact.factor([]) == ([], [], [], 1)
 
 
 def test_int_grids_stay_off_as_ints_in_elimination(monkeypatch):
