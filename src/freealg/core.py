@@ -7,9 +7,12 @@ numerators over one denominator (``exact.IntForm``).  All scalars are
 exact rationals; no operation ever rounds.
 
 The table holds the constants once, as integer numerators over one
-common denominator, ``FreeAlgebra.denominator``.  ``multiply``, ``+`` and
-``-`` run on ints alone.  ``AlgElement.coords``, the Fractions, is built
-on first read; its values and hash are those Fraction arithmetic gives.
+common denominator, ``FreeAlgebra.denominator``.  One int kernel,
+``product_ints``, makes every product of elements: ``multiply``,
+``associator`` and the shifts and associator maps of ``linmap`` make one
+``canonical`` per value they return.  ``+`` and ``-`` run on ints too.
+``AlgElement.coords``, the Fractions, is built on first read; its values
+and hash are those Fraction arithmetic gives.
 
 Algebra identity is object identity: two separately constructed
 algebras never mix, even with equal tables.
@@ -47,7 +50,7 @@ class FreeAlgebra:
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator", "_table",
-                 "_cache", "_basis")
+                 "_row_terms", "_col_terms", "_cache", "_basis")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -77,8 +80,12 @@ class FreeAlgebra:
         cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for ((i, j, k), _), v in zip(nonzero, ints):
             cells.setdefault((i, j), []).append((k, v))
-        self._table = tuple(tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(dim))
-                            for i in range(dim))
+        t = self._table = tuple(tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(dim))
+                                for i in range(dim))
+        # for product_ints: e_i e_j as (j, k, v) in row i and as (i, k, v) in column j
+        self._row_terms = tuple(tuple((j, k, v) for j, c in enumerate(r) for k, v in c) for r in t)
+        self._col_terms = tuple(tuple((i, k, v) for i, r in enumerate(t) for k, v in r[j])
+                                for j in range(dim))
 
         if unit_index is not None:
             if not 0 <= unit_index < dim:
@@ -206,26 +213,45 @@ def format_element(x: AlgElement) -> str:
     return text
 
 
-def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
-    """Product of two elements via the structure constants.
-
-    (x y)^k = sum_{i,j} B[i][j][k] x^i y^j; bilinear in both arguments.
-    """
+def shared_algebra(x: AlgElement, *others: AlgElement) -> FreeAlgebra:
+    """The algebra of x; AlgebraMismatch unless every element of ``others`` has it too."""
     algebra = x.algebra
-    if y.algebra is not algebra:
+    if any(y.algebra is not algebra for y in others):
         raise AlgebraMismatch(AlgElement._MISMATCH)
-    xs, x_den = x.ints
-    ys, y_den = y.ints
+    return algebra
+
+
+def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
+    """The numerators of x y over x_den * y_den * ``algebra.denominator``, not
+    reduced, from those of x and y: (x y)^k = sum_{i,j} B[i][j][k] x^i y^j.
+    The loop runs over the operand with fewer nonzero coordinates, through
+    row i of the flat table when it is x and column j when it is y."""
     out = [0] * algebra.dim
-    y_support = [(j, yj) for j, yj in enumerate(ys) if yj]
-    for xi, row in zip(xs, algebra._table):
-        if not xi:
-            continue
-        for j, yj in y_support:
-            c = xi * yj
-            for k, v in row[j]:
-                out[k] += c * v
-    return AlgElement._of((algebra,), canonical(out, x_den * y_den * algebra.denominator))
+    if xs.count(0) >= ys.count(0):
+        terms, short, other = algebra._row_terms, xs, ys
+    else:
+        terms, short, other = algebra._col_terms, ys, xs
+    for a, s in enumerate(short):
+        if s:
+            for b, k, v in terms[a]:
+                t = other[b]
+                if t:
+                    out[k] += s * t * v
+    return out
+
+
+def associator_ints(algebra: FreeAlgebra, xs, zs, xy, yz) -> list[int]:
+    """The numerators of (x y) z - x (y z) over x_den y_den z_den D^2, D the
+    algebra's denominator, not reduced, from the kernel's xy and yz."""
+    return [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
+
+
+def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
+    """Product of two elements via the structure constants."""
+    algebra = shared_algebra(x, y)
+    (xs, x_den), (ys, y_den) = x.ints, y.ints
+    return AlgElement._of((algebra,), canonical(product_ints(algebra, xs, ys),
+                                                x_den * y_den * algebra.denominator))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -234,8 +260,12 @@ def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
 
 
 def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
-    """(x, y, z) = (xy)z - x(yz)."""
-    return multiply(multiply(x, y), z) - multiply(x, multiply(y, z))
+    """(x, y, z) = (xy)z - x(yz), over one denominator with no element in between."""
+    algebra = shared_algebra(x, y, z)
+    (xs, x_den), (ys, y_den), (zs, z_den) = x.ints, y.ints, z.ints
+    xy, yz = product_ints(algebra, xs, ys), product_ints(algebra, ys, zs)
+    return AlgElement._of((algebra,), canonical(associator_ints(algebra, xs, zs, xy, yz),
+                                                x_den * y_den * z_den * algebra.denominator ** 2))
 
 
 def is_commutative(algebra: FreeAlgebra) -> bool:

@@ -29,12 +29,12 @@ build and read it; imports run one way, exact <- core <- linmap <- tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Optional
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, associator, multiply
+from .core import AlgElement, FreeAlgebra, associator_ints, product_ints, shared_algebra
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable
 from .exact import IntForm, frac
 
@@ -102,30 +102,39 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     return LinearMap._of((f.source, g.target), exact.canonical(exact.vec(product), g_den * f_den))
 
 
-def _map_from_columns(algebra: FreeAlgebra, column) -> LinearMap:
-    """The endomorphism whose column j is column(e_j)."""
-    cols, den = exact.over_lcm([column(e).ints for e in algebra.basis()])
+def _map_from_columns(column, *factors: AlgElement) -> LinearMap:
+    """The endomorphism whose column j is column(e_j), the numerators of a product of
+    e_j and each of ``factors`` once, over their denominators times one D per factor."""
+    algebra = shared_algebra(*factors)
+    den = algebra.denominator ** len(factors) * prod(x.ints[1] for x in factors)
+    cols = [column(e.ints[0]) for e in algebra.basis()]
     return LinearMap._of((algebra, algebra), exact.canonical(exact.vec(zip(*cols)), den))
 
 
 def left_shift(a: AlgElement) -> LinearMap:
     """The map x -> a x."""
-    return _map_from_columns(a.algebra, lambda x: multiply(a, x))
+    return _map_from_columns(lambda e: product_ints(a.algebra, a.ints[0], e), a)
 
 
 def right_shift(a: AlgElement) -> LinearMap:
     """The map x -> x a."""
-    return _map_from_columns(a.algebra, lambda x: multiply(x, a))
+    return _map_from_columns(lambda e: product_ints(a.algebra, e, a.ints[0]), a)
 
 
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
     """The map x -> (a, b, x); measures the failure of l(a)l(b) = l(ab)."""
-    return _map_from_columns(a.algebra, lambda x: associator(a, b, x))
+    algebra, xs, ys = shared_algebra(a, b), a.ints[0], b.ints[0]
+    ab = product_ints(algebra, xs, ys)
+    return _map_from_columns(
+        lambda e: associator_ints(algebra, xs, e, ab, product_ints(algebra, ys, e)), a, b)
 
 
 def right_associator_map(b: AlgElement, a: AlgElement) -> LinearMap:
     """The map x -> (x, b, a); measures the failure of r(a)r(b) = r(ba)."""
-    return _map_from_columns(a.algebra, lambda x: associator(x, b, a))
+    algebra, ys, zs = shared_algebra(b, a), b.ints[0], a.ints[0]
+    ba = product_ints(algebra, ys, zs)
+    return _map_from_columns(
+        lambda e: associator_ints(algebra, e, zs, product_ints(algebra, e, ys), ba), b, a)
 
 
 def sandwich(a: AlgElement, f: LinearMap, b: AlgElement, order: str = "left") -> LinearMap:

@@ -191,12 +191,14 @@ def test_opposite_reverses_products(H, O):
 
 
 def test_only_core_reads_the_constants_table():
-    # the layout of FreeAlgebra._table is core's to change; every other
-    # module reads the constants through basis_product or constants
+    # the layout of FreeAlgebra._table and of its flat row and column
+    # tables is core's to change; every other module reads the constants
+    # through basis_product or constants, and products through the kernel
+    tables = {"_table", "_row_terms", "_col_terms"}
     readers = set()
     for path in Path(freealg.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(isinstance(node, ast.Attribute) and node.attr == "_table"
+        if any(isinstance(node, ast.Attribute) and node.attr in tables
                for node in ast.walk(tree)):
             readers.add(path.name)
     assert readers == {"core.py"}

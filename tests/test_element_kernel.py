@@ -16,8 +16,16 @@ E(a, b) and O are checked on the same two classes of coordinates:
   to integers.
 
 Elements of the 16- and 64-dimensional tensor algebras have at most 8
-nonzero coordinates, which keeps the references fast.  The runs use the
-derandomized profile of ``conftest.py``.
+nonzero coordinates, which keeps the references fast.
+
+The shifts, the two associator maps and ``associator``, all built on the
+int kernel ``core.product_ints`` with no element in between, are checked
+column by column against the same reference product, on those algebras,
+the dual numbers and random algebras of ``test_kernel_properties``, whose
+cells hold several constants over a denominator other than 1.  Operands
+are zero, basis vectors and random supports, and in half the draws the
+first two share their support count, where the kernel's choice of loop
+is a tie.  The runs use the derandomized profile of ``conftest.py``.
 """
 
 import random
@@ -26,13 +34,16 @@ from functools import cache
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from freealg import (LinearMap, QuaternionParams, Tensor2, apply, associator, complex_algebra,
-                     compose, exact, left_shift, multiply, norm_sq, octonion_algebra, opposite,
-                     quaternion_algebra, tensor_product, twisted_mul)
-from freealg.linmap import left_associator_map
+from freealg import (AlgebraMismatch, LinearMap, QuaternionParams, Tensor2, apply, associator,
+                     complex_algebra, compose, exact, left_shift, multiply, norm_sq,
+                     octonion_algebra, opposite, quaternion_algebra, right_shift, tensor_product,
+                     twisted_mul)
+from freealg.linmap import left_associator_map, right_associator_map
 from freealg.tensor import twisted_algebra
+from test_component_blocks import dual_numbers
+from test_kernel_properties import algebras
 
 
 def _coprime_denominators(count):
@@ -76,6 +87,8 @@ def algebra(name):
         return tensor_product([algebra("H"), algebra("H")])
     if name == "O(x)O^op":
         return tensor_product([algebra("O"), opposite(algebra("O"))])
+    if name == "Q[e]/(e^2)":
+        return dual_numbers()
     raise KeyError(name)
 
 
@@ -115,6 +128,108 @@ def test_multiply_matches_the_constants(name, big, data):
     alg = algebra(name)
     x, y = data.draw(elements(alg, 2, big))
     assert multiply(x, y).coords == reference_product(alg, x.coords, y.coords)
+
+
+@cache
+def reference_cells(alg):
+    """{(i, j): [(k, c), ...]} from the public constants."""
+    cells = {}
+    for i, j, k, c in alg.constants:
+        cells.setdefault((i, j), []).append((k, c))
+    return cells
+
+
+def sparse_product(alg, x, y):
+    """reference_product, summed over the nonzero coordinates only."""
+    out = [Fraction(0)] * alg.dim
+    cells = reference_cells(alg)
+    y_support = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        for j, yj in y_support if xi else ():
+            for k, c in cells.get((i, j), ()):
+                out[k] += c * xi * yj
+    return tuple(out)
+
+
+def reference_associator(alg, x, y, z, xy=None, yz=None):
+    """(x y) z - x (y z); ``xy`` and ``yz`` when they are known."""
+    xy = sparse_product(alg, x, y) if xy is None else xy
+    yz = sparse_product(alg, y, z) if yz is None else yz
+    left, right = sparse_product(alg, xy, z), sparse_product(alg, x, yz)
+    return tuple(p - q for p, q in zip(left, right))
+
+
+@st.composite
+def operands(draw, alg, big):
+    """Three coordinate tuples of ``alg``, each zero, a basis vector or
+    nonzero values on a random support of at most 8 coordinates; in half
+    the draws the second has as many nonzero coordinates as the first."""
+    n = alg.dim
+    denominators = iter(DENOMINATORS)
+    tie = draw(st.booleans())
+    out = []
+    for index in range(3):
+        kind = draw(st.sampled_from(["zero", "basis", "support"]))
+        if tie and index == 1:
+            kind, size = "support", sum(1 for v in out[0] if v)
+        else:
+            size = {"zero": 0, "basis": 1}.get(kind) or draw(st.integers(1, min(n, SUPPORT)))
+        support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=size,
+                                max_size=size))
+        coords = [Fraction(0)] * n
+        for i in support:
+            if kind == "basis":
+                coords[i] = Fraction(1)
+            elif big:
+                numerator = draw(st.integers(1, 2**40) | st.integers(-2**40, -1))
+                coords[i] = Fraction(numerator, next(denominators))
+            else:
+                coords[i] = draw(NONZERO)
+        out.append(tuple(coords))
+    return out
+
+
+def check_element_layer(alg, data, big):
+    x, y, z = data.draw(operands(alg, big))
+    a, b, c = (alg.element(v) for v in (x, y, z))
+    units = [tuple(Fraction(int(i == j)) for i in range(alg.dim)) for j in range(alg.dim)]
+    xy, yx = sparse_product(alg, x, y), sparse_product(alg, y, x)
+    columns = [
+        (left_shift(a), [sparse_product(alg, x, e) for e in units]),
+        (right_shift(a), [sparse_product(alg, e, x) for e in units]),
+        (left_associator_map(a, b), [reference_associator(alg, x, y, e, xy=xy) for e in units]),
+        (right_associator_map(b, a), [reference_associator(alg, e, y, x, yz=yx) for e in units]),
+    ]
+    for f, cols in columns:
+        assert f.coords == tuple(zip(*cols))
+    assert multiply(a, b).coords == xy
+    assert associator(a, b, c).coords == reference_associator(alg, x, y, z)
+    assert associator(c, a, b).coords == reference_associator(alg, z, x, y)
+
+
+@settings(max_examples=50)  # a 40-bit O (x) O^op example takes about 0.2 s of Fractions
+@given(st.sampled_from(PRODUCT_ALGEBRAS + ["Q[e]/(e^2)"]), st.booleans(), st.data())
+def test_shifts_and_associators_match_the_constants(name, big, data):
+    check_element_layer(algebra(name), data, big)
+
+
+@given(algebras(), st.booleans(), st.data())
+def test_shifts_and_associators_match_the_constants_of_random_algebras(alg, big, data):
+    check_element_layer(alg, data, big)
+
+
+def test_associators_refuse_operands_of_two_algebras():
+    # associator and the associator maps reach the kernel without multiply,
+    # so they check their operands' algebra themselves
+    H, other = algebra("H"), quaternion_algebra()
+    x, y, z = H.basis_element(1), H.basis_element(2), other.basis_element(3)
+    for args in ((z, x, y), (x, z, y), (x, y, z)):
+        with pytest.raises(AlgebraMismatch):
+            associator(*args)
+    for build in (left_associator_map, right_associator_map):
+        for args in ((x, z), (z, x)):
+            with pytest.raises(AlgebraMismatch):
+                build(*args)
 
 
 @given(st.booleans(), st.data())

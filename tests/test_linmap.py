@@ -85,16 +85,18 @@ def test_shift_laws(O):
 
 def test_associator_maps_are_built_without_the_shifts(O, monkeypatch):
     # test_shift_laws and `verify shifts` check the associator maps
-    # against L(a)L(b) - L(ab); built from compose and the shifts, that
-    # check would hold by construction
+    # against L(a)L(b) - L(ab); built from compose and the shifts, or from
+    # the int matrix product under compose, that check would hold by
+    # construction
     rng = random.Random(34)
     a, b = random_element(O, rng), random_element(O, rng)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("associator map built from compose or a shift")
+        raise AssertionError("associator map built from compose, a shift or a matrix product")
 
     for name in ("compose", "left_shift", "right_shift"):
         monkeypatch.setattr(linmap, name, refuse)
+    monkeypatch.setattr(exact, "int_mat_mul", refuse)
     left, right = left_associator_map(a, b), right_associator_map(b, a)
     for j, e in enumerate(O.basis()):
         assert tuple(row[j] for row in left.coords) == associator(a, b, e).coords
