@@ -207,7 +207,7 @@ def check_element_layer(alg, data, big):
     assert associator(c, a, b).coords == reference_associator(alg, z, x, y)
 
 
-@settings(max_examples=50)  # a 40-bit O (x) O^op example takes about 0.2 s of Fractions
+@settings(max_examples=50)  # the reference runs on Fractions, slow on 40-bit O (x) O^op
 @given(st.sampled_from(PRODUCT_ALGEBRAS + ["Q[e]/(e^2)"]), st.booleans(), st.data())
 def test_shifts_and_associators_match_the_constants(name, big, data):
     check_element_layer(algebra(name), data, big)
