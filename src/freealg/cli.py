@@ -41,6 +41,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import exact, golden
 from .algebras import (complex_algebra, conjugate, conjugation_coords,
@@ -139,7 +140,8 @@ def parse_vector(text: str) -> list[Fraction]:
 def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     if name not in BUILTIN_NAMES:
         raise InvalidAlgebra(f"unknown builtin algebra {name!r}")
-    return _builtin(name, _literal(a, "--a"), _literal(b, "--b"))
+    (p, q), (r, s) = _ratio(a, "--a"), _ratio(b, "--b")
+    return _builtin(name, Fraction(p, q), Fraction(r, s))
 
 
 # one per process and parsed parameters ("-1", "-2/2" share one); the bound caps memory
@@ -161,10 +163,10 @@ def algebra_to_json(algebra: FreeAlgebra) -> dict:
     return doc
 
 
-_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")  # \s is what str.strip strips
 _KINDS = {int: "an integer", list: "a list", str: "a string"}
 # json.load reads an integer with more digits than int() takes as _LONG_INT,
-# which _literal and _typed refuse naming the field; _shown prints a placeholder
+# which _ratio and _typed refuse naming the field; _shown prints a placeholder
 _LONG_INT = object()
 _shown = json.JSONEncoder(default=lambda _: "<integer with too many digits>").encode
 
@@ -176,22 +178,46 @@ def _json_int(text: str):
         return _LONG_INT
 
 
-def _literal(value, what: str) -> Fraction:
-    """A rational from a JSON integer or from text such as " -3/5 "; no
-    exponents, which ``Fraction`` would expand into all of their digits."""
+def _ratio(value, what: str) -> tuple[int, int]:
+    """(p, q), q > 0 and not reduced, from a JSON integer or from text such as
+    " -3/5 "; no exponents, which ``Fraction`` would expand into all of their digits."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if value is _LONG_INT:
         raise InvalidAlgebra(f"{what} has too many digits")
-    if not isinstance(value, str) or not _LITERAL.fullmatch(value.strip()):
+    match = _LITERAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise InvalidAlgebra(
             f"{what} must be a fraction string or an integer, got {_shown(value)}")
+    p, q = match.groups("1")
     try:
-        return Fraction(value)
-    except ValueError:
+        p, q = int(p), int(q)
+    except ValueError:  # over the interpreter's digit limit
         raise InvalidAlgebra(f"{what} has too many digits") from None
-    except ZeroDivisionError:
-        raise InvalidAlgebra(f"{what} has a zero denominator: {value.strip()}") from None
+    if not q:
+        raise InvalidAlgebra(f"{what} has a zero denominator: {value.strip()}")
+    return p, q
+
+
+def _literal(value, what: str) -> Fraction:
+    """The rational ``_ratio`` reads."""
+    return Fraction(*_ratio(value, what))
+
+
+def _form(values, what: str) -> tuple[tuple[int, ...], int]:
+    """The canonical int form of the literals ``values``, read in order."""
+    ratios = [_ratio(v, what) for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return exact.canonical([p * (den // q) for p, q in ratios], den)
+
+
+def _endomorphism(algebra: FreeAlgebra, rows: list, form) -> LinearMap:
+    """The map of ``algebra`` whose coordinate rows ``rows`` have the int form
+    ``form``, read first: a bad literal is reported before a bad shape."""
+    n = algebra.dim
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"coordinate matrix must be {n}x{n}")
+    return LinearMap._of((algebra, algebra), form)
 
 
 def _typed(value, kind: type, what: str):
@@ -243,12 +269,14 @@ def load_algebra(source: str) -> FreeAlgebra:
     return algebra_from_json(_read_json(source, "algebra"))
 
 
-def load_matrix_file(path: str) -> list[list[Fraction]]:
+def load_matrix_file(path: str, algebra: FreeAlgebra) -> LinearMap:
+    """The map of ``algebra`` in a coordinate matrix file."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [parse_vector(line) for line in fh if line.strip()]
+        rows = [line.split() for line in fh if line.strip()]
+    form = _form(exact.vec(rows), "coordinate")
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise InvalidAlgebra("matrix file must have equal-length nonempty rows")
-    return rows
+    return _endomorphism(algebra, rows, form)
 
 
 def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
@@ -288,15 +316,18 @@ def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
                         "string entries are defined over the complex field only")
                 entry_row.append(parse_complex_entry(cell, algebra))
             elif isinstance(cell, list) and all(isinstance(r, list) for r in cell):
-                coords = [[_literal(v, "matrix cell") for v in r] for r in cell]
-                entry_row.append(LinearMap(algebra, algebra, coords))
+                entry_row.append(
+                    _endomorphism(algebra, cell, _form(exact.vec(cell), "matrix cell")))
             else:
                 raise InvalidAlgebra("matrix entry must be a string or a grid of "
                                      f"coordinates, got {_shown(cell)}")
         entries.append(entry_row)
-    rhs = [algebra.element([_literal(v, "rhs coordinate")
-                            for v in _typed(coords, list, "rhs entry")])
-           for coords in _field(doc, "rhs", list)]
+    rhs = []
+    for coords in _field(doc, "rhs", list):
+        form = _form(_typed(coords, list, "rhs entry"), "rhs coordinate")
+        if len(coords) != algebra.dim:
+            raise InvalidAlgebra(f"expected {algebra.dim} coordinates, got {len(coords)}")
+        rhs.append(AlgElement._of((algebra,), form))
     return algebra, MapMatrix(entries), rhs
 
 
@@ -546,9 +577,7 @@ def cmd_algebra_builtin(args) -> int:
 
 
 def cmd_map_convert(args) -> int:
-    algebra = load_algebra(args.algebra)
-    coords = load_matrix_file(args.coords)
-    g = LinearMap(algebra, algebra, coords)
+    g = load_matrix_file(args.coords, load_algebra(args.algebra))
     solution = standard_from_coords(g, args.order)
     lines = []
     if args.machine:

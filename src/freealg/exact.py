@@ -4,7 +4,7 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, rref, solve, and factor with its full-rank
+All elimination (rank, rref, solve_ints, and factor with its full-rank
 read-off invert_ints) runs through one loop, ``_reduce``, a fraction-free
 Gauss-Jordan over Python ints.  A row enters scaled by the lcm of its
 denominators, which keeps its row space and the reduced row echelon form;
@@ -15,7 +15,8 @@ component matrix, whose minors grow: a Bareiss prototype was 1.5-2x
 faster on dense 16 x 17 matrices, 0.8-1.0x on sparse ones, and slowed
 ``map convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s (2 CPUs, Python
 3.11).  Fractions appear only on the way out: a reduced row is the
-integer row over its pivot.
+integer row over its pivot, and ``invert`` and ``solve`` are the Fraction
+views of ``invert_ints`` and ``solve_ints``.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -330,13 +331,14 @@ def invert(a: Mat) -> Mat:
     return [as_fractions(ints[i * n:i * n + n], den) for i in range(n)]
 
 
-def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
-    """General exact solve of a x = b.
+def solve_ints(a, b) -> tuple[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]]:
+    """General exact solve of a x = b, a and b of ints or Fractions, in int forms.
 
     Returns (particular solution with free variables set to 0, nullspace
-    basis): one vector per free column, in ascending order, with a 1 there
-    as its last nonzero entry.  Raises ValueError when the system is
-    inconsistent, b's length is not a's row count or a's rows differ in length.
+    basis) as canonical (ints, den): one null vector per free column, in
+    ascending order, with a 1 there as its last nonzero entry.  Raises
+    ValueError when the system is inconsistent, b's length is not a's row
+    count or a's rows differ in length.
     """
     if len(b) != len(a):
         raise ValueError(f"right side has {len(b)} entries for {len(a)} rows")
@@ -345,17 +347,24 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     pivots = _reduce(rows, cols + 1)
     if cols in pivots:
         raise ValueError("inconsistent linear system")
-    particular = [ZERO] * cols
-    for row, c in zip(rows, pivots):
-        particular[c] = Fraction(row[cols], row[c])
-    basis: list[Vec] = []
-    for fc in sorted(set(range(cols)).difference(pivots)):
-        v = [ZERO] * cols
-        v[fc] = ONE
+
+    def read_off(j: int, sign: int) -> tuple[tuple[int, ...], int]:
+        # sign row[j] / row[c] at each pivot c and 1 at j, over the lcm of the pivots it needs
+        den = lcm(*(row[c] for row, c in zip(rows, pivots) if row[j]))
+        x = [0] * (cols + 1)
+        x[j] = den
         for row, c in zip(rows, pivots):
-            v[c] = Fraction(-row[fc], row[c])
-        basis.append(v)
-    return particular, basis
+            x[c] = sign * row[j] * (den // row[c])
+        return canonical(x[:cols], den)
+
+    free = sorted(set(range(cols)).difference(pivots))
+    return read_off(cols, 1), [read_off(fc, -1) for fc in free]
+
+
+def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
+    """The Fractions of ``solve_ints``, a zero entry as ``ZERO``; raises as it does."""
+    (particular, den), basis = solve_ints(a, b)
+    return as_fractions(particular, den), [as_fractions(*v) for v in basis]
 
 
 def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:

@@ -425,10 +425,11 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
         raise AlgebraMismatch("maps act on different algebras")
     (columns, den), (g_nums, g_den) = _orbit_columns(f, order), g.ints
     try:
-        particular, _ = exact.solve(list(zip(*columns)), [v * den for v in g_nums])
+        (particular, t_den), _ = exact.solve_ints(list(zip(*columns)), [v * den for v in g_nums])
     except ValueError:
         return None
-    return Tensor2(f.target, exact.blocks(particular, f.target.dim)).scaled(Fraction(1, g_den))
+    # the columns over den give g_nums / g_den: t is the particular over g_den
+    return Tensor2._of((f.target,), exact.canonical(particular, t_den * g_den))
 
 
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:

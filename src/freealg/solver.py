@@ -4,8 +4,8 @@ A MapMatrix is a grid of linear maps, all endomorphisms of one algebra.
 As in the paper, its sum is the sum of maps and its row-by-column
 product composes entries.  ``flatten`` builds the one rational block
 matrix of a MapMatrix; inversion inverts it and cuts the inverse back
-into maps, and a system is solved by eliminating it once, never
-inverting M.  The answer is then substituted back through the maps, not
+into maps, and a system is solved by eliminating its int rows, with the
+right side appended, once, never inverting M.  The answer is then substituted back through the maps, not
 through the eliminated matrix, and a singular system is refused with a
 witness x != 0 checked the same way.  The quasideterminant recursion
 composes the entries too; it is kept as an independent second path that
@@ -19,6 +19,7 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import exact
@@ -183,16 +184,33 @@ def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
     return [sum(map(apply, row, x), zero) for row in m.entries]
 
 
+def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
+    """The int rows of [M | -b], the flattening with -b appended, each band
+    of n rows (a row of maps and its right side) over the lcm of their
+    denominators."""
+    n = m.algebra.dim
+    rows = []
+    for band, y in zip(m.entries, rhs):
+        (ys, y_den), forms = y.ints, [f.ints for f in band]
+        den = lcm(y_den, *(d for _, d in forms))
+        scaled = [(nums, den // d) for nums, d in forms]
+        for r, y_r in enumerate(ys):
+            row = [x * s for nums, s in scaled for x in nums[r * n:r * n + n]]
+            row.append(-y_r * (den // y_den))
+            rows.append(row)
+    return rows
+
+
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    With b the right side stacked into one vector, eliminates the
-    flattening with -b appended, [M | -b], once, never inverting M.  Its
-    first null vector is (x, 1) when M is nonsingular, and (w, 0) with
-    M w = 0, w != 0, when M is singular, consistent or not.  x is
-    substituted back through the maps, so the check does not read the
-    matrix it checks; a singular M raises SingularSystem with ``witness``
-    w, checked the same way.
+    With b the right side stacked into one vector, eliminates the int
+    rows of the flattening with -b appended, [M | -b], once, never
+    inverting M.  Its first null vector is (x, 1) when M is nonsingular,
+    and (w, 0) with M w = 0, w != 0, when M is singular, consistent or
+    not.  x is substituted back through the maps, so the check does not
+    read the matrix it checks; a singular M raises SingularSystem with
+    ``witness`` w, checked the same way.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
@@ -202,18 +220,22 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         if y.algebra is not m.algebra:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
-    flat = [[*row, -v] for row, v in zip(flatten(m), exact.vec(y.coords for y in rhs))]
-    _, (kernel, *_) = exact.solve(flat, [exact.ZERO] * len(flat))
+    rows = _augmented(m, rhs)
+    _, ((kernel, den), *_) = exact.solve_ints(rows, [0] * len(rows))
     *x, last = kernel  # (x, 1), or (w, 0) for a singular M
+
+    def elements(v) -> list[AlgElement]:
+        return [AlgElement._of((m.algebra,), exact.canonical(vi, den)) for vi in exact.blocks(v, n)]
+
     if not last:  # w's last nonzero is its free column, the one exact.invert names
-        witness = [AlgElement(m.algebra, wi) for wi in exact.blocks(x, n)]
+        witness = elements(x)
         if not any(x) or not all(v.is_zero() for v in _left_sides(m, witness)):
             raise SubstitutionCheckFailed("singular-system witness fails M w = 0")
         free = max(c for c, v in enumerate(x) if v)
         raise SingularSystem(
             f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
             witness)
-    solution = [AlgElement(m.algebra, xi) for xi in exact.blocks(x, n)]
+    solution = elements(x)
     for i, (got, want) in enumerate(zip(_left_sides(m, solution), rhs)):
         if got != want:
             raise SubstitutionCheckFailed(

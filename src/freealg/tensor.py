@@ -155,11 +155,11 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
         return u
     shift, den = linmap.left_shift(_twisted_element(t)).ints
     try:
-        particular, _ = exact.solve(exact.blocks(shift, n * n),
-                                    [v * den for v in unit.ints[0]])
+        particular, _ = exact.solve_ints(exact.blocks(shift, n * n),
+                                         [v * den for v in unit.ints[0]])
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
-    u = Tensor2(algebra, exact.blocks(particular, n))
+    u = Tensor2._of((algebra,), particular)
     if twisted_mul(u, t) != unit:
         raise SingularTensor(
             "right inverse exists but is not a left inverse", one_sided=True)

@@ -348,6 +348,16 @@ def _exponent_constant_doc():
     ("solve", _system_doc(matrix=[["+-I"]]), 'more than one sign, got "+-I"'),
     ("solve", _system_doc(matrix=[["1+-2*I"]]), 'more than one sign, got "1+-2*I"'),
     ("solve", _system_doc(matrix=[["1 - -I"]]), 'more than one sign, got "1 - -I"'),
+    # a cell or an rhs entry with a bad literal and the wrong shape names the literal
+    ("solve", _system_doc(algebra="quaternion", matrix=[[[["x"]]]], rhs=[["1"] * 4]),
+     'matrix cell must be a fraction string or an integer, got "x"'),
+    ("solve", _system_doc(algebra="quaternion", matrix=[[[["1"] * 4, ["2/0"]]]], rhs=[["1"] * 4]),
+     "matrix cell has a zero denominator: 2/0"),
+    ("solve", _system_doc(algebra="quaternion", matrix=[[[["1"] * 4, ["2"]]]], rhs=[["1"] * 4]),
+     "coordinate matrix must be 4x4"),
+    ("solve", _system_doc(rhs=[["1", "2", "x"]]),
+     'rhs coordinate must be a fraction string or an integer, got "x"'),
+    ("solve", _system_doc(rhs=[["1", "2", "3"]]), "expected 2 coordinates, got 3"),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
         "float_dim", "labels_string", "labels_not_strings", "labels_integer",
@@ -355,7 +365,9 @@ def _exponent_constant_doc():
         "zero_denominator", "exponent_constant", "decimal_cell", "long_literal",
         "constants_object", "space_between_digits", "space_between_digits_conj",
         "space_after_slash", "space_before_slash", "two_signs", "two_signs_conj",
-        "two_signs_second_term", "two_signs_spaced"])
+        "two_signs_second_term", "two_signs_spaced", "bad_literal_in_short_cell",
+        "zero_denominator_in_ragged_cell", "ragged_cell", "bad_literal_in_long_rhs",
+        "long_rhs"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, reason):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -381,6 +393,12 @@ def _long_int(doc):
     (["basis"], DEEP, "algebra file nests its JSON too deeply"),
     (["map", "convert", "--algebra", "complex", "--coords"], "1e5 0\n0 1\n",
      'coordinate must be a fraction string or an integer, got "1e5"'),
+    (["map", "convert", "--algebra", "complex", "--coords"], "1 0\n0\n1 x\n",
+     'coordinate must be a fraction string or an integer, got "x"'),
+    (["map", "convert", "--algebra", "complex", "--coords"], "1 0\n0\n",
+     "matrix file must have equal-length nonempty rows"),
+    (["map", "convert", "--algebra", "quaternion", "--coords"], "1 0\n0 1\n",
+     "coordinate matrix must be 4x4"),
     (["algebra", "builtin", "quaternion", "--a", "0.5"], None,
      '--a must be a fraction string or an integer, got "0.5"'),
     (["algebra", "builtin", "complex", "--a=zz"], None,
@@ -391,7 +409,8 @@ def _long_int(doc):
      "rhs coordinate has too many digits"),
     (["basis"], _long_int(_complex_doc(dim="LONG")), "dimension"),
     (["basis"], _long_int(_complex_doc(labels=["1", "LONG"])), "label"),
-], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate", "decimal_param",
+], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate",
+        "bad_literal_in_ragged_file", "ragged_file", "file_of_wrong_shape", "decimal_param",
         "complex_param", "octonion_param", "long_rhs_integer", "long_dim", "long_label"])
 def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
     # raw text that json.dumps cannot write (too deep, not JSON, an integer

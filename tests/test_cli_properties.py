@@ -10,6 +10,10 @@ Every fraction that ``solve``, ``map convert`` and ``basis`` print in
 the library computes, on builtin and random algebras and on small and
 40-bit entries.
 
+The int literal reader ``_ratio`` reads what ``Fraction`` reads from the
+stripped text, and refuses the rest with a pinned message; ``_form`` of a
+list of literals is the canonical int form of their Fractions.
+
 The ``algebra`` field of a system names a builtin or the definition file
 written here, never an arbitrary path.  The runs use the derandomized
 profile of ``conftest.py``, so the suite is deterministic.
@@ -19,15 +23,17 @@ import contextlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freealg import (LinearMap, MapMatrix, NotRepresentable, SingularSystem, complex_algebra,
                      quaternion_algebra, representation_basis, solve_additive,
                      standard_from_coords)
-from freealg.cli import (BUILTIN_NAMES, _literal, algebra_to_json, main, make_builtin,
-                         parse_complex_entry)
+from freealg import exact
+from freealg.cli import (BUILTIN_NAMES, _LONG_INT, _form, _literal, _ratio, algebra_to_json,
+                         main, make_builtin, parse_complex_entry)
 from freealg.errors import InvalidAlgebra
 from test_kernel_properties import VALUES, algebras, grids
 
@@ -212,3 +218,92 @@ def test_machine_basis_reparses_to_the_library_values(workdir, data, order):
     want.update((f"generator.{i}.{r}", list(row)) for i, g in enumerate(generators)
                 for r, row in enumerate(g.coords))
     assert printed(out) == want
+
+
+# the int literal reader against Fraction(text.strip())
+
+def oracle(value):
+    """The rational a JSON integer or a literal's text stands for, by ``Fraction``."""
+    return Fraction(value) if isinstance(value, int) else Fraction(value.strip())
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", " 　", "\x1c"])
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=24)
+WELL_FORMED = st.builds(lambda lead, sign, p, q, trail: f"{lead}{sign}{p}{q}{trail}",
+                        SPACES, st.sampled_from(["", "+", "-"]), DIGITS,
+                        st.just("") | DIGITS.map("/{}".format), SPACES)
+JSON_INTS = st.integers() | st.integers(-3, 3)
+
+
+@example(" 007/014 ")
+@example("-2/4")
+@example("+0")
+@example("9" * 4300)
+@example("1/" + "9" * 4300)
+@given(WELL_FORMED | JSON_INTS)
+def test_ratio_reads_what_fraction_reads(value):
+    try:
+        want = oracle(value)
+    except ZeroDivisionError:
+        with pytest.raises(InvalidAlgebra) as refused:
+            _ratio(value, "x")
+        assert str(refused.value) == f"x has a zero denominator: {value.strip()}"
+        return
+    p, q = _ratio(value, "x")
+    assert type(p) is int and type(q) is int and q > 0
+    assert Fraction(p, q) == want == _literal(value, "x")
+
+
+@given(st.text(alphabet="0123456789 +-/.eE_\t٣１", max_size=10))
+def test_ratio_accepts_nothing_fraction_refuses(text):
+    # on text near the grammar, whatever _ratio accepts Fraction reads the same
+    try:
+        ratio = _ratio(text, "x")
+    except InvalidAlgebra as refused:
+        assert str(refused).startswith(("x must be a fraction string or an integer, got ",
+                                        "x has a zero denominator: "))
+        return
+    assert Fraction(*ratio) == oracle(text)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "x must be a fraction string or an integer, got true"),
+    (False, "x must be a fraction string or an integer, got false"),
+    (None, "x must be a fraction string or an integer, got null"),
+    (0.5, "x must be a fraction string or an integer, got 0.5"),
+    ("0.5", 'x must be a fraction string or an integer, got "0.5"'),
+    ("1e5", 'x must be a fraction string or an integer, got "1e5"'),
+    ("1 2", 'x must be a fraction string or an integer, got "1 2"'),
+    ("1/ 2", 'x must be a fraction string or an integer, got "1/ 2"'),
+    ("- 1", 'x must be a fraction string or an integer, got "- 1"'),
+    ("٣", 'x must be a fraction string or an integer, got "\\u0663"'),
+    ("1_000", 'x must be a fraction string or an integer, got "1_000"'),
+    ("1/0", "x has a zero denominator: 1/0"),
+    (" -3/00 ", "x has a zero denominator: -3/00"),
+    ("1" * 4301, "x has too many digits"),
+    ("1/" + "1" * 4301, "x has too many digits"),
+    ("1" * 4301 + "/0", "x has too many digits"),
+    (_LONG_INT, "x has too many digits"),
+], ids=["true", "false", "null", "float", "decimal", "exponent", "inner_space",
+        "space_after_slash", "space_after_sign", "arabic_indic_digit", "underscore",
+        "zero_denominator", "zero_denominator_spaced", "digits_4301", "denominator_4301",
+        "digits_before_zero_denominator", "long_json_int"])
+def test_ratio_refusals_are_pinned(value, message):
+    for read in (_ratio, _literal):
+        with pytest.raises(InvalidAlgebra) as refused:
+            read(value, "x")
+        assert str(refused.value) == message
+    with pytest.raises(InvalidAlgebra) as refused:
+        _form(["1", value, "2"], "x")
+    assert str(refused.value) == message
+
+
+@given(st.lists(WELL_FORMED | JSON_INTS, max_size=8))
+def test_form_is_the_canonical_form_of_the_oracle(values):
+    try:
+        fractions = [oracle(v) for v in values]
+    except ZeroDivisionError:
+        with pytest.raises(InvalidAlgebra, match="zero denominator"):
+            _form(values, "x")
+        return
+    assert _form(values, "x") == exact.canonical(*exact.as_ints(fractions))

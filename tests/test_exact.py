@@ -12,7 +12,7 @@ import importlib
 import random
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -229,6 +229,68 @@ def test_invert_is_the_fraction_view_of_its_int_core():
         with pytest.raises(ValueError, match=message):
             exact.invert_ints(a)
     assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
+
+
+def solve_cases(seed, count):
+    """(a, b, oracle answer or None) for full-rank, rank-deficient and
+    inconsistent systems in turn, half of them as rows of ints."""
+    rng = random.Random(seed)
+    for k in range(count):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        kind = k % 3
+        rank = min(rows, cols) if kind == 0 else rng.randint(0, min(rows, cols) - 1)
+        a = random_matrix(rng, rows, cols, rank, big=k % 4 == 1)
+        b = (times(a, [entry(rng, False) for _ in range(cols)]) if kind < 2
+             else [entry(rng, rng.random() < 0.3) for _ in a])
+        if k % 2:  # each row of [a | b] over its lcm of denominators
+            scales = [lcm(*(y.denominator for y in (*row, v))) for row, v in zip(a, b)]
+            a = [[int(x * s) for x in row] for row, s in zip(a, scales)]
+            b = [int(v * s) for v, s in zip(b, scales)]
+        yield a, b, oracle_solve(a, b, cols)
+
+
+def test_solve_ints_matches_the_oracle_in_canonical_int_forms():
+    # the same pivots, the particular solution with its free entries 0, and
+    # one null vector per free column, sorted by it, each as canonical ints
+    def canonical(form, cols):
+        ints, den = form
+        return (type(ints) is tuple and len(ints) == cols and type(den) is int and den > 0
+                and all(type(x) is int for x in ints) and gcd(den, *ints) == 1)
+
+    seen = {"full": 0, "deficient": 0, "inconsistent": 0}
+    for a, b, want in solve_cases(23, 90):
+        cols = len(a[0])
+        if want is None:
+            seen["inconsistent"] += 1
+            with pytest.raises(ValueError, match="^inconsistent linear system$"):
+                exact.solve_ints(a, b)
+            continue
+        particular, basis = exact.solve_ints(a, b)
+        _, pivots = oracle_rref(a, cols)
+        seen["full" if len(pivots) == min(len(a), cols) else "deficient"] += 1
+        free = [c for c in range(cols) if c not in pivots]
+        assert all(canonical(form, cols) for form in [particular, *basis])
+        assert [Fraction(x, particular[1]) for x in particular[0]] == want[0]
+        assert all(particular[0][c] == 0 for c in free)
+        assert [[Fraction(x, den) for x in ints] for ints, den in basis] == want[1]
+        assert [max(c for c, x in enumerate(ints) if x) for ints, _ in basis] == free
+    assert min(seen.values()) > 10, seen
+
+
+def test_solve_is_the_fraction_view_of_solve_ints():
+    for a, b, want in solve_cases(29, 60):
+        if want is None:
+            continue
+        (particular, den), basis = exact.solve_ints(a, b)
+        view = exact.solve(a, b)
+        assert view == ([Fraction(x, den) for x in particular],
+                        [[Fraction(x, d) for x in ints] for ints, d in basis]) == want
+        assert all(v is exact.ZERO for v in [*view[0], *exact.vec(view[1])] if not v)
+    with pytest.raises(ValueError, match="^right side has 1 entries for 2 rows$"):
+        exact.solve_ints([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError, match="^rows have differing lengths"):
+        exact.solve_ints([[1, 2], [3]], [1, 1])
+    assert exact.solve_ints([[0, 0]], [0]) == (((0, 0), 1), [((1, 0), 1), ((0, 1), 1)])
 
 
 def test_factor_gives_the_reduced_form_and_the_left_null_space():

@@ -320,9 +320,9 @@ def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
     zero = LinearMap.zero(C)
     m = MapMatrix([[LinearMap.identity(C), zero], [zero, l3]])
     # a wrong solution, x = b, that still satisfies equation 0: the kernel of
-    # [M | -b] given as (b, 1)
-    monkeypatch.setattr(solver_mod.exact, "solve",
-                        lambda a, zero: (zero, [[-row[-1] for row in a] + [1]]))
+    # [M | -b], whose int rows are over 1 here, given as (b, 1)
+    monkeypatch.setattr(solver_mod.exact, "solve_ints", lambda a, zero: (
+        None, [exact.canonical([-row[-1] for row in a] + [1], 1)]))
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
@@ -416,13 +416,13 @@ def test_solve_additive_eliminates_once(name, tmp_path, monkeypatch):
     path.write_text(json.dumps(getattr(test_golden_cli, name)), encoding="utf-8")
     _, m, rhs = load_system(str(path))
     calls = []
-    solve = exact.solve
+    solve = exact.solve_ints
 
     def counted(a, b):
         calls.append(a)
         return solve(a, b)
 
-    monkeypatch.setattr(exact, "solve", counted)
+    monkeypatch.setattr(exact, "solve_ints", counted)
     try:
         solve_additive(m, rhs)
     except SingularSystem as err:
@@ -433,6 +433,35 @@ def test_solve_additive_eliminates_once(name, tmp_path, monkeypatch):
     else:
         assert name == "SYSTEM"
     assert len(calls) == 1
+
+
+def test_a_grid_system_is_read_and_solved_without_fractions(tmp_path, monkeypatch):
+    # grid cells and rhs coordinates are read as int forms and [M | -b] is
+    # eliminated on ints, so neither the literal reader nor frac runs.  H is
+    # built before they are refused: its constants pass through frac once.
+    import sys
+    import freealg.cli as cli_mod
+    doc = json.loads(json.dumps(test_golden_cli.QUATERNION_SYSTEM))
+    doc["matrix"][0][0][1] = ["2/4", " -06/9 ", 3, "+1"]
+    doc["rhs"][1] = [0, "4/6", -2, "0/5"]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    algebra, m, rhs = load_system(str(path))
+    assert m.entries == tuple(tuple(LinearMap(algebra, algebra, [list(map(Fraction, row))
+                                                                 for row in cell])
+                                    for cell in line) for line in doc["matrix"])
+    assert rhs == [algebra.element(list(map(Fraction, y))) for y in doc["rhs"]]
+    expected = solve_additive(m, rhs)
+
+    def refuse(*args):
+        raise AssertionError("a literal became a Fraction on the grid path")
+
+    monkeypatch.setattr(cli_mod, "_literal", refuse)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("freealg") and getattr(module, "frac", None) is exact.frac:
+            monkeypatch.setattr(module, "frac", refuse)
+    loaded, m, rhs = load_system(str(path))
+    assert loaded is algebra and solve_additive(m, rhs) == expected
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
@@ -472,17 +501,19 @@ def test_solve_additive_runs_on_ints(name, request, monkeypatch):
 
 
 def test_substitution_does_not_read_the_eliminated_matrix(C, monkeypatch):
-    # a flattening with one wrong entry in equation 1 gives an x that solves
-    # it; substituting x through the maps must find that equation 1 fails
+    # int rows of [M | -b], over 1 here, with one wrong entry in equation 1
+    # give an x that solves them; substituting x through the maps must find
+    # that equation 1 fails
     import freealg.solver as solver_mod
     m, rhs = example_system(C)
+    augmented = solver_mod._augmented
 
-    def perturbed(mm):
-        flat = flatten(mm)
-        flat[2][0] += 1
-        return flat
+    def perturbed(mm, b):
+        rows = augmented(mm, b)
+        rows[2][0] += 1
+        return rows
 
-    monkeypatch.setattr(solver_mod, "flatten", perturbed)
+    monkeypatch.setattr(solver_mod, "_augmented", perturbed)
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, rhs)
 
