@@ -133,10 +133,6 @@ def matrix_str(rows) -> str:
     return "; ".join(vector_str(row) for row in rows)
 
 
-def parse_vector(text: str) -> list[Fraction]:
-    return [_literal(tok, "coordinate") for tok in text.split()]
-
-
 def make_builtin(name: str, a="-1", b="-1") -> FreeAlgebra:
     if name not in BUILTIN_NAMES:
         raise InvalidAlgebra(f"unknown builtin algebra {name!r}")

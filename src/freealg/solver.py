@@ -4,10 +4,11 @@ A MapMatrix is a grid of linear maps, all endomorphisms of one algebra.
 As in the paper, its sum is the sum of maps and its row-by-column
 product composes entries.  ``flatten`` builds the one rational block
 matrix of a MapMatrix; inversion inverts it and cuts the inverse back
-into maps, and a system is solved by eliminating its int rows, with the
-right side appended, once, never inverting M.  The answer is then substituted back through the maps, not
-through the eliminated matrix, and a singular system is refused with a
-witness x != 0 checked the same way.  The quasideterminant recursion
+into maps.  A system is solved by eliminating the int rows of that
+matrix with the right side appended once, never inverting M.  The
+answer is then substituted back through the maps, not through the
+eliminated matrix, and a singular system is refused with a witness
+x != 0 checked the same way.  The quasideterminant recursion
 composes the entries too; it is kept as an independent second path that
 reports per-entry quasideterminants and cross-validates the inverse.
 

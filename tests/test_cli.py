@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from freealg.cli import (main, parse_complex_entry, parse_vector,
+from freealg.cli import (_literal, main, parse_complex_entry,
                          algebra_from_json, algebra_to_json)
 from freealg import SubstitutionCheckFailed, complex_algebra, quaternion_algebra
 
@@ -40,8 +40,9 @@ def test_solve_machine_round_trip(example_file, capsys):
     code, out, _ = run(capsys, "solve", example_file, "--machine")
     assert code == 0
     values = dict(line.split("=", 1) for line in out.strip().splitlines())
-    assert parse_vector(values["solution.0"]) == [Fraction(3, 5), Fraction(-2)]
-    assert parse_vector(values["solution.1"]) == [Fraction(1, 5), Fraction(-1)]
+    for key, want in (("solution.0", [Fraction(3, 5), Fraction(-2)]),
+                      ("solution.1", [Fraction(1, 5), Fraction(-1)])):
+        assert [_literal(token, key) for token in values[key].split()] == want
     assert values["substitution"] == "ok"
 
 
