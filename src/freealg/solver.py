@@ -20,7 +20,6 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import exact
@@ -187,18 +186,13 @@ def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
     """The int rows of [M | -b], the flattening with -b appended, each band
-    of n rows (a row of maps and its right side) over the lcm of their
-    denominators."""
+    of n rows (a row of maps and its right side) over one denominator."""
     n = m.algebra.dim
     rows = []
     for band, y in zip(m.entries, rhs):
-        (ys, y_den), forms = y.ints, [f.ints for f in band]
-        den = lcm(y_den, *(d for _, d in forms))
-        scaled = [(nums, den // d) for nums, d in forms]
+        (*maps, ys), _ = exact.over_lcm([f.ints for f in band] + [y.ints])
         for r, y_r in enumerate(ys):
-            row = [x * s for nums, s in scaled for x in nums[r * n:r * n + n]]
-            row.append(-y_r * (den // y_den))
-            rows.append(row)
+            rows.append([x for nums in maps for x in nums[r * n:r * n + n]] + [-y_r])
     return rows
 
 
