@@ -34,6 +34,7 @@ File formats (JSON):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -124,6 +125,21 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # wire formats
+
+@contextlib.contextmanager
+def _all_digits():
+    """Python's limit on the digits of an int turned into text, lifted while an
+    answer is rendered and restored afterwards: an exact answer prints in full,
+    while input literals stay under the limit (``_ratio``)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
 
 def vector_str(coords) -> str:
     return " ".join(map(str, coords))
@@ -475,18 +491,19 @@ _VERIFY_SUITES = {
 def cmd_solve(args) -> int:
     algebra, matrix, rhs = load_system(args.system)
     solution = solve_additive(matrix, rhs)
-    lines = []
-    if args.machine:
-        for idx, x in enumerate(solution):
-            lines.append(f"solution.{idx}={vector_str(x.coords)}")
-        lines.append("substitution=ok")
-    else:
-        lines.append(f"system over {algebra.tag or 'user algebra'}, "
-                     f"{matrix.rows} equations")
-        for idx, x in enumerate(solution):
-            lines.append(f"  x{idx} = {format_element(x)}")
-        lines.append("substitution check: ok (all equations satisfied exactly)")
-    print("\n".join(lines))
+    with _all_digits():
+        lines = []
+        if args.machine:
+            for idx, x in enumerate(solution):
+                lines.append(f"solution.{idx}={vector_str(x.coords)}")
+            lines.append("substitution=ok")
+        else:
+            lines.append(f"system over {algebra.tag or 'user algebra'}, "
+                         f"{matrix.rows} equations")
+            for idx, x in enumerate(solution):
+                lines.append(f"  x{idx} = {format_element(x)}")
+            lines.append("substitution check: ok (all equations satisfied exactly)")
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -549,20 +566,21 @@ def cmd_verify(args) -> int:
 def cmd_basis(args) -> int:
     algebra = load_algebra(args.algebra)
     generators = representation_basis(algebra, args.order)
-    lines = []
-    if args.machine:
-        lines.append(f"generators={len(generators)}")
-        for idx, g in enumerate(generators):
-            for r, row in enumerate(g.coords):
-                lines.append(f"generator.{idx}.{r}={vector_str(row)}")
-    else:
-        lines.append(f"{len(generators)} generator(s) whose orbits span all "
-                     f"linear maps ({args.order}-nested):")
-        for idx, g in enumerate(generators):
-            lines.append(f"  generator {idx}:")
-            for row in g.coords:
-                lines.append("    " + " ".join(f"{str(v):>4}" for v in row))
-    print("\n".join(lines))
+    with _all_digits():
+        lines = []
+        if args.machine:
+            lines.append(f"generators={len(generators)}")
+            for idx, g in enumerate(generators):
+                for r, row in enumerate(g.coords):
+                    lines.append(f"generator.{idx}.{r}={vector_str(row)}")
+        else:
+            lines.append(f"{len(generators)} generator(s) whose orbits span all "
+                         f"linear maps ({args.order}-nested):")
+            for idx, g in enumerate(generators):
+                lines.append(f"  generator {idx}:")
+                for row in g.coords:
+                    lines.append("    " + " ".join(f"{str(v):>4}" for v in row))
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -575,26 +593,27 @@ def cmd_algebra_builtin(args) -> int:
 def cmd_map_convert(args) -> int:
     g = load_matrix_file(args.coords, load_algebra(args.algebra))
     solution = standard_from_coords(g, args.order)
-    lines = []
-    if args.machine:
-        lines.append(f"rank={solution.rank}")
-        lines.append(f"nullity={len(solution.nullspace)}")
-        for r, row in enumerate(solution.particular.components):
-            lines.append(f"particular.{r}={vector_str(row)}")
-        for idx, t in enumerate(solution.nullspace):
-            for r, row in enumerate(t.components):
-                lines.append(f"nullspace.{idx}.{r}={vector_str(row)}")
-    else:
-        lines.append(f"component matrix rank {solution.rank}; solution is "
-                     f"{'unique' if solution.is_unique() else 'a family'}")
-        lines.append("standard components (one solution):")
-        for row in solution.particular.components:
-            lines.append("   " + " ".join(f"{str(v):>6}" for v in row))
-        if solution.nullspace:
-            lines.append(f"homogeneous basis ({len(solution.nullspace)} tensors):")
-            for t in solution.nullspace:
-                lines.append("   " + matrix_str(t.components))
-    print("\n".join(lines))
+    with _all_digits():
+        lines = []
+        if args.machine:
+            lines.append(f"rank={solution.rank}")
+            lines.append(f"nullity={len(solution.nullspace)}")
+            for r, row in enumerate(solution.particular.components):
+                lines.append(f"particular.{r}={vector_str(row)}")
+            for idx, t in enumerate(solution.nullspace):
+                for r, row in enumerate(t.components):
+                    lines.append(f"nullspace.{idx}.{r}={vector_str(row)}")
+        else:
+            lines.append(f"component matrix rank {solution.rank}; solution is "
+                         f"{'unique' if solution.is_unique() else 'a family'}")
+            lines.append("standard components (one solution):")
+            for row in solution.particular.components:
+                lines.append("   " + " ".join(f"{str(v):>6}" for v in row))
+            if solution.nullspace:
+                lines.append(f"homogeneous basis ({len(solution.nullspace)} tensors):")
+                for t in solution.nullspace:
+                    lines.append("   " + matrix_str(t.components))
+        print("\n".join(lines))
     return EXIT_OK
 
 

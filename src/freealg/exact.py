@@ -5,18 +5,24 @@ Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
 All elimination (rank, rref, solve_ints, and factor with its full-rank
-read-off invert_ints) runs through one loop, ``_reduce``, a fraction-free
-Gauss-Jordan over Python ints.  A row enters scaled by the lcm of its
-denominators, which keeps its row space and the reduced row echelon form;
-each row step cross-multiplies by the pivot and divides the row by the gcd
-of its entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
+read-off invert_ints) runs through one loop, ``_reduce``, fraction-free
+over Python ints.  ``rref`` and ``factor`` run it as Gauss-Jordan, each
+pivot clearing its column above and below; ``rank`` and ``solve_ints``
+stop at echelon form, clearing below each pivot only, about half the row
+steps, and ``solve_ints`` reads its particular solution and each null
+vector by exact back-substitution over the echelon rows, made canonical,
+so they are the unique vectors a reduced form gives.  A row enters scaled
+by the lcm of its denominators, which keeps its row space; each row step
+cross-multiplies by the pivot and divides the row by the gcd of its
+entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
 1968).  Primitive rows stay short on the sparse +-1 blocks of the
 component matrix, whose minors grow: a Bareiss prototype was 1.5-2x
-faster on dense 16 x 17 matrices, 0.8-1.0x on sparse ones, and slowed
-``map convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s (2 CPUs, Python
-3.11).  Fractions appear only on the way out: a reduced row is the
-integer row over its pivot, and ``invert`` and ``solve`` are the Fraction
-views of ``invert_ints`` and ``solve_ints``.
+faster on dense 16 x 17 matrices, 0.8-1.0x on sparse ones, slowed ``map
+convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s, and made factoring the
+64 classes of O (x) O's right-order B 6x slower (0.72 to 4.3 s).
+Fractions appear only on the way out: a reduced row is the integer row
+over its pivot, and ``invert`` and ``solve`` are the Fraction views of
+``invert_ints`` and ``solve_ints``.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -28,9 +34,10 @@ would lengthen every product.  A vector is multiplied as one column.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import AlgebraMismatch
 
@@ -241,13 +248,15 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int,
     return [x // g for x in row] if g > 1 else row
 
 
-def _reduce(rows: list[list[int]], cols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan, in place, over the first ``cols`` columns.
+def _reduce(rows: list[list[int]], cols: int, echelon: bool = False) -> list[int]:
+    """Fraction-free elimination, in place, over the first ``cols`` columns.
 
-    Returns the pivot columns.  Afterwards rows[i] for i < len(pivots) is
-    a positive multiple of row i of the reduced row echelon form, with a
-    positive entry in column pivots[i]; the rows after them are zero in
-    the first ``cols`` columns.
+    Returns the pivot columns.  Afterwards rows[i] for i < len(pivots) has a
+    positive entry in column pivots[i] and zeros before it, and the rows
+    after them are zero in the first ``cols`` columns.  By default each pivot
+    clears its column in every other row (Gauss-Jordan), so rows[i] is a
+    positive multiple of row i of the reduced row echelon form; with
+    ``echelon`` it clears only the rows below it, about half the row steps.
     """
     pivots: list[int] = []
     n = len(rows)
@@ -263,7 +272,7 @@ def _reduce(rows: list[list[int]], cols: int) -> list[int]:
             prow = [-x for x in prow]
         rows[pivot], rows[r] = rows[r], prow
         support = [j for j, x in enumerate(prow) if x]
-        for i in range(n):
+        for i in range(r + 1 if echelon else 0, n):
             if i != r and rows[i][c]:
                 rows[i] = _eliminate(rows[i], prow, c, support)
         pivots.append(c)
@@ -279,7 +288,7 @@ def _width(a: Mat) -> int:
 
 
 def rank(a: Mat) -> int:
-    return len(_reduce([primitive(row) for row in a], _width(a)))
+    return len(_reduce([primitive(row) for row in a], _width(a), echelon=True))
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
@@ -344,21 +353,28 @@ def solve_ints(a, b) -> tuple[tuple[tuple[int, ...], int], list[tuple[tuple[int,
         raise ValueError(f"right side has {len(b)} entries for {len(a)} rows")
     cols = _width(a)
     rows = [primitive([*row, v]) for row, v in zip(a, b)]
-    pivots = _reduce(rows, cols + 1)
+    pivots = _reduce(rows, cols + 1, echelon=True)
     if cols in pivots:
         raise ValueError("inconsistent linear system")
 
-    def read_off(j: int, sign: int) -> tuple[tuple[int, ...], int]:
-        # sign row[j] / row[c] at each pivot c and 1 at j, over the lcm of the pivots it needs
-        den = lcm(*(row[c] for row, c in zip(rows, pivots) if row[j]))
-        x = [0] * (cols + 1)
-        x[j] = den
-        for row, c in zip(rows, pivots):
-            x[c] = sign * row[j] * (den // row[c])
+    def read_off(j: int, value: int) -> tuple[tuple[int, ...], int]:
+        # the y with y[j] = value, 0 at the other free columns and rows y = 0,
+        # as ints x over den, back-substituted up from the last pivot before j;
+        # x is 0 past j
+        x, den = [0] * (cols + 1), 1
+        x[j] = value
+        for k in reversed(range(bisect(pivots, j))):
+            row, c = rows[k], pivots[k]
+            s = -sum(map(mul, row[c + 1:j + 1], x[c + 1:j + 1]))
+            g = gcd(s, row[c])
+            if g != row[c]:
+                scale = row[c] // g
+                x, den = [v * scale for v in x], den * scale
+            x[c] = s // g
         return canonical(x[:cols], den)
 
     free = sorted(set(range(cols)).difference(pivots))
-    return read_off(cols, 1), [read_off(fc, -1) for fc in free]
+    return read_off(cols, -1), [read_off(fc, 1) for fc in free]
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

@@ -244,8 +244,7 @@ class BMatrix:
 
     def relations(self) -> dict:
         """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every row."""
-        scale = Fraction(1, self.den)
-        return _relations([(*block, scale) for block in self.blocks], self.algebra.dim)
+        return _relations([(*block, 1, self.den) for block in self.blocks], self.algebra.dim)
 
     def inverse_relations(self) -> dict:
         """The rows of B^-1 as ``relations`` gives B's; ValueError when a block is singular."""
@@ -255,7 +254,7 @@ class BMatrix:
                 raise ValueError("the component matrix is singular")
             # D_r F D_c over self.den inverts to self.den D_c F^-1 D_r, F^-1 = left / den
             inverse = [[c * r * x for r, x in zip(rs, row)] for c, row in zip(cs, left)]
-            parts.append((cols, rows, inverse, Fraction(self.den, den)))
+            parts.append((cols, rows, inverse, self.den, den))
         return _relations(parts, self.algebra.dim)
 
     def rank(self) -> int:
@@ -266,10 +265,11 @@ class BMatrix:
 
 
 def _relations(parts, n: int) -> dict:
-    """Row (k, m) -> {(i, j): nonzero entry, scaled} of an n^2 x n^2 matrix
-    of blocks (rows, cols, grid, scale)."""
-    return {divmod(r, n): {divmod(c, n): v * scale for c, v in zip(cols, values) if v}
-            for rows, cols, grid, scale in parts for r, values in zip(rows, grid)}
+    """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix of
+    blocks (rows, cols, grid, num, den), the entries grid values * num / den."""
+    return {divmod(r, n): {divmod(c, n): Fraction(v * num, den)
+                           for c, v in zip(cols, values) if v}
+            for rows, cols, grid, num, den in parts for r, values in zip(rows, grid)}
 
 
 def _sign_class(grid, n_cols: int) -> tuple[list[int], list[int], tuple]:

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +72,29 @@ def test_solve_singular_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 3
     assert "singular" in err
+
+
+def test_solve_prints_an_answer_longer_than_the_digit_limit(tmp_path, capsys):
+    # each literal is under Python's 4,300-digit limit on int-to-str, the
+    # answer N^2 (N = 10^4000 - 1) is near 8,000 digits; the limit is lifted
+    # only while the answer is rendered and is back in place afterwards
+    limits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = limits()
+    n = "9" * 4000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"algebra": "complex", "matrix": [["1/" + n]],
+                                "rhs": [[n, "0"]]}))
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"
+    assert run(capsys, "solve", str(path), "--machine") == (
+        0, f"solution.0={square} 0\nsubstitution=ok\n", "")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        f"  x0 = {square}", "substitution check: ok (all equations satisfied exactly)"]
+    assert limits() == limit
+    path.write_text(json.dumps({"algebra": "complex", "matrix": [["1"]],
+                                "rhs": [["9" * 5000, "0"]]}))
+    assert run(capsys, "solve", str(path))[::2] == (2, "error: rhs coordinate has too many digits\n")
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):

@@ -293,6 +293,66 @@ def test_solve_is_the_fraction_view_of_solve_ints():
     assert exact.solve_ints([[0, 0]], [0]) == (((0, 0), 1), [((1, 0), 1), ((0, 1), 1)])
 
 
+@given(st.data())
+def test_solve_ints_and_rank_match_the_oracle_on_drawn_int_systems(data):
+    # a = left right, two int factors of a drawn inner rank, so often rank
+    # deficient, with zero rows and columns put in; b is the image of a drawn
+    # x or drawn freely, which is inconsistent unless it lies in a's column space
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    inner = data.draw(st.integers(0, min(rows, cols)))
+    small = st.integers(-3, 3)
+
+    def grid(height, width):
+        return data.draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                                  min_size=height, max_size=height))
+
+    left, right = grid(rows, inner), grid(inner, cols)
+    a = [[sum(x * row[j] for x, row in zip(line, right)) for j in range(cols)] for line in left]
+    for i in data.draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [0] * cols
+    for j in data.draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in a:
+            row[j] = 0
+    if data.draw(st.booleans()):
+        b = [sum(p * q for p, q in zip(row, grid(1, cols)[0])) for row in a]
+    else:
+        b = grid(1, rows)[0]
+    assert exact.rank(a) == len(oracle_rref(a, cols)[1])
+    want = oracle_solve(a, b, cols)
+    if want is None:
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
+            exact.solve_ints(a, b)
+        return
+    # the canonical particular solution, then one null vector per free column in its order
+    forms = [exact.canonical(*exact.as_ints(v)) for v in [want[0], *want[1]]]
+    particular, basis = exact.solve_ints(a, b)
+    assert [particular, *basis] == forms
+
+
+def test_echelon_callers_make_half_the_row_steps(monkeypatch):
+    # rank and solve_ints clear below each pivot only, m(m - 1)/2 row steps on
+    # a dense nonsingular m x m matrix; rref and factor clear above it too,
+    # m(m - 1).  The Vandermonde matrix on 1..12 is totally positive, so no
+    # entry vanishes on the way and every step is made
+    m = 12
+    a = [[(i + 1) ** j for j in range(m)] for i in range(m)]
+    steps = []
+    eliminate = exact._eliminate
+
+    def counted(*args):
+        steps.append(args)
+        return eliminate(*args)
+
+    def count(call, *args):
+        steps.clear()
+        call(*args)
+        return len(steps)
+
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    assert count(exact.solve_ints, a, list(range(m))) == count(exact.rank, a) == 66 == m * (m - 1) // 2
+    assert count(exact.rref, a) == count(exact.factor, a) == 132 == m * (m - 1)
+
+
 def test_factor_gives_the_reduced_form_and_the_left_null_space():
     # on matrices of any shape and rank: reduced / den is the oracle's reduced
     # row echelon form, left a gives it and then zero rows, and left is invertible
