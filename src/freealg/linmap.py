@@ -12,9 +12,11 @@ components f^{ij} in the sandwich expansion
 
 and is built from its nonzero cells as their connected blocks, int grids
 over one denominator, and read, solved and applied only through those
-blocks, on ints up to the values returned.  A block is its class grid up
-to row and column signs, and each class is eliminated once.  The two
-nesting orders coincide in associative algebras; "left" is the default
+blocks, on ints up to the values returned: B vec(t) gathers a block's
+entries ts of vec(t) once and takes each row as ``sum(map(mul, row, ts))``,
+as the solve and ``apply`` take theirs.  A block is its class grid up to
+row and column signs, and each class is eliminated once.  The two nesting
+orders coincide in associative algebras; "left" is the default
 everywhere.  The right order is the left order over A^op with i and j
 swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
 contraction, with e_j e_i read for e_i . e_j, builds both.
@@ -88,7 +90,7 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
     if x.algebra is not f.source:
         raise AlgebraMismatch("element is not in the map's source algebra")
     (fs, f_den), (xs, x_den) = f.ints, x.ints
-    out = [sum(a * b for a, b in zip(row, xs)) for row in exact.blocks(fs, len(xs))]
+    out = [sum(map(mul, row, xs)) for row in exact.blocks(fs, len(xs))]
     return AlgElement._of((f.target,), exact.canonical(out, f_den * x_den))
 
 
@@ -343,22 +345,27 @@ class StandardSolution:
         return f"StandardSolution(rank={self.rank}, nullity={len(self.nullspace)})"
 
 
-def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> LinearMap:
-    """Coordinate matrix of g = t acting on f, g(x) = sum t^{ij} e_i f(x) e_j
-    with the chosen nesting.  For f = identity this is the component
-    matrix applied to vec(t), reshaped; it is applied block by block."""
-    _check_order(order)
-    if t.algebra is not f.target:
-        raise AlgebraMismatch("tensor and map must share the target algebra")
+def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
+    """t's map x -> sum t^{ij} e_i x e_j with the chosen nesting: B vec(t),
+    reshaped, skipping the blocks whose entries of vec(t) are all 0."""
     bm = b_matrix(t.algebra, order)
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
     for rows, cols, grid in bm.blocks:
-        if not any(tvec[c] for c in cols):  # the block's rows stay 0
-            continue
-        for r, values in zip(rows, grid):
-            gvec[r] = sum(v * tvec[c] for c, v in zip(cols, values))
-    return compose(LinearMap._of((f.target, f.target), exact.canonical(gvec, bm.den * t_den)), f)
+        ts = [tvec[c] for c in cols]
+        if any(ts):  # else the block's rows stay 0
+            for r, values in zip(rows, grid):
+                gvec[r] = sum(map(mul, values, ts))
+    return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
+
+
+def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> LinearMap:
+    """Coordinate matrix of g = t acting on f, g(x) = sum t^{ij} e_i f(x) e_j
+    with the chosen nesting: t's map, ``tensor_map``, composed with f."""
+    _check_order(order)
+    if t.algebra is not f.target:
+        raise AlgebraMismatch("tensor and map must share the target algebra")
+    return compose(tensor_map(t, order), f)
 
 
 def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:

@@ -21,12 +21,13 @@ and cached on A.
 Sandwiching, t -> (x -> sum t^{ij} e_i x e_j), takes the twisted product
 to composition when A is associative, as (ac) x (db) = a (c x d) b; if
 the component matrix of A has full rank too, it is an isomorphism from
-A (x) A^op onto End(A).  There tensor_inverse inverts t's n x n map and
-converts the inverse back to standard components.  Elsewhere (the
-octonions, the complex numbers, the dual numbers) it solves with t's
-n^2 x n^2 left shift in A (x) A^op, and a right inverse can fail from
-the left.  This module calls ``linmap``, which never imports it, through
-the module: ``linmap.standard_from_coords``.
+A (x) A^op onto End(A).  There tensor_inverse reads t's n x n map straight
+off B, as B vec(t), inverts it and converts the inverse back to standard
+components.  Elsewhere (the octonions, the complex numbers, the dual
+numbers) it solves with t's n^2 x n^2 left shift in A (x) A^op, and a
+right inverse can fail from the left.  This module calls ``linmap``,
+which never imports it, through the module: ``linmap.tensor_map`` and
+``linmap.standard_from_coords``.
 """
 
 from __future__ import annotations
@@ -131,17 +132,17 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     """The tensor u with t o u = u o t = unit tensor.
 
     Where sandwiching is an isomorphism (A associative, B of full rank),
-    t's map x -> sum t^{ij} e_i x e_j is inverted as an n x n matrix and
-    carried back to standard components; t is singular exactly when that
-    map is, and u is checked from both sides, a failure being a fault of
-    the library.  Elsewhere solving t o u = unit with t's left shift in
-    A (x) A^op gives a right inverse, then checked from the left.
+    t's map x -> sum t^{ij} e_i x e_j, B vec(t), is inverted as an n x n
+    matrix and carried back to standard components; t is singular exactly
+    when that map is, and u is checked from both sides, a failure being a
+    fault of the library.  Elsewhere solving t o u = unit with t's left
+    shift in A (x) A^op gives a right inverse, then checked from the left.
     """
     algebra = t.algebra
     n = algebra.dim
     unit = Tensor2.unit(algebra)
     if is_associative(algebra) and linmap.b_matrix(algebra).rank() == n * n:
-        phi, phi_den = linmap.coords_from_standard(t, linmap.LinearMap.identity(algebra)).ints
+        phi, phi_den = linmap.tensor_map(t).ints
         try:
             inverse, den = exact.invert_ints(exact.blocks(phi, n))
         except ValueError:

@@ -182,6 +182,25 @@ def test_multiply_matches_the_constants(data):
     assert multiply(algebra.element(x), algebra.element(y)).coords == expected
 
 
+def matrices(rows, cols):
+    return st.lists(st.lists(VALUES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@given(st.data())
+def test_apply_matches_a_fraction_mat_vec(data):
+    # f: A -> B and g: B -> A between algebras of independent dimensions
+    A, B = data.draw(algebras()), data.draw(algebras())
+    f, g = data.draw(matrices(B.dim, A.dim)), data.draw(matrices(A.dim, B.dim))
+    x = data.draw(st.lists(VALUES, min_size=A.dim, max_size=A.dim))
+    expected = tuple(sum((v * w for v, w in zip(row, x)), ZERO) for row in f)
+    f, g, x = LinearMap(A, B, f), LinearMap(B, A, g), A.element(x)
+    y = apply(f, x)
+    assert y.algebra is B and y.coords == expected
+    assert y.ints == reference_int_form(expected)
+    assert apply(compose(g, f), x) == apply(g, y)
+
+
 @given(st.data(), st.sampled_from(["left", "right"]), st.booleans())
 def test_standard_components_round_trip(data, order, image):
     algebra = data.draw(algebras(unital=True))

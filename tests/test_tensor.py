@@ -220,20 +220,23 @@ def test_tensor_inverse_of_pure_tensors_over_hh_is_the_closed_form(H):
     assert tensor_inverse(Tensor2.pure(a, b)) == Tensor2.pure(a_inv, b_inv)
 
 
-class LeftShiftCalled(Exception):
+class Refused(Exception):
     pass
 
 
-def refuse_left_shift(monkeypatch):
-    def refuse(a):
-        raise LeftShiftCalled
-    monkeypatch.setattr(linmap, "left_shift", refuse)
+def refuse(monkeypatch, *names):
+    """Make each named ``linmap`` function raise Refused(its name)."""
+    for name in names:
+        def refused(*args, name=name, **kwargs):
+            raise Refused(name)
+        monkeypatch.setattr(linmap, name, refused)
 
 
 def test_tensor_inverse_needs_no_left_shift_where_sandwiching_is_onto(C, H, O, monkeypatch):
     # associative with a component matrix of full rank: H, the split
-    # quaternions, E(1/2, -3) and H (x) H invert without a left shift;
-    # O (not associative), C and the dual numbers (B not of full rank) need one
+    # quaternions, E(1/2, -3) and H (x) H invert without a left shift, and
+    # read t's map off B without composing maps; O (not associative), C and
+    # the dual numbers (B not of full rank) need a left shift
     def tensor(algebra):  # 2 + (x -> e x e), where (x -> e x e)^2 is x or 0
         e = algebra.basis_element(1)
         return Tensor2.unit(algebra).scaled(2) + Tensor2.pure(e, e)
@@ -241,13 +244,13 @@ def test_tensor_inverse_needs_no_left_shift_where_sandwiching_is_onto(C, H, O, m
     isomorphic = [H, quaternion_algebra(QuaternionParams(1, 1)),
                   quaternion_algebra(QuaternionParams(Fraction(1, 2), -3)), tensor_product([H, H])]
     with monkeypatch.context() as patched:
-        refuse_left_shift(patched)
+        refuse(patched, "left_shift", "compose")
         for algebra in isomorphic:
             t, unit = tensor(algebra), Tensor2.unit(algebra)
             u = tensor_inverse(t)
             assert twisted_mul(u, t) == unit == twisted_mul(t, u)
         for algebra in (O, C, dual_numbers()):
-            with pytest.raises(LeftShiftCalled):
+            with pytest.raises(Refused, match="^left_shift$"):
                 tensor_inverse(tensor(algebra))
         # 1 (x) 1 + i (x) i sends 1 to 1 + i i = 0: singular, and not one-sided
         with pytest.raises(SingularTensor) as err:
