@@ -4,25 +4,22 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, rref, solve_ints, and factor with its full-rank
-read-off invert_ints) runs through one loop, ``_reduce``, fraction-free
-over Python ints.  ``rref`` and ``factor`` run it as Gauss-Jordan, each
-pivot clearing its column above and below; ``rank`` and ``solve_ints``
-stop at echelon form, clearing below each pivot only, about half the row
-steps, and ``solve_ints`` reads its particular solution and each null
-vector by exact back-substitution over the echelon rows, made canonical,
-so they are the unique vectors a reduced form gives.  A row enters scaled
-by the lcm of its denominators, which keeps its row space; each row step
+All elimination (rank, solve_ints, factor with its full-rank read-off
+invert_ints, and the span of ``linmap.representation_basis``) runs
+through one loop, ``_reduce``, fraction-free over Python ints.
+``factor`` and the span run it as Gauss-Jordan, each pivot clearing its
+column above and below; ``rank`` and ``solve_ints`` stop at echelon form,
+clearing below each pivot only, about half the row steps, and
+``solve_ints`` reads its particular solution and each null vector by
+exact back-substitution over the echelon rows, made canonical, so they
+are the unique vectors a reduced form gives.  A row enters scaled by the
+lcm of its denominators, which keeps its row space; each row step
 cross-multiplies by the pivot and divides the row by the gcd of its
 entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
-1968).  Primitive rows stay short on the sparse +-1 blocks of the
-component matrix, whose minors grow: a Bareiss prototype was 1.5-2x
-faster on dense 16 x 17 matrices, 0.8-1.0x on sparse ones, slowed ``map
-convert`` on O (x) O from 2.1-2.6 to 2.8-3.1 s, and made factoring the
-64 classes of O (x) O's right-order B 6x slower (0.72 to 4.3 s).
-Fractions appear only on the way out: a reduced row is the integer row
-over its pivot, and ``invert`` and ``solve`` are the Fraction views of
-``invert_ints`` and ``solve_ints``.
+1968), so primitive rows stay short on the sparse +-1 blocks of the
+component matrix, whose minors grow.  Fractions appear only on the way
+out: ``invert`` and ``solve`` are the Fraction views of ``invert_ints``
+and ``solve_ints``.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -55,10 +52,6 @@ def frac(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or 'p/q' string")
     return Fraction(value)
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Mat:
@@ -291,15 +284,6 @@ def rank(a: Mat) -> int:
     return len(_reduce([primitive(row) for row in a], _width(a), echelon=True))
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Row-reduced echelon form; returns (reduced matrix, pivot columns)."""
-    cols = _width(a)
-    rows = [primitive(row) for row in a]
-    pivots = _reduce(rows, cols)
-    reduced = [as_fractions(row, row[c]) for row, c in zip(rows, pivots)]
-    return reduced + zeros(len(rows) - len(pivots), cols), pivots
-
-
 def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
     """One elimination of [a | I], for solving a x = b for many b.
 
@@ -381,17 +365,4 @@ def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:
     """The Fractions of ``solve_ints``, a zero entry as ``ZERO``; raises as it does."""
     (particular, den), basis = solve_ints(a, b)
     return as_fractions(particular, den), [as_fractions(*v) for v in basis]
-
-
-def orthogonal_residual(basis: list[Vec], v: Vec) -> Vec:
-    """v minus its orthogonal projection onto span(basis), exactly.
-
-    Uses the normal equations with the Gram matrix of the basis; the
-    basis rows must be linearly independent.
-    """
-    if not basis:
-        return v[:]
-    columns = list(zip(*basis))
-    coeffs, _ = solve(mat_mul(basis, columns), vec(mat_mul(basis, [[x] for x in v])))
-    return [x - p for x, p in zip(v, vec(mat_mul(columns, [[c] for c in coeffs])))]
 

@@ -78,8 +78,12 @@ class LinearMap(IntForm):
     def is_endomorphism(self) -> bool:
         return self.source is self.target
 
-    def matrix(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.coords]
+    def inverse(self) -> "LinearMap":
+        """The inverse map, on ints: that of nums / den is den nums^-1; ValueError
+        as ``exact.invert_ints`` raises."""
+        nums, den = self.ints
+        inv, inv_den = exact.invert_ints(exact.blocks(nums, self.source.dim))
+        return LinearMap._of(self._space[::-1], exact.canonical([x * den for x in inv], inv_den))
 
     def __repr__(self) -> str:
         return f"LinearMap({self.target.dim}x{self.source.dim})"
@@ -416,12 +420,10 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
                             nullspace)
 
 
-def _orbit_columns(f: LinearMap, order: str) -> tuple[list[list[int]], int]:
-    """The n^2 columns vec(e_i (x) e_j acting on f), (i, j) row by row, as
-    (int columns, den) with each column's entries its ints over den."""
-    algebra = f.target
-    return exact.over_lcm([coords_from_standard(Tensor2.basis_tensor(algebra, i, j), f, order).ints
-                           for i in range(algebra.dim) for j in range(algebra.dim)])
+def _orbit_columns(f: LinearMap, order: str, pairs) -> list[tuple[tuple[int, ...], int]]:
+    """The int forms of the columns vec(e_i (x) e_j acting on f), (i, j) in ``pairs``."""
+    return [coords_from_standard(Tensor2.basis_tensor(f.target, i, j), f, order).ints
+            for i, j in pairs]
 
 
 def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[Tensor2]:
@@ -430,7 +432,9 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     _check_order(order)
     if g.source is not f.source or g.target is not f.target:
         raise AlgebraMismatch("maps act on different algebras")
-    (columns, den), (g_nums, g_den) = _orbit_columns(f, order), g.ints
+    n = f.target.dim
+    columns, den = exact.over_lcm(_orbit_columns(f, order, [divmod(c, n) for c in range(n * n)]))
+    g_nums, g_den = g.ints
     try:
         (particular, t_den), _ = exact.solve_ints(list(zip(*columns)), [v * den for v in g_nums])
     except ValueError:
@@ -443,17 +447,20 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     """Generators whose orbits span all linear maps of the algebra.
 
     Starts from the identity map, whose orbit columns are the component
-    matrix B itself, so it alone suffices when B has full rank.  Each
-    pass reduces the orbit columns found so far to reduced row echelon
-    form and keeps only its nonzero rows.  While they do not span the
-    whole coordinate space, the first standard-basis coordinate matrix
-    (row-major) outside the span is located: e_c lies in the span iff c
-    is a pivot column whose reduced row has exactly one nonzero entry.
-    Its component orthogonal to the span is taken and scaled to a
-    primitive integer vector, and that map is adjoined with its orbit
-    columns.  The orthogonalization makes the adjoined generator a
-    canonical representative of its own orbit; for the complex numbers
-    it yields exactly the conjugation map.
+    matrix B itself, so it alone suffices when B has full rank.  As t ->
+    (t acting on g) is linear, g's orbit is spanned by its columns at B's
+    pivot columns, rank(B) of them.  Each pass adds those to the rows
+    found so far and reduces them on ints, keeping the nonzero rows,
+    positive multiples of those of the span's reduced row echelon form.
+    While they do not span the whole coordinate space, the first
+    standard-basis coordinate matrix (row-major) outside the span is
+    located: e_c lies in the span iff c is a pivot column whose reduced
+    row has exactly one nonzero entry.  Its component orthogonal to the
+    span of the rows R, den e_c - R^T y with R R^T y = den R e_c, is
+    scaled to a primitive integer vector, and that map is adjoined; both
+    depend on the span alone.  The orthogonalization makes the adjoined
+    generator a canonical representative of its own orbit; for the
+    complex numbers it yields exactly the conjugation map.
     """
     _check_order(order)
     if algebra.unit_index is None:
@@ -461,18 +468,23 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     n = algebra.dim
     g = LinearMap.identity(algebra)
     generators = [g]
-    if b_matrix(algebra, order).rank() == n * n:
+    bm = b_matrix(algebra, order)
+    if bm.rank() == n * n:
         return generators
+    pairs = [divmod(cols[c], n) for (_, cols, _), (_, _, factor) in zip(bm.blocks, bm.factors())
+             for c in factor[0]]  # signs do not move a class's pivots
     rows = []
     while True:
-        rows.extend(_orbit_columns(g, order)[0])  # a positive scale keeps the span
-        reduced, pivots = exact.rref(rows)
+        rows.extend(exact.primitive(nums) for nums, _ in _orbit_columns(g, order, pairs))
+        pivots = exact._reduce(rows, n * n)
         if len(pivots) == n * n:
             return generators
-        rows = reduced[:len(pivots)]
+        del rows[len(pivots):]
         inside = {c for row, c in zip(rows, pivots) if sum(1 for x in row if x) == 1}
         pivot = next(c for c in range(n * n) if c not in inside)
-        e = [Fraction(r == pivot) for r in range(n * n)]
-        candidate = exact.primitive(exact.orthogonal_residual(rows, e))
-        g = LinearMap(algebra, algebra, exact.blocks(candidate, n))
+        columns = list(zip(*rows))
+        (y, den), _ = exact.solve_ints(exact.int_mat_mul(rows, columns, len(rows)), columns[pivot])
+        residual = [-sum(map(mul, column, y)) for column in columns]
+        residual[pivot] += den
+        g = LinearMap._of((algebra, algebra), (tuple(exact.primitive(residual)), 1))
         generators.append(g)

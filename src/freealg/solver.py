@@ -116,27 +116,26 @@ def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
     if not m.is_square():
         raise ShapeMismatch("only square matrices of mappings have inverses")
     try:
-        inv = exact.invert(flatten(m))
+        inverse, den = exact.invert_ints(flatten(m))
     except ValueError as err:
         raise SingularSystem(f"matrix of mappings is singular ({err})") from None
-    n = m.algebra.dim
-    return MapMatrix([[LinearMap(m.algebra, m.algebra, coords)
+    n, space = m.algebra.dim, (m.algebra, m.algebra)
+    return MapMatrix([[LinearMap._of(space, exact.canonical(exact.vec(coords), den))
                        for coords in zip(*(exact.blocks(row, n) for row in band))]
-                      for band in exact.blocks(inv, n)])
+                      for band in exact.blocks(exact.blocks(inverse, m.cols * n), n)])
 
 
 def _recursive_inverse(grid, path: tuple) -> list[list[LinearMap]]:
     """Inverse of a square grid of maps via quasideterminants: entry
     (i, j) is the inverse of the (j, i) quasideterminant.  Demands every
     involved minor invertible."""
-    algebra = grid[0][0].source
     out = []
     for i in range(len(grid)):
         row = []
         for j in range(len(grid)):
             d = _quasidet(grid, j, i, path)
             try:
-                row.append(LinearMap(algebra, algebra, exact.invert(d.coords)))
+                row.append(d.inverse())
             except ValueError:
                 raise MinorSingular(
                     f"quasideterminant at row {j}, col {i} is a singular map"

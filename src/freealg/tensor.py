@@ -142,14 +142,10 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     n = algebra.dim
     unit = Tensor2.unit(algebra)
     if is_associative(algebra) and linmap.b_matrix(algebra).rank() == n * n:
-        phi, phi_den = linmap.tensor_map(t).ints
         try:
-            inverse, den = exact.invert_ints(exact.blocks(phi, n))
+            g = linmap.tensor_map(t).inverse()
         except ValueError:
             raise SingularTensor("tensor has no inverse: its map is singular") from None
-        # the inverse of phi / phi_den is phi_den phi^-1
-        g = linmap.LinearMap._of((algebra, algebra),
-                                 exact.canonical([x * phi_den for x in inverse], den))
         u = linmap.standard_from_coords(g).particular
         if twisted_mul(u, t) != unit or twisted_mul(t, u) != unit:
             raise SubstitutionCheckFailed("tensor inverse through the maps fails a twisted product")

@@ -2,12 +2,22 @@ import pytest
 from hypothesis import settings
 
 from freealg import complex_algebra, octonion_algebra, quaternion_algebra
+from freealg.core import FreeAlgebra
 
 # every property test is derandomized with a fixed example budget, so
 # tier-1 stays deterministic
 settings.register_profile("freealg", derandomize=True, database=None, deadline=None,
                           max_examples=100)
 settings.load_profile("freealg")
+
+
+def square_zero(n):
+    """A fresh algebra of dimension n with e_0 the unit and e_i e_j = 0 for
+    i, j >= 1, labelled e0 .. e{n-1}: commutative and associative, with a
+    component matrix of rank n < n^2 for n > 1, so ``basis`` runs passes."""
+    return FreeAlgebra(n, [f"e{i}" for i in range(n)],
+                       [(0, j, j, 1) for j in range(n)] + [(j, 0, j, 1) for j in range(1, n)],
+                       unit_index=0)
 
 
 @pytest.fixture(scope="session")

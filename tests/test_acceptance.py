@@ -215,7 +215,7 @@ def test_criterion_6_property_suites(C, H, O):
                 for i in range(size):
                     for j in range(size):
                         q = quasideterminant(m, j, i)
-                        ok &= (LinearMap(C, C, exact.invert(q.matrix()))
+                        ok &= (LinearMap(C, C, exact.invert(q.coords))
                                == inverse.entries[i][j])
             except (SingularSystem, MinorSingular, ValueError):
                 continue

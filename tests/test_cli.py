@@ -546,7 +546,7 @@ def test_complex_entry_grammar():
     }
     for text, expected in cases.items():
         got = parse_complex_entry(text, C)
-        assert got.matrix() == [[Fraction(v) for v in row] for row in expected], text
+        assert got.coords == tuple(tuple(Fraction(v) for v in row) for row in expected), text
 
 
 def test_verify_machine_form(capsys):

@@ -9,8 +9,9 @@ of ``test_kernel_properties.py``:
   b[s][d] after c[a][s], not against ``rc_product`` on transposes;
 - ``transpose`` moves entry (r, c) to (c, r), and a matrix of maps
   reads back the grid it was built from;
-- ``orthogonal_residual`` is orthogonal to the basis and differs from
-  v by a vector of its row span;
+- ``representation_basis`` gives the generators of the plain-Fraction
+  algorithm it replaced, ``reference_generators``, on those algebras and
+  on square-zero algebras of dimension 2 to 8, in both orders;
 - the constants of a tensor product are the factorwise products of
   the factors' constants at row-major flat indices.
 
@@ -18,12 +19,15 @@ The runs use the derandomized profile of ``conftest.py``.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from freealg import (LinearMap, MapMatrix, compose, cr_product, exact, rc_product,
-                     tensor_product)
-from test_kernel_properties import SMALL, VALUES, algebras
+from conftest import square_zero
+from freealg import (LinearMap, MapMatrix, compose, cr_product, rc_product,
+                     representation_basis, tensor_product)
+from test_exact import oracle_rref
+from test_kernel_properties import VALUES, algebras, reference_b, reference_solve
 
 ZERO = Fraction(0)
 SMALL_ALGEBRAS = algebras().filter(lambda a: a.dim <= 4)
@@ -89,20 +93,48 @@ def test_transpose_moves_each_entry_and_entries_read_back(data, rows, cols):
         assert t.transpose() == m
 
 
-@settings(max_examples=25)
-@given(st.data())
-def test_orthogonal_residual_is_orthogonal_and_differs_by_the_span(data):
-    n = data.draw(st.integers(1, 4))
-    vectors = st.lists(st.one_of(st.just(ZERO), SMALL), min_size=n * n, max_size=n * n)
-    basis = []
-    for row in data.draw(st.lists(vectors, max_size=n * n)):
-        if reference_rank(basis + [row]) > len(basis):
-            basis.append(row)
-    v = data.draw(vectors)
-    residual = exact.orthogonal_residual(basis, v)
-    assert all(sum(x * y for x, y in zip(row, residual)) == 0 for row in basis)
-    difference = [x - y for x, y in zip(v, residual)]
-    assert reference_rank(basis + [difference]) == len(basis)
+def reference_generators(algebra, order):
+    """The generators by the Fraction algorithm ``representation_basis``
+    replaced: from the identity, each pass reduces the rows so far and all
+    n^2 orbit columns of the newest generator to reduced row echelon form,
+    and adjoins the orthogonal residual of the first e_c outside their
+    span, from the normal equations of the rows' Gram matrix, made primitive."""
+    n = algebra.dim
+    b = reference_b(algebra, order)
+    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    generators, rows = [g], []
+    while True:
+        # column q of B is the map of the basis tensor q, which acts on g after it
+        terms = [[(p, g[p]) for p in range(n) if b[k * n + p][q]]
+                 for q in range(n * n) for k in range(n)]
+        rows += [[sum((b[k * n + p][q] * row[m] for p, row in terms[q * n + k]), ZERO)
+                  for k in range(n) for m in range(n)] for q in range(n * n)]
+        reduced, pivots = oracle_rref(rows, n * n)
+        if len(pivots) == n * n:
+            return generators
+        rows = reduced[:len(pivots)]
+        inside = {c for row, c in zip(rows, pivots) if sum(1 for x in row if x) == 1}
+        c = next(c for c in range(n * n) if c not in inside)
+        sparse = [{k: x for k, x in enumerate(row) if x} for row in rows]
+        gram = [[sum((x * s.get(k, ZERO) for k, x in r.items()), ZERO) for s in sparse]
+                for r in sparse]
+        _, y, _ = reference_solve(gram, [row[c] for row in rows])
+        residual = [int(k == c) - sum(yi * row[k] for yi, row in zip(y, rows))
+                    for k in range(n * n)]
+        den = lcm(*(x.denominator for x in residual))
+        ints = [int(x * den) for x in residual]
+        scale = gcd(*ints) * (1 if next(filter(None, ints)) > 0 else -1)
+        g = [[Fraction(x // scale) for x in ints[i * n:i * n + n]] for i in range(n)]
+        generators.append(g)
+
+
+@settings(max_examples=30)
+@given(algebras(unital=True) | st.integers(2, 8).map(square_zero),
+       st.sampled_from(["left", "right"]))
+def test_basis_matches_the_fraction_algorithm_it_replaced(algebra, order):
+    want = reference_generators(algebra, order)
+    assert [g.coords for g in representation_basis(algebra, order)] == [
+        tuple(map(tuple, g)) for g in want]
 
 
 def reference_constants(factors):

@@ -14,6 +14,8 @@ from freealg.core import FreeAlgebra
 from freealg.linmap import left_associator_map, right_associator_map
 from freealg.tensor import tensor_product, twisted_algebra
 
+from conftest import square_zero
+
 
 def conj_map(algebra):
     return LinearMap(algebra, algebra, conjugation_coords(algebra))
@@ -328,13 +330,55 @@ def quaternion_square():
                          ids=["H", "O", "HH"])
 @pytest.mark.parametrize("order", ["left", "right"])
 def test_full_rank_basis_runs_no_elimination_pass(make, order, monkeypatch):
-    # B has full rank, so the identity's orbit spans without an rref
-    def refuse(a):
-        raise AssertionError("representation_basis ran an rref")
+    # B has full rank, so the identity's orbit spans without a pass; the
+    # elimination left is the factoring of B's classes, done here first
+    def refuse(*args):
+        raise AssertionError("representation_basis ran an elimination pass")
 
     algebra = make()
-    monkeypatch.setattr(exact, "rref", refuse)
+    assert b_matrix(algebra, order).rank() == algebra.dim ** 2
+    monkeypatch.setattr(exact, "_reduce", refuse)
     assert representation_basis(algebra, order) == [LinearMap.identity(algebra)]
+
+
+@pytest.mark.parametrize("make", [complex_algebra, lambda: square_zero(4)], ids=["C", "sq0-4"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_each_basis_pass_builds_rank_b_orbit_columns(make, order, monkeypatch):
+    # t -> (t acting on g) is linear, so g's orbit columns at B's pivot
+    # columns, rank(B) of them, span its orbit; a pass builds no others
+    built = []
+    convert = linmap.coords_from_standard
+
+    def counted(t, f, order):
+        built.append(f)
+        return convert(t, f, order)
+
+    algebra = make()
+    rank = b_matrix(algebra, order).rank()
+    monkeypatch.setattr(linmap, "coords_from_standard", counted)
+    generators = representation_basis(algebra, order)
+    assert rank < algebra.dim ** 2 and len(generators) > 1
+    assert [sum(f is g for f in built) for g in generators] == [rank] * len(generators)
+    assert len(built) == rank * len(generators)
+
+
+@pytest.mark.parametrize("make", [complex_algebra, lambda: square_zero(4)], ids=["C", "sq0-4"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_basis_builds_no_fraction(make, order, monkeypatch):
+    # B's blocks, their factors, the orbit columns, the reduced rows and the
+    # residual are all ints; Fractions appear only when a generator is read
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    algebra = make()
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    generators = representation_basis(algebra, order)
+    assert built == [] and len(generators) > 1
+    assert generators[-1].coords and built  # the view, built on first read
 
 
 def test_representation_basis_spans(C):
