@@ -267,8 +267,9 @@ def algebra_from_json(doc: dict) -> FreeAlgebra:
         if not isinstance(entry, list) or len(entry) != 4:
             raise InvalidAlgebra(
                 f"constant must be a list [i, j, k, value], got {_shown(entry)}")
-        constants.append((*(_typed(x, int, "basis index") for x in entry[:3]),
-                          _literal(entry[3], "structure constant")))
+        indices = [_typed(x, int, "basis index") for x in entry[:3]]
+        p, q = _ratio(entry[3], "structure constant")
+        constants.append((*indices, p if q == 1 else Fraction(p, q)))
     unit = doc.get("unit")
     return FreeAlgebra(dim, labels, constants,
                        unit_index=None if unit is None else _typed(unit, int, "unit"))

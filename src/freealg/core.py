@@ -68,13 +68,13 @@ class FreeAlgebra:
         self._cache: dict = {}
         self._basis = None
 
-        values: dict[tuple[int, int, int], Fraction] = {}
+        values: dict[tuple[int, int, int], int | Fraction] = {}
         for i, j, k, value in constants:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InvalidAlgebra(f"constant index ({i},{j},{k}) out of range for dim {dim}")
             if (i, j, k) in values:
                 raise InvalidAlgebra(f"duplicate structure constant for ({i},{j},{k})")
-            values[i, j, k] = frac(value)
+            values[i, j, k] = value if type(value) is int else frac(value)
         nonzero = [(key, v) for key, v in values.items() if v]
         ints, self.denominator = as_ints([v for _, v in nonzero])
         cells: dict[tuple[int, int], list[tuple[int, int]]] = {}

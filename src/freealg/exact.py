@@ -4,15 +4,17 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, solve_ints, factor with its full-rank read-off
-invert_ints, and the span of ``linmap.representation_basis``) runs
-through one loop, ``_reduce``, fraction-free over Python ints.
-``factor`` and the span run it as Gauss-Jordan, each pivot clearing its
-column above and below; ``rank`` and ``solve_ints`` stop at echelon form,
-clearing below each pivot only, about half the row steps, and
-``solve_ints`` reads its particular solution and each null vector by
-exact back-substitution over the echelon rows, made canonical, so they
-are the unique vectors a reduced form gives.  A row enters scaled by the
+All elimination (rank, solve_ints, null_vector, factor with its
+full-rank read-off invert_ints, and the span of
+``linmap.representation_basis``) runs through one loop, ``_reduce``,
+fraction-free over Python ints.  ``factor`` and the span run it as
+Gauss-Jordan, each pivot clearing its column above and below; ``rank``,
+``solve_ints`` and ``null_vector`` stop at echelon form, clearing below
+each pivot only, about half the row steps.  One back-substitution over
+the echelon rows, ``_read_off``, reads a vector off exactly and makes it
+canonical, so it is the unique vector a reduced form gives:
+``solve_ints`` reads its particular solution and each null vector,
+``null_vector`` the first null vector alone.  A row enters scaled by the
 lcm of its denominators, which keeps its row space; each row step
 cross-multiplies by the pivot and divides the row by the gcd of its
 entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
@@ -324,6 +326,25 @@ def invert(a: Mat) -> Mat:
     return [as_fractions(ints[i * n:i * n + n], den) for i in range(n)]
 
 
+def _read_off(rows: list[list[int]], pivots: list[int], cols: int, j: int,
+              value: int) -> tuple[tuple[int, ...], int]:
+    """The canonical form of the first ``cols`` entries of the y with y[j] =
+    ``value``, 0 at the other free columns and rows y = 0, for rows and pivots
+    in ``_reduce``'s echelon form: y as ints x over den, back-substituted up
+    from the last pivot before j; y is 0 past j."""
+    x, den = [0] * (j + 1), 1
+    x[j] = value
+    for k in reversed(range(bisect(pivots, j))):
+        row, c = rows[k], pivots[k]
+        s = -sum(map(mul, row[c + 1:j + 1], x[c + 1:]))
+        g = gcd(s, row[c])
+        if g != row[c]:
+            scale = row[c] // g
+            x, den = [v * scale for v in x], den * scale
+        x[c] = s // g
+    return canonical(x[:cols] + [0] * (cols - j - 1), den)
+
+
 def solve_ints(a, b) -> tuple[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]]:
     """General exact solve of a x = b, a and b of ints or Fractions, in int forms.
 
@@ -340,25 +361,23 @@ def solve_ints(a, b) -> tuple[tuple[tuple[int, ...], int], list[tuple[tuple[int,
     pivots = _reduce(rows, cols + 1, echelon=True)
     if cols in pivots:
         raise ValueError("inconsistent linear system")
-
-    def read_off(j: int, value: int) -> tuple[tuple[int, ...], int]:
-        # the y with y[j] = value, 0 at the other free columns and rows y = 0,
-        # as ints x over den, back-substituted up from the last pivot before j;
-        # x is 0 past j
-        x, den = [0] * (cols + 1), 1
-        x[j] = value
-        for k in reversed(range(bisect(pivots, j))):
-            row, c = rows[k], pivots[k]
-            s = -sum(map(mul, row[c + 1:j + 1], x[c + 1:j + 1]))
-            g = gcd(s, row[c])
-            if g != row[c]:
-                scale = row[c] // g
-                x, den = [v * scale for v in x], den * scale
-            x[c] = s // g
-        return canonical(x[:cols], den)
-
     free = sorted(set(range(cols)).difference(pivots))
-    return read_off(cols, -1), [read_off(fc, 1) for fc in free]
+    return (_read_off(rows, pivots, cols, cols, -1),
+            [_read_off(rows, pivots, cols, fc, 1) for fc in free])
+
+
+def null_vector(a) -> tuple[tuple[int, ...], int]:
+    """The null vector of a that ``solve_ints(a, zeros)`` lists first, canonical:
+    1 at a's leftmost free column, 0 at the others.  One echelon elimination of
+    a as given and one back-substitution; ValueError when every column of a has
+    a pivot or a's rows differ in length."""
+    cols = _width(a)
+    rows = [primitive(row) for row in a]
+    pivots = _reduce(rows, cols, echelon=True)
+    free = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+    if free == cols:
+        raise ValueError(f"no null vector: each of the {cols} columns has a pivot")
+    return _read_off(rows, pivots, cols, free, 1)
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

@@ -421,9 +421,20 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
 
 
 def _orbit_columns(f: LinearMap, order: str, pairs) -> list[tuple[tuple[int, ...], int]]:
-    """The int forms of the columns vec(e_i (x) e_j acting on f), (i, j) in ``pairs``."""
-    return [coords_from_standard(Tensor2.basis_tensor(f.target, i, j), f, order).ints
-            for i, j in pairs]
+    """The int forms of the columns vec(e_i (x) e_j acting on f), (i, j) in ``pairs``:
+    the map of e_i (x) e_j, column (i, j) of B, composed with f."""
+    algebra, n = f.target, f.target.dim
+    bm = b_matrix(algebra, order)
+    where = {c: (rows, grid, p) for rows, cols, grid in bm.blocks for p, c in enumerate(cols)}
+    out = []
+    for i, j in pairs:
+        rows, grid, p = where[i * n + j]
+        gvec = [0] * (n * n)
+        for r, values in zip(rows, grid):
+            gvec[r] = values[p]
+        out.append(compose(LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den)),
+                           f).ints)
+    return out
 
 
 def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[Tensor2]:

@@ -5,12 +5,14 @@ As in the paper, its sum is the sum of maps and its row-by-column
 product composes entries.  ``flatten`` builds the one rational block
 matrix of a MapMatrix; inversion inverts it and cuts the inverse back
 into maps.  A system is solved by eliminating the int rows of that
-matrix with the right side appended once, never inverting M.  The
-answer is then substituted back through the maps, not through the
-eliminated matrix, and a singular system is refused with a witness
-x != 0 checked the same way.  The quasideterminant recursion
-composes the entries too; it is kept as an independent second path that
-reports per-entry quasideterminants and cross-validates the inverse.
+matrix with the right side appended once, never inverting M, and
+reading off one null vector (``exact.null_vector``).  The answer is
+then substituted back through the maps, not through the eliminated
+matrix, each equation summed on ints over one denominator, and a
+singular system is refused with a witness x != 0 checked the same way.
+The quasideterminant recursion composes the entries too; it is kept as
+an independent second path that reports per-entry quasideterminants and
+cross-validates the inverse.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form by
@@ -20,6 +22,8 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -27,7 +31,7 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, apply, compose
+from .linmap import LinearMap, compose
 
 
 class MapMatrix:
@@ -178,9 +182,23 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
-    """sum_j m[i][j](x_j) for every row i, through the maps."""
-    zero = m.algebra.zero()
-    return [sum(map(apply, row, x), zero) for row in m.entries]
+    """sum_j m[i][j](x_j) for every row i, through the maps: each equation's
+    terms, the maps' int rows times the x_j's ints, over one denominator, the
+    lcm of their f_den * x_den, with one ``canonical`` per equation."""
+    n = m.algebra.dim
+    out = []
+    for row in m.entries:
+        terms = [(f.ints, xj.ints) for f, xj in zip(row, x)]
+        den = lcm(*(f_den * x_den for (_, f_den), (_, x_den) in terms))
+        acc = [0] * n
+        for (fs, f_den), (xs, x_den) in terms:
+            if any(xs):
+                scale = den // (f_den * x_den)
+                xs = [scale * v for v in xs]
+                for r, f_row in enumerate(exact.blocks(fs, n)):
+                    acc[r] += sum(map(mul, f_row, xs))
+        out.append(AlgElement._of((m.algebra,), exact.canonical(acc, den)))
+    return out
 
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
@@ -200,10 +218,11 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
 
     With b the right side stacked into one vector, eliminates the int
     rows of the flattening with -b appended, [M | -b], once, never
-    inverting M.  Its first null vector is (x, 1) when M is nonsingular,
-    and (w, 0) with M w = 0, w != 0, when M is singular, consistent or
-    not.  x is substituted back through the maps, so the check does not
-    read the matrix it checks; a singular M raises SingularSystem with
+    inverting M, and back-substitutes only its first null vector,
+    ``exact.null_vector``: (x, 1) when M is nonsingular, and (w, 0) with
+    M w = 0, w != 0, when M is singular, consistent or not.  x is
+    substituted back through the maps, so the check does not read the
+    matrix it checks; a singular M raises SingularSystem with
     ``witness`` w, checked the same way.
     """
     if not m.is_square():
@@ -215,7 +234,7 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
             raise AlgebraMismatch("right side must live in the system's algebra")
     n = m.algebra.dim
     rows = _augmented(m, rhs)
-    _, ((kernel, den), *_) = exact.solve_ints(rows, [0] * len(rows))
+    kernel, den = exact.null_vector(rows)
     *x, last = kernel  # (x, 1), or (w, 0) for a singular M
 
     def elements(v) -> list[AlgElement]:

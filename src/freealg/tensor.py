@@ -66,7 +66,7 @@ class TensorAlgebra(FreeAlgebra):
         cells = [[(i, j, k, v) for i in range(a.dim) for j in range(a.dim)
                   for k, v in a.basis_product(i, j)] for a in factors]
         constants = [(self.flat_index(i), self.flat_index(j), self.flat_index(k),
-                      Fraction(prod(v), den))
+                      prod(v) if den == 1 else Fraction(prod(v), den))
                      for i, j, k, v in (zip(*choice) for choice in product(*cells))]
 
         unit = None

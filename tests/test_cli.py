@@ -502,6 +502,33 @@ def test_algebra_json_round_trip():
     assert rebuilt.labels == algebra.labels
 
 
+def test_an_integral_definition_file_loads_without_fractions(tmp_path, monkeypatch):
+    # integer constants, as JSON integers or as text, are stored as ints, and
+    # so are the products a tensor product of such algebras forms; Fractions
+    # appear only when the constants are read out
+    from freealg.cli import load_algebra
+    from freealg.tensor import tensor_product
+    quaternion = quaternion_algebra()
+    doc = algebra_to_json(quaternion)
+    doc["constants"][::2] = [[i, j, k, int(v)] for i, j, k, v in doc["constants"][::2]]
+    path = tmp_path / "quaternion.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    algebra = load_algebra(str(path))
+    square = tensor_product([algebra, algebra])
+    assert built == []
+    monkeypatch.undo()
+    assert algebra.constants == quaternion.constants
+    assert square.constants == tensor_product([quaternion, quaternion]).constants
+
+
 def test_map_convert(tmp_path, capsys):
     coords = tmp_path / "conj.txt"
     coords.write_text("1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n")

@@ -325,6 +325,47 @@ def test_solve_ints_and_rank_match_the_oracle_on_drawn_int_systems(data):
     assert [particular, *basis] == forms
 
 
+@given(st.data())
+def test_null_vector_is_the_first_null_vector_of_solve_ints(data):
+    # a = left right as above, rank deficient or not, with zero rows and
+    # columns put in; the first null vector of a x = 0 is the one at the
+    # leftmost free column, and a matrix without a free column has none
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    inner = data.draw(st.integers(0, min(rows, cols)))
+    entries = st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40)
+
+    def grid(height, width):
+        return data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                                  min_size=height, max_size=height))
+
+    left, right = grid(rows, inner), grid(inner, cols)
+    a = [[sum(x * row[j] for x, row in zip(line, right)) for j in range(cols)] for line in left]
+    for i in data.draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [0] * cols
+    for j in data.draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in a:
+            row[j] = 0
+    copy = [list(row) for row in a]
+    _, nullspace = oracle_solve(a, [0] * rows, cols)
+    if not nullspace:
+        with pytest.raises(ValueError, match="^no null vector: each of the"):
+            exact.null_vector(a)
+        return
+    v = exact.null_vector(a)
+    assert v == exact.canonical(*exact.as_ints(nullspace[0])) == exact.solve_ints(a, [0] * rows)[1][0]
+    assert a == copy
+
+
+def test_null_vector_refuses_full_column_rank():
+    for a in ([[1, 2], [3, 4]], [[1, 0], [0, 1], [1, 1]], [[Fraction(1, 2)]]):
+        with pytest.raises(ValueError, match=f"^no null vector: each of the {len(a[0])} columns"):
+            exact.null_vector(a)
+    with pytest.raises(ValueError, match="^rows have differing lengths"):
+        exact.null_vector([[1, 2], [3]])
+    assert exact.null_vector([[0, 0]]) == ((1, 0), 1)
+    assert exact.null_vector([[2, 4, 1], [1, 2, 0]]) == ((-2, 1, 0), 1)
+
+
 def test_echelon_callers_make_half_the_row_steps(monkeypatch):
     # rank and solve_ints clear below each pivot only, m(m - 1)/2 row steps on
     # a dense nonsingular m x m matrix; factor clears above it too,

@@ -346,20 +346,37 @@ def test_full_rank_basis_runs_no_elimination_pass(make, order, monkeypatch):
 def test_each_basis_pass_builds_rank_b_orbit_columns(make, order, monkeypatch):
     # t -> (t acting on g) is linear, so g's orbit columns at B's pivot
     # columns, rank(B) of them, span its orbit; a pass builds no others
+    # (each orbit column composes a column of B with g)
     built = []
-    convert = linmap.coords_from_standard
+    convert = linmap.compose
 
-    def counted(t, f, order):
+    def counted(t, f):
         built.append(f)
-        return convert(t, f, order)
+        return convert(t, f)
 
     algebra = make()
     rank = b_matrix(algebra, order).rank()
-    monkeypatch.setattr(linmap, "coords_from_standard", counted)
+    monkeypatch.setattr(linmap, "compose", counted)
     generators = representation_basis(algebra, order)
     assert rank < algebra.dim ** 2 and len(generators) > 1
     assert [sum(f is g for f in built) for g in generators] == [rank] * len(generators)
     assert len(built) == rank * len(generators)
+
+
+@pytest.mark.parametrize("make", [complex_algebra, lambda: square_zero(4)], ids=["C", "sq0-4"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_basis_reads_each_basis_tensor_map_as_a_column_of_b(make, order, monkeypatch):
+    # the map of e_i (x) e_j is column (i, j) of B, so no orbit column walks
+    # B's blocks through tensor_map
+    algebra = make()
+    expected = representation_basis(make(), order)
+
+    def refuse(*args):
+        raise AssertionError("representation_basis called tensor_map")
+
+    monkeypatch.setattr(linmap, "tensor_map", refuse)
+    generators = representation_basis(algebra, order)
+    assert [g.ints for g in generators] == [g.ints for g in expected] and len(generators) > 1
 
 
 @pytest.mark.parametrize("make", [complex_algebra, lambda: square_zero(4)], ids=["C", "sq0-4"])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      MapMatrix, MinorSingular, ShapeMismatch, SingularMap,
@@ -11,8 +12,9 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, solve_additive)
 from freealg.cli import load_system
+from freealg.solver import _left_sides
 import test_golden_cli
-from test_kernel_properties import reference_solve
+from test_kernel_properties import VALUES, ZERO, algebras, grids, reference_solve
 
 
 def cadd(C, a0, a1, b0, b1):
@@ -321,8 +323,8 @@ def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
     m = MapMatrix([[LinearMap.identity(C), zero], [zero, l3]])
     # a wrong solution, x = b, that still satisfies equation 0: the kernel of
     # [M | -b], whose int rows are over 1 here, given as (b, 1)
-    monkeypatch.setattr(solver_mod.exact, "solve_ints", lambda a, zero: (
-        None, [exact.canonical([-row[-1] for row in a] + [1], 1)]))
+    monkeypatch.setattr(solver_mod.exact, "null_vector", lambda a: (
+        exact.canonical([-row[-1] for row in a] + [1], 1)))
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
@@ -416,13 +418,13 @@ def test_solve_additive_eliminates_once(name, tmp_path, monkeypatch):
     path.write_text(json.dumps(getattr(test_golden_cli, name)), encoding="utf-8")
     _, m, rhs = load_system(str(path))
     calls = []
-    solve = exact.solve_ints
+    solve = exact.null_vector
 
-    def counted(a, b):
+    def counted(a):
         calls.append(a)
-        return solve(a, b)
+        return solve(a)
 
-    monkeypatch.setattr(exact, "solve_ints", counted)
+    monkeypatch.setattr(exact, "null_vector", counted)
     try:
         solve_additive(m, rhs)
     except SingularSystem as err:
@@ -433,6 +435,46 @@ def test_solve_additive_eliminates_once(name, tmp_path, monkeypatch):
     else:
         assert name == "SYSTEM"
     assert len(calls) == 1
+
+
+def test_a_singular_system_reads_off_one_null_vector(O, monkeypatch):
+    # the last equation is g applied to the first, so the 24 x 24 M over O
+    # has rank 16 and [M | -b] several free columns; only the first null
+    # vector, the witness, is back-substituted
+    rng = random.Random(64)
+    rows = [[random_map(O, rng) for _ in range(3)] for _ in range(2)]
+    g = random_map(O, rng)
+    m = MapMatrix(rows + [[compose(g, f) for f in rows[0]]])
+    rhs = [random_element(O, rng) for _ in range(3)]
+    flat = flatten(m)
+    rank, _, nullspace = reference_solve(flat, [ZERO] * len(flat))
+    assert rank == 16 and len(nullspace) == 8
+    calls = []
+    read_off = exact._read_off
+
+    def counted(*args):
+        calls.append(args)
+        return read_off(*args)
+
+    monkeypatch.setattr(exact, "_read_off", counted)
+    with pytest.raises(SingularSystem) as info:
+        solve_additive(m, rhs)
+    assert len(calls) == 1
+    assert exact.vec(x.coords for x in info.value.witness) == nullspace[0]
+
+
+@given(st.data())
+def test_left_sides_match_the_maps_applied_one_by_one(data):
+    # each equation is summed over one denominator; the reference applies
+    # each map and adds the results with +
+    algebra = data.draw(algebras())
+    n, size = algebra.dim, data.draw(st.integers(1, 3))
+    m = MapMatrix([[LinearMap(algebra, algebra, data.draw(grids(n))) for _ in range(size)]
+                   for _ in range(size)])
+    coords = st.lists(VALUES, min_size=n, max_size=n) | st.just([ZERO] * n)
+    x = [algebra.element(data.draw(coords)) for _ in range(size)]
+    expected = [sum(map(apply, row, x), algebra.zero()) for row in m.entries]
+    assert _left_sides(m, x) == expected
 
 
 def test_a_grid_system_is_read_and_solved_without_fractions(tmp_path, monkeypatch):
