@@ -385,10 +385,9 @@ def _verify_conversion_tables() -> VerificationReport:
         report.add(f"{name}.sign_matrix",
                    matrix_str([[Fraction(v) for v in row] for row in sign_m]),
                    matrix_str(computed_f))
-        finv = [[Fraction(v, den) for v in row] for row in sign_inv_num]
-        report.add(f"{name}.sign_matrix.product",
-                   matrix_str(exact.identity(n)),
-                   matrix_str(exact.mat_mul(computed_f, finv)))
+        report.add(f"{name}.sign_matrix.product",  # F (F^-1 den) = den I
+                   matrix_str([[den * (r == c) for c in range(n)] for r in range(n)]),
+                   matrix_str(exact.int_mat_mul(computed_f, sign_inv_num, n)))
         # conjugation through the component solver
         solution = standard_from_coords(
             LinearMap(algebra, algebra, conjugation_coords(algebra)))
@@ -471,7 +470,7 @@ def _verify_quasidet() -> VerificationReport:
                     recursed = quasideterminant(m, j, i)
                     report.add(f"{size}x{size}.{done[size]:02d}.entry{i}{j}",
                                matrix_str(inverse.entries[i][j].coords),
-                               matrix_str(exact.invert(recursed.coords)))
+                               matrix_str(recursed.inverse().coords))
         except (MinorSingular, ValueError):
             continue
         done[size] += 1
@@ -531,8 +530,7 @@ def cmd_tables(args) -> int:
                     lines.append(f"  f^{k}_{m} = {terms}")
     else:
         sign = _sign_matrix(b_matrix(algebra))
-        inv = exact.invert(sign)
-        ints, den = exact.as_ints(exact.vec(inv))
+        ints, den = exact.invert_ints(sign)
         num = exact.blocks(ints, n)
         if args.machine:
             for r in range(n):
@@ -548,7 +546,8 @@ def cmd_tables(args) -> int:
             lines.append(f"F^-1 = 1/{den} *")
             for row in num:
                 lines.append("   " + " ".join(f"{str(v):>3}" for v in row))
-            check = exact.mat_mul(sign, inv) == exact.identity(n)
+            check = exact.int_mat_mul(sign, num, n) == [[den * (r == c) for c in range(n)]
+                                                        for r in range(n)]
             lines.append(f"F * F^-1 == identity: {'yes' if check else 'NO'}")
     print("\n".join(lines))
     return EXIT_OK

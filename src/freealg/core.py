@@ -6,8 +6,9 @@ Elements are coordinate vectors relative to that basis, held as int
 numerators over one denominator (``exact.IntForm``).  All scalars are
 exact rationals; no operation ever rounds.
 
-The table holds the constants once, as integer numerators over one
-common denominator, ``FreeAlgebra.denominator``.  One int kernel,
+The algebra holds its constants once, as integer numerators over one
+common denominator, ``FreeAlgebra.denominator``, in two flat tables, A's
+and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
 ``product_ints``, makes every product of elements: ``multiply``,
 ``associator`` and the shifts and associator maps of ``linmap`` make one
 ``canonical`` per value they return.  ``+`` and ``-`` run on ints too.
@@ -49,7 +50,7 @@ class FreeAlgebra:
     associative; it lives and dies with the algebra.
     """
 
-    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator", "_table",
+    __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator",
                  "_row_terms", "_col_terms", "_cache", "_basis")
 
     def __init__(self, dim: int, labels: Sequence[str],
@@ -75,17 +76,15 @@ class FreeAlgebra:
             if (i, j, k) in values:
                 raise InvalidAlgebra(f"duplicate structure constant for ({i},{j},{k})")
             values[i, j, k] = value if type(value) is int else frac(value)
-        nonzero = [(key, v) for key, v in values.items() if v]
+        nonzero = sorted((key, v) for key, v in values.items() if v)
         ints, self.denominator = as_ints([v for _, v in nonzero])
-        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # sorted, e_i e_j as (j, k, v) in row i and as (i, k, v) in column j
+        rows, cols = [[] for _ in range(dim)], [[] for _ in range(dim)]
         for ((i, j, k), _), v in zip(nonzero, ints):
-            cells.setdefault((i, j), []).append((k, v))
-        t = self._table = tuple(tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(dim))
-                                for i in range(dim))
-        # for product_ints: e_i e_j as (j, k, v) in row i and as (i, k, v) in column j
-        self._row_terms = tuple(tuple((j, k, v) for j, c in enumerate(r) for k, v in c) for r in t)
-        self._col_terms = tuple(tuple((i, k, v) for i, r in enumerate(t) for k, v in r[j])
-                                for j in range(dim))
+            rows[i].append((j, k, v))
+            cols[j].append((i, k, v))
+        self._row_terms = tuple(map(tuple, rows))
+        self._col_terms = tuple(map(tuple, cols))
 
         if unit_index is not None:
             if not 0 <= unit_index < dim:
@@ -94,12 +93,12 @@ class FreeAlgebra:
         self.unit_index = unit_index
 
     def _check_unit(self, u: int) -> None:
-        for i in range(self.dim):
-            expect = ((i, self.denominator),)
-            if self._table[u][i] != expect or self._table[i][u] != expect:
-                raise InvalidAlgebra(
-                    f"basis vector {u} is not a two-sided unit: "
-                    f"fails on basis vector {i}")
+        expect = tuple((i, i, self.denominator) for i in range(self.dim))
+        bad = [line for line in (self._row_terms[u], self._col_terms[u]) if line != expect]
+        for i in range(self.dim):  # the first e_i with e_u e_i or e_i e_u not e_i
+            if any([t for t in line if t[0] == i] != [expect[i]] for line in bad):
+                raise InvalidAlgebra(f"basis vector {u} is not a two-sided unit: "
+                                     f"fails on basis vector {i}")
 
     def cached(self, key, build: Callable[[], object]):
         """The value stored under ``key``, made by ``build()`` on first use.
@@ -117,12 +116,14 @@ class FreeAlgebra:
     @property
     def constants(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """Sorted nonzero structure constants as (i, j, k, value)."""
-        return tuple((i, j, k, Fraction(v, self.denominator)) for i, row in enumerate(self._table)
-                     for j, cell in enumerate(row) for k, v in cell)
+        return tuple((i, j, k, Fraction(v, self.denominator))
+                     for i, row in enumerate(self._row_terms) for j, k, v in row)
 
-    def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Nonzero components of e_i * e_j as ((k, numerator), ...) over ``denominator``."""
-        return self._table[i][j]
+    def terms(self, opposite: bool = False) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Row i lists the nonzero e_i * e_j as (j, k, numerator) over
+        ``denominator``, sorted: A's table, or with ``opposite`` that of A^op,
+        whose row j lists e_i * e_j as (i, k, numerator)."""
+        return self._col_terms if opposite else self._row_terms
 
     def zero(self) -> "AlgElement":
         return AlgElement._of((self,), ((0,) * self.dim, 1))
@@ -269,10 +270,8 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
 
 
 def is_commutative(algebra: FreeAlgebra) -> bool:
-    """True iff B[i][j] = B[j][i] for all basis pairs."""
-    t = algebra._table
-    return all(t[i][j] == t[j][i]
-               for i in range(algebra.dim) for j in range(i + 1, algebra.dim))
+    """True iff B[i][j] = B[j][i] for all basis pairs: A's table is A^op's."""
+    return algebra._row_terms == algebra._col_terms
 
 
 def is_associative(algebra: FreeAlgebra) -> bool:
@@ -284,7 +283,10 @@ def is_associative(algebra: FreeAlgebra) -> bool:
 
 def _associative(algebra: FreeAlgebra) -> bool:
     n = algebra.dim
-    t = algebra._table
+    t = [[[] for _ in range(n)] for _ in range(n)]  # t[i][j]: e_i e_j as [(k, v), ...]
+    for i, row in enumerate(algebra._row_terms):
+        for j, k, v in row:
+            t[i][j].append((k, v))
     for i in range(n):
         for j in range(n):
             left_pairs = t[i][j]

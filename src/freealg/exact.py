@@ -21,7 +21,8 @@ entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
 1968), so primitive rows stay short on the sparse +-1 blocks of the
 component matrix, whose minors grow.  Fractions appear only on the way
 out: ``invert`` and ``solve`` are the Fraction views of ``invert_ints``
-and ``solve_ints``.
+and ``solve_ints``.  Nothing in the package calls them, ``rank`` or
+``mat_mul``; they stay because the benchmark's tracer wraps them by name.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -44,7 +45,6 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -54,10 +54,6 @@ def frac(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or 'p/q' string")
     return Fraction(value)
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def vec(grid) -> Vec:

@@ -18,8 +18,9 @@ as the solve and ``apply`` take theirs.  A block is its class grid up to
 row and column signs, and each class is eliminated once.  The two nesting
 orders coincide in associative algebras; "left" is the default
 everywhere.  The right order is the left order over A^op with i and j
-swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
-contraction, with e_j e_i read for e_i . e_j, builds both.
+swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one walk
+builds both: over A's row table of constants, or over A^op's, which is
+A's column table, writing f^{ij} to column (j, i).
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -306,19 +307,16 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
-    # right order: the left order over A^op, whose e_i . e_j is e_j e_i, i and j swapped
-    product = algebra.basis_product if order == "left" else lambda i, j: algebra.basis_product(j, i)
-    i_stride, j_stride = (n, 1) if order == "left" else (1, n)
+    # right order: the left order over A^op, with f^{ij} at column (j, i)
+    left = order == "left"
+    table = algebra.terms(opposite=not left)
     # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
     sums: dict[tuple[int, int], int] = {}  # by (row, column); terms can cancel to 0
-    for i in range(n):
-        for m in range(n):
-            for p, v1 in product(i, m):
-                for j in range(n):
-                    col = i * i_stride + j * j_stride
-                    for k, v2 in product(p, j):
-                        cell = (k * n + m, col)
-                        sums[cell] = sums.get(cell, 0) + v1 * v2
+    for i, row in enumerate(table):
+        for m, p, v1 in row:
+            for j, k, v2 in table[p]:
+                cell = (k * n + m, i * n + j if left else j * n + i)
+                sums[cell] = sums.get(cell, 0) + v1 * v2
     return BMatrix(algebra, order, [
         (rows, cols, [[sums.get((r, c), 0) for c in cols] for r in rows])
         for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))])

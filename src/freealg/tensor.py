@@ -63,8 +63,8 @@ class TensorAlgebra(FreeAlgebra):
 
         den = prod(a.denominator for a in factors)  # of the factors' integer constants
         # one constant per choice of a nonzero integer cell (i, j, k, v) in each factor
-        cells = [[(i, j, k, v) for i in range(a.dim) for j in range(a.dim)
-                  for k, v in a.basis_product(i, j)] for a in factors]
+        cells = [[(i, j, k, v) for i, row in enumerate(a.terms()) for j, k, v in row]
+                 for a in factors]
         constants = [(self.flat_index(i), self.flat_index(j), self.flat_index(k),
                       prod(v) if den == 1 else Fraction(prod(v), den))
                      for i, j, k, v in (zip(*choice) for choice in product(*cells))]

@@ -11,13 +11,16 @@ settings.register_profile("freealg", derandomize=True, database=None, deadline=N
 settings.load_profile("freealg")
 
 
+def square_zero_constants(n):
+    """The constants of ``square_zero(n)``: e_0 e_j = e_j = e_j e_0."""
+    return [(0, j, j, 1) for j in range(n)] + [(j, 0, j, 1) for j in range(1, n)]
+
+
 def square_zero(n):
     """A fresh algebra of dimension n with e_0 the unit and e_i e_j = 0 for
     i, j >= 1, labelled e0 .. e{n-1}: commutative and associative, with a
     component matrix of rank n < n^2 for n > 1, so ``basis`` runs passes."""
-    return FreeAlgebra(n, [f"e{i}" for i in range(n)],
-                       [(0, j, j, 1) for j in range(n)] + [(j, 0, j, 1) for j in range(1, n)],
-                       unit_index=0)
+    return FreeAlgebra(n, [f"e{i}" for i in range(n)], square_zero_constants(n), unit_index=0)
 
 
 @pytest.fixture(scope="session")

@@ -55,9 +55,9 @@ BUILTINS = {"C": complex_algebra(), "H": H, "O": octonion_algebra(),
 
 
 @st.composite
-def algebras(draw, unital=None):
-    """A fresh algebra; with a unit, e_0 is the unit and the other
-    constants are drawn for products of e_1 .. e_{n-1}."""
+def definitions(draw, unital=None):
+    """(dim, constants, unit index) of an algebra; with a unit, e_0 is the
+    unit and the other constants are drawn for products of e_1 .. e_{n-1}."""
     n = draw(st.integers(1, 5))
     if unital is None:
         unital = draw(st.booleans())
@@ -68,8 +68,17 @@ def algebras(draw, unital=None):
     if unital:
         constants += [(0, j, j, 1) for j in range(n)]
         constants += [(j, 0, j, 1) for j in range(1, n)]
-    return FreeAlgebra(n, [f"e{i}" for i in range(n)], constants,
-                       unit_index=0 if unital else None)
+    return n, constants, 0 if unital else None
+
+
+def build(definition):
+    n, constants, unit = definition
+    return FreeAlgebra(n, [f"e{i}" for i in range(n)], constants, unit_index=unit)
+
+
+def algebras(unital=None):
+    """A fresh algebra, built from ``definitions``."""
+    return definitions(unital).map(build)
 
 
 def grids(n):
