@@ -191,10 +191,10 @@ def test_opposite_reverses_products(H, O):
 
 
 def test_only_core_reads_the_constants_table():
-    # the layout of FreeAlgebra's flat row and column tables is core's to
-    # change (``_table`` is the per-cell grid it once held beside them);
-    # every other module reads the constants through terms or constants,
-    # and products through the kernel
+    # the layout of FreeAlgebra's flat row and column tables, and of a
+    # per-cell ``_table`` should one come back, is core's to change; every
+    # other module reads the constants through terms or constants, and
+    # products through the kernel
     tables = {"_table", "_row_terms", "_col_terms"}
     readers = set()
     for path in Path(freealg.__file__).parent.glob("*.py"):
