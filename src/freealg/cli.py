@@ -10,7 +10,8 @@ Subcommands:
     map basis --algebra ...            same as `basis`
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 singular system,
-4 internal error (a defect; one line on stderr, never a traceback).
+4 internal error (a defect; one line on stderr, never a traceback).  A closed
+stdout ends the command by SIGPIPE, as it ends ``cat``, not with exit 2.
 All printed fractions are plain p/q strings and re-parse exactly.
 
 File formats (JSON):
@@ -39,6 +40,7 @@ import functools
 import json
 import random
 import re
+import signal
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -698,6 +700,8 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process as it ends cat;
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # in process, main() gives exit 2
     sys.exit(main())
 
 

@@ -152,10 +152,13 @@ class FreeAlgebra:
 
 
 def opposite(algebra: FreeAlgebra) -> FreeAlgebra:
-    """The opposite algebra A^op, with product x . y = y x: the same
-    constants with i and j swapped, and the same unit."""
+    """The opposite algebra A^op, with product x . y = y x: A's constants
+    with i and j swapped, read off its column table, and the same unit."""
+    den = algebra.denominator
     return FreeAlgebra(algebra.dim, algebra.labels,
-                       [(j, i, k, v) for i, j, k, v in algebra.constants],
+                       [(j, i, k, v if den == 1 else Fraction(v, den))
+                        for j, column in enumerate(algebra.terms(opposite=True))
+                        for i, k, v in column],
                        unit_index=algebra.unit_index)
 
 

@@ -10,17 +10,18 @@ components f^{ij} in the sandwich expansion
     f(x) = sum_{i,j} f^{ij} (e_i x) e_j        (order="left")
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
-and is built from its nonzero cells as their connected blocks, int grids
-over one denominator, and read, solved and applied only through those
-blocks, on ints up to the values returned: B vec(t) gathers a block's
-entries ts of vec(t) once and takes each row as ``sum(map(mul, row, ts))``,
-as the solve and ``apply`` take theirs.  A block is its class grid up to
-row and column signs, and each class is eliminated once.  The two nesting
-orders coincide in associative algebras; "left" is the default
-everywhere.  The right order is the left order over A^op with i and j
-swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one walk
-builds both: over A's row table of constants, or over A^op's, which is
-A's column table, writing f^{ij} to column (j, i).
+and is built from its nonzero cells as their connected blocks, each its
+class grid F, an int grid over one denominator, under row and column
+signs; each class is held and eliminated once, when B is built.  B is read,
+solved and applied only through the blocks, on ints up to the values
+returned: B vec(t) gathers a block's signed entries ts of vec(t) once and
+takes each row of F as ``sum(map(mul, row, ts))``, as the solve and
+``apply`` take theirs.  The two nesting orders coincide in associative
+algebras; "left" is the default everywhere.  The right order is the left
+order over A^op with i and j swapped, as e_i (x e_j) = (e_j . x) . e_i
+when x . y = y x, so one walk builds both: over A's row table of
+constants, or over A^op's, which is A's column table, writing f^{ij} to
+column (j, i).
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exact
 from .core import AlgElement, FreeAlgebra, associator_ints, product_ints, shared_algebra
@@ -198,7 +199,7 @@ class Tensor2(IntForm):
         return f"Tensor2(dim={self.algebra.dim})"
 
 
-class BMatrix:
+class BMatrix(NamedTuple):
     """The n^2 x n^2 matrix linking coordinates to standard components.
 
     Row (k, m) and column (i, j) hold the coefficient of f^{ij} in the
@@ -206,27 +207,22 @@ class BMatrix:
     or x -> sum f^{ij} e_i (x e_j) (right order).
 
     It is held only as the connected components of its nonzero graph
-    (``exact.components``): ``blocks`` lists (rows, cols, grid), the int
-    grid holding ``den`` times the entries at those rows and columns, den
-    the square of the algebra's denominator; every entry outside the
-    blocks is zero.  A zero row is a block without columns and a zero
-    column one without rows.  Only this module reads the blocks: other
-    modules read B and B^-1 as ``relations`` and ``inverse_relations``.
-
-    Each block is D_r F D_c, F its class grid and D_r, D_c diagonal signs
-    (``_sign_class``); blocks with one F form a class.  ``factors`` makes
-    one ``exact.factor`` per class on first use and keeps it, and ``rank``,
-    ``inverse_relations`` and ``standard_from_coords`` read the classes.
-    ``entries``, a dense view rebuilt on each read, is for callers outside the library.
+    (``exact.components``), each D_r F D_c with F its class grid and D_r,
+    D_c diagonal signs (``_sign_class``): ``blocks`` lists (rows, cols,
+    rs, cs, k), the block's rows and columns, their signs and the index
+    of its class, and ``classes`` lists (F, ``exact.factor(F)``), F the
+    int grid holding ``den`` times the entries up to signs, den the square
+    of the algebra's denominator; every entry outside the blocks is zero.
+    A zero row is a block without columns and a zero column one without
+    rows.  Only this module reads the blocks: other modules read B and
+    B^-1 as ``relations`` and ``inverse_relations``.  ``entries``, a dense
+    view rebuilt on each read, is for callers outside the library.
     """
 
-    __slots__ = ("algebra", "order", "blocks", "_factors")
-
-    def __init__(self, algebra: FreeAlgebra, order: str, blocks):
-        self.algebra = algebra
-        self.order = order
-        self.blocks = blocks
-        self._factors = None
+    algebra: FreeAlgebra
+    order: str
+    blocks: list
+    classes: list
 
     den = property(lambda self: self.algebra.denominator ** 2)
 
@@ -236,56 +232,45 @@ class BMatrix:
         return [[relations[divmod(r, n)].get(divmod(c, n), exact.ZERO) for c in range(n * n)]
                 for r in range(n * n)]
 
-    def factors(self) -> list:
-        """Per block, (row signs, column signs, ``exact.factor`` of its class
-        grid), the factor shared by the blocks of a class."""
-        if self._factors is None:  # racing callers store equal lists
-            classes, factors = {}, []
-            for _, cols, grid in self.blocks:
-                rs, cs, key = _sign_class(grid, len(cols))
-                if key not in classes:
-                    classes[key] = exact.factor(key[1])
-                factors.append((rs, cs, classes[key]))
-            self._factors = factors
-        return self._factors
-
     def relations(self) -> dict:
         """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every row."""
-        return _relations([(*block, 1, self.den) for block in self.blocks], self.algebra.dim)
+        return _relations([(rows, cols, rs, cs, self.classes[k][0], 1, self.den)
+                           for rows, cols, rs, cs, k in self.blocks], self.algebra.dim)
 
     def inverse_relations(self) -> dict:
         """The rows of B^-1 as ``relations`` gives B's; ValueError when a block is singular."""
         parts = []
-        for (rows, cols, _), (rs, cs, (pivots, _, left, den)) in zip(self.blocks, self.factors()):
+        for rows, cols, rs, cs, k in self.blocks:
+            pivots, _, left, den = self.classes[k][1]
             if not len(rows) == len(cols) == len(pivots):
                 raise ValueError("the component matrix is singular")
             # D_r F D_c over self.den inverts to self.den D_c F^-1 D_r, F^-1 = left / den
-            inverse = [[c * r * x for r, x in zip(rs, row)] for c, row in zip(cs, left)]
-            parts.append((cols, rows, inverse, self.den, den))
+            parts.append((cols, rows, cs, rs, left, self.den, den))
         return _relations(parts, self.algebra.dim)
 
     def rank(self) -> int:
-        return sum(len(pivots) for _, _, (pivots, *_) in self.factors())
+        return sum(len(self.classes[k][1][0]) for *_, k in self.blocks)
 
     def __repr__(self) -> str:
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.algebra.dim ** 2})"
 
 
 def _relations(parts, n: int) -> dict:
-    """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix of
-    blocks (rows, cols, grid, num, den), the entries grid values * num / den."""
-    return {divmod(r, n): {divmod(c, n): Fraction(v * num, den)
-                           for c, v in zip(cols, values) if v}
-            for rows, cols, grid, num, den in parts for r, values in zip(rows, grid)}
+    """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix of blocks
+    (rows, cols, rs, cs, grid, num, den), the entries D_r grid D_c * num / den."""
+    return {divmod(r, n): {divmod(c, n): Fraction(s * t * v * num, den)
+                           for c, t, v in zip(cols, cs, values) if v}
+            for rows, cols, rs, cs, grid, num, den in parts
+            for r, s, values in zip(rows, rs, grid)}
 
 
 def _sign_class(grid, n_cols: int) -> tuple[list[int], list[int], tuple]:
-    """(rs, cs, (n_cols, F)) with F = D_r grid D_c, where the signs rs and cs,
-    rs[0] = 1, make positive a spanning tree of the block's nonzero graph,
-    walked from its first row in ascending row and column order.  Blocks
-    equal up to row and column signs get one F."""
+    """(rs, cs, F) with F = D_r grid D_c, where the signs rs and cs, rs[0] = 1,
+    make positive a spanning tree of the block's nonzero graph, walked from
+    its first row in ascending row and column order.  Blocks equal up to row
+    and column signs get one F."""
     if not grid:  # a zero column
-        return [], [1] * n_cols, (n_cols, ())
+        return [], [1] * n_cols, ()
     rs, cs, queue = [1] + [0] * (len(grid) - 1), [0] * n_cols, [0]
     for r in queue:  # reaches every row and column: a block is connected
         for c, v in enumerate(grid[r]):
@@ -295,8 +280,7 @@ def _sign_class(grid, n_cols: int) -> tuple[list[int], list[int], tuple]:
                     if row[c] and not rs[r2]:
                         rs[r2] = cs[c] if row[c] > 0 else -cs[c]
                         queue.append(r2)
-    return rs, cs, (n_cols, tuple(tuple(r * c * v for c, v in zip(cs, row))
-                                  for r, row in zip(rs, grid)))
+    return rs, cs, tuple(tuple(r * c * v for c, v in zip(cs, row)) for r, row in zip(rs, grid))
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
@@ -317,9 +301,14 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
             for j, k, v2 in table[p]:
                 cell = (k * n + m, i * n + j if left else j * n + i)
                 sums[cell] = sums.get(cell, 0) + v1 * v2
-    return BMatrix(algebra, order, [
-        (rows, cols, [[sums.get((r, c), 0) for c in cols] for r in rows])
-        for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))])
+    blocks = [(rows, cols, [[sums.get((r, c), 0) for c in cols] for r in rows])
+              for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))]
+    del sums  # not held while the classes are found and factored
+    index: dict[tuple, int] = {}  # class grid -> its index, in the order first met
+    for b, (rows, cols, grid) in enumerate(blocks):
+        rs, cs, f = _sign_class(grid, len(cols))
+        blocks[b] = (rows, cols, rs, cs, index.setdefault(f, len(index)))  # drops the grid
+    return BMatrix(algebra, order, blocks, [(f, exact.factor(f)) for f in index])
 
 
 class StandardSolution:
@@ -353,11 +342,11 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     bm = b_matrix(t.algebra, order)
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
-    for rows, cols, grid in bm.blocks:
-        ts = [tvec[c] for c in cols]
+    for rows, cols, rs, cs, k in bm.blocks:
+        ts = [t * tvec[c] for t, c in zip(cs, cols)]
         if any(ts):  # else the block's rows stay 0
-            for r, values in zip(rows, grid):
-                gvec[r] = sum(map(mul, values, ts))
+            for r, s, values in zip(rows, rs, bm.classes[k][0]):
+                gvec[r] = s * sum(map(mul, values, ts))
     return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
 
 
@@ -393,12 +382,12 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     algebra = g.source
     n = algebra.dim
     bm = b_matrix(algebra, order)
-    factors = bm.factors()
-    lead = lcm(*(den for _, _, (*_, den) in factors))
+    lead = lcm(*(den for _, (*_, den) in bm.classes))
     gvec, g_den = g.ints
     particular = [0] * (n * n)
     nullspace = []
-    for (rows, cols, _), (rs, cs, (pivots, reduced, left, den)) in zip(bm.blocks, factors):
+    for rows, cols, rs, cs, k in bm.blocks:
+        pivots, reduced, left, den = bm.classes[k][1]
         b = [s * gvec[r] for s, r in zip(rs, rows)]
         if any(sum(map(mul, row, b)) for row in left[len(pivots):]):
             raise NotRepresentable(
@@ -423,13 +412,14 @@ def _orbit_columns(f: LinearMap, order: str, pairs) -> list[tuple[tuple[int, ...
     the map of e_i (x) e_j, column (i, j) of B, composed with f."""
     algebra, n = f.target, f.target.dim
     bm = b_matrix(algebra, order)
-    where = {c: (rows, grid, p) for rows, cols, grid in bm.blocks for p, c in enumerate(cols)}
+    where = {c: (rows, rs, t, bm.classes[k][0], p)
+             for rows, cols, rs, cs, k in bm.blocks for p, (c, t) in enumerate(zip(cols, cs))}
     out = []
     for i, j in pairs:
-        rows, grid, p = where[i * n + j]
+        rows, rs, t, grid, p = where[i * n + j]
         gvec = [0] * (n * n)
-        for r, values in zip(rows, grid):
-            gvec[r] = values[p]
+        for r, s, values in zip(rows, rs, grid):
+            gvec[r] = s * t * values[p]
         out.append(compose(LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den)),
                            f).ints)
     return out
@@ -480,8 +470,8 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
     bm = b_matrix(algebra, order)
     if bm.rank() == n * n:
         return generators
-    pairs = [divmod(cols[c], n) for (_, cols, _), (_, _, factor) in zip(bm.blocks, bm.factors())
-             for c in factor[0]]  # signs do not move a class's pivots
+    pairs = [divmod(cols[c], n) for _, cols, _, _, k in bm.blocks
+             for c in bm.classes[k][1][0]]  # signs do not move a class's pivots
     rows = []
     while True:
         rows.extend(exact.primitive(nums) for nums, _ in _orbit_columns(g, order, pairs))

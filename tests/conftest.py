@@ -36,3 +36,11 @@ def H():
 @pytest.fixture(scope="session")
 def O():
     return octonion_algebra()
+
+
+def block_grids(bm):
+    """Per block of the component matrix bm, (rows, cols, D_r F D_c): its int
+    grid over ``bm.den``, its class grid F under its row and column signs."""
+    return [(rows, cols, [[r * c * v for c, v in zip(cs, row)]
+                          for r, row in zip(rs, bm.classes[k][0])])
+            for rows, cols, rs, cs, k in bm.blocks]

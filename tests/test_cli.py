@@ -1,11 +1,15 @@
 import ast
 import json
+import os
+import signal
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import freealg
 from freealg.cli import (_literal, main, parse_complex_entry,
                          algebra_from_json, algebra_to_json)
 from freealg import SubstitutionCheckFailed, complex_algebra, quaternion_algebra
@@ -583,3 +587,18 @@ def test_verify_machine_form(capsys):
     assert lines[0] == "subject=tables"
     assert lines[-1] == "result=PASS"
     assert all("=" in line for line in lines)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_command_by_sigpipe():
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(freealg.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "freealg.cli", "algebra", "builtin",
+                               "octonion"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")

@@ -41,7 +41,9 @@ from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Quaterni
                      complex_algebra, compose, coords_from_standard, exact, octonion_algebra,
                      orbit_contains, quaternion_algebra, representation_basis,
                      standard_from_coords, tensor_inverse, tensor_product, twisted_mul)
-from test_kernel_properties import algebras, grids, reference_b, reference_solve
+from conftest import block_grids
+from test_kernel_properties import (algebras, grids, reference_b, reference_entry,
+                                    reference_solve, table)
 
 ZERO = Fraction(0)
 
@@ -123,10 +125,10 @@ def test_blocks_partition_b_and_the_round_trip_stays_on_them(make, order, monkey
     algebra = make()
     n = algebra.dim
     bm = b_matrix(algebra, order)
-    assert sorted(r for rows, _, _ in bm.blocks for r in rows) == list(range(n * n))
-    assert sorted(c for _, cols, _ in bm.blocks for c in cols) == list(range(n * n))
-    assert [(len(rows), len(cols)) for rows, cols, _ in bm.blocks] == [(n, n)] * n
-    held = {(r, c): v for rows, cols, grid in bm.blocks
+    assert sorted(r for rows, *_ in bm.blocks for r in rows) == list(range(n * n))
+    assert sorted(c for _, cols, *_ in bm.blocks for c in cols) == list(range(n * n))
+    assert [(len(rows), len(cols)) for rows, cols, *_ in bm.blocks] == [(n, n)] * n
+    held = {(r, c): v for rows, cols, grid in block_grids(bm)
             for r, values in zip(rows, grid) for c, v in zip(cols, values) if v}
     assert held == {(r, c): v for r, row in enumerate(bm.entries) for c, v in enumerate(row) if v}
     if n < 8:
@@ -245,7 +247,7 @@ def test_conversion_and_tensor_inverse_stay_on_ints(make, order, monkeypatch):
         g = coords_from_standard(t, f, order)
         u = tensor_inverse(s + Tensor2.unit(H))
     bm = b_matrix(algebra, order)
-    assert all(type(v) is int for _, _, grid in bm.blocks for row in grid for v in row)
+    assert all(type(v) is int for _, _, grid in block_grids(bm) for row in grid for v in row)
     image = exact.mat_mul(bm.entries, [[x] for x in exact.vec(t.components)])
     assert g == compose(LinearMap(algebra, algebra, exact.blocks(exact.vec(image), n)), f)
     assert twisted_mul(u, s + Tensor2.unit(H)) == Tensor2.unit(H)
@@ -295,11 +297,11 @@ def test_b_is_ranked_once_and_a_singular_b_has_no_inverse_relations(monkeypatch)
     factored = []
     factor = exact.factor
     monkeypatch.setattr(exact, "factor", lambda grid: factored.append(grid) or factor(grid))
-    bm = b_matrix(octonion_algebra())  # a fresh algebra: nothing factored yet
-    assert bm.rank() == 64
+    bm = b_matrix(octonion_algebra())  # a fresh algebra: its build factors the classes
     assert len(factored) == 1  # one class for O's 8 blocks in the left order
     assert bm.rank() == 64
-    assert len(factored) == 1  # none on the second call
+    assert bm.rank() == 64
+    assert len(factored) == 1  # none on either call
     with pytest.raises(ValueError):
         b_matrix(complex_algebra()).inverse_relations()  # rank 2 of 4
 
@@ -309,35 +311,89 @@ def e_half_minus_3():
     return quaternion_algebra(QuaternionParams(Fraction(1, 2), -3))
 
 
+def check_block_views(bm):
+    """Each block's int grid, D_r F D_c, is ``den`` times the in-test
+    contraction at its rows and columns."""
+    n, c = bm.algebra.dim, table(bm.algebra)
+    for rows, cols, grid in block_grids(bm):
+        assert grid == [[reference_entry(c, bm.order, r, col) * bm.den for col in cols]
+                        for r in rows]
+
+
 def check_sign_classes(bm):
     """Each block of B is D_r F D_c with signs +-1, rs[0] = 1, and F the one
     grid that its class's factor reduces: left invertible, left F the reduced
-    rows then zero rows.  Blocks share a factor iff they share F.  Returns the
-    number of classes."""
-    grids = {}
-    for (rows, cols, grid), (rs, cs, factor) in zip(bm.blocks, bm.factors()):
+    rows then zero rows.  Each class has its own F and holds at least one
+    block.  Returns the number of classes."""
+    check_block_views(bm)
+    used = set()
+    for rows, cols, rs, cs, k in bm.blocks:
         assert len(rs) == len(rows) and len(cs) == len(cols)
         assert set(rs) | set(cs) <= {1, -1} and rs[:1] in ([], [1])
-        f = [[r * c * v for c, v in zip(cs, row)] for r, row in zip(rs, grid)]
-        pivots, reduced, left, _ = factor
+        f, (pivots, reduced, left, _) = bm.classes[k]
+        assert len(f) == len(rows) and all(len(row) == len(cols) for row in f)
         assert exact.rank(left) == len(rows)
         assert ([[sum(e * row[c] for e, row in zip(line, f)) for c in range(len(cols))]
                  for line in left] == reduced + [[0] * len(cols)] * (len(rows) - len(pivots)))
-        assert grids.setdefault(id(factor), (len(cols), f)) == (len(cols), f)
-    keys = list(grids.values())
-    assert all(keys.count(key) == 1 for key in keys)
-    return len(grids)
+        used.add(k)
+    keys = [f for f, _ in bm.classes]
+    assert all(keys.count(key) == 1 for key in keys) and used == set(range(len(keys)))
+    return len(keys)
+
+
+def oc():
+    """O (x) C: 16 blocks of rank 8, split over 8 classes in the right order."""
+    return tensor_product([octonion_algebra(), complex_algebra()])
+
+
+def oh():
+    return tensor_product([octonion_algebra(), quaternion_algebra()])
 
 
 @pytest.mark.parametrize("make, counts", [
     (complex_algebra, (1, 1)), (quaternion_algebra, (1, 1)), (hh, (1, 1)),
     (octonion_algebra, (1, 8)), (e_half_minus_3, (4, 4)),
-    (dual_numbers, (4, 4)), (truncated_polynomials, (6, 6)), (half_i_complex, (2, 2))],
-    ids=["C", "H", "HH", "O", "E", "dual", "x4", "C-half-i"])
+    (dual_numbers, (4, 4)), (truncated_polynomials, (6, 6)), (half_i_complex, (2, 2)),
+    (oc, (1, 8))],
+    ids=["C", "H", "HH", "O", "E", "dual", "x4", "C-half-i", "OC"])
 def test_every_block_is_its_class_grid_under_its_signs(make, counts):
     algebra = make()
     assert tuple(check_sign_classes(b_matrix(algebra, order))
                  for order in ("left", "right")) == counts
+
+
+def grid_cells(obj):
+    """The cells of the distinct grids reachable from obj through lists and
+    tuples, a grid being a nonempty list or tuple of lists or tuples of ints."""
+    seen, stack, cells = set(), [obj], 0
+    while stack:
+        x = stack.pop()
+        if type(x) not in (list, tuple) or id(x) in seen:
+            continue
+        seen.add(id(x))
+        if x and all(type(row) in (list, tuple) and all(type(v) is int for v in row)
+                     for row in x):
+            cells += sum(map(len, x))
+        else:
+            stack.extend(x)
+    return cells
+
+
+@pytest.mark.parametrize("make", [oh, oc], ids=["OH", "OC"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_b_holds_each_grid_once(make, order):
+    bm = b_matrix(make(), order)
+    # a block record is its rows, columns, their signs and its class index
+    assert all(type(k) is int and all(type(v) is int for part in parts for v in part)
+               for *parts, k in bm.blocks)
+    assert grid_cells(bm.blocks) == 0
+    # one grid per class, of its blocks' shape: fewer cells than the blocks
+    shapes = {k: (len(rows), len(cols)) for rows, cols, _, _, k in bm.blocks}
+    assert sorted(shapes) == list(range(len(bm.classes)))
+    cells = sum(rows * cols for rows, cols in shapes.values())
+    assert grid_cells([f for f, _ in bm.classes]) == cells
+    assert cells < sum(len(rows) * len(cols) for rows, cols, *_ in bm.blocks)
+    check_block_views(bm)
 
 
 @settings(max_examples=40)
@@ -356,7 +412,8 @@ def check_blocks_against_solve(algebra, order, rng):
     n = algebra.dim
     bm = b_matrix(algebra, order)
     deficient = inconsistent = negative = 0
-    for (rows, cols, grid), (_, cs, (pivots, reduced, _, _)) in zip(bm.blocks, bm.factors()):
+    for (rows, cols, grid), (*_, cs, k) in zip(block_grids(bm), bm.blocks):
+        pivots, reduced, _, _ = bm.classes[k][1]
         free = [c for c in range(len(cols)) if c not in pivots]
         deficient += bool(free)
         negative += any(cs[c] < 0 and any(row[c] for row in reduced) for c in free)
@@ -386,15 +443,16 @@ def check_blocks_against_solve(algebra, order, rng):
 
 
 @pytest.mark.parametrize("make", [complex_algebra, dual_numbers, truncated_polynomials,
-                                  half_i_complex, e_half_minus_3],
-                         ids=["C", "dual", "x4", "C-half-i", "E"])
+                                  half_i_complex, e_half_minus_3, oc],
+                         ids=["C", "dual", "x4", "C-half-i", "E", "OC"])
 @pytest.mark.parametrize("order", ["left", "right"])
 def test_each_block_solves_as_exact_solve_does(make, order):
     deficient, inconsistent, negative = check_blocks_against_solve(
         make(), order, random.Random(2101))
-    # C's blocks are singular, with a free column of sign -1 that changes the null vector
+    # C's and O (x) C's blocks are singular, with a free column of sign -1
+    # that changes the null vector
     assert (deficient > 0 and inconsistent > 0) == (make is not e_half_minus_3)
-    assert (negative > 0) == (make in (complex_algebra, half_i_complex))
+    assert (negative > 0) == (make in (complex_algebra, half_i_complex, oc))
 
 
 @settings(max_examples=40)

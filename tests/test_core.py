@@ -190,6 +190,22 @@ def test_opposite_reverses_products(H, O):
                 == multiply(y, x).coords
 
 
+def test_opposite_reads_the_tables_without_fractions(O, H, monkeypatch):
+    E = freealg.quaternion_algebra(freealg.QuaternionParams(Fraction(1, 2), -3))
+    assert E.denominator == 2
+    with monkeypatch.context() as refused:
+        def refuse(*args):
+            raise AssertionError("a Fraction was made")
+        refused.setattr(core, "Fraction", refuse)
+        built = [(algebra, opposite(algebra))
+                 for algebra in (O, freealg.tensor_product([H, H]))]
+    built.append((E, opposite(E)))  # over den 2: Fractions on the way in
+    for algebra, op in built:
+        assert op.terms() == algebra.terms(opposite=True)
+        assert op.terms(opposite=True) == algebra.terms()
+        assert (op.denominator, op.unit_index) == (algebra.denominator, algebra.unit_index)
+
+
 def test_only_core_reads_the_constants_table():
     # the layout of FreeAlgebra's flat row and column tables, and of a
     # per-cell ``_table`` should one come back, is core's to change; every

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freealg import b_matrix, exact, octonion_algebra
+from conftest import block_grids
 
 
 def oracle_rref(a, cols):
@@ -414,7 +415,7 @@ def test_int_grids_stay_off_as_ints_in_elimination(monkeypatch):
     # the int blocks of B are eliminated as they are: no row, and no identity
     # half of an inverse, is scaled from Fractions to ints
     bm = b_matrix(octonion_algebra())
-    grids = [grid for rows, cols, grid in bm.blocks]
+    grids = [grid for rows, cols, grid in block_grids(bm)]
     assert grids and all(type(v) is int for grid in grids for row in grid for v in row)
     sides = [[i - 2 for i in range(len(grid))] for grid in grids]
     expected = []

@@ -101,20 +101,20 @@ def table(algebra):
     return c
 
 
+def reference_entry(c, order, row, col):
+    """Entry (row, col) of B from the dense table c: the coefficient of
+    f^{ij} in coordinate (k, m), with row = (k, m) and col = (i, j)."""
+    n = len(c)
+    (k, m), (i, j) = divmod(row, n), divmod(col, n)
+    if order == "left":
+        return sum((c[i][m][p] * c[p][j][k] for p in range(n) if c[i][m][p]), Fraction(0))
+    return sum((c[m][j][p] * c[i][p][k] for p in range(n) if c[m][j][p]), Fraction(0))
+
+
 def reference_b(algebra, order):
     n = algebra.dim
     c = table(algebra)
-    out = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    if order == "left":
-                        value = sum(c[i][m][p] * c[p][j][k] for p in range(n))
-                    else:
-                        value = sum(c[m][j][p] * c[i][p][k] for p in range(n))
-                    out[k * n + m][i * n + j] = value
-    return out
+    return [[reference_entry(c, order, r, col) for col in range(n * n)] for r in range(n * n)]
 
 
 def reference_solve(a, b):
