@@ -21,13 +21,16 @@ a tensor is inverted.  The complex numbers in the basis (1, i/2) and the
 quaternions in the basis (1, i/2, j/2, k/4) put B over den = 16 and 256:
 the first checks orbits and membership on a singular B, the second the
 block inverses that ``verify tables`` reads.  B is factored once per
-sign class of its blocks, however often ``rank`` is asked.
+sign class of its blocks, when it is built, however often ``rank`` is
+asked.
 
 The last tests check the sign classes: every block is its class grid F
-under its row and column signs, F being the grid its class's factor
-reduces, with the class counts of the built-in algebras pinned; and each
-block, rank-deficient, inconsistent or with a free column of sign -1,
-solves as ``exact.solve`` of that block does.
+under its row and column signs, equal to the in-test contraction at its
+rows and columns, F being the grid its class's factor reduces, with the
+class counts of the built-in algebras and O (x) C pinned; B holds each
+class grid once and no block holds one; and each block, rank-deficient,
+inconsistent or with a free column of sign -1, solves as ``exact.solve``
+of that block does.
 """
 
 import random
@@ -314,7 +317,7 @@ def e_half_minus_3():
 def check_block_views(bm):
     """Each block's int grid, D_r F D_c, is ``den`` times the in-test
     contraction at its rows and columns."""
-    n, c = bm.algebra.dim, table(bm.algebra)
+    c = table(bm.algebra)
     for rows, cols, grid in block_grids(bm):
         assert grid == [[reference_entry(c, bm.order, r, col) * bm.den for col in cols]
                         for r in rows]
@@ -389,7 +392,9 @@ def test_b_holds_each_grid_once(make, order):
     assert grid_cells(bm.blocks) == 0
     # one grid per class, of its blocks' shape: fewer cells than the blocks
     shapes = {k: (len(rows), len(cols)) for rows, cols, _, _, k in bm.blocks}
+    assert all(shapes[k] == (len(rows), len(cols)) for rows, cols, _, _, k in bm.blocks)
     assert sorted(shapes) == list(range(len(bm.classes)))
+    assert [(len(f), len(f[0])) for f, _ in bm.classes] == [shapes[k] for k in sorted(shapes)]
     cells = sum(rows * cols for rows, cols in shapes.values())
     assert grid_cells([f for f, _ in bm.classes]) == cells
     assert cells < sum(len(rows) * len(cols) for rows, cols, *_ in bm.blocks)
