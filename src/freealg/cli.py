@@ -54,9 +54,9 @@ from .core import (AlgElement, FreeAlgebra, associator, format_element, multiply
 from .errors import (FreeAlgebraError, InvalidAlgebra, MinorSingular,
                      NotRepresentable, SingularMap, SingularSystem,
                      SingularTensor, SubstitutionCheckFailed)
-from .linmap import (LinearMap, b_matrix, compose, left_associator_map,
-                     left_shift, representation_basis, right_associator_map,
-                     right_shift, standard_from_coords)
+from .linmap import (LinearMap, b_matrix, check_conversion, compose,
+                     left_associator_map, left_shift, representation_basis,
+                     right_associator_map, right_shift, standard_from_coords)
 from .solver import (ComplexAdditiveMap, MapMatrix, inverse_map_matrix,
                      quasideterminant, solve_additive)
 
@@ -595,6 +595,7 @@ def cmd_algebra_builtin(args) -> int:
 def cmd_map_convert(args) -> int:
     g = load_matrix_file(args.coords, load_algebra(args.algebra))
     solution = standard_from_coords(g, args.order)
+    check_conversion(g, solution, args.order)
     with _all_digits():
         lines = []
         if args.machine:

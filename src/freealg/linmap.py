@@ -28,6 +28,9 @@ Coordinate matrices and component grids are vectorized row by row by
 
 Tensor2, the standard components, lives here with the conversions that
 build and read it; imports run one way, exact <- core <- linmap <- tensor.
+``table_map`` sums a tensor's map off the tables of constants, never B, so
+that ``check_conversion`` and ``orbit_contains`` can substitute B's answers
+back.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from typing import NamedTuple, Optional
 
 from . import exact
 from .core import AlgElement, FreeAlgebra, associator_ints, product_ints, shared_algebra
-from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable
+from .errors import (AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable,
+                     SubstitutionCheckFailed)
 from .exact import IntForm, frac
 
 _ORDERS = ("left", "right")
@@ -350,6 +354,43 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
 
 
+def table_map(t: Tensor2, order: str = "left") -> LinearMap:
+    """t's map, as ``tensor_map`` gives it, summed straight off the
+    algebra's tables of constants without reading B: the check that the
+    conversions substitute back.  Left order, for each i with row i of t
+    nonzero, e_i e_m = v1 e_p and e_p e_j = v2 e_k add t^{ij} v1 v2 at
+    (k, m); the right order is the same walk over A^op's table, A's
+    column table, with column j of t in place of row i."""
+    _check_order(order)
+    algebra, n = t.algebra, t.algebra.dim
+    left = order == "left"
+    table = algebra.terms(opposite=not left)
+    tvec, t_den = t.ints
+    out = [0] * (n * n)
+    for a, line in enumerate(table):
+        ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
+        if any(ts):
+            for m, p, v1 in line:
+                for b, k, v2 in table[p]:
+                    if ts[b]:
+                        out[k * n + m] += ts[b] * v1 * v2
+    return LinearMap._of((algebra, algebra),
+                         exact.canonical(out, algebra.denominator ** 2 * t_den))
+
+
+def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
+    """SubstitutionCheckFailed unless ``table_map`` takes the particular
+    tensor of ``standard_from_coords(g, order)`` to g and every null vector
+    to the zero map."""
+    if table_map(solution.particular, order) != g:
+        raise SubstitutionCheckFailed("standard components fail substitution: "
+                                      "the particular tensor does not give the map")
+    for idx, t in enumerate(solution.nullspace):
+        if not table_map(t, order).is_zero():
+            raise SubstitutionCheckFailed(f"standard components fail substitution: "
+                                          f"null vector {idx} does not give the zero map")
+
+
 def coords_from_standard(t: Tensor2, f: LinearMap, order: str = "left") -> LinearMap:
     """Coordinate matrix of g = t acting on f, g(x) = sum t^{ij} e_i f(x) e_j
     with the chosen nesting: t's map, ``tensor_map``, composed with f."""
@@ -439,7 +480,10 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     except ValueError:
         return None
     # the columns over den give g_nums / g_den: t is the particular over g_den
-    return Tensor2._of((f.target,), exact.canonical(particular, t_den * g_den))
+    t = Tensor2._of((f.target,), exact.canonical(particular, t_den * g_den))
+    if compose(table_map(t, order), f) != g:
+        raise SubstitutionCheckFailed("orbit tensor fails substitution: t acting on f is not g")
+    return t
 
 
 def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[LinearMap]:
