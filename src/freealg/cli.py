@@ -22,7 +22,7 @@ File formats (JSON):
     over the complex field an entry may be a string "p/q + r/s*I" meaning
     z -> (p/q) z + (r/s) conj(z)  (plain "p/q" is multiplication);
     for any algebra an entry may be an n x n grid of fraction strings.
-  labels are JSON strings; numbers, lists and null are refused.
+  labels are distinct JSON strings; numbers, lists and null are refused.
   coordinate matrix files: one row per line, numbers separated by whitespace.
   every number (a JSON string, a coordinate-file token, a term of a complex
   entry, --a and --b) is an optional sign, digits and an optional /digits,

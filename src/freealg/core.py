@@ -64,6 +64,9 @@ class FreeAlgebra:
             raise InvalidAlgebra(f"expected {dim} labels, got {len(labels)}")
         self.dim = dim
         self.labels = tuple(str(s) for s in labels)
+        if len(set(self.labels)) != dim:  # answers name basis vectors by label
+            twice = next(s for i, s in enumerate(self.labels) if s in self.labels[:i])
+            raise InvalidAlgebra(f"duplicate label {twice!r}")
         self.tag = tag
         self.params = params
         self._cache: dict = {}

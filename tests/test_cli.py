@@ -354,6 +354,7 @@ def _exponent_constant_doc():
     ("basis", _complex_doc(labels="1i"), 'labels must be a list, got "1i"'),
     ("basis", _complex_doc(labels=["1", ["i"]]), 'label must be a string, got ["i"]'),
     ("basis", _complex_doc(labels=["1", 2]), "label must be a string, got 2"),
+    ("basis", _complex_doc(labels=["a", "a"]), "duplicate label 'a'"),
     ("solve", _system_doc(matrix=[[[[0.1, "0"], ["0", "1"]]]]),
      "matrix cell must be a fraction string or an integer, got 0.1"),
     ("solve", _system_doc(rhs=[[0.1, "0"]]),
@@ -389,7 +390,7 @@ def _exponent_constant_doc():
     ("solve", _system_doc(rhs=[["1", "2", "3"]]), "expected 2 coordinates, got 3"),
 ], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
-        "float_dim", "labels_string", "labels_not_strings", "labels_integer",
+        "float_dim", "labels_string", "labels_not_strings", "labels_integer", "duplicate_labels",
         "float_cell", "float_rhs", "float_constant", "algebra_object", "algebra_integer",
         "zero_denominator", "exponent_constant", "decimal_cell", "long_literal",
         "constants_object", "space_between_digits", "space_between_digits_conj",

@@ -150,3 +150,15 @@ def reference_constants(factors):
 @given(st.lists(SMALL_ALGEBRAS, min_size=2, max_size=3))
 def test_tensor_product_constants_are_factorwise_products(factors):
     assert tensor_product(factors).constants == reference_constants(factors)
+
+
+@settings(max_examples=120)
+@given(algebras(unital=True), st.sampled_from(["left", "right"]))
+def test_basis_generators_are_primitive_int_rows(algebra, order):
+    # the adjoined residual is scaled to coprime ints with a positive first
+    # nonzero entry, so its orbit has one representative however it was found
+    for g in representation_basis(algebra, order):
+        nums, den = g.ints
+        assert den == 1
+        assert gcd(*nums) == 1
+        assert next(filter(None, nums)) > 0
