@@ -11,7 +11,13 @@ common denominator, ``FreeAlgebra.denominator``, in two flat tables, A's
 and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
 ``product_ints``, makes every product of elements: ``multiply``,
 ``associator`` and the shifts and associator maps of ``linmap`` make one
-``canonical`` per value they return.  ``+`` and ``-`` run on ints too.
+``canonical`` per value they return.  It takes one of two paths, chosen by
+the operands alone.  Dense ones go to code compiled once per algebra from
+its table, ``product_kernel``, one straight-line expression per output
+coordinate, which pays no interpreter step per term of the table.  When
+one operand has few nonzero coordinates, a loop over those does fewer
+terms: the shifts multiply by basis vectors.  ``+`` and ``-`` run on ints
+too.
 ``AlgElement.coords``, the Fractions, is built on first read; its values
 and hash are those Fraction arithmetic gives.
 
@@ -231,10 +237,23 @@ def shared_algebra(x: AlgElement, *others: AlgElement) -> FreeAlgebra:
 def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
     """The numerators of x y over x_den * y_den * ``algebra.denominator``, not
     reduced, from those of x and y: (x y)^k = sum_{i,j} B[i][j][k] x^i y^j.
-    The loop runs over the operand with fewer nonzero coordinates, through
-    row i of the flat table when it is x and column j when it is y."""
-    out = [0] * algebra.dim
-    if xs.count(0) >= ys.count(0):
+
+    When the operand with fewer nonzero coordinates has nnz of them with
+    4 nnz > dim, ``product_kernel``'s straight-line code makes every term of
+    the table without a branch.  Otherwise a loop runs over that operand's
+    nonzero coordinates, through row i of the flat table when it is x and
+    column j when it is y, and skips the zero terms the kernel would make:
+    a one-hot operand, as the shifts and ``in_nucleus`` pass, costs one row.
+    Measured on 2 CPUs (Python 3.11), the loop and the kernel cost the same
+    at nnz 2-3 on H (x) H (dim 16) and 16-26 on O (x) O (dim 64), the higher
+    on 40-bit values; on O the kernel is never slower.  Sums of ints are
+    exact, so the two give the same ints."""
+    n = algebra.dim
+    zx, zy = xs.count(0), ys.count(0)
+    if 4 * (n - max(zx, zy)) > n:
+        return (algebra._cache.get(_KERNEL) or product_kernel(algebra))(xs, ys)
+    out = [0] * n
+    if zx >= zy:
         terms, short, other = algebra._row_terms, xs, ys
     else:
         terms, short, other = algebra._col_terms, ys, xs
@@ -245,6 +264,66 @@ def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
                 if t:
                     out[k] += s * t * v
     return out
+
+
+_KERNEL = "product_kernel"
+
+
+def product_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
+    """``product_ints`` of dense operands as one straight-line function of
+    the algebra, compiled on first use and cached on it.
+
+    Output k is one expression, sum_i x^i (sum_j c y^j) over the table's
+    (i, j, k, c): the y-terms sharing (i, k) are factored, and c is a
+    multiplier only when it is not +-1.  Each |c| is bound to a name, never
+    written into the source as digits, and a sum past 256 terms nests in
+    halves, so a long column compiles at any size.  Compiling took 0.4 ms
+    for O, 1.6 ms for H (x) H^op, 29 ms for O (x) O and 0.57 s for
+    (H (x) H) (x) (H (x) H)^op (2 CPUs, Python 3.11)."""
+    return algebra.cached(_KERNEL, lambda: _compile_product(algebra))
+
+
+def _compile_product(algebra: FreeAlgebra):
+    n = algebra.dim
+    names: dict[int, str] = {}  # |c| != 1 -> the global bound to it
+    groups: list[dict[int, list]] = [{} for _ in range(n)]  # k -> i -> [(j, c), ...]
+    for i, row in enumerate(algebra._row_terms):
+        for j, k, c in row:
+            groups[k].setdefault(i, []).append((j, c))
+
+    def term(c: int, name: str) -> tuple[bool, str]:
+        if abs(c) == 1:
+            return c < 0, name
+        return c < 0, f"{names.setdefault(abs(c), f'c{len(names)}')}*{name}"
+
+    outputs = []
+    for by_i in groups:
+        terms = []
+        for i, pairs in by_i.items():
+            inner = [term(c, f"y{j}") for j, c in pairs]
+            negative = inner[0][0]  # factored out, so the inner sum starts with +
+            inner = [(s != negative, text) for s, text in inner]
+            terms.append((negative, f"x{i}*{inner[0][1]}" if len(inner) == 1
+                          else f"x{i}*({_sum_source(inner)})"))
+        outputs.append(_sum_source(terms) if terms else "0")
+    source = (f"def product(xs, ys):\n"
+              f"    {''.join(f'x{i}, ' for i in range(n))}= xs\n"
+              f"    {''.join(f'y{j}, ' for j in range(n))}= ys\n"
+              f"    return [\n" + "".join(f"        {e},\n" for e in outputs) + "    ]\n")
+    namespace = {name: c for c, name in names.items()}
+    exec(compile(source, f"<product of {algebra!r}>", "exec"), namespace)
+    return namespace["product"]
+
+
+def _sum_source(terms: list[tuple[bool, str]]) -> str:
+    """Source of the sum of (negative, text) terms, nested in halves past 256
+    terms: the compiler recurses once per term of a flat chain."""
+    if len(terms) > 256:
+        half = len(terms) // 2
+        return f"{_sum_source(terms[:half])} + ({_sum_source(terms[half:])})"
+    (negative, first), rest = terms[0], terms[1:]
+    return ("-" if negative else "") + first + "".join(
+        f" {'-' if s else '+'} {text}" for s, text in rest)
 
 
 def associator_ints(algebra: FreeAlgebra, xs, zs, xy, yz) -> list[int]:

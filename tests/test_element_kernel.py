@@ -25,9 +25,19 @@ the dual numbers and random algebras of ``test_kernel_properties``, whose
 cells hold several constants over a denominator other than 1.  Operands
 are zero, basis vectors and random supports, and in half the draws the
 first two share their support count, where the kernel's choice of loop
-is a tie.  The runs use the derandomized profile of ``conftest.py``.
+is a tie.
+
+``core.product_ints`` sends dense operands to the straight-line code of
+``core.product_kernel`` and sparse ones to its loop.  Both paths are
+checked, unreduced, against sum_{i,j} c_{ij}^k x^i y^j on the int
+numerators of ``terms()``: on zero, one-hot, sparse and dense operands;
+on a dim-1 algebra with and without a constant; on a constant whose
+numerator has more digits than ``str()`` writes; and on algebras where
+one output collects 6,400 terms or chains of 3,000.  The runs use the
+derandomized profile of ``conftest.py``.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -40,6 +50,8 @@ from freealg import (AlgebraMismatch, LinearMap, QuaternionParams, Tensor2, appl
                      complex_algebra, compose, exact, left_shift, multiply, norm_sq,
                      octonion_algebra, opposite, quaternion_algebra, right_shift, tensor_product,
                      twisted_mul)
+from freealg import core
+from freealg.core import FreeAlgebra, product_ints, product_kernel
 from freealg.linmap import left_associator_map, right_associator_map
 from freealg.tensor import twisted_algebra
 from test_component_blocks import dual_numbers
@@ -216,6 +228,74 @@ def test_shifts_and_associators_match_the_constants(name, big, data):
 @given(algebras(), st.booleans(), st.data())
 def test_shifts_and_associators_match_the_constants_of_random_algebras(alg, big, data):
     check_element_layer(alg, data, big)
+
+
+def int_product(alg, xs, ys):
+    """sum_{i,j} c_{ij}^k x^i y^j on the int numerators of the table, unreduced."""
+    out = [0] * alg.dim
+    for i, row in enumerate(alg.terms()):
+        for j, k, c in row:
+            out[k] += c * xs[i] * ys[j]
+    return out
+
+
+@cache
+def kernel_algebras():
+    """The edge cases of the compiled product, by name."""
+    huge = Fraction(1, 10**4400)  # 7 is 7 * 10^4400 over that denominator
+    return {
+        "dim 1": FreeAlgebra(1, ["e"], [(0, 0, 0, Fraction(-3, 2))]),
+        "dim 1, zero product": FreeAlgebra(1, ["e"], []),
+        "4,401-digit numerator": FreeAlgebra(2, ["a", "b"], [
+            (0, 0, 0, 7), (0, 1, 1, huge), (1, 0, 1, -1), (1, 1, 0, 2)]),
+        "dim 80, every product e_0": FreeAlgebra(
+            80, [f"e{i}" for i in range(80)],
+            [(i, j, 0, 1) for i in range(80) for j in range(80)]),
+        "dim 3000, chains of 3000": FreeAlgebra(
+            3000, [f"e{i}" for i in range(3000)],
+            [(0, j, 0, 1) for j in range(3000)] + [(i, 0, 0, -5) for i in range(1, 3000)]),
+        "O": algebra("O"),
+        "H(x)H": algebra("H(x)H"),
+        "E(-3/7, 5/2)": algebra("E(-3/7, 5/2)"),
+    }
+
+
+@pytest.mark.parametrize("name", list(kernel_algebras()))
+def test_both_product_paths_match_the_int_reference(name):
+    alg = kernel_algebras()[name]
+    n = alg.dim
+    rng = random.Random(n)
+
+    def operand(nonzero, bits):
+        xs = [0] * n
+        for i in rng.sample(range(n), nonzero):
+            xs[i] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        return xs
+
+    kinds = {"zero": 0, "one-hot": 1, "sparse": max(1, n // 4), "dense": n}
+    for bits in (3, 40):
+        for (kx, nx), (ky, ny) in itertools.product(kinds.items(), repeat=2):
+            xs, ys = operand(nx, bits), operand(ny, bits)
+            assert product_ints(alg, xs, ys) == int_product(alg, xs, ys), (kx, ky)
+            assert product_kernel(alg)(xs, ys) == int_product(alg, xs, ys), (kx, ky)
+    x, y = alg.element(operand(n, 3)), alg.element(operand(n, 3))
+    assert multiply(x, y).coords == reference_product(alg, x.coords, y.coords)
+
+
+def test_only_dense_operands_compile_the_kernel(monkeypatch):
+    # the loop runs while 4 nnz <= dim for the sparser operand, so products
+    # with a basis vector, as the shifts make them, never compile the kernel
+    alg = tensor_product([algebra("H"), algebra("H")])
+    dense = list(range(1, 17))
+    sparse = [1, 2, 3, 4] + [0] * 12
+    assert len(sparse) == alg.dim
+    left_shift(alg.element(dense))
+    multiply(alg.element(sparse), alg.element(dense))
+    assert "product_kernel" not in alg._cache
+    monkeypatch.setattr(core, "_compile_product", lambda a: lambda xs, ys: "compiled")
+    assert product_ints(alg, dense, sparse) != "compiled"  # 4 nnz = dim
+    assert product_ints(alg, dense, [5] + sparse[:-1]) == "compiled"  # 5 nnz
+    assert product_ints(alg, dense, dense) == "compiled"
 
 
 def test_associators_refuse_operands_of_two_algebras():

@@ -457,10 +457,12 @@ def test_tensor_product_representation(H):
 
 
 def test_b_matrix_cache_is_shared_across_threads():
-    # A (x) A^op is cached in the same slot under the same lock
+    # A (x) A^op and the compiled product are cached in the same slot under
+    # the same lock
     import threading
     from freealg import octonion_algebra
-    for build in (b_matrix, twisted_algebra):
+    from freealg.core import product_kernel
+    for build in (b_matrix, twisted_algebra, product_kernel):
         algebra = octonion_algebra()
         results = []
 
