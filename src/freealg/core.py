@@ -248,9 +248,9 @@ def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
     at nnz 2-3 on H (x) H (dim 16) and 16-26 on O (x) O (dim 64), the higher
     on 40-bit values; on O the kernel is never slower.  Sums of ints are
     exact, so the two give the same ints."""
-    n = algebra.dim
     zx, zy = xs.count(0), ys.count(0)
-    if 4 * (n - max(zx, zy)) > n:
+    n = len(xs)
+    if 4 * (zx if zx >= zy else zy) < 3 * n:  # 4 nnz > n, in the cheapest steps
         return (algebra._cache.get(_KERNEL) or product_kernel(algebra))(xs, ys)
     out = [0] * n
     if zx >= zy:
