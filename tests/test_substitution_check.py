@@ -47,25 +47,19 @@ def dense_map(algebra, rng):
                                          for _ in range(n)] for _ in range(n)])
 
 
+@settings(max_examples=50)
 @given(st.data(), ORDERS)
-def test_table_map_is_b_times_vec_t(data, order):
-    # the table walk, the blocks of B and the definition give one map
-    algebra = data.draw(algebras())
-    t = Tensor2(algebra, data.draw(grids(algebra.dim)))
-    expected = reference_map(reference_b(algebra, order), t.components)
-    assert table_map(t, order).coords == tuple(map(tuple, expected))
-    assert table_map(t, order) == tensor_map(t, order)
-
-
-@settings(max_examples=60)
-@given(st.data(), ORDERS)
-def test_correct_conversions_pass_their_check(data, order):
-    # the image of a tensor converts and passes; so does any other map that
-    # converts, and orbit membership checks the tensor it finds
+def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
+    # the table walk, the blocks of B and the definition give one map; the
+    # image of a tensor converts and passes, so does any other map that
+    # converts, and orbit membership passes the tensor it finds
     algebra = data.draw(algebras())
     n = algebra.dim
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
+    expected = reference_map(reference_b(algebra, order), t.components)
+    assert table_map(t, order).coords == tuple(map(tuple, expected))
+    assert table_map(t, order) == tensor_map(t, order)
     for g in (tensor_map(t, order), f):
         try:
             solution = standard_from_coords(g, order)
