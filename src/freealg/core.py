@@ -114,12 +114,16 @@ class FreeAlgebra:
 
         Builds run under one lock, so concurrent first callers all get
         the same object.  ``build`` must not call ``cached`` itself: the
-        lock is not reentrant.
+        lock is not reentrant.  A built value is read without the lock, so
+        a read never waits for a build, which can take a second (B of
+        O (x) O, the product of (H (x) H) (x) (H (x) H)^op).
         """
-        with _cache_lock:
-            value = self._cache.get(key)
-            if value is None:
-                value = self._cache[key] = build()
+        value = self._cache.get(key)
+        if value is None:
+            with _cache_lock:
+                value = self._cache.get(key)
+                if value is None:
+                    value = self._cache[key] = build()
         return value
 
     @property

@@ -480,6 +480,30 @@ def test_b_matrix_cache_is_shared_across_threads():
         assert build(algebra) is results[0]
 
 
+def test_a_cached_value_is_read_while_another_is_built():
+    import threading
+    from freealg import octonion_algebra, quaternion_algebra
+    H, O = quaternion_algebra(), octonion_algebra()
+    built = b_matrix(H)
+    started, release = threading.Event(), threading.Event()
+
+    def slow_build():
+        started.set()
+        assert release.wait(timeout=10)  # a read that waits for the lock fails here
+        return "slow"
+
+    builder = threading.Thread(target=lambda: O.cached("slow", slow_build))
+    builder.start()
+    try:
+        assert started.wait(timeout=60)
+        assert b_matrix(H) is built  # the build holds the lock, the read does not wait
+    finally:
+        release.set()
+        builder.join(timeout=60)
+    assert not builder.is_alive()
+    assert O.cached("slow", lambda: "rebuilt") == "slow"
+
+
 def test_b_matrix_cache_dies_with_its_algebra():
     import gc
     from freealg import BMatrix, TensorAlgebra, quaternion_algebra
