@@ -27,17 +27,9 @@ from freealg import (LinearMap, NotRepresentable, StandardSolution, Substitution
                      standard_from_coords)
 from freealg import cli, exact, linmap
 from freealg.linmap import b_matrix, check_conversion, table_map, tensor_map
-from test_kernel_properties import algebras, grids, reference_b
+from test_kernel_properties import algebras, grids, reference_action, reference_b
 
 ORDERS = st.sampled_from(["left", "right"])
-
-
-def reference_map(b, t):
-    """t's map as its n x n coordinate grid: B vec(t), B a Fraction grid."""
-    n = len(t)
-    flat = [v for row in t for v in row]
-    g = [sum(x * y for x, y in zip(row, flat)) for row in b]
-    return [g[k * n:(k + 1) * n] for k in range(n)]
 
 
 def dense_map(algebra, rng):
@@ -57,7 +49,8 @@ def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
     n = algebra.dim
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
-    expected = reference_map(reference_b(algebra, order), t.components)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    expected = reference_action(reference_b(algebra, order), t.components, identity)
     assert table_map(t, order).coords == tuple(map(tuple, expected))
     assert table_map(t, order) == tensor_map(t, order)
     for g in (tensor_map(t, order), f):
