@@ -66,35 +66,6 @@ def blocks(seq, size: int) -> list:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
-def components(n_rows: int, n_cols: int, cells) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the graph on n_rows rows and n_cols
-    columns that joins row r to column c for each (r, c) in ``cells``, the
-    nonzero positions of a matrix, as (row indices, column indices), both
-    ascending.  A zero row is a component without columns and a zero
-    column one without rows.  Components come in the order of their first
-    row, then those without rows in column order.  This is the first step
-    of block triangular form (Pothen and Fan, ACM TOMS 16, 1990)."""
-    parent = list(range(n_rows + n_cols))  # rows, then columns offset by n_rows
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for r, c in cells:
-        a, b = root(r), root(n_rows + c)
-        if a != b:
-            parent[max(a, b)] = min(a, b)  # a root is its component's first node
-    found: dict[int, tuple[list[int], list[int]]] = {}
-    for x in range(n_rows + n_cols):
-        rs, cs = found.setdefault(root(x), ([], []))
-        if x < n_rows:
-            rs.append(x)
-        else:
-            cs.append(x - n_rows)
-    return list(found.values())
-
-
 def int_mat_mul(a, b, cols: int) -> list[list[int]]:
     """The product of int matrices given by rows, b having ``cols`` columns."""
     b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]

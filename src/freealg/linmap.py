@@ -10,10 +10,11 @@ components f^{ij} in the sandwich expansion
     f(x) = sum_{i,j} f^{ij} (e_i x) e_j        (order="left")
     f(x) = sum_{i,j} f^{ij} e_i (x e_j)        (order="right")
 
-and is built from its nonzero cells as their connected blocks, each its
-class grid F, an int grid over one denominator, under row and column
-signs; each class is held and eliminated once, when B is built.  B is read,
-solved and applied only through the blocks, on ints up to the values
+and is built in one walk of the graph of its nonzero cells, which finds
+its connected blocks and signs each block's rows and columns as it goes:
+each block is its class grid F, an int grid over one denominator, under
+those signs; each class is held and eliminated once, when B is built.
+B is read, solved and applied only through the blocks, on ints up to the values
 returned: B vec(t) gathers a block's signed entries ts of vec(t) once and
 takes each row of F as ``sum(map(mul, row, ts))``, as the solve and
 ``apply`` take theirs.  The two nesting orders coincide in associative
@@ -210,9 +211,12 @@ class BMatrix(NamedTuple):
     (k, m) coordinate entry of x -> sum f^{ij} (e_i x) e_j (left order)
     or x -> sum f^{ij} e_i (x e_j) (right order).
 
-    It is held only as the connected components of its nonzero graph
-    (``exact.components``), each D_r F D_c with F its class grid and D_r,
-    D_c diagonal signs (``_sign_class``): ``blocks`` lists (rows, cols,
+    It is held only as the connected blocks of its nonzero graph, each
+    D_r F D_c with F its class grid and D_r, D_c diagonal signs.  One walk
+    finds them: breadth first from each row not yet reached, in ascending
+    order, over ascending columns and rows, setting signs that make the
+    walk's spanning tree positive (rs[0] = 1), so blocks equal up to signs
+    share F; the zero columns come last.  ``blocks`` lists (rows, cols,
     rs, cs, k), the block's rows and columns, their signs and the index
     of its class, and ``classes`` lists (F, ``exact.factor(F)``), F the
     int grid holding ``den`` times the entries up to signs, den the square
@@ -268,25 +272,6 @@ def _relations(parts, n: int) -> dict:
             for r, s, values in zip(rows, rs, grid)}
 
 
-def _sign_class(grid, n_cols: int) -> tuple[list[int], list[int], tuple]:
-    """(rs, cs, F) with F = D_r grid D_c, where the signs rs and cs, rs[0] = 1,
-    make positive a spanning tree of the block's nonzero graph, walked from
-    its first row in ascending row and column order.  Blocks equal up to row
-    and column signs get one F."""
-    if not grid:  # a zero column
-        return [], [1] * n_cols, ()
-    rs, cs, queue = [1] + [0] * (len(grid) - 1), [0] * n_cols, [0]
-    for r in queue:  # reaches every row and column: a block is connected
-        for c, v in enumerate(grid[r]):
-            if v and not cs[c]:
-                cs[c] = rs[r] if v > 0 else -rs[r]
-                for r2, row in enumerate(grid):
-                    if row[c] and not rs[r2]:
-                        rs[r2] = cs[c] if row[c] > 0 else -cs[c]
-                        queue.append(r2)
-    return rs, cs, tuple(tuple(r * c * v for c, v in zip(cs, row)) for r, row in zip(rs, grid))
-
-
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
     """Build (and cache on the algebra, per order) the component matrix."""
     _check_order(order)
@@ -299,19 +284,43 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     left = order == "left"
     table = algebra.terms(opposite=not left)
     # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
-    sums: dict[tuple[int, int], int] = {}  # by (row, column); terms can cancel to 0
+    cells: list[dict[int, int]] = [{} for _ in range(n * n)]  # row -> {column: sum}
     for i, row in enumerate(table):
         for m, p, v1 in row:
             for j, k, v2 in table[p]:
-                cell = (k * n + m, i * n + j if left else j * n + i)
-                sums[cell] = sums.get(cell, 0) + v1 * v2
-    blocks = [(rows, cols, [[sums.get((r, c), 0) for c in cols] for r in rows])
-              for rows, cols in exact.components(n * n, n * n, (c for c, v in sums.items() if v))]
-    del sums  # not held while the classes are found and factored
+                line, c = cells[k * n + m], i * n + j if left else j * n + i
+                line[c] = line.get(c, 0) + v1 * v2
+    col_rows: list[list[int]] = [[] for _ in range(n * n)]  # column -> its rows, ascending
+    for r, line in enumerate(cells):
+        cells[r] = line = {c: line[c] for c in sorted(line) if line[c]}  # sums can cancel to 0
+        for c in line:
+            col_rows[c].append(r)
+    rs, cs = [0] * (n * n), [0] * (n * n)  # row and column signs, 0 until walked
     index: dict[tuple, int] = {}  # class grid -> its index, in the order first met
-    for b, (rows, cols, grid) in enumerate(blocks):
-        rs, cs, f = _sign_class(grid, len(cols))
-        blocks[b] = (rows, cols, rs, cs, index.setdefault(f, len(index)))  # drops the grid
+    blocks = []
+    for first in range(n * n):  # each block from its first row; zero columns come last
+        if rs[first]:
+            continue
+        rs[first], rows, cols = 1, [first], []
+        # breadth first in ascending order; the signs make a spanning tree positive,
+        # so blocks equal up to row and column signs get one class grid F
+        for r in rows:
+            for c, v in cells[r].items():
+                if not cs[c]:
+                    cs[c] = rs[r] if v > 0 else -rs[r]
+                    cols.append(c)
+                    for r2 in col_rows[c]:
+                        if not rs[r2]:
+                            rs[r2] = cs[c] if cells[r2][c] > 0 else -cs[c]
+                            rows.append(r2)
+        rows.sort()
+        cols.sort()
+        f = tuple(tuple(rs[r] * cs[c] * cells[r].get(c, 0) for c in cols) for r in rows)
+        blocks.append((rows, cols, [rs[r] for r in rows], [cs[c] for c in cols],
+                       index.setdefault(f, len(index))))
+    del cells, col_rows  # not held while the classes are factored
+    blocks += [([], [c], [], [1], index.setdefault((), len(index)))
+               for c in range(n * n) if not cs[c]]
     return BMatrix(algebra, order, blocks, [(f, exact.factor(f)) for f in index])
 
 

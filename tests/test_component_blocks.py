@@ -27,13 +27,19 @@ asked.
 The last tests check the sign classes: every block is its class grid F
 under its row and column signs, equal to the in-test contraction at its
 rows and columns, F being the grid its class's factor reduces, with the
-class counts of the built-in algebras and O (x) C pinned; B holds each
+class counts of the built-in algebras and O (x) C pinned; a basis
+re-signed by +-1 keeps the class grids; the blocks' rows and columns are
+the connected components of the contraction's nonzero cells, as an
+in-test breadth-first search finds them, in its order, and the dual
+numbers pin a zero row's block at its row and a zero column's last,
+with their signs and classes; B holds each
 class grid once and no block holds one; and each block, rank-deficient,
 inconsistent or with a free column of sign -1, solves as ``exact.solve``
 of that block does.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -365,6 +371,21 @@ def test_every_block_is_its_class_grid_under_its_signs(make, counts):
                  for order in ("left", "right")) == counts
 
 
+@pytest.mark.parametrize("make, signs", [
+    (quaternion_algebra, [1, -1, 1, 1]), (octonion_algebra, [1, -1, 1, 1, -1, -1, 1, -1]),
+    (e_half_minus_3, [1, 1, -1, -1])], ids=["H-minus-i", "O", "E"])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_a_resigned_basis_keeps_the_classes(make, signs, order):
+    # e'_i = s_i e_i with s_i = +-1 multiplies entry ((k, m), (i, j)) of B
+    # by s_k s_m s_i s_j: the same blocks under other signs, so the same
+    # class grids, each block in the same class
+    bm, resigned = b_matrix(make(), order), b_matrix(rescaled(make(), signs), order)
+    assert check_sign_classes(resigned) == check_sign_classes(bm)
+    assert [f for f, _ in resigned.classes] == [f for f, _ in bm.classes]
+    assert ([(rows, cols, k) for rows, cols, _, _, k in resigned.blocks]
+            == [(rows, cols, k) for rows, cols, _, _, k in bm.blocks])
+
+
 def grid_cells(obj):
     """The cells of the distinct grids reachable from obj through lists and
     tuples, a grid being a nonempty list or tuple of lists or tuples of ints."""
@@ -406,6 +427,49 @@ def test_b_holds_each_grid_once(make, order):
 def test_random_blocks_are_their_class_grids_under_their_signs(algebra, order):
     bm = b_matrix(algebra, order)
     assert 1 <= check_sign_classes(bm) <= len(bm.blocks)
+
+
+def bfs_components(n_rows, n_cols, cells):
+    """Components by breadth-first search from each unvisited node, rows
+    before columns, so each component comes at its first node."""
+    neighbours = {("r", r): set() for r in range(n_rows)}
+    neighbours.update({("c", c): set() for c in range(n_cols)})
+    for r, c in cells:
+        neighbours["r", r].add(("c", c))
+        neighbours["c", c].add(("r", r))
+    seen, out = set(), []
+    for start in [("r", r) for r in range(n_rows)] + [("c", c) for c in range(n_cols)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), [start]
+        while queue:
+            for node in neighbours[queue.popleft()]:
+                if node not in seen:
+                    seen.add(node)
+                    queue.append(node)
+                    members.append(node)
+        out.append((sorted(i for kind, i in members if kind == "r"),
+                    sorted(i for kind, i in members if kind == "c")))
+    return out
+
+
+@given(algebras(), st.sampled_from(["left", "right"]))
+def test_blocks_are_the_components_of_the_nonzero_cells(algebra, order):
+    size = algebra.dim ** 2
+    b = reference_b(algebra, order)
+    cells = [(r, c) for r in range(size) for c in range(size) if b[r][c]]
+    assert ([(rows, cols) for rows, cols, *_ in b_matrix(algebra, order).blocks]
+            == bfs_components(size, size, cells))
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_a_zero_row_comes_at_its_row_and_a_zero_column_last(order):
+    # in the dual numbers row (0, 1) and column (1, 1) of B are zero
+    bm = b_matrix(dual_numbers(), order)
+    assert bm.blocks == [([0, 3], [0], [1, 1], [1], 0), ([1], [], [1], [], 1),
+                         ([2], [1, 2], [1], [1, 1], 2), ([], [3], [], [1], 3)]
+    assert [f for f, _ in bm.classes] == [((1,), (1,)), ((),), ((1, 1),), ()]
 
 
 def check_blocks_against_solve(algebra, order, rng):

@@ -10,7 +10,6 @@ reduced rows of ``factor`` must all match it exactly.
 import ast
 import importlib
 import random
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -447,51 +446,13 @@ def test_primitive_rows():
     assert row == (2, 3)
 
 
-def test_components_split_the_nonzero_graph():
-    # rows 0 and 3 share column 1; row 2 joins columns 0 and 3; row 1 and
-    # column 2 are zero, so each is a component on its own
-    cells = [(0, 1), (2, 0), (2, 3), (3, 1)]
-    assert exact.components(4, 4, cells) == [([0, 3], [1]), ([1], []), ([2], [0, 3]), ([], [2])]
-    assert exact.components(2, 2, [(0, 1), (1, 0)]) == [([0], [1]), ([1], [0])]
-    assert exact.components(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]) == [([0, 1], [0, 1])]
-    assert exact.components(0, 0, []) == []
-
-
-def bfs_components(n_rows, n_cols, cells):
-    """Components by breadth-first search from each unvisited node, rows
-    before columns, so each component comes at its first node."""
-    neighbours = {("r", r): set() for r in range(n_rows)}
-    neighbours.update({("c", c): set() for c in range(n_cols)})
-    for r, c in cells:
-        neighbours["r", r].add(("c", c))
-        neighbours["c", c].add(("r", r))
-    seen, out = set(), []
-    for start in [("r", r) for r in range(n_rows)] + [("c", c) for c in range(n_cols)]:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue, members = deque([start]), [start]
-        while queue:
-            for node in neighbours[queue.popleft()]:
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-                    members.append(node)
-        out.append((sorted(i for kind, i in members if kind == "r"),
-                    sorted(i for kind, i in members if kind == "c")))
-    return out
-
-
-@given(st.data())
-def test_components_match_breadth_first_search(data):
-    n_rows = data.draw(st.integers(0, 7))
-    n_cols = data.draw(st.integers(0, 7))
-    if n_rows and n_cols:  # sparse: most rows and columns keep few cells, some none
-        cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
-        cells = data.draw(st.lists(cell, max_size=n_rows + n_cols))
-    else:
-        cells = []
-    assert exact.components(n_rows, n_cols, cells) == bfs_components(n_rows, n_cols, cells)
+def test_reduce_divides_each_row_by_its_gcd():
+    # the row step leaves [1, 3] - [1, 1] = [0, 2], which must come back as
+    # [0, 1]; a row left with a factor 2 would grow the bits of every later step
+    for echelon, reduced in ((True, [[1, 1], [0, 1]]), (False, [[1, 0], [0, 1]])):
+        rows = [[1, 1], [1, 3]]
+        assert exact._reduce(rows, 2, echelon=echelon) == [0, 1]
+        assert rows == reduced
 
 
 def test_only_reduce_runs_elimination():

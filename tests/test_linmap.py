@@ -530,6 +530,20 @@ def test_mismatch_errors(C, H):
         coords_from_standard(Tensor2.unit(C), LinearMap.identity(H))
 
 
+def test_one_sided_mismatches_raise(C, H):
+    # each guard fires when either side is on another algebra; the match
+    # tells the sandwich guard from compose's, which raises the same class
+    f = LinearMap.identity(H)
+    with pytest.raises(AlgebraMismatch, match="sandwich factors"):
+        sandwich(C.unit(), f, H.unit())
+    with pytest.raises(AlgebraMismatch, match="sandwich factors"):
+        sandwich(H.unit(), f, C.unit())
+    with pytest.raises(AlgebraMismatch, match="different algebras"):
+        orbit_contains(LinearMap(H, C, [[0] * 4] * 2), f)
+    with pytest.raises(AlgebraMismatch, match="different algebras"):
+        orbit_contains(LinearMap(C, H, [[0] * 2] * 4), f)
+
+
 def test_heterogeneous_sandwich(C, H):
     # f maps C into H; the sandwich factors live in the target algebra
     f = LinearMap(C, H, [[1, 0], [0, 1], [0, 0], [0, 0]])
