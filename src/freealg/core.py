@@ -35,9 +35,6 @@ from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
 from .exact import IntForm, as_ints, canonical, frac
 
 
-_cache_lock = threading.Lock()
-
-
 class FreeAlgebra:
     """A free algebra of finite dimension, defined by structure constants.
 
@@ -53,11 +50,12 @@ class FreeAlgebra:
 
     ``_cache`` holds what :meth:`cached` builds from the algebra alone,
     such as its component matrices, A (x) A^op and whether it is
-    associative; it lives and dies with the algebra.
+    associative; it lives and dies with the algebra, and ``_lock`` guards
+    its first builds.
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator",
-                 "_row_terms", "_col_terms", "_cache", "_basis")
+                 "_row_terms", "_col_terms", "_cache", "_lock", "_basis")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -76,6 +74,7 @@ class FreeAlgebra:
         self.tag = tag
         self.params = params
         self._cache: dict = {}
+        self._lock = threading.Lock()
         self._basis = None
 
         values: dict[tuple[int, int, int], int | Fraction] = {}
@@ -112,15 +111,16 @@ class FreeAlgebra:
     def cached(self, key, build: Callable[[], object]):
         """The value stored under ``key``, made by ``build()`` on first use.
 
-        Builds run under one lock, so concurrent first callers all get
-        the same object.  ``build`` must not call ``cached`` itself: the
-        lock is not reentrant.  A built value is read without the lock, so
-        a read never waits for a build, which can take a second (B of
+        Builds run under the algebra's own lock, so concurrent first callers
+        all get the same object, and a build never waits for one on another
+        algebra.  ``build`` must not call ``cached`` on the same algebra: the
+        lock is not reentrant.  A built value is read without the lock, so a
+        read never waits for a build, which can take a second (B of
         O (x) O, the product of (H (x) H) (x) (H (x) H)^op).
         """
         value = self._cache.get(key)
         if value is None:
-            with _cache_lock:
+            with self._lock:
                 value = self._cache.get(key)
                 if value is None:
                     value = self._cache[key] = build()

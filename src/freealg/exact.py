@@ -4,10 +4,9 @@ Matrices are lists or tuples of rows of Fractions or ints; results are lists.
 Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
-All elimination (rank, solve_ints, null_vector, factor with its
-full-rank read-off invert_ints, and the span of
-``linmap.representation_basis``) runs through one loop, ``_reduce``,
-fraction-free over Python ints.  ``factor`` and the span run it as
+Elimination runs in two loops over Python ints.  ``_reduce`` serves rank,
+solve_ints, null_vector, factor and the span of
+``linmap.representation_basis``.  ``factor`` and the span run it as
 Gauss-Jordan, each pivot clearing its column above and below; ``rank``,
 ``solve_ints`` and ``null_vector`` stop at echelon form, clearing below
 each pivot only, about half the row steps.  One back-substitution over
@@ -17,12 +16,22 @@ canonical, so it is the unique vector a reduced form gives:
 ``null_vector`` the first null vector alone.  A row enters scaled by the
 lcm of its denominators, which keeps its row space; each row step
 cross-multiplies by the pivot and divides the row by the gcd of its
-entries, not by the previous pivot as Bareiss does (Math. Comp. 22,
-1968), so primitive rows stay short on the sparse +-1 blocks of the
-component matrix, whose minors grow.  Fractions appear only on the way
-out: ``invert`` and ``solve`` are the Fraction views of ``invert_ints``
-and ``solve_ints``.  Nothing in the package calls them, ``rank`` or
-``mat_mul``; they stay because the benchmark's tracer wraps them by name.
+entries, so primitive rows stay short on the sparse +-1 blocks of the
+component matrix, whose minors grow.  ``invert_ints`` runs its own
+Gauss-Jordan on [a | I], dividing each row step exactly by the previous
+pivot as Bareiss does (Math. Comp. 22, 1968): the maps it inverts are
+dense, their rows have no common factor to divide out, and the per-row
+gcd is wasted there.  Measured against ``_reduce`` on 2 CPUs, exact
+division inverts H's tensor maps in 0.53x the time, random maps on O,
+H (x) H and O (x) H in 0.68-0.75x and a basis shift of O (x) O in 0.44x;
+on ``_reduce``'s callers it was slower: 2.2-3.4x on the class grids of
+H (x) H and O (x) O, 19x on ``linmap.orbit_contains``' H (x) H system,
+4.7x on the Gram solve of a square-zero ``representation_basis``, and on
+``null_vector`` 1.1-3.2x on systems of basis shifts with rational right
+sides.  Fractions appear only on the way out: ``invert`` and ``solve``
+are the Fraction views of ``invert_ints`` and ``solve_ints``.  Nothing in
+the package calls them, ``rank`` or ``mat_mul``; they stay because the
+benchmark's tracer wraps them by name.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -270,18 +279,44 @@ def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
 
 
 def invert_ints(a) -> tuple[list[int], int]:
-    """The inverse of the square matrix a, of ints or Fractions, as (ints, den):
-    its entries row by row as ints over den, the lcm of the reduced pivots,
-    which is canonical; ``factor``'s left matrix at full rank.  Raises as
-    ``invert`` does."""
+    """The inverse of the square matrix a, of ints or Fractions, as canonical
+    (ints, den): its entries row by row as ints over den.  Raises as
+    ``invert`` does.
+
+    Gauss-Jordan on [D a | D], D the diagonal of each row's lcm of
+    denominators (1 on a row of ints), dividing each row step exactly by
+    the previous pivot (Bareiss): row k is the first row at or below k with
+    a nonzero in column k, negated to a positive pivot p, and every other
+    row becomes (p row - f row_k) / prev, f its column-k entry.  Each entry
+    is then a minor of [D a | D], so the division leaves no remainder, and
+    the last pivot is |det D a|; the left half ends as that pivot times I,
+    so the right half over it is a's inverse."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
-    pivots, _, left, den = factor(a)
-    if len(pivots) < n:
-        missing = next(c for c in range(n) if c not in pivots)
-        raise ValueError(f"matrix is singular: no pivot in column {missing}")
-    return vec(left), den
+    rows = []
+    for i, row in enumerate(a):
+        ints, den = (row, 1) if all(type(x) is int for x in row) else as_ints(row)
+        rows.append([*ints, *[0] * i, den, *[0] * (n - 1 - i)])
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ValueError(f"matrix is singular: no pivot in column {k}")
+        prow = rows[p]
+        if prow[k] < 0:
+            prow = [-x for x in prow]
+        rows[p], rows[k] = rows[k], prow  # in this order, p == k keeps the negated row
+        pivot = prow[k]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if f and i != k:
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, prow)]
+            elif not f and pivot != prev:  # (pivot row - 0) / prev; unchanged when equal
+                rows[i] = [pivot * x // prev for x in row]
+        prev = pivot
+    ints, den = canonical([x for row in rows for x in row[n:]], prev)
+    return list(ints), den
 
 
 def invert(a: Mat) -> Mat:

@@ -37,6 +37,7 @@ back.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
 from operator import mul
 from typing import NamedTuple, Optional
@@ -363,39 +364,68 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
 
 
+def _table_sums(algebra: FreeAlgebra, tensors, order: str):
+    """Per tensor t of ``tensors``, on ``algebra``, t's map as ``table_map``
+    sums it, unreduced over den^2 t's denominator: its ints, entry (k, m) at
+    k n + m.  Only the lines of t with a nonzero entry are walked: a dense
+    line takes each e_p e_b off the table and skips b off its support; a
+    sparse one walks e_p e_b only for b on its support, joined on p with its
+    e_a e_m = v1 e_p, so a null vector that is nonzero in two components
+    costs two short walks.  The join of line a is built once for all t."""
+    n = algebra.dim
+    left = order == "left"
+    table, other = algebra.terms(opposite=not left), algebra.terms(opposite=left)
+    joins: dict[int, list[list[tuple[int, int]]]] = {}
+    for t in tensors:
+        tvec = t.ints[0]
+        lines: dict[int, list[int]] = {}
+        for c in compress(range(n * n), tvec):
+            a, b = divmod(c, n) if left else divmod(c, n)[::-1]
+            lines.setdefault(a, []).append(b)
+        out = [0] * (n * n)
+        for a, support in lines.items():
+            ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
+            if 2 * len(support) > n:
+                for m, p, v1 in table[a]:
+                    for b, k, v2 in table[p]:
+                        if ts[b]:
+                            out[k * n + m] += ts[b] * v1 * v2
+                continue
+            by_p = joins.get(a)
+            if by_p is None:
+                by_p = joins[a] = [[] for _ in range(n)]
+                for m, p, v1 in table[a]:
+                    by_p[p].append((m, v1))
+            for b in support:  # other[b] lists e_p e_b = v2 e_k by p
+                for p, k, v2 in other[b]:
+                    for m, v1 in by_p[p]:
+                        out[k * n + m] += ts[b] * v1 * v2
+        yield out
+
+
 def table_map(t: Tensor2, order: str = "left") -> LinearMap:
     """t's map, as ``tensor_map`` gives it, summed straight off the
     algebra's tables of constants without reading B: the check that the
-    conversions substitute back.  Left order, for each i with row i of t
-    nonzero, e_i e_m = v1 e_p and e_p e_j = v2 e_k add t^{ij} v1 v2 at
-    (k, m); the right order is the same walk over A^op's table, A's
-    column table, with column j of t in place of row i."""
+    conversions substitute back.  Left order, for each nonzero t^{ab},
+    e_a e_m = v1 e_p and e_p e_b = v2 e_k add t^{ab} v1 v2 at (k, m); the
+    right order is the same walk over A^op's table, A's column table, with
+    t^{ba} in place of t^{ab}."""
     _check_order(order)
-    algebra, n = t.algebra, t.algebra.dim
-    left = order == "left"
-    table = algebra.terms(opposite=not left)
-    tvec, t_den = t.ints
-    out = [0] * (n * n)
-    for a, line in enumerate(table):
-        ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
-        if any(ts):
-            for m, p, v1 in line:
-                for b, k, v2 in table[p]:
-                    if ts[b]:
-                        out[k * n + m] += ts[b] * v1 * v2
+    algebra = t.algebra
+    out, = _table_sums(algebra, [t], order)
     return LinearMap._of((algebra, algebra),
-                         exact.canonical(out, algebra.denominator ** 2 * t_den))
+                         exact.canonical(out, algebra.denominator ** 2 * t.ints[1]))
 
 
 def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
     """SubstitutionCheckFailed unless ``table_map`` takes the particular
     tensor of ``standard_from_coords(g, order)`` to g and every null vector
-    to the zero map."""
+    to the zero map, whose sums are read without reducing them."""
     if table_map(solution.particular, order) != g:
         raise SubstitutionCheckFailed("standard components fail substitution: "
                                       "the particular tensor does not give the map")
-    for idx, t in enumerate(solution.nullspace):
-        if not table_map(t, order).is_zero():
+    for idx, out in enumerate(_table_sums(g.source, solution.nullspace, order)):
+        if any(out):
             raise SubstitutionCheckFailed(f"standard components fail substitution: "
                                           f"null vector {idx} does not give the zero map")
 

@@ -26,7 +26,7 @@ from conftest import square_zero_constants
 from test_kernel_properties import NONZERO, algebras, build, definitions
 
 # the slots of FreeAlgebra that do not hold constants
-OTHER_SLOTS = {"labels", "tag", "params", "_cache", "_basis"}
+OTHER_SLOTS = {"labels", "tag", "params", "_cache", "_lock", "_basis"}
 SQUARE_ZERO = st.integers(2, 6).map(lambda n: (n, square_zero_constants(n), 0))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from freealg import b_matrix, exact, octonion_algebra
+from freealg import b_matrix, exact, golden, octonion_algebra
 from conftest import block_grids
 
 
@@ -194,37 +194,97 @@ def test_invert_matches_oracle():
     assert singular > 5
 
 
+def check_inverse(m):
+    """invert_ints(m) is the oracle's inverse as canonical ints over one
+    denominator and invert is exactly its Fractions; or, when m is
+    singular, both name the oracle's first column without a pivot, which
+    is returned (None for an invertible m)."""
+    n = len(m)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = oracle_rref([list(row) + e for row, e in zip(m, ident)], n)
+    missing = next((c for c in range(n) if c not in pivots), None)
+    if missing is None:
+        ints, den = exact.invert_ints(m)
+        assert all(type(x) is int for x in ints) and type(ints) is list and type(den) is int
+        assert exact.canonical(ints, den) == (tuple(ints), den)
+        view = [[Fraction(x, den) for x in ints[i * n:i * n + n]] for i in range(n)]
+        assert view == [row[n:] for row in reduced] == exact.invert(m)
+    else:
+        for call in (exact.invert_ints, exact.invert):
+            with pytest.raises(ValueError,
+                               match=f"^matrix is singular: no pivot in column {missing}$"):
+                call(m)
+    return missing
+
+
 def test_invert_is_the_fraction_view_of_its_int_core():
-    # on int and Fraction matrices: invert_ints gives the oracle's inverse as
-    # canonical ints over one denominator, and invert is exactly its Fractions
+    # on int and Fraction matrices of size 1 to 16, drawn and built to steer
+    # each branch of the pivot step
     rng = random.Random(19)
     singular = 0
     for k in range(40):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, 8) if k % 4 else rng.randint(9, 16)
         m = random_matrix(rng, n, n, n if k % 3 else rng.randint(0, n), big=k % 4 == 1)
         if k % 2:  # each row over its lcm of denominators: ints of the same rank
             m = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        reduced, pivots = oracle_rref([list(row) + e for row, e in zip(m, ident)], n)
-        missing = next((c for c in range(n) if c not in pivots), None)
-        if missing is None:
-            ints, den = exact.invert_ints(m)
-            assert all(type(x) is int for x in ints) and type(den) is int
-            assert exact.canonical(ints, den) == (tuple(ints), den)
-            view = [[Fraction(x, den) for x in ints[i * n:i * n + n]] for i in range(n)]
-            assert view == [row[n:] for row in reduced] == exact.invert(m)
-        else:
-            singular += 1
-            for call in (exact.invert_ints, exact.invert):
-                with pytest.raises(ValueError,
-                                   match=f"^matrix is singular: no pivot in column {missing}$"):
-                    call(m)
+        singular += check_inverse(m) is not None
     assert singular > 3
     for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]]):
         message = f"^cannot invert a non-square matrix with {len(a)} rows$"
         with pytest.raises(ValueError, match=message):
             exact.invert_ints(a)
     assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
+
+
+def test_invert_takes_each_branch_of_the_pivot_step():
+    # a negative pivot swapped up and one already in place (the negated row
+    # must be the one kept), rows with 0 in the pivot column while the pivot
+    # differs from the previous one (scaled by pivot / previous) or equals
+    # it (left alone), rows of ints beside rows of Fractions
+    for m in ([[0, 1], [-3, 2]], [[-2, 1], [1, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]],
+              [[2, 0, 1], [0, 3, 1], [1, 1, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+              [[1, 0, 2], [0, 1, 3], [4, 5, 1]], [[0, 0, 1], [0, 2, 0], [-3, 0, 0]],
+              [[1, 2], [Fraction(1, 3), Fraction(1, 2)]],
+              [[Fraction(-1, 2), Fraction(1, 3)], [Fraction(2, 5), 0]]):
+        assert check_inverse(m) is None
+    assert exact.invert_ints([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == ([15, 0, 0, 0, 10, 0, 0, 0, 6], 30)
+    assert exact.invert_ints([[-2, 1], [1, 1]]) == ([-1, 1, 1, 2], 3)
+
+
+def test_invert_signed_permutations_and_the_golden_sign_matrices():
+    # a signed permutation inverts to its transpose over 1; the sign
+    # matrices F of H and O to the inverses transcribed in freealg.golden
+    rng = random.Random(33)
+    for n in (1, 2, 5, 8, 16):
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            m = [[rng.choice((-1, 1)) * int(j == perm[i]) for j in range(n)] for i in range(n)]
+            assert check_inverse(m) is None
+            assert exact.invert_ints(m) == (exact.vec(zip(*m)), 1)
+    for sign, num, den in ((golden.QUATERNION_SIGN_MATRIX, golden.QUATERNION_SIGN_MATRIX_INVERSE_NUM,
+                            golden.QUATERNION_SIGN_MATRIX_DEN),
+                           (golden.OCTONION_SIGN_MATRIX, golden.OCTONION_SIGN_MATRIX_INVERSE_NUM,
+                            golden.OCTONION_SIGN_MATRIX_DEN)):
+        assert check_inverse(sign) is None
+        assert exact.invert_ints(sign) == (exact.vec(num), den)
+
+
+def test_invert_names_the_first_column_without_a_pivot():
+    # column c a combination of the columns before it (0 when c = 0) in an
+    # otherwise invertible matrix: each column in turn is the one named
+    rng = random.Random(34)
+    for n in (1, 2, 5, 9):
+        for c in range(n):
+            while True:
+                m = random_matrix(rng, n, n, big=n < 5 and c % 2 == 1)
+                if check_inverse(m) is None:
+                    break
+            weights = [entry(rng, False) for _ in range(c)]
+            for row in m:
+                row[c] = sum((w * x for w, x in zip(weights, row)), Fraction(0))
+            assert check_inverse(m) == c
+            ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
+            assert check_inverse(ints) == c
 
 
 def solve_cases(seed, count):

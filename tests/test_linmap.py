@@ -84,6 +84,16 @@ def test_shift_laws(O):
                 == right_shift(multiply(b, a)) + right_associator_map(b, a))
 
 
+def test_a_basis_shift_inverts_to_its_transpose(H, O):
+    # e_k x and x e_k permute the basis up to sign in these algebras, so
+    # each shift's map is a signed permutation and its inverse its transpose
+    for algebra in (H, O, tensor_product([O, H])):
+        for k in range(algebra.dim):
+            for shift in (left_shift, right_shift):
+                f = shift(algebra.basis_element(k))
+                assert f.inverse() == LinearMap(algebra, algebra, list(zip(*f.coords)))
+
+
 
 def test_associator_maps_are_built_without_the_shifts(O, monkeypatch):
     # test_shift_laws and `verify shifts` check the associator maps
@@ -502,6 +512,35 @@ def test_a_cached_value_is_read_while_another_is_built():
         builder.join(timeout=60)
     assert not builder.is_alive()
     assert O.cached("slow", lambda: "rebuilt") == "slow"
+
+
+def test_a_first_build_waits_only_for_builds_on_its_own_algebra():
+    # each algebra has its own build lock: B of a fresh O is built while a
+    # build on H is held, which one lock for all algebras would serialise
+    import threading
+    from freealg import octonion_algebra, quaternion_algebra
+    H, O = quaternion_algebra(), octonion_algebra()
+    started, release, built = threading.Event(), threading.Event(), []
+
+    def held_build():
+        started.set()
+        release.wait(timeout=60)
+        return "held"
+
+    holder = threading.Thread(target=lambda: H.cached("held", held_build))
+    other = threading.Thread(target=lambda: built.append(b_matrix(O)))
+    holder.start()
+    try:
+        assert started.wait(timeout=60)
+        other.start()
+        other.join(timeout=20)
+        assert built and not other.is_alive()
+    finally:
+        release.set()
+        holder.join(timeout=60)
+        other.join(timeout=60)
+    assert not holder.is_alive()
+    assert H.cached("held", lambda: "rebuilt") == "held" and b_matrix(O) is built[0]
 
 
 def test_b_matrix_cache_dies_with_its_algebra():

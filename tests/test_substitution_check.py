@@ -13,7 +13,8 @@ Faults are injected into correct runs: a wrong particular tensor, a
 wrong null vector, and one flipped row sign in one block of a cached B,
 which every read of B then uses.  The property tests check ``table_map``
 against the plain-``Fraction`` B of ``test_kernel_properties`` over its
-random algebras in both orders, and that correct answers pass.  The runs
+random algebras in both orders, on dense and on sparse tensors, and that
+correct answers pass.  The runs
 use the derandomized profile of ``conftest.py``.
 """
 
@@ -27,7 +28,7 @@ from freealg import (LinearMap, NotRepresentable, StandardSolution, Substitution
                      standard_from_coords)
 from freealg import cli, exact, linmap
 from freealg.linmap import b_matrix, check_conversion, table_map, tensor_map
-from test_kernel_properties import algebras, grids, reference_action, reference_b
+from test_kernel_properties import algebras, grids, reference_action, reference_b, sparse_grids
 
 ORDERS = st.sampled_from(["left", "right"])
 
@@ -50,9 +51,11 @@ def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    expected = reference_action(reference_b(algebra, order), t.components, identity)
-    assert table_map(t, order).coords == tuple(map(tuple, expected))
-    assert table_map(t, order) == tensor_map(t, order)
+    # a sparse tensor too, whose lines take the join on p, not the dense walk
+    for s in (t, Tensor2(algebra, data.draw(sparse_grids(n)))):
+        expected = reference_action(reference_b(algebra, order), s.components, identity)
+        assert table_map(s, order).coords == tuple(map(tuple, expected))
+        assert table_map(s, order) == tensor_map(s, order)
     for g in (tensor_map(t, order), f):
         try:
             solution = standard_from_coords(g, order)
