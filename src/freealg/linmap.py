@@ -367,25 +367,25 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
 def _table_sums(algebra: FreeAlgebra, tensors, order: str):
     """Per tensor t of ``tensors``, on ``algebra``, t's map as ``table_map``
     sums it, unreduced over den^2 t's denominator: its ints, entry (k, m) at
-    k n + m.  Only the lines of t with a nonzero entry are walked: a dense
-    line takes each e_p e_b off the table and skips b off its support; a
-    sparse one walks e_p e_b only for b on its support, joined on p with its
-    e_a e_m = v1 e_p, so a null vector that is nonzero in two components
-    costs two short walks.  The join of line a is built once for all t."""
+    k n + m.  Only the lines of t with a nonzero entry are walked: a line
+    more than half nonzero takes each e_p e_b off the table and skips b off
+    its support; a sparser one walks e_p e_b only for b on its support,
+    joined on p with its e_a e_m = v1 e_p, so a null vector that is nonzero
+    in two components costs two short walks.  The join of line a is built
+    once for all t."""
     n = algebra.dim
     left = order == "left"
     table, other = algebra.terms(opposite=not left), algebra.terms(opposite=left)
     joins: dict[int, list[list[tuple[int, int]]]] = {}
     for t in tensors:
         tvec = t.ints[0]
-        lines: dict[int, list[int]] = {}
-        for c in compress(range(n * n), tvec):
-            a, b = divmod(c, n) if left else divmod(c, n)[::-1]
-            lines.setdefault(a, []).append(b)
         out = [0] * (n * n)
-        for a, support in lines.items():
+        for a in range(n):
             ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
-            if 2 * len(support) > n:
+            zeros = ts.count(0)
+            if zeros == n:
+                continue
+            if 2 * zeros < n:
                 for m, p, v1 in table[a]:
                     for b, k, v2 in table[p]:
                         if ts[b]:
@@ -396,7 +396,7 @@ def _table_sums(algebra: FreeAlgebra, tensors, order: str):
                 by_p = joins[a] = [[] for _ in range(n)]
                 for m, p, v1 in table[a]:
                     by_p[p].append((m, v1))
-            for b in support:  # other[b] lists e_p e_b = v2 e_k by p
+            for b in compress(range(n), ts):  # other[b] lists e_p e_b = v2 e_k by p
                 for p, k, v2 in other[b]:
                     for m, v1 in by_p[p]:
                         out[k * n + m] += ts[b] * v1 * v2
