@@ -51,8 +51,9 @@ def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    # a sparse tensor too, whose lines take the join on p, not the dense walk
-    for s in (t, Tensor2(algebra, data.draw(sparse_grids(n)))):
+    # a sparse tensor too, whose lines take the join on p, not the dense
+    # walk, and the tensor of ones, whose lines are walked though no entry is 0
+    for s in (t, Tensor2(algebra, data.draw(sparse_grids(n))), Tensor2(algebra, [[1] * n] * n)):
         expected = reference_action(reference_b(algebra, order), s.components, identity)
         assert table_map(s, order).coords == tuple(map(tuple, expected))
         assert table_map(s, order) == tensor_map(s, order)
