@@ -291,8 +291,9 @@ def invert_ints(a) -> tuple[list[int], int]:
     is then a minor of [D a | D], so the division leaves no remainder, and
     the last pivot is |det D a|; the left half ends as that pivot times I,
     so the right half over it is a's inverse.  Cleared, column k is the
-    pivot on row k and 0 elsewhere and is not read again, so each step
-    drops it from every row."""
+    pivot on row k and 0 elsewhere and is not read again, so a row a step
+    rewrites keeps only the columns after it; columns are counted from the
+    end of the rows, which stays in place."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
@@ -301,25 +302,24 @@ def invert_ints(a) -> tuple[list[int], int]:
         ints, den = (row, 1) if all(type(x) is int for x in row) else as_ints(row)
         rows.append([*ints, *[0] * i, den, *[0] * (n - 1 - i)])
     prev = 1
-    for k in range(n):  # rows[i][0] is column k
-        p = next((i for i in range(k, n) if rows[i][0]), None)
+    for k in range(n):
+        c = k - 2 * n  # column k, from the end
+        p = next((i for i in range(k, n) if rows[i][c]), None)
         if p is None:
             raise ValueError(f"matrix is singular: no pivot in column {k}")
         prow = rows[p]
-        if prow[0] < 0:
+        if prow[c] < 0:
             prow = [-x for x in prow]
         rows[p], rows[k] = rows[k], prow  # in this order, p == k keeps the negated row
-        pivot, tail = prow[0], prow[1:]
+        pivot, tail = prow[c], prow[c + 1:]
         for i, row in enumerate(rows):
-            f = row[0]
+            f = row[c]
             if f and i != k:
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row[1:], tail)]
-            elif not f and pivot != prev:  # (pivot row - 0) / prev
-                rows[i] = [pivot * x // prev for x in row[1:]]
-            else:  # row k, or a row the step leaves unchanged
-                rows[i] = row[1:]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif not f and pivot != prev:  # (pivot row - 0) / prev; unchanged when equal
+                rows[i] = [pivot * x // prev for x in row[c + 1:]]
         prev = pivot
-    ints, den = canonical([x for row in rows for x in row], prev)
+    ints, den = canonical([x for row in rows for x in row[-n:]], prev)
     return list(ints), den
 
 
