@@ -22,9 +22,11 @@ Gauss-Jordan on [a | I], dividing each row step exactly by the previous
 pivot as Bareiss does (Math. Comp. 22, 1968): the maps it inverts are
 dense, their rows have no common factor to divide out, and the per-row
 gcd is wasted there.  Measured against ``_reduce`` on 2 CPUs, exact
-division inverts H's tensor maps in 0.53x the time, random maps on O,
-H (x) H and O (x) H in 0.68-0.75x and a basis shift of O (x) O in 0.44x;
-on ``_reduce``'s callers it was slower: 2.2-3.4x on the class grids of
+division inverts H's tensor maps in about 0.5x the time, random maps on
+O, H (x) H and O (x) H in 0.64-0.73x, a basis shift of O (x) O in
+0.47-0.54x and shifts of random elements in 0.74x (O (x) O) to about
+1.03x (O (x) H, whose minors share a factor the gcd divides out); on
+``_reduce``'s callers it was slower: 2.2-3.4x on the class grids of
 H (x) H and O (x) O, 19x on ``linmap.orbit_contains``' H (x) H system,
 4.7x on the Gram solve of a square-zero ``representation_basis``, and on
 ``null_vector`` 1.1-3.2x on systems of basis shifts with rational right

@@ -229,14 +229,6 @@ def test_invert_is_the_fraction_view_of_its_int_core():
             m = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
         singular += check_inverse(m) is not None
     assert singular > 3
-    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]]):
-        message = f"^cannot invert a non-square matrix with {len(a)} rows$"
-        with pytest.raises(ValueError, match=message):
-            exact.invert_ints(a)
-    assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
-
-
-def test_invert_takes_each_branch_of_the_pivot_step():
     # a negative pivot swapped up and one already in place (the negated row
     # must be the one kept), rows with 0 in the pivot column while the pivot
     # differs from the previous one (scaled by pivot / previous) or equals
@@ -249,12 +241,8 @@ def test_invert_takes_each_branch_of_the_pivot_step():
         assert check_inverse(m) is None
     assert exact.invert_ints([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == ([15, 0, 0, 0, 10, 0, 0, 0, 6], 30)
     assert exact.invert_ints([[-2, 1], [1, 1]]) == ([-1, 1, 1, 2], 3)
-
-
-def test_invert_signed_permutations_and_the_golden_sign_matrices():
     # a signed permutation inverts to its transpose over 1; the sign
     # matrices F of H and O to the inverses transcribed in freealg.golden
-    rng = random.Random(33)
     for n in (1, 2, 5, 8, 16):
         for _ in range(3):
             perm = rng.sample(range(n), n)
@@ -267,12 +255,8 @@ def test_invert_signed_permutations_and_the_golden_sign_matrices():
                             golden.OCTONION_SIGN_MATRIX_DEN)):
         assert check_inverse(sign) is None
         assert exact.invert_ints(sign) == (exact.vec(num), den)
-
-
-def test_invert_names_the_first_column_without_a_pivot():
     # column c a combination of the columns before it (0 when c = 0) in an
     # otherwise invertible matrix: each column in turn is the one named
-    rng = random.Random(34)
     for n in (1, 2, 5, 9):
         for c in range(n):
             while True:
@@ -285,6 +269,11 @@ def test_invert_names_the_first_column_without_a_pivot():
             assert check_inverse(m) == c
             ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in m]
             assert check_inverse(ints) == c
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]]):
+        message = f"^cannot invert a non-square matrix with {len(a)} rows$"
+        with pytest.raises(ValueError, match=message):
+            exact.invert_ints(a)
+    assert exact.invert_ints([]) == ([], 1) and exact.invert([]) == []
 
 
 def solve_cases(seed, count):
