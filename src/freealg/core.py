@@ -113,8 +113,10 @@ class FreeAlgebra:
 
         Builds run under the algebra's own lock, so concurrent first callers
         all get the same object, and a build never waits for one on another
-        algebra.  ``build`` must not call ``cached`` on the same algebra: the
-        lock is not reentrant.  A built value is read without the lock, so a
+        algebra.  ``build`` must not call ``cached`` for a value not yet
+        built, on any algebra: the lock is not reentrant, and two builds that
+        nest across two algebras in opposite orders would wait on each other
+        for ever.  A built value is read without the lock, so a
         read never waits for a build, which can take a second (B of
         O (x) O, the product of (H (x) H) (x) (H (x) H)^op).
         """
