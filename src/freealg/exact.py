@@ -282,8 +282,9 @@ def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
 
 def invert_ints(a) -> tuple[list[int], int]:
     """The inverse of the square matrix a, of ints or Fractions, as canonical
-    (ints, den): its entries row by row as ints over den.  Raises as
-    ``invert`` does.
+    (ints, den): its entries row by row as ints over den.  ValueError when
+    a is not square, and when it is singular, naming the first column
+    without a pivot.
 
     Gauss-Jordan on [D a | D], D the diagonal of each row's lcm of
     denominators (1 on a row of ints), dividing each row step exactly by
@@ -327,8 +328,7 @@ def invert_ints(a) -> tuple[list[int], int]:
 
 def invert(a: Mat) -> Mat:
     """Exact inverse by Gauss-Jordan, the Fractions of ``invert_ints``; raises
-    ValueError for a non-square matrix, and naming the first pivot column that
-    could not be produced when singular."""
+    as it does."""
     ints, den = invert_ints(a)
     n = len(a)
     return [as_fractions(ints[i * n:i * n + n], den) for i in range(n)]

@@ -29,15 +29,14 @@ Coordinate matrices and component grids are vectorized row by row by
 
 Tensor2, the standard components, lives here with the conversions that
 build and read it; imports run one way, exact <- core <- linmap <- tensor.
-``table_map`` sums a tensor's map off the tables of constants, never B, so
-that ``check_conversion`` and ``orbit_contains`` can substitute B's answers
-back.
+``table_map`` sums a tensor's map off the tables of constants, never B, in
+one walk over the tensor's nonzero lines, so that ``check_conversion`` and
+``orbit_contains`` can substitute B's answers back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import lcm, prod
 from operator import mul
 from typing import NamedTuple, Optional
@@ -364,46 +363,24 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
 
 
-def _table_sums(algebra: FreeAlgebra, tensors, order: str):
-    """Per tensor t of ``tensors``, on ``algebra``, t's map as ``table_map``
-    sums it, unreduced over den^2 t's denominator: its ints, entry (k, m) at
-    k n + m.  Only the lines of t with a nonzero entry are walked: a line
-    less than three quarters 0 takes each e_p e_b off the table and skips b
-    off its support; a sparser one walks e_p e_b only for b on its support,
-    joined on p with its e_a e_m = v1 e_p, so a null vector that is nonzero
-    in two components costs two short walks.  The join of line a is built
-    once for all t.  The join's inner loop costs more per step, so it wins
-    only from about three quarters 0 on: on H (x) H, O (x) C and O (x) O it
-    took 1.4-1.5x the table walk's time on a line with no 0 and 0.5-0.8x
-    on one seven eighths 0."""
-    n = algebra.dim
+def _table_sums(t: Tensor2, order: str) -> list[int]:
+    """t's map as ``table_map`` sums it, unreduced over den^2 t's
+    denominator: its ints, entry (k, m) at k n + m.  One walk over t's
+    lines, rows in the left order and columns in the right, skipping a line
+    that is all 0."""
+    n = t.algebra.dim
     left = order == "left"
-    table, other = algebra.terms(opposite=not left), algebra.terms(opposite=left)
-    joins: dict[int, list[list[tuple[int, int]]]] = {}
-    for t in tensors:
-        tvec = t.ints[0]
-        out = [0] * (n * n)
-        for a in range(n):
-            ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
-            zeros = ts.count(0)
-            if zeros == n:
-                continue
-            if 4 * zeros < 3 * n:
-                for m, p, v1 in table[a]:
-                    for b, k, v2 in table[p]:
-                        if ts[b]:
-                            out[k * n + m] += ts[b] * v1 * v2
-                continue
-            by_p = joins.get(a)
-            if by_p is None:
-                by_p = joins[a] = [[] for _ in range(n)]
-                for m, p, v1 in table[a]:
-                    by_p[p].append((m, v1))
-            for b in compress(range(n), ts):  # other[b] lists e_p e_b = v2 e_k by p
-                for p, k, v2 in other[b]:
-                    for m, v1 in by_p[p]:
+    table = t.algebra.terms(opposite=not left)
+    tvec = t.ints[0]
+    out = [0] * (n * n)
+    for a, line in enumerate(table):
+        ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
+        if any(ts):
+            for m, p, v1 in line:
+                for b, k, v2 in table[p]:
+                    if ts[b]:
                         out[k * n + m] += ts[b] * v1 * v2
-        yield out
+    return out
 
 
 def table_map(t: Tensor2, order: str = "left") -> LinearMap:
@@ -415,9 +392,8 @@ def table_map(t: Tensor2, order: str = "left") -> LinearMap:
     t^{ba} in place of t^{ab}."""
     _check_order(order)
     algebra = t.algebra
-    out, = _table_sums(algebra, [t], order)
-    return LinearMap._of((algebra, algebra),
-                         exact.canonical(out, algebra.denominator ** 2 * t.ints[1]))
+    return LinearMap._of((algebra, algebra), exact.canonical(
+        _table_sums(t, order), algebra.denominator ** 2 * t.ints[1]))
 
 
 def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
@@ -427,8 +403,8 @@ def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "lef
     if table_map(solution.particular, order) != g:
         raise SubstitutionCheckFailed("standard components fail substitution: "
                                       "the particular tensor does not give the map")
-    for idx, out in enumerate(_table_sums(g.source, solution.nullspace, order)):
-        if any(out):
+    for idx, t in enumerate(solution.nullspace):
+        if any(_table_sums(t, order)):
             raise SubstitutionCheckFailed(f"standard components fail substitution: "
                                           f"null vector {idx} does not give the zero map")
 
@@ -456,8 +432,9 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     columns, and free column fc has the null vector that is 1 at fc and
     -s_fc s_c reduced[i][fc] / den at pivot c.  Column signs keep the pivot
     columns and the reduced row echelon form of a block-diagonal matrix is
-    its blockwise form, so this is one ``exact.solve`` of the whole matrix;
-    null-space vectors come sorted by their free column, their last nonzero.
+    its blockwise form, so this is one ``exact.solve_ints`` of the whole
+    matrix; null-space vectors come sorted by their free column, their last
+    nonzero.
     """
     _check_order(order)
     if not g.is_endomorphism():

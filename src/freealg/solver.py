@@ -8,8 +8,8 @@ into maps.  A system is solved by eliminating the int rows of that
 matrix with the right side appended once, never inverting M, and
 reading off one null vector (``exact.null_vector``).  The answer is
 then substituted back through the maps, not through the eliminated
-matrix, each equation summed on ints over one denominator, and a
-singular system is refused with a witness x != 0 checked the same way.
+matrix, each equation as ``apply`` summed with +, and a singular system
+is refused with a witness x != 0 checked the same way.
 The quasideterminant recursion composes the entries too; it is kept as
 an independent second path that reports per-entry quasideterminants and
 cross-validates the inverse.
@@ -22,8 +22,6 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -31,7 +29,7 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, compose
+from .linmap import LinearMap, apply, compose
 
 
 class MapMatrix:
@@ -182,23 +180,8 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
-    """sum_j m[i][j](x_j) for every row i, through the maps: each equation's
-    terms, the maps' int rows times the x_j's ints, over one denominator, the
-    lcm of their f_den * x_den, with one ``canonical`` per equation."""
-    n = m.algebra.dim
-    out = []
-    for row in m.entries:
-        terms = [(f.ints, xj.ints) for f, xj in zip(row, x)]
-        den = lcm(*(f_den * x_den for (_, f_den), (_, x_den) in terms))
-        acc = [0] * n
-        for (fs, f_den), (xs, x_den) in terms:
-            if any(xs):
-                scale = den // (f_den * x_den)
-                xs = [scale * v for v in xs]
-                for r, f_row in enumerate(exact.blocks(fs, n)):
-                    acc[r] += sum(map(mul, f_row, xs))
-        out.append(AlgElement._of((m.algebra,), exact.canonical(acc, den)))
-    return out
+    """sum_j m[i][j](x_j) for every row i, through the maps: ``apply`` summed with +."""
+    return [sum(map(apply, row, x), m.algebra.zero()) for row in m.entries]
 
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
@@ -240,7 +223,7 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     def elements(v) -> list[AlgElement]:
         return [AlgElement._of((m.algebra,), exact.canonical(vi, den)) for vi in exact.blocks(v, n)]
 
-    if not last:  # w's last nonzero is its free column, the one exact.invert names
+    if not last:  # w's last nonzero is its free column, the one exact.invert_ints names
         witness = elements(x)
         if not any(x) or not all(v.is_zero() for v in _left_sides(m, witness)):
             raise SubstitutionCheckFailed("singular-system witness fails M w = 0")

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg import (LinearMap, NotRepresentable, StandardSolution, SubstitutionCheckFailed,
-                     Tensor2, complex_algebra, orbit_contains, quaternion_algebra,
-                     standard_from_coords)
+                     Tensor2, complex_algebra, octonion_algebra, orbit_contains,
+                     quaternion_algebra, standard_from_coords, tensor_product)
 from freealg import cli, exact, linmap
 from freealg.linmap import b_matrix, check_conversion, table_map, tensor_map
 from test_kernel_properties import algebras, grids, reference_action, reference_b, sparse_grids
@@ -51,8 +51,8 @@ def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    # a sparse tensor too, whose lines take the join on p, not the dense
-    # walk, and the tensor of ones, whose lines are walked though no entry is 0
+    # a sparse tensor too, whose all-0 lines the walk skips, and the tensor
+    # of ones, none of whose lines it skips
     for s in (t, Tensor2(algebra, data.draw(sparse_grids(n))), Tensor2(algebra, [[1] * n] * n)):
         expected = reference_action(reference_b(algebra, order), s.components, identity)
         assert table_map(s, order).coords == tuple(map(tuple, expected))
@@ -90,6 +90,30 @@ def test_a_wrong_null_vector_fails_the_check(order):
     wrong = StandardSolution(solution.particular, [first, second + Tensor2.unit(C)])
     with pytest.raises(SubstitutionCheckFailed, match="null vector 1"):
         check_conversion(g, wrong, order)
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_sparse_null_vectors_of_o_tensor_c_are_checked(order):
+    # each of O (x) C's 128 null vectors is nonzero in two entries, on two
+    # lines of the tensor, and no basis tensor's map is 0
+    OC = tensor_product([octonion_algebra(), complex_algebra()])
+    n, rng = OC.dim, random.Random(4)
+    g = tensor_map(Tensor2(OC, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]), order)
+    solution = standard_from_coords(g, order)
+    nullspace = solution.nullspace
+    assert len(nullspace) == 128
+    assert all(sum(v != 0 for row in t.components for v in row) == 2 for t in nullspace)
+    check_conversion(g, solution, order)
+    for idx in (0, 77, 127):
+        i, j = next((i, j) for i in range(n) for j in range(n) if nullspace[idx].components[i][j])
+        wrong = [*nullspace]
+        wrong[idx] = wrong[idx] + Tensor2.basis_tensor(OC, i, j)
+        with pytest.raises(SubstitutionCheckFailed, match=f"null vector {idx} "):
+            check_conversion(g, StandardSolution(solution.particular, wrong), order)
+    for i, j in ((0, 0), (n - 1, 5)):
+        wrong = StandardSolution(solution.particular + Tensor2.basis_tensor(OC, i, j), nullspace)
+        with pytest.raises(SubstitutionCheckFailed, match="particular tensor"):
+            check_conversion(g, wrong, order)
 
 
 @pytest.mark.parametrize("order", ["left", "right"])
