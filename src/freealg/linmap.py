@@ -399,7 +399,8 @@ def table_map(t: Tensor2, order: str = "left") -> LinearMap:
 def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
     """SubstitutionCheckFailed unless ``table_map`` takes the particular
     tensor of ``standard_from_coords(g, order)`` to g and every null vector
-    to the zero map, whose sums are read without reducing them."""
+    to the zero map: one walk of the tables per tensor, a null vector's
+    sums read as they are, without reducing them."""
     if table_map(solution.particular, order) != g:
         raise SubstitutionCheckFailed("standard components fail substitution: "
                                       "the particular tensor does not give the map")

@@ -329,6 +329,18 @@ def test_solve_names_the_equation_that_fails_substitution(C, monkeypatch):
         solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
 
 
+@pytest.mark.parametrize("witness", [[1, 0, 0, 0], [0, 0, 0, 0]])
+def test_a_wrong_singular_witness_fails_the_check(C, monkeypatch, witness):
+    # M is singular, its null vectors (0, w_2); a kernel (w, 0) whose w is
+    # not one of them, or is 0, must not be raised as the witness
+    import freealg.solver as solver_mod
+    zero = LinearMap.zero(C)
+    m = MapMatrix([[LinearMap.identity(C), zero], [zero, zero]])
+    monkeypatch.setattr(solver_mod.exact, "null_vector", lambda a: ((*witness, 0), 1))
+    with pytest.raises(SubstitutionCheckFailed, match="singular-system witness"):
+        solve_additive(m, [C.element([1, 2]), C.element([3, 0])])
+
+
 def test_solve_satisfies_system(C):
     rng = random.Random(61)
     solved = 0

@@ -23,7 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (LinearMap, NotRepresentable, StandardSolution, SubstitutionCheckFailed,
+from freealg import (FreeAlgebra, LinearMap, NotRepresentable, StandardSolution, SubstitutionCheckFailed,
                      Tensor2, complex_algebra, octonion_algebra, orbit_contains,
                      quaternion_algebra, standard_from_coords, tensor_product)
 from freealg import cli, exact, linmap
@@ -89,6 +89,21 @@ def test_a_wrong_null_vector_fails_the_check(order):
     first, second = solution.nullspace
     wrong = StandardSolution(solution.particular, [first, second + Tensor2.unit(C)])
     with pytest.raises(SubstitutionCheckFailed, match="null vector 1"):
+        check_conversion(g, wrong, order)
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_a_null_vector_whose_map_is_nonzero_at_its_first_entry_only_fails(order):
+    # on R x R, e_0 e_0 = e_0 and e_1 e_1 = e_1 with no unit, e_0 (x) e_0 maps
+    # x to x^0 e_0: of the sums the check reads, only the first is nonzero
+    P = FreeAlgebra(2, ["p", "q"], [(0, 0, 0, 1), (1, 1, 1, 1)])
+    g = LinearMap(P, P, [[2, 0], [0, 3]])
+    solution = standard_from_coords(g, order)
+    assert len(solution.nullspace) == 2
+    check_conversion(g, solution, order)
+    first, second = solution.nullspace
+    wrong = StandardSolution(solution.particular, [first + Tensor2.basis_tensor(P, 0, 0), second])
+    with pytest.raises(SubstitutionCheckFailed, match="null vector 0 "):
         check_conversion(g, wrong, order)
 
 
