@@ -10,8 +10,9 @@ factor must end in ``SubstitutionCheckFailed``, and in exit 4 from the
 CLI.
 
 Faults are injected into correct runs: a wrong particular tensor, a
-wrong null vector, and one flipped row sign in one block of a cached B,
-which every read of B then uses.  The property tests check ``table_map``
+wrong null vector (on C, on R x R and among O (x) C's sparse ones), and
+one flipped row sign in one block of a cached B, which every read of B
+then uses.  The property tests check ``table_map``
 against the plain-``Fraction`` B of ``test_kernel_properties`` over its
 random algebras in both orders, on dense and on sparse tensors, and that
 correct answers pass.  The runs
@@ -23,9 +24,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (FreeAlgebra, LinearMap, NotRepresentable, StandardSolution, SubstitutionCheckFailed,
-                     Tensor2, complex_algebra, octonion_algebra, orbit_contains,
-                     quaternion_algebra, standard_from_coords, tensor_product)
+from freealg import (FreeAlgebra, LinearMap, NotRepresentable, StandardSolution,
+                     SubstitutionCheckFailed, Tensor2, complex_algebra, octonion_algebra,
+                     orbit_contains, quaternion_algebra, standard_from_coords, tensor_product)
 from freealg import cli, exact, linmap
 from freealg.linmap import b_matrix, check_conversion, table_map, tensor_map
 from test_kernel_properties import algebras, grids, reference_action, reference_b, sparse_grids
