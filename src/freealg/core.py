@@ -16,8 +16,9 @@ the operands alone.  Dense ones go to code compiled once per algebra from
 its table, ``product_kernel``, one straight-line expression per output
 coordinate, which pays no interpreter step per term of the table.  When
 one operand has few nonzero coordinates, a loop over those does fewer
-terms: the shifts multiply by basis vectors.  ``+`` and ``-`` run on ints
-too.
+terms: the shifts multiply by basis vectors.  The same code generator
+compiles an int grid's mat-vec, ``compile_matvec``, for the classes of
+``linmap``'s component matrix.  ``+`` and ``-`` run on ints too.
 ``AlgElement.coords``, the Fractions, is built on first read; its values
 and hash are those Fraction arithmetic gives.
 
@@ -296,40 +297,61 @@ def _compile_product(algebra: FreeAlgebra):
     for i, row in enumerate(algebra._row_terms):
         for j, k, c in row:
             groups[k].setdefault(i, []).append((j, c))
-
-    def term(c: int, name: str) -> tuple[bool, str]:
-        if abs(c) == 1:
-            return c < 0, name
-        return c < 0, f"{names.setdefault(abs(c), f'c{len(names)}')}*{name}"
-
     outputs = []
     for by_i in groups:
         terms = []
         for i, pairs in by_i.items():
-            inner = [term(c, f"y{j}") for j, c in pairs]
+            inner = [_term(names, c, f"y{j}") for j, c in pairs]
             negative = inner[0][0]  # factored out, so the inner sum starts with +
             inner = [(s != negative, text) for s, text in inner]
             terms.append((negative, f"x{i}*{inner[0][1]}" if len(inner) == 1
                           else f"x{i}*({_sum_source(inner)})"))
-        outputs.append(_sum_source(terms) if terms else "0")
-    source = (f"def product(xs, ys):\n"
-              f"    {''.join(f'x{i}, ' for i in range(n))}= xs\n"
-              f"    {''.join(f'y{j}, ' for j in range(n))}= ys\n"
-              f"    return [\n" + "".join(f"        {e},\n" for e in outputs) + "    ]\n")
-    namespace = {name: c for c, name in names.items()}
-    exec(compile(source, f"<product of {algebra!r}>", "exec"), namespace)
-    return namespace["product"]
+        outputs.append(_sum_source(terms))
+    return _compile(f"product of {algebra!r}", {"x": n, "y": n}, outputs, names)
+
+
+def compile_matvec(grid, label: str) -> Callable[[Sequence[int]], list[int]]:
+    """v -> [sum(map(mul, row, v)) for row in grid], an int grid's mat-vec, as
+    one straight-line expression per row, made as ``product_kernel``'s are:
+    a row's zero entries are left out and the others written as +-v_j or
+    +-c v_j, c bound to a name.  ``label`` names the code in tracebacks."""
+    names: dict[int, str] = {}
+    outputs = [_sum_source([_term(names, c, f"v{j}") for j, c in enumerate(row) if c])
+               for row in grid]
+    return _compile(label, {"v": len(grid[0]) if grid else 0}, outputs, names)
+
+
+def _term(names: dict[int, str], c: int, text: str) -> tuple[bool, str]:
+    """The term c text as (negative, source), |c| bound in ``names`` unless it is 1."""
+    if abs(c) == 1:
+        return c < 0, text
+    return c < 0, f"{names.setdefault(abs(c), f'c{len(names)}')}*{text}"
 
 
 def _sum_source(terms: list[tuple[bool, str]]) -> str:
-    """Source of the sum of (negative, text) terms, nested in halves past 256
-    terms: the compiler recurses once per term of a flat chain."""
+    """Source of the sum of (negative, text) terms, "0" without terms, nested in
+    halves past 256 terms: the compiler recurses once per term of a flat chain."""
+    if not terms:
+        return "0"
     if len(terms) > 256:
         half = len(terms) // 2
         return f"{_sum_source(terms[:half])} + ({_sum_source(terms[half:])})"
     (negative, first), rest = terms[0], terms[1:]
     return ("-" if negative else "") + first + "".join(
         f" {'-' if s else '+'} {text}" for s, text in rest)
+
+
+def _compile(label: str, widths: dict[str, int], outputs: list[str], names: dict[int, str]):
+    """The function of one int sequence per letter a of ``widths``, unpacked into
+    a0, a1, ..., that returns the list of ``outputs``, with each name in
+    ``names`` bound to its int."""
+    unpack = "".join(f"    {''.join(f'{a}{i}, ' for i in range(width))}= {a}s\n"
+                     for a, width in widths.items() if width)
+    source = (f"def kernel({', '.join(f'{a}s' for a in widths)}):\n{unpack}"
+              f"    return [\n" + "".join(f"        {e},\n" for e in outputs) + "    ]\n")
+    namespace = {name: c for c, name in names.items()}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def associator_ints(algebra: FreeAlgebra, xs, zs, xy, yz) -> list[int]:

@@ -14,15 +14,19 @@ and is built in one walk of the graph of its nonzero cells, which finds
 its connected blocks and signs each block's rows and columns as it goes:
 each block is its class grid F, an int grid over one denominator, under
 those signs; each class is held and eliminated once, when B is built.
-B is read, solved and applied only through the blocks, on ints up to the values
-returned: B vec(t) gathers a block's signed entries ts of vec(t) once and
-takes each row of F as ``sum(map(mul, row, ts))``, as the solve and
-``apply`` take theirs.  The two nesting orders coincide in associative
-algebras; "left" is the default everywhere.  The right order is the left
-order over A^op with i and j swapped, as e_i (x e_j) = (e_j . x) . e_i
-when x . y = y x, so one walk builds both: over A's row table of
-constants, or over A^op's, which is A's column table, writing f^{ij} to
-column (j, i).
+The two nesting orders coincide in associative algebras; "left" is the
+default everywhere.  The right order is the left order over A^op with i
+and j swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
+walk builds both: over A's row table of constants, or over A^op's, which
+is A's column table, whose column (i, j) is B's column (j, i).  Kept in
+the walk's column order, the right order's blocks fall into the classes of
+B(A^op): one on O and O (x) O, where ascending columns make 8 and 64.
+B is read, solved and applied only through the blocks, on ints up to the
+values returned: B vec(t) gathers a block's signed entries ts of vec(t)
+once and takes F ts, and the solve takes left b with its class's factor.
+A class's mat-vec runs as the row loop ``sum(map(mul, row, ts))`` on a
+conversion's first use and, from its second, as straight-line code
+compiled once per class that serves two or more blocks.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -36,13 +40,16 @@ one walk over the tensor's nonzero lines, so that ``check_conversion`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from . import exact
-from .core import AlgElement, FreeAlgebra, associator_ints, product_ints, shared_algebra
+from .core import (AlgElement, FreeAlgebra, associator_ints, compile_matvec, product_ints,
+                   shared_algebra)
 from .errors import (AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable,
                      SubstitutionCheckFailed)
 from .exact import IntForm, frac
@@ -218,19 +225,31 @@ class BMatrix(NamedTuple):
     walk's spanning tree positive (rs[0] = 1), so blocks equal up to signs
     share F; the zero columns come last.  ``blocks`` lists (rows, cols,
     rs, cs, k), the block's rows and columns, their signs and the index
-    of its class, and ``classes`` lists (F, ``exact.factor(F)``), F the
-    int grid holding ``den`` times the entries up to signs, den the square
-    of the algebra's denominator; every entry outside the blocks is zero.
-    A zero row is a block without columns and a zero column one without
-    rows.  Only this module reads the blocks: other modules read B and
-    B^-1 as ``relations`` and ``inverse_relations``.  ``entries``, a dense
-    view rebuilt on each read, is for callers outside the library.
+    of its class, and ``classes`` lists (F, factor), F the int grid
+    holding ``den`` times the entries up to signs, den the square of the
+    algebra's denominator, and factor a reduction of F as ``exact.factor``
+    gives it; every entry outside the blocks is zero.  A zero row is a
+    block without columns and a zero column one without rows.
+
+    ``merged`` is (merged classes, links): the classes of the blocks up to
+    signs and a permutation of their columns, which the conversions run.
+    Link k is (m, q, e, d), class k's F being D_e M P D_d with M merged
+    class m's grid and column j of M P column q[j] of M; in the left order
+    the merged classes are ``classes`` and every link (k, None, None,
+    None).  In the right order a merged class is a class of the walk over
+    A^op, whose columns come in that walk's order, and each class of
+    ``classes`` reads its factor off its merged class's, so each merged
+    class is eliminated once.  Only this module reads the blocks: other
+    modules read B and B^-1 as ``relations`` and ``inverse_relations``.
+    ``entries``, a dense view rebuilt on each read, is for callers outside
+    the library.
     """
 
     algebra: FreeAlgebra
     order: str
     blocks: list
     classes: list
+    merged: tuple
 
     den = property(lambda self: self.algebra.denominator ** 2)
 
@@ -280,7 +299,8 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
-    # right order: the left order over A^op, with f^{ij} at column (j, i)
+    # the left order over A, or over A^op for the right order, whose column (i, j)
+    # at i n + j is B's column (j, i): ``_relabel`` moves it there
     left = order == "left"
     table = algebra.terms(opposite=not left)
     # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
@@ -288,7 +308,7 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     for i, row in enumerate(table):
         for m, p, v1 in row:
             for j, k, v2 in table[p]:
-                line, c = cells[k * n + m], i * n + j if left else j * n + i
+                line, c = cells[k * n + m], i * n + j
                 line[c] = line.get(c, 0) + v1 * v2
     col_rows: list[list[int]] = [[] for _ in range(n * n)]  # column -> its rows, ascending
     for r, line in enumerate(cells):
@@ -319,9 +339,120 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
         blocks.append((rows, cols, [rs[r] for r in rows], [cs[c] for c in cols],
                        index.setdefault(f, len(index))))
     del cells, col_rows  # not held while the classes are factored
-    blocks += [([], [c], [], [1], index.setdefault((), len(index)))
-               for c in range(n * n) if not cs[c]]
-    return BMatrix(algebra, order, blocks, [(f, exact.factor(f)) for f in index])
+    zero = [c for c in range(n * n) if not cs[c]]
+    if zero:  # last, in B's column order
+        k = index.setdefault((), len(index))
+        blocks += [([], [c], [], [1], k)
+                   for c in sorted(zero, key=lambda c: c if left else c % n * n + c // n)]
+    classes = [(f, exact.factor(f)) for f in index]
+    if left:
+        return BMatrix(algebra, order, blocks, classes, (classes, [(k, None, None, None)
+                                                                   for k in range(len(classes))]))
+    merged = _relabel(blocks, classes, n)
+    return BMatrix(algebra, order, *_ascending(*merged))
+
+
+def _relabel(blocks: list, classes: list, n: int) -> tuple[list, list]:
+    """The right order's blocks and classes in the walk's column order, from
+    those of the walk over A^op, whose column i n + j is B's column (j, i).
+    A block's columns are relabelled in the walk's order, so it keeps its walk
+    class, unless that class has a free column: then they ascend, and the
+    block is re-classed, so that its free columns, particular solution and
+    null vectors are those of column order."""
+    out, index, factors = [], {}, {}
+    for rows, cols, rs, cs, k in blocks:
+        f, factor = classes[k]
+        cols = [c % n * n + c // n for c in cols]
+        if len(factor[0]) < len(cols) and cols != sorted(cols):
+            q = sorted(range(len(cols)), key=cols.__getitem__)
+            cols, cs, f, factor = [cols[p] for p in q], [cs[p] for p in q], _columns(f, q), None
+        k = index.setdefault(f, len(index))
+        factors[k] = factors.get(k) or factor or exact.factor(f)
+        out.append((rows, cols, rs, cs, k))
+    return out, [(f, factors[k]) for f, k in index.items()]
+
+
+def _ascending(blocks: list, classes: list) -> tuple[list, list, tuple]:
+    """(blocks, classes, merged) of B from its blocks and classes in the
+    walk's column order: each block's columns ascending, signed and classed
+    as the walk of B itself would, with its factor read off the walk's.
+    With q the ascending order of a block's columns, P its permutation and
+    e, d the signs of that walk's tree on F P, the grid is D_e F P D_d.  Row i
+    of its factor, p its pivot, is row q_i of F's with its left part d_p
+    (left row) D_e and its reduced part d_p (reduced row) P D_d: q moves only
+    a block of full column rank, whose reduced rows, den I, stay.  The left
+    rows past the rank are F's times D_e."""
+    out, index, factors, links = [], {}, [], []
+    for rows, cols, rs, cs, k in blocks:
+        f, (pivots, reduced, left, den) = classes[k]
+        q = sorted(range(len(cols)), key=cols.__getitem__)
+        fq = _columns(f, q)
+        e, d = _tree_signs(fq, len(q))
+        minus = [-s for s in d]
+        g = tuple(tuple(map(mul, d if r > 0 else minus, row)) for r, row in zip(e, fq))
+        if g not in index:
+            index[g] = len(index)
+            links.append((k, q, e, d))
+            left = [list(map(mul, e, row)) for row in left]
+            if len(pivots) < len(q):
+                reduced = [list(map(mul, d if d[p] > 0 else minus, row))
+                           for p, row in zip(pivots, reduced)]
+            factors.append((pivots, reduced, [left[q[i]] if d[p] > 0 else [-x for x in left[q[i]]]
+                                              for i, p in enumerate(pivots)]
+                            + left[len(pivots):], den))
+        out.append((rows, [cols[p] for p in q], list(map(mul, rs, e)),
+                    [cs[p] * s for p, s in zip(q, d)], index[g]))
+    return out, list(zip(index, factors)), (classes, links)
+
+
+def _columns(grid: tuple, q: list) -> tuple:
+    """The grid with column j taken from column q[j]."""
+    if len(q) < 2:
+        return tuple(tuple(row[p] for p in q) for row in grid)
+    return tuple(map(itemgetter(*q), grid))
+
+
+def _tree_signs(grid: tuple, width: int) -> tuple[list[int], list[int]]:
+    """Row and column signs e, d (e_0 = 1) that make positive the spanning tree
+    of the nonzero cells of a grid ``width`` wide that a walk breadth first
+    from row 0, over ascending columns and rows, finds: the walk that signs
+    B's blocks.  A grid without rows has its columns signed 1."""
+    e, d = [0] * len(grid), [0] * width
+    if not grid:
+        return e, [1] * width
+    e[0], reached, pending = 1, [0], list(range(1, len(grid)))
+    for r in reached:
+        if all(d):  # so every row is reached
+            break
+        for c, v in enumerate(grid[r]):
+            if v and not d[c]:
+                d[c] = e[r] if v > 0 else -e[r]
+                waiting = []
+                for r2 in pending:
+                    x = grid[r2][c]
+                    if x:
+                        e[r2] = d[c] if x > 0 else -d[c]
+                        reached.append(r2)
+                    else:
+                        waiting.append(r2)
+                pending = waiting
+    return e, d
+
+
+def _merged_blocks(bm: BMatrix) -> list:
+    """B's blocks as its merged classes hold them: (rows, cols, rs, cs, m),
+    the columns in the order of merged class m's grid, with their signs."""
+    classes, links = bm.merged
+    out = []
+    for rows, cols, rs, cs, k in bm.blocks:
+        m, q, e, d = links[k]
+        if q is not None:
+            cols_m, cs_m = [0] * len(q), [0] * len(q)
+            for c, t, p, s in zip(cols, cs, q, d):
+                cols_m[p], cs_m[p] = c, t * s
+            cols, rs, cs = cols_m, list(map(mul, rs, e)), cs_m
+        out.append((rows, cols, rs, cs, m))
+    return out
 
 
 class StandardSolution:
@@ -352,15 +483,41 @@ class StandardSolution:
 def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     """t's map x -> sum t^{ij} e_i x e_j with the chosen nesting: B vec(t),
     reshaped, skipping the blocks whose entries of vec(t) are all 0."""
-    bm = b_matrix(t.algebra, order)
+    algebra = t.algebra
+    bm = b_matrix(algebra, order)
+    steps, kernels = _plan(bm, "map", _merged_blocks, [f for f, _ in bm.merged[0]])
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
-    for rows, cols, rs, cs, k in bm.blocks:
+    for rows, cols, rs, cs, m in steps:
         ts = [t * tvec[c] for t, c in zip(cs, cols)]
         if any(ts):  # else the block's rows stay 0
-            for r, s, values in zip(rows, rs, bm.classes[k][0]):
-                gvec[r] = s * sum(map(mul, values, ts))
-    return LinearMap._of((t.algebra, t.algebra), exact.canonical(gvec, bm.den * t_den))
+            for r, s, v in zip(rows, rs, kernels[m](ts)):
+                gvec[r] = s * v
+    return LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den * t_den))
+
+
+def _plan(bm: BMatrix, side: str, build, grids: list) -> tuple:
+    """(``build(bm)``, the mat-vec of grids[m] per merged class m) for one side
+    of the conversions, both cached on the algebra beside B and built from B
+    alone, never by a call of ``cached`` within a build.  The side's first
+    use runs the row loop; from its second, a class that serves two or more
+    blocks runs code compiled by ``core.compile_matvec``.  Measured on 2
+    CPUs, that code takes 0.15-0.5x the row loop's time and pays back after
+    40-100 applications: O (x) O's 64 x 64 grids take 4-12 ms to compile,
+    about what their 64 blocks save in one conversion, and a one-block
+    class would run its code once per conversion."""
+    algebra, key = bm.algebra, ("b_matrix", bm.order, side)
+    plan = algebra._cache.get(key)  # read as ``cached`` reads it, without the lock
+    if plan is None:
+        return algebra.cached(key, lambda: build(bm)), [partial(_row_loop, g) for g in grids]
+    served = Counter(bm.merged[1][k][0] for *_, k in bm.blocks)
+    return plan, algebra.cached(key + ("kernels",), lambda: [
+        compile_matvec(g, f"class {m} of {bm!r}") if served[m] > 1 else partial(_row_loop, g)
+        for m, g in enumerate(grids)])
+
+
+def _row_loop(grid, v) -> list[int]:
+    return [sum(map(mul, row, v)) for row in grid]
 
 
 def _table_sums(t: Tensor2, order: str) -> list[int]:
@@ -427,45 +584,63 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     only genuinely complex-linear maps are representable).
 
     Each block D_r F D_c is solved on ints by signed mat-vecs with its
-    class's ``exact.factor`` (pivots, reduced, left, den).  With b' = D_r b,
+    merged class's factor (pivots, reduced, left, den).  With b' = D_r b,
     the block is consistent iff left[i] b' = 0 past the rank; its particular
     solution is D_c y, y = left[i] b' / den at pivot i and 0 at the free
     columns, and free column fc has the null vector that is 1 at fc and
     -s_fc s_c reduced[i][fc] / den at pivot c.  Column signs keep the pivot
-    columns and the reduced row echelon form of a block-diagonal matrix is
-    its blockwise form, so this is one ``exact.solve_ints`` of the whole
-    matrix; null-space vectors come sorted by their free column, their last
-    nonzero.
+    columns, a block whose merged class moves its columns has no free
+    column, so a unique solution, and the reduced row echelon form of a
+    block-diagonal matrix is its blockwise form, so this is one
+    ``exact.solve_ints`` of the whole matrix; null-space vectors come
+    sorted by their free column, their last nonzero.  What B alone gives,
+    lead, each block's signed scales and the null space, is built once, on
+    the first conversion, and cached beside B.
     """
     _check_order(order)
     if not g.is_endomorphism():
         raise AlgebraMismatch("standard components are defined for endomorphisms")
     algebra = g.source
-    n = algebra.dim
     bm = b_matrix(algebra, order)
-    lead = lcm(*(den for _, (*_, den) in bm.classes))
+    (lead, steps, nullspace), kernels = _plan(bm, "solve", _solve_plan,
+                                              [left for _, (_, _, left, _) in bm.merged[0]])
     gvec, g_den = g.ints
-    particular = [0] * (n * n)
-    nullspace = []
-    for rows, cols, rs, cs, k in bm.blocks:
-        pivots, reduced, left, den = bm.classes[k][1]
+    particular = [0] * len(gvec)
+    for rows, rs, m, rank, pivots, scales in steps:
         b = [s * gvec[r] for s, r in zip(rs, rows)]
-        if any(sum(map(mul, row, b)) for row in left[len(pivots):]):
-            raise NotRepresentable(
-                "coordinate matrix is not in the image of the component matrix")
+        if any(b):  # else the block's components stay 0
+            y = kernels[m](b)
+            if any(y[rank:]):
+                raise NotRepresentable(
+                    "coordinate matrix is not in the image of the component matrix")
+            for c, scale, v in zip(pivots, scales, y):
+                particular[c] = scale * v
+    return StandardSolution(Tensor2._of((algebra,), exact.canonical(particular, lead * g_den)),
+                            list(nullspace))
+
+
+def _solve_plan(bm: BMatrix) -> tuple[int, list, list]:
+    """What ``standard_from_coords`` reads of B: lead, the lcm of the class
+    denominators; per block (rows, their signs, its merged class, its rank,
+    its pivot columns, their signs times the block's scale); and the null
+    space, sorted by the free column of each vector."""
+    n, classes = bm.algebra.dim, bm.merged[0]
+    lead = lcm(*(den for _, (*_, den) in classes))
+    steps, nullspace = [], []
+    for rows, cols, rs, cs, m in _merged_blocks(bm):
+        pivots, reduced, _, den = classes[m][1]
         # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
         scale = bm.den * (lead // den)
-        for c, row in zip(pivots, left):
-            particular[cols[c]] = cs[c] * scale * sum(map(mul, row, b))
+        steps.append((rows, rs, m, len(pivots), [cols[c] for c in pivots],
+                      [cs[c] * scale for c in pivots]))
         for fc in sorted(set(range(len(cols))).difference(pivots)):
             v = [0] * (n * n)
             v[cols[fc]] = den
             for c, row in zip(pivots, reduced):
                 v[cols[c]] = -cs[fc] * cs[c] * row[fc]
-            nullspace.append(Tensor2._of((algebra,), exact.canonical(v, den)))
+            nullspace.append(Tensor2._of((bm.algebra,), exact.canonical(v, den)))
     nullspace.sort(key=lambda t: max(c for c, value in enumerate(t.ints[0]) if value))
-    return StandardSolution(Tensor2._of((algebra,), exact.canonical(particular, lead * g_den)),
-                            nullspace)
+    return lead, steps, nullspace
 
 
 def _orbit_columns(f: LinearMap, order: str, pairs) -> list[tuple[tuple[int, ...], int]]:

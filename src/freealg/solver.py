@@ -8,8 +8,8 @@ into maps.  A system is solved by eliminating the int rows of that
 matrix with the right side appended once, never inverting M, and
 reading off one null vector (``exact.null_vector``).  The answer is
 then substituted back through the maps, not through the eliminated
-matrix, each equation as ``apply`` summed with +, and a singular system
-is refused with a witness x != 0 checked the same way.
+matrix, each equation's ``apply`` terms summed over one denominator, and
+a singular system is refused with a witness x != 0 checked the same way.
 The quasideterminant recursion composes the entries too; it is kept as
 an independent second path that reports per-entry quasideterminants and
 cross-validates the inverse.
@@ -180,8 +180,15 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
-    """sum_j m[i][j](x_j) for every row i, through the maps: ``apply`` summed with +."""
-    return [sum(map(apply, row, x), m.algebra.zero()) for row in m.entries]
+    """sum_j m[i][j](x_j) for every row i, through the maps: the int forms
+    of each equation's ``apply`` terms summed over one denominator, made
+    canonical once."""
+    sides = []
+    for row in m.entries:
+        terms, den = exact.over_lcm([apply(f, xj).ints for f, xj in zip(row, x)])
+        sums = [sum(column) for column in zip(*terms)]
+        sides.append(AlgElement._of((m.algebra,), exact.canonical(sums, den)))
+    return sides
 
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
