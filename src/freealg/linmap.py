@@ -485,7 +485,7 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     reshaped, skipping the blocks whose entries of vec(t) are all 0."""
     algebra = t.algebra
     bm = b_matrix(algebra, order)
-    steps, kernels = _plan(bm, "map", _merged_blocks, [f for f, _ in bm.merged[0]])
+    steps, kernels = _plan(bm, "map")
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
     for rows, cols, rs, cs, m in steps:
@@ -496,19 +496,27 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     return LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den * t_den))
 
 
-def _plan(bm: BMatrix, side: str, build, grids: list) -> tuple:
-    """(``build(bm)``, the mat-vec of grids[m] per merged class m) for one side
-    of the conversions, both cached on the algebra beside B and built from B
-    alone, never by a call of ``cached`` within a build.  The side's first
-    use runs the row loop; from its second, a class that serves two or more
-    blocks runs code compiled by ``core.compile_matvec``.  Measured on 2
-    CPUs, that code takes 0.15-0.5x the row loop's time and pays back after
-    40-100 applications: O (x) O's 64 x 64 grids take 4-12 ms to compile,
-    about what their 64 blocks save in one conversion, and a one-block
-    class would run its code once per conversion."""
+def _plan(bm: BMatrix, side: str) -> tuple:
+    """(plan, kernels) of one side of the conversions, "map" or "solve": the
+    plan, ``_merged_blocks`` or ``_solve_plan`` of B, and per merged class m
+    the mat-vec of its grid F or of its factor's left.  Both are cached on
+    the algebra beside B and built from B alone, never by a call of
+    ``cached`` within a build.  The side's first use runs the row loop; from
+    its second, a class that serves two or more blocks runs code compiled by
+    ``core.compile_matvec``.  Measured on 2 CPUs, that code takes 0.15-0.5x
+    the row loop's time and pays back after 40-100 applications: O (x) O's
+    64 x 64 grids take 4-12 ms to compile, about what their 64 blocks save
+    in one conversion, and a one-block class would run its code once per
+    conversion."""
     algebra, key = bm.algebra, ("b_matrix", bm.order, side)
-    plan = algebra._cache.get(key)  # read as ``cached`` reads it, without the lock
+    cache = algebra._cache  # read as ``cached`` reads it, without the lock
+    kernels = cache.get(key + ("kernels",))
+    if kernels is not None:
+        return cache[key], kernels
+    grids = [factor[2] if side == "solve" else f for f, factor in bm.merged[0]]
+    plan = cache.get(key)
     if plan is None:
+        build = _solve_plan if side == "solve" else _merged_blocks
         return algebra.cached(key, lambda: build(bm)), [partial(_row_loop, g) for g in grids]
     served = Counter(bm.merged[1][k][0] for *_, k in bm.blocks)
     return plan, algebra.cached(key + ("kernels",), lambda: [
@@ -602,8 +610,7 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
         raise AlgebraMismatch("standard components are defined for endomorphisms")
     algebra = g.source
     bm = b_matrix(algebra, order)
-    (lead, steps, nullspace), kernels = _plan(bm, "solve", _solve_plan,
-                                              [left for _, (_, _, left, _) in bm.merged[0]])
+    (lead, steps, nullspace), kernels = _plan(bm, "solve")
     gvec, g_den = g.ints
     particular = [0] * len(gvec)
     for rows, rs, m, rank, pivots, scales in steps:
