@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import AlgElement, FreeAlgebra, multiply
 from .errors import AlgebraMismatch, DegenerateParams, NotPureVector, UnsupportedAlgebra, ZeroNorm
-from .exact import ZERO, frac
+from .exact import ZERO, as_fractions, frac
 
 COMPLEX_TAG = "complex"
 QUATERNION_TAG = "quaternion"
@@ -108,7 +108,7 @@ def norm_sq(x: AlgElement) -> Fraction:
     """Squared norm |x|^2: coordinate 0 of x * conj(x) in x's own algebra (C, E(a, b) or O)."""
     _require_builtin(x.algebra)
     nums, den = multiply(x, conjugate(x)).ints
-    return Fraction(nums[0], den)
+    return as_fractions(nums[:1], den)[0]
 
 
 def inverse_element(x: AlgElement) -> AlgElement:

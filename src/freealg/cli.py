@@ -354,8 +354,10 @@ def _relation_str(rel: dict) -> str:
 
 
 def _sign_matrix(bm) -> list[list[Fraction]]:
-    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, read off B's relations."""
-    n, relations = bm.algebra.dim, bm.relations()
+    """F[k][i]: the coefficient of f^{ii} in the coordinate f^k_k, read off B's
+    relations on its diagonal cells, rows (k, k) and columns (i, i)."""
+    n = bm.algebra.dim
+    relations = bm.relations(only={k * n + k for k in range(n)})
     return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatch, InvalidAlgebra, NoUnit
-from .exact import IntForm, as_ints, canonical, frac
+from .exact import IntForm, as_fractions, as_ints, canonical, frac
 
 
 class FreeAlgebra:
@@ -132,8 +132,9 @@ class FreeAlgebra:
     @property
     def constants(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """Sorted nonzero structure constants as (i, j, k, value)."""
-        return tuple((i, j, k, Fraction(v, self.denominator))
-                     for i, row in enumerate(self._row_terms) for j, k, v in row)
+        cells = [(i, j, k) for i, row in enumerate(self._row_terms) for j, k, _ in row]
+        values = as_fractions([v for row in self._row_terms for *_, v in row], self.denominator)
+        return tuple((*cell, v) for cell, v in zip(cells, values))
 
     def terms(self, opposite: bool = False) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Row i lists the nonzero e_i * e_j as (j, k, numerator) over

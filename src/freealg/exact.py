@@ -30,10 +30,17 @@ O, H (x) H and O (x) H in 0.64-0.73x, a basis shift of O (x) O in
 H (x) H and O (x) O, 19x on ``linmap.orbit_contains``' H (x) H system,
 4.7x on the Gram solve of a square-zero ``representation_basis``, and on
 ``null_vector`` 1.1-3.2x on systems of basis shifts with rational right
-sides.  Fractions appear only on the way out: ``invert`` and ``solve``
-are the Fraction views of ``invert_ints`` and ``solve_ints``.  Nothing in
-the package calls them, ``rank`` or ``mat_mul``; they stay because the
-benchmark's tracer wraps them by name.
+sides.  Fractions appear only on the way out, and ``as_fractions`` builds
+every one the package reads off an int form: the coordinates and
+components of ``IntForm`` values, B's relations, an algebra's constants,
+``norm_sq`` and the views ``invert``, ``solve`` and ``mat_mul``.  It
+reduces each value by one gcd, the denominator being positive already,
+and sets the two slots of ``object.__new__(Fraction)`` as
+``Fraction._from_coprime_ints`` does on Python 3.12, skipping the
+pure-Python ``Fraction.__new__``, about 1 us a value on 3.11: 64 values
+of an O conversion take 25-33 us, against 66-79 us through ``Fraction``.
+Nothing in the package calls ``invert``, ``solve``, ``rank`` or
+``mat_mul``; they stay because the benchmark's tracer wraps them by name.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b
@@ -56,6 +63,7 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 ZERO = Fraction(0)
+_new = object.__new__
 
 
 def frac(value) -> Fraction:
@@ -97,7 +105,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = [as_ints(col) for col in zip(*b)]
     rows = [as_ints(row) for row in a]
     product = int_mat_mul([ints for ints, _ in rows], zip(*(ints for ints, _ in cols)), len(cols))
-    return [[Fraction(v, den * col_den) if v else ZERO for v, (_, col_den) in zip(acc, cols)]
+    b_den = lcm(*(d for _, d in cols))  # each row of the product over den * b_den
+    scales = [b_den // d for _, d in cols]
+    return [as_fractions(list(map(mul, acc, scales)), den * b_den)
             for acc, (_, den) in zip(product, rows)]
 
 
@@ -116,8 +126,24 @@ def over_lcm(forms: list) -> tuple[list[list[int]], int]:
 
 
 def as_fractions(ints, den: int) -> Vec:
-    """The Fractions ints[i] / den; ``as_ints`` undone."""
-    return [Fraction(x, den) if x else ZERO for x in ints]
+    """The Fractions ints[i] / den, den > 0, ``ZERO`` for a 0; ``as_ints`` undone.
+
+    The library's one builder of Fractions from ints: each value is reduced
+    by one gcd and made as ``Fraction._from_coprime_ints`` does on Python
+    3.12, its two slots set directly, without ``Fraction.__new__``."""
+    out = []
+    for x in ints:
+        if x:
+            g = gcd(x, den)
+            value = _new(Fraction)
+            if g == 1:
+                value._numerator, value._denominator = x, den
+            else:
+                value._numerator, value._denominator = x // g, den // g
+            out.append(value)
+        else:
+            out.append(ZERO)
+    return out
 
 
 def canonical(ints, den: int) -> tuple[tuple[int, ...], int]:

@@ -259,10 +259,11 @@ class BMatrix(NamedTuple):
         return [[relations[divmod(r, n)].get(divmod(c, n), exact.ZERO) for c in range(n * n)]
                 for r in range(n * n)]
 
-    def relations(self) -> dict:
-        """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every row."""
+    def relations(self, only=None) -> dict:
+        """Row (k, m) of B -> {(i, j): its nonzero entry in column (i, j)}, for every
+        row, or with ``only``, a set of indices k n + m, for its rows and columns."""
         return _relations([(rows, cols, rs, cs, self.classes[k][0], 1, self.den)
-                           for rows, cols, rs, cs, k in self.blocks], self.algebra.dim)
+                           for rows, cols, rs, cs, k in self.blocks], self.algebra.dim, only)
 
     def inverse_relations(self) -> dict:
         """The rows of B^-1 as ``relations`` gives B's; ValueError when a block is singular."""
@@ -282,13 +283,21 @@ class BMatrix(NamedTuple):
         return f"BMatrix({self.algebra!r}, order={self.order}, size={self.algebra.dim ** 2})"
 
 
-def _relations(parts, n: int) -> dict:
+def _relations(parts, n: int, only=None) -> dict:
     """Row (k, m) -> {(i, j): nonzero entry} of an n^2 x n^2 matrix of blocks
-    (rows, cols, rs, cs, grid, num, den), the entries D_r grid D_c * num / den."""
-    return {divmod(r, n): {divmod(c, n): Fraction(s * t * v * num, den)
-                           for c, t, v in zip(cols, cs, values) if v}
-            for rows, cols, rs, cs, grid, num, den in parts
-            for r, s, values in zip(rows, rs, grid)}
+    (rows, cols, rs, cs, grid, num, den), the entries D_r grid D_c * num / den;
+    with ``only``, a set of indices k n + m, only its rows and columns."""
+    out, only = {}, range(n * n) if only is None else only
+    for rows, cols, rs, cs, grid, num, den in parts:
+        at = [j for j, c in enumerate(cols) if c in only]
+        keys = [divmod(cols[j], n) for j in at]
+        scales = [cs[j] * num for j in at]
+        for r, s, values in zip(rows, rs, grid):
+            if r in only:
+                nums = [s * t * values[j] for t, j in zip(scales, at)]
+                out[divmod(r, n)] = {key: v for key, x, v in
+                                     zip(keys, nums, exact.as_fractions(nums, den)) if x}
+    return out
 
 
 def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:

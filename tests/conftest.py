@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
-from freealg import complex_algebra, octonion_algebra, quaternion_algebra
+from freealg import complex_algebra, exact, octonion_algebra, quaternion_algebra
 from freealg.core import FreeAlgebra
 
 # every property test is derandomized with a fixed example budget, so
@@ -44,3 +46,26 @@ def block_grids(bm):
     return [(rows, cols, [[r * c * v for c, v in zip(cs, row)]
                           for r, row in zip(rs, bm.classes[k][0])])
             for rows, cols, rs, cs, k in bm.blocks]
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """Call it to start counting: the list it returns gains one entry for each
+    Fraction made after, by ``Fraction.__new__`` or by ``exact.as_fractions``,
+    which builds its Fractions without ``Fraction.__new__``."""
+    def start():
+        built = []
+        new, make = Fraction.__new__, exact._new
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        def made(cls):
+            built.append(cls)
+            return make(cls)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        monkeypatch.setattr(exact, "_new", made)
+        return built
+    return start

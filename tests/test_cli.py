@@ -507,7 +507,8 @@ def test_algebra_json_round_trip():
     assert rebuilt.labels == algebra.labels
 
 
-def test_an_integral_definition_file_loads_without_fractions(tmp_path, monkeypatch):
+def test_an_integral_definition_file_loads_without_fractions(tmp_path, monkeypatch,
+                                                             count_fractions):
     # integer constants, as JSON integers or as text, are stored as ints, and
     # so are the products a tensor product of such algebras forms; Fractions
     # appear only when the constants are read out
@@ -518,17 +519,11 @@ def test_an_integral_definition_file_loads_without_fractions(tmp_path, monkeypat
     doc["constants"][::2] = [[i, j, k, int(v)] for i, j, k, v in doc["constants"][::2]]
     path = tmp_path / "quaternion.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    built = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = count_fractions()
     algebra = load_algebra(str(path))
     square = tensor_product([algebra, algebra])
     assert built == []
+    assert algebra.constants and built  # built on first read
     monkeypatch.undo()
     assert algebra.constants == quaternion.constants
     assert square.constants == tensor_product([quaternion, quaternion]).constants

@@ -391,18 +391,11 @@ def test_basis_reads_each_basis_tensor_map_as_a_column_of_b(make, order, monkeyp
 
 @pytest.mark.parametrize("make", [complex_algebra, lambda: square_zero(4)], ids=["C", "sq0-4"])
 @pytest.mark.parametrize("order", ["left", "right"])
-def test_basis_builds_no_fraction(make, order, monkeypatch):
+def test_basis_builds_no_fraction(make, order, count_fractions):
     # B's blocks, their factors, the orbit columns, the reduced rows and the
     # residual are all ints; Fractions appear only when a generator is read
-    built = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
     algebra = make()
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = count_fractions()
     generators = representation_basis(algebra, order)
     assert built == [] and len(generators) > 1
     assert generators[-1].coords and built  # the view, built on first read
