@@ -66,6 +66,10 @@ def test_the_exact_views_are_fractions_fraction_makes():
                          [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]):
         for g, w in zip(got, want):
             assert_same(g, w)
+    for got, want in zip(exact.mat_mul([[Fraction(1, 2)], [3]], [[Fraction(2, 3), 5]]),
+                         [[Fraction(1, 3), Fraction(5, 2)], [2, 15]]):  # b of one row
+        for g, w in zip(got, want):
+            assert_same(g, w)
     inverse = exact.invert(a)
     for got, want in zip(exact.mat_mul(a, inverse), [[1, 0], [0, 1]]):
         for g, w in zip(got, want):
