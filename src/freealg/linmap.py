@@ -20,7 +20,7 @@ and j swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
 walk builds both: over A's row table of constants, or over A^op's, which
 is A's column table, whose column (i, j) is B's column (j, i).  Kept in
 the walk's column order, the right order's blocks fall into the classes of
-B(A^op): one on O and O (x) O, where ascending columns make 8 and 64.
+B(A^op), one on O and O (x) O; only a block with a free column ascends.
 B is read, solved and applied only through the blocks, on ints up to the
 values returned: B vec(t) gathers a block's signed entries ts of vec(t)
 once and takes F ts, and the solve takes left b with its class's factor.
@@ -231,25 +231,19 @@ class BMatrix(NamedTuple):
     gives it; every entry outside the blocks is zero.  A zero row is a
     block without columns and a zero column one without rows.
 
-    ``merged`` is (merged classes, links): the classes of the blocks up to
-    signs and a permutation of their columns, which the conversions run.
-    Link k is (m, q, e, d), class k's F being D_e M P D_d with M merged
-    class m's grid and column j of M P column q[j] of M; in the left order
-    the merged classes are ``classes`` and every link (k, None, None,
-    None).  In the right order a merged class is a class of the walk over
-    A^op, whose columns come in that walk's order, and each class of
-    ``classes`` reads its factor off its merged class's, so each merged
-    class is eliminated once.  Only this module reads the blocks: other
-    modules read B and B^-1 as ``relations`` and ``inverse_relations``.
-    ``entries``, a dense view rebuilt on each read, is for callers outside
-    the library.
+    The right order's walk runs over A^op, so a block's columns come in
+    that walk's order, relabelled (i, j) -> (j, i): they ascend only in a
+    class with a free column, re-classed so that its free columns,
+    particular solution and null vectors are those of column order.  Only
+    this module reads the blocks: other modules read B and B^-1 as
+    ``relations`` and ``inverse_relations``.  ``entries``, a dense view
+    rebuilt on each read, is for callers outside the library.
     """
 
     algebra: FreeAlgebra
     order: str
     blocks: list
     classes: list
-    merged: tuple
 
     den = property(lambda self: self.algebra.denominator ** 2)
 
@@ -355,10 +349,8 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
                    for c in sorted(zero, key=lambda c: c if left else c % n * n + c // n)]
     classes = [(f, exact.factor(f)) for f in index]
     if left:
-        return BMatrix(algebra, order, blocks, classes, (classes, [(k, None, None, None)
-                                                                   for k in range(len(classes))]))
-    merged = _relabel(blocks, classes, n)
-    return BMatrix(algebra, order, *_ascending(*merged))
+        return BMatrix(algebra, order, blocks, classes)
+    return BMatrix(algebra, order, *_relabel(blocks, classes, n))
 
 
 def _relabel(blocks: list, classes: list, n: int) -> tuple[list, list]:
@@ -381,87 +373,9 @@ def _relabel(blocks: list, classes: list, n: int) -> tuple[list, list]:
     return out, [(f, factors[k]) for f, k in index.items()]
 
 
-def _ascending(blocks: list, classes: list) -> tuple[list, list, tuple]:
-    """(blocks, classes, merged) of B from its blocks and classes in the
-    walk's column order: each block's columns ascending, signed and classed
-    as the walk of B itself would, with its factor read off the walk's.
-    With q the ascending order of a block's columns, P its permutation and
-    e, d the signs of that walk's tree on F P, the grid is D_e F P D_d.  Row i
-    of its factor, p its pivot, is row q_i of F's with its left part d_p
-    (left row) D_e and its reduced part d_p (reduced row) P D_d: q moves only
-    a block of full column rank, whose reduced rows, den I, stay.  The left
-    rows past the rank are F's times D_e."""
-    out, index, factors, links = [], {}, [], []
-    for rows, cols, rs, cs, k in blocks:
-        f, (pivots, reduced, left, den) = classes[k]
-        q = sorted(range(len(cols)), key=cols.__getitem__)
-        fq = _columns(f, q)
-        e, d = _tree_signs(fq, len(q))
-        minus = [-s for s in d]
-        g = tuple(tuple(map(mul, d if r > 0 else minus, row)) for r, row in zip(e, fq))
-        if g not in index:
-            index[g] = len(index)
-            links.append((k, q, e, d))
-            left = [list(map(mul, e, row)) for row in left]
-            if len(pivots) < len(q):
-                reduced = [list(map(mul, d if d[p] > 0 else minus, row))
-                           for p, row in zip(pivots, reduced)]
-            factors.append((pivots, reduced, [left[q[i]] if d[p] > 0 else [-x for x in left[q[i]]]
-                                              for i, p in enumerate(pivots)]
-                            + left[len(pivots):], den))
-        out.append((rows, [cols[p] for p in q], list(map(mul, rs, e)),
-                    [cs[p] * s for p, s in zip(q, d)], index[g]))
-    return out, list(zip(index, factors)), (classes, links)
-
-
 def _columns(grid: tuple, q: list) -> tuple:
-    """The grid with column j taken from column q[j]."""
-    if len(q) < 2:
-        return tuple(tuple(row[p] for p in q) for row in grid)
+    """The grid with column j taken from column q[j], q of two or more."""
     return tuple(map(itemgetter(*q), grid))
-
-
-def _tree_signs(grid: tuple, width: int) -> tuple[list[int], list[int]]:
-    """Row and column signs e, d (e_0 = 1) that make positive the spanning tree
-    of the nonzero cells of a grid ``width`` wide that a walk breadth first
-    from row 0, over ascending columns and rows, finds: the walk that signs
-    B's blocks.  A grid without rows has its columns signed 1."""
-    e, d = [0] * len(grid), [0] * width
-    if not grid:
-        return e, [1] * width
-    e[0], reached, pending = 1, [0], list(range(1, len(grid)))
-    for r in reached:
-        if all(d):  # so every row is reached
-            break
-        for c, v in enumerate(grid[r]):
-            if v and not d[c]:
-                d[c] = e[r] if v > 0 else -e[r]
-                waiting = []
-                for r2 in pending:
-                    x = grid[r2][c]
-                    if x:
-                        e[r2] = d[c] if x > 0 else -d[c]
-                        reached.append(r2)
-                    else:
-                        waiting.append(r2)
-                pending = waiting
-    return e, d
-
-
-def _merged_blocks(bm: BMatrix) -> list:
-    """B's blocks as its merged classes hold them: (rows, cols, rs, cs, m),
-    the columns in the order of merged class m's grid, with their signs."""
-    classes, links = bm.merged
-    out = []
-    for rows, cols, rs, cs, k in bm.blocks:
-        m, q, e, d = links[k]
-        if q is not None:
-            cols_m, cs_m = [0] * len(q), [0] * len(q)
-            for c, t, p, s in zip(cols, cs, q, d):
-                cols_m[p], cs_m[p] = c, t * s
-            cols, rs, cs = cols_m, list(map(mul, rs, e)), cs_m
-        out.append((rows, cols, rs, cs, m))
-    return out
 
 
 class StandardSolution:
@@ -497,18 +411,18 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     steps, kernels = _plan(bm, "map")
     tvec, t_den = t.ints
     gvec = [0] * len(tvec)
-    for rows, cols, rs, cs, m in steps:
+    for rows, cols, rs, cs, k in steps:
         ts = [t * tvec[c] for t, c in zip(cs, cols)]
         if any(ts):  # else the block's rows stay 0
-            for r, s, v in zip(rows, rs, kernels[m](ts)):
+            for r, s, v in zip(rows, rs, kernels[k](ts)):
                 gvec[r] = s * v
     return LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den * t_den))
 
 
 def _plan(bm: BMatrix, side: str) -> tuple:
     """(plan, kernels) of one side of the conversions, "map" or "solve": the
-    plan, ``_merged_blocks`` or ``_solve_plan`` of B, and per merged class m
-    the mat-vec of its grid F or of its factor's left.  Both are cached on
+    plan, B's blocks or ``_solve_plan`` of B, and per class k the mat-vec
+    of its grid F or of its factor's left.  Both are cached on
     the algebra beside B and built from B alone, never by a call of
     ``cached`` within a build.  The side's first use runs the row loop; from
     its second, a class that serves two or more blocks runs code compiled by
@@ -522,15 +436,15 @@ def _plan(bm: BMatrix, side: str) -> tuple:
     kernels = cache.get(key + ("kernels",))
     if kernels is not None:
         return cache[key], kernels
-    grids = [factor[2] if side == "solve" else f for f, factor in bm.merged[0]]
+    grids = [factor[2] if side == "solve" else f for f, factor in bm.classes]
     plan = cache.get(key)
     if plan is None:
-        build = _solve_plan if side == "solve" else _merged_blocks
-        return algebra.cached(key, lambda: build(bm)), [partial(_row_loop, g) for g in grids]
-    served = Counter(bm.merged[1][k][0] for *_, k in bm.blocks)
+        plan = algebra.cached(key, lambda: _solve_plan(bm) if side == "solve" else bm.blocks)
+        return plan, [partial(_row_loop, g) for g in grids]
+    served = Counter(k for *_, k in bm.blocks)
     return plan, algebra.cached(key + ("kernels",), lambda: [
-        compile_matvec(g, f"class {m} of {bm!r}") if served[m] > 1 else partial(_row_loop, g)
-        for m, g in enumerate(grids)])
+        compile_matvec(g, f"class {k} of {bm!r}") if served[k] > 1 else partial(_row_loop, g)
+        for k, g in enumerate(grids)])
 
 
 def _row_loop(grid, v) -> list[int]:
@@ -601,13 +515,13 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     only genuinely complex-linear maps are representable).
 
     Each block D_r F D_c is solved on ints by signed mat-vecs with its
-    merged class's factor (pivots, reduced, left, den).  With b' = D_r b,
+    class's factor (pivots, reduced, left, den).  With b' = D_r b,
     the block is consistent iff left[i] b' = 0 past the rank; its particular
     solution is D_c y, y = left[i] b' / den at pivot i and 0 at the free
     columns, and free column fc has the null vector that is 1 at fc and
     -s_fc s_c reduced[i][fc] / den at pivot c.  Column signs keep the pivot
-    columns, a block whose merged class moves its columns has no free
-    column, so a unique solution, and the reduced row echelon form of a
+    columns, a block whose columns do not ascend has no free column, so a
+    unique solution, and the reduced row echelon form of a
     block-diagonal matrix is its blockwise form, so this is one
     ``exact.solve_ints`` of the whole matrix; null-space vectors come
     sorted by their free column, their last nonzero.  What B alone gives,
@@ -622,10 +536,10 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
     (lead, steps, nullspace), kernels = _plan(bm, "solve")
     gvec, g_den = g.ints
     particular = [0] * len(gvec)
-    for rows, rs, m, rank, pivots, scales in steps:
+    for rows, rs, k, rank, pivots, scales in steps:
         b = [s * gvec[r] for s, r in zip(rs, rows)]
         if any(b):  # else the block's components stay 0
-            y = kernels[m](b)
+            y = kernels[k](b)
             if any(y[rank:]):
                 raise NotRepresentable(
                     "coordinate matrix is not in the image of the component matrix")
@@ -637,17 +551,17 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
 
 def _solve_plan(bm: BMatrix) -> tuple[int, list, list]:
     """What ``standard_from_coords`` reads of B: lead, the lcm of the class
-    denominators; per block (rows, their signs, its merged class, its rank,
-    its pivot columns, their signs times the block's scale); and the null
+    denominators; per block (rows, their signs, its class, its rank, its
+    pivot columns, their signs times the block's scale); and the null
     space, sorted by the free column of each vector."""
-    n, classes = bm.algebra.dim, bm.merged[0]
+    n, classes = bm.algebra.dim, bm.classes
     lead = lcm(*(den for _, (*_, den) in classes))
     steps, nullspace = [], []
-    for rows, cols, rs, cs, m in _merged_blocks(bm):
-        pivots, reduced, _, den = classes[m][1]
+    for rows, cols, rs, cs, k in bm.blocks:
+        pivots, reduced, _, den = classes[k][1]
         # the blocks solve B y = g den on ints; x = y / g_den solves (B / den) x = g / g_den
         scale = bm.den * (lead // den)
-        steps.append((rows, rs, m, len(pivots), [cols[c] for c in pivots],
+        steps.append((rows, rs, k, len(pivots), [cols[c] for c in pivots],
                       [cs[c] * scale for c in pivots]))
         for fc in sorted(set(range(len(cols))).difference(pivots)):
             v = [0] * (n * n)

@@ -1,15 +1,14 @@
-"""The merged classes of the component matrix and the conversions' kernels.
+"""The classes of the component matrix and the conversions' kernels.
 
 The right order's B(A) is the left order's B(A^op) with column (i, j)
-relabelled (j, i), entry for entry.  Its build walks A^op's table, and
-``BMatrix.merged`` keeps the walk's classes: a block of full column rank
-keeps its columns in the walk's order, so O and O (x) O hold one merged
-class in each order, and a block with a free column ascends, so that its
-null vectors are those of column order.  ``blocks`` and ``classes`` stay
-in ascending columns, as the walk of B itself signs and classes them, each
-factor read off the merged one without a second elimination.
+relabelled (j, i), entry for entry.  Its build walks A^op's table and keeps
+that walk's classes: a block of full column rank keeps its columns in the
+walk's order, so O and O (x) O hold one class in each order, and a block
+with a free column ascends, so that its null vectors are those of column
+order.  Each block carries the signs that a walk of the dense B over the
+build's column order gives, and each class is eliminated once.
 
-The conversions apply each merged class's grid F (``tensor_map``) and its
+The conversions apply each class's grid F (``tensor_map``) and its
 factor's left matrix (``standard_from_coords``) by the row loop on their
 first use and, from the second, by code that ``core.compile_matvec`` makes
 once for every class serving two or more blocks.  The kernels must give the
@@ -22,6 +21,7 @@ another.
 import random
 import threading
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
 import pytest
@@ -70,13 +70,13 @@ def test_right_order_b_is_left_order_b_of_the_opposite_relabelled(algebra):
     right, op_left = b_matrix(algebra, "right"), b_matrix(opposite(algebra), "left")
     assert right.relations() == {key: {(j, i): v for (i, j), v in row.items()}
                                  for key, row in op_left.relations().items()}
-    # each merged block of full column rank is A^op's left-order block with its
+    # each block of full column rank is A^op's left-order block with its
     # columns relabelled in A^op's order and the same class grid; a block with
     # a free column ascends, its grid's columns and their signs moved with it
-    classes = right.merged[0]
-    merged = [block for block in linmap._merged_blocks(right) if block[0]]
-    assert len(merged) == sum(1 for rows, *_ in op_left.blocks if rows)
-    for (rows, cols, rs, cs, m), (rows_op, cols_op, rs_op, cs_op, k) in zip(merged,
+    classes = right.classes
+    blocks = [block for block in right.blocks if block[0]]
+    assert len(blocks) == sum(1 for rows, *_ in op_left.blocks if rows)
+    for (rows, cols, rs, cs, m), (rows_op, cols_op, rs_op, cs_op, k) in zip(blocks,
                                                                              op_left.blocks):
         f, factor = op_left.classes[k]
         cols_op = [relabel(c, n) for c in cols_op]
@@ -91,35 +91,23 @@ def test_right_order_b_is_left_order_b_of_the_opposite_relabelled(algebra):
         assert len(classes) == len(op_left.classes)
 
 
-@settings(max_examples=40)
-@given(some_algebras(), st.sampled_from(ORDERS))
-def test_merged_blocks_are_the_blocks_of_b(algebra, order):
-    # the blocks as the conversions read them hold B's entries, each merged
-    # class serving blocks of its own shape
-    bm = b_matrix(algebra, order)
-    classes = bm.merged[0]
-    held = {(r, c): s * t * v for rows, cols, rs, cs, m in linmap._merged_blocks(bm)
-            for r, s, values in zip(rows, rs, classes[m][0])
-            for c, t, v in zip(cols, cs, values) if v}
-    assert held == {(r, c): s * t * v for rows, cols, rs, cs, k in bm.blocks
-                    for r, s, values in zip(rows, rs, bm.classes[k][0])
-                    for c, t, v in zip(cols, cs, values) if v}
-    assert all(len(classes[m][0]) == len(rows) for rows, _, _, _, m in linmap._merged_blocks(bm))
-
-
-def walk_signs(b):
+def walk_signs(b, order):
     """Row and column signs of B's blocks as a breadth-first walk of the
     nonzero cells of the dense matrix b signs them: from each row not yet
-    reached, ascending, over ascending columns and rows, each new row or
-    column signed so that the cell that reaches it is positive."""
+    reached, ascending, over ascending rows and over the columns in the
+    build's order, each new row or column signed so that the cell that
+    reaches it is positive.  The left order's walk takes column (i, j) at
+    i n + j and the right order's, over A^op, at j n + i."""
     size = len(b)
+    n = isqrt(size)
+    columns = sorted(range(size), key=lambda c: c if order == "left" else relabel(c, n))
     rs, cs = [0] * size, [0] * size
     for first in range(size):
         if rs[first]:
             continue
         rs[first], reached = 1, [first]
         for r in reached:
-            for c in range(size):
+            for c in columns:
                 if b[r][c] and not cs[c]:
                     cs[c] = rs[r] if b[r][c] > 0 else -rs[r]
                     for r2 in range(size):
@@ -133,8 +121,8 @@ def walk_signs(b):
 @given(some_algebras(), st.sampled_from(ORDERS))
 def test_blocks_are_signed_by_the_walk_of_b(algebra, order):
     # the right order's blocks, read off the walk over A^op, carry the signs
-    # the walk of B itself gives, so its classes are those of that walk
-    rs, cs = walk_signs(reference_b(algebra, order))
+    # that walk gives, so its classes are those of that walk
+    rs, cs = walk_signs(reference_b(algebra, order), order)
     for rows, cols, block_rs, block_cs, _ in b_matrix(algebra, order).blocks:
         assert block_rs == [rs[r] for r in rows] and block_cs == [cs[c] for c in cols]
 
@@ -143,32 +131,28 @@ def oo():
     return tensor_product([octonion_algebra(), octonion_algebra()])
 
 
-@pytest.mark.parametrize("make, merged, classes", [
-    (complex_algebra, (1, 1), (1, 1)), (quaternion_algebra, (1, 1), (1, 1)),
-    (octonion_algebra, (1, 1), (1, 8)), (hh, (1, 1), (1, 1)), (oc, (1, 8), (1, 8)),
-    (e_half_minus_3, (4, 4), (4, 4)), (oo, (1, 1), (1, 64))],
+@pytest.mark.parametrize("make, classes", [
+    (complex_algebra, (1, 1)), (quaternion_algebra, (1, 1)), (octonion_algebra, (1, 1)),
+    (hh, (1, 1)), (oc, (1, 8)), (e_half_minus_3, (4, 4)), (oo, (1, 1))],
     ids=["C", "H", "O", "HH", "OC", "E", "OO"])
-def test_merged_class_counts(make, merged, classes, monkeypatch):
+def test_merged_class_counts(make, classes, monkeypatch):
+    # blocks equal up to signs and the walk's column order share one class
     factored = []
     factor = exact.factor
     monkeypatch.setattr(exact, "factor", lambda grid: factored.append(1) or factor(grid))
     algebra = make()
     counts = [b_matrix(algebra, order) for order in ORDERS]
-    assert tuple(len(bm.merged[0]) for bm in counts) == merged
     assert tuple(len(bm.classes) for bm in counts) == classes
-    # one elimination per merged class: the classes of ascending columns read
-    # their factors off the merged ones
-    assert len(factored) == sum(merged)
-    for bm in counts:  # O (x) O's right order: 8 of its 64 classes, for time
-        for f, factor in bm.classes[:8] + bm.merged[0]:
+    assert len(factored) == sum(classes)  # one elimination per class
+    for bm in counts:
+        for f, factor in bm.classes:
             check_factor(f, factor)
 
 
 def moved_and_flipped():
     """A unital algebra of dimension 3 whose right-order B is invertible and
-    has a block whose columns leave the walk's order with a pivot column
-    re-signed -1: a = e_1 and b = e_2 with a a = 1 - a, a b = a / 2 and
-    b b = a / 2."""
+    has a block whose columns do not ascend, one of them signed -1: a = e_1
+    and b = e_2 with a a = 1 - a, a b = a / 2 and b b = a / 2."""
     half = Fraction(1, 2)
     return FreeAlgebra(3, ["1", "a", "b"],
                        [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (1, 1, 0, 1),
@@ -179,16 +163,16 @@ def moved_and_flipped():
 def test_a_moved_class_with_a_flipped_pivot_keeps_its_factor():
     algebra = moved_and_flipped()
     bm = b_matrix(algebra, "right")
-    assert any(q is not None and q != sorted(q) and -1 in d for _, q, _, d in bm.merged[1])
+    assert any(cols != sorted(cols) and -1 in cs for _, cols, _, cs, _ in bm.blocks)
     for f, factor in bm.classes:
         check_factor(f, factor)
-    # the block inverses, read off the factors of ascending columns, invert B
+    # the block inverses, read off the factors of the walk's columns, invert B
     b, inverse = reference_b(algebra, "right"), bm.inverse_relations()
     for i in range(9):
         row = inverse[divmod(i, 3)]
         assert ([sum(v * b[k * 3 + m][c] for (k, m), v in row.items()) for c in range(9)]
                 == [int(c == i) for c in range(9)])
-    # the conversions, run on the merged class, substitute back before and
+    # the conversions, run on the moved class, substitute back before and
     # after compiling
     rng = random.Random(8)
     for _ in range(3):
@@ -215,7 +199,7 @@ def test_a_returned_null_space_is_the_caller_s_own():
 def test_compiled_kernels_give_the_row_loop(make, order):
     rng = random.Random(35)
     bm = b_matrix(make(), order)
-    for f, (_, _, left, _) in bm.merged[0]:
+    for f, (_, _, left, _) in bm.classes:
         for grid in (f, left):
             width = len(grid[0]) if grid else 0
             kernel = compile_matvec(grid, "test grid")
@@ -228,7 +212,7 @@ def test_compiled_kernels_give_the_row_loop(make, order):
 @given(some_algebras(), st.sampled_from(ORDERS), st.integers(0, 2 ** 32))
 def test_random_kernels_give_the_row_loop(algebra, order, seed):
     rng = random.Random(seed)
-    for f, (_, _, left, _) in b_matrix(algebra, order).merged[0]:
+    for f, (_, _, left, _) in b_matrix(algebra, order).classes:
         for grid in (f, left):
             v = [rng.randint(-10 ** 15, 10 ** 15) for _ in range(len(grid[0]) if grid else 0)]
             assert compile_matvec(grid, "test grid")(v) == row_loop(grid, v)
@@ -288,7 +272,7 @@ def test_shared_classes_compile_from_their_second_use(monkeypatch):
     monkeypatch.setattr(linmap, "compile_matvec",
                         lambda grid, label: compiled.append(grid) or compile_matvec(grid, label))
     O = octonion_algebra()
-    f, (_, _, left, _) = b_matrix(O).merged[0][0]
+    f, (_, _, left, _) = b_matrix(O).classes[0]
     g, t = dense_map(O, random.Random(1)), Tensor2.unit(O)
     standard_from_coords(g)
     linmap.tensor_map(t)
@@ -307,7 +291,7 @@ def test_one_block_classes_compile_nothing(order, monkeypatch):
         raise AssertionError("a class serving one block was compiled")
     monkeypatch.setattr(linmap, "compile_matvec", refuse)
     algebra = e_half_minus_3()  # 4 blocks in 4 classes
-    assert len(b_matrix(algebra, order).merged[0]) == 4
+    assert len(b_matrix(algebra, order).classes) == 4
     first, *later = results(algebra, order, random.Random(5))
     assert first is not None and all(x == first for x in later[1::2])
 
