@@ -63,6 +63,17 @@ class FreeAlgebra:
                  unit_index: Optional[int] = None,
                  tag: Optional[str] = None,
                  params: Optional[tuple] = None):
+        cells = [(i, j, k, v if type(v) is int else frac(v)) for i, j, k, v in constants]
+        ints, den = as_ints([v for *_, v in cells])
+        self._build(dim, labels, [(i, j, k, v) for (i, j, k, _), v in zip(cells, ints)], den,
+                    unit_index, tag, params)
+
+    def _build(self, dim: int, labels: Sequence[str], constants, den: int,
+               unit_index: Optional[int], tag: Optional[str] = None,
+               params: Optional[tuple] = None) -> None:
+        """``__init__`` on constants (i, j, k, v) whose values are the int
+        numerators v over ``den`` > 0: the one path every algebra is built
+        on, so that ``opposite`` and ``TensorAlgebra`` make no Fraction."""
         if dim < 1:
             raise InvalidAlgebra(f"dimension must be positive, got {dim}")
         if len(labels) != dim:
@@ -78,15 +89,15 @@ class FreeAlgebra:
         self._lock = threading.Lock()
         self._basis = None
 
-        values: dict[tuple[int, int, int], int | Fraction] = {}
+        values: dict[tuple[int, int, int], int] = {}
         for i, j, k, value in constants:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InvalidAlgebra(f"constant index ({i},{j},{k}) out of range for dim {dim}")
             if (i, j, k) in values:
                 raise InvalidAlgebra(f"duplicate structure constant for ({i},{j},{k})")
-            values[i, j, k] = value if type(value) is int else frac(value)
+            values[i, j, k] = value
         nonzero = sorted((key, v) for key, v in values.items() if v)
-        ints, self.denominator = as_ints([v for _, v in nonzero])
+        ints, self.denominator = canonical([v for _, v in nonzero], den)
         # sorted, e_i e_j as (j, k, v) in row i and as (i, k, v) in column j
         rows, cols = [[] for _ in range(dim)], [[] for _ in range(dim)]
         for ((i, j, k), _), v in zip(nonzero, ints):
@@ -171,12 +182,12 @@ class FreeAlgebra:
 def opposite(algebra: FreeAlgebra) -> FreeAlgebra:
     """The opposite algebra A^op, with product x . y = y x: A's constants
     with i and j swapped, read off its column table, and the same unit."""
-    den = algebra.denominator
-    return FreeAlgebra(algebra.dim, algebra.labels,
-                       [(j, i, k, v if den == 1 else Fraction(v, den))
-                        for j, column in enumerate(algebra.terms(opposite=True))
-                        for i, k, v in column],
-                       unit_index=algebra.unit_index)
+    op = FreeAlgebra.__new__(FreeAlgebra)
+    op._build(algebra.dim, algebra.labels,
+              [(j, i, k, v) for j, column in enumerate(algebra.terms(opposite=True))
+               for i, k, v in column],
+              algebra.denominator, algebra.unit_index)
+    return op
 
 
 class AlgElement(IntForm):

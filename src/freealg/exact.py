@@ -223,11 +223,14 @@ class IntForm:
 def primitive(row) -> list[int]:
     """The row scaled to coprime ints with a positive first nonzero entry, in
     a new list; a zero row comes back as zeros.  A row of ints is not rescaled."""
-    ints = list(row) if all(type(x) is int for x in row) else as_ints(row)[0]
-    g = gcd(*ints)
-    if next(filter(None, ints), 0) < 0:
+    try:
+        g = gcd(*row)  # a TypeError when the row holds a Fraction
+    except TypeError:
+        row = as_ints(row)[0]
+        g = gcd(*row)
+    if next(filter(None, row), 0) < 0:
         g = -g
-    return [x // g for x in ints] if g not in (0, 1) else ints
+    return [x // g for x in row] if g not in (0, 1) else list(row)
 
 
 def _eliminate(row: list[int], pivot_row: list[int], c: int,
@@ -306,23 +309,59 @@ def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
     return pivots, [row[:cols] for row in rows[:len(pivots)]], [row[cols:] for row in rows], den
 
 
+def _bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> tuple[int, list[int]]:
+    """Fraction-free elimination by exact division (Bareiss, Math. Comp. 22,
+    1968), in place, over the first ``cols`` columns, stopping at the first
+    column without a pivot.  Returns (k, over): columns 0..k-1 have pivots, on
+    rows 0..k-1, and row i stands for rows[i] times the last pivot over
+    over[i] (``jordan`` False: times the pivot before row i's, for i < k).
+
+    Step k takes the first row at or below k with a nonzero in column k,
+    negated to a positive pivot p, and clears column k below row k (above it
+    too with ``jordan``): a row with entry f there becomes (p row - f
+    pivot_row) / over[row] and is over p.  That is exactly Bareiss's row
+    for it, a minor, so the division leaves no remainder; a row with 0
+    there is not rewritten and stays over its last divisor.  A stale pivot
+    row is scaled once to the previous pivot, and a pivot row counts as over
+    its own pivot.  A rewritten row keeps only the columns after k, so
+    columns are counted from the end of the rows, which stays in place."""
+    n, width = len(rows), len(rows[0]) if rows else 0
+    over, prev = [1] * n, 1
+    for k in range(min(n, cols)):
+        c = k - width  # column k, from the end
+        for p in range(k, n):
+            if rows[p][c]:
+                break
+        else:
+            return k, over
+        prow = rows[p]
+        if over[p] != prev:
+            prow = [x * prev // over[p] for x in prow]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        rows[p], rows[k] = rows[k], prow  # in this order, p == k keeps the new row
+        pivot, tail = prow[c], prow[c + 1:]
+        over[p], over[k] = over[k], pivot
+        for i in range(0 if jordan else k + 1, n):
+            f = rows[i][c]
+            if f and i != k:
+                d = over[i]
+                rows[i] = [(pivot * x - f * y) // d for x, y in zip(rows[i][c + 1:], tail)]
+                over[i] = pivot
+        prev = pivot
+    return min(n, cols), over
+
+
 def invert_ints(a) -> tuple[list[int], int]:
     """The inverse of the square matrix a, of ints or Fractions, as canonical
     (ints, den): its entries row by row as ints over den.  ValueError when
     a is not square, and when it is singular, naming the first column
     without a pivot.
 
-    Gauss-Jordan on [D a | D], D the diagonal of each row's lcm of
-    denominators (1 on a row of ints), dividing each row step exactly by
-    the previous pivot (Bareiss): row k is the first row at or below k with
-    a nonzero in column k, negated to a positive pivot p, and every other
-    row becomes (p row - f row_k) / prev, f its column-k entry.  Each entry
-    is then a minor of [D a | D], so the division leaves no remainder, and
-    the last pivot is |det D a|; the left half ends as that pivot times I,
-    so the right half over it is a's inverse.  Cleared, column k is the
-    pivot on row k and 0 elsewhere and is not read again, so a row a step
-    rewrites keeps only the columns after it; columns are counted from the
-    end of the rows, which stays in place."""
+    ``_bareiss``' Gauss-Jordan on [D a | D], D the diagonal of each row's
+    lcm of denominators (1 on a row of ints): its last pivot is |det D a|,
+    the left half stands for that pivot times I, and so the right half,
+    each stale row scaled to the last pivot, is a's inverse over it."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"cannot invert a non-square matrix with {n} rows")
@@ -330,25 +369,13 @@ def invert_ints(a) -> tuple[list[int], int]:
     for i, row in enumerate(a):
         ints, den = (row, 1) if all(type(x) is int for x in row) else as_ints(row)
         rows.append([*ints, *[0] * i, den, *[0] * (n - 1 - i)])
-    prev = 1
-    for k in range(n):
-        c = k - 2 * n  # column k, from the end
-        p = next((i for i in range(k, n) if rows[i][c]), None)
-        if p is None:
-            raise ValueError(f"matrix is singular: no pivot in column {k}")
-        prow = rows[p]
-        if prow[c] < 0:
-            prow = [-x for x in prow]
-        rows[p], rows[k] = rows[k], prow  # in this order, p == k keeps the negated row
-        pivot, tail = prow[c], prow[c + 1:]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != k:
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            elif not f and pivot != prev:  # (pivot row - 0) / prev; unchanged when equal
-                rows[i] = [pivot * x // prev for x in row[c + 1:]]
-        prev = pivot
-    ints, den = canonical([x for row in rows for x in row[-n:]], prev)
+    k, over = _bareiss(rows, n, jordan=True)
+    if k < n:
+        raise ValueError(f"matrix is singular: no pivot in column {k}")
+    last = over[-1] if n else 1
+    if over.count(last) < n:
+        rows = [row if d == last else [x * last // d for x in row] for row, d in zip(rows, over)]
+    ints, den = canonical([x for row in rows for x in row[-n:]], last)
     return list(ints), den
 
 
@@ -402,16 +429,17 @@ def solve_ints(a, b) -> tuple[tuple[tuple[int, ...], int], list[tuple[tuple[int,
 
 def null_vector(a) -> tuple[tuple[int, ...], int]:
     """The null vector of a that ``solve_ints(a, zeros)`` lists first, canonical:
-    1 at a's leftmost free column, 0 at the others.  One echelon elimination of
-    a as given and one back-substitution; ValueError when every column of a has
-    a pivot or a's rows differ in length."""
+    1 at a's leftmost free column, 0 at the others.  ``_bareiss``' echelon
+    elimination of a's primitive rows, up to that column, and one
+    back-substitution; ValueError when every column of a has a pivot or a's
+    rows differ in length."""
     cols = _width(a)
     rows = [primitive(row) for row in a]
-    pivots = _reduce(rows, cols, echelon=True)
-    free = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+    free, _ = _bareiss(rows, cols)
     if free == cols:
         raise ValueError(f"no null vector: each of the {cols} columns has a pivot")
-    return _read_off(rows, pivots, cols, free, 1)
+    rows = [[0] * (cols - len(row)) + row for row in rows[:free]]
+    return _read_off(rows, list(range(free)), cols, free, 1)
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

@@ -32,7 +32,6 @@ which never imports it, through the module: ``linmap.tensor_map`` and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -65,14 +64,13 @@ class TensorAlgebra(FreeAlgebra):
         # one constant per choice of a nonzero integer cell (i, j, k, v) in each factor
         cells = [[(i, j, k, v) for i, row in enumerate(a.terms()) for j, k, v in row]
                  for a in factors]
-        constants = [(self.flat_index(i), self.flat_index(j), self.flat_index(k),
-                      prod(v) if den == 1 else Fraction(prod(v), den))
+        constants = [(self.flat_index(i), self.flat_index(j), self.flat_index(k), prod(v))
                      for i, j, k, v in (zip(*choice) for choice in product(*cells))]
 
         unit = None
         if all(a.unit_index is not None for a in factors):
             unit = self.flat_index([a.unit_index for a in factors])
-        super().__init__(len(multis), labels, constants, unit_index=unit)
+        self._build(len(multis), labels, constants, den, unit)
 
     def flat_index(self, multi: Sequence[int]) -> int:
         idx = 0

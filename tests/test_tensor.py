@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap,
                      QuaternionParams, SingularTensor, SubstitutionCheckFailed, Tensor2,
-                     inverse_element, is_associative, linmap, multiply, norm_sq,
+                     inverse_element, is_associative, linmap, multiply, norm_sq, opposite,
                      quaternion_algebra, random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
@@ -74,6 +75,31 @@ def test_constants_match_componentwise_product(C, H):
                             multiply(algebra.basis_element(k2), algebra.basis_element(l2)),
                         ])
                         assert lhs == rhs
+
+
+def product_constants(a, b):
+    """(dim, sorted constants) of the tensor product of the algebras given as
+    (dim, constants), their values multiplied as Fractions."""
+    (m, ca), (n, cb) = a, b
+    return m * n, sorted((i * n + p, j * n + q, k * n + r, v * w)
+                         for i, j, k, v in ca for p, q, r, w in cb)
+
+
+def test_tensor_and_opposite_tables_are_built_without_fractions(count_fractions):
+    # A (x) A^op for A = E(1/2, -1/3) (x) E(1/2, -1/3): 65536 constants over
+    # 1296, built on int numerators with no Fraction made, and equal to the
+    # products of E's constants taken as Fractions
+    E = quaternion_algebra(QuaternionParams(Fraction(1, 2), Fraction(-1, 3)))
+    A = tensor_product([E, E])
+    built = count_fractions()
+    twisted = TensorAlgebra([A, opposite(A)])
+    assert built == []
+    dim, a = product_constants((4, E.constants), (4, E.constants))
+    op = sorted((j, i, k, v) for i, j, k, v in a)
+    dim, want = product_constants((dim, a), (dim, op))
+    assert (twisted.dim, twisted.constants) == (dim, tuple(want))
+    assert twisted.denominator == lcm(*(v.denominator for *_, v in want)) == 1296
+    assert twisted.unit_index == 0
 
 
 def test_decomposable_product_random(H):
