@@ -65,15 +65,12 @@ class FreeAlgebra:
                  params: Optional[tuple] = None):
         cells = [(i, j, k, v if type(v) is int else frac(v)) for i, j, k, v in constants]
         ints, den = as_ints([v for *_, v in cells])
-        self._build(dim, labels, [(i, j, k, v) for (i, j, k, _), v in zip(cells, ints)], den,
-                    unit_index, tag, params)
+        self._build(dim, labels, [(*c[:3], v) for c, v in zip(cells, ints)], den, unit_index,
+                    tag, params)
 
-    def _build(self, dim: int, labels: Sequence[str], constants, den: int,
-               unit_index: Optional[int], tag: Optional[str] = None,
-               params: Optional[tuple] = None) -> None:
-        """``__init__`` on constants (i, j, k, v) whose values are the int
-        numerators v over ``den`` > 0: the one path every algebra is built
-        on, so that ``opposite`` and ``TensorAlgebra`` make no Fraction."""
+    def _build(self, dim, labels, constants, den: int, unit_index, tag=None, params=None):
+        """``__init__`` on constants (i, j, k, v) with int values v over ``den`` > 0,
+        the path of every algebra; ``opposite`` and ``TensorAlgebra`` make no Fraction."""
         if dim < 1:
             raise InvalidAlgebra(f"dimension must be positive, got {dim}")
         if len(labels) != dim:

@@ -5,32 +5,39 @@ Nothing in this module ever rounds; every function either returns exact
 rationals or raises.
 
 Elimination runs in two loops over Python ints.  ``_reduce`` serves rank,
-solve_ints, null_vector, factor and the span of
-``linmap.representation_basis``.  ``factor`` and the span run it as
-Gauss-Jordan, each pivot clearing its column above and below; ``rank``,
-``solve_ints`` and ``null_vector`` stop at echelon form, clearing below
-each pivot only, about half the row steps.  One back-substitution over
-the echelon rows, ``_read_off``, reads a vector off exactly and makes it
-canonical, so it is the unique vector a reduced form gives:
+solve_ints, factor and the span of ``linmap.representation_basis``;
+``factor`` and the span run it as Gauss-Jordan, ``rank`` and
+``solve_ints`` stop at echelon form, clearing below each pivot only,
+about half the row steps.  A row enters scaled by the lcm of its
+denominators; each row step cross-multiplies by the pivot and divides the
+row by the gcd of its entries, so rows stay short on the sparse +-1
+blocks of the component matrix, whose minors grow.  ``_bareiss`` divides
+each row step exactly by an earlier pivot, as Bareiss does (Math. Comp.
+22, 1968), with no gcd: ``invert_ints`` runs it as Gauss-Jordan on
+[a | I], ``null_vector`` in echelon form, and both stop at the first
+column without a pivot.  Its rows are Bareiss's, minors of the input, up
+to a deferred scale: a row with 0 in the pivot column is not rewritten
+and stays over the pivot it was last divided by, and when a later step
+rewrites it, p row - f pivot_row is divided by that pivot, exactly, as
+the quotient is Bareiss's row.  One back-substitution over echelon rows,
+``_read_off``, reads a vector off exactly and makes it canonical:
 ``solve_ints`` reads its particular solution and each null vector,
-``null_vector`` the first null vector alone.  A row enters scaled by the
-lcm of its denominators, which keeps its row space; each row step
-cross-multiplies by the pivot and divides the row by the gcd of its
-entries, so primitive rows stay short on the sparse +-1 blocks of the
-component matrix, whose minors grow.  ``invert_ints`` runs its own
-Gauss-Jordan on [a | I], dividing each row step exactly by the previous
-pivot as Bareiss does (Math. Comp. 22, 1968): the maps it inverts are
-dense, their rows have no common factor to divide out, and the per-row
-gcd is wasted there.  Measured against ``_reduce`` on 2 CPUs, exact
-division inverts H's tensor maps in about 0.5x the time, random maps on
-O, H (x) H and O (x) H in 0.64-0.73x, a basis shift of O (x) O in
+``null_vector`` the first null vector alone.
+
+Measured in process on 2 CPUs (Python 3.11), exact division inverts H's
+tensor maps in about 0.5x the time of ``_reduce``, random maps on O,
+H (x) H and O (x) H in 0.64-0.73x, a basis shift of O (x) O in
 0.47-0.54x and shifts of random elements in 0.74x (O (x) O) to about
-1.03x (O (x) H, whose minors share a factor the gcd divides out); on
-``_reduce``'s callers it was slower: 2.2-3.4x on the class grids of
-H (x) H and O (x) O, 19x on ``linmap.orbit_contains``' H (x) H system,
-4.7x on the Gram solve of a square-zero ``representation_basis``, and on
-``null_vector`` 1.1-3.2x on systems of basis shifts with rational right
-sides.  Fractions appear only on the way out, and ``as_fractions`` builds
+1.06x (O (x) H, whose minors share a factor the gcd divides out);
+deferring the scale takes 0.89-1.00x the time of rescaling every row at
+every step.  ``null_vector`` of the [M | -b] of ``solver.solve_additive``
+over C, H, O and H (x) H takes 0.63-0.79x the time of ``_reduce`` on
+dense systems, singular or not, 0.59-1.00x on shifts of random elements,
+0.84-0.99x on basis shifts with rational right sides and 0.62-0.89x on
+singular ones.  On ``_reduce``'s callers, whose rows share factors, exact
+division was 2.2-19x slower.
+
+Fractions appear only on the way out, and ``as_fractions`` builds
 every one the package reads off an int form: the coordinates and
 components of ``IntForm`` values, B's relations, an algebra's constants,
 ``norm_sq`` and the views ``invert``, ``solve`` and ``mat_mul``.  It
@@ -310,21 +317,17 @@ def factor(a) -> tuple[list[int], list[list[int]], list[list[int]], int]:
 
 
 def _bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> tuple[int, list[int]]:
-    """Fraction-free elimination by exact division (Bareiss, Math. Comp. 22,
-    1968), in place, over the first ``cols`` columns, stopping at the first
-    column without a pivot.  Returns (k, over): columns 0..k-1 have pivots, on
-    rows 0..k-1, and row i stands for rows[i] times the last pivot over
-    over[i] (``jordan`` False: times the pivot before row i's, for i < k).
-
-    Step k takes the first row at or below k with a nonzero in column k,
-    negated to a positive pivot p, and clears column k below row k (above it
-    too with ``jordan``): a row with entry f there becomes (p row - f
-    pivot_row) / over[row] and is over p.  That is exactly Bareiss's row
-    for it, a minor, so the division leaves no remainder; a row with 0
-    there is not rewritten and stays over its last divisor.  A stale pivot
-    row is scaled once to the previous pivot, and a pivot row counts as over
-    its own pivot.  A rewritten row keeps only the columns after k, so
-    columns are counted from the end of the rows, which stays in place."""
+    """Exact-division elimination, in place, over the first ``cols`` columns,
+    up to the first column without a pivot.  Returns (k, over): columns
+    0..k-1 have positive pivots on rows 0..k-1, and rows k on are 0 in
+    column k unless k is ``cols`` or the number of rows.  Step k negates
+    the first row at or below k with a nonzero in column k to a positive
+    pivot p and clears column k below row k, and above it with ``jordan``:
+    a row with entry f there becomes (p row - f pivot_row) / over[row], then
+    over p.  A row over d stands for rows[i] times the last pivot over d,
+    Bareiss's row, so each division is exact; a stale pivot row is scaled to
+    the previous pivot once, and a pivot row counts as over its own pivot.
+    A rewritten row keeps only the columns after k, counted from the end."""
     n, width = len(rows), len(rows[0]) if rows else 0
     over, prev = [1] * n, 1
     for k in range(min(n, cols)):
@@ -439,7 +442,7 @@ def null_vector(a) -> tuple[tuple[int, ...], int]:
     if free == cols:
         raise ValueError(f"no null vector: each of the {cols} columns has a pivot")
     rows = [[0] * (cols - len(row)) + row for row in rows[:free]]
-    return _read_off(rows, list(range(free)), cols, free, 1)
+    return _read_off(rows, range(free), cols, free, 1)
 
 
 def solve(a: Mat, b: Vec) -> tuple[Vec, list[Vec]]:

@@ -5,8 +5,9 @@ As in the paper, its sum is the sum of maps and its row-by-column
 product composes entries.  ``flatten`` builds the one rational block
 matrix of a MapMatrix; inversion inverts it and cuts the inverse back
 into maps.  A system is solved by eliminating the int rows of that
-matrix with the right side appended once, never inverting M, and
-reading off one null vector (``exact.null_vector``).  The answer is
+matrix with the right side appended once, never inverting M, by exact
+division up to its first column without a pivot, and reading off one
+null vector there (``exact.null_vector``).  The answer is
 then substituted back through the maps, not through the eliminated
 matrix, each equation's ``apply`` terms summed over one denominator, and
 a singular system is refused with a witness x != 0 checked the same way.

@@ -486,6 +486,7 @@ def test_primitive_rows():
     assert exact.primitive([0, 0, 0]) == [0, 0, 0]
     assert exact.primitive([Fraction(0), Fraction(0)]) == [0, 0]
     assert exact.primitive([-2, 4, 0]) == [1, -2, 0]
+    assert exact.primitive([2, 4, 0]) == [1, 2, 0] == exact.primitive([Fraction(4), 8, 0])
     assert exact.primitive([0, -3, 6]) == [0, 1, -2]
     assert exact.primitive([Fraction(-1, 2), Fraction(1, 3)]) == [3, -2]
     row = (2, 3)
