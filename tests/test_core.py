@@ -156,6 +156,15 @@ def test_unitless_algebra():
 def test_index_out_of_range_rejected():
     with pytest.raises(InvalidAlgebra):
         FreeAlgebra(2, ("a", "b"), [(0, 0, 5, 1)])
+    # each index at dim, the first out of range, and a unit index at dim
+    for i, j, k in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
+        with pytest.raises(InvalidAlgebra,
+                           match=rf"^constant index \({i},{j},{k}\) out of range for dim 2$"):
+            FreeAlgebra(2, ("a", "b"), [(i, j, k, 1)])
+    with pytest.raises(InvalidAlgebra, match="^unit index 2 out of range$"):
+        FreeAlgebra(2, ("a", "b"), [(0, 0, 0, 1)], unit_index=2)
+    with pytest.raises(InvalidAlgebra, match="^duplicate label 'b'$"):
+        FreeAlgebra(3, ("a", "b", "b"), [])
 
 
 def test_element_validation(C):
