@@ -230,9 +230,9 @@ def test_invert_is_the_fraction_view_of_its_int_core():
         singular += check_inverse(m) is not None
     assert singular > 3
     # a negative pivot swapped up and one already in place (the negated row
-    # must be the one kept), rows with 0 in the pivot column while the pivot
-    # differs from the previous one (scaled by pivot / previous) or equals
-    # it (left alone), rows of ints beside rows of Fractions
+    # must be the one kept), rows with 0 in the pivot column, left over an
+    # older pivot while the pivot changes or stays, rows of ints beside rows
+    # of Fractions
     for m in ([[0, 1], [-3, 2]], [[-2, 1], [1, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]],
               [[2, 0, 1], [0, 3, 1], [1, 1, 1]], [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
               [[1, 0, 2], [0, 1, 3], [4, 5, 1]], [[0, 0, 1], [0, 2, 0], [-3, 0, 0]],
