@@ -172,7 +172,7 @@ def test_exact_has_two_elimination_loops():
     # _reduce, for factor, rank, solve_ints and the span of
     # representation_basis, and _bareiss, for invert_ints and null_vector
     package = Path(exact.__file__).parent
-    callers = {"_reduce": set(), "_bareiss": set(), "_eliminate": set()}
+    callers = {"_reduce": set(), "_bareiss": set()}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
@@ -185,5 +185,4 @@ def test_exact_has_two_elimination_loops():
                         callers[name].add(f"{path.stem}.{func.name}")
     assert callers == {"_reduce": {"exact.rank", "exact.factor", "exact.solve_ints",
                                    "linmap.representation_basis"},
-                       "_bareiss": {"exact.invert_ints", "exact.null_vector"},
-                       "_eliminate": {"exact._reduce"}}
+                       "_bareiss": {"exact.invert_ints", "exact.null_vector"}}
