@@ -189,6 +189,43 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
+FAILING_SUITE_OUTPUT = {
+    False: ("verification suite: tables\n"
+            "  [ok]   first.passes\n"
+            "  [FAIL] second.fails\n"
+            "         expected: 0\n"
+            "         actual:   1\n"
+            "  [ok]   third.passes\n"
+            "result: FAIL (2/3 checks)\n"),
+    True: ("subject=tables\n"
+           "check.first.passes=PASS\n"
+           "check.second.fails=FAIL\n"
+           "expected.second.fails=0\n"
+           "actual.second.fails=1\n"
+           "check.third.passes=PASS\n"
+           "result=FAIL\n"),
+}
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+def test_a_failing_suite_prints_each_check(capsys, monkeypatch, machine):
+    # a pass, a fail and a pass: the failing check shows both sides, the
+    # passing ones only their names, and stderr names the failure
+    import freealg.cli as cli_mod
+
+    def failing_suite():
+        report = cli_mod.VerificationReport("tables")
+        report.add("first.passes", "1", "1")
+        report.add("second.fails", "0", "1")
+        report.add("third.passes", "x", "x")
+        return report
+
+    monkeypatch.setitem(cli_mod._VERIFY_SUITES, "tables", failing_suite)
+    code, out, err = run(capsys, "verify", "tables", *(["--machine"] if machine else []))
+    assert (code, out, err) == (1, FAILING_SUITE_OUTPUT[machine],
+                                "first failing check: second.fails\n")
+
+
 @pytest.mark.parametrize("error, line", [
     (RuntimeError("boom"), "error: internal error (RuntimeError): boom"),
     (KeyError("row"), "error: internal error (KeyError): 'row'"),

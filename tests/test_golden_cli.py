@@ -18,8 +18,8 @@ with ``tests/golden/``: stdout in ``<case>.stdout``, argv, exit code and
 stderr in ``index.json``.  The captures fix every printed digit, so a
 change to the arithmetic underneath must leave the output untouched.
 
-``verify teichmueller`` and ``verify shifts`` are left out: they run no
-elimination and take several seconds each.
+All four verify suites are captured, so the report each prints is fixed
+byte for byte as well as its verdict.
 
 To re-capture after an intended output change:
 
@@ -125,6 +125,8 @@ COMMANDS = {
     "tables-octonion": ["tables", "octonion"],
     "verify-tables": ["verify", "tables"],
     "verify-quasidet": ["verify", "quasidet"],
+    "verify-teichmueller": ["verify", "teichmueller"],
+    "verify-shifts": ["verify", "shifts"],
     "basis-complex": ["basis", "complex"],
     "basis-octonion": ["basis", "octonion"],
     "basis-split-quaternions": ["basis", "split_quaternions.json"],
