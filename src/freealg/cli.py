@@ -42,7 +42,6 @@ import random
 import re
 import signal
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -72,57 +71,31 @@ BUILTIN_NAMES = ("complex", "quaternion", "octonion")
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class Check:
-    name: str
-    expected: str
-    actual: str
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one verify suite; pass iff expected == actual exactly."""
-
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-
-    def add(self, name: str, expected: str, actual: str) -> None:
-        self.checks.append(Check(name, expected, actual))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> Check | None:
-        return next((c for c in self.checks if not c.passed), None)
-
-    def render(self, machine: bool) -> str:
-        lines = []
-        if machine:
-            lines.append(f"subject={self.subject}")
-            for c in self.checks:
-                lines.append(f"check.{c.name}={'PASS' if c.passed else 'FAIL'}")
-                if not c.passed:
-                    lines.append(f"expected.{c.name}={c.expected}")
-                    lines.append(f"actual.{c.name}={c.actual}")
-            lines.append(f"result={'PASS' if self.ok else 'FAIL'}")
-        else:
-            lines.append(f"verification suite: {self.subject}")
-            for c in self.checks:
-                if c.passed:
-                    lines.append(f"  [ok]   {c.name}")
-                else:
-                    lines.append(f"  [FAIL] {c.name}")
-                    lines.append(f"         expected: {c.expected}")
-                    lines.append(f"         actual:   {c.actual}")
-            good = sum(c.passed for c in self.checks)
-            lines.append(f"result: {'PASS' if self.ok else 'FAIL'} "
-                         f"({good}/{len(self.checks)} checks)")
-        return "\n".join(lines)
+def _render_checks(subject: str, checks: list[tuple[str, str, str]], machine: bool) -> str:
+    """The report of a verify suite's (name, expected, actual) checks; a check
+    passes iff expected == actual exactly."""
+    good = sum(expected == actual for _, expected, actual in checks)
+    verdict = "PASS" if good == len(checks) else "FAIL"
+    lines = []
+    if machine:
+        lines.append(f"subject={subject}")
+        for name, expected, actual in checks:
+            lines.append(f"check.{name}={'PASS' if expected == actual else 'FAIL'}")
+            if expected != actual:
+                lines.append(f"expected.{name}={expected}")
+                lines.append(f"actual.{name}={actual}")
+        lines.append(f"result={verdict}")
+    else:
+        lines.append(f"verification suite: {subject}")
+        for name, expected, actual in checks:
+            if expected == actual:
+                lines.append(f"  [ok]   {name}")
+            else:
+                lines.append(f"  [FAIL] {name}")
+                lines.append(f"         expected: {expected}")
+                lines.append(f"         actual:   {actual}")
+        lines.append(f"result: {verdict} ({good}/{len(checks)} checks)")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +334,8 @@ def _sign_matrix(bm) -> list[list[Fraction]]:
     return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
-def _verify_conversion_tables() -> VerificationReport:
-    report = VerificationReport("tables")
+def _verify_conversion_tables() -> list[tuple[str, str, str]]:
+    checks = []
     cases = [
         ("H", quaternion_algebra(),
          golden.quaternion_coord_relations(), golden.quaternion_standard_relations(),
@@ -379,29 +352,29 @@ def _verify_conversion_tables() -> VerificationReport:
         bm = b_matrix(algebra)
         coords = bm.relations()
         for (k, m) in sorted(coord_rel):
-            report.add(f"{name}.coord.f{k}_{m}",
-                       _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)]))
+            checks.append((f"{name}.coord.f{k}_{m}",
+                           _relation_str(coord_rel[(k, m)]), _relation_str(coords[(k, m)])))
         standard = bm.inverse_relations()
         for (i, j) in sorted(std_rel):
-            report.add(f"{name}.standard.f{i}{j}",
-                       _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)]))
+            checks.append((f"{name}.standard.f{i}{j}",
+                           _relation_str(std_rel[(i, j)]), _relation_str(standard[(i, j)])))
         computed_f = _sign_matrix(bm)
-        report.add(f"{name}.sign_matrix",
-                   matrix_str([[Fraction(v) for v in row] for row in sign_m]),
-                   matrix_str(computed_f))
-        report.add(f"{name}.sign_matrix.product",  # F (F^-1 den) = den I
-                   matrix_str([[den * (r == c) for c in range(n)] for r in range(n)]),
-                   matrix_str(exact.int_mat_mul(computed_f, sign_inv_num, n)))
+        checks.append((f"{name}.sign_matrix",
+                       matrix_str([[Fraction(v) for v in row] for row in sign_m]),
+                       matrix_str(computed_f)))
+        checks.append((f"{name}.sign_matrix.product",  # F (F^-1 den) = den I
+                       matrix_str([[den * (r == c) for c in range(n)] for r in range(n)]),
+                       matrix_str(exact.int_mat_mul(computed_f, sign_inv_num, n))))
         # conjugation through the component solver
         solution = standard_from_coords(
             LinearMap(algebra, algebra, conjugation_coords(algebra)))
         expected = {(k, k): conj_component for k in range(n)}
         got = {(i, j): v for i, row in enumerate(solution.particular.components)
                for j, v in enumerate(row) if v}
-        report.add(f"{name}.conjugation.components",
-                   _relation_str(expected), _relation_str(got))
-        report.add(f"{name}.conjugation.unique", "1",
-                   "1" if solution.is_unique() else "0")
+        checks.append((f"{name}.conjugation.components",
+                       _relation_str(expected), _relation_str(got)))
+        checks.append((f"{name}.conjugation.unique", "1",
+                       "1" if solution.is_unique() else "0"))
         # conjugation as a sandwich sum, directly on random elements
         rng = random.Random(20100801)
         for sample in range(10):
@@ -410,14 +383,14 @@ def _verify_conversion_tables() -> VerificationReport:
             for t in range(n):
                 e_t = algebra.basis_element(t)
                 acc = acc + multiply(multiply(e_t, z), e_t)
-            report.add(f"{name}.conjugation.identity.{sample}",
-                       vector_str(conjugate(z).coords),
-                       vector_str(acc.scaled(conj_component).coords))
-    return report
+            checks.append((f"{name}.conjugation.identity.{sample}",
+                           vector_str(conjugate(z).coords),
+                           vector_str(acc.scaled(conj_component).coords)))
+    return checks
 
 
-def _verify_teichmueller() -> VerificationReport:
-    report = VerificationReport("teichmueller")
+def _verify_teichmueller() -> list[tuple[str, str, str]]:
+    checks = []
     algebra = octonion_algebra()
     rng = random.Random(32303)
     zero = vector_str(algebra.zero().coords)
@@ -427,13 +400,13 @@ def _verify_teichmueller() -> VerificationReport:
         rhs = (associator(multiply(a, b), c, d)
                - associator(a, multiply(b, c), d)
                + associator(a, b, multiply(c, d)))
-        report.add(f"sample.{sample:03d}", zero,
-                   vector_str((lhs - rhs).coords))
-    return report
+        checks.append((f"sample.{sample:03d}", zero,
+                       vector_str((lhs - rhs).coords)))
+    return checks
 
 
-def _verify_shifts() -> VerificationReport:
-    report = VerificationReport("shifts")
+def _verify_shifts() -> list[tuple[str, str, str]]:
+    checks = []
     algebra = octonion_algebra()
     rng = random.Random(380806)
     zero = matrix_str(LinearMap.zero(algebra).coords)
@@ -443,9 +416,9 @@ def _verify_shifts() -> VerificationReport:
                 - left_shift(multiply(a, b)))
         right = (compose(right_shift(a), right_shift(b))
                  - right_shift(multiply(b, a)) - right_associator_map(b, a))
-        report.add(f"left.{sample:03d}", zero, matrix_str(left.coords))
-        report.add(f"right.{sample:03d}", zero, matrix_str(right.coords))
-    return report
+        checks.append((f"left.{sample:03d}", zero, matrix_str(left.coords)))
+        checks.append((f"right.{sample:03d}", zero, matrix_str(right.coords)))
+    return checks
 
 
 def _random_cadd_matrix(algebra, rng, size: int) -> MapMatrix:
@@ -456,8 +429,8 @@ def _random_cadd_matrix(algebra, rng, size: int) -> MapMatrix:
     return MapMatrix([[entry() for _ in range(size)] for _ in range(size)])
 
 
-def _verify_quasidet() -> VerificationReport:
-    report = VerificationReport("quasidet")
+def _verify_quasidet() -> list[tuple[str, str, str]]:
+    checks = []
     algebra = complex_algebra()
     rng = random.Random(230310)
     done = {2: 0, 3: 0}
@@ -472,13 +445,13 @@ def _verify_quasidet() -> VerificationReport:
             for i in range(size):
                 for j in range(size):
                     recursed = quasideterminant(m, j, i)
-                    report.add(f"{size}x{size}.{done[size]:02d}.entry{i}{j}",
-                               matrix_str(inverse.entries[i][j].coords),
-                               matrix_str(recursed.inverse().coords))
+                    checks.append((f"{size}x{size}.{done[size]:02d}.entry{i}{j}",
+                                   matrix_str(inverse.entries[i][j].coords),
+                                   matrix_str(recursed.inverse().coords)))
         except (MinorSingular, ValueError):
             continue
         done[size] += 1
-    return report
+    return checks
 
 
 _VERIFY_SUITES = {
@@ -558,11 +531,11 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = _VERIFY_SUITES[args.suite]()
-    print(report.render(args.machine))
-    if not report.ok:
-        failure = report.first_failure()
-        print(f"first failing check: {failure.name}", file=sys.stderr)
+    checks = _VERIFY_SUITES[args.suite]()
+    print(_render_checks(args.suite, checks, args.machine))
+    failed = [name for name, expected, actual in checks if expected != actual]
+    if failed:
+        print(f"first failing check: {failed[0]}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

@@ -178,9 +178,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import freealg.cli as cli_mod
 
     def broken_suite():
-        report = cli_mod.VerificationReport("broken")
-        report.add("always.fails", "0", "1")
-        return report
+        return [("always.fails", "0", "1")]
 
     monkeypatch.setitem(cli_mod._VERIFY_SUITES, "tables", broken_suite)
     code, out, err = run(capsys, "verify", "tables")
@@ -214,11 +212,8 @@ def test_a_failing_suite_prints_each_check(capsys, monkeypatch, machine):
     import freealg.cli as cli_mod
 
     def failing_suite():
-        report = cli_mod.VerificationReport("tables")
-        report.add("first.passes", "1", "1")
-        report.add("second.fails", "0", "1")
-        report.add("third.passes", "x", "x")
-        return report
+        return [("first.passes", "1", "1"), ("second.fails", "0", "1"),
+                ("third.passes", "x", "x")]
 
     monkeypatch.setitem(cli_mod._VERIFY_SUITES, "tables", failing_suite)
     code, out, err = run(capsys, "verify", "tables", *(["--machine"] if machine else []))
