@@ -509,6 +509,11 @@ def cmd_tables(args) -> int:
         sign = _sign_matrix(b_matrix(algebra))
         ints, den = exact.invert_ints(sign)
         num = exact.blocks(ints, n)
+        f_ints, f_den = exact.as_ints([v for row in sign for v in row])
+        # F = f_ints / f_den and F^-1 = num / den: F F^-1 = I is f_ints num = f_den den I
+        if exact.int_mat_mul(exact.blocks(f_ints, n), num, n) != [
+                [f_den * den * (r == c) for c in range(n)] for r in range(n)]:
+            raise SubstitutionCheckFailed("F * F^-1 is not the identity")
         if args.machine:
             for r in range(n):
                 lines.append(f"F.{r}={vector_str(sign[r])}")
@@ -523,9 +528,7 @@ def cmd_tables(args) -> int:
             lines.append(f"F^-1 = 1/{den} *")
             for row in num:
                 lines.append("   " + " ".join(f"{str(v):>3}" for v in row))
-            check = exact.int_mat_mul(sign, num, n) == [[den * (r == c) for c in range(n)]
-                                                        for r in range(n)]
-            lines.append(f"F * F^-1 == identity: {'yes' if check else 'NO'}")
+            lines.append("F * F^-1 == identity: yes")
     print("\n".join(lines))
     return EXIT_OK
 

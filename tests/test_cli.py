@@ -161,6 +161,29 @@ def test_tables_octonion(capsys):
     assert values["F.7"] == "1 1 1 1 1 1 1 -1"
 
 
+@pytest.mark.parametrize("which", ["quaternion", "octonion"])
+@pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+def test_tables_check_the_inverse_before_printing(capsys, monkeypatch, which, machine):
+    # F^-1 is multiplied back into F in both modes; a wrong inverse is a
+    # defect (exit 4, one line, nothing printed), and a right one over a
+    # denominator of F passes
+    import freealg.cli as cli_mod
+    argv = ["tables", which, *(["--machine"] if machine else [])]
+    invert, sign_matrix = cli_mod.exact.invert_ints, cli_mod._sign_matrix
+
+    def wrong(a):
+        ints, den = invert(a)
+        return [ints[0] + 1, *ints[1:]], den
+
+    monkeypatch.setattr(cli_mod.exact, "invert_ints", wrong)
+    assert run(capsys, *argv) == (
+        4, "", "error: internal error (SubstitutionCheckFailed): F * F^-1 is not the identity\n")
+    monkeypatch.setattr(cli_mod.exact, "invert_ints", invert)
+    monkeypatch.setattr(cli_mod, "_sign_matrix",
+                        lambda bm: [[v / 3 for v in row] for row in sign_matrix(bm)])
+    assert run(capsys, *argv)[::2] == (0, "")
+
+
 def test_tables_complex(capsys):
     code, out, _ = run(capsys, "tables", "complex")
     assert code == 0
