@@ -566,7 +566,8 @@ def cmd_basis(args) -> int:
 
 def cmd_algebra_builtin(args) -> int:
     algebra = make_builtin(args.name, args.a, args.b)
-    print(json.dumps(algebra_to_json(algebra), indent=2))
+    with _all_digits():
+        print(json.dumps(algebra_to_json(algebra), indent=2))
     return EXIT_OK
 
 

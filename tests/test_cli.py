@@ -554,6 +554,20 @@ def test_algebra_builtin_round_trip(capsys):
     assert rebuilt.unit_index == 0
 
 
+def test_algebra_builtin_prints_a_constant_longer_than_the_digit_limit(capsys):
+    # --a and --b are each under Python's 4,300-digit limit on int-to-str;
+    # k k = -a b is near 8,000 digits, printed in full, and the limit is
+    # back in place afterwards
+    limits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = limits()
+    n = "9" * 4000
+    code, out, err = run(capsys, "algebra", "builtin", "quaternion", f"--a={n}", f"--b={n}")
+    assert (code, err) == (0, "")
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"
+    assert "-" + square in {v for *_, v in json.loads(out)["constants"]}
+    assert limits() == limit
+
+
 def test_algebra_json_round_trip():
     algebra = complex_algebra()
     doc = algebra_to_json(algebra)
