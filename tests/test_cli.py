@@ -201,12 +201,12 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import freealg.cli as cli_mod
 
     def broken_suite():
-        return [("always.fails", "0", "1")]
+        return [("always.fails", "0", "1"), ("fails.too", "0", "2")]
 
     monkeypatch.setitem(cli_mod._VERIFY_SUITES, "tables", broken_suite)
     code, out, err = run(capsys, "verify", "tables")
     assert code == 1
-    assert "first failing check: always.fails" in err
+    assert err == "first failing check: always.fails\n"
     assert "result: FAIL" in out
 
 
@@ -397,7 +397,9 @@ def _exponent_constant_doc():
 
 
 @pytest.mark.parametrize("command, doc, reason", [
-    ("solve", [["1", "2"], ["3", "4"]], "JSON object"),
+    ("solve", [["1", "2"], ["3", "4"]], "system file must hold a JSON object"),
+    ("basis", [1], "algebra file must hold a JSON object"),
+    ("solve", {"algebra": "complex", "matrix": [["1"]]}, "definition misses field 'rhs'"),
     ("solve", _system_doc(matrix=[["1", 5]]), "got 5"),
     ("solve", _system_doc(matrix=[[None]]), "got null"),
     ("basis", _bool_index_doc("constant"), "got true"),
@@ -443,7 +445,7 @@ def _exponent_constant_doc():
     ("solve", _system_doc(rhs=[["1", "2", "x"]]),
      'rhs coordinate must be a fraction string or an integer, got "x"'),
     ("solve", _system_doc(rhs=[["1", "2", "3"]]), "expected 2 coordinates, got 3"),
-], ids=["top_level_list", "integer_cell", "null_cell", "bool_constant_index",
+], ids=["top_level_list", "top_level_list_algebra", "missing_field", "integer_cell", "null_cell", "bool_constant_index",
         "bool_unit_index", "row_not_list", "rhs_entry_not_list", "float_index",
         "float_dim", "labels_string", "labels_not_strings", "labels_integer", "duplicate_labels",
         "float_cell", "float_rhs", "float_constant", "algebra_object", "algebra_integer",
@@ -492,8 +494,8 @@ def _long_int(doc):
      '--b must be a fraction string or an integer, got "zz"'),
     (["solve"], _long_int(_system_doc(rhs=[["LONG", "0"]])),
      "rhs coordinate has too many digits"),
-    (["basis"], _long_int(_complex_doc(dim="LONG")), "dimension"),
-    (["basis"], _long_int(_complex_doc(labels=["1", "LONG"])), "label"),
+    (["basis"], _long_int(_complex_doc(dim="LONG")), "dimension has too many digits"),
+    (["basis"], _long_int(_complex_doc(labels=["1", "LONG"])), "label has too many digits"),
 ], ids=["deep_list", "deep_matrix", "deep_algebra", "exponent_coordinate",
         "bad_literal_in_ragged_file", "ragged_file", "file_of_wrong_shape", "decimal_param",
         "complex_param", "octonion_param", "long_rhs_integer", "long_dim", "long_label"])
