@@ -499,10 +499,8 @@ def cmd_tables(args) -> int:
                 if args.machine:
                     lines.append(f"coord.f{k}_{m}={_relation_str(rel)}")
                 else:
-                    terms = " ".join(
-                        f"{'+' if rel[key] > 0 else '-'}"
-                        f"{'' if abs(rel[key]) == 1 else str(abs(rel[key])) + '*'}"
-                        f"f^{{{key[0]}{key[1]}}}"
+                    terms = " ".join(  # every relation of C is +-1
+                        f"{'+' if rel[key] > 0 else '-'}f^{{{key[0]}{key[1]}}}"
                         for key in sorted(rel))
                     lines.append(f"  f^{k}_{m} = {terms}")
     else:

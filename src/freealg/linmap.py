@@ -24,9 +24,8 @@ B(A^op), one on O and O (x) O; only a block with a free column ascends.
 B is read, solved and applied only through the blocks, on ints up to the
 values returned: B vec(t) gathers a block's signed entries ts of vec(t)
 once and takes F ts, and the solve takes left b with its class's factor.
-A class's mat-vec runs as the row loop ``sum(map(mul, row, ts))`` on a
-conversion's first use and, from its second, as straight-line code
-compiled once per class that serves two or more blocks.
+A class that serves two or more blocks runs its mat-vec as straight-line
+code compiled on first use, any other the row loop ``sum(map(mul, row, ts))``.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -421,30 +420,21 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
 
 def _plan(bm: BMatrix, side: str) -> tuple:
     """(plan, kernels) of one side of the conversions, "map" or "solve": the
-    plan, B's blocks or ``_solve_plan`` of B, and per class k the mat-vec
-    of its grid F or of its factor's left.  Both are cached on
-    the algebra beside B and built from B alone, never by a call of
-    ``cached`` within a build.  The side's first use runs the row loop; from
-    its second, a class that serves two or more blocks runs code compiled by
-    ``core.compile_matvec``.  Measured on 2 CPUs, that code takes 0.15-0.5x
-    the row loop's time and pays back after 40-100 applications: O (x) O's
-    64 x 64 grids take 4-12 ms to compile, about what their 64 blocks save
-    in one conversion, and a one-block class would run its code once per
-    conversion."""
-    algebra, key = bm.algebra, ("b_matrix", bm.order, side)
-    cache = algebra._cache  # read as ``cached`` reads it, without the lock
-    kernels = cache.get(key + ("kernels",))
-    if kernels is not None:
-        return cache[key], kernels
-    grids = [factor[2] if side == "solve" else f for f, factor in bm.classes]
-    plan = cache.get(key)
-    if plan is None:
-        plan = algebra.cached(key, lambda: _solve_plan(bm) if side == "solve" else bm.blocks)
-        return plan, [partial(_row_loop, g) for g in grids]
-    served = Counter(k for *_, k in bm.blocks)
-    return plan, algebra.cached(key + ("kernels",), lambda: [
-        compile_matvec(g, f"class {k} of {bm!r}") if served[k] > 1 else partial(_row_loop, g)
-        for k, g in enumerate(grids)])
+    plan, B's blocks or ``_solve_plan`` of B, and per class k the mat-vec of
+    its grid F or of its factor's left, built from B alone on the side's
+    first use, without calling ``cached``, and cached beside B.  A class
+    serving two or more blocks runs ``core.compile_matvec``'s code: on 2
+    CPUs it takes 0.15-0.5x the row loop's time and pays back after 40-100
+    applications (4-12 ms for O (x) O's 64 x 64 grids, about what their 64
+    blocks save in one conversion), and a one-block class, as each of a
+    generic E(a, b)'s four, would run its code once per conversion."""
+    def build():
+        served = Counter(k for *_, k in bm.blocks)
+        grids = [factor[2] if side == "solve" else f for f, factor in bm.classes]
+        return (_solve_plan(bm) if side == "solve" else bm.blocks,
+                [compile_matvec(g, f"class {k} of {bm!r}") if served[k] > 1
+                 else partial(_row_loop, g) for k, g in enumerate(grids)])
+    return bm.algebra.cached(("b_matrix", bm.order, side), build)
 
 
 def _row_loop(grid, v) -> list[int]:

@@ -9,18 +9,20 @@ order.  Each block carries the signs that a walk of the dense B over the
 build's column order gives, and each class is eliminated once.
 
 The conversions apply each class's grid F (``tensor_map``) and its
-factor's left matrix (``standard_from_coords``) by the row loop on their
-first use and, from the second, by code that ``core.compile_matvec`` makes
-once for every class serving two or more blocks.  The kernels must give the
-row loop's ints on every grid, a row of more than 256 terms included; a B
-whose classes each serve one block compiles nothing; and concurrent first
-conversions on a fresh algebra agree, no build calling ``cached`` within
-another.
+factor's left matrix (``standard_from_coords``) by code that
+``core.compile_matvec`` makes on a side's first use for every class serving
+two or more blocks, and any other class by the row loop.  The kernels must
+give the row loop's ints on every grid, a row of more than 256 terms
+included; a B whose classes each serve one block compiles nothing; and
+concurrent first conversions on a fresh algebra agree and compile each
+shared class once per side, no build calling ``cached`` within another.
 """
 
 import random
 import threading
+import time
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from operator import mul
 
@@ -253,36 +255,44 @@ def results(algebra, order, rng, rounds=3):
     return out
 
 
+def record_compiles(monkeypatch, pause=0.0):
+    """The (label, grid) of each kernel that ``linmap`` compiles from now on,
+    each compile held open for ``pause`` seconds."""
+    compiled = []
+
+    def record(grid, label):
+        compiled.append((label, grid))
+        time.sleep(pause)
+        return compile_matvec(grid, label)
+    monkeypatch.setattr(linmap, "compile_matvec", record)
+    return compiled
+
+
 @pytest.mark.parametrize("make", [complex_algebra, oc, hh], ids=["C", "OC", "HH"])
 @pytest.mark.parametrize("order", ORDERS)
 def test_conversions_agree_before_and_after_compiling(make, order, monkeypatch):
-    compiled = []
-    monkeypatch.setattr(linmap, "compile_matvec",
-                        lambda grid, label: compiled.append(label) or compile_matvec(grid, label))
-    algebra = make()
-    first, *later = results(algebra, order, random.Random(3))[0::2]
-    assert all(x == first for x in later)
-    assert compiled  # the second solve ran compiled kernels
-    maps = results(make(), order, random.Random(3))[1::2]
-    assert maps == [maps[0]] * 3
+    # each conversion on compiled kernels gives the ints of the same
+    # conversion on a fresh algebra whose every class runs the row loop
+    compiled = record_compiles(monkeypatch)
+    got = results(make(), order, random.Random(3))
+    assert compiled
+    monkeypatch.setattr(linmap, "compile_matvec", lambda grid, label: partial(row_loop, grid))
+    assert results(make(), order, random.Random(3)) == got
 
 
-def test_shared_classes_compile_from_their_second_use(monkeypatch):
-    compiled = []
-    monkeypatch.setattr(linmap, "compile_matvec",
-                        lambda grid, label: compiled.append(grid) or compile_matvec(grid, label))
+def test_shared_classes_compile_on_their_first_use(monkeypatch):
+    compiled = record_compiles(monkeypatch)
     O = octonion_algebra()
     f, (_, _, left, _) = b_matrix(O).classes[0]
     g, t = dense_map(O, random.Random(1)), Tensor2.unit(O)
     standard_from_coords(g)
+    assert [grid for _, grid in compiled] == [left]
     linmap.tensor_map(t)
-    assert compiled == []
-    standard_from_coords(g)
-    assert compiled == [left]
-    linmap.tensor_map(t)
-    linmap.tensor_map(t)
-    standard_from_coords(g)
-    assert compiled == [left, f]
+    assert [grid for _, grid in compiled] == [left, f]
+    for _ in range(2):
+        standard_from_coords(g)
+        linmap.tensor_map(t)
+    assert len(compiled) == 2
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -315,13 +325,33 @@ def test_concurrent_first_conversions_agree(monkeypatch):
 
     monkeypatch.setattr(FreeAlgebra, "cached", guarded)
     expected = {order: results(octonion_algebra(), order, random.Random(9)) for order in ORDERS}
+    got = convert_in_threads(octonion_algebra(), 9)
+    assert all(out == expected[order] for order, out in got)
+    assert nested == []
+
+
+def test_concurrent_first_conversions_compile_each_shared_class_once(monkeypatch):
+    # a side's kernels are built under the algebra's lock, so the threads
+    # that wait for the build take its kernels and compile nothing; each
+    # compile is held open while the other threads reach the build
+    compiled = record_compiles(monkeypatch, pause=0.02)
     algebra = octonion_algebra()
+    convert_in_threads(algebra, 4)
+    grids = [grid for order in ORDERS for f, (_, _, left, _) in b_matrix(algebra, order).classes
+             for grid in (f, left)]
+    assert len(grids) == 4
+    assert sorted(id(grid) for _, grid in compiled) == sorted(map(id, grids))
+
+
+def convert_in_threads(algebra, seed):
+    """(order, ``results``) of six threads that start their conversions on
+    ``algebra`` together, three in each order."""
     start = threading.Barrier(6)
     got = []
 
     def convert(order):
         start.wait(timeout=60)
-        got.append((order, results(algebra, order, random.Random(9))))
+        got.append((order, results(algebra, order, random.Random(seed))))
 
     threads = [threading.Thread(target=convert, args=(ORDERS[i % 2],)) for i in range(6)]
     for thread in threads:
@@ -329,5 +359,5 @@ def test_concurrent_first_conversions_agree(monkeypatch):
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
-    assert len(got) == 6 and all(out == expected[order] for order, out in got)
-    assert nested == []
+    assert len(got) == 6
+    return got

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from freealg import b_matrix, exact, golden, octonion_algebra
+from freealg import FreeAlgebra, b_matrix, exact, golden, octonion_algebra
 from conftest import block_grids
 
 
@@ -597,6 +597,18 @@ def test_no_dead_imports_or_private_names():
                 unreferenced.append(f"{stem}.{node.name}")
     assert (unused, unreferenced) == ([], [])
 
+
+def test_only_core_reads_the_algebra_s_private_slots():
+    # ``FreeAlgebra``'s data slots with a leading "_" are read in ``core``
+    # alone; a subclass may call ``_build``, which is a method, not a slot
+    package = Path(exact.__file__).parent
+    private = {name for name in FreeAlgebra.__slots__ if name.startswith("_")}
+    assert private == {"_cache", "_lock", "_row_terms", "_col_terms", "_basis"}
+    readers = [f"{path.stem}.{node.attr}" for path in sorted(package.glob("*.py"))
+               if path.stem != "core"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in private]
+    assert readers == []
 
 def perfbench_library_names():
     """The (module, attribute chain) pairs that the benchmark reads off

@@ -621,6 +621,20 @@ def test_cadd_inverse_matches_matrix_inverse(C):
             C, C, exact.invert(f.to_linear_map().coords))
 
 
+@pytest.mark.parametrize("wrong", [0, 1], ids=["f after g", "g after f"])
+def test_cadd_inverse_checks_both_sides(C, monkeypatch, wrong):
+    # an inverse that composes to the identity on one side only is refused
+    import freealg.solver as solver_mod
+    calls = []
+
+    def one_side_off(f, g):
+        calls.append((f, g))
+        return cadd(C, 2, 0, 0, 0) if len(calls) == wrong + 1 else cadd_product(f, g)
+    monkeypatch.setattr(solver_mod, "cadd_product", one_side_off)
+    with pytest.raises(SubstitutionCheckFailed, match="fails to compose to identity"):
+        cadd_inverse(cadd(C, 2, 1, 1, 0))
+
+
 def test_cadd_inverse_of_a_multiplication_is_the_closed_form(C, monkeypatch):
     # b = 0 takes the formula every other map takes, not a matrix inverse
     def no_invert(matrix):
