@@ -8,7 +8,7 @@ equations via matrices of mappings (grids of linear maps) and
 quasideterminants.
 """
 
-from . import exact, golden
+from . import exact
 from .algebras import (QuaternionParams, complex_algebra, conjugate,
                        inverse_element, norm_sq, octonion_algebra,
                        quaternion_algebra, rotate)

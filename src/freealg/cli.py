@@ -30,6 +30,9 @@ File formats (JSON):
   are numbers too. Floats, decimal points and exponents are refused: a float
   is not the decimal it was written as, and Fraction expands 1e30000000 into
   all of its digits. Write --a=-1/2, as argparse reads "--a -1/2" as no value.
+  A system's entries and right sides and a coordinate file are read straight
+  to int forms: a list of literals in one regex pass (``_form``), a complex
+  entry term by term; none of their values becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -38,21 +41,20 @@ import argparse
 import contextlib
 import functools
 import json
-import random
 import re
 import signal
 import sys
 from fractions import Fraction
 from math import lcm
 
-from . import exact, golden
+from . import exact
 from .algebras import (complex_algebra, conjugate, conjugation_coords,
                        octonion_algebra, quaternion_algebra, QuaternionParams)
 from .core import (AlgElement, FreeAlgebra, associator, format_element, multiply,
                    random_element)
 from .errors import (FreeAlgebraError, InvalidAlgebra, MinorSingular,
                      NotRepresentable, SingularMap, SingularSystem,
-                     SingularTensor, SubstitutionCheckFailed)
+                     SingularTensor, SubstitutionCheckFailed, UnsupportedAlgebra)
 from .linmap import (LinearMap, b_matrix, check_conversion, compose,
                      left_associator_map, left_shift, representation_basis,
                      right_associator_map, right_shift, standard_from_coords)
@@ -186,16 +188,19 @@ def _ratio(value, what: str) -> tuple[int, int]:
     return p, q
 
 
-def _literal(value, what: str) -> Fraction:
-    """The rational ``_ratio`` reads."""
-    return Fraction(*_ratio(value, what))
-
-
 def _form(values, what: str) -> tuple[tuple[int, ...], int]:
-    """The canonical int form of the literals ``values``, read in order."""
-    ratios = [_ratio(v, what) for v in values]
-    den = lcm(*(q for _, q in ratios))
-    return exact.canonical([p * (den // q) for p, q in ratios], den)
+    """The canonical int form of the literals ``values``, strings read in one
+    pass of ``_LITERAL`` and ``int``; a list that pass refuses (a JSON integer,
+    a bad literal, a zero denominator) is read again by ``_ratio``, in order."""
+    try:
+        ints = [*map(int, [x for v in values for x in _LITERAL.fullmatch(v).groups("1")])]
+        den = lcm(*ints[1::2])  # 0 if a denominator is 0
+    except (TypeError, AttributeError, ValueError):  # not a str, no match, too many digits
+        den = 0
+    if not den:
+        ints = [x for v in values for x in _ratio(v, what)]
+        den = lcm(*ints[1::2])
+    return exact.canonical([p * (den // q) for p, q in zip(ints[::2], ints[1::2])], den)
 
 
 def _endomorphism(algebra: FreeAlgebra, rows: list, form) -> LinearMap:
@@ -268,27 +273,30 @@ def load_matrix_file(path: str, algebra: FreeAlgebra) -> LinearMap:
 
 
 def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
-    """Parse 'p/q + r/s*I' (z -> (p/q) z + (r/s) conj(z)) into a map."""
+    """Parse 'p/q + r/s*I' (z -> (p/q) z + (r/s) conj(z)) into a map, on ints:
+    the plain part a and the conjugate part b summed over one lcm, the map being
+    diag(a + b, a - b)."""
     if re.search(r"[0-9]\s+[0-9]|\s/|/\s", text):
         raise InvalidAlgebra(f"complex entry has a space inside a number, got {_shown(text)}")
     compact = text.replace(" ", "")
     if not compact:
         raise InvalidAlgebra("empty matrix entry")
-    plain = conj_part = Fraction(0)
+    terms = []  # (sign p, q, conjugate)
     # a term starts at each sign that follows neither a sign nor * or /
     for term in re.split(r"(?<=[^-+*/])(?=[+-])", compact):
         body = term.lstrip("+-")
         if len(term) - len(body) > 1:
             raise InvalidAlgebra(f"complex entry term has more than one sign, got {_shown(text)}")
-        sign = -1 if term[0] == "-" else 1
-        if body == "I":
-            conj_part += sign
-        elif body.endswith("*I"):
-            conj_part += sign * _literal(body[:-2], "complex entry term")
-        else:
-            plain += sign * _literal(body, "complex entry term")
-    return ComplexAdditiveMap(algebra.element([plain, 0]),
-                              algebra.element([conj_part, 0])).to_linear_map()
+        conj = body == "I" or body.endswith("*I")
+        p, q = (1, 1) if body == "I" else _ratio(body[:-2] if conj else body,
+                                                 "complex entry term")
+        terms.append((-p if term[0] == "-" else p, q, conj))
+    if algebra.tag != "complex":
+        raise UnsupportedAlgebra("defined over the built-in complex algebra")
+    den = lcm(*(q for _, q, _ in terms))
+    a = sum(p * (den // q) for p, q, conj in terms if not conj)
+    b = sum(p * (den // q) for p, q, conj in terms if conj)
+    return LinearMap._of((algebra, algebra), exact.canonical((a + b, 0, 0, a - b), den))
 
 
 def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:
@@ -334,7 +342,14 @@ def _sign_matrix(bm) -> list[list[Fraction]]:
     return [[relations[k, k].get((i, i), exact.ZERO) for i in range(n)] for k in range(n)]
 
 
+def _rng(seed: int):
+    """``random.Random(seed)``: only the verify suites draw, so only they import ``random``."""
+    import random
+    return random.Random(seed)
+
+
 def _verify_conversion_tables() -> list[tuple[str, str, str]]:
+    from . import golden  # the transcribed tables, loaded for this suite alone
     checks = []
     cases = [
         ("H", quaternion_algebra(),
@@ -376,7 +391,7 @@ def _verify_conversion_tables() -> list[tuple[str, str, str]]:
         checks.append((f"{name}.conjugation.unique", "1",
                        "1" if solution.is_unique() else "0"))
         # conjugation as a sandwich sum, directly on random elements
-        rng = random.Random(20100801)
+        rng = _rng(20100801)
         for sample in range(10):
             z = random_element(algebra, rng)
             acc = algebra.zero()
@@ -392,7 +407,7 @@ def _verify_conversion_tables() -> list[tuple[str, str, str]]:
 def _verify_teichmueller() -> list[tuple[str, str, str]]:
     checks = []
     algebra = octonion_algebra()
-    rng = random.Random(32303)
+    rng = _rng(32303)
     zero = vector_str(algebra.zero().coords)
     for sample in range(200):
         a, b, c, d = (random_element(algebra, rng) for _ in range(4))
@@ -408,7 +423,7 @@ def _verify_teichmueller() -> list[tuple[str, str, str]]:
 def _verify_shifts() -> list[tuple[str, str, str]]:
     checks = []
     algebra = octonion_algebra()
-    rng = random.Random(380806)
+    rng = _rng(380806)
     zero = matrix_str(LinearMap.zero(algebra).coords)
     for sample in range(200):
         a, b = random_element(algebra, rng), random_element(algebra, rng)
@@ -432,7 +447,7 @@ def _random_cadd_matrix(algebra, rng, size: int) -> MapMatrix:
 def _verify_quasidet() -> list[tuple[str, str, str]]:
     checks = []
     algebra = complex_algebra()
-    rng = random.Random(230310)
+    rng = _rng(230310)
     done = {2: 0, 3: 0}
     while min(done.values()) < 25:
         size = 2 if done[2] <= done[3] else 3

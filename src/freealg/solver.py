@@ -9,8 +9,9 @@ matrix with the right side appended once, never inverting M, by exact
 division up to its first column without a pivot, and reading off one
 null vector there (``exact.null_vector``).  The answer is
 then substituted back through the maps, not through the eliminated
-matrix, each equation's ``apply`` terms summed over one denominator, and
-a singular system is refused with a witness x != 0 checked the same way.
+matrix: each map's int rows times x_j's ints, each equation summed over
+one denominator, and a singular system is refused with a witness x != 0
+checked the same way.
 The quasideterminant recursion composes the entries too; it is kept as
 an independent second path that reports per-entry quasideterminants and
 cross-validates the inverse.
@@ -23,6 +24,7 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -30,7 +32,7 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, apply, compose
+from .linmap import LinearMap, compose
 
 
 class MapMatrix:
@@ -181,12 +183,15 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
-    """sum_j m[i][j](x_j) for every row i, through the maps: the int forms
-    of each equation's ``apply`` terms summed over one denominator, made
-    canonical once."""
+    """sum_j m[i][j](x_j) for every row i, through the maps, on ints: each
+    map's int rows times x_j's ints, over f's denominator times x_j's; each
+    equation summed over the lcm of those and made canonical once."""
+    forms = [xj.ints for xj in x]
     sides = []
     for row in m.entries:
-        terms, den = exact.over_lcm([apply(f, xj).ints for f, xj in zip(row, x)])
+        terms, den = exact.over_lcm([
+            ([sum(map(mul, f_row, xs)) for f_row in exact.blocks(fs, len(xs))], f_den * x_den)
+            for (fs, f_den), (xs, x_den) in zip([f.ints for f in row], forms)])
         sums = [sum(column) for column in zip(*terms)]
         sides.append(AlgElement._of((m.algebra,), exact.canonical(sums, den)))
     return sides

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import freealg
-from freealg.cli import (_literal, main, parse_complex_entry,
+from freealg.cli import (main, parse_complex_entry,
                          algebra_from_json, algebra_to_json)
 from freealg import SubstitutionCheckFailed, complex_algebra, quaternion_algebra
+from test_cli_properties import literal
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ def test_solve_machine_round_trip(example_file, capsys):
     values = dict(line.split("=", 1) for line in out.strip().splitlines())
     for key, want in (("solution.0", [Fraction(3, 5), Fraction(-2)]),
                       ("solution.1", [Fraction(1, 5), Fraction(-1)])):
-        assert [_literal(token, key) for token in values[key].split()] == want
+        assert [literal(token, key) for token in values[key].split()] == want
     assert values["substitution"] == "ok"
 
 
@@ -514,9 +515,9 @@ def test_malformed_text_exits_2(tmp_path, capsys, argv, text, reason):
 
 
 def test_one_reader_for_outside_values():
-    # in cli, one function calls json.load, and only the literal reader
-    # calls Fraction on one value that is not a constant, apart from the
-    # golden integer tables read by _verify_conversion_tables
+    # in cli, one function calls json.load, and no reader calls Fraction on
+    # one value that is not a constant: the readers build int forms, and only
+    # _verify_conversion_tables makes Fractions of the golden integer tables
     import freealg.cli as cli_mod
 
     def is_constant(node):
@@ -542,7 +543,7 @@ def test_one_reader_for_outside_values():
                     and not is_constant(node.args[0])):
                 fraction_callers.add(func.name)
     assert len(json_loaders) == 1
-    assert fraction_callers == {"_literal", "_verify_conversion_tables"}
+    assert fraction_callers == {"_verify_conversion_tables"}
 
 
 def test_algebra_builtin_round_trip(capsys):
@@ -669,3 +670,19 @@ def test_a_closed_stdout_ends_the_command_by_sigpipe():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
+
+
+def test_golden_and_random_load_on_the_verify_path_only():
+    # a command other than verify imports neither; the child runs without
+    # site (-S), which may import random for site-packages of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(freealg.__file__).parents[1])}
+    probe = ("import sys, freealg.cli\n"
+             "loaded = lambda: sorted({'random', 'freealg.golden'} & sys.modules.keys())\n"
+             "print(loaded())\n"
+             "code = freealg.cli.main(['verify', 'tables', '--machine'])\n"
+             "print(code, loaded())\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-2:], done.stderr) == (
+        "[]", ["result=PASS", "0 ['freealg.golden', 'random']"], "")

@@ -6,13 +6,17 @@ document with one field replaced by an arbitrary JSON value exits 0, 2
 or 3, and exit 2 comes with exactly one ``error:`` line.
 
 Every fraction that ``solve``, ``map convert`` and ``basis`` print in
-``--machine`` mode re-parses through ``_literal`` to exactly the value
+``--machine`` mode re-parses through ``literal`` to exactly the value
 the library computes, on builtin and random algebras and on small and
 40-bit entries.
 
 The int literal reader ``_ratio`` reads what ``Fraction`` reads from the
 stripped text, and refuses the rest with a pinned message; ``_form`` of a
-list of literals is the canonical int form of their Fractions.
+list of literals is the canonical int form of their Fractions.  ``_form``
+and ``parse_complex_entry`` read on ints; each is held to an earlier
+reader that went through ``_ratio`` value by value and through
+``Fraction`` and ``ComplexAdditiveMap``, kept here as its oracle: the
+same form or map, or the same refusal.
 
 The ``algebra`` field of a system names a builtin or the definition file
 written here, never an arbitrary path.  The runs use the derandomized
@@ -23,18 +27,20 @@ import contextlib
 import io
 import json
 import os
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freealg import (LinearMap, MapMatrix, NotRepresentable, SingularSystem, complex_algebra,
-                     quaternion_algebra, representation_basis, solve_additive,
-                     standard_from_coords)
+from freealg import (ComplexAdditiveMap, LinearMap, MapMatrix, NotRepresentable,
+                     SingularSystem, complex_algebra, quaternion_algebra, representation_basis,
+                     solve_additive, standard_from_coords)
 from freealg import exact
-from freealg.cli import (BUILTIN_NAMES, _LONG_INT, _form, _literal, _ratio, algebra_to_json,
-                         main, make_builtin, parse_complex_entry)
-from freealg.errors import InvalidAlgebra
+from freealg.cli import (BUILTIN_NAMES, _LONG_INT, _form, _ratio, _shown, algebra_from_json,
+                         algebra_to_json, main, make_builtin, parse_complex_entry)
+from freealg.errors import InvalidAlgebra, UnsupportedAlgebra
 from test_kernel_properties import VALUES, algebras, grids
 
 C = complex_algebra()
@@ -140,9 +146,14 @@ def test_basis_on_a_mutated_algebra(workdir, doc):
 
 # --machine output re-parses exactly
 
+def literal(value, what):
+    """The rational ``_ratio`` reads."""
+    return Fraction(*_ratio(value, what))
+
+
 def printed(out):
-    """The --machine lines as {key: values}, every value read back by _literal."""
-    return {key: [_literal(token, key) for token in value.split()]
+    """The --machine lines as {key: values}, every value read back by literal."""
+    return {key: [literal(token, key) for token in value.split()]
             for key, _, value in (line.partition("=") for line in out.splitlines())
             if key != "substitution"}
 
@@ -251,7 +262,7 @@ def test_ratio_reads_what_fraction_reads(value):
         return
     p, q = _ratio(value, "x")
     assert type(p) is int and type(q) is int and q > 0
-    assert Fraction(p, q) == want == _literal(value, "x")
+    assert Fraction(p, q) == want
 
 
 @given(st.text(alphabet="0123456789 +-/.eE_\t٣１", max_size=10))
@@ -289,12 +300,12 @@ def test_ratio_accepts_nothing_fraction_refuses(text):
         "zero_denominator", "zero_denominator_spaced", "digits_4301", "denominator_4301",
         "digits_before_zero_denominator", "long_json_int"])
 def test_ratio_refusals_are_pinned(value, message):
-    for read in (_ratio, _literal):
+    for values in ([value], ["1", value, "2"], ["1", 2, value, value, "x"]):
         with pytest.raises(InvalidAlgebra) as refused:
-            read(value, "x")
+            _form(values, "x")
         assert str(refused.value) == message
     with pytest.raises(InvalidAlgebra) as refused:
-        _form(["1", value, "2"], "x")
+        _ratio(value, "x")
     assert str(refused.value) == message
 
 
@@ -307,3 +318,92 @@ def test_form_is_the_canonical_form_of_the_oracle(values):
             _form(values, "x")
         return
     assert _form(values, "x") == exact.canonical(*exact.as_ints(fractions))
+
+
+# the int readers against the readers they replaced
+
+def form_oracle(values, what):
+    """The int form of ``values`` read value by value with ``_ratio``."""
+    ratios = [_ratio(v, what) for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return exact.canonical([p * (den // q) for p, q in ratios], den)
+
+
+def complex_entry_oracle(text, algebra):
+    """A complex entry read through Fraction, two elements and a ComplexAdditiveMap."""
+    if re.search(r"[0-9]\s+[0-9]|\s/|/\s", text):
+        raise InvalidAlgebra(f"complex entry has a space inside a number, got {_shown(text)}")
+    compact = text.replace(" ", "")
+    if not compact:
+        raise InvalidAlgebra("empty matrix entry")
+    plain = conj_part = Fraction(0)
+    for term in re.split(r"(?<=[^-+*/])(?=[+-])", compact):
+        body = term.lstrip("+-")
+        if len(term) - len(body) > 1:
+            raise InvalidAlgebra(f"complex entry term has more than one sign, got {_shown(text)}")
+        sign = -1 if term[0] == "-" else 1
+        if body == "I":
+            conj_part += sign
+        elif body.endswith("*I"):
+            conj_part += sign * literal(body[:-2], "complex entry term")
+        else:
+            plain += sign * literal(body, "complex entry term")
+    return ComplexAdditiveMap(algebra.element([plain, 0]),
+                              algebra.element([conj_part, 0])).to_linear_map()
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or the class and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+LONG = st.sampled_from(["9" * 4300, "-0" + "7" * 4299, "1/" + "3" * 4300, "5" * 4301,
+                        "1/" + "4" * 4301])
+BAD = (st.booleans() | st.floats() | st.none() | st.just(_LONG_INT)
+       | st.lists(st.integers(-2, 2) | st.just("1"), max_size=2)
+       | st.sampled_from(["", "1/0", "-3/00", "1e5", "0.5", "1 2", "- 1", "I", "٣"])
+       | st.text(alphabet="0123456789 +-/.e", max_size=6))
+FORM_VALUES = WELL_FORMED | JSON_INTS | LONG | BAD
+
+
+@example(["1", "1/0", "x"])
+@example(["x", "1/0", "1"])
+@example(["5" * 4301, "1/0"])
+@example([3, "2/4", _LONG_INT])
+@example(["1", True, "2"])
+@given(st.lists(FORM_VALUES, max_size=8) | st.lists(WELL_FORMED | JSON_INTS, max_size=16))
+def test_form_reads_what_the_value_by_value_reader_reads(values):
+    # the same form, or the same refusal: the first bad literal is named
+    assert outcome(_form, values, "x") == outcome(form_oracle, values, "x")
+
+
+SIGNS = st.sampled_from(["", "+", "-", " + ", " - ", "--", "+-"])
+NUMBERS = st.builds("{}{}".format, DIGITS, st.just("") | DIGITS.map("/{}".format))
+TERMS = st.builds("{}{}".format, SIGNS, NUMBERS | NUMBERS.map("{}*I".format)
+                  | st.sampled_from(["I", "*I", "1/0*I", "2*I*I"]))
+ENTRIES = st.lists(TERMS, min_size=1, max_size=4).map("".join)
+UNTAGGED_C = algebra_from_json(algebra_to_json(C))
+
+
+@example("1/2 + 3/4*I", UNTAGGED_C)
+@example("1/0 + I", UNTAGGED_C)
+@example("", C)
+@example("-0/5*I - 2/4", C)
+@given(GRAMMAR_TEXT | ENTRIES, st.sampled_from([C, UNTAGGED_C]))
+def test_complex_entry_reads_what_the_fraction_reader_reads(text, algebra):
+    # the same map, or the same refusal; a non-complex algebra is refused
+    # after the text is read
+    assert outcome(parse_complex_entry, text, algebra) == outcome(complex_entry_oracle,
+                                                                 text, algebra)
+
+
+def test_a_complex_entry_over_another_dimension_is_unsupported():
+    # the earlier reader built a two-coordinate element of the algebra and
+    # so refused an algebra of another dimension by its coordinate count
+    with pytest.raises(UnsupportedAlgebra, match="^defined over the built-in complex algebra$"):
+        parse_complex_entry("1 + I", quaternion_algebra())
+    with pytest.raises(InvalidAlgebra, match="zero denominator"):
+        parse_complex_entry("1/0 + I", quaternion_algebra())

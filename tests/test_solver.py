@@ -490,32 +490,42 @@ def test_left_sides_match_the_maps_applied_one_by_one(data):
 
 
 def test_a_grid_system_is_read_and_solved_without_fractions(tmp_path, monkeypatch):
-    # grid cells and rhs coordinates are read as int forms and [M | -b] is
-    # eliminated on ints, so neither the literal reader nor frac runs.  H is
-    # built before they are refused: its constants pass through frac once.
+    # grid cells, rhs coordinates and the string entries over C are read as
+    # int forms and [M | -b] is eliminated on ints, so neither frac nor
+    # ComplexAdditiveMap runs.  H is built before they are refused: its
+    # constants pass through frac once.
     import sys
     import freealg.cli as cli_mod
     doc = json.loads(json.dumps(test_golden_cli.QUATERNION_SYSTEM))
     doc["matrix"][0][0][1] = ["2/4", " -06/9 ", 3, "+1"]
     doc["rhs"][1] = [0, "4/6", -2, "0/5"]
-    path = tmp_path / "system.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    algebra, m, rhs = load_system(str(path))
+    complex_doc = {"algebra": "complex", "matrix": [["1/2 + 3/4*I", "-I"], ["2", "-06/4 - 2*I"]],
+                   "rhs": [["1", "-2/6"], [3, "0"]]}
+    paths = [tmp_path / "system.json", tmp_path / "complex.json"]
+    for path, system in zip(paths, (doc, complex_doc)):
+        path.write_text(json.dumps(system), encoding="utf-8")
+    algebra, m, rhs = load_system(str(paths[0]))
     assert m.entries == tuple(tuple(LinearMap(algebra, algebra, [list(map(Fraction, row))
                                                                  for row in cell])
                                     for cell in line) for line in doc["matrix"])
     assert rhs == [algebra.element(list(map(Fraction, y))) for y in doc["rhs"]]
-    expected = solve_additive(m, rhs)
+    C, complex_m, complex_rhs = load_system(str(paths[1]))
+    assert complex_m.entries == tuple(
+        tuple(cadd(C, a, 0, b, 0).to_linear_map() for a, b in line)
+        for line in [[(Fraction(1, 2), Fraction(3, 4)), (0, -1)], [(2, 0), (Fraction(-3, 2), -2)]])
+    assert complex_rhs == [C.element([1, Fraction(-1, 3)]), C.element([3, 0])]
+    expected = [solve_additive(m, rhs), solve_additive(complex_m, complex_rhs)]
 
     def refuse(*args):
-        raise AssertionError("a literal became a Fraction on the grid path")
+        raise AssertionError("a literal became a Fraction on the int path")
 
-    monkeypatch.setattr(cli_mod, "_literal", refuse)
+    monkeypatch.setattr(cli_mod, "ComplexAdditiveMap", refuse)
     for module in list(sys.modules.values()):
         if module.__name__.startswith("freealg") and getattr(module, "frac", None) is exact.frac:
             monkeypatch.setattr(module, "frac", refuse)
-    loaded, m, rhs = load_system(str(path))
-    assert loaded is algebra and solve_additive(m, rhs) == expected
+    for path, want, want_algebra in zip(paths, expected, (algebra, C)):
+        loaded, m, rhs = load_system(str(path))
+        assert loaded is want_algebra and solve_additive(m, rhs) == want
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O"])
