@@ -380,6 +380,21 @@ def test_form_reads_what_the_value_by_value_reader_reads(values):
     assert outcome(_form, values, "x") == outcome(form_oracle, values, "x")
 
 
+def test_form_rereads_only_a_list_its_pass_refuses(monkeypatch):
+    # a list of valid strings is read in one pass, without _ratio; a JSON
+    # integer, a bad literal or a zero denominator sends the list to _ratio
+    import freealg.cli as cli_mod
+    reread = []
+    monkeypatch.setattr(cli_mod, "_ratio", lambda value, what: reread.append(value) or
+                        _ratio(value, what))
+    assert _form(["1", " -2/4", "007 ", "+3/6"], "x") == ((2, -1, 14, 1), 2)
+    assert reread == []
+    for values in (["1", 2], ["1", "0.5"], ["1/0", "1"], ["1", "1" * 4301]):
+        reread.clear()
+        outcome(_form, values, "x")
+        assert reread == values[:len(reread)] and reread
+
+
 SIGNS = st.sampled_from(["", "+", "-", " + ", " - ", "--", "+-"])
 NUMBERS = st.builds("{}{}".format, DIGITS, st.just("") | DIGITS.map("/{}".format))
 TERMS = st.builds("{}{}".format, SIGNS, NUMBERS | NUMBERS.map("{}*I".format)
