@@ -9,10 +9,10 @@ Subcommands:
     map convert --algebra ... --coords ...   coordinates -> standard components
     map basis --algebra ...            same as `basis`
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 singular system,
-4 internal error (a defect; one line on stderr, never a traceback).  A closed
-stdout ends the command by SIGPIPE, as it ends ``cat``, not with exit 2.
-All printed fractions are plain p/q strings and re-parse exactly.
+Exit codes: 0 ok, 1 verification failure, 2 input error (a bad command line too),
+3 singular system, 4 internal error (a defect; one line on stderr, never a traceback).
+-h or --help prints this.  A closed stdout ends the command by SIGPIPE, as it ends
+``cat``, not with exit 2.  Printed fractions are plain p/q strings and re-parse exactly.
 
 File formats (JSON):
   algebra definition: {"dim": n, "labels": [...], "unit": 0,
@@ -29,7 +29,7 @@ File formats (JSON):
   such as "-3/5", spaces around it ignored, inside it refused; JSON integers
   are numbers too. Floats, decimal points and exponents are refused: a float
   is not the decimal it was written as, and Fraction expands 1e30000000 into
-  all of its digits. Write --a=-1/2, as argparse reads "--a -1/2" as no value.
+  all of its digits.
   A system's entries and right sides and a coordinate file are read straight
   to int forms: a list of literals in one regex pass (``_form``), a complex
   entry term by term; none of their values becomes a Fraction.
@@ -37,7 +37,6 @@ File formats (JSON):
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -46,6 +45,7 @@ import signal
 import sys
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 from . import exact
 from .algebras import (complex_algebra, conjugate, conjugation_coords,
@@ -242,17 +242,19 @@ def _read_json(path: str, what: str) -> dict:
 def algebra_from_json(doc: dict) -> FreeAlgebra:
     dim = _field(doc, "dim", int, "dimension")
     labels = [_typed(s, str, "label") for s in _field(doc, "labels", list)]
-    constants = []
+    constants = []  # (i, j, k, p, q)
     for entry in _field(doc, "constants", list):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InvalidAlgebra(
                 f"constant must be a list [i, j, k, value], got {_shown(entry)}")
         indices = [_typed(x, int, "basis index") for x in entry[:3]]
-        p, q = _ratio(entry[3], "structure constant")
-        constants.append((*indices, p if q == 1 else Fraction(p, q)))
+        constants.append((*indices, *_ratio(entry[3], "structure constant")))
     unit = doc.get("unit")
-    return FreeAlgebra(dim, labels, constants,
-                       unit_index=None if unit is None else _typed(unit, int, "unit"))
+    den = lcm(*(q for *_, q in constants))
+    algebra = FreeAlgebra.__new__(FreeAlgebra)  # built on ints, as ``core.opposite`` builds
+    algebra._build(dim, labels, [(i, j, k, p * (den // q)) for i, j, k, p, q in constants], den,
+                   None if unit is None else _typed(unit, int, "unit"))
+    return algebra
 
 
 def load_algebra(source: str) -> FreeAlgebra:
@@ -615,67 +617,65 @@ def cmd_map_convert(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freealg",
-        description="Exact computations in free finite-dimensional algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a system of additive equations")
-    p.add_argument("system", help="system definition file (JSON)")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func="cmd_solve")
-
-    p = sub.add_parser("tables", help="print conversion tables")
-    p.add_argument("which", choices=BUILTIN_NAMES)
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func="cmd_tables")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func="cmd_verify")
-
-    p = sub.add_parser("basis", help="orbit generators of the linear maps")
-    p.add_argument("algebra", help="builtin name or definition file")
-    p.add_argument("--order", choices=("left", "right"), default="left")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func="cmd_basis")
-
-    p = sub.add_parser("algebra", help="algebra definition utilities")
-    asub = p.add_subparsers(dest="subcommand", required=True)
-    pb = asub.add_parser("builtin", help="emit a builtin algebra definition")
-    pb.add_argument("name", choices=BUILTIN_NAMES)
-    pb.add_argument("--a", default="-1", help="quaternion parameter a (p/q; negative: --a=-1/2)")
-    pb.add_argument("--b", default="-1", help="quaternion parameter b (p/q; negative: --b=-1/2)")
-    pb.set_defaults(func="cmd_algebra_builtin")
-
-    p = sub.add_parser("map", help="linear-map conversions")
-    msub = p.add_subparsers(dest="subcommand", required=True)
-    pc = msub.add_parser("convert", help="coordinates to standard components")
-    pc.add_argument("--algebra", required=True)
-    pc.add_argument("--coords", required=True, help="coordinate matrix file")
-    pc.add_argument("--order", choices=("left", "right"), default="left")
-    pc.add_argument("--machine", action="store_true")
-    pc.set_defaults(func="cmd_map_convert")
-    pm = msub.add_parser("basis", help="orbit generators")
-    pm.add_argument("--algebra", required=True)
-    pm.add_argument("--order", choices=("left", "right"), default="left")
-    pm.add_argument("--machine", action="store_true")
-    pm.set_defaults(func="cmd_basis")
-
-    return parser
+_CHOICES = {"which": BUILTIN_NAMES, "name": BUILTIN_NAMES, "order": ("left", "right"),
+            "suite": _VERIFY_SUITES}
+_VIEW = {"order": "left", "machine": False}
+# (command words, cmd_* name, positional, {option: default}): a default of False
+# makes a flag and None a required option; a field in _CHOICES takes those only
+_COMMANDS = (
+    ("solve", "cmd_solve", "system", {"machine": False}),
+    ("tables", "cmd_tables", "which", {"machine": False}),
+    ("verify", "cmd_verify", "suite", {"machine": False}),
+    ("basis", "cmd_basis", "algebra", _VIEW),
+    ("algebra builtin", "cmd_algebra_builtin", "name", {"a": "-1", "b": "-1"}),
+    ("map convert", "cmd_map_convert", None, {"algebra": None, "coords": None, **_VIEW}),
+    ("map basis", "cmd_basis", None, {"algebra": None, **_VIEW}),
+)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: parsing leaves it unchanged."""
-    return build_parser()
+def build_parser() -> tuple:
+    return _COMMANDS  # the grammar _parse reads
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The fields of the command ``argv`` names, and ``func``, its ``cmd_*``; an option,
+    before or after the positional, is ``--opt value`` or ``--opt=value``."""
+    for command, func, positional, options in _COMMANDS:
+        words = command.split()
+        if list(argv[:len(words)]) == words:
+            break
+    else:
+        raise ValueError(f"expected a command ({', '.join(c for c, *_ in _COMMANDS)}), "
+                         f"got {' '.join(argv[:2]) or 'none'!r}")
+    fields, rest = dict(options), iter(argv[len(words):])
+    for word in rest:
+        name, eq, value = word[2:].partition("=")
+        if not word.startswith("-"):
+            if positional is None or positional in fields:
+                raise ValueError(f"{command}: unexpected argument {word!r}")
+            name, value = positional, word
+        elif not word.startswith("--") or name not in options or eq and options[name] is False:
+            raise ValueError(f"{command}: unknown option {word!r}")  # --machine=x too
+        elif options[name] is False:
+            value = True
+        elif not eq and (value := next(rest, None)) is None:  # the next word, even "-1/2"
+            raise ValueError(f"{command}: option --{name} needs a value")
+        if value not in _CHOICES.get(name, (value,)):
+            raise ValueError(f"{command}: {name} must be {'|'.join(_CHOICES[name])}, got {value!r}")
+        fields[name] = value
+    missing = [f"--{name}" for name, value in fields.items() if value is None]
+    if missing or positional and positional not in fields:
+        raise ValueError(f"{command}: missing {missing[0] if missing else f'<{positional}>'}")
+    return SimpleNamespace(func=func, **fields)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__[__doc__.index("Subcommands:"):__doc__.index("File formats")].rstrip())
+        return EXIT_OK
     try:
+        args = _parse(argv)
         return globals()[args.func](args)  # by name per call: a rebound cmd_* is called
     except SubstitutionCheckFailed as err:  # a failed self-check is a defect, not an input
         defect = err

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import os
 import signal
@@ -266,30 +267,23 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, error, 
     assert err == line + "\n"
 
 
-def test_parser_is_built_once_and_keeps_no_state(example_file, capsys, monkeypatch):
-    # flags given to one call must not carry over to the next
+def test_flags_of_one_call_do_not_carry_over_to_the_next(example_file, capsys):
+    # each call reads its defaults afresh from the grammar, which parsing leaves as it was
     import freealg.cli as cli_mod
 
-    build, built = cli_mod.build_parser, []
-
-    def counting_build():
-        built.append(1)
-        return build()
-
-    cli_mod._parser.cache_clear()
-    monkeypatch.setattr(cli_mod, "build_parser", counting_build)
-    try:
-        assert run(capsys, "solve", example_file, "--machine")[1].startswith("solution.0=")
-        assert run(capsys, "basis", "complex", "--order", "right", "--machine")[0] == 0
-        assert run(capsys, "tables", "quaternion", "--machine")[1].startswith("F.0=")
-        code, out, _ = run(capsys, "solve", example_file)
-        assert code == 0 and out.startswith("system over complex") and "solution." not in out
-        code, out, _ = run(capsys, "basis", "complex")
-        assert code == 0 and "(left-nested)" in out
-        assert run(capsys, "tables", "quaternion")[1].startswith("quaternion: coordinate block")
-    finally:
-        cli_mod._parser.cache_clear()
-    assert len(built) == 1
+    grammar = copy.deepcopy(cli_mod.build_parser())
+    assert run(capsys, "solve", example_file, "--machine")[1].startswith("solution.0=")
+    assert run(capsys, "basis", "complex", "--order", "right", "--machine")[0] == 0
+    assert run(capsys, "tables", "quaternion", "--machine")[1].startswith("F.0=")
+    assert run(capsys, "algebra", "builtin", "quaternion", "--a", "2", "--b=3")[0] == 0
+    code, out, _ = run(capsys, "solve", example_file)
+    assert code == 0 and out.startswith("system over complex") and "solution." not in out
+    code, out, _ = run(capsys, "basis", "complex")
+    assert code == 0 and "(left-nested)" in out
+    assert run(capsys, "tables", "quaternion")[1].startswith("quaternion: coordinate block")
+    code, out, _ = run(capsys, "algebra", "builtin", "quaternion")
+    assert code == 0 and [1, 1, 0, "-1"] in json.loads(out)["constants"]
+    assert cli_mod.build_parser() == grammar
 
 
 def test_builtins_are_built_once_per_process(capsys, monkeypatch):
@@ -601,6 +595,25 @@ def test_an_integral_definition_file_loads_without_fractions(tmp_path, monkeypat
     assert square.constants == tensor_product([quaternion, quaternion]).constants
 
 
+def test_a_definition_file_with_fractions_loads_without_fractions(tmp_path, monkeypatch,
+                                                                  count_fractions):
+    # constants such as "-4/3" and "2/4" are read as (p, q) and put over one
+    # lcm; the algebra is the one the library builds from Fractions
+    from freealg import QuaternionParams
+    from freealg.cli import load_algebra
+    quaternion = quaternion_algebra(QuaternionParams(Fraction(-4, 3), Fraction(1, 2)))
+    doc = algebra_to_json(quaternion)
+    doc["constants"][0][3] = "2/2"
+    path = tmp_path / "eab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    built = count_fractions()
+    algebra = load_algebra(str(path))
+    assert built == []
+    monkeypatch.undo()
+    assert algebra.constants == quaternion.constants
+    assert algebra.unit_index == quaternion.unit_index == 0
+
+
 def test_map_convert(tmp_path, capsys):
     coords = tmp_path / "conj.txt"
     coords.write_text("1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n")
@@ -673,11 +686,13 @@ def test_a_closed_stdout_ends_the_command_by_sigpipe():
 
 
 def test_golden_and_random_load_on_the_verify_path_only():
-    # a command other than verify imports neither; the child runs without
-    # site (-S), which may import random for site-packages of its own
+    # a command other than verify imports neither, and no command imports
+    # argparse; the child runs without site (-S), which may import random
+    # for site-packages of its own
     env = {**os.environ, "PYTHONPATH": str(Path(freealg.__file__).parents[1])}
     probe = ("import sys, freealg.cli\n"
-             "loaded = lambda: sorted({'random', 'freealg.golden'} & sys.modules.keys())\n"
+             "names = {'argparse', 'random', 'freealg.golden'}\n"
+             "loaded = lambda: sorted(names & sys.modules.keys())\n"
              "print(loaded())\n"
              "code = freealg.cli.main(['verify', 'tables', '--machine'])\n"
              "print(code, loaded())\n")
