@@ -14,6 +14,8 @@ import freealg
 from freealg.cli import (main, parse_complex_entry,
                          algebra_from_json, algebra_to_json)
 from freealg import SubstitutionCheckFailed, complex_algebra, quaternion_algebra
+from freealg.errors import (DegenerateParams, InvalidAlgebra, MinorSingular, NotRepresentable,
+                            SingularMap, SingularSystem, SingularTensor)
 from test_cli_properties import literal
 
 
@@ -265,6 +267,24 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, error, 
     assert code == cli_mod.EXIT_INTERNAL == 4
     assert out == ""
     assert err == line + "\n"
+
+
+@pytest.mark.parametrize("error, code", [
+    (SingularSystem("no inverse"), 3), (SingularMap("no inverse"), 3),
+    (SingularTensor("no inverse"), 3), (MinorSingular("no inverse"), 3),
+    (NotRepresentable("no inverse"), 3), (InvalidAlgebra("bad input"), 2),
+    (DegenerateParams("bad input"), 2), (FileNotFoundError("bad input"), 2),
+    (ValueError("bad input"), 2), (ZeroDivisionError("bad input"), 2),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_each_error_class_exits_with_its_code_and_one_line(capsys, monkeypatch, error, code):
+    # a singular input exits 3, any other refused input 2, each with its message alone
+    import freealg.cli as cli_mod
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "cmd_tables", failing)
+    assert run(capsys, "tables", "complex") == (code, "", f"error: {error}\n")
 
 
 def test_flags_of_one_call_do_not_carry_over_to_the_next(example_file, capsys):

@@ -239,6 +239,7 @@ def test_every_refusal_is_one_error_line(monkeypatch):
         ("solve", "s.json", "--machine=1"): "solve: unknown option '--machine=1'",
         ("solve", "s.json", "--mach"): "solve: unknown option '--mach'",
         ("solve", "-", "s.json"): "solve: unknown option '-'",
+        ("solve", "s.json", "-xmachine"): "solve: unknown option '-xmachine'",
         ("map", "basis", "--algebra=complex", "--coords", "m"): "map basis: unknown option "
                                                                "'--coords'",
         ("map", "convert", "--coords", "m.txt"): "map convert: missing --algebra",
