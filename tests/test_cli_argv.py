@@ -10,7 +10,9 @@ fields; where argparse refuses, ``main`` exits 2 with one ``error:`` line.
 Three readings differ on purpose: an option's value is the next word even when
 it starts with "-" (argparse reads ``--a -1/2`` as a missing value), and an
 abbreviated option (``--mach``) and ``--`` are refused, where argparse takes
-them.  ``-h`` and ``--help`` print the subcommands anywhere in argv.
+them.  A positional never starts with "-" here: ``_parse`` reads such a word
+as an option, argparse took one shaped like a negative number as a positional.
+``-h`` and ``--help`` print the subcommands anywhere in argv.
 """
 
 import argparse
