@@ -68,15 +68,7 @@ class SingularSystem(FreeAlgebraError):
 
 
 class MinorSingular(FreeAlgebraError):
-    """A minor needed by the quasideterminant recursion is not invertible.
-
-    ``location`` names the failing minor so the caller can fall back to
-    the inverse-matrix definition.
-    """
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
+    """A minor needed by the quasideterminant recursion is not invertible."""
 
 
 class SubstitutionCheckFailed(FreeAlgebraError):

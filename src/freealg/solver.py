@@ -2,19 +2,19 @@
 
 A MapMatrix is a grid of linear maps, all endomorphisms of one algebra.
 As in the paper, its sum is the sum of maps and its row-by-column
-product composes entries.  ``flatten`` builds the one rational block
-matrix of a MapMatrix; inversion inverts it and cuts the inverse back
-into maps.  A system is solved by eliminating the int rows of that
-matrix with the right side appended once, never inverting M, by exact
-division up to its first column without a pivot, and reading off one
-null vector there (``exact.null_vector``).  The answer is
-then substituted back through the maps, not through the eliminated
-matrix: each map's int rows times x_j's ints, each equation summed over
-one denominator, and a singular system is refused with a witness x != 0
-checked the same way.
-The quasideterminant recursion composes the entries too; it is kept as
-an independent second path that reports per-entry quasideterminants and
-cross-validates the inverse.
+product composes entries.  ``flatten`` builds the rational block matrix
+of a MapMatrix; inversion inverts it and cuts the inverse back into
+maps.  A system is solved by eliminating the int rows of that matrix
+with the right side appended, which ``_augmented`` builds from the maps'
+int forms, once, never inverting M, by exact division up to its first
+column without a pivot, and reading off one null vector there
+(``exact.null_vector``).  The answer is then substituted back through
+the maps, not through the eliminated matrix: each map's int rows times
+x_j's ints, each equation summed over one denominator, and a singular
+system is refused with a witness x != 0 checked the same way.
+The quasideterminant recursion composes the entries too and inverts
+each quasideterminant by ``exact.factor``'s gcd loop, so it shares no
+elimination with the inverse it cross-validates.
 
 The complex field gets a closed form: every additive map of C is
 z -> a z + b conj(z), composed and inverted directly in (a, b) form by
@@ -130,32 +130,33 @@ def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
                       for band in exact.blocks(exact.blocks(inverse, m.cols * n), n)])
 
 
-def _recursive_inverse(grid, path: tuple) -> list[list[LinearMap]]:
+def _recursive_inverse(grid) -> list[list[LinearMap]]:
     """Inverse of a square grid of maps via quasideterminants: entry
-    (i, j) is the inverse of the (j, i) quasideterminant.  Demands every
-    involved minor invertible."""
+    (i, j) is the inverse of the (j, i) quasideterminant nums / den, that
+    is den left / left_den with left nums = left_den I from the gcd loop of
+    ``exact.factor``, never the exact division that ``inverse_map_matrix``
+    runs.  Demands every involved minor invertible."""
+    algebra = grid[0][0].source
     out = []
     for i in range(len(grid)):
         row = []
         for j in range(len(grid)):
-            d = _quasidet(grid, j, i, path)
-            try:
-                row.append(d.inverse())
-            except ValueError:
-                raise MinorSingular(
-                    f"quasideterminant at row {j}, col {i} is a singular map"
-                    f" (minor path {path})", location=path + ((j, i),)) from None
+            nums, den = _quasidet(grid, j, i).ints
+            pivots, _, left, left_den = exact.factor(exact.blocks(nums, algebra.dim))
+            if len(pivots) < algebra.dim:
+                raise MinorSingular(f"quasideterminant at row {j}, col {i} is a singular map")
+            row.append(LinearMap._of((algebra, algebra), exact.canonical(
+                [den * x for x in exact.vec(left)], left_den)))
         out.append(row)
     return out
 
 
-def _quasidet(grid, row: int, col: int, path: tuple) -> LinearMap:
+def _quasidet(grid, row: int, col: int) -> LinearMap:
     if len(grid) == 1:
         return grid[0][0]
     rest_rows = [r for r in range(len(grid)) if r != row]
     rest_cols = [c for c in range(len(grid)) if c != col]
-    minor_inv = _recursive_inverse([[grid[r][c] for c in rest_cols] for r in rest_rows],
-                                   path + ((row, col),))
+    minor_inv = _recursive_inverse([[grid[r][c] for c in rest_cols] for r in rest_rows])
     correction = LinearMap.zero(grid[0][0].source)
     for s, c in enumerate(rest_cols):
         for t, r in enumerate(rest_rows):
@@ -170,16 +171,16 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
         entry(row, col) - row-rest o minor^{-1} o col-rest
 
     where the minor drops ``row`` and ``col`` and is inverted through
-    its own quasideterminants.  MinorSingular (naming the minor) signals
-    a singular intermediate; the caller may fall back to
-    inverse_map_matrix, whose (col, row) entry inverts to the same map
-    whenever both routes exist.
+    its own quasideterminants.  MinorSingular, naming the row and column
+    of the quasideterminant that failed to invert, signals a singular
+    minor.  Where both exist, the (col, row) entry of inverse_map_matrix
+    inverts to this map.
     """
     if not m.is_square():
         raise ShapeMismatch("quasideterminants need a square matrix")
     if not (0 <= row < m.rows and 0 <= col < m.cols):
         raise ShapeMismatch("quasideterminant index out of range")
-    return _quasidet(m.entries, row, col, ())
+    return _quasidet(m.entries, row, col)
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:

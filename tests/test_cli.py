@@ -188,6 +188,15 @@ def test_tables_check_the_inverse_before_printing(capsys, monkeypatch, which, ma
     assert run(capsys, *argv)[::2] == (0, "")
 
 
+def test_a_missing_right_side_is_one_input_error(tmp_path, capsys):
+    # load_system reads a 2x2 matrix and one right side; solve_additive counts them
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"algebra": "complex", "matrix": [["1", "0"], ["0", "1"]],
+                                "rhs": [["1", "0"]]}))
+    assert run(capsys, "solve", str(path)) == (
+        2, "", "error: expected 2 right-hand elements, got 1\n")
+
+
 def test_tables_complex(capsys):
     code, out, _ = run(capsys, "tables", "complex")
     assert code == 0
@@ -199,6 +208,14 @@ def test_verify_suites_pass(capsys, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("suite", ["tables", "quasidet", "teichmueller", "shifts"])
+def test_verify_suites_name_each_check_once(suite):
+    import freealg.cli as cli_mod
+
+    names = [name for name, _, _ in cli_mod._VERIFY_SUITES[suite]()]
+    assert len(names) == len(set(names))
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, FreeAlgebra, InvalidAl
                      UnsupportedAlgebra, cadd_product, complex_algebra, cr_product,
                      format_element, multiply, quasideterminant, quaternion_algebra,
                      rc_product, rotate, solve_additive, tensor_mul, tensor_product)
+from freealg.cli import make_builtin
 
 C, C2, H = complex_algebra(), complex_algebra(), quaternion_algebra()
 UNITLESS = FreeAlgebra(2, ("x", "y"), [(0, 1, 0, 1)])
@@ -70,6 +71,8 @@ GUARDS = {
                           AlgebraMismatch, "need one element per factor"),
     "tensor.pure_factor": (lambda: tensor_product([C, H]).pure([H.unit(), C.unit()]),
                            AlgebraMismatch, "element does not belong to its factor"),
+    "cli.builtin_name": (lambda: make_builtin("sedenion"),  # the grammar table bounds argv's
+                         InvalidAlgebra, "unknown builtin algebra 'sedenion'"),
     "tensor.mul_off_tensor": (lambda: tensor_mul(C.unit(), C.unit()),
                               AlgebraMismatch, "tensor_mul applies to TensorAlgebra elements"),
 }

@@ -12,7 +12,7 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, solve_additive)
 from freealg.cli import load_system
-from freealg.solver import _left_sides
+from freealg.solver import _left_sides, _recursive_inverse
 import test_golden_cli
 from test_kernel_properties import VALUES, ZERO, algebras, grids, reference_solve
 
@@ -292,6 +292,32 @@ def test_minor_singular_reported(C):
         quasideterminant(m, 0, 0)
     # the other corner works fine
     assert quasideterminant(m, 1, 1) == cadd(C, -1, 0, 0, 0).to_linear_map()
+
+
+def test_the_recursion_runs_no_elimination_of_the_inverse_it_checks(C, monkeypatch):
+    # verify quasidet holds inverse_map_matrix (exact.invert_ints, that is
+    # exact._bareiss) to the recursion, so the recursion must not run _bareiss
+    rng = random.Random(43)
+    cells = [(j, i) for i in range(3) for j in range(3)]
+    while True:  # m and every minor of the recursion invertible
+        m = rnd_cadd_matrix(C, rng, 3)
+        try:
+            inverse = inverse_map_matrix(m)
+            for j, i in cells:
+                quasideterminant(m, j, i)
+            break
+        except (SingularSystem, MinorSingular):
+            continue
+
+    def no_bareiss(*args, **kwargs):
+        raise AssertionError("the quasideterminant recursion ran exact._bareiss")
+
+    monkeypatch.setattr(exact, "_bareiss", no_bareiss)
+    quasidets = {(j, i): quasideterminant(m, j, i) for j, i in cells}
+    recursed = _recursive_inverse(m.entries)
+    for j, i in cells:
+        assert recursed[i][j] == inverse.entries[i][j]
+        assert compose(quasidets[j, i], recursed[i][j]) == LinearMap.identity(C)
 
 
 def test_solve_example(C):
