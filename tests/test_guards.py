@@ -71,7 +71,7 @@ GUARDS = {
                           AlgebraMismatch, "need one element per factor"),
     "tensor.pure_factor": (lambda: tensor_product([C, H]).pure([H.unit(), C.unit()]),
                            AlgebraMismatch, "element does not belong to its factor"),
-    "cli.builtin_name": (lambda: make_builtin("sedenion"),  # the grammar table bounds argv's
+    "cli.builtin_name": (lambda: make_builtin("sedenion"),  # argv's names are bounded before
                          InvalidAlgebra, "unknown builtin algebra 'sedenion'"),
     "tensor.mul_off_tensor": (lambda: tensor_mul(C.unit(), C.unit()),
                               AlgebraMismatch, "tensor_mul applies to TensorAlgebra elements"),
