@@ -18,9 +18,10 @@ The two nesting orders coincide in associative algebras; "left" is the
 default everywhere.  The right order is the left order over A^op with i
 and j swapped, as e_i (x e_j) = (e_j . x) . e_i when x . y = y x, so one
 walk builds both: over A's row table of constants, or over A^op's, which
-is A's column table, whose column (i, j) is B's column (j, i).  Kept in
-the walk's column order, the right order's blocks fall into the classes of
-B(A^op), one on O and O (x) O; only a block with a free column ascends.
+is A's column table, whose column (i, j) is B's column (j, i).  The walk
+sets each right-order block's column order as it finds the block: kept in
+the walk's order, the blocks fall into the classes of B(A^op), one on O
+and O (x) O; only a block whose walk grid has a free column ascends.
 B is read, solved and applied only through the blocks, on ints up to the
 values returned: B vec(t) gathers a block's signed entries ts of vec(t)
 once and takes F ts, and the solve takes left b with its class's factor.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional
@@ -227,13 +228,15 @@ class BMatrix(NamedTuple):
     of its class, and ``classes`` lists (F, factor), F the int grid
     holding ``den`` times the entries up to signs, den the square of the
     algebra's denominator, and factor a reduction of F as ``exact.factor``
-    gives it; every entry outside the blocks is zero.  A zero row is a
-    block without columns and a zero column one without rows.
+    gives it, made once per build for each grid; every entry outside the
+    blocks is zero.  A zero row is a block without columns and a zero column
+    one without rows.
 
-    The right order's walk runs over A^op, so a block's columns come in
-    that walk's order, relabelled (i, j) -> (j, i): they ascend only in a
-    class with a free column, re-classed so that its free columns,
-    particular solution and null vectors are those of column order.  Only
+    The right order's walk runs over A^op and sets each block's column order
+    as it finds the block: B's columns (j, i) in that walk's order (i, j),
+    unless the walk's grid has a free column, when they ascend and the grid's
+    columns move with them, so that its free columns, particular solution
+    and null vectors are those of column order.  Only
     this module reads the blocks: other modules read B and B^-1 as
     ``relations`` and ``inverse_relations``.  ``entries``, a dense view
     rebuilt on each read, is for callers outside the library.
@@ -301,10 +304,12 @@ def b_matrix(algebra: FreeAlgebra, order: str = "left") -> BMatrix:
 
 def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
     n = algebra.dim
-    # the left order over A, or over A^op for the right order, whose column (i, j)
-    # at i n + j is B's column (j, i): ``_relabel`` moves it there
+    # the left order over A, or over A^op for the right order, whose walk
+    # column (i, j) at i n + j is B's column (j, i), at to_b[i n + j]
     left = order == "left"
     table = algebra.terms(opposite=not left)
+    to_b = range(n * n) if left else [c % n * n + c // n for c in range(n * n)]
+    factor = cache(exact.factor)  # each class grid is eliminated once per build
     # coefficient of f^{ij} in coordinate (k, m): sum_p B[i][m][p] B[p][j][k], over den^2
     cells: list[dict[int, int]] = [{} for _ in range(n * n)]  # row -> {column: sum}
     for i, row in enumerate(table):
@@ -338,43 +343,21 @@ def _build_b_matrix(algebra: FreeAlgebra, order: str) -> BMatrix:
         rows.sort()
         cols.sort()
         f = tuple(tuple(rs[r] * cs[c] * cells[r].get(c, 0) for c in cols) for r in rows)
-        blocks.append((rows, cols, [rs[r] for r in rows], [cs[c] for c in cols],
-                       index.setdefault(f, len(index))))
-    del cells, col_rows  # not held while the classes are factored
-    zero = [c for c in range(n * n) if not cs[c]]
+        signs, cols = [cs[c] for c in cols], [to_b[c] for c in cols]
+        # B's columns in the walk's order keep the walk's class, unless it has a
+        # free column: then they ascend, so that its free columns, particular
+        # solution and null vectors are those of column order
+        if cols != sorted(cols) and len(factor(f)[0]) < len(cols):
+            q = sorted(range(len(cols)), key=cols.__getitem__)
+            cols, signs = [cols[p] for p in q], [signs[p] for p in q]
+            f = tuple(map(itemgetter(*q), f))
+        blocks.append((rows, cols, [rs[r] for r in rows], signs, index.setdefault(f, len(index))))
+    del cells, col_rows  # not held while the classes left are factored
+    zero = sorted(to_b[c] for c in range(n * n) if not cs[c])
     if zero:  # last, in B's column order
         k = index.setdefault((), len(index))
-        blocks += [([], [c], [], [1], k)
-                   for c in sorted(zero, key=lambda c: c if left else c % n * n + c // n)]
-    classes = [(f, exact.factor(f)) for f in index]
-    if left:
-        return BMatrix(algebra, order, blocks, classes)
-    return BMatrix(algebra, order, *_relabel(blocks, classes, n))
-
-
-def _relabel(blocks: list, classes: list, n: int) -> tuple[list, list]:
-    """The right order's blocks and classes in the walk's column order, from
-    those of the walk over A^op, whose column i n + j is B's column (j, i).
-    A block's columns are relabelled in the walk's order, so it keeps its walk
-    class, unless that class has a free column: then they ascend, and the
-    block is re-classed, so that its free columns, particular solution and
-    null vectors are those of column order."""
-    out, index, factors = [], {}, {}
-    for rows, cols, rs, cs, k in blocks:
-        f, factor = classes[k]
-        cols = [c % n * n + c // n for c in cols]
-        if len(factor[0]) < len(cols) and cols != sorted(cols):
-            q = sorted(range(len(cols)), key=cols.__getitem__)
-            cols, cs, f, factor = [cols[p] for p in q], [cs[p] for p in q], _columns(f, q), None
-        k = index.setdefault(f, len(index))
-        factors[k] = factors.get(k) or factor or exact.factor(f)
-        out.append((rows, cols, rs, cs, k))
-    return out, [(f, factors[k]) for f, k in index.items()]
-
-
-def _columns(grid: tuple, q: list) -> tuple:
-    """The grid with column j taken from column q[j], q of two or more."""
-    return tuple(map(itemgetter(*q), grid))
+        blocks += [([], [c], [], [1], k) for c in zero]
+    return BMatrix(algebra, order, blocks, [(f, factor(f)) for f in index])
 
 
 class StandardSolution:
@@ -641,7 +624,9 @@ def representation_basis(algebra: FreeAlgebra, order: str = "left") -> list[Line
         inside = {c for row, c in zip(rows, pivots) if sum(1 for x in row if x) == 1}
         pivot = next(c for c in range(n * n) if c not in inside)
         columns = list(zip(*rows))
-        (y, den), _ = exact.solve_ints(exact.int_mat_mul(rows, columns, len(rows)), columns[pivot])
+        # R R^T is nonsingular, so [R R^T | -R e_c] has one null vector, (y, den)
+        gram = exact.int_mat_mul(rows, columns, len(rows))
+        (*y, den), _ = exact.null_vector([[*g, -v] for g, v in zip(gram, columns[pivot])])
         residual = [-sum(map(mul, column, y)) for column in columns]
         residual[pivot] += den
         g = LinearMap._of((algebra, algebra), (tuple(exact.primitive(residual)), 1))

@@ -6,7 +6,9 @@ that walk's classes: a block of full column rank keeps its columns in the
 walk's order, so O and O (x) O hold one class in each order, and a block
 with a free column ascends, so that its null vectors are those of column
 order.  Each block carries the signs that a walk of the dense B over the
-build's column order gives, and each class is eliminated once.
+build's column order gives, and each class grid is eliminated once per
+build, the one factor serving both the choice of a block's column order
+and the class.
 
 The conversions apply each class's grid F (``tensor_map``) and its
 factor's left matrix (``standard_from_coords``) by code that
@@ -149,6 +151,24 @@ def test_merged_class_counts(make, classes, monkeypatch):
     for bm in counts:
         for f, factor in bm.classes:
             check_factor(f, factor)
+
+
+@settings(max_examples=100)
+@given(algebras(), st.sampled_from(ORDERS))
+def test_each_class_grid_is_factored_once_per_build(algebra, order):
+    # the walk factors a grid to decide a block's column order, and the
+    # classes are factored at the end: a grid met twice, a kept walk class
+    # or a moved grid equal to another block's, reuses the one factor
+    factored = []
+    factor = exact.factor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "factor", lambda grid: factored.append(grid) or factor(grid))
+        bm = b_matrix(algebra, order)
+    assert len(factored) == len(set(factored))
+    assert all(f in factored and kept == factor(f) for f, kept in bm.classes)
+    for _, cols, _, _, k in bm.blocks:
+        if len(bm.classes[k][1][0]) < len(cols):  # a free column: ascending columns
+            assert cols == sorted(cols)
 
 
 def moved_and_flipped():

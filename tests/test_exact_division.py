@@ -170,19 +170,33 @@ def test_the_loops_stop_at_the_first_column_without_a_pivot():
 
 def test_exact_has_two_elimination_loops():
     # _reduce, for factor, rank, solve_ints and the span of
-    # representation_basis, and _bareiss, for invert_ints and null_vector
+    # representation_basis, and _bareiss, for invert_ints and null_vector;
+    # factor serves B's build, once per class grid, and the quasideterminant
+    # recursion, and solve_ints orbit_contains' dense system and
+    # tensor_inverse's general path: a name is read as exact.<name>, or bare
+    # inside exact, never imported
     package = Path(exact.__file__).parent
-    callers = {"_reduce": set(), "_bareiss": set()}
+    users = {name: set() for name in ("_reduce", "_bareiss", "factor", "solve_ints")}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not users.keys() & {alias.name for alias in node.names}
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    if name in callers:
-                        callers[name].add(f"{path.stem}.{func.name}")
-    assert callers == {"_reduce": {"exact.rank", "exact.factor", "exact.solve_ints",
-                                   "linmap.representation_basis"},
-                       "_bareiss": {"exact.invert_ints", "exact.null_vector"}}
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exact":
+                    name = node.attr
+                elif isinstance(node, ast.Name) and path.stem == "exact":
+                    name = node.id
+                else:
+                    continue
+                if name in users:
+                    users[name].add(f"{path.stem}.{func.name}")
+    assert users == {"_reduce": {"exact.rank", "exact.factor", "exact.solve_ints",
+                                 "linmap.representation_basis"},
+                     "_bareiss": {"exact.invert_ints", "exact.null_vector"},
+                     "factor": {"linmap._build_b_matrix", "solver._recursive_inverse"},
+                     "solve_ints": {"exact.solve", "linmap.orbit_contains",
+                                    "tensor.tensor_inverse"}}
