@@ -363,12 +363,6 @@ def _compile(label: str, widths: dict[str, int], outputs: list[str], names: dict
     return namespace["kernel"]
 
 
-def associator_ints(algebra: FreeAlgebra, xs, zs, xy, yz) -> list[int]:
-    """The numerators of (x y) z - x (y z) over x_den y_den z_den D^2, D the
-    algebra's denominator, not reduced, from the kernel's xy and yz."""
-    return [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
-
-
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants."""
     algebra = shared_algebra(x, y)
@@ -387,7 +381,8 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     algebra = shared_algebra(x, y, z)
     (xs, x_den), (ys, y_den), (zs, z_den) = x.ints, y.ints, z.ints
     xy, yz = product_ints(algebra, xs, ys), product_ints(algebra, ys, zs)
-    return AlgElement._of((algebra,), canonical(associator_ints(algebra, xs, zs, xy, yz),
+    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
+    return AlgElement._of((algebra,), canonical(nums,
                                                 x_den * y_den * z_den * algebra.denominator ** 2))
 
 

@@ -26,7 +26,8 @@ B is read, solved and applied only through the blocks, on ints up to the
 values returned: B vec(t) gathers a block's signed entries ts of vec(t)
 once and takes F ts, and the solve takes left b with its class's factor.
 A class that serves two or more blocks runs its mat-vec as straight-line
-code compiled on first use, any other the row loop ``sum(map(mul, row, ts))``.
+code compiled on first use, once per distinct grid of the algebra for both
+orders and both sides, any other the row loop ``sum(map(mul, row, ts))``.
 
 Coordinate matrices and component grids are vectorized row by row by
 ``exact.vec``: target coordinate or i outer, source coordinate or j inner.
@@ -43,13 +44,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from math import lcm, prod
+from math import lcm
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from . import exact
-from .core import (AlgElement, FreeAlgebra, associator_ints, compile_matvec, product_ints,
-                   shared_algebra)
+from .core import AlgElement, FreeAlgebra, compile_matvec, product_ints, shared_algebra
 from .errors import (AlgebraMismatch, InvalidAlgebra, NoUnit, NotRepresentable,
                      SubstitutionCheckFailed)
 from .exact import IntForm, frac
@@ -122,39 +122,48 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     return LinearMap._of((f.source, g.target), exact.canonical(exact.vec(product), g_den * f_den))
 
 
-def _map_from_columns(column, *factors: AlgElement) -> LinearMap:
-    """The endomorphism whose column j is column(e_j), the numerators of a product of
-    e_j and each of ``factors`` once, over their denominators times one D per factor."""
-    algebra = shared_algebra(*factors)
-    den = algebra.denominator ** len(factors) * prod(x.ints[1] for x in factors)
-    cols = [column(e.ints[0]) for e in algebra.basis()]
-    return LinearMap._of((algebra, algebra), exact.canonical(exact.vec(zip(*cols)), den))
+def _shift_columns(algebra: FreeAlgebra, xs, right: bool = False) -> list[list[int]]:
+    """The columns a e_j, or e_j a with ``right``, over a's denominator times D, not
+    reduced: one walk of A's table, or its column table, over a's numerators ``xs``."""
+    cols, terms = [[0] * len(xs) for _ in xs], algebra.terms(opposite=right)
+    for i, x in enumerate(xs):
+        if x:
+            for j, k, v in terms[i]:
+                cols[j][k] += x * v
+    return cols
+
+
+def _from_columns(algebra: FreeAlgebra, cols, den: int, factors: int = 1) -> LinearMap:
+    return LinearMap._of((algebra, algebra), exact.canonical(
+        exact.vec(zip(*cols)), den * algebra.denominator ** factors))
 
 
 def left_shift(a: AlgElement) -> LinearMap:
     """The map x -> a x."""
-    return _map_from_columns(lambda e: product_ints(a.algebra, a.ints[0], e), a)
+    return _from_columns(a.algebra, _shift_columns(a.algebra, a.ints[0]), a.ints[1])
 
 
 def right_shift(a: AlgElement) -> LinearMap:
     """The map x -> x a."""
-    return _map_from_columns(lambda e: product_ints(a.algebra, e, a.ints[0]), a)
+    return _from_columns(a.algebra, _shift_columns(a.algebra, a.ints[0], True), a.ints[1])
 
 
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
-    """The map x -> (a, b, x); measures the failure of l(a)l(b) = l(ab)."""
-    algebra, xs, ys = shared_algebra(a, b), a.ints[0], b.ints[0]
+    """The map x -> (a, b, x) = (ab) x - a (b x); measures the failure of l(a)l(b) = l(ab)."""
+    algebra, (xs, a_den), (ys, b_den) = shared_algebra(a, b), a.ints, b.ints
     ab = product_ints(algebra, xs, ys)
-    return _map_from_columns(
-        lambda e: associator_ints(algebra, xs, e, ab, product_ints(algebra, ys, e)), a, b)
+    cols = [[p - q for p, q in zip(ab_e, product_ints(algebra, xs, b_e))] for ab_e, b_e in
+            zip(_shift_columns(algebra, ab), _shift_columns(algebra, ys))]
+    return _from_columns(algebra, cols, a_den * b_den, 2)
 
 
 def right_associator_map(b: AlgElement, a: AlgElement) -> LinearMap:
-    """The map x -> (x, b, a); measures the failure of r(a)r(b) = r(ba)."""
-    algebra, ys, zs = shared_algebra(b, a), b.ints[0], a.ints[0]
+    """The map x -> (x, b, a) = (x b) a - x (ba); measures the failure of r(a)r(b) = r(ba)."""
+    algebra, (ys, b_den), (zs, a_den) = shared_algebra(b, a), b.ints, a.ints
     ba = product_ints(algebra, ys, zs)
-    return _map_from_columns(
-        lambda e: associator_ints(algebra, e, zs, product_ints(algebra, e, ys), ba), b, a)
+    cols = [[p - q for p, q in zip(product_ints(algebra, e_b, zs), e_ba)] for e_b, e_ba in
+            zip(_shift_columns(algebra, ys, True), _shift_columns(algebra, ba, True))]
+    return _from_columns(algebra, cols, a_den * b_den, 2)
 
 
 def sandwich(a: AlgElement, f: LinearMap, b: AlgElement, order: str = "left") -> LinearMap:
@@ -410,13 +419,22 @@ def _plan(bm: BMatrix, side: str) -> tuple:
     CPUs it takes 0.15-0.5x the row loop's time and pays back after 40-100
     applications (4-12 ms for O (x) O's 64 x 64 grids, about what their 64
     blocks save in one conversion), and a one-block class, as each of a
-    generic E(a, b)'s four, would run its code once per conversion."""
-    def build():
-        served = Counter(k for *_, k in bm.blocks)
-        grids = [factor[2] if side == "solve" else f for f, factor in bm.classes]
-        return (_solve_plan(bm) if side == "solve" else bm.blocks,
-                [compile_matvec(g, f"class {k} of {bm!r}") if served[k] > 1
-                 else partial(_row_loop, g) for k, g in enumerate(grids)])
+    generic E(a, b)'s four, would run its code once per conversion.  Code is
+    made once per distinct grid of the algebra, in one table that both orders
+    and both sides share: O compiles F and left, H and H (x) H one grid."""
+    codes = bm.algebra.cached("class kernels", dict)  # grid -> its code, read before the build
+
+    def build():  # under the algebra's lock, as every write to ``codes`` is
+        served, kernels = Counter(k for *_, k in bm.blocks), []
+        for k, (f, factor) in enumerate(bm.classes):
+            grid = factor[2] if side == "solve" else f
+            if served[k] < 2:
+                kernels.append(partial(_row_loop, grid))
+            else:  # the code of an equal grid, of either order or side, or new code
+                key = tuple(map(tuple, grid))
+                kernels.append(codes.get(key) or codes.setdefault(key, compile_matvec(
+                    grid, f"a class grid of {bm.algebra!r}")))
+        return _solve_plan(bm) if side == "solve" else bm.blocks, kernels
     return bm.algebra.cached(("b_matrix", bm.order, side), build)
 
 

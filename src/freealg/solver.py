@@ -24,6 +24,7 @@ one formula that holds for every invertible map, b = 0 included.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -199,28 +200,28 @@ def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
 
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:
-    """The int rows of [M | -b], the flattening with -b appended, each band
-    of n rows (a row of maps and its right side) over one denominator."""
-    n = m.algebra.dim
+    """The int rows of [M | -L b], L the lcm of b's denominators: each band of n rows
+    (a row of maps and its right side) over the lcm of its maps' denominators alone."""
+    n, scale = m.algebra.dim, lcm(*(y.ints[1] for y in rhs))
     rows = []
-    for band, y in zip(m.entries, rhs):
-        (*maps, ys), _ = exact.over_lcm([f.ints for f in band] + [y.ints])
+    for band, (ys, y_den) in zip(m.entries, (y.ints for y in rhs)):
+        maps, den = exact.over_lcm([f.ints for f in band])
         for r, y_r in enumerate(ys):
-            rows.append([x for nums in maps for x in nums[r * n:r * n + n]] + [-y_r])
+            rows.append([x for nums in maps for x in nums[r * n:r * n + n]]
+                        + [-y_r * den * (scale // y_den)])
     return rows
 
 
 def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     """Solve the system  sum_j m[i][j](x_j) = rhs_i  for x.
 
-    With b the right side stacked into one vector, eliminates the int
-    rows of the flattening with -b appended, [M | -b], once, never
-    inverting M, and back-substitutes only its first null vector,
-    ``exact.null_vector``: (x, 1) when M is nonsingular, and (w, 0) with
-    M w = 0, w != 0, when M is singular, consistent or not.  x is
-    substituted back through the maps, so the check does not read the
-    matrix it checks; a singular M raises SingularSystem with
-    ``witness`` w, checked the same way.
+    With b the right side stacked into one vector and L the lcm of its
+    denominators, eliminates the int rows of [M | -L b] once, never inverting
+    M, and back-substitutes only its first null vector, ``exact.null_vector``:
+    (L x, 1) when M is nonsingular, and (w, 0) with M w = 0, w != 0, when M is
+    singular, consistent or not.  x is substituted back through the maps, so
+    the check does not read the matrix it checks; a singular M raises
+    SingularSystem with ``witness`` w, checked the same way.
     """
     if not m.is_square():
         raise ShapeMismatch("system matrix must be square")
@@ -232,7 +233,7 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     n = m.algebra.dim
     rows = _augmented(m, rhs)
     kernel, den = exact.null_vector(rows)
-    *x, last = kernel  # (x, 1), or (w, 0) for a singular M
+    *x, last = kernel  # (L x, 1), or (w, 0) for a singular M
 
     def elements(v) -> list[AlgElement]:
         return [AlgElement._of((m.algebra,), exact.canonical(vi, den)) for vi in exact.blocks(v, n)]
@@ -245,6 +246,7 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
         raise SingularSystem(
             f"matrix of mappings is singular (matrix is singular: no pivot in column {free})",
             witness)
+    den *= lcm(*(y.ints[1] for y in rhs))  # L x over den is x over den L
     solution = elements(x)
     for i, (got, want) in enumerate(zip(_left_sides(m, solution), rhs)):
         if got != want:

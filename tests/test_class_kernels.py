@@ -13,16 +13,20 @@ and the class.
 The conversions apply each class's grid F (``tensor_map``) and its
 factor's left matrix (``standard_from_coords``) by code that
 ``core.compile_matvec`` makes on a side's first use for every class serving
-two or more blocks, and any other class by the row loop.  The kernels must
-give the row loop's ints on every grid, a row of more than 256 terms
-included; a B whose classes each serve one block compiles nothing; and
-concurrent first conversions on a fresh algebra agree and compile each
-shared class once per side, no build calling ``cached`` within another.
+two or more blocks, and any other class by the row loop.  That code is made
+once per distinct grid of the algebra and shared by both orders and both
+sides.  The kernels must give the row loop's ints on every grid, a row of
+more than 256 terms included; a B whose classes each serve one block
+compiles nothing; and concurrent first conversions on a fresh algebra agree
+and compile each distinct shared grid once, no build calling ``cached``
+within another.
 """
 
 import random
+import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import isqrt
@@ -32,8 +36,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg import (LinearMap, NotRepresentable, Tensor2, b_matrix, complex_algebra, exact,
-                     octonion_algebra, quaternion_algebra, standard_from_coords, tensor_product)
-from freealg import linmap
+                     octonion_algebra, quaternion_algebra, standard_from_coords, tensor_inverse,
+                     tensor_product, twisted_mul)
+from freealg import core, linmap
 from freealg.core import FreeAlgebra, compile_matvec, opposite
 from freealg.linmap import check_conversion, table_map
 from conftest import square_zero
@@ -300,19 +305,89 @@ def test_conversions_agree_before_and_after_compiling(make, order, monkeypatch):
     assert results(make(), order, random.Random(3)) == got
 
 
+def key(grid):
+    return tuple(map(tuple, grid))
+
+
+def compiled_grids(compiled):
+    return [key(grid) for _, grid in compiled]
+
+
+def shared_grids(algebra):
+    """The distinct grids, F and left in both orders, of the classes of B that
+    serve two or more blocks, in the order first met."""
+    out = []
+    for order in ORDERS:
+        bm = b_matrix(algebra, order)
+        served = Counter(k for *_, k in bm.blocks)
+        for k, (f, (_, _, left, _)) in enumerate(bm.classes):
+            for grid in (f, left):
+                if served[k] > 1 and key(grid) not in out:
+                    out.append(key(grid))
+    return out
+
+
 def test_shared_classes_compile_on_their_first_use(monkeypatch):
+    # one compile per distinct grid of the algebra: O's F and left are each
+    # the same in both orders, so the right order compiles nothing more
     compiled = record_compiles(monkeypatch)
     O = octonion_algebra()
-    f, (_, _, left, _) = b_matrix(O).classes[0]
+    (f, (_, _, left, _)), = b_matrix(O).classes
     g, t = dense_map(O, random.Random(1)), Tensor2.unit(O)
     standard_from_coords(g)
-    assert [grid for _, grid in compiled] == [left]
+    assert compiled_grids(compiled) == [key(left)]
     linmap.tensor_map(t)
-    assert [grid for _, grid in compiled] == [left, f]
+    assert compiled_grids(compiled) == [key(left), key(f)]
+    (f_right, (_, _, left_right, _)), = b_matrix(O, "right").classes
+    assert (key(f_right), key(left_right)) == (key(f), key(left)) and key(f) != key(left)
     for _ in range(2):
-        standard_from_coords(g)
-        linmap.tensor_map(t)
+        for order in ORDERS:
+            standard_from_coords(g, order)
+            linmap.tensor_map(t, order)
     assert len(compiled) == 2
+
+
+@pytest.mark.parametrize("make", [quaternion_algebra, hh], ids=["H", "HH"])
+def test_h_and_hh_compile_one_class_kernel_in_all(make, monkeypatch):
+    # their F is their factor's left, in both orders
+    compiled = record_compiles(monkeypatch)
+    algebra = make()
+    assert len(shared_grids(algebra)) == 1
+    for order in ORDERS:
+        results(algebra, order, random.Random(4), rounds=2)
+    assert compiled_grids(compiled) == shared_grids(algebra)
+
+
+def test_a_first_tensor_inverse_compiles_one_class_and_one_product_kernel(monkeypatch):
+    # the map side's F and the solve side's left are one grid on H, and the
+    # twisted products that check the inverse compile H (x) H^op's product
+    compiled = record_compiles(monkeypatch)
+    products = []
+    compile_product = core._compile_product
+    monkeypatch.setattr(core, "_compile_product",
+                        lambda algebra: products.append(algebra) or compile_product(algebra))
+    H = quaternion_algebra()
+    t = Tensor2(H, [[Fraction(i * i - 3 * j, j + 1) for j in range(4)] for i in range(4)])
+    u = tensor_inverse(t)
+    assert len(compiled) == 1 and len(products) == 1
+    assert twisted_mul(t, u) == Tensor2.unit(H)
+
+
+@pytest.mark.parametrize("make", [octonion_algebra, quaternion_algebra, oc],
+                         ids=["O", "H", "OC"])
+def test_plans_with_equal_grids_hold_one_kernel(make):
+    algebra = make()
+    kernels = {}  # grid -> the kernel objects that run it, over both orders and sides
+    for order in ORDERS:
+        bm = b_matrix(algebra, order)
+        served = Counter(k for *_, k in bm.blocks)
+        for side in ("map", "solve"):
+            for k, kernel in enumerate(linmap._plan(bm, side)[1]):
+                f, (_, _, left, _) = bm.classes[k]
+                if served[k] > 1:
+                    kernels.setdefault(key(left if side == "solve" else f), set()).add(kernel)
+    assert kernels and all(len(runs) == 1 for runs in kernels.values())
+    assert len(kernels) == len(shared_grids(algebra))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -352,15 +427,21 @@ def test_concurrent_first_conversions_agree(monkeypatch):
 
 def test_concurrent_first_conversions_compile_each_shared_class_once(monkeypatch):
     # a side's kernels are built under the algebra's lock, so the threads
-    # that wait for the build take its kernels and compile nothing; each
-    # compile is held open while the other threads reach the build
+    # that wait for the build take its kernels and compile nothing, and a
+    # grid compiled for one order or side is not compiled again for the
+    # other; each compile is held open while the other threads reach the
+    # build, and threads switch often, so that a write to the shared table
+    # outside the lock would show as a second compile
     compiled = record_compiles(monkeypatch, pause=0.02)
     algebra = octonion_algebra()
-    convert_in_threads(algebra, 4)
-    grids = [grid for order in ORDERS for f, (_, _, left, _) in b_matrix(algebra, order).classes
-             for grid in (f, left)]
-    assert len(grids) == 4
-    assert sorted(id(grid) for _, grid in compiled) == sorted(map(id, grids))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        convert_in_threads(algebra, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(shared_grids(algebra)) == 2
+    assert sorted(compiled_grids(compiled)) == sorted(shared_grids(algebra))
 
 
 def convert_in_threads(algebra, seed):

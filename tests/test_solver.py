@@ -10,7 +10,7 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      SingularSystem, SubstitutionCheckFailed, apply, cadd_inverse, cadd_product,
                      compose, cr_product, exact, flatten, inverse_map_matrix,
                      left_shift, multiply, quasideterminant, random_element,
-                     rc_product, solve_additive)
+                     rc_product, right_shift, solve_additive)
 from freealg.cli import load_system
 from freealg.solver import _left_sides, _recursive_inverse
 import test_golden_cli
@@ -606,6 +606,26 @@ def test_substitution_does_not_read_the_eliminated_matrix(C, monkeypatch):
     monkeypatch.setattr(solver_mod, "_augmented", perturbed)
     with pytest.raises(SubstitutionCheckFailed, match="equation 1"):
         solve_additive(m, rhs)
+
+
+def test_the_right_side_s_denominators_do_not_scale_m(O, monkeypatch):
+    # [M | -L b] keeps each band of M over its maps' lcm alone: on a system of
+    # basis shifts with b = e_0 / 3, M's part of the rows null_vector gets is
+    # the maps' own ints, and only the last column carries L = 3
+    e = O.basis()
+    m = MapMatrix([[left_shift(e[1]), right_shift(e[1])], [right_shift(e[1]), left_shift(e[2])]])
+    rhs = [e[0].scaled(Fraction(1, 3))] * 2
+    got = []
+    null_vector = exact.null_vector
+    monkeypatch.setattr(exact, "null_vector", lambda a: got.append(a) or null_vector(a))
+    x = solve_additive(m, rhs)
+    (rows,) = got
+    flat = [[int(v) for v in row] for row in flatten(m)]
+    assert [row[:-1] for row in rows] == flat
+    assert {v for row in flat for v in row} == {-1, 0, 1}
+    assert [row[-1] for row in rows] == [-3 * v for v in exact.vec(y.coords for y in rhs)]
+    rank, particular, _ = reference_solve(flatten(m), exact.vec(y.coords for y in rhs))
+    assert rank == 16 and exact.vec(xi.coords for xi in x) == particular
 
 
 def test_cadd_product(C):
