@@ -9,14 +9,14 @@ exact rationals; no operation ever rounds.
 The algebra holds its constants once, as integer numerators over one
 common denominator, ``FreeAlgebra.denominator``, in two flat tables, A's
 and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
-``product_ints``, makes every product of elements: ``multiply``,
-``associator`` and the shifts and associator maps of ``linmap`` make one
-``canonical`` per value they return.  It takes one of two paths, chosen by
+``product_ints``, makes the products of ``multiply``, ``associator`` and
+``linmap``'s associator maps, one ``canonical`` per value they return (its
+shifts walk the table themselves).  It takes one of two paths, chosen by
 the operands alone.  Dense ones go to code compiled once per algebra from
 its table, ``product_kernel``, one straight-line expression per output
 coordinate, which pays no interpreter step per term of the table.  When
 one operand has few nonzero coordinates, a loop over those does fewer
-terms: the shifts multiply by basis vectors.  The same code generator
+terms, as for ``in_nucleus``'s basis vectors.  The same code generator
 compiles an int grid's mat-vec, ``compile_matvec``, for the classes of
 ``linmap``'s component matrix.  ``+`` and ``-`` run on ints too.
 ``AlgElement.coords``, the Fractions, is built on first read; its values
@@ -259,7 +259,7 @@ def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
     the table without a branch.  Otherwise a loop runs over that operand's
     nonzero coordinates, through row i of the flat table when it is x and
     column j when it is y, and skips the zero terms the kernel would make:
-    a one-hot operand, as the shifts and ``in_nucleus`` pass, costs one row.
+    a one-hot operand, as ``in_nucleus`` passes, costs one row.
     Measured on 2 CPUs (Python 3.11), the loop and the kernel cost the same
     at nnz 2-3 on H (x) H (dim 16) and 16-26 on O (x) O (dim 64), the higher
     on 40-bit values; on O the kernel is never slower.  Sums of ints are
