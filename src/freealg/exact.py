@@ -50,8 +50,8 @@ and sets the two slots of ``object.__new__(Fraction)`` as
 ``Fraction._from_coprime_ints`` does on Python 3.12, skipping the
 pure-Python ``Fraction.__new__``, about 1 us a value on 3.11: 64 values
 of an O conversion take 25-33 us, against 66-79 us through ``Fraction``.
-Nothing in the package calls ``invert``, ``solve``, ``rank`` or
-``mat_mul``; they stay because the benchmark's tracer wraps them by name.
+Only their own tests and the benchmark's tracer read ``invert``,
+``solve``, ``rank`` and ``mat_mul``; nothing in the package calls them.
 
 ``mat_mul`` sums over ints too (``int_mat_mul``), with one lcm of
 denominators per row of a and one per column of b; one lcm for all of b

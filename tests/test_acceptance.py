@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from freealg import (ComplexAdditiveMap, LinearMap, MapMatrix, MinorSingular,
                      NotRepresentable, SingularSystem, SingularTensor,
-                     Tensor2, b_matrix, compose, conjugate, exact,
+                     Tensor2, b_matrix, compose, conjugate,
                      inverse_map_matrix, left_shift, multiply, orbit_contains,
                      quasideterminant, random_element, representation_basis,
                      right_shift, solve_additive, standard_from_coords,
@@ -21,6 +21,7 @@ from freealg.algebras import conjugation_coords
 from freealg.core import associator
 from freealg.linmap import (coords_from_standard, left_associator_map,
                             right_associator_map)
+import oracle
 
 
 def report(number, ok, text):
@@ -86,7 +87,7 @@ def test_criterion_2_quaternion_tables(H):
     ok = True
     for (k, m), expected in golden.quaternion_coord_relations().items():
         ok &= bm_relation(bm, k, m) == expected
-    inv = exact.invert(bm.entries)
+    inv = oracle.inverse(bm.entries)
     for (i, j), expected in golden.quaternion_standard_relations().items():
         ok &= inverse_relation(inv, 4, i, j) == expected
     sign = [[bm.entries[k * 4 + k][i * 4 + i]
@@ -95,7 +96,7 @@ def test_criterion_2_quaternion_tables(H):
                    for row in golden.QUATERNION_SIGN_MATRIX]
     sign_inv = [[Fraction(v, golden.QUATERNION_SIGN_MATRIX_DEN) for v in row]
                 for row in golden.QUATERNION_SIGN_MATRIX_INVERSE_NUM]
-    ok &= exact.mat_mul(sign, sign_inv) == [[int(r == c) for c in range(4)] for r in range(4)]
+    ok &= oracle.matmul(sign, sign_inv) == [[int(r == c) for c in range(4)] for r in range(4)]
     report(2, ok, "16 + 16 quaternion conversion relations and the sign-matrix "
                   "pair with its 1/4 factor")
 
@@ -108,7 +109,7 @@ def test_criterion_3_octonion_tables(O):
     assert len(forward) == 64
     for (k, m), expected in forward.items():
         ok &= bm_relation(bm, k, m) == expected
-    inv = exact.invert(bm.entries)
+    inv = oracle.inverse(bm.entries)
     backward = golden.octonion_standard_relations()
     assert len(backward) == 64
     for (i, j), expected in backward.items():
@@ -121,7 +122,7 @@ def test_criterion_3_octonion_tables(O):
     ok &= sign == [[Fraction(v) for v in row] for row in golden.OCTONION_SIGN_MATRIX]
     sign_inv = [[Fraction(v, golden.OCTONION_SIGN_MATRIX_DEN) for v in row]
                 for row in golden.OCTONION_SIGN_MATRIX_INVERSE_NUM]
-    ok &= exact.mat_mul(sign, sign_inv) == [[int(r == c) for c in range(8)] for r in range(8)]
+    ok &= oracle.matmul(sign, sign_inv) == [[int(r == c) for c in range(8)] for r in range(8)]
     elapsed = time.perf_counter() - started
     ok &= elapsed < 5.0
     report(3, ok, f"64 + 64 octonion conversion relations and the sign-matrix "
@@ -215,9 +216,9 @@ def test_criterion_6_property_suites(C, H, O):
                 for i in range(size):
                     for j in range(size):
                         q = quasideterminant(m, j, i)
-                        ok &= (LinearMap(C, C, exact.invert(q.coords))
+                        ok &= (LinearMap(C, C, oracle.inverse(q.coords))
                                == inverse.entries[i][j])
-            except (SingularSystem, MinorSingular, ValueError):
+            except (SingularSystem, MinorSingular):
                 continue
             done += 1
 

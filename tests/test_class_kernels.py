@@ -43,7 +43,8 @@ from freealg.core import FreeAlgebra, compile_matvec, opposite
 from freealg.linmap import check_conversion, table_map
 from conftest import square_zero
 from test_component_blocks import dual_numbers, e_half_minus_3, hh, oc
-from test_kernel_properties import algebras, reference_b
+from test_kernel_properties import algebras
+import oracle
 
 ORDERS = ("left", "right")
 
@@ -65,7 +66,7 @@ def check_factor(grid, factor):
     (den in each pivot column) and then zero rows."""
     pivots, reduced, left, den = factor
     width = len(grid[0]) if grid else 0
-    assert exact.rank(left) == len(grid)
+    assert oracle.rank(left) == len(grid)
     assert ([[sum(e * row[c] for e, row in zip(line, grid)) for c in range(width)]
              for line in left] == [*reduced, *[[0] * width] * (len(grid) - len(pivots))])
     assert all(row[c] == den and all(row[p] == 0 for p in pivots if p != c)
@@ -131,7 +132,8 @@ def walk_signs(b, order):
 def test_blocks_are_signed_by_the_walk_of_b(algebra, order):
     # the right order's blocks, read off the walk over A^op, carry the signs
     # that walk gives, so its classes are those of that walk
-    rs, cs = walk_signs(reference_b(algebra, order), order)
+    rs, cs = walk_signs(oracle.component_matrix(oracle.table(algebra.constants, algebra.dim),
+                                                order), order)
     for rows, cols, block_rs, block_cs, _ in b_matrix(algebra, order).blocks:
         assert block_rs == [rs[r] for r in rows] and block_cs == [cs[c] for c in cols]
 
@@ -194,7 +196,8 @@ def test_a_moved_class_with_a_flipped_pivot_keeps_its_factor():
     for f, factor in bm.classes:
         check_factor(f, factor)
     # the block inverses, read off the factors of the walk's columns, invert B
-    b, inverse = reference_b(algebra, "right"), bm.inverse_relations()
+    b = oracle.component_matrix(oracle.table(algebra.constants, algebra.dim), "right")
+    inverse = bm.inverse_relations()
     for i in range(9):
         row = inverse[divmod(i, 3)]
         assert ([sum(v * b[k * 3 + m][c] for (k, m), v in row.items()) for c in range(9)]

@@ -2,7 +2,8 @@
 
 ``standard_from_coords`` solves B block by block and
 ``coords_from_standard`` applies it block by block.  The first tests
-check both against an in-test plain-``Fraction`` oracle on algebras
+check both against the plain-``Fraction`` oracle of ``oracle.py``, and
+its contraction B, on algebras
 whose B has zero rows and zero columns: the dual numbers, a
 zero-product algebra, and random algebras from the
 ``test_kernel_properties.py`` strategy.  A zero row is a block without
@@ -12,7 +13,7 @@ checks the block layout on C, H, O and H (x) H, and that a round trip
 and ``repr`` never build the dense view of B and no factorisation or
 solve takes more than n rows.  The next ones check that generator
 discovery and orbit membership, on algebras whose B is singular, read B
-only through its blocks and agree with orbits built from the in-test
+only through its blocks and agree with orbits built from the oracle's
 contraction, and that membership holds for a map from C into H.
 
 B's blocks are int grids over ``BMatrix.den``.  A guard refuses the
@@ -25,7 +26,7 @@ sign class of its blocks, when it is built, however often ``rank`` is
 asked.
 
 The last tests check the sign classes: every block is its class grid F
-under its row and column signs, equal to the in-test contraction at its
+under its row and column signs, equal to the oracle's contraction at its
 rows and columns, F being the grid its class's factor reduces, with the
 class counts of the built-in algebras and O (x) C pinned; a basis
 re-signed by +-1 keeps the class grids; the blocks' rows and columns are
@@ -34,8 +35,8 @@ in-test breadth-first search finds them, in its order, and the dual
 numbers pin a zero row's block at its row and a zero column's last,
 with their signs and classes; B holds each
 class grid once and no block holds one; and each block, rank-deficient,
-inconsistent or with a free column of sign -1, solves as ``exact.solve``
-of that block does.
+inconsistent or with a free column of sign -1, solves as the oracle's
+``solve`` of that block does.
 """
 
 import random
@@ -51,16 +52,21 @@ from freealg import (BMatrix, FreeAlgebra, LinearMap, NotRepresentable, Quaterni
                      orbit_contains, quaternion_algebra, representation_basis,
                      standard_from_coords, tensor_inverse, tensor_product, twisted_mul)
 from conftest import block_grids
-from test_kernel_properties import (algebras, grids, reference_b, reference_entry,
-                                    reference_solve, table)
+from test_kernel_properties import algebras, grids
+import oracle
 
 ZERO = Fraction(0)
+
+
+def reference_b(algebra, order):
+    """B by the oracle's contraction of the structure constants."""
+    return oracle.component_matrix(oracle.table(algebra.constants, algebra.dim), order)
 
 
 def check_against_oracle(algebra, grid, order):
     n = algebra.dim
     g = LinearMap(algebra, algebra, grid)
-    expected = reference_solve(reference_b(algebra, order), [v for row in grid for v in row])
+    expected = oracle.solve(reference_b(algebra, order), [v for row in grid for v in row])
     if expected is None:
         with pytest.raises(NotRepresentable):
             standard_from_coords(g, order)
@@ -115,7 +121,7 @@ def test_blockwise_solve_and_apply_match_the_oracle(data, order, image):
     grid = exact.blocks(flat, n) if image else data.draw(grids(n))
     solution = check_against_oracle(algebra, grid, order)
     assert solution is not None or not image
-    assert b_matrix(algebra, order).rank() == reference_solve(b, [ZERO] * (n * n))[0]
+    assert b_matrix(algebra, order).rank() == oracle.rank(b)
 
 
 def no_dense_view(self):
@@ -143,10 +149,10 @@ def test_blocks_partition_b_and_the_round_trip_stays_on_them(make, order, monkey
     if n < 8:
         return
     factored, solved = [], []
-    factor, solve = exact.factor, exact.solve
+    factor, solve = exact.factor, exact.solve_ints
     monkeypatch.setattr(BMatrix, "entries", property(no_dense_view))
     monkeypatch.setattr(exact, "factor", lambda a: factored.append(len(a)) or factor(a))
-    monkeypatch.setattr(exact, "solve", lambda a, b: solved.append(len(a)) or solve(a, b))
+    monkeypatch.setattr(exact, "solve_ints", lambda a, b: solved.append(len(a)) or solve(a, b))
     fresh = make()
     values = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(n * n)]
     g = LinearMap(fresh, fresh, exact.blocks(values, n))
@@ -178,7 +184,7 @@ def half_i_complex():
 
 def reference_orbit(b, g):
     """Column (i, j) is vec(e_i (x) e_j acting on g): row (k, m) is
-    sum_p g[p][m] b[(k, p)][(i, j)], b the in-test contraction."""
+    sum_p g[p][m] b[(k, p)][(i, j)], b the oracle's contraction."""
     n = g.source.dim
     return [[sum(g.coords[p][m] * b[k * n + p][c] for p in range(n)) for c in range(n * n)]
             for k in range(n) for m in range(n)]
@@ -198,7 +204,7 @@ def test_generator_discovery_reads_b_only_through_its_blocks(make, order, count,
     # them together span every coordinate matrix
     b = reference_b(algebra, order)
     orbits = [reference_orbit(b, g) for g in gens]
-    ranks = [exact.rank([sum(rows, []) for rows in zip(*orbits[:s])])
+    ranks = [oracle.rank([sum(rows, []) for rows in zip(*orbits[:s])])
              for s in range(1, count + 1)]
     assert ranks == sorted(set(ranks)) and ranks[-1] == n * n
     for g in gens:
@@ -236,7 +242,6 @@ def refuse_fractions(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction grid was built or multiplied")
     monkeypatch.setattr(exact, "as_fractions", refuse)
-    monkeypatch.setattr(exact, "mat_mul", refuse)
 
 
 @pytest.mark.parametrize("make", [octonion_algebra, hh], ids=["O", "HH"])
@@ -257,7 +262,7 @@ def test_conversion_and_tensor_inverse_stay_on_ints(make, order, monkeypatch):
         u = tensor_inverse(s + Tensor2.unit(H))
     bm = b_matrix(algebra, order)
     assert all(type(v) is int for _, _, grid in block_grids(bm) for row in grid for v in row)
-    image = exact.mat_mul(bm.entries, [[x] for x in exact.vec(t.components)])
+    image = oracle.matmul(bm.entries, [[x] for x in exact.vec(t.components)])
     assert g == compose(LinearMap(algebra, algebra, exact.blocks(exact.vec(image), n)), f)
     assert twisted_mul(u, s + Tensor2.unit(H)) == Tensor2.unit(H)
 
@@ -275,7 +280,7 @@ def test_orbit_membership_over_a_denominator_matches_the_contraction(order, monk
     for f in representation_basis(algebra, order):
         orbit = reference_orbit(b, f)
         for g in maps:
-            expected = reference_solve(orbit, exact.vec(g.coords))
+            expected = oracle.solve(orbit, exact.vec(g.coords))
             t = orbit_contains(g, f, order)
             assert (t is None) == (expected is None)
             if t is not None:
@@ -321,12 +326,11 @@ def e_half_minus_3():
 
 
 def check_block_views(bm):
-    """Each block's int grid, D_r F D_c, is ``den`` times the in-test
+    """Each block's int grid, D_r F D_c, is ``den`` times the oracle's
     contraction at its rows and columns."""
-    c = table(bm.algebra)
+    b = reference_b(bm.algebra, bm.order)
     for rows, cols, grid in block_grids(bm):
-        assert grid == [[reference_entry(c, bm.order, r, col) * bm.den for col in cols]
-                        for r in rows]
+        assert grid == [[b[r][col] * bm.den for col in cols] for r in rows]
 
 
 def check_sign_classes(bm):
@@ -341,7 +345,7 @@ def check_sign_classes(bm):
         assert set(rs) | set(cs) <= {1, -1} and rs[:1] in ([], [1])
         f, (pivots, reduced, left, _) = bm.classes[k]
         assert len(f) == len(rows) and all(len(row) == len(cols) for row in f)
-        assert exact.rank(left) == len(rows)
+        assert oracle.rank(left) == len(rows)
         assert ([[sum(e * row[c] for e, row in zip(line, f)) for c in range(len(cols))]
                  for line in left] == reduced + [[0] * len(cols)] * (len(rows) - len(pivots)))
         used.add(k)
@@ -483,10 +487,11 @@ def test_a_zero_row_comes_at_its_row_and_a_zero_column_last(order):
 
 def check_blocks_against_solve(algebra, order, rng):
     """Solve, through ``standard_from_coords``, maps nonzero on one block's
-    rows, and compare with ``exact.solve`` of that block: the same particular
-    solution and null basis on its columns, or NotRepresentable where solve
-    raises.  Returns (rank-deficient blocks, inconsistent solves, blocks with
-    a free column of sign -1 that a pivot row reads)."""
+    rows, and compare with the oracle's ``solve`` of that block: the same
+    particular solution and null basis on its columns, or NotRepresentable
+    where the block is inconsistent.  Returns (rank-deficient blocks,
+    inconsistent solves, blocks with a free column of sign -1 that a pivot
+    row reads)."""
     n = algebra.dim
     bm = b_matrix(algebra, order)
     deficient = inconsistent = negative = 0
@@ -502,14 +507,14 @@ def check_blocks_against_solve(algebra, order, rng):
             for r, v in zip(rows, b):
                 coords[r] = v
             g = LinearMap(algebra, algebra, exact.blocks(coords, n))
-            try:
-                particular, basis = (exact.solve(grid, [v * bm.den for v in b]) if rows
-                                     else ([ZERO], [[Fraction(1)]]))  # a free component
-            except ValueError:
+            solved = (oracle.solve(grid, [v * bm.den for v in b]) if rows
+                      else (0, [ZERO], [[Fraction(1)]]))  # a free component
+            if solved is None:
                 inconsistent += 1
                 with pytest.raises(NotRepresentable):
                     standard_from_coords(g, order)
                 continue
+            _, particular, basis = solved
             solution = standard_from_coords(g, order)
             found = exact.vec(solution.particular.components)
             assert [found[c] for c in cols] == particular

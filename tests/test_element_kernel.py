@@ -4,7 +4,7 @@
 the tensor algebras H (x) H and O (x) O^op, is checked against
 sum_{i,j} c_{ij}^k x^i y^j over the public constants.  ``exact.mat_mul``
 is checked against a textbook triple loop on Fraction.  Both references
-are written here and call nothing in freealg.  The laws of O (the
+are in ``oracle.py`` and call nothing in freealg.  The laws of O (the
 alternative laws and the Moufang identities; Baez, *The Octonions*,
 arXiv:math/0105155) and the multiplicativity of the norm in C, H,
 E(a, b) and O are checked on the same two classes of coordinates:
@@ -56,6 +56,7 @@ from freealg.linmap import left_associator_map, right_associator_map
 from freealg.tensor import twisted_algebra
 from test_component_blocks import dual_numbers
 from test_kernel_properties import algebras
+import oracle
 
 
 def _coprime_denominators(count):
@@ -127,47 +128,28 @@ def elements(draw, alg, count, big):
     return out
 
 
-def reference_product(alg, x, y):
-    out = [Fraction(0)] * alg.dim
-    for i, j, k, c in alg.constants:
-        if x[i] and y[j]:
-            out[k] += c * x[i] * y[j]
-    return tuple(out)
+@cache
+def table(alg):
+    return oracle.table(alg.constants, alg.dim)
+
+
+def product(alg, x, y):
+    """sum_{i,j} c_{ij}^k x^i y^j over the public constants, by the oracle."""
+    return tuple(oracle.mul(table(alg), x, y))
 
 
 @given(st.sampled_from(PRODUCT_ALGEBRAS), st.booleans(), st.data())
 def test_multiply_matches_the_constants(name, big, data):
     alg = algebra(name)
     x, y = data.draw(elements(alg, 2, big))
-    assert multiply(x, y).coords == reference_product(alg, x.coords, y.coords)
-
-
-@cache
-def reference_cells(alg):
-    """{(i, j): [(k, c), ...]} from the public constants."""
-    cells = {}
-    for i, j, k, c in alg.constants:
-        cells.setdefault((i, j), []).append((k, c))
-    return cells
-
-
-def sparse_product(alg, x, y):
-    """reference_product, summed over the nonzero coordinates only."""
-    out = [Fraction(0)] * alg.dim
-    cells = reference_cells(alg)
-    y_support = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        for j, yj in y_support if xi else ():
-            for k, c in cells.get((i, j), ()):
-                out[k] += c * xi * yj
-    return tuple(out)
+    assert multiply(x, y).coords == product(alg, x.coords, y.coords)
 
 
 def reference_associator(alg, x, y, z, xy=None, yz=None):
     """(x y) z - x (y z); ``xy`` and ``yz`` when they are known."""
-    xy = sparse_product(alg, x, y) if xy is None else xy
-    yz = sparse_product(alg, y, z) if yz is None else yz
-    left, right = sparse_product(alg, xy, z), sparse_product(alg, x, yz)
+    xy = product(alg, x, y) if xy is None else xy
+    yz = product(alg, y, z) if yz is None else yz
+    left, right = product(alg, xy, z), product(alg, x, yz)
     return tuple(p - q for p, q in zip(left, right))
 
 
@@ -205,10 +187,10 @@ def check_element_layer(alg, data, big):
     x, y, z = data.draw(operands(alg, big))
     a, b, c = (alg.element(v) for v in (x, y, z))
     units = [tuple(Fraction(int(i == j)) for i in range(alg.dim)) for j in range(alg.dim)]
-    xy, yx = sparse_product(alg, x, y), sparse_product(alg, y, x)
+    xy, yx = product(alg, x, y), product(alg, y, x)
     columns = [
-        (left_shift(a), [sparse_product(alg, x, e) for e in units]),
-        (right_shift(a), [sparse_product(alg, e, x) for e in units]),
+        (left_shift(a), [product(alg, x, e) for e in units]),
+        (right_shift(a), [product(alg, e, x) for e in units]),
         (left_associator_map(a, b), [reference_associator(alg, x, y, e, xy=xy) for e in units]),
         (right_associator_map(b, a), [reference_associator(alg, e, y, x, yz=yx) for e in units]),
     ]
@@ -279,7 +261,9 @@ def test_both_product_paths_match_the_int_reference(name):
             assert product_ints(alg, xs, ys) == int_product(alg, xs, ys), (kx, ky)
             assert product_kernel(alg)(xs, ys) == int_product(alg, xs, ys), (kx, ky)
     x, y = alg.element(operand(n, 3)), alg.element(operand(n, 3))
-    assert multiply(x, y).coords == reference_product(alg, x.coords, y.coords)
+    # a table of its own, not cached: dim 3000 makes 9 million cells
+    t = oracle.table(alg.constants, n)
+    assert multiply(x, y).coords == tuple(oracle.mul(t, x.coords, y.coords))
 
 
 def test_only_dense_operands_compile_the_kernel(monkeypatch):
@@ -347,11 +331,6 @@ def test_norm_is_multiplicative(name, big, data):
             assert norm_sq(z) == z0 * z0 - a * z1 * z1 - b * z2 * z2 + a * b * z3 * z3
 
 
-def reference_mat_mul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 @st.composite
 def matrix_pairs(draw):
     """a (rows x inner) and b (inner x cols), sizes 1 to 6, small or
@@ -379,7 +358,7 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_mat_mul_matches_the_reference(pair):
     a, b = pair
-    assert exact.mat_mul(a, b) == reference_mat_mul(a, b)
+    assert exact.mat_mul(a, b) == oracle.matmul(a, b)
 
 
 @pytest.mark.parametrize("size", [16, 24])
@@ -394,7 +373,7 @@ def test_mat_mul_matches_the_reference_on_dense_matrices(size, big):
 
     a = [[entry() for _ in range(size)] for _ in range(size)]
     b = [[entry() for _ in range(size)] for _ in range(size)]
-    assert exact.mat_mul(a, b) == reference_mat_mul(a, b)
+    assert exact.mat_mul(a, b) == oracle.matmul(a, b)
 
 
 def test_multiply_and_mat_mul_run_on_ints(monkeypatch):

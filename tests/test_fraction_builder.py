@@ -15,7 +15,8 @@ from hypothesis import given, strategies as st
 
 from freealg import (LinearMap, Tensor2, b_matrix, exact, norm_sq, octonion_algebra,
                      quaternion_algebra)
-from test_kernel_properties import VALUES, build, definitions, reference_entry
+from test_kernel_properties import VALUES, build, definitions
+import oracle
 
 BIG = 2 ** 200 + 187
 CASES = [(1, 1), (-1, 1), (7, 1), (-7, 1), (1, 2), (6, 4), (-6, 4), (-12, 18), (3, 7),
@@ -108,16 +109,14 @@ def test_every_view_equals_fractions_built_from_the_definition(definition, data)
         for got, b in zip(got_row, ys):
             assert_same(got, a * b)
     # B's relations against the definition, B^-1's by B^-1 B = I
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, v in constants:
-        c[i][j][k] = Fraction(v)
+    t = oracle.table(constants, n)
     for order in ("left", "right"):
+        b = oracle.component_matrix(t, order)
         bm = b_matrix(algebra, order)
         relations = bm.relations()
         assert sorted(relations) == [divmod(r, n) for r in range(n * n)]
         for r in range(n * n):
-            want = {divmod(col, n): v for col in range(n * n)
-                    if (v := reference_entry(c, order, r, col))}
+            want = {divmod(col, n): v for col, v in enumerate(b[r]) if v}
             assert relations[divmod(r, n)] == want
             for key, got in relations[divmod(r, n)].items():
                 assert_same(got, want[key])

@@ -1,9 +1,9 @@
 """Property tests of the grid work that matrices of maps, the component
 matrix and tensor products hand to ``exact``.
 
-Each law is checked against a reference written here, on random
-structure-constant algebras of dimension 1 to 4 drawn with the strategy
-of ``test_kernel_properties.py``:
+Each law is checked against a reference written here or in
+``oracle.py``, on random structure-constant algebras of dimension 1 to
+4 drawn with the strategy of ``test_kernel_properties.py``:
 
 - ``cr_product`` against its definition, entry (a, d) = sum_s
   b[s][d] after c[a][s], not against ``rc_product`` on transposes;
@@ -26,10 +26,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import square_zero
 from freealg import (LinearMap, MapMatrix, compose, cr_product, rc_product,
                      representation_basis, tensor_product)
-from test_exact import oracle_rref
-from test_kernel_properties import VALUES, algebras, reference_b, reference_solve
+from test_kernel_properties import VALUES, algebras
+import oracle
 
-ZERO = Fraction(0)
 SMALL_ALGEBRAS = algebras().filter(lambda a: a.dim <= 4)
 
 
@@ -41,22 +40,6 @@ def maps(algebra):
 
 def map_grids(data, algebra, rows, cols):
     return [[data.draw(maps(algebra)) for _ in range(cols)] for _ in range(rows)]
-
-
-def reference_rank(rows):
-    """Rank by plain Fraction elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / rows[rank][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 @settings(max_examples=20)
@@ -100,25 +83,21 @@ def reference_generators(algebra, order):
     and adjoins the orthogonal residual of the first e_c outside their
     span, from the normal equations of the rows' Gram matrix, made primitive."""
     n = algebra.dim
-    b = reference_b(algebra, order)
-    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    b = oracle.component_matrix(oracle.table(algebra.constants, n), order)
+    g = oracle.identity(n)
     generators, rows = [g], []
     while True:
         # column q of B is the map of the basis tensor q, which acts on g after it
-        terms = [[(p, g[p]) for p in range(n) if b[k * n + p][q]]
-                 for q in range(n * n) for k in range(n)]
-        rows += [[sum((b[k * n + p][q] * row[m] for p, row in terms[q * n + k]), ZERO)
-                  for k in range(n) for m in range(n)] for q in range(n * n)]
-        reduced, pivots = oracle_rref(rows, n * n)
+        rows += [oracle.flat(oracle.matmul([[b[k * n + p][q] for p in range(n)]
+                                            for k in range(n)], g)) for q in range(n * n)]
+        reduced, pivots = oracle.rref(rows, n * n)
         if len(pivots) == n * n:
             return generators
         rows = reduced[:len(pivots)]
         inside = {c for row, c in zip(rows, pivots) if sum(1 for x in row if x) == 1}
         c = next(c for c in range(n * n) if c not in inside)
-        sparse = [{k: x for k, x in enumerate(row) if x} for row in rows]
-        gram = [[sum((x * s.get(k, ZERO) for k, x in r.items()), ZERO) for s in sparse]
-                for r in sparse]
-        _, y, _ = reference_solve(gram, [row[c] for row in rows])
+        gram = oracle.matmul(rows, [list(column) for column in zip(*rows)])
+        _, y, _ = oracle.solve(gram, [row[c] for row in rows])
         residual = [int(k == c) - sum(yi * row[k] for yi, row in zip(y, rows))
                     for k in range(n * n)]
         den = lcm(*(x.denominator for x in residual))
@@ -137,19 +116,11 @@ def test_basis_matches_the_fraction_algorithm_it_replaced(algebra, order):
         tuple(map(tuple, g)) for g in want]
 
 
-def reference_constants(factors):
-    """Factorwise products of the constants, at row-major flat indices."""
-    out = {(0, 0, 0): Fraction(1)}
-    for a in factors:
-        out = {(i * a.dim + fi, j * a.dim + fj, k * a.dim + fk): v * fv
-               for (i, j, k), v in out.items() for fi, fj, fk, fv in a.constants}
-    return tuple(sorted((i, j, k, v) for (i, j, k), v in out.items()))
-
-
 @settings(max_examples=40)
 @given(st.lists(SMALL_ALGEBRAS, min_size=2, max_size=3))
 def test_tensor_product_constants_are_factorwise_products(factors):
-    assert tensor_product(factors).constants == reference_constants(factors)
+    _, constants = oracle.tensor_constants([(a.dim, a.constants) for a in factors])
+    assert tensor_product(factors).constants == tuple(constants)
 
 
 @settings(max_examples=120)

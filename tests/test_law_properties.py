@@ -6,10 +6,11 @@
       l(a) l(b) + (a, b, .) - l(ab) = 0,   r(a) r(b) - r(ba) - (., b, a) = 0.
 - A ``solve_additive`` round trip: the right side is computed here from
   the entries' coordinates, and the solver must give back x, or raise
-  SingularSystem exactly when the system's rank, found here by plain
-  Fraction elimination, is short.  A second, arbitrary right side must
-  be solved too, or refused on a singular system; each refusal's
-  witness w is nonzero with M w = 0 by the flattening, multiplied here.
+  SingularSystem exactly when the system's rank, found by the plain
+  Fraction elimination of ``oracle.py``, is short.  A second, arbitrary
+  right side must be solved too, or refused on a singular system; each
+  refusal's witness w is nonzero with M w = 0 by the flattening,
+  multiplied here.
 
 Each runs on the octonions and on random algebras of dimension 1 to 5
 drawn with the strategy of ``test_kernel_properties.py``; the solver
@@ -26,8 +27,8 @@ from freealg import (LinearMap, MapMatrix, SingularSystem, associator, complex_a
                      left_shift, multiply, octonion_algebra, quaternion_algebra, right_shift,
                      solve_additive)
 from freealg.linmap import left_associator_map, right_associator_map
-from test_grid_properties import reference_rank
 from test_kernel_properties import SMALL, VALUES, algebras
+import oracle
 
 ZERO = Fraction(0)
 LAW_ALGEBRAS = st.one_of(st.just(octonion_algebra()), algebras())
@@ -90,7 +91,7 @@ def test_solve_additive_round_trip(data, size):
     def times_flat(v):
         return [sum((a * b for a, b in zip(row, v)), ZERO) for row in flat]
 
-    if reference_rank(flat) < size * n:
+    if oracle.rank(flat) < size * n:
         for b in (rhs, other):
             with pytest.raises(SingularSystem) as err:
                 solve_additive(m, b)

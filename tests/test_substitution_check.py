@@ -12,11 +12,11 @@ CLI.
 Faults are injected into correct runs: a wrong particular tensor, a
 wrong null vector (on C, on R x R and among O (x) C's sparse ones), and
 one flipped row sign in one block of a cached B, which every read of B
-then uses.  The property tests check ``table_map``
-against the plain-``Fraction`` B of ``test_kernel_properties`` over its
-random algebras in both orders, on dense and on sparse tensors, and that
-correct answers pass.  The runs
-use the derandomized profile of ``conftest.py``.
+then uses.  The property tests check ``table_map`` against the
+plain-``Fraction`` sandwich of ``oracle.py`` over the random algebras of
+``test_kernel_properties`` in both orders, on dense and on sparse
+tensors, and that correct answers pass.  The runs use the derandomized
+profile of ``conftest.py``.
 """
 
 import random
@@ -29,7 +29,8 @@ from freealg import (FreeAlgebra, LinearMap, NotRepresentable, StandardSolution,
                      orbit_contains, quaternion_algebra, standard_from_coords, tensor_product)
 from freealg import cli, exact, linmap
 from freealg.linmap import b_matrix, check_conversion, table_map, tensor_map
-from test_kernel_properties import algebras, grids, reference_action, reference_b, sparse_grids
+from test_kernel_properties import algebras, grids, sparse_grids
+import oracle
 
 ORDERS = st.sampled_from(["left", "right"])
 
@@ -51,11 +52,10 @@ def test_table_map_is_b_times_vec_t_and_correct_answers_pass(data, order):
     n = algebra.dim
     t = Tensor2(algebra, data.draw(grids(n)))
     f = LinearMap(algebra, algebra, data.draw(grids(n)))
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
     # a sparse tensor too, whose all-0 lines the walk skips, and the tensor
     # of ones, none of whose lines it skips
     for s in (t, Tensor2(algebra, data.draw(sparse_grids(n))), Tensor2(algebra, [[1] * n] * n)):
-        expected = reference_action(reference_b(algebra, order), s.components, identity)
+        expected = oracle.sandwich(oracle.table(algebra.constants, n), s.components, order)
         assert table_map(s, order).coords == tuple(map(tuple, expected))
         assert table_map(s, order) == tensor_map(s, order)
     for g in (tensor_map(t, order), f):

@@ -12,8 +12,8 @@ from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
 from freealg.tensor import twisted_algebra
 from test_component_blocks import dual_numbers
-from test_kernel_properties import (BIG, algebras, grids, left_action, reference_solve, table,
-                                    twisted)
+from test_kernel_properties import BIG, algebras, grids
+import oracle
 
 
 def rnd_tensor(algebra, rng, bound=5):
@@ -77,14 +77,6 @@ def test_constants_match_componentwise_product(C, H):
                         assert lhs == rhs
 
 
-def product_constants(a, b):
-    """(dim, sorted constants) of the tensor product of the algebras given as
-    (dim, constants), their values multiplied as Fractions."""
-    (m, ca), (n, cb) = a, b
-    return m * n, sorted((i * n + p, j * n + q, k * n + r, v * w)
-                         for i, j, k, v in ca for p, q, r, w in cb)
-
-
 def test_tensor_and_opposite_tables_are_built_without_fractions(count_fractions):
     # A (x) A^op for A = E(1/2, -1/3) (x) E(1/2, -1/3): 65536 constants over
     # 1296, built on int numerators with no Fraction made, and equal to the
@@ -94,9 +86,9 @@ def test_tensor_and_opposite_tables_are_built_without_fractions(count_fractions)
     built = count_fractions()
     twisted = TensorAlgebra([A, opposite(A)])
     assert built == []
-    dim, a = product_constants((4, E.constants), (4, E.constants))
+    dim, a = oracle.tensor_constants([(4, E.constants), (4, E.constants)])
     op = sorted((j, i, k, v) for i, j, k, v in a)
-    dim, want = product_constants((dim, a), (dim, op))
+    dim, want = oracle.tensor_constants([(dim, a), (dim, op)])
     assert (twisted.dim, twisted.constants) == (dim, tuple(want))
     assert twisted.denominator == lcm(*(v.denominator for *_, v in want)) == 1296
     assert twisted.unit_index == 0
@@ -301,11 +293,11 @@ def check_inverse(algebra, comps):
     """tensor_inverse against a plain-Fraction solve of t o u = unit: the
     particular solution u, with free components 0, when u o t = unit too;
     SingularTensor, one-sided exactly when that solve succeeds, otherwise."""
-    c, n, e = table(algebra), algebra.dim, algebra.unit_index
+    c, n, e = oracle.table(algebra.constants, algebra.dim), algebra.dim, algebra.unit_index
     unit = [[Fraction(int(r == c_ == e)) for c_ in range(n)] for r in range(n)]
-    solved = reference_solve(left_action(c, comps), sum(unit, []))
+    solved = oracle.solve(oracle.left_action(c, comps), sum(unit, []))
     u = solved and [solved[1][r * n:r * n + n] for r in range(n)]
-    if u and twisted(c, u, comps) == unit:
+    if u and oracle.twisted(c, u, comps) == unit:
         assert [list(row) for row in tensor_inverse(Tensor2(algebra, comps)).components] == u
         return True
     with pytest.raises(SingularTensor) as err:
@@ -328,6 +320,8 @@ def test_tensor_inverse_matches_the_fraction_solve_on_40_bit_quaternion_tensors(
     s = [values[r * 4:r * 4 + 4] for r in range(4)]
     # 1 (x) 1 + i (x) i sends 1 to 0 by sandwiching, so s o it has no inverse
     if singular:
-        assert not check_inverse(H, twisted(table(H), s, [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]))
+        one_one_plus_i_i = [[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4]
+        assert not check_inverse(H, oracle.twisted(oracle.table(H.constants, 4), s,
+                                                   one_one_plus_i_i))
     else:
         check_inverse(H, s)
