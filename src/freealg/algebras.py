@@ -100,14 +100,14 @@ def _require_builtin(algebra: FreeAlgebra) -> None:
 def conjugate(x: AlgElement) -> AlgElement:
     """Negate all non-unit coordinates: the built-in involution."""
     _require_builtin(x.algebra)
-    nums, den = x.ints
-    return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den))
+    nums, den = x._form
+    return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den), False)
 
 
 def norm_sq(x: AlgElement) -> Fraction:
     """Squared norm |x|^2: coordinate 0 of x * conj(x) in x's own algebra (C, E(a, b) or O)."""
     _require_builtin(x.algebra)
-    nums, den = multiply(x, conjugate(x)).ints
+    nums, den = multiply(x, conjugate(x))._form
     return as_fractions(nums[:1], den)[0]
 
 

@@ -10,17 +10,17 @@ The algebra holds its constants once, as integer numerators over one
 common denominator, ``FreeAlgebra.denominator``, in two flat tables, A's
 and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
 ``product_ints``, makes the products of ``multiply``, ``associator`` and
-``linmap``'s associator maps, one ``canonical`` per value they return (its
-shifts walk the table themselves).  It takes one of two paths, chosen by
-the operands alone.  Dense ones go to code compiled once per algebra from
-its table, ``product_kernel``, one straight-line expression per output
-coordinate, which pays no interpreter step per term of the table.  When
-one operand has few nonzero coordinates, a loop over those does fewer
-terms, as for ``in_nucleus``'s basis vectors.  The same code generator
-compiles an int grid's mat-vec, ``compile_matvec``, for the classes of
-``linmap``'s component matrix.  ``+`` and ``-`` run on ints too.
-``AlgElement.coords``, the Fractions, is built on first read; its values
-and hash are those Fraction arithmetic gives.
+``linmap``'s associator maps (its shifts walk the table themselves), whose
+values are reduced only when their int form is read.  It takes one of two
+paths, chosen by the operands alone.  Dense ones go to code compiled once
+per algebra from its table, ``product_kernel``, one straight-line
+expression per output coordinate, which pays no interpreter step per term
+of the table.  When one operand has few nonzero coordinates, a loop over
+those does fewer terms, as for ``in_nucleus``'s basis vectors.  The same
+code generator compiles an int grid's mat-vec, ``compile_matvec``, for the
+classes of ``linmap``'s component matrix.  ``+`` and ``-`` run on ints
+too.  ``AlgElement.coords``, the Fractions, is built on first read; its
+values and hash are those Fraction arithmetic gives.
 
 Algebra identity is object identity: two separately constructed
 algebras never mix, even with equal tables.
@@ -366,9 +366,9 @@ def _compile(label: str, widths: dict[str, int], outputs: list[str], names: dict
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants."""
     algebra = shared_algebra(x, y)
-    (xs, x_den), (ys, y_den) = x.ints, y.ints
-    return AlgElement._of((algebra,), canonical(product_ints(algebra, xs, ys),
-                                                x_den * y_den * algebra.denominator))
+    (xs, x_den), (ys, y_den) = x._form, y._form
+    return AlgElement._of((algebra,), (product_ints(algebra, xs, ys),
+                                       x_den * y_den * algebra.denominator), False)
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -379,11 +379,11 @@ def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
 def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     """(x, y, z) = (xy)z - x(yz), over one denominator with no element in between."""
     algebra = shared_algebra(x, y, z)
-    (xs, x_den), (ys, y_den), (zs, z_den) = x.ints, y.ints, z.ints
+    (xs, x_den), (ys, y_den), (zs, z_den) = x._form, y._form, z._form
     xy, yz = product_ints(algebra, xs, ys), product_ints(algebra, ys, zs)
     nums = [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
-    return AlgElement._of((algebra,), canonical(nums,
-                                                x_den * y_den * z_den * algebra.denominator ** 2))
+    return AlgElement._of((algebra,), (nums, x_den * y_den * z_den * algebra.denominator ** 2),
+                          False)
 
 
 def is_commutative(algebra: FreeAlgebra) -> bool:

@@ -57,8 +57,9 @@ Only their own tests and the benchmark's tracer read ``invert``,
 denominators per row of a and one per column of b; one lcm for all of b
 would lengthen every product.  A vector is multiplied as one column.
 
-``IntForm``, the base of elements, maps and tensors, holds one int form
-(``canonical``), set when it is built; its Fractions are only a cache.
+``IntForm``, the base of elements, maps and tensors, holds one int form.
+Products, sums and shifts leave it unreduced; it is made ``canonical`` once,
+on its first read, and its Fractions are only a cache.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import AlgebraMismatch
 
@@ -168,37 +169,47 @@ def canonical(ints, den: int) -> tuple[tuple[int, ...], int]:
 
 class IntForm:
     """Base of the value types: rationals on the algebras in ``_space``, held as
-    one int form, ``ints``, set at construction: numerators over one denominator
-    as ``canonical`` gives, a grid read row by row.  The view, flat or with
+    one int form, numerators over one positive denominator, a grid read row by
+    row.  ``_form`` is the form as built, reduced or not; ``ints`` is the form
+    as ``canonical`` gives, reduced from ``_form`` on its first read and stored
+    in both slots, so that no value is reduced twice.  The view, flat or with
     ``_GRID`` rows as long as the first algebra's dimension, is a cache of
     Fractions: the constructors seed it, ``_of`` values build it on first read.
-    Equality compares the int form, the hash is that of the algebras' ids and
-    the view, and operands on other algebras raise ``AlgebraMismatch(_MISMATCH)``."""
+    Equality compares ``ints``, the hash is that of the algebras' ids and the
+    view, and operands on other algebras raise ``AlgebraMismatch(_MISMATCH)``."""
 
-    __slots__ = ("_space", "_view", "_ints")
+    __slots__ = ("_space", "_view", "_form", "_ints")
     _GRID = False
 
     def __init__(self, space: tuple, view: tuple):
         nums, den = as_ints(vec(view) if self._GRID else view)
-        self._space, self._view, self._ints = space, view, (tuple(nums), den)
+        self._space, self._view = space, view
+        self._form = self._ints = (tuple(nums), den)
 
     @classmethod
-    def _of(cls, space: tuple, form: tuple[tuple[int, ...], int]):
-        """The value whose int form, row by row, is ``form``, which must be canonical."""
+    def _of(cls, space: tuple, form: tuple, reduced: bool = True):
+        """The value whose int form, row by row, is ``form``: canonical, or with
+        ``reduced`` false any (ints, den) with den > 0, reduced when read."""
         value = cls.__new__(cls)
-        value._space, value._view, value._ints = space, None, form
+        value._space, value._view, value._form = space, None, form
+        value._ints = form if reduced else None
         return value
 
-    ints = property(attrgetter("_ints"))
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        form = self._ints
+        if form is None:
+            form = self._ints = self._form = canonical(*self._form)
+        return form
 
     def _fractions(self) -> tuple:
         if self._view is None:
-            flat = tuple(as_fractions(*self._ints))
+            flat = tuple(as_fractions(*self._form))
             self._view = tuple(blocks(flat, self._space[0].dim)) if self._GRID else flat
         return self._view
 
     def is_zero(self) -> bool:
-        return not any(self.ints[0])
+        return not any(self._form[0])
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other._space == self._space
@@ -210,10 +221,10 @@ class IntForm:
     def _combine(self, other, sign: int):
         if type(other) is not type(self) or other._space != self._space:
             raise AlgebraMismatch(self._MISMATCH)
-        (a, a_den), (b, b_den) = self.ints, other.ints
+        (a, a_den), (b, b_den) = self._form, other._form
         den = lcm(a_den, b_den)
         sa, sb = den // a_den, sign * (den // b_den)
-        return self._of(self._space, canonical([x * sa + y * sb for x, y in zip(a, b)], den))
+        return self._of(self._space, ([x * sa + y * sb for x, y in zip(a, b)], den), False)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -222,13 +233,13 @@ class IntForm:
         return self._combine(other, -1)
 
     def __neg__(self):
-        nums, den = self.ints
-        return self._of(self._space, (tuple(-x for x in nums), den))
+        nums, den = self._form
+        return self._of(self._space, ([-x for x in nums], den), False)
 
     def scaled(self, scalar):
         p, q = frac(scalar).as_integer_ratio()
-        nums, den = self.ints
-        return self._of(self._space, canonical([p * x for x in nums], den * q))
+        nums, den = self._form
+        return self._of(self._space, ([p * x for x in nums], den * q), False)
 
 
 def primitive(row) -> list[int]:

@@ -107,19 +107,19 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
     """Matrix-vector action of f on x."""
     if x.algebra is not f.source:
         raise AlgebraMismatch("element is not in the map's source algebra")
-    (fs, f_den), (xs, x_den) = f.ints, x.ints
+    (fs, f_den), (xs, x_den) = f._form, x._form
     out = [sum(map(mul, row, xs)) for row in exact.blocks(fs, len(xs))]
-    return AlgElement._of((f.target,), exact.canonical(out, f_den * x_den))
+    return AlgElement._of((f.target,), (out, f_den * x_den), False)
 
 
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """g after f; coordinates multiply as matrices."""
     if f.target is not g.source:
         raise AlgebraMismatch("compose needs f.target == g.source")
-    (gs, g_den), (fs, f_den) = g.ints, f.ints
+    (gs, g_den), (fs, f_den) = g._form, f._form
     n = f.source.dim
     product = exact.int_mat_mul(exact.blocks(gs, g.source.dim), exact.blocks(fs, n), n)
-    return LinearMap._of((f.source, g.target), exact.canonical(exact.vec(product), g_den * f_den))
+    return LinearMap._of((f.source, g.target), (exact.vec(product), g_den * f_den), False)
 
 
 def _shift_columns(algebra: FreeAlgebra, xs, right: bool = False) -> list[list[int]]:
@@ -134,23 +134,23 @@ def _shift_columns(algebra: FreeAlgebra, xs, right: bool = False) -> list[list[i
 
 
 def _from_columns(algebra: FreeAlgebra, cols, den: int, factors: int = 1) -> LinearMap:
-    return LinearMap._of((algebra, algebra), exact.canonical(
-        exact.vec(zip(*cols)), den * algebra.denominator ** factors))
+    return LinearMap._of((algebra, algebra), (exact.vec(zip(*cols)),
+                                              den * algebra.denominator ** factors), False)
 
 
 def left_shift(a: AlgElement) -> LinearMap:
     """The map x -> a x."""
-    return _from_columns(a.algebra, _shift_columns(a.algebra, a.ints[0]), a.ints[1])
+    return _from_columns(a.algebra, _shift_columns(a.algebra, a._form[0]), a._form[1])
 
 
 def right_shift(a: AlgElement) -> LinearMap:
     """The map x -> x a."""
-    return _from_columns(a.algebra, _shift_columns(a.algebra, a.ints[0], True), a.ints[1])
+    return _from_columns(a.algebra, _shift_columns(a.algebra, a._form[0], True), a._form[1])
 
 
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
     """The map x -> (a, b, x) = (ab) x - a (b x); measures the failure of l(a)l(b) = l(ab)."""
-    algebra, (xs, a_den), (ys, b_den) = shared_algebra(a, b), a.ints, b.ints
+    algebra, (xs, a_den), (ys, b_den) = shared_algebra(a, b), a._form, b._form
     ab = product_ints(algebra, xs, ys)
     cols = [[p - q for p, q in zip(ab_e, product_ints(algebra, xs, b_e))] for ab_e, b_e in
             zip(_shift_columns(algebra, ab), _shift_columns(algebra, ys))]
@@ -159,7 +159,7 @@ def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
 
 def right_associator_map(b: AlgElement, a: AlgElement) -> LinearMap:
     """The map x -> (x, b, a) = (x b) a - x (ba); measures the failure of r(a)r(b) = r(ba)."""
-    algebra, (ys, b_den), (zs, a_den) = shared_algebra(b, a), b.ints, a.ints
+    algebra, (ys, b_den), (zs, a_den) = shared_algebra(b, a), b._form, a._form
     ba = product_ints(algebra, ys, zs)
     cols = [[p - q for p, q in zip(product_ints(algebra, e_b, zs), e_ba)] for e_b, e_ba in
             zip(_shift_columns(algebra, ys, True), _shift_columns(algebra, ba, True))]
@@ -204,8 +204,8 @@ class Tensor2(IntForm):
     def pure(cls, a: AlgElement, b: AlgElement) -> "Tensor2":
         if a.algebra is not b.algebra:
             raise AlgebraMismatch("both parts must share one algebra")
-        (an, ad), (bn, bd) = a.ints, b.ints
-        return cls._of((a.algebra,), exact.canonical([x * y for x in an for y in bn], ad * bd))
+        (an, ad), (bn, bd) = a._form, b._form
+        return cls._of((a.algebra,), ([x * y for x in an for y in bn], ad * bd), False)
 
     @classmethod
     def unit(cls, algebra: FreeAlgebra) -> "Tensor2":

@@ -9,6 +9,7 @@ zero entries, serves ``rank``, ``solve`` and ``inverse``.  The names that
 
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -61,6 +62,15 @@ def inverse(a):
     n = len(a)
     rows, pivots = rref([[*row, *e] for row, e in zip(a, identity(n))], n)
     return [row[n:] for row in rows] if len(pivots) == n else None
+
+
+def int_form(values):
+    """(numerators, den) of the values over den, the lcm of their
+    denominators: primitive, as no prime's full power in den divides the
+    numerator of a value whose denominator it divides; zeros over 1."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def identity(n):

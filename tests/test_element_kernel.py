@@ -35,22 +35,31 @@ on a dim-1 algebra with and without a constant; on a constant whose
 numerator has more digits than ``str()`` writes; and on algebras where
 one output collects 6,400 terms or chains of 3,000.  The runs use the
 derandomized profile of ``conftest.py``.
+
+Values reduce their int form once, on the first ``.ints`` read: a chain of
+``octonion_laws``' identities calls ``exact.canonical`` only when its
+results are read, eight threads reading one unreduced form first all get
+the canonical one, and later products start from the stored reduced form.
 """
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freealg import (AlgebraMismatch, LinearMap, QuaternionParams, Tensor2, apply, associator,
-                     complex_algebra, compose, exact, left_shift, multiply, norm_sq,
-                     octonion_algebra, opposite, quaternion_algebra, right_shift, tensor_product,
-                     twisted_mul)
+                     commutator, complex_algebra, compose, conjugate, exact, inverse_element,
+                     left_shift, multiply, norm_sq, octonion_algebra, opposite,
+                     quaternion_algebra, random_element, right_shift, tensor_mul,
+                     tensor_product, twisted_mul)
 from freealg import core
+from freealg.exact import canonical
 from freealg.core import FreeAlgebra, product_ints, product_kernel
 from freealg.linmap import left_associator_map, right_associator_map
 from freealg.tensor import twisted_algebra
@@ -443,3 +452,108 @@ def test_values_carry_their_int_form_from_construction(monkeypatch):
     assert (x, y, z, f, s, t) == first
     with pytest.raises(AttributeError):
         x.ints = ((0,) * 4, 1)
+
+
+def test_a_law_chain_reduces_each_value_once_when_it_is_read(monkeypatch):
+    # octonion_laws' identities on 40-bit values: products, sums, scalings,
+    # shifts, compositions and tensor products leave their int forms
+    # unreduced; the first .ints read of a value reduces it, once
+    rng = random.Random(48)
+    O, H, HH = algebra("O"), algebra("H"), algebra("H(x)H")
+
+    def big(count):
+        return [Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in range(count)]
+
+    a, b, c, d = (O.element(big(8)) for _ in range(4))
+    x, y, z = (HH.element(big(16)) for _ in range(3))
+    p, q = H.element(big(4)), H.element(big(4))
+    s, t, u = (Tensor2(H, [big(4) for _ in range(4)]) for _ in range(3))
+    twisted_mul(s, t)  # builds H (x) H^op, whose constants are reduced once
+    calls = []
+
+    def counted(ints, den):
+        calls.append(den)
+        return canonical(ints, den)
+
+    monkeypatch.setattr(exact, "canonical", counted)
+    monkeypatch.setattr(core, "canonical", counted)
+    ab = multiply(a, b)
+    left = (compose(left_shift(a), left_shift(b)) + left_associator_map(a, b)
+            - left_shift(ab))
+    right = (compose(right_shift(a), right_shift(b)) - right_shift(multiply(b, a))
+             - right_associator_map(b, a))
+    teichmueller = (multiply(a, associator(b, c, d)) + multiply(associator(a, b, c), d)
+                    - associator(ab, c, d) + associator(a, multiply(b, c), d)
+                    - associator(a, b, multiply(c, d)))
+    norm_gap = norm_sq(ab) - norm_sq(a) * norm_sq(b)
+    inverse_gap = multiply(a, inverse_element(a)) - O.unit()
+    image = apply(left_shift(conjugate(c)), -d).scaled(Fraction(3, 7)) + commutator(a, b)
+    tensor_gap = tensor_mul(tensor_mul(x, y), z) - tensor_mul(x, tensor_mul(y, z))
+    pure_gap = tensor_mul(HH.pure([p, q]), HH.pure([q, p])) - HH.pure([p * q, q * p])
+    twist_gap = twisted_mul(twisted_mul(s, t), u) - twisted_mul(s, twisted_mul(t, u))
+    pure_twist = twisted_mul(Tensor2.pure(p, q), Tensor2.pure(q, p))
+    assert calls == [] and norm_gap == 0
+    values = [left, right, teichmueller, inverse_gap, image, tensor_gap, pure_gap, twist_gap,
+              pure_twist]
+    for k, value in enumerate(values, 1):
+        form = value.ints
+        assert len(calls) == k
+        assert value.ints is form and len(calls) == k
+    zero = [value.ints for value in values if value.is_zero()]
+    assert len(zero) == 7 and all(den == 1 for _, den in zero)
+    # the reads stored the canonical forms, which the Fractions agree with
+    assert image.ints == oracle.int_form(image.coords)
+    assert pure_twist.ints == oracle.int_form(sum(map(list, pure_twist.components), []))
+    assert len(calls) == len(values)
+
+
+def test_threads_reading_one_unreduced_form_first_all_get_the_canonical_form():
+    rng = random.Random(49)
+    OH = tensor_product([algebra("O"), algebra("H")])
+
+    def big(count):
+        return [Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in range(count)]
+
+    parts = [algebra("O").element(big(8)), algebra("H").element(big(4))]
+    x, y = OH.pure(parts), OH.element(big(32))
+    value, twin = tensor_mul(x, y), tensor_mul(x, y)
+    start, forms = threading.Barrier(8, timeout=10), [None] * 8
+
+    def read(k):
+        start.wait()
+        forms[k] = value.ints
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the first read's gcd and stores
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(form == twin.ints for form in forms)
+    assert twin.ints == oracle.int_form(value.coords) and value == twin
+
+
+def test_a_read_stores_the_reduced_form_that_later_products_start_from():
+    H = algebra("H")
+    x = H.element([Fraction(1, 2)] * 4)  # (1 + i + j + k) / 2, of order 6
+    power = x
+    for _ in range(5):
+        power = multiply(power, x)
+    assert power._form[1] == 2 ** 6 and power.ints == ((1, 0, 0, 0), 1)
+    for _ in range(6):
+        power = multiply(power, x)  # x^12, from x^6 reduced: six factors over 2
+    assert power._form[1] == 2 ** 6 and power.ints == ((1, 0, 0, 0), 1)
+    # a sum stays over the lcm of its terms' denominators, whatever its length
+    rng = random.Random(50)
+    O = algebra("O")
+    terms = [random_element(O, rng) for _ in range(50)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    assert total._form[1] == lcm(*(term.ints[1] for term in terms))
+    assert total.ints == oracle.int_form([sum(v) for v in zip(*(term.coords for term in terms))])

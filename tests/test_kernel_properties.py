@@ -6,31 +6,34 @@ constants, with and without a unit at index 0, and with small or
 definitions in ``oracle.py``: the product, the sandwiches x -> (e_i x) e_j
 and x -> e_i (x e_j), whose coordinate matrices are the columns of the
 component matrix, and the twisted product.  Orbit membership must find a
-tensor for each map S f, S the sandwich of a tensor, and a tensor inverse
-is checked by the oracle's solve with the matrix of u -> t o u.  Each
-example builds a fresh algebra, so no cached component matrix carries
-over from one example to the next.  The other test modules share the
-strategies here.
+tensor for each map S f, S the sandwich of a tensor.  Each example builds
+a fresh algebra, so no cached component matrix carries over from one
+example to the next.  The other test modules share the strategies here.
 
-Elements, maps and tensors hold an integer form: int numerators over
-one positive denominator, primitive, the zero vector over 1.  A value
-built from Fractions and the same value built by int operations must
-agree with a plain-``Fraction`` reference in ``==``, ``hash``, the
-Fraction view and that form.
+Elements, maps and tensors read an integer form, ``.ints``: int numerators
+over one positive denominator, primitive, the zero vector over 1, which
+``oracle.int_form`` gives.  A value built from Fractions and the same value
+built by int operations must agree with a plain-``Fraction`` reference in
+``==``, ``hash``, the Fraction view and that form.  Products, associators,
+commutators, the shifts, the associator maps, ``apply``, ``compose``, the
+twisted product, ``tensor_mul`` and both pure tensors leave their form
+unreduced until ``.ints`` is read, so their hash, view and ``is_zero`` are
+checked before that read, on the built-ins and on random algebras.
 
 The runs use the derandomized profile of ``conftest.py``.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from freealg import (LinearMap, NotRepresentable, SingularTensor, Tensor2, apply, b_matrix,
-                     complex_algebra, compose, coords_from_standard, multiply, octonion_algebra,
-                     orbit_contains, quaternion_algebra, tensor_inverse, tensor_product,
-                     twisted_mul, standard_from_coords)
+from freealg import (LinearMap, NotRepresentable, Tensor2, apply, associator, b_matrix,
+                     commutator, complex_algebra, compose, coords_from_standard, left_shift,
+                     multiply, octonion_algebra, orbit_contains, quaternion_algebra, right_shift,
+                     tensor_mul, tensor_product, twisted_mul, standard_from_coords)
 from freealg.core import FreeAlgebra
+from freealg.linmap import left_associator_map, right_associator_map
 import oracle
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -116,7 +119,7 @@ def test_apply_matches_a_fraction_mat_vec(data):
     f, g, x = LinearMap(A, B, f), LinearMap(B, A, g), A.element(x)
     y = apply(f, x)
     assert y.algebra is B and y.coords == expected
-    assert y.ints == reference_int_form(expected)
+    assert y.ints == oracle.int_form(expected)
     assert apply(compose(g, f), x) == apply(g, y)
 
 
@@ -163,44 +166,12 @@ def test_orbit_membership_finds_a_tensor_for_each_image(data, name):
         assert action(algebra, found.components, f, order) == g
 
 
-@settings(max_examples=40)
-@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
-def test_tensor_inverse_is_two_sided_or_refused(data, name):
-    # with the left action of t of full rank, t o u = unit has one solution u:
-    # tensor_inverse returns it when u o t = unit too, and is refused as
-    # one-sided otherwise.  Short of full rank, t o u = unit may still be
-    # solvable in an algebra that is not associative; a refusal is one-sided
-    # exactly when it is, and an answer is still two-sided.  Sparse tensors
-    # reach those cases, and keep the reference solve of O's 64 x 64 short.
-    algebra = data.draw(algebras(unital=True)) if name == "random" else BUILTINS[name]
-    n, c, e = algebra.dim, table(algebra), algebra.unit_index
-    t = data.draw(sparse_grids(n) if name == "O" else grids(n) | sparse_grids(n))
-    unit = [[Fraction(int(r == k == e)) for k in range(n)] for r in range(n)]
-    solved = oracle.solve(oracle.left_action(c, t), oracle.flat(unit))
-    u = solved and [solved[1][r * n:r * n + n] for r in range(n)]
-    try:
-        inverse = [list(row) for row in tensor_inverse(Tensor2(algebra, t)).components]
-    except SingularTensor as err:
-        assert err.one_sided == bool(u)
-        assert not u or oracle.twisted(c, u, t) != unit
-        return
-    assert oracle.twisted(c, t, inverse) == oracle.twisted(c, inverse, t) == unit
-    if solved[0] == n * n:
-        assert inverse == u
-
-
-def reference_int_form(values):
-    """The Fractions as numerators over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
 def assert_agree(via_ints, via_fractions, view, flat, ids):
     """Both values equal, hash alike and read as ``view``, and hold the
     canonical form of ``flat``, the view read row by row."""
     for value in (via_ints, via_fractions):
         nums, den = value.ints
-        assert value.ints == reference_int_form(flat)
+        assert value.ints == oracle.int_form(flat)
         assert den > 0 and gcd(den, *nums) == 1
         assert value.is_zero() == (not any(flat))
     assert via_ints == via_fractions
@@ -248,3 +219,90 @@ def test_tensors_hold_the_canonical_int_form(data):
     for via_ints in ((s + t) - t, s.scaled(q).scaled(1 / q), -(-s), twisted_mul(s, unit),
                      twisted_mul(unit, s)):
         assert_agree(via_ints, s, view, [v for row in view for v in row], (id(H),))
+
+
+def assert_deferred(value, via_fractions, view, ids):
+    """``value``, made by int operations that leave its form unreduced, reads
+    as ``via_fractions``: its hash, view and ``is_zero`` before its first
+    ``.ints`` read, then the oracle's canonical form of ``view`` and ``==``."""
+    flat = [v for row in view for v in row] if isinstance(view[0], tuple) else view
+    assert hash(value) == hash(via_fractions) == hash((*ids, view))
+    assert (value.components if isinstance(value, Tensor2) else value.coords) == view
+    assert value.is_zero() == (not any(flat))
+    assert value.ints == via_fractions.ints == oracle.int_form(flat)
+    assert value == via_fractions and via_fractions == value
+
+
+def coordinates(n):
+    """n VALUES, at most 4 of them nonzero past dim 8, so that the references
+    on H (x) H stay fast."""
+    if n <= 8:
+        return st.lists(VALUES, min_size=n, max_size=n)
+    cells = st.dictionaries(st.integers(0, n - 1), VALUES, max_size=4)
+    return cells.map(lambda d: [d.get(k, ZERO) for k in range(n)])
+
+
+def fractions(values):
+    return tuple(Fraction(v) for v in values)
+
+
+def fraction_grid(rows):
+    return tuple(fractions(row) for row in rows)
+
+
+@given(st.data(), st.sampled_from([*BUILTINS, "random"]))
+def test_products_shifts_and_compositions_hold_the_canonical_int_form(data, name):
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n, c = A.dim, table(A)
+    x, y, z = (data.draw(coordinates(n)) for _ in range(3))
+    f, g = (data.draw(sparse_grids(n) if n > 8 else grids(n)) for _ in range(2))
+
+    def mul(p, q):
+        return oracle.mul(c, p, q)
+
+    def sub(p, q):
+        return [v - w for v, w in zip(p, q)]
+
+    def grid(image):  # the coordinate grid of a map from its images of e_0 .. e_{n-1}
+        return fraction_grid(zip(*(image([int(k == j) for k in range(n)]) for j in range(n))))
+
+    X, Y, Z = (A.element(v) for v in (x, y, z))
+    F, G = LinearMap(A, A, f), LinearMap(A, A, g)
+    xy = mul(x, y)
+    for value, view in [
+            (multiply(X, Y), fractions(xy)),
+            (associator(X, Y, Z), fractions(sub(mul(xy, z), mul(x, mul(y, z))))),
+            (commutator(X, Y), fractions(sub(xy, mul(y, x)))),
+            (apply(F, X), fractions(row[0] for row in oracle.matmul(f, [[v] for v in x])))]:
+        assert_deferred(value, A.element(view), view, (id(A),))
+    for value, view in [
+            (left_shift(X), grid(lambda e: mul(x, e))),
+            (right_shift(X), grid(lambda e: mul(e, x))),
+            (left_associator_map(X, Y), grid(lambda e: sub(mul(xy, e), mul(x, mul(y, e))))),
+            (right_associator_map(Y, X),
+             grid(lambda e: sub(mul(mul(e, y), x), mul(e, mul(y, x))))),
+            (compose(G, F), fraction_grid(oracle.matmul(g, f)))]:
+        assert_deferred(value, LinearMap(A, A, view), view, (id(A), id(A)))
+
+
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_tensor_products_and_pure_tensors_hold_the_canonical_int_form(data, name):
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n, c = A.dim, table(A)
+    s, t = (data.draw(sparse_grids(n) if n > 4 else grids(n)) for _ in range(2))
+    a, b, p = (data.draw(st.lists(VALUES, min_size=n, max_size=n)) for _ in range(3))
+    u, v = (data.draw(st.lists(VALUES, min_size=2, max_size=2)) for _ in range(2))
+    view = fraction_grid(oracle.twisted(c, s, t))
+    assert_deferred(twisted_mul(Tensor2(A, s), Tensor2(A, t)), Tensor2(A, view), view, (id(A),))
+    view = fraction_grid([[x * y for y in b] for x in a])
+    assert_deferred(Tensor2.pure(A.element(a), A.element(b)), Tensor2(A, view), view, (id(A),))
+    # A (x) C: its pure tensors, and their product by the oracle's tensor constants
+    C = BUILTINS["C"]
+    T = tensor_product([A, C])
+    dim, constants = oracle.tensor_constants([(n, A.constants), (2, C.constants)])
+    outer = [fractions(x * y for x in first for y in second) for first, second in ((a, u), (p, v))]
+    pures = [T.pure([A.element(first), C.element(second)]) for first, second in ((a, u), (p, v))]
+    for value, view in [*zip(pures, outer),
+                        (tensor_mul(*pures), fractions(oracle.mul(oracle.table(constants, dim),
+                                                                  *outer)))]:
+        assert_deferred(value, T.element(view), view, (id(T),))

@@ -58,6 +58,13 @@ def test_a_worked_inverse_and_a_rank_two_solve():
     assert oracle.rank(a) == 2 and oracle.rank([[0, 0]]) == oracle.rank([]) == 0
 
 
+def test_int_forms_are_primitive_over_the_least_denominator():
+    # 1/2, -2/3, 5/6 over 6 are 3, -4, 5; 2/4 and 6/4 are 1/2 and 3/2
+    assert oracle.int_form([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]) == ((3, -4, 5), 6)
+    assert oracle.int_form([Fraction(2, 4), Fraction(6, 4)]) == ((1, 3), 2)
+    assert oracle.int_form([4, -6]) == ((4, -6), 1) and oracle.int_form([0, 0]) == ((0, 0), 1)
+
+
 def test_a_twisted_product_sandwich_and_tensor_constants():
     # ((1 + i) (x) j) o (j (x) 2k) = ((1 + i) j) (x) (2k j) = (j + k) (x) (-2i)
     s, u = [e(2), e(2), e(0, 0), e(0, 0)], [e(0, 0), e(0, 0), e(3, 2), e(0, 0)]
