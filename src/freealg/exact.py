@@ -172,7 +172,7 @@ class IntForm:
     one int form, numerators over one positive denominator, a grid read row by
     row.  ``_form`` is the form as built, reduced or not; ``ints`` is the form
     as ``canonical`` gives, reduced from ``_form`` on its first read and stored
-    in both slots, so that no value is reduced twice.  The view, flat or with
+    in both slots, so that no later read reduces it.  The view, flat or with
     ``_GRID`` rows as long as the first algebra's dimension, is a cache of
     Fractions: the constructors seed it, ``_of`` values build it on first read.
     Equality compares ``ints``, the hash is that of the algebras' ids and the
