@@ -6,7 +6,8 @@ constants, with and without a unit at index 0, and with small or
 definitions in ``oracle.py``: the product, the sandwiches x -> (e_i x) e_j
 and x -> e_i (x e_j), whose coordinate matrices are the columns of the
 component matrix, and the twisted product.  Orbit membership must find a
-tensor for each map S f, S the sandwich of a tensor.  Each example builds
+tensor for each map S f, S the sandwich of a tensor.  ``check_inverse``
+holds ``tensor_inverse`` to the oracle's solve of t o u = unit.  Each example builds
 a fresh algebra, so no cached component matrix carries over from one
 example to the next.  The other test modules share the strategies here.
 
@@ -27,11 +28,13 @@ from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
-from freealg import (LinearMap, NotRepresentable, Tensor2, apply, associator, b_matrix,
-                     commutator, complex_algebra, compose, coords_from_standard, left_shift,
-                     multiply, octonion_algebra, orbit_contains, quaternion_algebra, right_shift,
-                     tensor_mul, tensor_product, twisted_mul, standard_from_coords)
+from freealg import (LinearMap, NotRepresentable, SingularTensor, Tensor2, apply, associator,
+                     b_matrix, commutator, complex_algebra, compose, coords_from_standard,
+                     left_shift, multiply, octonion_algebra, orbit_contains, quaternion_algebra,
+                     right_shift, tensor_inverse, tensor_mul, tensor_product, twisted_mul,
+                     standard_from_coords)
 from freealg.core import FreeAlgebra
 from freealg.linmap import left_associator_map, right_associator_map
 import oracle
@@ -164,6 +167,35 @@ def test_orbit_membership_finds_a_tensor_for_each_image(data, name):
                                order)
         assert found is not None
         assert action(algebra, found.components, f, order) == g
+
+
+def check_inverse(algebra, comps):
+    """tensor_inverse against a plain-Fraction solve of t o u = unit: the
+    particular solution u, with free components 0, when u o t = unit too;
+    SingularTensor, one-sided exactly when that solve succeeds, otherwise."""
+    c, n, e = table(algebra), algebra.dim, algebra.unit_index
+    unit = [[Fraction(int(r == c_ == e)) for c_ in range(n)] for r in range(n)]
+    solved = oracle.solve(oracle.left_action(c, comps), sum(unit, []))
+    u = solved and [solved[1][r * n:r * n + n] for r in range(n)]
+    if u and oracle.twisted(c, u, comps) == unit:
+        assert [list(row) for row in tensor_inverse(Tensor2(algebra, comps)).components] == u
+        return True
+    with pytest.raises(SingularTensor) as err:
+        tensor_inverse(Tensor2(algebra, comps))
+    assert err.value.one_sided == bool(u)
+    return False
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_tensor_inverse_is_two_sided_or_refused(data, name):
+    # Short of a left action of full rank, t o u = unit may still be solvable
+    # in an algebra that is not associative.  Sparse tensors reach those
+    # cases, and keep the reference solve of O's 64 x 64 short.
+    algebra = data.draw(algebras(unital=True)) if name == "random" else BUILTINS[name]
+    n = algebra.dim
+    check_inverse(algebra, data.draw(sparse_grids(n) if name == "O"
+                                     else grids(n) | sparse_grids(n)))
 
 
 def assert_agree(via_ints, via_fractions, view, flat, ids):
