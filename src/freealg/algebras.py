@@ -101,14 +101,17 @@ def conjugate(x: AlgElement) -> AlgElement:
     """Negate all non-unit coordinates: the built-in involution."""
     _require_builtin(x.algebra)
     nums, den = x._form
-    return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den), False)
+    return AlgElement._of((x.algebra,), ((nums[0], *(-c for c in nums[1:])), den))
 
 
 def norm_sq(x: AlgElement) -> Fraction:
-    """Squared norm |x|^2: coordinate 0 of x * conj(x) in x's own algebra (C, E(a, b) or O)."""
+    """Squared norm |x|^2: coordinate 0 of x * conj(x) in x's own algebra (C, E(a, b) or O),
+    alone: the sum of x^i v conj(x)^j over the terms e_i e_j = v e_0 + ... of the table."""
     _require_builtin(x.algebra)
-    nums, den = multiply(x, conjugate(x))._form
-    return as_fractions(nums[:1], den)[0]
+    nums, den = x._form
+    total = sum(xi * v * (-nums[j] if j else nums[j])
+                for xi, row in zip(nums, x.algebra.terms()) if xi for j, k, v in row if not k)
+    return as_fractions([total], den * den * x.algebra.denominator)[0]
 
 
 def inverse_element(x: AlgElement) -> AlgElement:

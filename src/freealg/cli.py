@@ -298,7 +298,7 @@ def parse_complex_entry(text: str, algebra: FreeAlgebra) -> LinearMap:
     den = lcm(*(q for _, q, _ in terms))
     a = sum(p * (den // q) for p, q, conj in terms if not conj)
     b = sum(p * (den // q) for p, q, conj in terms if conj)
-    return LinearMap._of((algebra, algebra), exact.canonical((a + b, 0, 0, a - b), den))
+    return LinearMap._of((algebra, algebra), ((a + b, 0, 0, a - b), den))
 
 
 def load_system(path: str) -> tuple[FreeAlgebra, MapMatrix, list[AlgElement]]:

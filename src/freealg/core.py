@@ -10,17 +10,18 @@ The algebra holds its constants once, as integer numerators over one
 common denominator, ``FreeAlgebra.denominator``, in two flat tables, A's
 and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
 ``product_ints``, makes the products of ``multiply``, ``associator`` and
-``linmap``'s associator maps (its shifts walk the table themselves), whose
-values are reduced only when their int form is read.  It takes one of two
-paths, chosen by the operands alone.  Dense ones go to code compiled once
-per algebra from its table, ``product_kernel``, one straight-line
-expression per output coordinate, which pays no interpreter step per term
-of the table.  When one operand has few nonzero coordinates, a loop over
-those does fewer terms, as for ``in_nucleus``'s basis vectors.  The same
-code generator compiles an int grid's mat-vec, ``compile_matvec``, for the
-classes of ``linmap``'s component matrix.  ``+`` and ``-`` run on ints
-too.  ``AlgElement.coords``, the Fractions, is built on first read; its
-values and hash are those Fraction arithmetic gives.
+``linmap``'s associator maps (its shifts walk the table themselves); like
+every value, theirs keep the int form as built until ``ints`` reads it.
+``product_ints`` takes one of two paths, chosen by the operands alone.
+Dense ones go to code compiled once per algebra from its table,
+``product_kernel``, one straight-line expression per output coordinate,
+which pays no interpreter step per term of the table.  When one operand
+has few nonzero coordinates, a loop over those does fewer terms, as for
+``in_nucleus``'s basis vectors.  The same code generator compiles an int
+grid's mat-vec, ``compile_matvec``, for the classes of ``linmap``'s
+component matrix.  ``+`` and ``-`` run on ints too.
+``AlgElement.coords``, the Fractions, is built on first read; its values
+and hash are those Fraction arithmetic gives.
 
 Algebra identity is object identity: two separately constructed
 algebras never mix, even with equal tables.
@@ -50,13 +51,13 @@ class FreeAlgebra:
     :mod:`freealg.algebras`); user-defined algebras leave them None.
 
     ``_cache`` holds what :meth:`cached` builds from the algebra alone,
-    such as its component matrices, A (x) A^op and whether it is
+    such as its basis, its component matrices, A (x) A^op and whether it is
     associative; it lives and dies with the algebra, and ``_lock`` guards
     its first builds.
     """
 
     __slots__ = ("dim", "labels", "unit_index", "tag", "params", "denominator",
-                 "_row_terms", "_col_terms", "_cache", "_lock", "_basis")
+                 "_row_terms", "_col_terms", "_cache", "_lock")
 
     def __init__(self, dim: int, labels: Sequence[str],
                  constants: Iterable[tuple[int, int, int, object]],
@@ -84,7 +85,6 @@ class FreeAlgebra:
         self.params = params
         self._cache: dict = {}
         self._lock = threading.Lock()
-        self._basis = None
 
         values: dict[tuple[int, int, int], int] = {}
         for i, j, k, value in constants:
@@ -167,9 +167,7 @@ class FreeAlgebra:
         return self.basis_element(self.unit_index)
 
     def basis(self) -> list["AlgElement"]:
-        if self._basis is None:  # racing callers build equal tuples; either one is kept
-            self._basis = tuple(self.basis_element(i) for i in range(self.dim))
-        return list(self._basis)
+        return list(self.cached("basis", lambda: tuple(map(self.basis_element, range(self.dim)))))
 
     def __repr__(self) -> str:
         name = self.tag or "algebra"
@@ -368,7 +366,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     algebra = shared_algebra(x, y)
     (xs, x_den), (ys, y_den) = x._form, y._form
     return AlgElement._of((algebra,), (product_ints(algebra, xs, ys),
-                                       x_den * y_den * algebra.denominator), False)
+                                       x_den * y_den * algebra.denominator))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -382,8 +380,7 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     (xs, x_den), (ys, y_den), (zs, z_den) = x._form, y._form, z._form
     xy, yz = product_ints(algebra, xs, ys), product_ints(algebra, ys, zs)
     nums = [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
-    return AlgElement._of((algebra,), (nums, x_den * y_den * z_den * algebra.denominator ** 2),
-                          False)
+    return AlgElement._of((algebra,), (nums, x_den * y_den * z_den * algebra.denominator ** 2))
 
 
 def is_commutative(algebra: FreeAlgebra) -> bool:

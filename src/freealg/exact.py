@@ -57,9 +57,9 @@ Only their own tests and the benchmark's tracer read ``invert``,
 denominators per row of a and one per column of b; one lcm for all of b
 would lengthen every product.  A vector is multiplied as one column.
 
-``IntForm``, the base of elements, maps and tensors, holds one int form.
-Products, sums and shifts leave it unreduced; it is made ``canonical`` once,
-on its first read, and its Fractions are only a cache.
+``IntForm``, the base of elements, maps and tensors, holds one int form as
+built, at any scale; ``IntForm.ints`` alone makes it ``canonical``, once, on
+its first read, and its Fractions are only a cache.
 """
 
 from __future__ import annotations
@@ -172,11 +172,13 @@ class IntForm:
     one int form, numerators over one positive denominator, a grid read row by
     row.  ``_form`` is the form as built, reduced or not; ``ints`` is the form
     as ``canonical`` gives, reduced from ``_form`` on its first read and stored
-    in both slots, so that no later read reduces it.  The view, flat or with
-    ``_GRID`` rows as long as the first algebra's dimension, is a cache of
-    Fractions: the constructors seed it, ``_of`` values build it on first read.
-    Equality compares ``ints``, the hash is that of the algebras' ids and the
-    view, and operands on other algebras raise ``AlgebraMismatch(_MISMATCH)``."""
+    in both slots, so that no later read reduces it.  Arithmetic reads an
+    operand's ``_form`` once, as that first read may replace it.  The view,
+    flat or with ``_GRID`` rows as long as the first algebra's dimension, is a
+    cache of Fractions: the constructors seed it, ``_of`` values build it on
+    first read.  Equality compares ``ints``, the hash is that of the algebras'
+    ids and the view, and operands on other algebras raise
+    ``AlgebraMismatch(_MISMATCH)``."""
 
     __slots__ = ("_space", "_view", "_form", "_ints")
     _GRID = False
@@ -187,12 +189,11 @@ class IntForm:
         self._form = self._ints = (tuple(nums), den)
 
     @classmethod
-    def _of(cls, space: tuple, form: tuple, reduced: bool = True):
-        """The value whose int form, row by row, is ``form``: canonical, or with
-        ``reduced`` false any (ints, den) with den > 0, reduced when read."""
+    def _of(cls, space: tuple, form: tuple):
+        """The value whose int form, row by row, is ``form``, any (ints, den) with
+        den > 0, kept as built and reduced when ``ints`` is first read."""
         value = cls.__new__(cls)
-        value._space, value._view, value._form = space, None, form
-        value._ints = form if reduced else None
+        value._space, value._view, value._form, value._ints = space, None, form, None
         return value
 
     @property
@@ -224,7 +225,7 @@ class IntForm:
         (a, a_den), (b, b_den) = self._form, other._form
         den = lcm(a_den, b_den)
         sa, sb = den // a_den, sign * (den // b_den)
-        return self._of(self._space, ([x * sa + y * sb for x, y in zip(a, b)], den), False)
+        return self._of(self._space, ([x * sa + y * sb for x, y in zip(a, b)], den))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -234,12 +235,12 @@ class IntForm:
 
     def __neg__(self):
         nums, den = self._form
-        return self._of(self._space, ([-x for x in nums], den), False)
+        return self._of(self._space, ([-x for x in nums], den))
 
     def scaled(self, scalar):
         p, q = frac(scalar).as_integer_ratio()
         nums, den = self._form
-        return self._of(self._space, ([p * x for x in nums], den * q), False)
+        return self._of(self._space, ([p * x for x in nums], den * q))
 
 
 def primitive(row) -> list[int]:

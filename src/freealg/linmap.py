@@ -97,7 +97,7 @@ class LinearMap(IntForm):
         as ``exact.invert_ints`` raises."""
         nums, den = self.ints
         inv, inv_den = exact.invert_ints(exact.blocks(nums, self.source.dim))
-        return LinearMap._of(self._space[::-1], exact.canonical([x * den for x in inv], inv_den))
+        return LinearMap._of(self._space[::-1], ([x * den for x in inv], inv_den))
 
     def __repr__(self) -> str:
         return f"LinearMap({self.target.dim}x{self.source.dim})"
@@ -109,7 +109,7 @@ def apply(f: LinearMap, x: AlgElement) -> AlgElement:
         raise AlgebraMismatch("element is not in the map's source algebra")
     (fs, f_den), (xs, x_den) = f._form, x._form
     out = [sum(map(mul, row, xs)) for row in exact.blocks(fs, len(xs))]
-    return AlgElement._of((f.target,), (out, f_den * x_den), False)
+    return AlgElement._of((f.target,), (out, f_den * x_den))
 
 
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
@@ -119,7 +119,7 @@ def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     (gs, g_den), (fs, f_den) = g._form, f._form
     n = f.source.dim
     product = exact.int_mat_mul(exact.blocks(gs, g.source.dim), exact.blocks(fs, n), n)
-    return LinearMap._of((f.source, g.target), (exact.vec(product), g_den * f_den), False)
+    return LinearMap._of((f.source, g.target), (exact.vec(product), g_den * f_den))
 
 
 def _shift_columns(algebra: FreeAlgebra, xs, right: bool = False) -> list[list[int]]:
@@ -135,17 +135,19 @@ def _shift_columns(algebra: FreeAlgebra, xs, right: bool = False) -> list[list[i
 
 def _from_columns(algebra: FreeAlgebra, cols, den: int, factors: int = 1) -> LinearMap:
     return LinearMap._of((algebra, algebra), (exact.vec(zip(*cols)),
-                                              den * algebra.denominator ** factors), False)
+                                              den * algebra.denominator ** factors))
 
 
 def left_shift(a: AlgElement) -> LinearMap:
     """The map x -> a x."""
-    return _from_columns(a.algebra, _shift_columns(a.algebra, a._form[0]), a._form[1])
+    nums, den = a._form  # read once: a first ``ints`` read elsewhere may replace it
+    return _from_columns(a.algebra, _shift_columns(a.algebra, nums), den)
 
 
 def right_shift(a: AlgElement) -> LinearMap:
     """The map x -> x a."""
-    return _from_columns(a.algebra, _shift_columns(a.algebra, a._form[0], True), a._form[1])
+    nums, den = a._form
+    return _from_columns(a.algebra, _shift_columns(a.algebra, nums, True), den)
 
 
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
@@ -205,7 +207,7 @@ class Tensor2(IntForm):
         if a.algebra is not b.algebra:
             raise AlgebraMismatch("both parts must share one algebra")
         (an, ad), (bn, bd) = a._form, b._form
-        return cls._of((a.algebra,), ([x * y for x in an for y in bn], ad * bd), False)
+        return cls._of((a.algebra,), ([x * y for x in an for y in bn], ad * bd))
 
     @classmethod
     def unit(cls, algebra: FreeAlgebra) -> "Tensor2":
@@ -400,14 +402,14 @@ def tensor_map(t: Tensor2, order: str = "left") -> LinearMap:
     algebra = t.algebra
     bm = b_matrix(algebra, order)
     steps, kernels = _plan(bm, "map")
-    tvec, t_den = t.ints
+    tvec, t_den = t._form
     gvec = [0] * len(tvec)
     for rows, cols, rs, cs, k in steps:
         ts = [t * tvec[c] for t, c in zip(cs, cols)]
         if any(ts):  # else the block's rows stay 0
             for r, s, v in zip(rows, rs, kernels[k](ts)):
                 gvec[r] = s * v
-    return LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den * t_den))
+    return LinearMap._of((algebra, algebra), (gvec, bm.den * t_den))
 
 
 def _plan(bm: BMatrix, side: str) -> tuple:
@@ -442,15 +444,15 @@ def _row_loop(grid, v) -> list[int]:
     return [sum(map(mul, row, v)) for row in grid]
 
 
-def _table_sums(t: Tensor2, order: str) -> list[int]:
-    """t's map as ``table_map`` sums it, unreduced over den^2 t's
-    denominator: its ints, entry (k, m) at k n + m.  One walk over t's
-    lines, rows in the left order and columns in the right, skipping a line
-    that is all 0."""
+def _table_sums(t: Tensor2, order: str) -> tuple[list[int], int]:
+    """t's map as ``table_map`` sums it, an int form over D^2 times t's
+    denominator, D the algebra's: entry (k, m) at k n + m.  One walk over
+    t's lines, rows in the left order and columns in the right, skipping a
+    line that is all 0."""
     n = t.algebra.dim
     left = order == "left"
     table = t.algebra.terms(opposite=not left)
-    tvec = t.ints[0]
+    tvec, t_den = t._form
     out = [0] * (n * n)
     for a, line in enumerate(table):
         ts = tvec[a * n:(a + 1) * n] if left else tvec[a::n]
@@ -459,7 +461,7 @@ def _table_sums(t: Tensor2, order: str) -> list[int]:
                 for b, k, v2 in table[p]:
                     if ts[b]:
                         out[k * n + m] += ts[b] * v1 * v2
-    return out
+    return out, t.algebra.denominator ** 2 * t_den
 
 
 def table_map(t: Tensor2, order: str = "left") -> LinearMap:
@@ -470,9 +472,7 @@ def table_map(t: Tensor2, order: str = "left") -> LinearMap:
     right order is the same walk over A^op's table, A's column table, with
     t^{ba} in place of t^{ab}."""
     _check_order(order)
-    algebra = t.algebra
-    return LinearMap._of((algebra, algebra), exact.canonical(
-        _table_sums(t, order), algebra.denominator ** 2 * t.ints[1]))
+    return LinearMap._of((t.algebra, t.algebra), _table_sums(t, order))
 
 
 def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
@@ -484,7 +484,7 @@ def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "lef
         raise SubstitutionCheckFailed("standard components fail substitution: "
                                       "the particular tensor does not give the map")
     for idx, t in enumerate(solution.nullspace):
-        if any(_table_sums(t, order)):
+        if any(_table_sums(t, order)[0]):
             raise SubstitutionCheckFailed(f"standard components fail substitution: "
                                           f"null vector {idx} does not give the zero map")
 
@@ -536,7 +536,7 @@ def standard_from_coords(g: LinearMap, order: str = "left") -> StandardSolution:
                     "coordinate matrix is not in the image of the component matrix")
             for c, scale, v in zip(pivots, scales, y):
                 particular[c] = scale * v
-    return StandardSolution(Tensor2._of((algebra,), exact.canonical(particular, lead * g_den)),
+    return StandardSolution(Tensor2._of((algebra,), (particular, lead * g_den)),
                             list(nullspace))
 
 
@@ -559,8 +559,8 @@ def _solve_plan(bm: BMatrix) -> tuple[int, list, list]:
             v[cols[fc]] = den
             for c, row in zip(pivots, reduced):
                 v[cols[c]] = -cs[fc] * cs[c] * row[fc]
-            nullspace.append(Tensor2._of((bm.algebra,), exact.canonical(v, den)))
-    nullspace.sort(key=lambda t: max(c for c, value in enumerate(t.ints[0]) if value))
+            nullspace.append(Tensor2._of((bm.algebra,), (v, den)))
+    nullspace.sort(key=lambda t: max(c for c, value in enumerate(t._form[0]) if value))
     return lead, steps, nullspace
 
 
@@ -577,8 +577,7 @@ def _orbit_columns(f: LinearMap, order: str, pairs) -> list[tuple[tuple[int, ...
         gvec = [0] * (n * n)
         for r, s, values in zip(rows, rs, grid):
             gvec[r] = s * t * values[p]
-        out.append(compose(LinearMap._of((algebra, algebra), exact.canonical(gvec, bm.den)),
-                           f).ints)
+        out.append(compose(LinearMap._of((algebra, algebra), (gvec, bm.den)), f).ints)
     return out
 
 
@@ -596,7 +595,7 @@ def orbit_contains(g: LinearMap, f: LinearMap, order: str = "left") -> Optional[
     except ValueError:
         return None
     # the columns over den give g_nums / g_den: t is the particular over g_den
-    t = Tensor2._of((f.target,), exact.canonical(particular, t_den * g_den))
+    t = Tensor2._of((f.target,), (particular, t_den * g_den))
     if compose(table_map(t, order), f) != g:
         raise SubstitutionCheckFailed("orbit tensor fails substitution: t acting on f is not g")
     return t

@@ -126,7 +126,7 @@ def inverse_map_matrix(m: MapMatrix) -> MapMatrix:
     except ValueError as err:
         raise SingularSystem(f"matrix of mappings is singular ({err})") from None
     n, space = m.algebra.dim, (m.algebra, m.algebra)
-    return MapMatrix([[LinearMap._of(space, exact.canonical(exact.vec(coords), den))
+    return MapMatrix([[LinearMap._of(space, (exact.vec(coords), den))
                        for coords in zip(*(exact.blocks(row, n) for row in band))]
                       for band in exact.blocks(exact.blocks(inverse, m.cols * n), n)])
 
@@ -146,8 +146,8 @@ def _recursive_inverse(grid) -> list[list[LinearMap]]:
             pivots, _, left, left_den = exact.factor(exact.blocks(nums, algebra.dim))
             if len(pivots) < algebra.dim:
                 raise MinorSingular(f"quasideterminant at row {j}, col {i} is a singular map")
-            row.append(LinearMap._of((algebra, algebra), exact.canonical(
-                [den * x for x in exact.vec(left)], left_den)))
+            row.append(LinearMap._of((algebra, algebra),
+                                     ([den * x for x in exact.vec(left)], left_den)))
         out.append(row)
     return out
 
@@ -187,15 +187,15 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
     """sum_j m[i][j](x_j) for every row i, through the maps, on ints: each
     map's int rows times x_j's ints, over f's denominator times x_j's; each
-    equation summed over the lcm of those and made canonical once."""
-    forms = [xj.ints for xj in x]
+    equation summed over the lcm of those, reduced when it is compared."""
+    forms = [xj._form for xj in x]
     sides = []
     for row in m.entries:
         terms, den = exact.over_lcm([
             ([sum(map(mul, f_row, xs)) for f_row in exact.blocks(fs, len(xs))], f_den * x_den)
-            for (fs, f_den), (xs, x_den) in zip([f.ints for f in row], forms)])
+            for (fs, f_den), (xs, x_den) in zip([f._form for f in row], forms)])
         sums = [sum(column) for column in zip(*terms)]
-        sides.append(AlgElement._of((m.algebra,), exact.canonical(sums, den)))
+        sides.append(AlgElement._of((m.algebra,), (sums, den)))
     return sides
 
 
@@ -236,7 +236,7 @@ def solve_additive(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[AlgElement]:
     *x, last = kernel  # (L x, 1), or (w, 0) for a singular M
 
     def elements(v) -> list[AlgElement]:
-        return [AlgElement._of((m.algebra,), exact.canonical(vi, den)) for vi in exact.blocks(v, n)]
+        return [AlgElement._of((m.algebra,), (vi, den)) for vi in exact.blocks(v, n)]
 
     if not last:  # w's last nonzero is its free column, the one exact.invert_ints names
         witness = elements(x)

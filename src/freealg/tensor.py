@@ -90,7 +90,7 @@ class TensorAlgebra(FreeAlgebra):
         for part in parts:
             part_nums, part_den = part._form
             nums, den = [c * x for c in nums for x in part_nums], den * part_den
-        return AlgElement._of((self,), (nums, den), False)
+        return AlgElement._of((self,), (nums, den))
 
     def __repr__(self) -> str:
         return f"TensorAlgebra({len(self.factors)} factors, dim={self.dim})"
@@ -115,7 +115,7 @@ def twisted_algebra(algebra: FreeAlgebra) -> TensorAlgebra:
 
 
 def _twisted_element(t: Tensor2) -> AlgElement:
-    return AlgElement._of((twisted_algebra(t.algebra),), t._form, False)
+    return AlgElement._of((twisted_algebra(t.algebra),), t._form)
 
 
 def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
@@ -123,8 +123,7 @@ def twisted_mul(s: Tensor2, t: Tensor2) -> Tensor2:
     the product of s and t in A (x) A^op."""
     if s.algebra is not t.algebra:
         raise AlgebraMismatch("tensors over different algebras")
-    return Tensor2._of((s.algebra,), multiply(_twisted_element(s), _twisted_element(t))._form,
-                       False)
+    return Tensor2._of((s.algebra,), multiply(_twisted_element(s), _twisted_element(t))._form)
 
 
 def tensor_inverse(t: Tensor2) -> Tensor2:

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freealg import (DegenerateParams, NotPureVector, QuaternionParams,
-                     UnsupportedAlgebra, ZeroNorm, conjugate, inverse_element,
-                     is_associative, is_commutative, multiply, norm_sq,
-                     quaternion_algebra, random_element, rotate)
+                     UnsupportedAlgebra, ZeroNorm, complex_algebra, conjugate,
+                     inverse_element, is_associative, is_commutative, multiply, norm_sq,
+                     octonion_algebra, quaternion_algebra, random_element, rotate)
 from freealg.core import FreeAlgebra
+from test_kernel_properties import NONZERO, SMALL, VALUES
 
 
 def test_complex_constants(C):
@@ -87,6 +89,19 @@ def test_norm_sq(H):
     with pytest.raises(TypeError):
         norm_sq(H.basis_element(1), QuaternionParams(1, 1))
     assert norm_sq(H.basis_element(1)) == 1
+
+
+@given(st.data(), st.sampled_from(["C", "E(a, b)", "O"]))
+def test_norm_sq_is_coordinate_0_of_x_times_its_conjugate(data, name):
+    # norm_sq sums coordinate 0 alone; E(a, b) is split when a or b is a square
+    if name == "E(a, b)":
+        a, b = (data.draw(SMALL.filter(bool) | NONZERO) for _ in range(2))
+        algebra = quaternion_algebra(QuaternionParams(a, b))
+    else:
+        algebra = complex_algebra() if name == "C" else octonion_algebra()
+    x = algebra.element(data.draw(st.lists(VALUES, min_size=algebra.dim,
+                                           max_size=algebra.dim)))
+    assert norm_sq(x) == multiply(x, conjugate(x)).coords[0]
 
 
 def test_norm_matches_conjugate_product(C, H, O):

@@ -71,6 +71,16 @@ def test_associativity_predicate_matches_basis_associators(C, H, O):
         assert is_associative(algebra) == vanish
 
 
+def test_basis_is_built_once_and_each_call_gets_its_own_list(H):
+    algebra = opposite(H)  # fresh: nothing cached yet
+    first = algebra.basis()
+    assert first == [algebra.basis_element(i) for i in range(4)]
+    first.clear()
+    second = algebra.basis()
+    assert len(second) == 4 and second is not algebra.basis()
+    assert all(a is b for a, b in zip(second, algebra.basis()))
+
+
 def test_associativity_is_contracted_once_per_algebra(H, monkeypatch):
     # a fact of the immutable table, cached on the algebra
     calls = []

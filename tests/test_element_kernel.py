@@ -40,6 +40,8 @@ Values reduce their int form once, on the first ``.ints`` read: a chain of
 ``octonion_laws``' identities calls ``exact.canonical`` only when its
 results are read, eight threads reading one unreduced form first all get
 the canonical one, and later products start from the stored reduced form.
+Each operation takes an operand's numerators and denominator from one read
+of its form, which such a first read may replace.
 """
 
 import itertools
@@ -53,15 +55,16 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freealg import (AlgebraMismatch, LinearMap, QuaternionParams, Tensor2, apply, associator,
-                     commutator, complex_algebra, compose, conjugate, exact, inverse_element,
-                     left_shift, multiply, norm_sq, octonion_algebra, opposite,
+from freealg import (AlgebraMismatch, LinearMap, MapMatrix, QuaternionParams, Tensor2, apply,
+                     associator, commutator, complex_algebra, compose, conjugate, exact,
+                     inverse_element, left_shift, multiply, norm_sq, octonion_algebra, opposite,
                      quaternion_algebra, random_element, right_shift, tensor_mul,
                      tensor_product, twisted_mul)
 from freealg import core
-from freealg.exact import canonical
+from freealg.exact import IntForm, canonical
 from freealg.core import FreeAlgebra, product_ints, product_kernel
-from freealg.linmap import left_associator_map, right_associator_map
+from freealg.linmap import left_associator_map, right_associator_map, table_map, tensor_map
+from freealg.solver import _left_sides
 from freealg.tensor import twisted_algebra
 from test_component_blocks import dual_numbers
 from test_kernel_properties import algebras
@@ -557,3 +560,69 @@ def test_a_read_stores_the_reduced_form_that_later_products_start_from():
         total = total + term
     assert total._form[1] == lcm(*(term.ints[1] for term in terms))
     assert total.ints == oracle.int_form([sum(v) for v in zip(*(term.coords for term in terms))])
+
+
+class Rescaling:
+    """Mixed into a value type: each read of ``_form`` returns the stored form
+    and then doubles it, as though a first ``ints`` read in another thread had
+    replaced it by an equal form between two reads."""
+
+    __slots__ = ()
+
+    @property
+    def _form(self):
+        nums, den = IntForm._form.__get__(self)
+        IntForm._form.__set__(self, ([2 * x for x in nums], 2 * den))
+        return nums, den
+
+    @_form.setter
+    def _form(self, form):
+        IntForm._form.__set__(self, form)
+
+
+@cache
+def rescaling(cls):
+    return type(f"Rescaling{cls.__name__}", (Rescaling, cls), {"__slots__": ()})
+
+
+def rescaled(value):
+    """``value`` as a ``Rescaling`` value of its type, unread."""
+    return rescaling(type(value))._of(value._space, value._form)
+
+
+def like(a, value):
+    """``value`` as a value of a's type, which ``+`` and ``-`` ask of their operands."""
+    return type(a)._of(value._space, value._form)
+
+
+def test_operations_read_an_operand_s_form_once():
+    # numerators and denominator of an operand come from one read of its
+    # form, or an operation could mix the form before and after a reduction
+    rng = random.Random(51)
+    O, H = algebra("O"), algebra("H")
+    HH = tensor_product([H, H])
+    x, y, z = (random_element(O, rng) for _ in range(3))
+    p, q = random_element(H, rng), random_element(H, rng)
+    f, g = (LinearMap(O, O, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+                             for _ in range(8)]) for _ in range(2))
+    s, t = (Tensor2(H, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+                        for _ in range(4)]) for _ in range(2))
+    m = MapMatrix([[f]])
+    operations = [
+        (x, lambda a: multiply(a, y)), (x, lambda a: multiply(y, a)),
+        (x, lambda a: associator(a, y, z)), (x, lambda a: associator(y, z, a)),
+        (x, lambda a: (a + like(a, y)).ints), (x, lambda a: (like(a, y) - a).ints),
+        (x, lambda a: a.scaled(Fraction(3, 7)).ints), (x, lambda a: (-a).ints),
+        (x, left_shift), (x, right_shift),
+        (x, lambda a: left_associator_map(a, y)), (x, lambda a: right_associator_map(y, a)),
+        (x, lambda a: apply(f, a)), (x, conjugate), (x, norm_sq), (x, inverse_element),
+        (x, hash), (x, lambda a: a.coords), (x, lambda a: _left_sides(m, [a])),
+        (p, lambda a: HH.pure([a, q])), (p, lambda a: Tensor2.pure(q, a)),
+        (f, lambda a: compose(a, g)), (f, lambda a: compose(g, a)), (f, lambda a: apply(a, x)),
+        (f, lambda a: (a - like(a, g)).ints), (f, lambda a: a.inverse()),
+        (f, lambda a: _left_sides(MapMatrix([[a]]), [x])),
+        (t, lambda a: twisted_mul(a, s)), (t, lambda a: twisted_mul(s, a)),
+        (t, tensor_map), (t, table_map), (t, lambda a: tensor_map(a, "right")),
+    ]
+    for value, operation in operations:
+        assert operation(rescaled(value)) == operation(value)

@@ -563,7 +563,7 @@ def test_only_core_reads_the_algebra_s_private_slots():
     # alone; a subclass may call ``_build``, which is a method, not a slot
     package = Path(exact.__file__).parent
     private = {name for name in FreeAlgebra.__slots__ if name.startswith("_")}
-    assert private == {"_cache", "_lock", "_row_terms", "_col_terms", "_basis"}
+    assert private == {"_cache", "_lock", "_row_terms", "_col_terms"}
     readers = [f"{path.stem}.{node.attr}" for path in sorted(package.glob("*.py"))
                if path.stem != "core"
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

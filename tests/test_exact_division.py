@@ -200,3 +200,29 @@ def test_exact_has_two_elimination_loops():
                      "factor": {"linmap._build_b_matrix", "solver._recursive_inverse"},
                      "solve_ints": {"exact.solve", "linmap.orbit_contains",
                                     "tensor.tensor_inverse"}}
+
+
+def test_an_int_form_is_reduced_only_where_it_is_read():
+    # IntForm._of takes (space, form) and every call passes those two alone,
+    # so no caller promises a reduced form; exact.canonical reduces in
+    # IntForm.ints, in the two eliminations whose results are canonical by
+    # contract, for the table's least denominator and in the CLI's reader
+    package = Path(exact.__file__).parent
+    of = exact.IntForm._of.__func__.__code__
+    assert of.co_varnames[:of.co_argcount] == ("cls", "space", "form")
+    calls, reducers = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_of":
+                calls.append((len(node.args), len(node.keywords)))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and "canonical" in (getattr(node.func, "id", None),
+                                                getattr(node.func, "attr", None))):
+                        reducers.add(f"{path.stem}.{func.name}")
+    assert len(calls) > 20 and set(calls) == {(2, 0)}
+    assert reducers == {"exact.ints", "exact.invert_ints", "exact._read_off", "core._build",
+                        "cli._form"}

@@ -18,8 +18,11 @@ built by int operations must agree with a plain-``Fraction`` reference in
 ``==``, ``hash``, the Fraction view and that form.  Products, associators,
 commutators, the shifts, the associator maps, ``apply``, ``compose``, the
 twisted product, ``tensor_mul`` and both pure tensors leave their form
-unreduced until ``.ints`` is read, so their hash, view and ``is_zero`` are
-checked before that read, on the built-ins and on random algebras.
+unreduced until ``.ints`` is read, as do the conversions, the orbit tensor,
+the inverses of maps and of grids of maps, the additive solutions and
+witnesses and the CLI's complex entries, and ``_of`` takes any form: their
+hash, view and ``is_zero`` are checked before that read, on the built-ins
+and on random algebras.
 
 The runs use the derandomized profile of ``conftest.py``.
 """
@@ -30,13 +33,16 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from freealg import (LinearMap, NotRepresentable, SingularTensor, Tensor2, apply, associator,
-                     b_matrix, commutator, complex_algebra, compose, coords_from_standard,
-                     left_shift, multiply, octonion_algebra, orbit_contains, quaternion_algebra,
-                     right_shift, tensor_inverse, tensor_mul, tensor_product, twisted_mul,
-                     standard_from_coords)
+from freealg import (AlgElement, LinearMap, MapMatrix, MinorSingular, NotRepresentable,
+                     SingularSystem, SingularTensor, Tensor2, apply, associator, b_matrix,
+                     commutator, complex_algebra, compose, coords_from_standard, exact, flatten,
+                     inverse_map_matrix, left_shift, multiply, octonion_algebra, orbit_contains,
+                     quaternion_algebra, right_shift, solve_additive, standard_from_coords,
+                     tensor_inverse, tensor_mul, tensor_product, twisted_mul)
+from freealg.cli import parse_complex_entry
 from freealg.core import FreeAlgebra
-from freealg.linmap import left_associator_map, right_associator_map
+from freealg.linmap import left_associator_map, right_associator_map, table_map, tensor_map
+from freealg.solver import _recursive_inverse
 import oracle
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -338,3 +344,147 @@ def test_tensor_products_and_pure_tensors_hold_the_canonical_int_form(data, name
                         (tensor_mul(*pures), fractions(oracle.mul(oracle.table(constants, dim),
                                                                   *outer)))]:
         assert_deferred(value, T.element(view), view, (id(T),))
+
+
+@given(st.data(), st.sampled_from([*BUILTINS, "random"]), st.integers(2, 2**40))
+def test_of_takes_any_int_form_and_reduces_it_when_read(data, name, k):
+    # the form of a drawn value with its numerators and denominator times k > 1
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n = A.dim
+    x = data.draw(coordinates(n))
+    f, t = (data.draw(sparse_grids(n) if n > 8 else grids(n)) for _ in range(2))
+    for cls, via_fractions, view, ids in [
+            (AlgElement, A.element(x), fractions(x), (id(A),)),
+            (LinearMap, LinearMap(A, A, f), fraction_grid(f), (id(A), id(A))),
+            (Tensor2, Tensor2(A, t), fraction_grid(t), (id(A),))]:
+        nums, den = oracle.int_form(exact.vec(view) if isinstance(view[0], tuple) else view)
+        value = cls._of(via_fractions._space, ([k * v for v in nums], k * den))
+        assert_deferred(value, via_fractions, view, ids)
+
+
+def grid_of(values, n):
+    """The n x n grid of Fractions read row by row from ``values``."""
+    return fraction_grid(exact.blocks(values, n))
+
+
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from([*BUILTINS, "random"]), st.sampled_from(["left", "right"]))
+def test_conversions_hold_the_canonical_int_form(data, name, order):
+    # t's map by tensor_map and table_map, from an unreduced form of t, then
+    # the particular tensor and each null vector of standard_from_coords of
+    # that map, against the oracle's sandwich and its solve of B y = vec(g)
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n, c = A.dim, table(A)
+    s = data.draw(sparse_grids(n) if n > 4 else grids(n))
+    q = data.draw(NONZERO)
+    t = Tensor2(A, s).scaled(q).scaled(1 / q)
+    view = fraction_grid(oracle.sandwich(c, s, order))
+    for value in (tensor_map(t, order), table_map(t, order)):
+        assert_deferred(value, LinearMap(A, A, view), view, (id(A), id(A)))
+    solution = standard_from_coords(LinearMap(A, A, view), order)
+    if n > 8:  # B of H (x) H has full rank: s is the one solution
+        wanted = [fraction_grid(s)]
+    else:
+        _, particular, nullspace = oracle.solve(oracle.component_matrix(c, order),
+                                                exact.vec(view))
+        wanted = [grid_of(v, n) for v in (particular, *nullspace)]
+    assert len(wanted) == 1 + len(solution.nullspace)
+    for value, grid in zip([solution.particular, *solution.nullspace], wanted):
+        assert_deferred(value, Tensor2(A, grid), grid, (id(A),))
+
+
+def basis_tensor(n, i, j):
+    return [[int(r == i and m == j) for m in range(n)] for r in range(n)]
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]), st.sampled_from(["left", "right"]))
+def test_orbit_tensors_hold_the_canonical_int_form(data, name, order):
+    # the particular solution, free components 0, of the oracle's system of
+    # orbit columns e_i (x) e_j acting on f; O's 64 x 64 solve takes sparse grids
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n = A.dim
+    t, f = (data.draw(sparse_grids(n) if name == "O" else grids(n)) for _ in range(2))
+    g = action(A, t, f, order)
+    found = orbit_contains(LinearMap(A, A, g), LinearMap(A, A, f), order)
+    columns = [exact.vec(action(A, basis_tensor(n, i, j), f, order))
+               for i in range(n) for j in range(n)]
+    _, particular, _ = oracle.solve([list(row) for row in zip(*columns)], exact.vec(g))
+    grid = grid_of(particular, n)
+    assert_deferred(found, Tensor2(A, grid), grid, (id(A),))
+
+
+def map_grids(data, A, rows):
+    """A rows x rows grid of maps of A, their coordinates SMALL past dim 4."""
+    n = A.dim
+    small = st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n)
+    return [[LinearMap(A, A, data.draw(small if n > 4 else grids(n))) for _ in range(rows)]
+            for _ in range(rows)]
+
+
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]))
+def test_inverses_hold_the_canonical_int_form(data, name):
+    # LinearMap.inverse of f, and inverse_map_matrix and the quasideterminant
+    # recursion of a grid of maps, against the oracle's inverse of the flattening
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n = A.dim
+    f = data.draw(grids(n))
+    inverse = oracle.inverse(f)
+    if inverse is None:
+        with pytest.raises(ValueError):
+            LinearMap(A, A, f).inverse()
+    else:
+        view = fraction_grid(inverse)
+        assert_deferred(LinearMap(A, A, f).inverse(), LinearMap(A, A, view), view,
+                        (id(A), id(A)))
+    grid = map_grids(data, A, data.draw(st.integers(1, 2)))
+    inverse = oracle.inverse(flatten(MapMatrix(grid)))
+    if inverse is None:
+        with pytest.raises(SingularSystem):
+            inverse_map_matrix(MapMatrix(grid))
+        return
+    rows = len(grid)
+    views = [[fraction_grid(row[j * n:j * n + n] for row in inverse[i * n:i * n + n])
+              for j in range(rows)] for i in range(rows)]
+    try:
+        recursive = _recursive_inverse(grid)
+    except MinorSingular:
+        recursive = None
+    for got in (inverse_map_matrix(MapMatrix(grid)).entries, recursive):
+        for got_row, view_row in zip(got or (), views):
+            for value, view in zip(got_row, view_row):
+                assert_deferred(value, LinearMap(A, A, view), view, (id(A), id(A)))
+
+
+@given(st.data(), st.sampled_from(["C", "H", "O", "random"]), st.booleans())
+def test_additive_solutions_and_witnesses_hold_the_canonical_int_form(data, name, singular):
+    # the solution x of M x = b, or for a singular M (a repeated row of maps
+    # when ``singular``) the witness w: the oracle's first null vector of M
+    A = data.draw(algebras()) if name == "random" else BUILTINS[name]
+    n = A.dim
+    grid = map_grids(data, A, data.draw(st.integers(1 + singular, 2)))
+    if singular:
+        grid[-1] = grid[0]
+    rhs = [A.element(data.draw(coordinates(n))) for _ in grid]
+    flat = flatten(MapMatrix(grid))
+    solved = oracle.solve(flat, [v for y in rhs for v in y.coords])
+    if solved and solved[0] == len(flat):
+        got, vector = solve_additive(MapMatrix(grid), rhs), solved[1]
+    else:
+        with pytest.raises(SingularSystem) as err:
+            solve_additive(MapMatrix(grid), rhs)
+        got, vector = err.value.witness, oracle.solve(flat, [ZERO] * len(flat))[2][0]
+    for value, view in zip(got, exact.blocks(vector, n), strict=True):
+        view = fractions(view)
+        assert_deferred(value, A.element(view), view, (id(A),))
+
+
+@given(st.integers(-40, 40), st.integers(1, 12), st.integers(-40, 40), st.integers(1, 12),
+       st.integers(1, 6))
+def test_complex_entries_hold_the_canonical_int_form(p, q, r, s, k):
+    # 'p/q + r/s*I' with both terms written over k times their denominator
+    C = BUILTINS["C"]
+    a, b = Fraction(p, q), Fraction(r, s)
+    text = f"{k * p}/{k * q} {'-' if r < 0 else '+'} {k * abs(r)}/{k * s}*I"
+    view = fraction_grid([[a + b, 0], [0, a - b]])
+    assert_deferred(parse_complex_entry(text, C), LinearMap(C, C, view), view, (id(C), id(C)))
