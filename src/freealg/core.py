@@ -12,14 +12,17 @@ and A^op's, which ``FreeAlgebra.terms`` reads out.  One int kernel,
 ``product_ints``, makes the products of ``multiply``, ``associator`` and
 ``linmap``'s associator maps (its shifts walk the table themselves); like
 every value, theirs keep the int form as built until ``ints`` reads it.
-``product_ints`` takes one of two paths, chosen by the operands alone.
-Dense ones go to code compiled once per algebra from its table,
-``product_kernel``, one straight-line expression per output coordinate,
-which pays no interpreter step per term of the table.  When one operand
-has few nonzero coordinates, a loop over those does fewer terms, as for
-``in_nucleus``'s basis vectors.  The same code generator compiles an int
-grid's mat-vec, ``compile_matvec``, for the classes of ``linmap``'s
-component matrix.  ``+`` and ``-`` run on ints too.
+``product_ints`` takes one of three paths, chosen by the operands alone.
+Dense ones go to code compiled once per algebra from its table, one
+straight-line expression per output coordinate, which pays no interpreter
+step per term of the table: ``product_kernel``'s, or on large operands
+``paired_kernel``'s, which makes one product of coordinates for each pair
+of terms x^i y^j, x^j y^i whose table rows are equal up to sign, as in C,
+H, O and H (x) H.  When one operand has few nonzero coordinates, a loop
+over those does fewer terms, as for ``in_nucleus``'s basis vectors.  The
+same code generator compiles an int grid's mat-vec, ``compile_matvec``,
+for the classes of ``linmap``'s component matrix.  ``+`` and ``-`` run on
+ints too.
 ``AlgElement.coords``, the Fractions, is built on first read; its values
 and hash are those Fraction arithmetic gives.
 
@@ -248,23 +251,27 @@ def shared_algebra(x: AlgElement, *others: AlgElement) -> FreeAlgebra:
     return algebra
 
 
-def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
+def product_ints(algebra: FreeAlgebra, xs, ys, bits: int = 0) -> list[int]:
     """The numerators of x y over x_den * y_den * ``algebra.denominator``, not
     reduced, from those of x and y: (x y)^k = sum_{i,j} B[i][j][k] x^i y^j.
 
     When the operand with fewer nonzero coordinates has nnz of them with
-    4 nnz > dim, ``product_kernel``'s straight-line code makes every term of
-    the table without a branch.  Otherwise a loop runs over that operand's
-    nonzero coordinates, through row i of the flat table when it is x and
-    column j when it is y, and skips the zero terms the kernel would make:
-    a one-hot operand, as ``in_nucleus`` passes, costs one row.
+    4 nnz > dim, code compiled from the table makes every term without a
+    branch: ``paired_kernel``'s when ``bits``, the bit length of
+    x_den * y_den, is at least ``PAIRED_BITS``, else ``product_kernel``'s.
+    Otherwise a loop runs over that operand's nonzero coordinates, through
+    row i of the flat table when it is x and column j when it is y, and
+    skips the zero terms the kernels would make: a one-hot operand, as
+    ``in_nucleus`` passes, costs one row.
     Measured on 2 CPUs (Python 3.11), the loop and the kernel cost the same
     at nnz 2-3 on H (x) H (dim 16) and 16-26 on O (x) O (dim 64), the higher
     on 40-bit values; on O the kernel is never slower.  Sums of ints are
-    exact, so the two give the same ints."""
+    exact, so the three paths give the same ints."""
     zx, zy = xs.count(0), ys.count(0)
     n = len(xs)
     if 4 * (zx if zx >= zy else zy) < 3 * n:  # 4 nnz > n, in the cheapest steps
+        if bits >= PAIRED_BITS:
+            return (algebra._cache.get(_PAIRED) or paired_kernel(algebra))(xs, ys)
         return (algebra._cache.get(_KERNEL) or product_kernel(algebra))(xs, ys)
     out = [0] * n
     if zx >= zy:
@@ -280,7 +287,13 @@ def product_ints(algebra: FreeAlgebra, xs, ys) -> list[int]:
     return out
 
 
-_KERNEL = "product_kernel"
+_KERNEL, _PAIRED = "product_kernel", "paired_kernel"
+# The paired code took, of the straight code's time on O, H (x) H, H and C,
+# 1.2-1.7x at 4-bit and 1.2-1.3x at 40-bit operands, 1.00-1.04x at 170 bits
+# each, 0.80-0.93x at 320 and 0.68-0.83x at 640 (2 CPUs, Python 3.11).  The
+# callers hold x_den * y_den, about the sum of the operands' bits; it cannot
+# tell a 640-bit times a 12-bit operand (1.0-1.3x) from two of 330 bits.
+PAIRED_BITS = 340
 
 
 def product_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
@@ -293,28 +306,76 @@ def product_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[in
     written into the source as digits, and a sum past 256 terms nests in
     halves, so a long column compiles at any size.  Compiling took 0.4 ms
     for O, 1.6 ms for H (x) H^op, 29 ms for O (x) O and 0.57 s for
-    (H (x) H) (x) (H (x) H)^op (2 CPUs, Python 3.11)."""
+    (H (x) H) (x) (H (x) H)^op (2 CPUs, Python 3.11).  On large operands
+    ``product_ints`` runs ``paired_kernel``'s code in its place."""
     return algebra.cached(_KERNEL, lambda: _compile_product(algebra))
 
 
-def _compile_product(algebra: FreeAlgebra):
-    n = algebra.dim
-    names: dict[int, str] = {}  # |c| != 1 -> the global bound to it
-    groups: list[dict[int, list]] = [{} for _ in range(n)]  # k -> i -> [(j, c), ...]
+def paired_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
+    """``product_ints`` of large dense operands, with one multiplication per
+    pair of terms, compiled on first use and cached on it.
+
+    Each pair i < j with B[i][j][.] = s B[j][i][.] != 0, s = +-1, gives
+    c x^i y^j + s c x^j y^i = c (m - d_i - s d_j) in output k, c = B[i][j][k],
+    from the one product m = (x^i + s x^j)(y^i + y^j) and the diagonal
+    products d_i = x^i y^i, each made once (Karatsuba and Ofman, 1963); a
+    diagonal term reads d_i when it is made.  The other terms keep
+    ``product_kernel``'s factored form, and a table whose pairs save no
+    product of coordinates compiles that kernel's code.  O makes 36 such
+    products in place of 64, H (x) H and H (x) H^op 136 in place of 256."""
+    return algebra.cached(_PAIRED, lambda: _compile_product(algebra, paired=True))
+
+
+def _pairs(algebra: FreeAlgebra) -> dict[tuple[int, int], int]:
+    """(i, j) -> s for each i < j with B[i][j][.] = s B[j][i][.] != 0, s = +-1."""
+    lines: list[dict[int, dict]] = [{} for _ in range(algebra.dim)]  # i -> j -> {k: c}
     for i, row in enumerate(algebra._row_terms):
         for j, k, c in row:
-            groups[k].setdefault(i, []).append((j, c))
+            lines[i].setdefault(j, {})[k] = c
+    pairs = {}
+    for i, line in enumerate(lines):
+        for j, ij in line.items():
+            ji = lines[j].get(i) if i < j else None
+            if ji == ij:
+                pairs[i, j] = 1
+            elif ji and ij == {k: -c for k, c in ji.items()}:
+                pairs[i, j] = -1
+    return pairs
+
+
+def _compile_product(algebra: FreeAlgebra, paired: bool = False):
+    n = algebra.dim
+    pairs = _pairs(algebra) if paired else {}
+    made = {i for pair in pairs for i in pair}  # the d_i
+    groups: list[dict[int, list]] = [{} for _ in range(n)]  # k -> i -> [(j, c), ...]
+    shared: list[list] = [[] for _ in range(n)]  # k -> [(c, "w{i}_{j}" or "d{i}"), ...]
+    for i, row in enumerate(algebra._row_terms):
+        for j, k, c in row:
+            if (i, j) in pairs:
+                shared[k].append((c, f"w{i}_{j}"))
+            elif i == j and i in made:
+                shared[k].append((c, f"d{i}"))
+            elif (j, i) not in pairs:
+                groups[k].setdefault(i, []).append((j, c))
+    straight = len({(i, k) for i, row in enumerate(algebra._row_terms) for _, k, _ in row})
+    if pairs and len(pairs) + len(made) + sum(map(len, groups)) >= straight:
+        return _compile_product(algebra)  # the pairs save no product
+    names: dict[int, str] = {}  # |c| != 1 -> the global bound to it
     outputs = []
-    for by_i in groups:
-        terms = []
-        for i, pairs in by_i.items():
-            inner = [_term(names, c, f"y{j}") for j, c in pairs]
+    for by_i, terms in zip(groups, shared):
+        terms = [_term(names, c, text) for c, text in terms]
+        for i, ys in by_i.items():
+            inner = [_term(names, c, f"y{j}") for j, c in ys]
             negative = inner[0][0]  # factored out, so the inner sum starts with +
             inner = [(s != negative, text) for s, text in inner]
             terms.append((negative, f"x{i}*{inner[0][1]}" if len(inner) == 1
                           else f"x{i}*({_sum_source(inner)})"))
         outputs.append(_sum_source(terms))
-    return _compile(f"product of {algebra!r}", {"x": n, "y": n}, outputs, names)
+    lets = [f"d{i} = x{i}*y{i}" for i in sorted(made)] + [
+        f"w{i}_{j} = (x{i} {'+-'[s < 0]} x{j})*(y{i} + y{j}) - d{i} {'-+'[s < 0]} d{j}"
+        for (i, j), s in pairs.items()]
+    label = "paired product" if pairs else "product"
+    return _compile(f"{label} of {algebra!r}", {"x": n, "y": n}, outputs, names, lets)
 
 
 def compile_matvec(grid, label: str) -> Callable[[Sequence[int]], list[int]]:
@@ -348,14 +409,16 @@ def _sum_source(terms: list[tuple[bool, str]]) -> str:
         f" {'-' if s else '+'} {text}" for s, text in rest)
 
 
-def _compile(label: str, widths: dict[str, int], outputs: list[str], names: dict[int, str]):
+def _compile(label: str, widths: dict[str, int], outputs: list[str], names: dict[int, str],
+             lets: Sequence[str] = ()):
     """The function of one int sequence per letter a of ``widths``, unpacked into
-    a0, a1, ..., that returns the list of ``outputs``, with each name in
-    ``names`` bound to its int."""
+    a0, a1, ..., that runs the assignments ``lets`` and returns the list of
+    ``outputs``, with each name in ``names`` bound to its int."""
     unpack = "".join(f"    {''.join(f'{a}{i}, ' for i in range(width))}= {a}s\n"
                      for a, width in widths.items() if width)
     source = (f"def kernel({', '.join(f'{a}s' for a in widths)}):\n{unpack}"
-              f"    return [\n" + "".join(f"        {e},\n" for e in outputs) + "    ]\n")
+              + "".join(f"    {line}\n" for line in lets)
+              + "    return [\n" + "".join(f"        {e},\n" for e in outputs) + "    ]\n")
     namespace = {name: c for c, name in names.items()}
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return namespace["kernel"]
@@ -365,8 +428,9 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants."""
     algebra = shared_algebra(x, y)
     (xs, x_den), (ys, y_den) = x._form, y._form
-    return AlgElement._of((algebra,), (product_ints(algebra, xs, ys),
-                                       x_den * y_den * algebra.denominator))
+    den = x_den * y_den
+    return AlgElement._of((algebra,), (product_ints(algebra, xs, ys, den.bit_length()),
+                                       den * algebra.denominator))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -378,9 +442,13 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     """(x, y, z) = (xy)z - x(yz), over one denominator with no element in between."""
     algebra = shared_algebra(x, y, z)
     (xs, x_den), (ys, y_den), (zs, z_den) = x._form, y._form, z._form
-    xy, yz = product_ints(algebra, xs, ys), product_ints(algebra, ys, zs)
-    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs), product_ints(algebra, xs, yz))]
-    return AlgElement._of((algebra,), (nums, x_den * y_den * z_den * algebra.denominator ** 2))
+    xy_den, yz_den = x_den * y_den, y_den * z_den
+    xy = product_ints(algebra, xs, ys, xy_den.bit_length())
+    yz = product_ints(algebra, ys, zs, yz_den.bit_length())
+    den = xy_den * z_den * algebra.denominator  # that of the operands of both outer products
+    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs, den.bit_length()),
+                                  product_ints(algebra, xs, yz, den.bit_length()))]
+    return AlgElement._of((algebra,), (nums, den * algebra.denominator))
 
 
 def is_commutative(algebra: FreeAlgebra) -> bool:

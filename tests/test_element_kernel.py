@@ -58,11 +58,11 @@ from hypothesis import given, settings, strategies as st
 from freealg import (AlgebraMismatch, LinearMap, MapMatrix, QuaternionParams, Tensor2, apply,
                      associator, commutator, complex_algebra, compose, conjugate, exact,
                      inverse_element, left_shift, multiply, norm_sq, octonion_algebra, opposite,
-                     quaternion_algebra, random_element, right_shift, tensor_mul,
-                     tensor_product, twisted_mul)
+                     quaternion_algebra, random_element, right_shift, tensor_inverse,
+                     tensor_mul, tensor_product, twisted_mul)
 from freealg import core
 from freealg.exact import IntForm, canonical
-from freealg.core import FreeAlgebra, product_ints, product_kernel
+from freealg.core import FreeAlgebra, paired_kernel, product_ints, product_kernel
 from freealg.linmap import left_associator_map, right_associator_map, table_map, tensor_map
 from freealg.solver import _left_sides
 from freealg.tensor import twisted_algebra
@@ -114,7 +114,25 @@ def algebra(name):
         return tensor_product([algebra("O"), opposite(algebra("O"))])
     if name == "Q[e]/(e^2)":
         return dual_numbers()
+    if name == "H(x)H^op":
+        return twisted_algebra(algebra("H"))
+    if name == "pairs":
+        return pairs_algebra()
     raise KeyError(name)
+
+
+def pairs_algebra():
+    """A table with every kind of pair i < j: (0, 1) commutes with a constant
+    other than +-1 in two outputs, (1, 2) and (1, 3) anticommute, (0, 2) is
+    one-sided, (0, 3) and (2, 3) are not +-1 apart, and e_0 e_0, e_1 e_1 and
+    e_3 e_3 are diagonal terms; e_1 e_0 and e_1 e_3 share the output e_2.
+    The pairs save one product of coordinates, 12 against 13."""
+    return FreeAlgebra(4, ["a", "b", "c", "d"], [
+        (0, 1, 2, 3), (0, 1, 3, -1), (1, 0, 2, 3), (1, 0, 3, -1),
+        (1, 2, 0, 2), (2, 1, 0, -2), (1, 3, 2, 1), (3, 1, 2, -1),
+        (0, 2, 1, 1), (0, 3, 1, 1), (3, 0, 1, 2),
+        (2, 3, 0, 1), (2, 3, 1, 1), (3, 2, 0, 1), (3, 2, 1, -1),
+        (0, 0, 0, Fraction(1, 2)), (1, 1, 3, 5), (3, 3, 3, 1)])
 
 
 PRODUCT_ALGEBRAS = ["C", "H", "O", "E(-3/7, 5/2)", "H(x)H", "O(x)O^op"]
@@ -292,6 +310,85 @@ def test_only_dense_operands_compile_the_kernel(monkeypatch):
     assert product_ints(alg, dense, sparse) != "compiled"  # 4 nnz = dim
     assert product_ints(alg, dense, [5] + sparse[:-1]) == "compiled"  # 5 nnz
     assert product_ints(alg, dense, dense) == "compiled"
+
+
+PAIRED_ALGEBRAS = ["C", "H", "Q[e]/(e^2)", "O", "H(x)H", "H(x)H^op", "pairs"]
+
+
+def coordinates(bits):
+    """Ints of at most 4 bits, or of 300 or 301 bits of either sign."""
+    if bits < 300:
+        return st.integers(-15, 15)
+    return st.integers(2**299, 2**301) | st.integers(-2**301, -2**299)
+
+
+@given(st.sampled_from(PAIRED_ALGEBRAS).map(algebra) | st.builds(E, NONZERO, NONZERO)
+       | algebras(), st.sampled_from([4, 300]), st.data())
+def test_the_paired_kernel_gives_the_straight_kernel_s_ints(alg, bits, data):
+    n = alg.dim
+    xs, ys = (data.draw(st.lists(coordinates(bits), min_size=n, max_size=n)) for _ in range(2))
+    paired = paired_kernel(alg)(xs, ys)
+    assert paired == product_kernel(alg)(xs, ys)
+    assert [Fraction(v, alg.denominator) for v in paired] == oracle.mul(table(alg), xs, ys)
+
+
+def compiled_calls(run):
+    """The file names of the compiled kernels that ``run()`` calls, in order:
+    ``core._compile`` names a kernel's code "<label>"."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "kernel":
+            names.append(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+def test_only_large_dense_products_run_the_paired_code():
+    H, O = quaternion_algebra(), octonion_algebra()  # fresh: nothing compiled yet
+    HH, HH_op = tensor_product([H, H]), twisted_algebra(H)
+    rng = random.Random(50)
+
+    def draw(alg, bound):
+        return alg.element([Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                            for _ in range(alg.dim)])
+
+    a, b, c = (draw(O, 2**40) for _ in range(3))
+    x, y = draw(HH, 2**40), draw(HH, 2**40)
+    s, u = (Tensor2(H, [draw(H, 2**40).coords for _ in range(4)]) for _ in range(2))
+    paired, straight = "<paired product of {!r}>".format, "<product of {!r}>".format
+    assert compiled_calls(lambda: multiply(a, b)) == [paired(O)]
+    assert compiled_calls(lambda: tensor_mul(x, y)) == [paired(HH)]
+    assert compiled_calls(lambda: twisted_mul(s, u)) == [paired(HH_op)]
+    assert compiled_calls(lambda: associator(a, b, c)) == [paired(O)] * 4
+    assert compiled_calls(lambda: left_associator_map(a, b)) == [paired(O)] * 9
+    assert compiled_calls(lambda: right_associator_map(b, a)) == [paired(O)] * 9
+    # 9-bit values, as the verify suites draw them
+    a, b, c = (draw(O, 9) for _ in range(3))
+    assert compiled_calls(lambda: multiply(a, b)) == [straight(O)]
+    assert compiled_calls(lambda: associator(a, b, c)) == [straight(O)] * 4
+    assert compiled_calls(lambda: left_associator_map(a, b)) == [straight(O)] * 9
+    # component_maps' only products: the two checks of an H tensor's inverse
+    t = Tensor2(H, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+                    for _ in range(4)])
+    calls = compiled_calls(lambda: tensor_inverse(t))
+    assert [name for name in calls if "product" in name] == [straight(HH_op)] * 2
+
+
+def test_a_table_whose_pairs_save_nothing_compiles_the_straight_code():
+    # in the dual numbers, d_0, d_1 and the pair (0, 1) make 3 products of
+    # coordinates, as many as x_0 y_0, x_0 y_1 and x_1 y_0
+    alg = dual_numbers()
+    assert paired_kernel(alg).__code__.co_filename == f"<product of {alg!r}>"
+    for name in ("C", "H", "O", "H(x)H", "pairs"):
+        alg = algebra(name)
+        assert paired_kernel(alg).__code__.co_filename == f"<paired product of {alg!r}>"
 
 
 def test_associators_refuse_operands_of_two_algebras():
