@@ -326,8 +326,8 @@ def paired_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[int
     return algebra.cached(_PAIRED, lambda: _compile_product(algebra, paired=True))
 
 
-def _pairs(algebra: FreeAlgebra) -> dict[tuple[int, int], int]:
-    """(i, j) -> s for each i < j with B[i][j][.] = s B[j][i][.] != 0, s = +-1."""
+def _pairs(algebra: FreeAlgebra) -> dict[tuple[int, int], bool]:
+    """(i, j) -> s < 0 for each i < j with B[i][j][.] = s B[j][i][.] != 0, s = +-1."""
     lines: list[dict[int, dict]] = [{} for _ in range(algebra.dim)]  # i -> j -> {k: c}
     for i, row in enumerate(algebra._row_terms):
         for j, k, c in row:
@@ -336,10 +336,8 @@ def _pairs(algebra: FreeAlgebra) -> dict[tuple[int, int], int]:
     for i, line in enumerate(lines):
         for j, ij in line.items():
             ji = lines[j].get(i) if i < j else None
-            if ji == ij:
-                pairs[i, j] = 1
-            elif ji and ij == {k: -c for k, c in ji.items()}:
-                pairs[i, j] = -1
+            if ji == ij or ji and ij == {k: -c for k, c in ji.items()}:
+                pairs[i, j] = ji != ij
     return pairs
 
 
@@ -372,8 +370,8 @@ def _compile_product(algebra: FreeAlgebra, paired: bool = False):
                           else f"x{i}*({_sum_source(inner)})"))
         outputs.append(_sum_source(terms))
     lets = [f"d{i} = x{i}*y{i}" for i in sorted(made)] + [
-        f"w{i}_{j} = (x{i} {'+-'[s < 0]} x{j})*(y{i} + y{j}) - d{i} {'-+'[s < 0]} d{j}"
-        for (i, j), s in pairs.items()]
+        f"w{i}_{j} = (x{i} {'+-'[minus]} x{j})*(y{i} + y{j}) - d{i} {'-+'[minus]} d{j}"
+        for (i, j), minus in pairs.items()]
     label = "paired product" if pairs else "product"
     return _compile(f"{label} of {algebra!r}", {"x": n, "y": n}, outputs, names, lets)
 

@@ -44,6 +44,7 @@ Each operation takes an operand's numerators and denominator from one read
 of its form, which such a first read may replace.
 """
 
+import dis
 import itertools
 import random
 import sys
@@ -108,6 +109,8 @@ def algebra(name):
         return octonion_algebra()
     if name == "E(-3/7, 5/2)":
         return E(Fraction(-3, 7), Fraction(5, 2))
+    if name == "E(2, -3)":
+        return E(2, -3)
     if name == "H(x)H":
         return tensor_product([algebra("H"), algebra("H")])
     if name == "O(x)O^op":
@@ -369,6 +372,11 @@ def test_only_large_dense_products_run_the_paired_code():
     assert compiled_calls(lambda: associator(a, b, c)) == [paired(O)] * 4
     assert compiled_calls(lambda: left_associator_map(a, b)) == [paired(O)] * 9
     assert compiled_calls(lambda: right_associator_map(b, a)) == [paired(O)] * 9
+    # the bound: x_den y_den of 340 bits runs the paired code, of 339 the straight
+    a = O.element([Fraction(1, 2**169)] * 8)
+    for b_den, name in ((2**170, paired(O)), (2**169, straight(O))):
+        b = O.element([Fraction(1, b_den)] * 8)
+        assert compiled_calls(lambda: multiply(a, b)) == [name]
     # 9-bit values, as the verify suites draw them
     a, b, c = (draw(O, 9) for _ in range(3))
     assert compiled_calls(lambda: multiply(a, b)) == [straight(O)]
@@ -381,14 +389,24 @@ def test_only_large_dense_products_run_the_paired_code():
     assert [name for name in calls if "product" in name] == [straight(HH_op)] * 2
 
 
-def test_a_table_whose_pairs_save_nothing_compiles_the_straight_code():
-    # in the dual numbers, d_0, d_1 and the pair (0, 1) make 3 products of
-    # coordinates, as many as x_0 y_0, x_0 y_1 and x_1 y_0
-    alg = dual_numbers()
-    assert paired_kernel(alg).__code__.co_filename == f"<product of {alg!r}>"
-    for name in ("C", "H", "O", "H(x)H", "pairs"):
-        alg = algebra(name)
-        assert paired_kernel(alg).__code__.co_filename == f"<paired product of {alg!r}>"
+def multiplications(kernel):
+    """The number of * operations in a compiled kernel's code."""
+    return sum(op.opname == "BINARY_MULTIPLY" or op.opname == "BINARY_OP" and op.argrepr == "*"
+               for op in dis.get_instructions(kernel))
+
+
+@pytest.mark.parametrize("name, straight, paired", [
+    ("C", 4, 3), ("H", 16, 10), ("E(2, -3)", 23, 15), ("O", 64, 36), ("H(x)H", 256, 136),
+    ("H(x)H^op", 256, 136), ("pairs", 30, 25), ("Q[e]/(e^2)", 3, 3)])
+def test_the_paired_code_makes_one_product_per_pair(name, straight, paired):
+    # products of coordinates and by constants other than +-1; in the dual
+    # numbers d_0, d_1 and the pair (0, 1) would make 3, as many as x_0 y_0,
+    # x_0 y_1 and x_1 y_0, so the paired kernel is the straight code
+    alg = algebra(name)
+    assert multiplications(product_kernel(alg)) == straight
+    assert multiplications(paired_kernel(alg)) == paired
+    label = "paired product" if paired < straight else "product"
+    assert paired_kernel(alg).__code__.co_filename == f"<{label} of {alg!r}>"
 
 
 def test_associators_refuse_operands_of_two_algebras():
