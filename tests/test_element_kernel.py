@@ -121,6 +121,9 @@ def algebra(name):
         return twisted_algebra(algebra("H"))
     if name == "pairs":
         return pairs_algebra()
+    if name == "Q[e]/(e^2) x Q":
+        return FreeAlgebra(3, ["1", "e", "f"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                                (2, 2, 2, 1)])
     raise KeyError(name)
 
 
@@ -397,11 +400,12 @@ def multiplications(kernel):
 
 @pytest.mark.parametrize("name, straight, paired", [
     ("C", 4, 3), ("H", 16, 10), ("E(2, -3)", 23, 15), ("O", 64, 36), ("H(x)H", 256, 136),
-    ("H(x)H^op", 256, 136), ("pairs", 30, 25), ("Q[e]/(e^2)", 3, 3)])
+    ("H(x)H^op", 256, 136), ("pairs", 30, 25), ("Q[e]/(e^2)", 3, 3), ("Q[e]/(e^2) x Q", 4, 4)])
 def test_the_paired_code_makes_one_product_per_pair(name, straight, paired):
     # products of coordinates and by constants other than +-1; in the dual
     # numbers d_0, d_1 and the pair (0, 1) would make 3, as many as x_0 y_0,
-    # x_0 y_1 and x_1 y_0, so the paired kernel is the straight code
+    # x_0 y_1 and x_1 y_0, so the paired kernel is the straight code, and
+    # so it is with x_2 y_2 beside them
     alg = algebra(name)
     assert multiplications(product_kernel(alg)) == straight
     assert multiplications(paired_kernel(alg)) == paired
