@@ -33,8 +33,15 @@ checked, unreduced, against sum_{i,j} c_{ij}^k x^i y^j on the int
 numerators of ``terms()``: on zero, one-hot, sparse and dense operands;
 on a dim-1 algebra with and without a constant; on a constant whose
 numerator has more digits than ``str()`` writes; and on algebras where
-one output collects 6,400 terms or chains of 3,000.  The runs use the
-derandomized profile of ``conftest.py``.
+one output collects 6,400 terms or chains of 3,000.  Large dense operands
+run ``core.paired_kernel``, one product per pair of terms x^i y^j, x^j y^i
+whose table rows are equal up to sign: it must give the straight kernel's
+ints and the oracle's product on C, H, E(a, b), the dual numbers, O,
+H (x) H, H (x) H^op, random algebras and a table with unpaired, one-sided
+and not-quite pairs, at 4 and 300 bits; the number of products each kernel
+makes is pinned, and which kernel a product runs is read off the label its
+compiled code carries.  The runs use the derandomized profile of
+``conftest.py``.
 
 Values reduce their int form once, on the first ``.ints`` read: a chain of
 ``octonion_laws``' identities calls ``exact.canonical`` only when its
