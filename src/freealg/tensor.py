@@ -134,7 +134,9 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     matrix and carried back to standard components; t is singular exactly
     when that map is, and u is checked from both sides, a failure being a
     fault of the library.  Elsewhere solving t o u = unit with t's left
-    shift in A (x) A^op gives a right inverse, then checked from the left.
+    shift in A (x) A^op gives a right inverse u: t o u = unit is checked
+    first, a failure being a fault of the library, then u o t = unit, a
+    failure there being a refusal, ``SingularTensor(one_sided=True)``.
     """
     algebra = t.algebra
     n = algebra.dim
@@ -155,6 +157,8 @@ def tensor_inverse(t: Tensor2) -> Tensor2:
     except ValueError:
         raise SingularTensor("tensor has no right inverse") from None
     u = Tensor2._of((algebra,), particular)
+    if twisted_mul(t, u) != unit:
+        raise SubstitutionCheckFailed("inverse from the left shift fails t o u = unit")
     if twisted_mul(u, t) != unit:
         raise SingularTensor(
             "right inverse exists but is not a left inverse", one_sided=True)

@@ -10,6 +10,7 @@ from freealg import (AlgebraMismatch, EmptyFactorList, InvalidAlgebra, LinearMap
                      inverse_element, is_associative, linmap, multiply, norm_sq, opposite,
                      quaternion_algebra, random_element, standard_from_coords, TensorAlgebra,
                      tensor_inverse, tensor_mul, tensor_product, twisted_mul)
+from freealg import exact
 from freealg.tensor import twisted_algebra
 from test_component_blocks import dual_numbers
 from test_kernel_properties import BIG, algebras, check_inverse, grids
@@ -287,6 +288,23 @@ def test_a_wrong_inverse_through_the_maps_is_a_library_fault(H, monkeypatch):
     i = H.basis_element(1)
     with pytest.raises(SubstitutionCheckFailed):
         tensor_inverse(Tensor2.unit(H) + Tensor2.pure(i, i).scaled(3))
+
+
+def test_a_wrong_right_inverse_from_the_solve_is_a_library_fault(O, monkeypatch):
+    # O is not associative, so t o u = unit is solved with t's left shift;
+    # a particular solution off by one fails that equation, which is checked
+    # before u o t = unit, whose failure alone would be a refusal
+    solve = exact.solve_ints
+
+    def off_by_one(a, b):
+        (particular, den), nullspace = solve(a, b)
+        return ([particular[0] + den, *particular[1:]], den), nullspace
+
+    t = Tensor2.unit(O) + Tensor2.pure(O.basis_element(1), O.basis_element(2)).scaled(3)
+    assert twisted_mul(t, tensor_inverse(t)) == Tensor2.unit(O)
+    monkeypatch.setattr(exact, "solve_ints", off_by_one)
+    with pytest.raises(SubstitutionCheckFailed, match="t o u = unit"):
+        tensor_inverse(t)
 
 
 @settings(max_examples=40)
