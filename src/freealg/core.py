@@ -257,8 +257,8 @@ def product_ints(algebra: FreeAlgebra, xs, ys, bits: int = 0) -> list[int]:
 
     When the operand with fewer nonzero coordinates has nnz of them with
     4 nnz > dim, code compiled from the table makes every term without a
-    branch: ``paired_kernel``'s when ``bits``, the bit length of
-    x_den * y_den, is at least ``PAIRED_BITS``, else ``product_kernel``'s.
+    branch: ``paired_kernel``'s when ``bits``, the bit length of the smaller
+    of x_den and y_den, is at least ``PAIRED_BITS``, else ``product_kernel``'s.
     Otherwise a loop runs over that operand's nonzero coordinates, through
     row i of the flat table when it is x and column j when it is y, and
     skips the zero terms the kernels would make: a one-hot operand, as
@@ -288,12 +288,20 @@ def product_ints(algebra: FreeAlgebra, xs, ys, bits: int = 0) -> list[int]:
 
 
 _KERNEL, _PAIRED = "product_kernel", "paired_kernel"
-# The paired code took, of the straight code's time on O, H (x) H, H and C,
-# 1.2-1.7x at 4-bit and 1.2-1.3x at 40-bit operands, 1.00-1.04x at 170 bits
-# each, 0.80-0.93x at 320 and 0.68-0.83x at 640 (2 CPUs, Python 3.11).  The
-# callers hold x_den * y_den, about the sum of the operands' bits; it cannot
-# tell a 640-bit times a 12-bit operand (1.0-1.3x) from two of 330 bits.
-PAIRED_BITS = 340
+# The paired code's time over the straight code's, by the bits of the smaller
+# and the larger operand's ints (O / H (x) H, median of 21 alternating rounds,
+# 2 CPUs, Python 3.11): the smaller operand decides.
+#   smaller   larger = smaller   larger 330    larger 640
+#      12        1.49 / 1.60     1.27 / 1.30   1.21 / 1.28
+#      40        1.26 / 1.26     1.15 / 1.14   1.09 / 1.15
+#      80        1.19 / 1.18     1.04 / 1.09   1.04 / 1.04
+#     120        1.09 / 1.11     1.06 / 1.07   0.98 / 1.02
+#     140        1.03 / 1.04     0.98 / 0.98   0.90 / 0.89
+#     160        0.98 / 0.98     0.94 / 0.97   0.86 / 0.89
+#     200        0.95 / 0.95     0.87 / 0.90   0.79 / 0.81
+#     330        0.83 / 0.85     0.83 / 0.84   0.76 / 0.78
+# The callers pass the bit length of the smaller operand's denominator.
+PAIRED_BITS = 160
 
 
 def product_kernel(algebra: FreeAlgebra) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
@@ -426,9 +434,8 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants."""
     algebra = shared_algebra(x, y)
     (xs, x_den), (ys, y_den) = x._form, y._form
-    den = x_den * y_den
-    return AlgElement._of((algebra,), (product_ints(algebra, xs, ys, den.bit_length()),
-                                       den * algebra.denominator))
+    nums = product_ints(algebra, xs, ys, min(x_den, y_den).bit_length())
+    return AlgElement._of((algebra,), (nums, x_den * y_den * algebra.denominator))
 
 
 def commutator(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -440,12 +447,13 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     """(x, y, z) = (xy)z - x(yz), over one denominator with no element in between."""
     algebra = shared_algebra(x, y, z)
     (xs, x_den), (ys, y_den), (zs, z_den) = x._form, y._form, z._form
-    xy_den, yz_den = x_den * y_den, y_den * z_den
-    xy = product_ints(algebra, xs, ys, xy_den.bit_length())
-    yz = product_ints(algebra, ys, zs, yz_den.bit_length())
-    den = xy_den * z_den * algebra.denominator  # that of the operands of both outer products
-    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs, den.bit_length()),
-                                  product_ints(algebra, xs, yz, den.bit_length()))]
+    d = algebra.denominator
+    xy_den, yz_den = x_den * y_den * d, y_den * z_den * d  # those of xy and yz
+    xy = product_ints(algebra, xs, ys, min(x_den, y_den).bit_length())
+    yz = product_ints(algebra, ys, zs, min(y_den, z_den).bit_length())
+    den = xy_den * z_den  # that of both outer products
+    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs, min(xy_den, z_den).bit_length()),
+                                  product_ints(algebra, xs, yz, min(x_den, yz_den).bit_length()))]
     return AlgElement._of((algebra,), (nums, den * algebra.denominator))
 
 

@@ -45,8 +45,9 @@ compiled code carries.  The runs use the derandomized profile of
 
 Values reduce their int form once, on the first ``.ints`` read: a chain of
 ``octonion_laws``' identities calls ``exact.canonical`` only when its
-results are read, eight threads reading one unreduced form first all get
-the canonical one, and later products start from the stored reduced form.
+results are read, and later products start from the stored reduced form
+(``test_kernel_properties`` reads each operation's values first from eight
+threads).
 Each operation takes an operand's numerators and denominator from one read
 of its form, which such a first read may replace.
 """
@@ -55,7 +56,6 @@ import dis
 import itertools
 import random
 import sys
-import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -382,11 +382,16 @@ def test_only_large_dense_products_run_the_paired_code():
     assert compiled_calls(lambda: associator(a, b, c)) == [paired(O)] * 4
     assert compiled_calls(lambda: left_associator_map(a, b)) == [paired(O)] * 9
     assert compiled_calls(lambda: right_associator_map(b, a)) == [paired(O)] * 9
-    # the bound: x_den y_den of 340 bits runs the paired code, of 339 the straight
-    a = O.element([Fraction(1, 2**169)] * 8)
-    for b_den, name in ((2**170, paired(O)), (2**169, straight(O))):
+    # the bound is on the smaller operand: a 160-bit denominator runs the
+    # paired code beside a 640-bit one, a 159-bit one the straight code, and
+    # so does a 12-bit one, while two 330-bit ones run the paired code
+    a = O.element([Fraction(1, 2**639)] * 8)
+    for b_den, name in ((2**159, paired(O)), (2**158, straight(O)), (2**11, straight(O))):
         b = O.element([Fraction(1, b_den)] * 8)
         assert compiled_calls(lambda: multiply(a, b)) == [name]
+        assert compiled_calls(lambda: multiply(b, a)) == [name]
+    a, b = (O.element([Fraction(2 * rng.randint(1, 2**40) + 1, 2**329)] * 8) for _ in range(2))
+    assert compiled_calls(lambda: multiply(a, b)) == [paired(O)]
     # 9-bit values, as the verify suites draw them
     a, b, c = (draw(O, 9) for _ in range(3))
     assert compiled_calls(lambda: multiply(a, b)) == [straight(O)]
@@ -634,37 +639,6 @@ def test_a_law_chain_reduces_each_value_once_when_it_is_read(monkeypatch):
     assert image.ints == oracle.int_form(image.coords)
     assert pure_twist.ints == oracle.int_form(sum(map(list, pure_twist.components), []))
     assert len(calls) == len(values)
-
-
-def test_threads_reading_one_unreduced_form_first_all_get_the_canonical_form():
-    rng = random.Random(49)
-    OH = tensor_product([algebra("O"), algebra("H")])
-
-    def big(count):
-        return [Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in range(count)]
-
-    parts = [algebra("O").element(big(8)), algebra("H").element(big(4))]
-    x, y = OH.pure(parts), OH.element(big(32))
-    value, twin = tensor_mul(x, y), tensor_mul(x, y)
-    start, forms = threading.Barrier(8, timeout=10), [None] * 8
-
-    def read(k):
-        start.wait()
-        forms[k] = value.ints
-
-    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside the first read's gcd and stores
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(form == twin.ints for form in forms)
-    assert twin.ints == oracle.int_form(value.coords) and value == twin
 
 
 def test_a_read_stores_the_reduced_form_that_later_products_start_from():
