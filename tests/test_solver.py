@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      MapMatrix, MinorSingular, ShapeMismatch, SingularMap,
-                     SingularSystem, SubstitutionCheckFailed, apply, cadd_inverse, cadd_product,
-                     compose, cr_product, exact, flatten, inverse_map_matrix,
+                     SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra, apply,
+                     cadd_inverse, cadd_product, complex_algebra, compose, cr_product, exact,
+                     flatten, inverse_map_matrix,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, right_shift, solve_additive)
 from freealg.cli import load_system
@@ -711,7 +712,7 @@ def test_cadd_inverse_of_a_multiplication_is_the_closed_form(C, monkeypatch):
         assert g.to_linear_map().coords == ((s / det, -q / det), (-r / det, p / det))
 
 
-def test_cadd_decomposition_round_trip(C):
+def test_cadd_decomposition_round_trip(C, H):
     rng = random.Random(65)
     for _ in range(20):
         coords = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -720,6 +721,11 @@ def test_cadd_decomposition_round_trip(C):
         assert ComplexAdditiveMap.from_linear_map(f).to_linear_map() == f
     g = cadd(C, 3, -2, Fraction(1, 2), 7)
     assert ComplexAdditiveMap.from_linear_map(g.to_linear_map()) == g
+    # only an endomorphism of a complex algebra has the (a, b) form: neither a
+    # map of H nor one from C to another complex algebra
+    for f in (LinearMap.identity(H), LinearMap(C, complex_algebra(), [[1, 0], [0, 1]])):
+        with pytest.raises(UnsupportedAlgebra):
+            ComplexAdditiveMap.from_linear_map(f)
 
 
 def test_conjugation_identities(C):
