@@ -251,14 +251,14 @@ def shared_algebra(x: AlgElement, *others: AlgElement) -> FreeAlgebra:
     return algebra
 
 
-def product_ints(algebra: FreeAlgebra, xs, ys, bits: int = 0) -> list[int]:
+def product_ints(algebra: FreeAlgebra, xs, ys, x_den: int = 1, y_den: int = 1) -> list[int]:
     """The numerators of x y over x_den * y_den * ``algebra.denominator``, not
     reduced, from those of x and y: (x y)^k = sum_{i,j} B[i][j][k] x^i y^j.
 
     When the operand with fewer nonzero coordinates has nnz of them with
     4 nnz > dim, code compiled from the table makes every term without a
-    branch: ``paired_kernel``'s when ``bits``, the bit length of the smaller
-    of x_den and y_den, is at least ``PAIRED_BITS``, else ``product_kernel``'s.
+    branch: ``paired_kernel``'s when the smaller of x_den and y_den has at
+    least ``PAIRED_BITS`` bits, else ``product_kernel``'s.
     Otherwise a loop runs over that operand's nonzero coordinates, through
     row i of the flat table when it is x and column j when it is y, and
     skips the zero terms the kernels would make: a one-hot operand, as
@@ -270,7 +270,7 @@ def product_ints(algebra: FreeAlgebra, xs, ys, bits: int = 0) -> list[int]:
     zx, zy = xs.count(0), ys.count(0)
     n = len(xs)
     if 4 * (zx if zx >= zy else zy) < 3 * n:  # 4 nnz > n, in the cheapest steps
-        if bits >= PAIRED_BITS:
+        if min(x_den, y_den).bit_length() >= PAIRED_BITS:
             return (algebra._cache.get(_PAIRED) or paired_kernel(algebra))(xs, ys)
         return (algebra._cache.get(_KERNEL) or product_kernel(algebra))(xs, ys)
     out = [0] * n
@@ -300,7 +300,6 @@ _KERNEL, _PAIRED = "product_kernel", "paired_kernel"
 #     160        0.98 / 0.98     0.94 / 0.97   0.86 / 0.89
 #     200        0.95 / 0.95     0.87 / 0.90   0.79 / 0.81
 #     330        0.83 / 0.85     0.83 / 0.84   0.76 / 0.78
-# The callers pass the bit length of the smaller operand's denominator.
 PAIRED_BITS = 160
 
 
@@ -434,7 +433,7 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product of two elements via the structure constants."""
     algebra = shared_algebra(x, y)
     (xs, x_den), (ys, y_den) = x._form, y._form
-    nums = product_ints(algebra, xs, ys, min(x_den, y_den).bit_length())
+    nums = product_ints(algebra, xs, ys, x_den, y_den)
     return AlgElement._of((algebra,), (nums, x_den * y_den * algebra.denominator))
 
 
@@ -449,11 +448,11 @@ def associator(x: AlgElement, y: AlgElement, z: AlgElement) -> AlgElement:
     (xs, x_den), (ys, y_den), (zs, z_den) = x._form, y._form, z._form
     d = algebra.denominator
     xy_den, yz_den = x_den * y_den * d, y_den * z_den * d  # those of xy and yz
-    xy = product_ints(algebra, xs, ys, min(x_den, y_den).bit_length())
-    yz = product_ints(algebra, ys, zs, min(y_den, z_den).bit_length())
+    xy = product_ints(algebra, xs, ys, x_den, y_den)
+    yz = product_ints(algebra, ys, zs, y_den, z_den)
     den = xy_den * z_den  # that of both outer products
-    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs, min(xy_den, z_den).bit_length()),
-                                  product_ints(algebra, xs, yz, min(x_den, yz_den).bit_length()))]
+    nums = [p - q for p, q in zip(product_ints(algebra, xy, zs, xy_den, z_den),
+                                  product_ints(algebra, xs, yz, x_den, yz_den))]
     return AlgElement._of((algebra,), (nums, den * algebra.denominator))
 
 

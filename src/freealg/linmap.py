@@ -153,20 +153,19 @@ def right_shift(a: AlgElement) -> LinearMap:
 def left_associator_map(a: AlgElement, b: AlgElement) -> LinearMap:
     """The map x -> (a, b, x) = (ab) x - a (b x); measures the failure of l(a)l(b) = l(ab)."""
     algebra, (xs, a_den), (ys, b_den) = shared_algebra(a, b), a._form, b._form
-    bits = min(a_den, b_den).bit_length()
-    ab = product_ints(algebra, xs, ys, bits)
-    cols = [[p - q for p, q in zip(ab_e, product_ints(algebra, xs, b_e, bits))] for ab_e, b_e in
-            zip(_shift_columns(algebra, ab), _shift_columns(algebra, ys))]
+    ab = product_ints(algebra, xs, ys, a_den, b_den)
+    cols = [[p - q for p, q in zip(ab_e, product_ints(algebra, xs, b_e, a_den, b_den))]
+            for ab_e, b_e in zip(_shift_columns(algebra, ab), _shift_columns(algebra, ys))]
     return _from_columns(algebra, cols, a_den * b_den, 2)
 
 
 def right_associator_map(b: AlgElement, a: AlgElement) -> LinearMap:
     """The map x -> (x, b, a) = (x b) a - x (ba); measures the failure of r(a)r(b) = r(ba)."""
     algebra, (ys, b_den), (zs, a_den) = shared_algebra(b, a), b._form, a._form
-    bits = min(a_den, b_den).bit_length()
-    ba = product_ints(algebra, ys, zs, bits)
-    cols = [[p - q for p, q in zip(product_ints(algebra, e_b, zs, bits), e_ba)] for e_b, e_ba in
-            zip(_shift_columns(algebra, ys, True), _shift_columns(algebra, ba, True))]
+    ba = product_ints(algebra, ys, zs, b_den, a_den)
+    cols = [[p - q for p, q in zip(product_ints(algebra, e_b, zs, b_den, a_den), e_ba)]
+            for e_b, e_ba in zip(_shift_columns(algebra, ys, True),
+                                 _shift_columns(algebra, ba, True))]
     return _from_columns(algebra, cols, a_den * b_den, 2)
 
 
