@@ -16,16 +16,18 @@ Elements, maps and tensors read an integer form, ``.ints``: int numerators
 over one positive denominator, primitive, the zero vector over 1, which
 ``oracle.int_form`` gives.  ``CONTRACT`` has one row per operation that
 returns such a value: its name, the library functions it is the home of,
-the algebra families it runs on, how one draw builds its values and, from
-the draw's raw operands through ``oracle.py`` alone, their expected views.
+the algebra families it runs on, how one draw builds its values and their
+expected views, which see only the draw's raw operands and the algebras'
+definitions, ``Operands``, and reach them through ``oracle.py`` alone.
 One property draws an algebra and its operands once per example, each
 operand on first use, and holds every row that applies to the value it
 builds: its hash, view and ``is_zero`` before the first ``.ints`` read,
 then that form and ``==`` against the value a constructor makes from the
 view.  A row whose oracle says there is no answer expects its refusal.
-Rows with a costly oracle, O's 64 x 64 solves, keep their smaller example
-budgets.  Each row's values are also read first from eight threads at once,
-and every function that returns a value has exactly one row.
+A row runs 25 examples per family, H's tensor arithmetic 100, and rows
+with a costly oracle, O's 64 x 64 solves, fewer.  Each row's values are
+also read first from eight threads at once, and every function that
+returns a value has exactly one row.
 
 The runs use the derandomized profile of ``conftest.py``.
 """
@@ -39,11 +41,12 @@ import threading
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from math import gcd
 from pathlib import Path
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 import freealg
@@ -103,7 +106,9 @@ def algebras(unital=None):
 
 
 def grids(n, values=VALUES):
-    return st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
+    """n x n grids of ``values``, drawn as one flat list: a nested draw of a
+    dense 8 x 8 grid took 1.6 times as long (2 CPUs, Python 3.11)."""
+    return st.lists(values, min_size=n * n, max_size=n * n).map(lambda flat: cut(flat, n))
 
 
 def sparse_grids(n):
@@ -349,6 +354,20 @@ def generators(c, unit, order):
     return gens
 
 
+def added(grids):
+    """The entrywise sum of grids of one shape."""
+    return [[sum(vs) for vs in zip(*rows)] for rows in zip(*grids)]
+
+
+def grid_products(grid):
+    """Entry by entry, row by row: the rc product of a grid of maps with itself,
+    sum_k g[a][k] g[k][d], its cr product, sum_k g[k][d] g[a][k], and its transpose."""
+    r = range(len(grid))
+    return [*(added([oracle.matmul(grid[a][k], grid[k][d]) for k in r]) for a in r for d in r),
+            *(added([oracle.matmul(grid[k][d], grid[a][k]) for k in r]) for a in r for d in r),
+            *(grid[m][a] for a in r for m in r)]
+
+
 def quasideterminant_view(grid, minor):
     """entry (0, 0) minus row-rest o minor^-1 o column-rest, ``minor`` the
     inverse of entry (1, 1), or None for a singular minor; a 1 x 1 grid's is
@@ -370,41 +389,28 @@ def coordinates(n, values=VALUES):
     return cells.map(lambda d: [d.get(k, ZERO) for k in range(n)])
 
 
-def square(n, values, count=1):
-    """``count`` dense n x n grids of ``values``, drawn as one flat list."""
-    return st.lists(values, min_size=count * n * n, max_size=count * n * n).map(
-        lambda flat: [cut(flat[k:k + n * n], n) for k in range(0, len(flat), n * n)])
-
-
-def dense(n, values):
-    return square(n, values).map(lambda grids: grids[0])
-
-
 def map_grids(n, values):
     """1 x 1 or 2 x 2 grids of maps: dense, of SMALL values past dim 4, sparse past 8."""
-    if n > 8:
-        return st.integers(1, 2).flatmap(lambda rows: st.lists(
-            st.lists(sparse_grids(n), min_size=rows, max_size=rows), min_size=rows,
-            max_size=rows))
-    return st.integers(1, 2).flatmap(lambda rows: square(
-        n, SMALL if n > 4 else values, rows * rows).map(lambda maps: cut(maps, rows)))
+    maps = sparse_grids(n) if n > 8 else grids(n, SMALL if n > 4 else values)
+    return st.integers(1, 2).flatmap(lambda rows: st.lists(
+        maps, min_size=rows * rows, max_size=rows * rows).map(lambda m: cut(m, rows)))
 
 
 # The raw operands of one example, each drawn on its first read: the
-# strategy of the draw o.  Maps are sparse past dim 8, tensors past dim 4;
+# strategy of the namespace o.  Maps are sparse past dim 8, tensors past dim 4;
 # "ot" and "of" are the orbit rows' t and f, sparse on O alone.
 DRAWS = {
     "x": lambda o: coordinates(o.n, o.values),
     "y": lambda o: coordinates(o.n, o.values),
     "z": lambda o: coordinates(o.n, o.values),
-    "f": lambda o: sparse_grids(o.n) if o.n > 8 else dense(o.n, o.values),
-    "g": lambda o: sparse_grids(o.n) if o.n > 8 else dense(o.n, o.values),
-    "s": lambda o: sparse_grids(o.n) if o.n > 4 else dense(o.n, o.values),
-    "t": lambda o: sparse_grids(o.n) if o.n > 4 else dense(o.n, o.values),
-    "ot": lambda o: sparse_grids(o.n) if o.name == "O" else dense(o.n, o.values),
-    "of": lambda o: sparse_grids(o.n) if o.name == "O" else dense(o.n, o.values),
-    "u": lambda o: coordinates(o.second.dim, o.values),
-    "v": lambda o: coordinates(o.second.dim, o.values),
+    "f": lambda o: sparse_grids(o.n) if o.n > 8 else grids(o.n, o.values),
+    "g": lambda o: sparse_grids(o.n) if o.n > 8 else grids(o.n, o.values),
+    "s": lambda o: sparse_grids(o.n) if o.n > 4 else grids(o.n, o.values),
+    "t": lambda o: sparse_grids(o.n) if o.n > 4 else grids(o.n, o.values),
+    "ot": lambda o: sparse_grids(o.n) if o.name == "O" else grids(o.n, o.values),
+    "of": lambda o: sparse_grids(o.n) if o.name == "O" else grids(o.n, o.values),
+    "u": lambda o: coordinates(o.second_n, o.values),
+    "v": lambda o: coordinates(o.second_n, o.values),
     "q": lambda o: NONZERO,
     "k": lambda o: st.integers(2, 2**40),
     "i": lambda o: st.integers(0, o.n - 1),
@@ -418,14 +424,12 @@ DRAWS = {
                                  st.integers(-40, 40), st.integers(1, 12), st.integers(1, 6)),
 }
 
-# What the raw operands and the algebras' constants alone tell, through the oracle
+# What the raw operands and the algebras' definitions alone tell, through the oracle
 FACTS = {
-    "n": lambda o: o.A.dim,
-    "unit": lambda o: o.A.unit_index,
-    "c": lambda o: oracle.table(o.A.constants, o.A.dim),
+    "c": lambda o: oracle.table(o.constants, o.n),
     "xy": lambda o: oracle.mul(o.c, o.x, o.y),
     "yx": lambda o: oracle.mul(o.c, o.y, o.x),
-    "ac": lambda o: tensor_table(o.A.dim, o.A.constants, o.second.dim, o.second.constants),
+    "ac": lambda o: tensor_table(o.n, o.constants, o.second_n, o.second_constants),
     "flat": lambda o: flatten_maps(o.grid, o.n),
     "inverse": lambda o: oracle.inverse(o.flat),
     "inverses": lambda o: [oracle.inverse(f) for band in o.grid for f in band]
@@ -456,34 +460,53 @@ BUILT = {
 }
 
 
-class Draw:
-    """One example: family ``name``'s algebra A and, each on its first read,
-    the operands of ``DRAWS`` drawn by ``draw``, the ``FACTS`` and the
-    ``BUILT`` values; ``values`` draws the coordinates, and ``second`` is the
-    second factor of A's tensor products."""
+class Operands:
+    """The raw operands of one example, each drawn by ``draw`` from ``DRAWS``
+    on its first read, and the ``FACTS``, from these and the definitions of
+    family ``name``'s algebra A (``n``, ``constants``, ``unit``) and of the
+    second factor of its tensor products (``second_n``, ``second_constants``);
+    ``values`` draws the coordinates.  The expected views read this alone."""
 
-    def __init__(self, draw, name, values=VALUES, second=C):
-        self.draw, self.name, self.values, self.second = draw, name, values, second
-        self.A = draw(algebras()) if name == "random" else BUILTINS[name]
+    def __init__(self, draw, name, A, second, values):
+        self.draw, self.name, self.values = draw, name, values
+        self.n, self.constants, self.unit = A.dim, A.constants, A.unit_index
+        self.second_n, self.second_constants = second.dim, second.constants
 
     def __getattr__(self, key):
         if key in DRAWS:
             value = self.draw(DRAWS[key](self))
-        elif key in FACTS or key in BUILT:
-            value = (FACTS.get(key) or BUILT[key])(self)
+        elif key in FACTS:
+            value = FACTS[key](self)
         else:
             raise AttributeError(key)
         setattr(self, key, value)
         return value
 
 
+class Draw:
+    """One example: family ``name``'s algebra A, its ``Operands`` ``raw``,
+    read through as attributes, and the ``BUILT`` values, each built on its
+    first read; ``second`` is the second factor of A's tensor products."""
+
+    def __init__(self, draw, name, values=VALUES, second=C):
+        self.A, self.second = draw(algebras()) if name == "random" else BUILTINS[name], second
+        self.raw = Operands(draw, name, self.A, second, values)
+
+    def __getattr__(self, key):
+        if key not in BUILT:
+            return getattr(self.raw, key)
+        value = BUILT[key](self)
+        setattr(self, key, value)
+        return value
+
+
 def load(o):
-    """``cli.load_system`` of a file of o's grid of maps and right sides, and
-    ``cli.load_matrix_file`` of a file of f's rows."""
+    """``cli.load_system`` of a file of the system [[f, g], [g, f]] x = [x, y],
+    and ``cli.load_matrix_file`` of a file of f's rows."""
     name = {"C": "complex", "H": "quaternion", "O": "octonion"}[o.name]
     doc = {"algebra": name, "matrix": [[[[str(v) for v in row] for row in f] for f in band]
-                                       for band in o.grid],
-           "rhs": [[str(v) for v in y] for y in [o.x, o.y][:len(o.grid)]]}
+                                       for band in [[o.f, o.g], [o.g, o.f]]],
+           "rhs": [[str(v) for v in y] for y in [o.x, o.y]]}
     with tempfile.TemporaryDirectory() as folder:
         system, rows = Path(folder) / "system.json", Path(folder) / "map.txt"
         system.write_text(json.dumps(doc), encoding="utf-8")
@@ -545,22 +568,23 @@ def entry_view(p, q, r, s, k):
 
 
 Row = namedtuple("Row", "name covers families kind value view refusal examples",
-                 defaults=(None, 20))
+                 defaults=(None, {}))
 ALL = (*BUILTINS, "random")
 ORBITS = ("C", "H", "O", "random")  # H (x) H's 256 x 256 reference solve takes minutes
 SMALLER = ("C", "H", "random")  # for rows whose references are costly on O and H (x) H
+EXAMPLES = 25  # per family: a row on four families has 100
 
 # One row per operation that returns a value: the functions it is the home of,
-# the families it runs on, the kind of each value ("element A": an element of
-# o.A; "map", "tensor"; a list when they differ), how a draw o builds the
-# values, their views from the raw operands through the oracle alone, the
-# exception the library raises where the view is None, and the examples per
-# family: 20, so that a row on all five families has 100; fewer where the
-# reference solves O's 64 x 64 systems.
+# the families it runs on, the kinds of its values ("element A": an element of
+# o.A; "map", "tensor"), taken in turn, how a draw o builds the values, their
+# views from the raw operands o.raw through the oracle alone, the exception
+# the library raises where the view is None, and the examples of the families
+# whose budget is not EXAMPLES: 100 for the tensor arithmetic on H, which ran
+# on H alone before, fewer where the reference solves O's 64 x 64 systems.
 CONTRACT = [
     Row("elements from coordinates",
         (AlgElement.__init__, FreeAlgebra.element, FreeAlgebra.zero, FreeAlgebra.basis_element,
-         FreeAlgebra.unit, FreeAlgebra.basis, random_element), ALL, "element A",
+         FreeAlgebra.unit, FreeAlgebra.basis, random_element), ALL, ["element A"],
         value=lambda o: [o.X, o.A.zero(), o.A.basis_element(o.i), *o.A.basis(),
                          random_element(o.A, Random(o.seed)),
                          *([o.A.unit()] if o.A.unit_index is not None else [])],
@@ -570,12 +594,12 @@ CONTRACT = [
                         *([unit_vector(o.n, o.unit)] if o.unit is not None else [])]),
     Row("maps from coordinates",
         (LinearMap.__init__, LinearMap.identity, LinearMap.zero, MapMatrix.identity), ALL,
-        "map A",
+        ["map A"],
         value=lambda o: [o.F, *(f for band in MapMatrix.identity(o.A, 2).entries for f in band),
                          LinearMap.identity(o.A), LinearMap.zero(o.A)],
         view=lambda o: [o.f, *identity_grid(o.n, 2), *identity_grid(o.n, 2)[:2]]),
     Row("tensors from components",
-        (Tensor2.__init__, Tensor2.basis_tensor, Tensor2.unit), ALL, "tensor A",
+        (Tensor2.__init__, Tensor2.basis_tensor, Tensor2.unit), ALL, ["tensor A"],
         value=lambda o: [o.S, Tensor2.basis_tensor(o.A, o.i, o.j),
                          *([Tensor2.unit(o.A)] if o.A.unit_index is not None else [])],
         view=lambda o: [o.s, unit_grid(o.n, o.i, o.j),
@@ -586,22 +610,22 @@ CONTRACT = [
                          unreduced(Tensor2, (o.A,), o.s, o.k)],
         view=lambda o: [o.x, o.f, o.s]),
     Row("element arithmetic",
-        (IntForm.__add__, IntForm.__sub__, IntForm.__neg__, IntForm.scaled), ALL, "element A",
+        (IntForm.__add__, IntForm.__sub__, IntForm.__neg__, IntForm.scaled), ALL, ["element A"],
         value=lambda o: [(o.X + o.Y) - o.Y, o.X.scaled(o.q).scaled(1 / o.q), -(-o.X),
                          o.Y - o.Y],
         view=lambda o: [o.x, o.x, o.x, [0] * o.n]),
-    Row("map arithmetic", (compose,), ALL, "map A",
+    Row("map arithmetic", (compose,), ALL, ["map A"],
         value=lambda o: [(o.F + o.G) - o.G, o.F.scaled(o.q).scaled(1 / o.q), -(-o.F),
                          compose(o.F, LinearMap.identity(o.A)),
                          compose(LinearMap.identity(o.A), o.F)],
         view=lambda o: [o.f] * 5),
-    Row("tensor arithmetic", (twisted_mul,), ALL, "tensor A",
+    Row("tensor arithmetic", (twisted_mul,), ALL, ["tensor A"], examples={"H": 100},
         value=lambda o: [(o.S + o.T) - o.T, o.S.scaled(o.q).scaled(1 / o.q), -(-o.S),
                          *([twisted_mul(o.S, Tensor2.unit(o.A)),
                             twisted_mul(Tensor2.unit(o.A), o.S)]
                            if o.A.unit_index is not None else [])],
         view=lambda o: [o.s] * (3 if o.unit is None else 5)),
-    Row("products", (multiply, associator, commutator, apply), ALL, "element A",
+    Row("products", (multiply, associator, commutator, apply), ALL, ["element A"],
         value=lambda o: [multiply(o.X, o.Y), associator(o.X, o.Y, o.Z), commutator(o.X, o.Y),
                          apply(o.F, o.X), apply(LinearMap.identity(o.A), o.X)],
         view=lambda o: [o.xy, sub(oracle.mul(o.c, o.xy, o.z),
@@ -609,7 +633,7 @@ CONTRACT = [
                         sub(o.xy, o.yx),
                         matvec(o.f, o.x), o.x]),
     Row("shifts and compositions",
-        (left_shift, right_shift, left_associator_map, right_associator_map), ALL, "map A",
+        (left_shift, right_shift, left_associator_map, right_associator_map), ALL, ["map A"],
         value=lambda o: [left_shift(o.X), right_shift(o.X), left_associator_map(o.X, o.Y),
                          right_associator_map(o.Y, o.X), compose(o.G, o.F)],
         view=lambda o: [
@@ -620,15 +644,15 @@ CONTRACT = [
             columns(o.n, lambda e: sub(oracle.mul(o.c, oracle.mul(o.c, e, o.y), o.x),
                                        oracle.mul(o.c, e, o.yx))),
             oracle.matmul(o.g, o.f)]),
-    Row("sandwiches", (sandwich,), SMALLER, "map A",
+    Row("sandwiches", (sandwich,), SMALLER, ["map A"],
         value=lambda o: [sandwich(o.X, o.F, o.Y, "left"), sandwich(o.X, o.F, o.Y, "right")],
         view=lambda o: [
             columns(o.n, lambda e: oracle.mul(o.c, oracle.mul(o.c, o.x, matvec(o.f, e)), o.y)),
             columns(o.n, lambda e: oracle.mul(o.c, o.x, oracle.mul(o.c, matvec(o.f, e), o.y)))]),
-    Row("twisted products and pure tensors", (Tensor2.pure,), ALL, "tensor A",
+    Row("twisted products and pure tensors", (Tensor2.pure,), ALL, ["tensor A"],
         value=lambda o: [twisted_mul(o.S, o.T), Tensor2.pure(o.X, o.Y)],
         view=lambda o: [oracle.twisted(o.c, o.s, o.t), outer(o.x, o.y)]),
-    Row("tensor products", (freealg.TensorAlgebra.pure, tensor_mul), ALL, "element AC",
+    Row("tensor products", (freealg.TensorAlgebra.pure, tensor_mul), ALL, ["element AC"],
         value=lambda o: [o.AC.pure([o.X, o.second.element(o.u)]),
                          o.AC.pure([o.Z, o.second.element(o.v)]),
                          tensor_mul(o.AC.pure([o.X, o.second.element(o.u)]),
@@ -636,41 +660,30 @@ CONTRACT = [
         view=lambda o: [oracle.flat(outer(o.x, o.u)), oracle.flat(outer(o.z, o.v)),
                         oracle.mul(o.ac, oracle.flat(outer(o.x, o.u)),
                                    oracle.flat(outer(o.z, o.v)))]),
-    Row("maps of tensors acting on maps", (coords_from_standard,), SMALLER, "map A",
+    Row("maps of tensors acting on maps", (coords_from_standard,), SMALLER, ["map A"],
         value=lambda o: [coords_from_standard(o.S, o.F, o.order)],
         view=lambda o: [action(o.c, o.s, o.f, o.order)]),
-    Row("inverse maps", (LinearMap.inverse,), ALL, "map A",
+    Row("inverse maps", (LinearMap.inverse,), ALL, ["map A"],
         value=lambda o: [o.F.inverse()],
         view=lambda o: listed(oracle.inverse(o.f)), refusal=ValueError),
-    Row("inverse grids of maps", (inverse_map_matrix,), ALL, "map A",
+    Row("inverse grids of maps", (inverse_map_matrix,), ALL, ["map A"],
         value=grid_inverses,
-        view=lambda o: o.inverse and blocks_of(o.inverse, len(o.grid), o.n)
-        * (1 + o.minors), refusal=SingularSystem),
-    Row("quasideterminants", (quasideterminant,), ALL, "map A",
+        view=lambda o: None if o.inverse is None
+        else blocks_of(o.inverse, len(o.grid), o.n) * (1 + o.minors), refusal=SingularSystem),
+    Row("quasideterminants", (quasideterminant,), ALL, ["map A"],
         value=lambda o: [quasideterminant(o.M, 0, 0)],
         view=lambda o: listed(quasideterminant_view(o.grid, o.inverses[-1])),
         refusal=MinorSingular),
     Row("products of grids of maps", (rc_product, cr_product, MapMatrix.transpose), SMALLER,
-        "map A",
+        ["map A"],
         value=lambda o: [f for m in (rc_product(o.M, o.M), cr_product(o.M, o.M),
                                      o.M.transpose()) for band in m.entries for f in band],
-        view=lambda o: [
-            *(oracle.matmul(o.grid[a][0], o.grid[0][d]) if len(o.grid) == 1 else
-              [[v + w for v, w in zip(p, q)] for p, q in zip(
-                  oracle.matmul(o.grid[a][0], o.grid[0][d]),
-                  oracle.matmul(o.grid[a][1], o.grid[1][d]))]
-              for a in range(len(o.grid)) for d in range(len(o.grid))),
-            *(oracle.matmul(o.grid[0][d], o.grid[a][0]) if len(o.grid) == 1 else
-              [[v + w for v, w in zip(p, q)] for p, q in zip(
-                  oracle.matmul(o.grid[0][d], o.grid[a][0]),
-                  oracle.matmul(o.grid[1][d], o.grid[a][1]))]
-              for a in range(len(o.grid)) for d in range(len(o.grid))),
-            *(o.grid[m][r] for r in range(len(o.grid)) for m in range(len(o.grid)))]),
-    Row("additive solutions and witnesses", (solve_additive,), ALL, "element A",
+        view=lambda o: grid_products(o.grid)),
+    Row("additive solutions and witnesses", (solve_additive,), ALL, ["element A"],
         value=additive,
         view=lambda o: cut(o.solved[1] if o.regular else oracle.solve(
             flatten_maps(o.system, o.n), [0] * len(o.system) * o.n)[2][0], o.n)),
-    Row("complex entries", (cli.parse_complex_entry,), ALL, "map C",
+    Row("complex entries", (cli.parse_complex_entry,), ALL, ["map C"],
         value=lambda o: [cli.parse_complex_entry(entry_text(*o.entry), C)],
         view=lambda o: [entry_view(*o.entry)]),
     Row("complex additive maps",
@@ -682,40 +695,42 @@ CONTRACT = [
             columns(2, lambda e: [v + w for v, w in zip(oracle.mul(o.c, o.x, e),
                                                           oracle.mul(o.c, o.y, conj(e)))]),
             [v + w for v, w in zip(oracle.mul(o.c, o.x, o.z), oracle.mul(o.c, o.y, conj(o.z)))]]),
-    Row("conjugates", (conjugate,), ("C", "H", "O"), "element A",
+    Row("conjugates", (conjugate,), ("C", "H", "O"), ["element A"],
         value=lambda o: [conjugate(o.X)],
         view=lambda o: [conj(o.x)]),
-    Row("inverse elements", (inverse_element,), ("C", "H", "O"), "element A",
+    Row("inverse elements", (inverse_element,), ("C", "H", "O"), ["element A"],
         value=lambda o: [inverse_element(o.X)],
-        view=lambda o: any(o.x) and [inverse(o.x)],
+        view=lambda o: [inverse(o.x)] if any(o.x) else None,
         refusal=freealg.ZeroNorm),
-    Row("rotations", (rotate,), ("H",), "element A",
+    Row("rotations", (rotate,), ("H",), ["element A"],
         value=lambda o: [rotate(o.X, o.A.element([0, *o.y[1:]]))],
-        view=lambda o: any(o.x) and [oracle.mul(o.c, oracle.mul(o.c, o.x, [0, *o.y[1:]]),
-                                                inverse(o.x))],
+        view=lambda o: [oracle.mul(o.c, oracle.mul(o.c, o.x, [0, *o.y[1:]]), inverse(o.x))]
+        if any(o.x) else None,
         refusal=freealg.ZeroNorm),
-    Row("generators of all maps", (representation_basis,), SMALLER, "map A",
+    Row("generators of all maps", (representation_basis,), SMALLER, ["map A"],
         value=lambda o: representation_basis(o.A, o.order),
         view=lambda o: generators(o.c, o.unit, o.order), refusal=freealg.NoUnit),
     Row("loaded files", (cli.load_system, cli.load_matrix_file), ("C", "H", "O"),
-        lambda o: ["map L"] * len(o.grid) ** 2 + ["element L"] * len(o.grid) + ["map A"],
+        ["map L"] * 4 + ["element L"] * 2 + ["map A"],
         value=lambda o: [*(f for band in o.loaded[1].entries for f in band), *o.loaded[2],
                          o.loaded[3]],
-        view=lambda o: [*(f for band in o.grid for f in band), *[o.x, o.y][:len(o.grid)], o.f]),
-    Row("tensor maps", (tensor_map, table_map), ALL, "map A", examples=12,
+        view=lambda o: [o.f, o.g, o.g, o.f, o.x, o.y, o.f]),
+    Row("tensor maps", (tensor_map, table_map), ALL, ["map A"], examples=dict.fromkeys(ALL, 12),
         value=lambda o: [tensor_map(Tensor2(o.A, o.s).scaled(o.q).scaled(1 / o.q), o.order),
                          table_map(Tensor2(o.A, o.s).scaled(o.q).scaled(1 / o.q), o.order)],
         view=lambda o: [oracle.sandwich(o.c, o.s, o.order)] * 2),
-    Row("standard components", (standard_from_coords,), ALL, "tensor A", examples=12,
+    Row("standard components", (standard_from_coords,), ALL, ["tensor A"],
+        examples=dict.fromkeys(ALL, 12),
         value=lambda o: [(solution := standard_from_coords(LinearMap(
             o.A, o.A, oracle.sandwich(o.c, o.s, o.order)), o.order)).particular,
             *solution.nullspace],
         view=lambda o: standard_components(o.c, o.s, o.order)),
-    Row("orbit tensors", (orbit_contains,), ORBITS, "tensor A", examples=10,
+    Row("orbit tensors", (orbit_contains,), ORBITS, ["tensor A"],
+        examples=dict.fromkeys(ORBITS, 10),
         value=lambda o: [orbit_contains(LinearMap(o.A, o.A, action(o.c, o.ot, o.of, o.order)),
                                         LinearMap(o.A, o.A, o.of), o.order)],
         view=lambda o: [orbit_tensor(o.c, o.ot, o.of, o.order)]),
-    Row("tensor inverses", (tensor_inverse,), ("C", "random"), "tensor A",
+    Row("tensor inverses", (tensor_inverse,), ("C", "random"), ["tensor A"],
         value=lambda o: [tensor_inverse(o.T)] if o.A.unit_index is not None else [],
         view=lambda o: [] if o.unit is None else listed(two_sided_inverse(o.c, o.unit, o.t)),
         refusal=SingularTensor),
@@ -761,26 +776,29 @@ def cases(o, row):
     """(value, expected) pairs of a row on the draw o, or None after checking
     the refusal where the oracle has no answer; a view repeated in a row is
     read once."""
-    views = row.view(o)
-    if views is None or views is False:
+    views = row.view(o.raw)
+    if views is None:
         with pytest.raises(row.refusal):
             row.value(o)
         return None
-    kinds = row.kind if isinstance(row.kind, (list, tuple)) else (
-        row.kind(o) if callable(row.kind) else [row.kind] * len(views))
     values = row.value(o)
-    assert len(values) == len(views) == len(kinds)
+    assert len(values) == len(views) and len(views) % len(row.kind) == 0
     wants = {}
-    for kind, view in zip(kinds, views):
+    for kind, view in zip(cycle(row.kind), views):
         if (kind, id(view)) not in wants:
             wants[kind, id(view)] = expected(o, kind, view)
-    return [(value, wants[kind, id(view)]) for value, kind, view in zip(values, kinds, views)]
+    return [(value, wants[kind, id(view)])
+            for value, kind, view in zip(values, cycle(row.kind), views)]
+
+
+def budget(row, name):
+    return row.examples.get(name, EXAMPLES)
 
 
 @pytest.mark.parametrize("examples, name", sorted(
-    {(row.examples, name) for row in CONTRACT for name in row.families}, reverse=True))
+    {(budget(row, name), name) for row in CONTRACT for name in row.families}, reverse=True))
 def test_every_value_holds_the_canonical_int_form(examples, name):
-    rows = [row for row in CONTRACT if row.examples == examples and name in row.families]
+    rows = [row for row in CONTRACT if name in row.families and budget(row, name) == examples]
 
     @settings(max_examples=examples)
     @given(st.data())
@@ -817,15 +835,19 @@ def read_from_eight_threads(values):
 
 @pytest.mark.parametrize("row", CONTRACT, ids=lambda row: row.name)
 def test_threads_reading_a_row_s_values_first_all_get_the_canonical_form(row):
-    # on H where the row runs there, nonzero 40-bit coordinates and H (x) O
-    # for the tensor products: eight threads read every value of a draw,
-    # none read before
+    # on H where the row runs there, H (x) O for the tensor products: eight
+    # threads read every value of one draw whose coordinates are p/q, p and
+    # q uniform 40-bit ints from Random(49), and of which some nonzero value
+    # has not been read
     name = next(name for name in ("H", "O", "C", "H(x)H", "random") if name in row.families)
 
-    @settings(max_examples=2)  # the first example is the simplest draw
+    @settings(max_examples=1)
     @given(st.data())
     def first_read(data):
-        pairs = cases(Draw(data.draw, name, NONZERO, BUILTINS["O"]), row) or []
+        rng = Random(49)
+        values = st.builds(lambda: Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)))
+        pairs = cases(Draw(data.draw, name, values, BUILTINS["O"]), row) or []
+        assume(any(value._ints is None and not value.is_zero() for value, _ in pairs))
         for form in read_from_eight_threads([value for value, _ in pairs]):
             assert form == [want.form for _, want in pairs]
         for value, want in pairs:

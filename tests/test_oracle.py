@@ -122,9 +122,9 @@ def test_only_their_own_tests_read_exact_s_fraction_api():
 
 def test_the_contract_reads_its_expected_views_off_the_oracle_alone():
     # in test_kernel_properties, the view column of every row of CONTRACT,
-    # the FACTS a view may read and the module's functions they call read no
-    # name bound to freealg; of a draw o they read the raw operands of DRAWS
-    # and the FACTS, and a fact reads an algebra's definition alone
+    # the FACTS and the module's functions they call name nothing bound to
+    # freealg, nor a module constant built from it; of a draw they see the
+    # raw operands and the algebras' definitions alone, as Operands holds no more
     tree = ast.parse((TESTS / "test_kernel_properties.py").read_text(encoding="utf-8"))
     bound = {(alias.asname or alias.name).split(".")[0] for node in tree.body
              if isinstance(node, ast.Import) and node.names[0].name.split(".")[0] == "freealg"
@@ -132,28 +132,19 @@ def test_the_contract_reads_its_expected_views_off_the_oracle_alone():
              for alias in node.names}
     tops = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
             for target in node.targets if isinstance(target, ast.Name)}
+    for name, value in tops.items():  # in file order, so C = BUILTINS["C"] is bound too
+        if any(isinstance(sub, ast.Name) and sub.id in bound for sub in ast.walk(value)):
+            bound.add(name)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     rows = [call for call in tops["CONTRACT"].elts if getattr(call.func, "id", None) == "Row"]
     views = [next((k.value for k in call.keywords if k.arg == "view"), None) for call in rows]
-    facts = dict(zip((key.value for key in tops["FACTS"].keys), tops["FACTS"].values))
-    raw = {key.value for key in tops["DRAWS"].keys} | set(facts)
     assert len(rows) == len(tops["CONTRACT"].elts) > 20 and all(views)
-    definitions = {"constants", "dim", "unit_index"}
-    todo = [(view, False) for view in views] + [(fact, True) for fact in facts.values()]
-    seen, wrong = set(), []
+    todo, seen, wrong = [*views, *tops["FACTS"].values], set(), []
     while todo:
-        node, in_fact = todo.pop()
-        parents = {child: parent for parent in ast.walk(node)
-                   for child in ast.iter_child_nodes(parent)}
-        for sub in ast.walk(node):
+        for sub in ast.walk(todo.pop()):
             if isinstance(sub, ast.Name) and sub.id in bound:
                 wrong.append(sub.id)
             if isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
                 seen.add(sub.id)
-                todo.append((functions[sub.id], in_fact))
-            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "o":
-                algebra = in_fact and sub.attr in ("A", "second") and getattr(
-                    parents.get(sub), "attr", None) in definitions
-                if sub.attr not in raw and not algebra:
-                    wrong.append(f"o.{sub.attr}")
+                todo.append(functions[sub.id])
     assert wrong == []
