@@ -28,18 +28,20 @@ Measured in process on 2 CPUs (Python 3.11), exact division inverts H's
 tensor maps in about 0.5x the time of ``_reduce``, random maps on O,
 H (x) H and O (x) H in 0.64-0.73x, a basis shift of O (x) O in
 0.47-0.54x and shifts of random elements in 0.74x (O (x) O) to about
-1.06x (O (x) H, whose minors share a factor the gcd divides out);
-deferring the scale takes 0.89-1.00x the time of rescaling every row at
-every step.  ``null_vector`` of the [M | -b] of ``solver.solve_additive``
-over C, H, O and H (x) H takes 0.63-0.79x the time of ``_reduce`` on
-dense systems, singular or not, 0.59-1.00x on shifts of random elements,
-0.84-0.99x on basis shifts with rational right sides and 0.62-0.89x on
-singular ones.  It runs the Gram solve of ``linmap.representation_basis``
-too, the one null vector of [R R^T | -R e_c], in 0.73-0.75x the time of
-``solve_ints`` on square-zero algebras of dim 12-30 and 1.15x on O (x) C.
-On ``_reduce``'s callers, whose rows share factors, such as B's class
-grids and ``orbit_contains``' dense system, exact division was 2.2-19x
-slower.
+1.06x (O (x) H, whose minors share a factor the gcd divides out).
+Rewriting every row at every step, in place of deferring the scale, took
+38-54x the time on a one-hot basis shift of O (x) O, most of whose rows
+have 0 in the pivot column, and 0.90-1.07x on dense input: 40-bit H maps
+and O shifts, O's F and small dense systems.  ``null_vector`` of the
+[M | -b] of ``solver.solve_additive`` over C, H, O and H (x) H takes
+0.63-0.79x the time of ``_reduce`` on dense systems, singular or not,
+0.59-1.00x on shifts of random elements, 0.84-0.99x on basis shifts with
+rational right sides and 0.62-0.89x on singular ones.  It runs the Gram
+solve of ``linmap.representation_basis`` too, the one null vector of
+[R R^T | -R e_c], in 0.73-0.75x the time of ``solve_ints`` on square-zero
+algebras of dim 12-30 and 1.15x on O (x) C.  On ``_reduce``'s callers,
+whose rows share factors, such as B's class grids and ``orbit_contains``'
+dense system, exact division was 2.2-19x slower.
 
 Fractions appear only on the way out, and ``as_fractions`` builds
 every one the package reads off an int form: the coordinates and

@@ -445,14 +445,18 @@ def _row_loop(grid, v) -> list[int]:
     return [sum(map(mul, row, v)) for row in grid]
 
 
-def _table_sums(t: Tensor2, order: str) -> tuple[list[int], int]:
-    """t's map as ``table_map`` sums it, an int form over D^2 times t's
-    denominator, D the algebra's: entry (k, m) at k n + m.  One walk over
-    t's lines, rows in the left order and columns in the right, skipping a
-    line that is all 0."""
-    n = t.algebra.dim
+def table_map(t: Tensor2, order: str = "left") -> LinearMap:
+    """t's map, as ``tensor_map`` gives it, summed straight off the
+    algebra's tables of constants without reading B: the check that the
+    conversions substitute back.  Left order, for each nonzero t^{ab},
+    e_a e_m = v1 e_p and e_p e_b = v2 e_k add t^{ab} v1 v2 at (k, m); the
+    right order is the same walk over A^op's table, A's column table, with
+    t^{ba} in place of t^{ab}.  One walk over t's lines, rows in the left
+    order and columns in the right, skipping a line that is all 0."""
+    _check_order(order)
+    algebra, n = t.algebra, t.algebra.dim
     left = order == "left"
-    table = t.algebra.terms(opposite=not left)
+    table = algebra.terms(opposite=not left)
     tvec, t_den = t._form
     out = [0] * (n * n)
     for a, line in enumerate(table):
@@ -462,30 +466,19 @@ def _table_sums(t: Tensor2, order: str) -> tuple[list[int], int]:
                 for b, k, v2 in table[p]:
                     if ts[b]:
                         out[k * n + m] += ts[b] * v1 * v2
-    return out, t.algebra.denominator ** 2 * t_den
-
-
-def table_map(t: Tensor2, order: str = "left") -> LinearMap:
-    """t's map, as ``tensor_map`` gives it, summed straight off the
-    algebra's tables of constants without reading B: the check that the
-    conversions substitute back.  Left order, for each nonzero t^{ab},
-    e_a e_m = v1 e_p and e_p e_b = v2 e_k add t^{ab} v1 v2 at (k, m); the
-    right order is the same walk over A^op's table, A's column table, with
-    t^{ba} in place of t^{ab}."""
-    _check_order(order)
-    return LinearMap._of((t.algebra, t.algebra), _table_sums(t, order))
+    return LinearMap._of((algebra, algebra), (out, algebra.denominator ** 2 * t_den))
 
 
 def check_conversion(g: LinearMap, solution: StandardSolution, order: str = "left") -> None:
     """SubstitutionCheckFailed unless ``table_map`` takes the particular
     tensor of ``standard_from_coords(g, order)`` to g and every null vector
     to the zero map: one walk of the tables per tensor, a null vector's
-    sums read as they are, without reducing them."""
+    map read by ``is_zero``, without reducing it."""
     if table_map(solution.particular, order) != g:
         raise SubstitutionCheckFailed("standard components fail substitution: "
                                       "the particular tensor does not give the map")
     for idx, t in enumerate(solution.nullspace):
-        if any(_table_sums(t, order)[0]):
+        if not table_map(t, order).is_zero():
             raise SubstitutionCheckFailed(f"standard components fail substitution: "
                                           f"null vector {idx} does not give the zero map")
 

@@ -9,9 +9,8 @@ with the right side appended, which ``_augmented`` builds from the maps'
 int forms, once, never inverting M, by exact division up to its first
 column without a pivot, and reading off one null vector there
 (``exact.null_vector``).  The answer is then substituted back through
-the maps, not through the eliminated matrix: each map's int rows times
-x_j's ints, each equation summed over one denominator, and a singular
-system is refused with a witness x != 0 checked the same way.
+the maps, not through the eliminated matrix, by ``apply`` and ``+`` alone,
+and a singular system is refused with a witness x != 0 checked the same way.
 The quasideterminant recursion composes the entries too and inverts
 each quasideterminant by ``exact.factor``'s gcd loop, so it shares no
 elimination with the inverse it cross-validates.
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -33,7 +31,7 @@ from .algebras import COMPLEX_TAG, conjugate
 from .core import AlgElement, FreeAlgebra, format_element, multiply
 from .errors import (AlgebraMismatch, MinorSingular, ShapeMismatch, SingularMap,
                      SingularSystem, SubstitutionCheckFailed, UnsupportedAlgebra)
-from .linmap import LinearMap, compose
+from .linmap import LinearMap, apply, compose
 
 
 class MapMatrix:
@@ -185,18 +183,8 @@ def quasideterminant(m: MapMatrix, row: int, col: int) -> LinearMap:
 
 
 def _left_sides(m: MapMatrix, x: list[AlgElement]) -> list[AlgElement]:
-    """sum_j m[i][j](x_j) for every row i, through the maps, on ints: each
-    map's int rows times x_j's ints, over f's denominator times x_j's; each
-    equation summed over the lcm of those, reduced when it is compared."""
-    forms = [xj._form for xj in x]
-    sides = []
-    for row in m.entries:
-        terms, den = exact.over_lcm([
-            ([sum(map(mul, f_row, xs)) for f_row in exact.blocks(fs, len(xs))], f_den * x_den)
-            for (fs, f_den), (xs, x_den) in zip([f._form for f in row], forms)])
-        sums = [sum(column) for column in zip(*terms)]
-        sides.append(AlgElement._of((m.algebra,), (sums, den)))
-    return sides
+    """sum_j m[i][j](x_j) for every row i, through the maps: ``apply`` and ``+``."""
+    return [sum(map(apply, row, x), m.algebra.zero()) for row in m.entries]
 
 
 def _augmented(m: MapMatrix, rhs: Sequence[AlgElement]) -> list[list[int]]:

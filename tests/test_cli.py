@@ -369,6 +369,21 @@ def test_basis_counts(capsys):
     assert "generators=1" in out
 
 
+def test_basis_runs_in_the_order_asked(tmp_path, capsys):
+    # e1 e2 = e1 + e2 and e2 e2 = e1 - e2 beside the unit e0: neither
+    # associative nor of full rank, its orbits need 4 generators left-nested
+    # and 3 right-nested
+    constants = [[0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 1], [2, 0, 2], [1, 2, 1], [1, 2, 2],
+                 [2, 2, 1]]
+    doc = {"dim": 3, "labels": ["1", "a", "b"], "unit": 0,
+           "constants": [[*cell, "1"] for cell in constants] + [[2, 2, 2, "-1"]]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    counts = {order: run(capsys, "basis", str(path), "--order", order, "--machine")[1]
+              .splitlines()[0] for order in ("left", "right")}
+    assert counts == {"left": "generators=4", "right": "generators=3"}
+
+
 def test_basis_no_unit_exits_2(tmp_path, capsys):
     doc = {"dim": 2, "labels": ["x", "y"], "constants": [[0, 1, 0, "1"]]}
     path = tmp_path / "unitless.json"

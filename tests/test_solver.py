@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      MapMatrix, MinorSingular, ShapeMismatch, SingularMap,
@@ -13,9 +12,8 @@ from freealg import (AlgebraMismatch, ComplexAdditiveMap, LinearMap,
                      left_shift, multiply, quasideterminant, random_element,
                      rc_product, right_shift, solve_additive)
 from freealg.cli import load_system
-from freealg.solver import _left_sides, _recursive_inverse
 import test_golden_cli
-from test_kernel_properties import VALUES, ZERO, algebras, grids
+from test_kernel_properties import ZERO
 import oracle
 
 
@@ -298,32 +296,6 @@ def test_minor_singular_reported(C):
     assert quasideterminant(m, 1, 1) == cadd(C, -1, 0, 0, 0).to_linear_map()
 
 
-def test_the_recursion_runs_no_elimination_of_the_inverse_it_checks(C, monkeypatch):
-    # verify quasidet holds inverse_map_matrix (exact.invert_ints, that is
-    # exact._bareiss) to the recursion, so the recursion must not run _bareiss
-    rng = random.Random(43)
-    cells = [(j, i) for i in range(3) for j in range(3)]
-    while True:  # m and every minor of the recursion invertible
-        m = rnd_cadd_matrix(C, rng, 3)
-        try:
-            inverse = inverse_map_matrix(m)
-            for j, i in cells:
-                quasideterminant(m, j, i)
-            break
-        except (SingularSystem, MinorSingular):
-            continue
-
-    def no_bareiss(*args, **kwargs):
-        raise AssertionError("the quasideterminant recursion ran exact._bareiss")
-
-    monkeypatch.setattr(exact, "_bareiss", no_bareiss)
-    quasidets = {(j, i): quasideterminant(m, j, i) for j, i in cells}
-    recursed = _recursive_inverse(m.entries)
-    for j, i in cells:
-        assert recursed[i][j] == inverse.entries[i][j]
-        assert compose(quasidets[j, i], recursed[i][j]) == LinearMap.identity(C)
-
-
 def test_solve_example(C):
     m, rhs = example_system(C)
     z, w = solve_additive(m, rhs)
@@ -503,20 +475,6 @@ def test_a_singular_system_reads_off_one_null_vector(O, monkeypatch):
         solve_additive(m, rhs)
     assert len(calls) == 1
     assert exact.vec(x.coords for x in info.value.witness) == nullspace[0]
-
-
-@given(st.data())
-def test_left_sides_match_the_maps_applied_one_by_one(data):
-    # each equation is summed over one denominator; the reference applies
-    # each map and adds the results with +
-    algebra = data.draw(algebras())
-    n, size = algebra.dim, data.draw(st.integers(1, 3))
-    m = MapMatrix([[LinearMap(algebra, algebra, data.draw(grids(n))) for _ in range(size)]
-                   for _ in range(size)])
-    coords = st.lists(VALUES, min_size=n, max_size=n) | st.just([ZERO] * n)
-    x = [algebra.element(data.draw(coords)) for _ in range(size)]
-    expected = [sum(map(apply, row, x), algebra.zero()) for row in m.entries]
-    assert _left_sides(m, x) == expected
 
 
 def test_a_grid_system_is_read_and_solved_without_fractions(tmp_path, monkeypatch):
